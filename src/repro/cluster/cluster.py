@@ -161,13 +161,6 @@ class SimulatedCluster:
         self.completed = {}
         self.task_trace = []
         self._start_times = {}
-        #: Sub-trial memoization: the harness may attach a memo object
-        #: (``repro.harness.memo.MaterializeMemo``); lowerings open
-        #: record/replay windows through ``repro.plan.memo`` which the
-        #: executor consults per memoizable task.  Both stay ``None``
-        #: outside harness-cached runs.
-        self.materialize_memo = None
-        self.memo_window = None
         #: task_id -> scheduling bookkeeping (queued/ready times, memory
         #: deferrals, transfer/compute/spill split) feeding the task
         #: records that critical-path analysis consumes.
@@ -903,69 +896,37 @@ class SimulatedCluster:
                     dep.output_bytes, dep_result.node, node.name
                 )
 
-        # Sub-trial memoization: inside an open materialize window, a
-        # memoizable task's fn/duration outcome is replayed from the
-        # recorded stream (or recorded for next time).  Everything else
-        # in this method — admission, transfers, slots, events, the
-        # clock — always runs live, so replayed runs stay
-        # byte-identical to recorded ones.  Fault-injected runs never
-        # memoize: slowdown and S3-retry sampling happen in the very
-        # evaluation the window would skip.
-        window = self.memo_window
-        if not (window is not None and task.memoizable
-                and self._faults is None):
-            window = None
-        replayed = None
-        if window is not None:
-            replayed = window.replay(task, node, self.network)
-        if replayed is not None:
-            value, duration = replayed
-        else:
-            counters_before = None
-            if window is not None:
-                counters_before = window.snapshot(node, self.network)
-            # Real computation runs first so that cost callables may
-            # price the work from its actual outputs.
-            s3_delay_before = self.object_store.total_retry_delay_s
-            if task.fn is not None:
-                try:
-                    value = task.fn(*resolved_args, **resolved_kwargs)
-                except Exception as exc:  # noqa: BLE001 - rewrapped
-                    if alloc_id is not None:
-                        node.memory.free(alloc_id)
-                    if self.obs.events:
-                        self.obs.events.emit(
-                            TaskFailed(
-                                self.now, task.name, task.task_id,
-                                node.name, repr(exc),
-                            )
+        # Real computation runs first so that cost callables may price
+        # the work from its actual outputs.
+        s3_delay_before = self.object_store.total_retry_delay_s
+        if task.fn is not None:
+            try:
+                value = task.fn(*resolved_args, **resolved_kwargs)
+            except Exception as exc:  # noqa: BLE001 - rewrapped with context
+                if alloc_id is not None:
+                    node.memory.free(alloc_id)
+                if self.obs.events:
+                    self.obs.events.emit(
+                        TaskFailed(
+                            self.now, task.name, task.task_id, node.name,
+                            repr(exc),
                         )
-                    raise TaskFailedError(
-                        task.name, exc, node=node.name,
-                        category=task.category
-                    ) from exc
-            else:
-                value = None
+                    )
+                raise TaskFailedError(
+                    task.name, exc, node=node.name, category=task.category
+                ) from exc
+        else:
+            value = None
 
-            if callable(task.duration):
-                duration = float(
-                    task.duration(*resolved_args, **resolved_kwargs)
-                )
-            else:
-                duration = float(task.duration)
-            if self._faults is not None:
-                # Stragglers stretch this node's compute; transient S3
-                # retries hit during fn stretch it by their total
-                # backoff.
-                duration *= self._faults.slowdown(node.name)
-                duration += (
-                    self.object_store.total_retry_delay_s - s3_delay_before
-                )
-            if window is not None:
-                window.record(
-                    task, value, duration, node, self.network,
-                    counters_before,
-                )
+        if callable(task.duration):
+            duration = float(task.duration(*resolved_args, **resolved_kwargs))
+        else:
+            duration = float(task.duration)
+        if self._faults is not None:
+            # Stragglers stretch this node's compute; transient S3
+            # retries hit during fn stretch it by their total backoff.
+            duration *= self._faults.slowdown(node.name)
+            duration += self.object_store.total_retry_delay_s - s3_delay_before
         compute_seconds = duration
         if spill_bytes > 0:
             duration += self.cost_model.disk_write_time(spill_bytes)

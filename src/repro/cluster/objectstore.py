@@ -85,11 +85,6 @@ class ObjectStore:
             self._events.emit(ObjectGet(self._now(), bucket, key, nbytes))
         return value
 
-    def peek(self, bucket, key):
-        """Return the stored object without emitting events or sampling
-        fault retries (memo/introspection use, never a data path)."""
-        return self._objects[self._key(bucket, key)][0]
-
     def size_of(self, bucket, key):
         """Stored size in bytes of one entry."""
         return self._objects[self._key(bucket, key)][1]

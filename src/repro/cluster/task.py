@@ -9,6 +9,10 @@ structure and node pinning.
 
 import itertools
 
+#: Process-global on purpose.  A task id is an ordinal: it orders tasks
+#: by creation (admission, tie-breaks) and keys lookups within one run.
+#: It never reaches a task name, a fault draw or a snapshot, so a
+#: trial's results do not depend on where the counter started.
 _task_counter = itertools.count()
 
 
@@ -54,13 +58,6 @@ class Task:
         Provenance id of the logical plan op this task implements
         (``"neuro/denoise"``), or ``None`` when the lowering resolves
         provenance through spans/categories instead.
-    memoizable:
-        Opt-in flag for sub-trial memoization: the task's ``fn`` and
-        ``duration`` are pure (deterministic in their resolved
-        arguments, no engine-state mutation beyond the network/disk
-        counters and ``output_bytes`` the memo records), so an open
-        materialize window may record and replay their outcome.
-        Engines set this only on audited task-construction sites.
     """
 
     __slots__ = (
@@ -78,7 +75,6 @@ class Task:
         "not_before",
         "category",
         "op",
-        "memoizable",
     )
 
     _OOM_POLICIES = ("fail", "wait", "spill")
@@ -98,7 +94,6 @@ class Task:
         not_before=0.0,
         category=None,
         op=None,
-        memoizable=False,
     ):
         if on_oom not in self._OOM_POLICIES:
             raise ValueError(
@@ -122,7 +117,6 @@ class Task:
         self.not_before = float(not_before)
         self.category = category
         self.op = op
-        self.memoizable = bool(memoizable)
 
     def dependencies(self):
         """All upstream tasks: explicit ``deps`` plus tasks in arguments."""

@@ -19,6 +19,8 @@ Scheduling model (calibrated to Sections 4.4, 5.1 and 5.2.1):
   released, counted against worker memory.
 """
 
+import itertools
+
 from repro.cluster.faults import dask_recovery
 from repro.cluster.task import Task
 from repro.engines.base import Engine, nominal_bytes_of
@@ -35,6 +37,9 @@ class DaskClient(Engine):
 
     def __init__(self, cluster):
         super().__init__(cluster)
+        #: Numbers the delayed keys (and so the task names) this client
+        #: hands out; per client, so names depend on the trial alone.
+        self.key_counter = itertools.count()
         self._results = {}          # Delayed.key -> value
         self._result_nodes = {}     # Delayed.key -> node name
         self._result_allocs = {}    # Delayed.key -> (node, alloc_id)
@@ -311,6 +316,5 @@ class DaskClient(Engine):
             category=f"dask-{fn_name}"
             if fn_name and fn_name != "<lambda>" else "dask-task",
             op=getattr(fn, "op", None),
-            memoizable=True,
         )
         return task

@@ -9,25 +9,6 @@ barriers to evaluate the constructed graphs").
 
 from repro.engines.base import as_costed
 
-_keys_issued = 0
-
-
-def keys_issued():
-    """How many delayed keys have been handed out so far.
-
-    Task names embed these keys, and the counter is process-global, so
-    materialization windows recorded over a delayed graph must include
-    the counter base in their key (see ``repro.plan.memo``).
-    """
-    return _keys_issued
-
-
-def _next_key():
-    global _keys_issued
-    n = _keys_issued
-    _keys_issued += 1
-    return n
-
 
 class Delayed:
     """One node of a Dask compute graph."""
@@ -39,7 +20,7 @@ class Delayed:
         self.fn = fn
         self.args = tuple(args)
         self.kwargs = dict(kwargs or {})
-        self.key = f"{fn.name}-{_next_key()}"
+        self.key = f"{fn.name}-{next(client.key_counter)}"
         self.workers = workers
         self._computed = False
 

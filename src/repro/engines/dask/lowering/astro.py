@@ -22,7 +22,6 @@ from repro.pipelines.astro import reference as ref
 from repro.pipelines.astro.staging import DEFAULT_BUCKET, exposure_key
 from repro.plan.astro import astro_plan
 from repro.plan.ir import fused_members, provenance_id
-from repro.plan.memo import materialize_scope, visit_token
 
 
 def _pid(op_id):
@@ -68,12 +67,6 @@ def run(client, visits, bucket=DEFAULT_BUCKET, grid=None, plan=None):
     """End-to-end astronomy pipeline; returns ``(coadds, sources)``."""
     if plan is None:
         plan = astro_plan(bucket=bucket)
-    # Delayed keys come from a process-global counter; the window key
-    # below must pin the base the graph was built at (task names embed
-    # the keys).
-    from repro.engines.dask.delayed import keys_issued
-
-    key_base = keys_issued()
     cm = client.cost_model
     exposures = [e for v in visits for e in v.exposures]
     if grid is None:
@@ -173,16 +166,7 @@ def run(client, visits, bucket=DEFAULT_BUCKET, grid=None, plan=None):
     }
 
     patches = sorted(result_delayed)
-    with materialize_scope(
-        client.cluster, plan, "sources", "dask",
-        extra=lambda: {
-            "bucket": bucket,
-            "visits": [visit_token(v) for v in visits],
-            "grid": [grid.patch_height, grid.patch_width],
-            "key_base": key_base,
-        },
-    ):
-        values = client.compute([result_delayed[p] for p in patches])
+    values = client.compute([result_delayed[p] for p in patches])
     coadds = {p: v[0] for p, v in zip(patches, values)}
     sources = {p: v[1] for p, v in zip(patches, values)}
     return coadds, sources

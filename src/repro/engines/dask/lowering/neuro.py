@@ -19,8 +19,9 @@ node over the b0 volumes; ``regroup``/``fitmodel`` become per-block
 ``split_block``/``fit_block`` nodes) and replaces the ``mask_bcast``
 broadcast with ordinary graph edges — the scheduler ships the mask to
 whichever worker needs it.  Delayed-node construction order is part of
-the lowering: task keys come from a global counter, so the graph below
-is built in exactly the order the paper's Figure 8 pseudocode implies.
+the lowering: task keys come from the client's key counter, so the
+graph below is built in exactly the order the paper's Figure 8
+pseudocode implies.
 """
 
 import numpy as np
@@ -33,8 +34,7 @@ from repro.pipelines import common
 from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
 from repro.pipelines.neuro.staging import DEFAULT_BUCKET, volume_key
 from repro.plan.ir import provenance_id
-from repro.plan.memo import materialize_scope, subject_token
-from repro.plan.neuro import DEFAULT_BLOCKS, neuro_plan
+from repro.plan.neuro import DEFAULT_BLOCKS
 
 
 def _pid(op_id):
@@ -191,30 +191,12 @@ def build_fit_graph(client, subject, vols_delayed, mask_delayed,
     )
 
 
-def run(client, subjects, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET,
-        plan=None):
+def run(client, subjects, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET):
     """End-to-end neuroscience pipeline on Dask.
 
     Returns ``(masks, fa_by_subject)``.  Subject downloads are pinned
     round-robin over the nodes (the paper's manual placement).
     """
-    if plan is None:
-        plan = neuro_plan(n_blocks=n_blocks, bucket=bucket)
-
-    # Task names embed the process-global delayed-key counter; a window
-    # recorded at one counter base cannot replay at another, so the base
-    # is part of every window key below.
-    from repro.engines.dask.delayed import keys_issued
-
-    key_base = keys_issued()
-
-    def input_token():
-        return {
-            "bucket": bucket,
-            "subjects": [subject_token(s) for s in subjects],
-            "key_base": key_base,
-        }
-
     nodes = client.cluster.node_order
     data = {}
     for index, subject in enumerate(subjects):
@@ -225,10 +207,7 @@ def run(client, subjects, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET,
 
     # Figure 8's barrier: materialize the downloads and read numVols.
     all_vols = [v for vols in data.values() for v in vols]
-    with materialize_scope(
-        client.cluster, plan, "volumes", "dask", extra=input_token
-    ):
-        client.compute(all_vols)
+    client.compute(all_vols)
     num_vols = {
         subject.subject_id: len(data[subject.subject_id])
         for subject in subjects
@@ -248,12 +227,9 @@ def run(client, subjects, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET,
     }
     # One barrier evaluates every subject's chain; subjects overlap.
     keys = [s.subject_id for s in subjects]
-    with materialize_scope(
-        client.cluster, plan, "fa", "dask", extra=input_token
-    ):
-        results = client.compute(
-            [masks_delayed[k] for k in keys] + [fa_delayed[k] for k in keys]
-        )
+    results = client.compute(
+        [masks_delayed[k] for k in keys] + [fa_delayed[k] for k in keys]
+    )
     masks = dict(zip(keys, results[: len(keys)]))
     fa = dict(zip(keys, results[len(keys):]))
     return masks, fa
@@ -288,6 +264,5 @@ class LoweredNeuro:
 
     def run(self, subjects):
         return run(
-            self.client, subjects, n_blocks=self.n_blocks,
-            bucket=self.bucket, plan=self.plan,
+            self.client, subjects, n_blocks=self.n_blocks, bucket=self.bucket
         )

@@ -19,7 +19,6 @@ from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
 from repro.pipelines.astro.staging import DEFAULT_BUCKET
 from repro.plan.astro import astro_plan
-from repro.plan.memo import materialize_scope, visit_token
 
 EXPOSURES_COLUMNS = ("expId", "visit", "sensor", "x0", "img")
 
@@ -174,7 +173,7 @@ Sources = [FROM Coadds EMIT Coadds.patchY, Coadds.patchX,
 
 
 def run(conn, visits, mode="pipelined", chunks=1, bucket=DEFAULT_BUCKET,
-        grid=None, source="s3", plan=None):
+        grid=None, source="s3"):
     """End-to-end astronomy pipeline; returns ``(coadds, sources)``.
 
     ``mode`` is ``"pipelined"`` or ``"materialized"``; pass
@@ -187,17 +186,6 @@ def run(conn, visits, mode="pipelined", chunks=1, bucket=DEFAULT_BUCKET,
     if grid is None:
         grid = ref.default_patch_grid(exposures[0].shape)
     pixel_scale = ref.nominal_pixel_scale(exposures[0].shape, exposures[0].bundle)
-    if plan is None:
-        plan = astro_plan(bucket=bucket)
-
-    def input_token(**config):
-        return dict(
-            config,
-            visits=[visit_token(v) for v in visits],
-            grid=[grid.patch_height, grid.patch_width],
-            mode=mode,
-            source=source,
-        )
 
     if source == "s3":
         register_s3(conn, bucket=bucket)
@@ -243,27 +231,18 @@ def run(conn, visits, mode="pipelined", chunks=1, bucket=DEFAULT_BUCKET,
             bands.append(
                 (band_query(bounds[i], bounds[i + 1], px_lo, px_hi), band_keys)
             )
-        for band_index, (text, band_keys) in enumerate(bands):
+        for text, band_keys in bands:
             conn.register_s3_relation(
                 "Exposures", bucket, EXPOSURES_COLUMNS, _loader, keys=band_keys
             )
-            with materialize_scope(
-                conn.cluster, plan, "sources", "myria",
-                extra=lambda band_index=band_index: input_token(
-                    chunks=chunks, band=band_index
-                ),
-            ):
-                query = MyriaQuery.submit(conn, text, mode="materialized")
+            query = MyriaQuery.submit(conn, text, mode="materialized")
             for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
                 coadds[(patch_y, patch_x)] = coadd_img
             for patch_y, patch_x, srcs in query.relation("Sources").rows:
                 sources[(patch_y, patch_x)] = srcs
         return coadds, sources
 
-    with materialize_scope(
-        conn.cluster, plan, "sources", "myria", extra=input_token
-    ):
-        query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode)
+    query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode)
     for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
         coadds[(patch_y, patch_x)] = coadd_img
     for patch_y, patch_x, srcs in query.relation("Sources").rows:
@@ -283,5 +262,5 @@ class LoweredAstro:
     def run(self, visits, mode="pipelined", chunks=1, grid=None, source="s3"):
         return run(
             self.conn, visits, mode=mode, chunks=chunks, bucket=self.bucket,
-            grid=grid, source=source, plan=self.plan,
+            grid=grid, source=source,
         )

@@ -28,7 +28,6 @@ from repro.formats.sizing import SizedArray
 from repro.pipelines import common
 from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
 from repro.pipelines.neuro.staging import DEFAULT_BUCKET, gradient_tables
-from repro.plan.memo import materialize_scope, subject_token
 from repro.plan.neuro import DEFAULT_BLOCKS, neuro_plan
 
 IMAGES_COLUMNS = ("subjId", "imgId", "b0flag", "img")
@@ -275,19 +274,9 @@ def _block_of(block, n_blocks, nz):
     return slice(0, nz)
 
 
-def _subjects_token(subjects, **config):
-    return dict(config, subjects=[subject_token(s) for s in subjects])
-
-
-def compute_masks(conn, subjects, mode="pipelined", plan=None, source="s3"):
+def compute_masks(conn, subjects, mode="pipelined"):
     """Query 1: per-subject masks; stores the Mask relation."""
-    if plan is None:
-        plan = neuro_plan()
-    with materialize_scope(
-        conn.cluster, plan, "masks", "myria",
-        extra=lambda: _subjects_token(subjects, mode=mode, source=source),
-    ):
-        query = MyriaQuery.submit(conn, MASK_QUERY, mode=mode)
+    query = MyriaQuery.submit(conn, MASK_QUERY, mode=mode)
     masks = {}
     for subj, mask in query.relation("Masks").rows:
         masks[subj] = mask.array.astype(bool)
@@ -297,7 +286,7 @@ def compute_masks(conn, subjects, mode="pipelined", plan=None, source="s3"):
 
 
 def run(conn, subjects, n_blocks=DEFAULT_BLOCKS, mode="pipelined",
-        chunks=1, bucket=DEFAULT_BUCKET, source="s3", plan=None):
+        chunks=1, bucket=DEFAULT_BUCKET, source="s3"):
     """End-to-end neuroscience pipeline on Myria.
 
     ``source`` is ``"s3"`` (the paper's end-to-end path: read staged
@@ -312,20 +301,12 @@ def run(conn, subjects, n_blocks=DEFAULT_BLOCKS, mode="pipelined",
             ingest(conn, subjects, bucket=bucket)
     else:
         raise ValueError(f"unknown source {source!r}")
-    if plan is None:
-        plan = neuro_plan(n_blocks=n_blocks, bucket=bucket)
     register_udfs(conn, subjects, n_blocks=n_blocks)
-    masks = compute_masks(conn, subjects, mode=mode, plan=plan, source=source)
+    masks = compute_masks(conn, subjects, mode=mode)
     mask_fraction = float(np.mean([common.masked_fraction(m) for m in masks.values()]))
     register_udfs(conn, subjects, n_blocks=n_blocks, mask_fraction=mask_fraction)
 
-    with materialize_scope(
-        conn.cluster, plan, "fa", "myria",
-        extra=lambda: _subjects_token(
-            subjects, mode=mode, chunks=chunks, source=source
-        ),
-    ):
-        query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode, chunks=chunks)
+    query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode, chunks=chunks)
     fitted = query.relation("Fitted")
     fa_by_subject = {}
     for subj, block_id, fa_block in fitted.rows:
@@ -352,5 +333,4 @@ class LoweredNeuro:
         return run(
             self.conn, subjects, n_blocks=self.n_blocks, mode=mode,
             chunks=chunks, bucket=self.bucket, source=source,
-            plan=self.plan,
         )

@@ -493,7 +493,6 @@ class MyriaServer:
                     duration=cost,
                     node=self.worker_node(worker),
                     category="myria-scan",
-                    memoizable=True,
                 )
             )
         results = self.cluster.run(tasks)
@@ -543,7 +542,6 @@ class MyriaServer:
                     duration=cost,
                     node=self.worker_node(worker),
                     category="myria-ingest",
-                    memoizable=True,
                 )
             )
         results = self.cluster.run(tasks)
@@ -720,7 +718,6 @@ class MyriaServer:
                     duration=cost,
                     node=self.worker_node(worker),
                     category=f"myria-{name}",
-                    memoizable=True,
                 )
             )
         results = self.cluster.run(tasks)
@@ -795,7 +792,6 @@ class MyriaServer:
                     duration=cost,
                     node=self.worker_node(worker),
                     category=f"myria-{name}",
-                    memoizable=True,
                 )
             )
         results = self.cluster.run(tasks)

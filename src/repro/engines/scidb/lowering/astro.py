@@ -26,9 +26,7 @@ from repro.engines.scidb.array import DimSpec
 from repro.engines.scidb.ingest import aio_input
 from repro.formats.sizing import SizedArray
 from repro.pipelines.astro import reference as ref
-from repro.plan.astro import astro_plan
 from repro.plan.ir import provenance_id
-from repro.plan.memo import materialize_scope, visit_token
 
 
 def _pid(op_id):
@@ -94,28 +92,13 @@ def coadd_step(sdb, array, incremental=False):
         )
 
 
-def run(sdb, visits, chunk=DEFAULT_CHUNK, incremental=False, grid=None,
-        plan=None):
+def run(sdb, visits, chunk=DEFAULT_CHUNK, incremental=False, grid=None):
     """Ingest + co-addition (the SciDB-expressible steps).
 
     Returns the coadded sky as a :class:`SizedArray`.
     """
-    if plan is None:
-        plan = astro_plan()
-
-    def token():
-        return {
-            "visits": [visit_token(v) for v in visits],
-            "chunk": chunk,
-            "incremental": incremental,
-        }
-
-    with materialize_scope(
-        sdb.cluster, plan, "exposures", "scidb", extra=token
-    ):
-        array = ingest(sdb, visits, chunk=chunk, grid=grid)
-    with materialize_scope(sdb.cluster, plan, "coadd", "scidb", extra=token):
-        coadd = coadd_step(sdb, array, incremental=incremental)
+    array = ingest(sdb, visits, chunk=chunk, grid=grid)
+    coadd = coadd_step(sdb, array, incremental=incremental)
     return SizedArray(
         np.nan_to_num(coadd.real, nan=0.0), nominal_shape=coadd.nominal_shape
     )
@@ -151,6 +134,5 @@ class LoweredAstro:
 
     def run(self, visits, chunk=DEFAULT_CHUNK, incremental=False, grid=None):
         return run(
-            self.sdb, visits, chunk=chunk, incremental=incremental, grid=grid,
-            plan=self.plan,
+            self.sdb, visits, chunk=chunk, incremental=incremental, grid=grid
         )

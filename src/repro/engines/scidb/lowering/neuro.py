@@ -26,8 +26,6 @@ from repro.engines.scidb.array import DimSpec
 from repro.engines.scidb.ingest import aio_input, from_array
 from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
 from repro.plan.ir import provenance_id
-from repro.plan.memo import materialize_scope, subject_token
-from repro.plan.neuro import neuro_plan
 
 
 def _pid(op_id):
@@ -143,28 +141,15 @@ def denoise_step(sdb, array, mask):
         return sdb.stream(array, udf(denoise_chunk, cost=cost))
 
 
-def run(sdb, subject, ingest_method="aio", plan=None):
+def run(sdb, subject, ingest_method="aio"):
     """The SciDB-expressible part of the pipeline for one subject.
 
     Returns ``(mask, denoised_array)``; model fitting raises
     ``NotImplementedError`` by design (Table 1: NA).
     """
-    if plan is None:
-        plan = neuro_plan()
-
-    def token():
-        return {
-            "subject": subject_token(subject),
-            "ingest": ingest_method,
-            "chunk": VOLUME_CHUNK,
-        }
-
-    with materialize_scope(sdb.cluster, plan, "volumes", "scidb", extra=token):
-        array = ingest(sdb, subject, method=ingest_method)
-    with materialize_scope(sdb.cluster, plan, "masks", "scidb", extra=token):
-        mask = segmentation(sdb, array, subject)
-    with materialize_scope(sdb.cluster, plan, "denoise", "scidb", extra=token):
-        denoised = denoise_step(sdb, array, mask)
+    array = ingest(sdb, subject, method=ingest_method)
+    mask = segmentation(sdb, array, subject)
+    denoised = denoise_step(sdb, array, mask)
     return mask, denoised
 
 
@@ -267,6 +252,4 @@ class LoweredNeuro:
         self.sdb = sdb
 
     def run(self, subject, ingest_method="aio"):
-        return run(
-            self.sdb, subject, ingest_method=ingest_method, plan=self.plan
-        )
+        return run(self.sdb, subject, ingest_method=ingest_method)

@@ -131,7 +131,6 @@ class SciDBConnection(Engine):
                 duration=duration,
                 node=self.instance_node(instance),
                 category=f"scidb-{label.split('-', 1)[0]}",
-                memoizable=True,
             )
         with self.cluster.obs.span(
             f"scidb-{label}", category="scidb", chunks=len(tasks),

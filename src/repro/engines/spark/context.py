@@ -5,6 +5,8 @@ Mirrors the PySpark API surface the paper's implementation uses
 ``broadcast``, and the RDD transformation/action methods.
 """
 
+import itertools
+
 from repro.cluster.faults import spark_recovery
 from repro.engines.base import Engine
 from repro.engines.spark.broadcast import Broadcast
@@ -25,6 +27,8 @@ class SparkContext(Engine):
 
     def __init__(self, cluster):
         super().__init__(cluster)
+        #: Numbers this context's RDDs (cache-store keys, memory labels).
+        self.rdd_ids = itertools.count()
         self.scheduler = SparkScheduler(self)
         # Lineage recompute with spark.task.maxFailures-style retry
         # bounds and node blacklisting (Section 2).

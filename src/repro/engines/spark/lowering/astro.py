@@ -11,7 +11,6 @@ from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
 from repro.pipelines.astro.staging import DEFAULT_BUCKET
 from repro.plan.astro import astro_plan
-from repro.plan.memo import bucket_token, materialize_scope
 
 
 class LoweredAstro(ChainWalker):
@@ -106,23 +105,9 @@ class LoweredAstro(ChainWalker):
         self.group_partitions = group_partitions
 
         exp_rdd = self.scan(partitions=input_partitions)
-        bucket = self.plan.member_param("exposures", "bucket")
-        with materialize_scope(
-            self.sc.cluster, self.plan, "sources", "spark",
-            extra=lambda: {
-                "bucket": bucket,
-                "input": bucket_token(self.sc.cluster.object_store, bucket),
-                "grid": [grid.patch_height, grid.patch_width],
-                "partitions": input_partitions,
-                "group_partitions": group_partitions,
-                # Task names embed the scheduler stage counter; a window
-                # recorded at one counter value cannot replay at another.
-                "stage_base": self.sc.scheduler.stages_run,
-            },
-        ):
-            results = self.lower_chain(
-                exp_rdd, self.plan.expanded_chain("preprocess", "sources")
-            ).collect()
+        results = self.lower_chain(
+            exp_rdd, self.plan.expanded_chain("preprocess", "sources")
+        ).collect()
 
         coadds = {patch: coadd_img for patch, (coadd_img, _s) in results}
         sources = {patch: srcs for patch, (_c, srcs) in results}

@@ -22,12 +22,6 @@ from repro.engines.spark.lowering.walker import ChainWalker
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
 from repro.pipelines.neuro.staging import DEFAULT_BUCKET, gradient_tables
-from repro.plan.memo import (
-    bucket_token,
-    gradient_token,
-    mask_token,
-    materialize_scope,
-)
 from repro.plan.neuro import DEFAULT_BLOCKS, neuro_plan
 
 
@@ -165,36 +159,13 @@ class LoweredNeuro(ChainWalker):
             rdd = rdd.cache()
         return rdd
 
-    def _input_token(self, img_rdd, gtabs):
-        """Descriptor of the staged volumes + gradient tables feeding a
-        window, plus the RDD knobs that change its task structure."""
-        bucket = self.plan.member_param("volumes", "bucket")
-        scheduler = self.sc.scheduler
-        return {
-            "bucket": bucket,
-            "input": bucket_token(self.sc.cluster.object_store, bucket),
-            # Task names embed the scheduler's stage counter, and an
-            # already-materialized input changes which stages run at all
-            # -- both must key the window or two different task streams
-            # would collide.
-            "materialized": scheduler.cached_partitions(img_rdd) is not None,
-            "stage_base": scheduler.stages_run,
-            "gtabs": gradient_token(gtabs),
-            "partitions": img_rdd.num_partitions,
-            "cached": img_rdd.cached,
-        }
-
     def segmentation(self, img_rdd, gtabs):
         """Step 1-N: returns ``{subject_id: mask ndarray}``."""
         self.gtabs = gtabs
-        with materialize_scope(
-            self.sc.cluster, self.plan, "masks", "spark",
-            extra=lambda: self._input_token(img_rdd, gtabs),
-        ):
-            masks_rdd = self.lower_chain(
-                img_rdd, self.plan.expanded_chain("b0", "masks")
-            )
-            return dict(masks_rdd.collect())
+        masks_rdd = self.lower_chain(
+            img_rdd, self.plan.expanded_chain("b0", "masks")
+        )
+        return dict(masks_rdd.collect())
 
     def denoise_and_fit(self, img_rdd, gtabs, masks, group_partitions=None):
         """Steps 2-N and 3-N (the Figure 6 chain); returns
@@ -207,18 +178,10 @@ class LoweredNeuro(ChainWalker):
         mask_bytes = sum(m.size for m in masks.values())
         with self.sc.cluster.obs.provenance(self.plan.provenance("mask_bcast")):
             self.masks_b = self.sc.broadcast(masks, nominal_bytes=mask_bytes)
-        with materialize_scope(
-            self.sc.cluster, self.plan, "fa", "spark",
-            extra=lambda: dict(
-                self._input_token(img_rdd, gtabs),
-                masks=mask_token(masks),
-                group_partitions=group_partitions,
-            ),
-        ):
-            models = self.lower_chain(
-                img_rdd, self.plan.expanded_chain("denoise", "fa")
-            )
-            blocks = models.collect()
+        models = self.lower_chain(
+            img_rdd, self.plan.expanded_chain("denoise", "fa")
+        )
+        blocks = models.collect()
 
         fa_by_subject = {}
         for (subject_id, block_id), fa_block in blocks:

@@ -6,11 +6,7 @@ it into stages at shuffle boundaries, exactly as described in Section 2:
 "Programs that manipulate RDDs are represented as graphs."
 """
 
-import itertools
-
 from repro.engines.base import as_costed
-
-_rdd_counter = itertools.count()
 
 #: Operations that repartition by key and therefore end a stage.
 WIDE_OPS = frozenset({"groupByKey", "reduceByKey", "repartition"})
@@ -29,7 +25,7 @@ class RDD:
     """
 
     def __init__(self, sc, op, parent=None, fn=None, num_partitions=None, params=None):
-        self.rdd_id = next(_rdd_counter)
+        self.rdd_id = next(sc.rdd_ids)
         self.sc = sc
         self.op = op
         self.parent = parent

@@ -289,7 +289,6 @@ class SparkScheduler:
                     on_oom="spill",
                     category=category,
                     op=stage_op,
-                    memoizable=True,
                 )
             )
         return tasks
@@ -349,7 +348,6 @@ class SparkScheduler:
                     on_oom="spill",
                     category="spark-s3-ingest",
                     op=stage_op,
-                    memoizable=True,
                 )
             )
         return tasks
@@ -395,7 +393,6 @@ class SparkScheduler:
                     on_oom="spill",
                     category=category,
                     op=stage_op,
-                    memoizable=True,
                 )
             )
         return tasks
@@ -493,7 +490,6 @@ class SparkScheduler:
                     on_oom="spill",
                     category="spark-shuffle",
                     op=stage_op,
-                    memoizable=True,
                 )
             )
         return tasks

@@ -7,7 +7,6 @@ at ``session.run`` time, and the serialized graph must stay under 2 GB
 must be smaller than 2GB when serialized", Section 4.5).
 """
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,8 +21,6 @@ GRAPH_SIZE_LIMIT = 2 * 1024 ** 3
 #: Serialized overhead per graph node (op metadata).
 NODE_OVERHEAD_BYTES = 256
 
-_node_counter = itertools.count()
-
 
 class GraphNode:
     """One op (or placeholder/constant) in the dataflow graph."""
@@ -36,7 +33,9 @@ class GraphNode:
         self.inputs = tuple(inputs)
         self.attrs = dict(attrs)
         self.device = device
-        self.node_id = next(_node_counter)
+        # Position in the owning graph: ids (and the op names built
+        # from them) restart at 0 for every Graph.
+        self.node_id = len(graph.nodes)
         self.name = name or f"{op}_{self.node_id}"
 
     def __repr__(self):

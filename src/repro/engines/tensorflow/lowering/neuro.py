@@ -33,8 +33,6 @@ from repro.algorithms.otsu import otsu_threshold
 from repro.engines.tensorflow import Graph
 from repro.formats.sizing import SizedArray
 from repro.plan.ir import provenance_id
-from repro.plan.memo import materialize_scope, subject_token
-from repro.plan.neuro import neuro_plan
 
 
 def _pid(op_id):
@@ -152,30 +150,16 @@ def denoise_step(session, subject):
     return SizedArray(out, nominal_shape=data.nominal_shape, meta=data.meta)
 
 
-def run(session, subject, plan=None):
+def run(session, subject):
     """The TensorFlow-expressible part: segmentation + denoise.
 
     Returns ``(mask, denoised)``; model fitting raises
     ``NotImplementedError`` (Table 1: NA).
     """
-    if plan is None:
-        plan = neuro_plan()
-
-    def token():
-        return {"subject": subject_token(subject)}
-
-    cluster = session.cluster
-    with materialize_scope(cluster, plan, "b0", "tensorflow", extra=token):
-        filtered = filter_step(session, subject)
-    with materialize_scope(
-        cluster, plan, "mean_b0", "tensorflow", extra=token
-    ):
-        mean = mean_step(session, filtered)
+    filtered = filter_step(session, subject)
+    mean = mean_step(session, filtered)
     mask = mask_step(session, mean)
-    with materialize_scope(
-        cluster, plan, "denoise", "tensorflow", extra=token
-    ):
-        denoised = denoise_step(session, subject)
+    denoised = denoise_step(session, subject)
     return mask, denoised
 
 
@@ -203,4 +187,4 @@ class LoweredNeuro:
         self.session = session
 
     def run(self, subject):
-        return run(self.session, subject, plan=self.plan)
+        return run(self.session, subject)

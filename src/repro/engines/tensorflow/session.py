@@ -133,7 +133,6 @@ class Session(Engine):
                 duration=transfer,
                 node=device,
                 category="tf-broadcast",
-                memoizable=True,
             )
         if node.op == "constant":
             return Task(
@@ -142,7 +141,6 @@ class Session(Engine):
                 duration=0.0,
                 node=device,
                 category="tf-const",
-                memoizable=True,
             )
 
         evaluate, cost = OPS[node.op]
@@ -163,6 +161,5 @@ class Session(Engine):
             duration=duration,
             node=device,
             category=f"tf-{node.op}",
-            memoizable=True,
         )
         return task

@@ -755,12 +755,9 @@ def _compare_main(argv):
 
 
 def _warm_hits(figure_row):
-    """Warm-run cache hits from a v1 (``cache_hits``) or v2
-    (``warm_cache``) bench figure row."""
-    warm = figure_row.get("warm_cache")
-    if warm is not None:
-        return warm.get("hits")
-    return figure_row.get("cache_hits")
+    """Warm-run cache hits of a bench figure row (``None`` for a figure
+    only the other file has)."""
+    return figure_row.get("warm_cache", {}).get("hits")
 
 
 def _compare_bench(baseline, candidate, paths=("baseline", "candidate"),
@@ -775,17 +772,9 @@ def _compare_bench(baseline, candidate, paths=("baseline", "candidate"),
     b_version = baseline.get("bench_schema_version")
     c_version = candidate.get("bench_schema_version")
     if b_version != c_version:
-        detail = ""
-        if {b_version, c_version} == {2, 3}:
-            v2_path = paths[0] if b_version == 2 else paths[1]
-            detail = (
-                f" (v3 adds per-figure op_cache hit/miss counters,"
-                f" the dispatch chunk_size, and the snapshots_identical"
-                f" flag; {v2_path} predates them)"
-            )
         print(
             f"cannot compare: {paths[0]} has bench_schema_version"
-            f" {b_version!r} but {paths[1]} has {c_version!r}{detail};"
+            f" {b_version!r} but {paths[1]} has {c_version!r};"
             " regenerate both with the same build"
             " (PYTHONPATH=src python -m repro.harness bench)",
             file=sys.stderr,
@@ -851,15 +840,9 @@ def _compare_bench(baseline, candidate, paths=("baseline", "candidate"),
 #: grids the CI parallel job replays plus the per-step figure.
 BENCH_FIGURES = ("fig10c", "fig11", "fig12c")
 
-#: ``BENCH_harness.json`` layout version.  v2 split the conflated v1
-#: ``cache_hits``/``cache_misses`` pair into per-phase ``cold_cache``/
-#: ``warm_cache`` counters and added the optional ``--phases``
-#: wall-clock decomposition.  v3 adds per-figure ``op_cache`` counters
-#: (the sub-trial memoization tier), the dispatch ``chunk_size``, and
-#: ``snapshots_identical`` -- every leg now collects ledger snapshots,
-#: so serial, parallel and warm runs do identical work and the recorded
-#: speedups compare like with like.
-BENCH_SCHEMA_VERSION = 3
+#: ``BENCH_harness.json`` layout version; ``compare`` refuses two files
+#: whose versions differ.
+BENCH_SCHEMA_VERSION = 4
 
 
 def _timed_run(run, quick, label, phases=False, log_path=None):
@@ -1003,10 +986,6 @@ def _bench_main(argv):
                 "jobs": args.jobs,
                 "cold_cache": cold.stats(),
                 "warm_cache": warm.stats(),
-                "op_cache": {
-                    "cold": cold.op_stats(),
-                    "warm": warm.op_stats(),
-                },
                 "chunk_size": chunk_size,
                 "snapshots_identical": identical,
                 "speedup": round(serial_s / parallel_s, 2)

@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import time
 import zlib
@@ -172,17 +171,11 @@ def decode_payload(blob):
 
 
 class TrialCache:
-    """Directory of cached payloads, content-addressed in two tiers.
+    """Directory of cached trial payloads, content-addressed.
 
-    The *trial* tier stores one compressed-JSON payload (rows +
-    snapshots) per trial key.  The *op* tier, under ``<root>/op/``,
-    stores pickled materialize-window entry streams keyed by logical-op
-    content fingerprints (see ``repro.harness.memo``), so trials that
-    share a plan prefix replay the shared sub-DAG instead of
-    recomputing it.
-
-    Corrupt or truncated files in either tier count as misses: the
-    offending file is evicted and the result recomputed.
+    One compressed-JSON payload (rows + snapshots) per trial key.  A
+    corrupt or truncated file counts as a miss: it is evicted and the
+    result recomputed.
     """
 
     def __init__(self, root=None):
@@ -191,15 +184,9 @@ class TrialCache:
         self.root = root
         self.hits = 0
         self.misses = 0
-        self.op_hits = 0
-        self.op_misses = 0
-        self.op_stores = 0
 
     def _path(self, key):
         return os.path.join(self.root, key[:2], f"{key}.jz")
-
-    def _op_path(self, key):
-        return os.path.join(self.root, "op", key[:2], f"{key}.pkz")
 
     def _evict(self, path):
         """Drop an unreadable cache file so the recomputed result can
@@ -254,40 +241,6 @@ class TrialCache:
         rec.observe("cache.payload_bytes", len(encoded))
         rec.observe("cache.put_s", time.perf_counter() - start)
 
-    def get_op(self, key):
-        """Recorded window entries for op ``key``, or ``None``."""
-        rec = telemetry.recorder()
-        path = self._op_path(key)
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError:
-            self.op_misses += 1
-            rec.count("cache.op_misses")
-            return None
-        try:
-            entries = pickle.loads(zlib.decompress(blob))
-        except Exception:  # noqa: BLE001 - any corruption is a miss
-            self._evict(path)
-            self.op_misses += 1
-            rec.count("cache.op_misses")
-            rec.count("cache.evictions")
-            return None
-        self.op_hits += 1
-        rec.count("cache.op_hits")
-        return entries
-
-    def put_op(self, key, entries):
-        """Store one recorded window's entries atomically."""
-        rec = telemetry.recorder()
-        blob = zlib.compress(
-            pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL), 1
-        )
-        self._write_atomic(self._op_path(key), blob)
-        self.op_stores += 1
-        rec.count("cache.op_stores")
-        rec.observe("cache.op_payload_bytes", len(blob))
-
     def _write_atomic(self, path, blob):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -309,9 +262,7 @@ class TrialCache:
         return {"hits": self.hits, "misses": self.misses}
 
     def op_stats(self):
-        """Op-tier counters for this cache handle."""
-        return {
-            "hits": self.op_hits,
-            "misses": self.op_misses,
-            "stores": self.op_stores,
-        }
+        """Zeros for the removed op tier: ``bench/child.py`` (frozen by
+        BENCHMARK.json) still reads them for the ``harness.op_*``
+        metrics; delete together with those."""
+        return {"hits": 0, "misses": 0, "stores": 0}

@@ -2,7 +2,8 @@
 
 Every figure in the paper is a grid of independent trials (engine x
 data size x cluster size x faults).  Each trial builds its clusters
-from scratch and the simulator's virtual clock depends only on the
+and engines from scratch, every counter that reaches a task name lives
+on those objects, and the simulator's virtual clock depends only on the
 *relative* order of task ids within one cluster, so a trial produces
 bit-identical results whether it runs in this process, in a forked
 worker, or was replayed from the cache.  :func:`run_grid` exploits
@@ -31,18 +32,12 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from repro.cluster.costs import CostModel
 from repro.harness import runner
-from repro.harness.cache import (
-    TrialCache,
-    cache_key,
-    decode_payload,
-    encode_payload,
-)
-from repro.harness.memo import MaterializeMemo
+from repro.harness.cache import cache_key, decode_payload, encode_payload
 from repro.obs import telemetry
 
 #: Registered trial functions: name -> callable returning one row dict.
@@ -219,25 +214,18 @@ def _snapshot_cluster(cluster):
 
 
 def _execute_trial(fn_name, kwargs, cost_constants, want_snapshots,
-                   timings=None, cache=None):
+                   timings=None):
     """Run one trial in the current process; returns its payload.
 
     ``timings``, when given, receives wall-clock seconds for the trial
     body (``worker-exec``) and the snapshot extraction
     (``snapshot-serialize``) -- the worker-side half of the harness
     self-telemetry.  Timing never touches the payload itself.
-
-    ``cache`` (a :class:`TrialCache`) enables sub-trial memoization:
-    a :class:`MaterializeMemo` bound to its op tier is installed on
-    every cluster the trial builds.
     """
     fn = TRIAL_FNS[fn_name]
     clusters = []
-    memo_ctx = nullcontext()
-    if cache is not None:
-        memo_ctx = runner.materialize_memo(MaterializeMemo(cache))
     start = time.perf_counter()
-    with memo_ctx, runner.observe_clusters(clusters.append):
+    with runner.observe_clusters(clusters.append):
         if cost_constants is None:
             row = fn(**kwargs)
         else:
@@ -266,7 +254,7 @@ def _worker_init():
     telemetry.clear_recorder()
 
 
-def _run_one(args, cache):
+def _run_one(args):
     """Worker-side single trial: compact payload + telemetry sidecar.
 
     Failures are captured, not raised: the chunk's surviving trials
@@ -288,7 +276,7 @@ def _run_one(args, cache):
         profiler.enable()
     try:
         payload = _execute_trial(fn_name, kwargs, cost_constants, True,
-                                 timings=timings, cache=cache)
+                                 timings=timings)
         start = time.perf_counter()
         blob = encode_payload(payload)
         timings["snapshot-serialize"] = (
@@ -317,25 +305,9 @@ def _run_one(args, cache):
 
 
 def _pool_entry(chunk):
-    """Worker-side entry: one chunk of trials -> list of results.
-
-    ``chunk`` is ``(cache_root, [(fn, kwargs, cost_constants), ...])``.
-    Each result carries the op-tier cache counters the chunk's memo
-    accumulated, which the parent folds back into its own handle.
-    """
-    cache_root, items = chunk
-    cache = TrialCache(cache_root) if cache_root is not None else None
-    results = []
-    for args in items:
-        before = cache.op_stats() if cache is not None else None
-        result = _run_one(args, cache)
-        if cache is not None:
-            after = cache.op_stats()
-            result["op_cache"] = {
-                name: after[name] - before[name] for name in after
-            }
-        results.append(result)
-    return results
+    """Worker-side entry: one chunk of ``(fn, kwargs, cost_constants)``
+    trials -> list of results."""
+    return [_run_one(args) for args in chunk]
 
 
 def _pool_context():
@@ -431,8 +403,7 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
 
     Payloads are ``{"row": <row dict>[, "snapshots": [...]]}``.  Rows
     and snapshots are identical whether trials ran inline, across the
-    warm pool in chunks, were replayed from the trial cache, or were
-    recomputed through op-level memo replay; active
+    warm pool in chunks, or were replayed from the trial cache; active
     :func:`collecting_snapshots` sinks receive every snapshot in
     submission order.
 
@@ -479,18 +450,14 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
     if pending and use_pool:
         n_procs = min(jobs, len(pending))
         pool = _ensure_pool(n_procs)
-        cache_root = cache.root if cache is not None else None
         size = _chunk_size(len(pending), n_procs)
         last_chunk_size = size
         rec.gauge("pool.chunk_size", size)
         work = [
-            (
-                cache_root,
-                [
-                    (specs[i].fn, specs[i].kwargs, cost_constants)
-                    for i in pending[lo:lo + size]
-                ],
-            )
+            [
+                (specs[i].fn, specs[i].kwargs, cost_constants)
+                for i in pending[lo:lo + size]
+            ]
             for lo in range(0, len(pending), size)
         ]
         start = time.perf_counter()
@@ -509,11 +476,6 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                     rec.observe(f"worker.{name}_s", seconds)
                 if "worker-exec" in worker:
                     _note_trial_cost(specs[i].fn, worker["worker-exec"])
-                op_cache = wrapped.get("op_cache")
-                if op_cache is not None and cache is not None:
-                    cache.op_hits += op_cache["hits"]
-                    cache.op_misses += op_cache["misses"]
-                    cache.op_stores += op_cache["stores"]
                 if "error" in wrapped:
                     failures.append((i, specs[i].fn, wrapped["error"]))
                     continue
@@ -537,7 +499,7 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                 try:
                     payloads[i] = _execute_trial(
                         specs[i].fn, specs[i].kwargs, cost_constants,
-                        want_snapshots, timings=timings, cache=cache,
+                        want_snapshots, timings=timings,
                     )
                 except Exception as exc:  # noqa: BLE001 - merged below
                     failures.append((i, specs[i].fn, {

@@ -34,25 +34,6 @@ _cluster_observers = []
 #: Stack of cost models installed by :func:`cost_model_override`.
 _cost_model_overrides = []
 
-#: Stack of sub-trial memo objects installed by :func:`materialize_memo`.
-_materialize_memos = []
-
-
-@contextmanager
-def materialize_memo(memo):
-    """Attach ``memo`` to every cluster built inside the context.
-
-    The trial executor installs a :class:`repro.harness.memo.\
-    MaterializeMemo` around each cached trial; lowering backends then
-    open record/replay windows on the cluster through
-    ``repro.plan.memo.materialize_scope``.
-    """
-    _materialize_memos.append(memo)
-    try:
-        yield
-    finally:
-        _materialize_memos.pop()
-
 
 @contextmanager
 def cost_model_override(cost_model):
@@ -101,8 +82,6 @@ def make_cluster(n_nodes, kind, workers_per_node=None, cost_model=None):
         cluster = SimulatedCluster(spec)
     else:
         cluster = SimulatedCluster(spec, cost_model=cost_model)
-    if _materialize_memos:
-        cluster.materialize_memo = _materialize_memos[-1]
     for callback in list(_cluster_observers):
         callback(cluster)
     return cluster

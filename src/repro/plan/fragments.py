@@ -5,9 +5,9 @@ denoise, coadd) rather than whole pipelines.  Instead of hand-writing
 each step a second time, a *fragment* is carved out of the full logical
 plan: the ancestor closure of one op, keeping the parent plan's name and
 params.  Keeping the name is deliberate — provenance ids
-(``"neuro/b0"``), emitted MyriaL text, and memo keys must be identical
-whether an op runs inside the full pipeline or inside its
-micro-benchmark slice, so the fig11/fig12 baselines stay byte-stable.
+(``"neuro/b0"``) and emitted MyriaL text must be identical whether an
+op runs inside the full pipeline or inside its micro-benchmark slice,
+so the fig11/fig12 baselines stay byte-stable.
 
 Fragments are ordinary :class:`~repro.plan.ir.LogicalPlan` objects: they
 validate, lower, and optimize like any plan.  :func:`glue` composes

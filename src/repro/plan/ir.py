@@ -286,8 +286,8 @@ class LogicalPlan:
         blame) together with the fingerprints of its parents and
         broadcast side-inputs, plus the plan name and plan-level
         parameters.  Two ops agree iff their entire upstream sub-DAGs
-        agree, so the fingerprint is the content address the op-level
-        cache tier keys on.
+        agree; ``OptimizationResult.fingerprint()`` folds these into
+        the content address of an optimized plan.
         """
         fps = {}
         base = _fingerprint_canon({"plan": self.name, "params": self.params})
@@ -304,11 +304,6 @@ class LogicalPlan:
             })
             fps[op.op_id] = hashlib.sha256(doc.encode("utf-8")).hexdigest()
         return fps
-
-    def fingerprint(self, op_id):
-        """Content fingerprint of one op (raises ``KeyError`` if absent)."""
-        self.op(op_id)  # raise KeyError for unknown ids
-        return self.fingerprints()[op_id]
 
     def structural_fingerprints(self):
         """op_id -> fingerprint of the op's *structure*, ignoring ids.

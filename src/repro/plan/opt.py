@@ -69,7 +69,7 @@ class OptimizationResult:
         """Stable hash of the optimization outcome.
 
         Joins the trial cache key so optimized and naive runs of the
-        same figure coexist in both cache tiers.  An empty trace hashes
+        same figure coexist in the trial cache.  An empty trace hashes
         to a stable "unchanged" token, distinct from the naive path not
         passing any optimizer descriptor at all.
         """

@@ -9,7 +9,7 @@ re-declare the same scan chain — exactly what gluing micro-benchmark
 fragments together produces.
 
 ``materialize`` and ``broadcast`` ops are never merged: a materialize's
-identity (its blame tag, its memo window) is part of the figure's
+identity (its blame tag, the barrier it forces) is part of the figure's
 contract even when two of them hold equal bytes.
 """
 

@@ -1,0 +1,95 @@
+"""A trial's task stream is a function of the trial alone.
+
+Dask and TensorFlow task names embed counters (delayed keys, graph-node
+ids) and transient-fault draws are keyed on task names.  When those
+counters were process-global, the same Dask neuro trial under the plan
+below took 658.174 virtual seconds the first time and 657.377 the
+second time in one process (TensorFlow: 100.560 vs 102.713).  Every
+name-bearing counter now lives on the engine object the trial builds,
+so any trial must repeat exactly whatever the process ran before it.
+"""
+
+import json
+
+import pytest
+
+from repro.cluster.faults import FaultPlan, RetryPolicy
+from repro.harness.runner import astro_visits, fresh_engine, neuro_subjects
+from repro.obs.breakdown import records_of
+from repro.obs.ledger import run_snapshot
+from repro.pipelines.astro.staging import stage_visits
+from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import astro_plan, lower, neuro_plan
+
+ENGINES = ("spark", "myria", "dask", "scidb", "tensorflow")
+
+#: (workload, engine, faulted).  TensorFlow has no astro lowering.
+CELLS = [
+    (workload, kind, faulted)
+    for workload, kinds in (("neuro", ENGINES), ("astro", ENGINES[:4]))
+    for kind in kinds
+    for faulted in (False, True)
+]
+
+
+def _transient_faults():
+    return FaultPlan(
+        seed=7, retry_policy=RetryPolicy(max_attempts=6)
+    ).fail_tasks(0.2, detect_delay_s=0.3, max_failures_per_task=2)
+
+
+def _run(workload, kind, faulted):
+    """One tiny trial with the figures' tuning defaults; returns what a
+    consumer can observe of it: makespan, ledger snapshot bytes and the
+    placed task stream."""
+    cluster, engine = fresh_engine(kind, n_nodes=4)
+    if workload == "neuro":
+        data = neuro_subjects(1, scale=20, n_volumes=24)
+        stage_subjects(cluster.object_store, data)
+        plan = neuro_plan()
+        if kind in ("scidb", "tensorflow"):
+            data = data[0]  # these lower one subject at a time
+    else:
+        data = astro_visits(2, scale=100, n_sensors=4)
+        stage_visits(cluster.object_store, data)
+        plan = astro_plan()
+    tuning = {}
+    if kind == "spark":
+        tuning["input_partitions"] = cluster.spec.total_slots
+        if workload == "neuro":
+            tuning["cache_input"] = True
+    elif kind == "myria":
+        tuning["source"] = "s3"
+    if faulted:
+        cluster.install_faults(_transient_faults())
+    lower(plan, kind, engine).run(data, **tuning)
+    return (
+        cluster.now,
+        json.dumps(run_snapshot(cluster), sort_keys=True),
+        [(r.name, r.node, r.start, r.end) for r in records_of(cluster)],
+    )
+
+
+@pytest.fixture(scope="module")
+def histories():
+    """Every cell three times: twice back to back, then once more in
+    reverse cell order, so the third run follows a different prefix of
+    other engines' trials than the first."""
+    runs = {cell: [_run(*cell), _run(*cell)] for cell in CELLS}
+    for cell in reversed(CELLS):
+        runs[cell].append(_run(*cell))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "cell", CELLS,
+    ids=[f"{w}-{k}-{'faulted' if f else 'clean'}" for w, k, f in CELLS],
+)
+def test_trial_repeats_exactly_whatever_ran_before(histories, cell):
+    first, *later = histories[cell]
+    for run in later:
+        assert run[0] == first[0], (
+            f"{first[0]:.3f} virtual s the first time, {run[0]:.3f} later"
+        )
+        assert run[1] == first[1]  # ledger snapshot bytes
+        assert run[2] == first[2]  # (name, node, start, end) per task

@@ -4,14 +4,13 @@ The load-bearing property: a figure's rows and ledger snapshots are
 byte-identical whether its trials run serially in-process, fan out
 across a process pool, or replay from the content-addressed cache.
 The simulator's virtual clock depends only on the relative order of
-task ids within one cluster, so per-process task-counter offsets
+task ids within one cluster, and every counter that reaches a task name
+lives on the engine the trial builds, so a worker's process history
 cannot leak into results.
 """
 
-import glob
 import json
 import os
-import shutil
 import tempfile
 
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.costs import CostModel
+from repro.cluster.faults import FaultPlan, RetryPolicy
 from repro.harness import experiments as E  # noqa: F401 - fills the registry
 from repro.harness import parallel
 from repro.harness.cache import TrialCache, cache_key, relevant_constants
@@ -32,10 +32,38 @@ from repro.harness.parallel import (
     grid_rows,
     run_grid,
     shutdown_pool,
+    trial,
 )
+from repro.harness.runner import fresh_engine, neuro_subjects
+from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import lower, neuro_plan
 
 TINY_NEURO = {"scale": 20, "n_volumes": 12}
 TINY_ASTRO = {"scale": 100, "n_sensors": 4}
+
+TRANSIENT_FAULTS = {"fail_tasks": 0.2, "seed": 7}
+
+
+@trial("test_transient_neuro")
+def _trial_transient_neuro(kind, profile):
+    """Tiny neuro trial under seeded transient task failures.  Fault
+    draws are keyed on task names, so the row and snapshot move if a
+    name depends on what the executing process ran before."""
+    subjects = neuro_subjects(1, **profile)
+    cluster, engine = fresh_engine(kind, n_nodes=4)
+    stage_subjects(cluster.object_store, subjects)
+    cluster.install_faults(
+        FaultPlan(
+            seed=TRANSIENT_FAULTS["seed"],
+            retry_policy=RetryPolicy(max_attempts=6),
+        ).fail_tasks(
+            TRANSIENT_FAULTS["fail_tasks"], detect_delay_s=0.3,
+            max_failures_per_task=2,
+        )
+    )
+    lowered = lower(neuro_plan(), kind, engine)
+    lowered.run(subjects if kind == "dask" else subjects[0])
+    return {"engine": kind, "simulated_s": cluster.now}
 
 
 def _canon(payloads):
@@ -67,9 +95,10 @@ def _tiny_specs(include_fault_trial=True, engines=("dask", "spark")):
 
 
 def _random_pool():
-    """Spec pool the hypothesis grid tests draw from: engine x count x
-    cluster-size fig10c trials plus two f16 trials under an active
-    FaultPlan."""
+    """Spec pool the hypothesis grid test draws from: engine x count x
+    cluster-size fig10c trials, two f16 trials under a node crash, and
+    a Dask and a TensorFlow trial under transient task failures (the
+    two engines whose task names embed counters)."""
     return [
         TrialSpec(
             "fig10c",
@@ -90,6 +119,14 @@ def _random_pool():
             faults={"crash": "last-node@50%-progress", "seed": 16},
         )
         for kind in ("spark", "dask")
+    ] + [
+        TrialSpec(
+            "test_transient_neuro",
+            {"kind": kind, "profile": dict(TINY_NEURO)},
+            engine=kind,
+            faults=dict(TRANSIENT_FAULTS),
+        )
+        for kind in ("dask", "tensorflow")
     ]
 
 
@@ -138,9 +175,11 @@ class TestDeterminism:
         jobs=st.sampled_from([2, 3, 4]),
     )
     def test_random_grid_serial_equals_parallel(self, data, jobs):
-        """Random trial grids — including one under an active FaultPlan —
-        produce byte-identical rows and ledger snapshots (modulo
-        ``git_sha``, which never enters run snapshots) at any job count.
+        """Random trial grids — including trials under an active
+        FaultPlan — produce byte-identical rows and ledger snapshots
+        (modulo ``git_sha``, which never enters run snapshots) serially,
+        in warm-pool workers whose process history differs from the
+        parent's, and replayed from the cache the pooled run filled.
         """
         pool = _random_pool()
         indices = data.draw(
@@ -154,45 +193,21 @@ class TestDeterminism:
         threshold = parallel.AUTO_SERIAL_THRESHOLD_S
         parallel.AUTO_SERIAL_THRESHOLD_S = 0.0
         try:
-            with collecting_snapshots() as pooled_sink:
-                pooled = run_grid(specs, jobs=jobs, cache=None)
+            with tempfile.TemporaryDirectory() as root:
+                with collecting_snapshots() as pooled_sink:
+                    pooled = run_grid(specs, jobs=jobs, cache=TrialCache(root))
+                replay_cache = TrialCache(root)
+                with collecting_snapshots() as replay_sink:
+                    replayed = run_grid(specs, jobs=1, cache=replay_cache)
         finally:
             parallel.AUTO_SERIAL_THRESHOLD_S = threshold
-        assert _canon(serial) == _canon(pooled)
-        assert _canon(serial_sink.snapshots) == _canon(pooled_sink.snapshots)
-
-    @settings(max_examples=3, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_random_grid_op_memo_replay_is_byte_identical(self, data):
-        """Delete the trial tier but keep the op tier: every trial
-        recomputes, materialized sub-DAGs replay from the op cache, and
-        rows + snapshots stay byte-identical to an uncached serial run.
-        """
-        pool = _random_pool()
-        indices = data.draw(
-            st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3)
+        assert replay_cache.stats() == {"hits": len(specs), "misses": 0}
+        assert _canon(serial) == _canon(pooled) == _canon(replayed)
+        assert (
+            _canon(serial_sink.snapshots)
+            == _canon(pooled_sink.snapshots)
+            == _canon(replay_sink.snapshots)
         )
-        specs = [pool[i] for i in indices]
-        with collecting_snapshots() as serial_sink:
-            serial = run_grid(specs, jobs=1, cache=None)
-        root = tempfile.mkdtemp()
-        try:
-            run_grid(specs, jobs=1, cache=TrialCache(root))
-            # Trial tier only -- op entries live under <root>/op/ as
-            # .pkz and survive.
-            for path in glob.glob(os.path.join(root, "*", "*.jz")):
-                os.unlink(path)
-            replay_cache = TrialCache(root)
-            with collecting_snapshots() as replay_sink:
-                replayed = run_grid(specs, jobs=1, cache=replay_cache)
-            assert replay_cache.hits == 0
-            assert _canon(replayed) == _canon(serial)
-            assert _canon(replay_sink.snapshots) == _canon(
-                serial_sink.snapshots
-            )
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
 
 
 class TestSnapshotSinks:
@@ -345,23 +360,22 @@ class TestBenchCli:
         out = tmp_path / "bench.json"
         assert _bench_main(["fig10c", "--jobs", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["bench_schema_version"] == 3
+        assert doc["bench_schema_version"] == 4
         assert doc["quick"] is True
         fig = doc["figures"]["fig10c"]
         for key in ("serial_s", "parallel_s", "warm_s", "jobs",
-                    "cold_cache", "warm_cache", "op_cache", "chunk_size",
+                    "cold_cache", "warm_cache", "chunk_size",
                     "snapshots_identical", "speedup", "warm_over_cold"):
             assert key in fig
+        assert "op_cache" not in fig  # v3's op-tier counters are gone
         # The cold run populates the cache (all misses); the warm run
-        # replays it (all hits).  v1 conflated the two counters.
+        # replays it (all hits).
         assert fig["cold_cache"]["hits"] == 0
         assert fig["cold_cache"]["misses"] > 0
         assert fig["warm_cache"]["hits"] == fig["cold_cache"]["misses"]
         assert fig["warm_cache"]["misses"] == 0
-        # v3: the op tier records during the cold leg, and every leg's
-        # snapshots were byte-identical.  --jobs 1 never pools, so the
-        # dispatch chunk size is null.
-        assert fig["op_cache"]["cold"]["stores"] > 0
+        # Every leg's snapshots were byte-identical.  --jobs 1 never
+        # pools, so the dispatch chunk size is null.
         assert fig["snapshots_identical"] is True
         assert fig["chunk_size"] is None
         capsys.readouterr()
@@ -390,21 +404,22 @@ class TestBenchCli:
                 f" {phases[leg]['coverage']:.1%} of its wall time"
             )
 
-    def test_compare_v2_v3_schema_diagnostic(self, tmp_path, capsys):
+    def test_compare_rejects_mismatched_schema_versions(self, tmp_path,
+                                                        capsys):
         from repro.harness.__main__ import _compare_main
 
         old = tmp_path / "old.json"
         new = tmp_path / "new.json"
         old.write_text(json.dumps(
-            {"bench_schema_version": 2, "figures": {}}
+            {"bench_schema_version": 3, "figures": {}}
         ))
         new.write_text(json.dumps(
-            {"bench_schema_version": 3, "figures": {}}
+            {"bench_schema_version": 4, "figures": {}}
         ))
         assert _compare_main([str(old), str(new)]) == 2
         err = capsys.readouterr().err
-        assert "bench_schema_version" in err
-        assert "op_cache" in err  # names what v3 added
+        assert "has bench_schema_version 3 but" in err
+        assert "has 4;" in err
 
     def test_bench_gate_flags_sub_unity_speedup(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -627,65 +642,6 @@ class TestFailurePropagation:
         self._check(1, monkeypatch)
 
 
-class TestOpMemo:
-    """Sub-trial memoization: trials sharing a logical plan prefix
-    replay the shared materialized sub-DAGs from the op tier."""
-
-    def test_prefix_sharing_trials_record_op_hits(self, tmp_path):
-        # fig10c and f16 both run the spark neuro pipeline over the same
-        # staged subjects; f16's baseline leg shares the final
-        # materialize ("fa") with fig10c's trial.
-        specs = [
-            TrialSpec(
-                "fig10c",
-                {"kind": "spark", "count": 1, "n_nodes": 4,
-                 "profile": dict(TINY_NEURO)},
-                engine="spark",
-            ),
-            TrialSpec(
-                "f16",
-                {"kind": "spark", "n_subjects": 1, "n_nodes": 4,
-                 "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
-                 "seed": 16},
-                engine="spark",
-                faults={"crash": "last-node@50%-progress", "seed": 16},
-            ),
-        ]
-        with collecting_snapshots() as ref_sink:
-            reference = run_grid(specs, jobs=1, cache=None)
-        cache = TrialCache(str(tmp_path / "cache"))
-        with collecting_snapshots() as memo_sink:
-            memoized = run_grid(specs, jobs=1, cache=cache)
-        stats = cache.op_stats()
-        assert stats["stores"] > 0
-        assert stats["hits"] > 0, (
-            "f16's baseline leg shares a plan prefix with fig10c but "
-            "recorded no op-cache hits"
-        )
-        # Memo replay never changes results.
-        assert _canon(memoized) == _canon(reference)
-        assert _canon(memo_sink.snapshots) == _canon(ref_sink.snapshots)
-
-    def test_faulted_trials_never_touch_the_op_tier(self, tmp_path):
-        spec = _tiny_specs()[-1]  # f16 under an active FaultPlan
-        cache = TrialCache(str(tmp_path / "cache"))
-        run_grid([spec], jobs=1, cache=cache)
-        # The baseline leg records windows; replaying the whole trial
-        # under the same key must not have polluted the op tier with
-        # entries from the faulty leg (whose task stream depends on the
-        # fault plan).  Re-running with a fresh handle replays the
-        # baseline windows and recomputes the faulty leg live.
-        replay = TrialCache(str(tmp_path / "cache"))
-        for path in glob.glob(
-            os.path.join(str(tmp_path / "cache"), "*", "*.jz")
-        ):
-            os.unlink(path)
-        with collecting_snapshots() as sink:
-            run_grid([spec], jobs=1, cache=replay)
-        assert replay.hits == 0
-        assert len(sink.snapshots) == 2
-
-
 class TestCacheStore:
     def test_roundtrip_and_stats(self, tmp_path):
         cache = TrialCache(str(tmp_path))
@@ -719,16 +675,6 @@ class TestCacheStore:
         assert not os.path.exists(path)  # evicted
         cache.put("b" * 64, payload)  # the slot is reusable
         assert cache.get("b" * 64) == payload
-
-    def test_truncated_op_entry_is_evicted(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        entries = [("task-0", b"value", 0.25, 128, {"tasks_run": 1})]
-        cache.put_op("c" * 64, entries)
-        path = cache._op_path("c" * 64)
-        self._truncate(path)
-        assert cache.get_op("c" * 64) is None
-        assert not os.path.exists(path)
-        assert cache.op_stats() == {"hits": 0, "misses": 1, "stores": 1}
 
     def test_truncation_mid_payload_recomputes_identically(self, tmp_path):
         """End to end: a cache file truncated mid-payload (torn write,
