@@ -8,11 +8,37 @@ denoise only parts of the image volume containing the brain."
 The implementation follows Coupe et al.'s blockwise scheme in its
 simplest per-voxel form: for every masked voxel, candidate patches
 within a search window are weighted by Gaussian-kernelized patch
-distance and averaged.  It is vectorized over search offsets so that the
-scaled-down test volumes denoise in milliseconds.
+distance and averaged.
+
+The search offsets ``(dz, dy, dx)`` are processed in batches.  One batch
+stacks the squared differences of its offsets along a leading axis, so
+the box sums, the scaling and the ``exp`` each run once per batch rather
+than once per offset.  The results are the bytes a one-offset-at-a-time
+loop produces (the test suite keeps that loop as its oracle) because
+every voxel sees the same floating-point operations in the same order:
+
+* a box sum is the difference of two running sums along each axis in
+  turn, and the running sums are built one slab at a time, each slab
+  added to the one before it;
+* ``weights_sum`` and ``values_sum`` grow by one offset at a time, in
+  ``(dz, dy, dx)`` order, as one left-to-right chain of additions --
+  never by a per-batch partial sum.
+
+The batch length is the number of shifted windows that fit in
+``_BATCH_ELEMENTS`` float64 values.  The scaled-down test volumes
+(8x8x8) take 32 offsets per batch; a volume whose padded window exceeds
+half that budget takes one offset per batch, where each slab is large
+enough that numpy's per-call overhead no longer matters.
 """
 
+import itertools
+import math
+
 import numpy as np
+
+#: Most float64 values one batch of shifted windows may hold (256 KiB,
+#: so a batch and its box-sum stages stay cache-resident).
+_BATCH_ELEMENTS = 1 << 15
 
 
 def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
@@ -32,9 +58,10 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
         express (Section 4.5: "without filtering with the mask as
         TensorFlow does not support element-wise data assignment").
     patch_radius:
-        Half-width of the similarity patch.
+        Half-width of the similarity patch (a non-negative integer).
     block_radius:
-        Half-width of the search window around each voxel.
+        Half-width of the search window around each voxel (a
+        non-negative integer).
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
@@ -47,45 +74,55 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
             raise ValueError(
                 f"mask shape {mask.shape} does not match volume {volume.shape}"
             )
+    pr = _radius("patch_radius", patch_radius)
+    br = _radius("block_radius", block_radius)
 
-    pr, br = int(patch_radius), int(block_radius)
     pad = pr + br
     padded = np.pad(volume, pad, mode="reflect")
 
     h2 = 2.0 * (np.sqrt(2.0) * sigma) ** 2
-    patch_size = (2 * pr + 1) ** 3
+    width = 2 * pr + 1
+    # x / -c carries the same bits as -x / c, so the negation is folded
+    # into the divisor.
+    neg_scale = -(h2 * width ** 3)
 
     weights_sum = np.zeros_like(volume)
     values_sum = np.zeros_like(volume)
 
     shape = volume.shape
+    # A patch distance at every voxel needs the squared differences on
+    # the volume grown by the patch radius.
+    window = tuple(n + 2 * pr for n in shape)
+    center = padded[br: br + window[0], br: br + window[1], br: br + window[2]]
 
-    # For each search offset, compute per-voxel patch distances using a
-    # box sum over the shifted squared-difference volume (the standard
-    # O(offsets) NLM decomposition).
-    center = padded[
-        pad - pr: pad + pr + shape[0],
-        pad - pr: pad + pr + shape[1],
-        pad - pr: pad + pr + shape[2],
+    # Corner of each shifted window in ``padded``, in (dz, dy, dx) order.
+    corners = list(itertools.product(range(2 * br + 1), repeat=3))
+    batch = max(1, min(len(corners), _BATCH_ELEMENTS // math.prod(window)))
+    # stages[k] holds a batch once its first k axes are box-summed.
+    scratch = [
+        np.empty((batch,) + shape[:k] + window[k:]) for k in range(4)
     ]
-    for dz in range(-br, br + 1):
-        for dy in range(-br, br + 1):
-            for dx in range(-br, br + 1):
-                shifted = padded[
-                    pad + dz - pr: pad + dz + pr + shape[0],
-                    pad + dy - pr: pad + dy + pr + shape[1],
-                    pad + dx - pr: pad + dx + pr + shape[2],
-                ]
-                sq_diff = (shifted - center) ** 2
-                dist = _box_sum_3d(sq_diff, 2 * pr + 1)
-                weight = np.exp(-dist / (h2 * patch_size))
-                neighbor = padded[
-                    pad + dz: pad + dz + shape[0],
-                    pad + dy: pad + dy + shape[1],
-                    pad + dx: pad + dx + shape[2],
-                ]
-                weights_sum += weight
-                values_sum += weight * neighbor
+    weighted = np.empty(shape)
+
+    for start in range(0, len(corners), batch):
+        chunk = corners[start: start + batch]
+        stages = [buffer[: len(chunk)] for buffer in scratch]
+        sq_diff = stages[0]
+        for row, (z, y, x) in zip(sq_diff, chunk):
+            shifted = padded[z: z + window[0], y: y + window[1], x: x + window[2]]
+            np.subtract(shifted, center, out=row)
+        np.multiply(sq_diff, sq_diff, out=sq_diff)
+        weights = _box_sum_3d(stages, width)
+        np.divide(weights, neg_scale, out=weights)
+        np.exp(weights, out=weights)
+        for weight, (z, y, x) in zip(weights, chunk):
+            neighbor = padded[
+                z + pr: z + pr + shape[0],
+                y + pr: y + pr + shape[1],
+                x + pr: x + pr + shape[2],
+            ]
+            weights_sum += weight
+            values_sum += np.multiply(weight, neighbor, out=weighted)
 
     denoised = values_sum / weights_sum
     if mask is not None:
@@ -93,19 +130,30 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     return denoised
 
 
-def _box_sum_3d(volume, width):
-    """Sum over all cubic windows of edge ``width`` (valid mode).
+def _radius(name, value):
+    """``value`` as an int, or a ``ValueError`` naming the argument."""
+    if not float(value).is_integer() or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
-    Input of shape ``(a, b, c)`` produces output of shape
-    ``(a - width + 1, ...)`` via separable cumulative sums.
+
+def _box_sum_3d(stages, width):
+    """Sum over all cubic windows of edge ``width`` (valid mode), batched.
+
+    ``stages[0]`` has shape ``(n, a, b, c)`` and is overwritten;
+    ``stages[k]`` receives the batch with its first ``k`` volume axes
+    summed, so ``stages[3]`` -- the return value -- has shape
+    ``(n, a - width + 1, b - width + 1, c - width + 1)``.
     """
-    out = volume
-    for axis in range(3):
-        cumsum = np.cumsum(out, axis=axis)
-        zero_shape = list(cumsum.shape)
-        zero_shape[axis] = 1
-        padded = np.concatenate([np.zeros(zero_shape), cumsum], axis=axis)
-        upper = np.take(padded, range(width, padded.shape[axis]), axis=axis)
-        lower = np.take(padded, range(0, padded.shape[axis] - width), axis=axis)
-        out = upper - lower
-    return out
+    for axis in (1, 2, 3):
+        source, target = stages[axis - 1], stages[axis]
+        outer = math.prod(source.shape[:axis])
+        length = source.shape[axis]
+        sums = source.reshape(outer, length, -1)
+        for i in range(1, length):
+            np.add(sums[:, i - 1], sums[:, i], out=sums[:, i])
+        out = target.reshape(outer, length - width + 1, -1)
+        # The first window is ``sums[width - 1] - 0.0``: a copy is exact.
+        out[:, 0] = sums[:, width - 1]
+        np.subtract(sums[:, width:], sums[:, :-width], out=out[:, 1:])
+    return stages[3]

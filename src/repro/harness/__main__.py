@@ -893,7 +893,9 @@ def _bench_main(argv):
     own perf trajectory, the way ``benchmarks/ledger/`` tracks the
     simulated clusters'.  Every leg runs under a snapshot sink so all
     three do identical work, and the figure row records whether their
-    snapshots were byte-identical.  ``--phases`` additionally
+    snapshots were byte-identical.  A ``host`` block records the core
+    count, the BLAS/OpenMP thread settings and the python and numpy
+    versions the seconds were measured under.  ``--phases`` additionally
     decomposes each run's wall clock into executor phases and appends
     the structured telemetry log; ``--gate`` turns a sub-1.0 speedup or
     a snapshot mismatch into a non-zero exit (the CI parallel-harness
@@ -901,8 +903,11 @@ def _bench_main(argv):
     """
     import contextlib
     import os
+    import platform
     import shutil
     import tempfile
+
+    import numpy
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness bench",
@@ -1028,6 +1033,17 @@ def _bench_main(argv):
         "bench_schema_version": BENCH_SCHEMA_VERSION,
         "quick": quick,
         "jobs": args.jobs,
+        # What the seconds below were measured on; ``compare`` ignores it.
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "thread_env": {
+                name: os.environ.get(name)
+                for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                             "MKL_NUM_THREADS")
+            },
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
         "figures": results,
     }
     with open(args.out, "w") as fh:

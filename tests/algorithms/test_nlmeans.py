@@ -1,20 +1,164 @@
 """Tests for non-local means denoising."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.nlmeans import _box_sum_3d, nlmeans_3d
+from repro.algorithms.nlmeans import _BATCH_ELEMENTS, _box_sum_3d, nlmeans_3d
+from repro.harness.runner import neuro_subjects
+from repro.pipelines.neuro.reference import DENOISE_SIGMA, compute_mask
+
+
+def _reference_nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
+    """The one-offset-at-a-time kernel ``nlmeans_3d`` replaced, verbatim.
+
+    The oracle: ``nlmeans_3d`` must return these bytes.
+    """
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim != 3:
+        raise ValueError(f"nlmeans_3d expects a 3-d volume, got {volume.shape}")
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != volume.shape:
+            raise ValueError(
+                f"mask shape {mask.shape} does not match volume {volume.shape}"
+            )
+
+    pr, br = int(patch_radius), int(block_radius)
+    pad = pr + br
+    padded = np.pad(volume, pad, mode="reflect")
+
+    h2 = 2.0 * (np.sqrt(2.0) * sigma) ** 2
+    patch_size = (2 * pr + 1) ** 3
+
+    weights_sum = np.zeros_like(volume)
+    values_sum = np.zeros_like(volume)
+
+    shape = volume.shape
+
+    # For each search offset, compute per-voxel patch distances using a
+    # box sum over the shifted squared-difference volume (the standard
+    # O(offsets) NLM decomposition).
+    center = padded[
+        pad - pr: pad + pr + shape[0],
+        pad - pr: pad + pr + shape[1],
+        pad - pr: pad + pr + shape[2],
+    ]
+    for dz in range(-br, br + 1):
+        for dy in range(-br, br + 1):
+            for dx in range(-br, br + 1):
+                shifted = padded[
+                    pad + dz - pr: pad + dz + pr + shape[0],
+                    pad + dy - pr: pad + dy + pr + shape[1],
+                    pad + dx - pr: pad + dx + pr + shape[2],
+                ]
+                sq_diff = (shifted - center) ** 2
+                dist = _reference_box_sum_3d(sq_diff, 2 * pr + 1)
+                weight = np.exp(-dist / (h2 * patch_size))
+                neighbor = padded[
+                    pad + dz: pad + dz + shape[0],
+                    pad + dy: pad + dy + shape[1],
+                    pad + dx: pad + dx + shape[2],
+                ]
+                weights_sum += weight
+                values_sum += weight * neighbor
+
+    denoised = values_sum / weights_sum
+    if mask is not None:
+        denoised = np.where(mask, denoised, volume)
+    return denoised
+
+
+def _reference_box_sum_3d(volume, width):
+    """Sum over all cubic windows of edge ``width`` (valid mode).
+
+    Input of shape ``(a, b, c)`` produces output of shape
+    ``(a - width + 1, ...)`` via separable cumulative sums.
+    """
+    out = volume
+    for axis in range(3):
+        cumsum = np.cumsum(out, axis=axis)
+        zero_shape = list(cumsum.shape)
+        zero_shape[axis] = 1
+        padded = np.concatenate([np.zeros(zero_shape), cumsum], axis=axis)
+        upper = np.take(padded, range(width, padded.shape[axis]), axis=axis)
+        lower = np.take(padded, range(0, padded.shape[axis] - width), axis=axis)
+        out = upper - lower
+    return out
+
+
+#: Large enough that one shifted window overflows half the batch budget
+#: at every patch radius, so each batch holds a single offset.
+ONE_OFFSET_SHAPE = (26, 25, 27)
+
+MASKS = {
+    "none": lambda rng, shape: None,
+    "random": lambda rng, shape: rng.random(shape) < 0.4,
+    "all_false": lambda rng, shape: np.zeros(shape, dtype=bool),
+    "all_true": lambda rng, shape: np.ones(shape, dtype=bool),
+}
+
+
+def test_one_offset_shape_forces_single_offset_batches():
+    assert 2 * math.prod(ONE_OFFSET_SHAPE) > _BATCH_ELEMENTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # Axes down to 1 voxel are shorter than patch_radius + block_radius,
+    # so the reflect padding wraps more than once.
+    shape=st.one_of(
+        st.just((1, 4, 6)),
+        st.tuples(*[st.integers(1, 10)] * 3),
+        st.just(ONE_OFFSET_SHAPE),
+    ),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    mask_kind=st.sampled_from(sorted(MASKS)),
+    patch_radius=st.integers(0, 2),
+    block_radius=st.integers(1, 3),
+    sigma=st.floats(0.5, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bytes_match_reference_loop(
+    shape, dtype, mask_kind, patch_radius, block_radius, sigma, seed
+):
+    rng = np.random.default_rng(seed)
+    volume = rng.normal(100.0, 25.0, shape).astype(dtype)
+    mask = MASKS[mask_kind](rng, shape)
+    args = (volume, sigma, mask, patch_radius, block_radius)
+    assert nlmeans_3d(*args).tobytes() == _reference_nlmeans_3d(*args).tobytes()
+
+
+def test_bytes_match_reference_loop_on_bench_cohort():
+    """Every volume the ``neuro-grid`` benchmark workload denoises."""
+    for subject in neuro_subjects(2, scale=20, n_volumes=24):
+        mask = compute_mask(subject)
+        data = subject.data.array
+        for index in range(data.shape[-1]):
+            args = (data[..., index], DENOISE_SIGMA, mask)
+            assert (
+                nlmeans_3d(*args).tobytes()
+                == _reference_nlmeans_3d(*args).tobytes()
+            ), (subject.subject_id, index)
 
 
 def test_box_sum_matches_naive(rng):
-    v = rng.random((6, 7, 8))
+    batch = rng.random((2, 6, 7, 8))
     width = 3
-    out = _box_sum_3d(v, width)
-    assert out.shape == (4, 5, 6)
-    naive = v[:3, :3, :3].sum()
-    assert out[0, 0, 0] == pytest.approx(naive)
-    naive2 = v[2:5, 3:6, 4:7].sum()
-    assert out[2, 3, 4] == pytest.approx(naive2)
+    stages = [batch.copy()] + [
+        np.empty((2,) + (4, 5, 6)[:k] + (6, 7, 8)[k:]) for k in (1, 2, 3)
+    ]
+    out = _box_sum_3d(stages, width)
+    assert out.shape == (2, 4, 5, 6)
+    assert out[0, 0, 0, 0] == pytest.approx(batch[0, :3, :3, :3].sum())
+    assert out[1, 2, 3, 4] == pytest.approx(batch[1, 2:5, 3:6, 4:7].sum())
+    for row, volume in zip(out, batch):
+        assert row.tobytes() == _reference_box_sum_3d(volume, width).tobytes()
 
 
 def test_denoising_reduces_error(rng):
@@ -63,6 +207,14 @@ def test_invalid_inputs():
         nlmeans_3d(
             np.zeros((4, 4, 4)), sigma=1.0, mask=np.zeros((3, 3, 3), dtype=bool)
         )
+    for name, radius in [
+        ("block_radius", -1),
+        ("patch_radius", -1),
+        ("patch_radius", 1.7),
+        ("block_radius", float("nan")),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            nlmeans_3d(np.zeros((4, 4, 4)), sigma=1.0, **{name: radius})
 
 
 def test_weights_favor_similar_patches(rng):

@@ -362,6 +362,12 @@ class TestBenchCli:
         doc = json.loads(out.read_text())
         assert doc["bench_schema_version"] == 4
         assert doc["quick"] is True
+        host = doc["host"]
+        assert host["cpu_count"] == os.cpu_count()
+        assert set(host["thread_env"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+        }
+        assert host["python"] and host["numpy"]
         fig = doc["figures"]["fig10c"]
         for key in ("serial_s", "parallel_s", "warm_s", "jobs",
                     "cold_cache", "warm_cache", "chunk_size",
