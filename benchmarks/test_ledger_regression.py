@@ -9,7 +9,8 @@ A failure means the current tree's simulated makespan drifted more
 than the tolerance past the committed baseline.  If the change is an
 intentional cost-model or scheduling change, regenerate the baselines::
 
-    PYTHONPATH=src python -m repro.harness ledger fig10c fig12c fig11 --quick
+    PYTHONPATH=src python -m repro.harness ledger fig10c fig11 \
+        fig12a fig12b fig12c fig12d --quick
 """
 
 import os
@@ -20,7 +21,8 @@ import pytest
 from repro.obs.ledger import compare_snapshots, format_compare, load_snapshot
 
 LEDGER_DIR = Path(__file__).parent / "ledger"
-BASELINES = ("fig10a", "fig10b", "fig10c", "fig12c", "fig11")
+BASELINES = ("fig10a", "fig10b", "fig10c", "fig11",
+             "fig12a", "fig12b", "fig12c", "fig12d")
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_LEDGER_GATE"),

@@ -22,8 +22,9 @@ from repro.data import generate_visit
 from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
-from repro.pipelines.astro import on_myria, on_scidb, on_spark, run_reference
+from repro.pipelines.astro import run_reference
 from repro.pipelines.astro.staging import stage_visits
+from repro.plan import astro_plan, lower
 
 N_VISITS = 12
 N_SENSORS = 6
@@ -54,7 +55,9 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     sc = SparkContext(cluster)
     stage_visits(cluster.object_store, visits)
-    coadds, sources = on_spark.run(sc, visits, input_partitions=32)
+    coadds, sources = lower(astro_plan(), "spark", sc).run(
+        visits, input_partitions=32
+    )
     ok = all(
         np.allclose(np.nan_to_num(coadds[p].array),
                     np.nan_to_num(ref_coadds[p].array), atol=1e-6)
@@ -68,7 +71,9 @@ def main():
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, visits)
-    coadds, sources = on_myria.run(conn, visits, mode="materialized", source="s3")
+    coadds, sources = lower(astro_plan(), "myria", conn).run(
+        visits, mode="materialized", source="s3"
+    )
     ok = all(
         np.allclose(np.nan_to_num(coadds[p].array),
                     np.nan_to_num(ref_coadds[p].array), atol=1e-6)
@@ -82,9 +87,11 @@ def main():
             ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
         )
         sdb = SciDBConnection(cluster)
-        array = on_scidb.ingest(sdb, visits, chunk=chunk)
+        # The step protocol of Figure 12d: ingest untimed, time the op.
+        lowered = lower(astro_plan(), "scidb", sdb)
+        lowered.prepare("coadd", visits, chunk=chunk)
         start = cluster.now
-        on_scidb.coadd_step(sdb, array)
+        lowered.run_op("coadd")
         print(f"  chunk [{chunk}x{chunk}]: {cluster.now - start:8.1f} s")
 
     print("\nIncremental-iteration ablation on Step 3-A (Section 5.2.4):")
@@ -94,9 +101,10 @@ def main():
             ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
         )
         sdb = SciDBConnection(cluster)
-        array = on_scidb.ingest(sdb, visits)
+        lowered = lower(astro_plan(), "scidb", sdb)
+        lowered.prepare("coadd", visits)
         start = cluster.now
-        on_scidb.coadd_step(sdb, array, incremental=incremental)
+        lowered.run_op("coadd", incremental=incremental)
         timings[incremental] = cluster.now - start
         label = "incremental [34]" if incremental else "stock AQL"
         print(f"  {label:<18}: {timings[incremental]:8.1f} s")

@@ -22,15 +22,9 @@ from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
 from repro.engines.tensorflow import Session as TfSession
-from repro.pipelines.neuro import (
-    on_dask,
-    on_myria,
-    on_scidb,
-    on_spark,
-    on_tensorflow,
-    run_reference,
-)
+from repro.pipelines.neuro import run_reference
 from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import lower, neuro_plan
 
 N_NODES = 4
 SCALE = 12
@@ -46,6 +40,7 @@ def main():
     ref_mask, ref_denoised, ref_fa = run_reference(subject)
     print(f"subject: real {subject.data.array.shape},"
           f" nominal {subject.data.nominal_shape}")
+    plan = neuro_plan()  # one logical plan, lowered onto every engine
 
     results = []
 
@@ -53,7 +48,7 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     sc = SparkContext(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_spark.run(sc, [subject], input_partitions=16)
+    _masks, fa = lower(plan, "spark", sc).run([subject], input_partitions=16)
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Spark", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok}")
@@ -64,7 +59,7 @@ def main():
     )
     conn = MyriaConnection(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_myria.run(conn, [subject], source="s3")
+    _masks, fa = lower(plan, "myria", conn).run([subject], source="s3")
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Myria", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok}")
@@ -73,7 +68,7 @@ def main():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     client = DaskClient(cluster)
     stage_subjects(cluster.object_store, [subject])
-    _masks, fa = on_dask.run(client, [subject])
+    _masks, fa = lower(plan, "dask", client).run([subject])
     ok = np.allclose(fa["study"].array, ref_fa, atol=1e-10)
     results.append(("Dask", "full", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, FA matches reference: {ok},"
@@ -84,25 +79,27 @@ def main():
         ClusterSpec(n_nodes=N_NODES, workers_per_node=4, slots_per_worker=1)
     )
     sdb = SciDBConnection(cluster)
-    mask, denoised = on_scidb.run(sdb, subject, ingest_method="aio")
+    lowered = lower(plan, "scidb", sdb)
+    mask, denoised = lowered.run(subject, ingest_method="aio")
     ok = np.array_equal(mask, ref_mask)
     results.append(("SciDB", "partial", cluster.now, ok))
     print(f"simulated {cluster.now:.1f} s, mask matches reference: {ok}")
     try:
-        on_scidb.fit_step()
+        lowered.fit_step()
     except NotImplementedError as exc:
         print(f"model fitting: NA ({exc})")
 
     banner("TensorFlow (rewritten segmentation + conv denoise; fitting NA)")
     cluster = SimulatedCluster(ClusterSpec(n_nodes=N_NODES))
     session = TfSession(cluster)
-    mask, denoised = on_tensorflow.run(session, subject)
+    lowered = lower(plan, "tensorflow", session)
+    mask, denoised = lowered.run(subject)
     overlap = (mask & ref_mask).sum() / ref_mask.sum()
     results.append(("TensorFlow", "partial", cluster.now, overlap > 0.8))
     print(f"simulated {cluster.now:.1f} s,"
           f" simplified mask overlap with reference: {overlap:.0%}")
     try:
-        on_tensorflow.fit_step()
+        lowered.fit_step()
     except NotImplementedError as exc:
         print(f"model fitting: NA ({exc})")
 

@@ -19,7 +19,7 @@ from repro.engines.base import udf
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.scidb import SciDBConnection
 from repro.engines.scidb.afl import execute as afl
-from repro.pipelines.neuro.on_scidb import ingest as scidb_ingest
+from repro.plan import lower, neuro_plan
 
 
 def myrial_tour():
@@ -76,7 +76,7 @@ def afl_tour():
     )
     sdb = SciDBConnection(cluster)
     subject = generate_subject("afldemo", scale=14, n_volumes=24)
-    scidb_ingest(sdb, subject, method="aio")
+    lower(neuro_plan(), "scidb", sdb).ingest(subject, method="aio")
     name = "sub_afldemo"
 
     print("\n1. Figure 5's pattern — filter b0 volumes, mean over them:")

@@ -22,8 +22,9 @@ from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.data import generate_subject
 from repro.engines.myria import MyriaConnection
 from repro.engines.spark import SparkContext
-from repro.pipelines.neuro import on_myria, on_spark, run_reference
+from repro.pipelines.neuro import run_reference
 from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import lower, neuro_plan
 
 
 def main():
@@ -42,7 +43,9 @@ def main():
     spark_cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     sc = SparkContext(spark_cluster)
     stage_subjects(spark_cluster.object_store, [subject])
-    masks, fa = on_spark.run(sc, [subject], input_partitions=16)
+    masks, fa = lower(neuro_plan(), "spark", sc).run(
+        [subject], input_partitions=16
+    )
     spark_ok = np.allclose(fa["demo-subject"].array, ref_fa, atol=1e-10)
     print(f"  simulated runtime: {spark_cluster.now:8.1f} s"
           f"   matches reference: {spark_ok}")
@@ -53,7 +56,7 @@ def main():
     )
     conn = MyriaConnection(myria_cluster)
     stage_subjects(myria_cluster.object_store, [subject])
-    masks, fa = on_myria.run(conn, [subject], source="s3")
+    masks, fa = lower(neuro_plan(), "myria", conn).run([subject], source="s3")
     myria_ok = np.allclose(fa["demo-subject"].array, ref_fa, atol=1e-10)
     print(f"  simulated runtime: {myria_cluster.now:8.1f} s"
           f"   matches reference: {myria_ok}")

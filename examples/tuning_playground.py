@@ -24,8 +24,8 @@ from repro.harness.experiments import run_neuro_end_to_end
 from repro.harness.report import print_breakdown
 from repro.harness.runner import fresh_engine, observe_clusters, Stopwatch
 from repro.obs import ClusterMetrics, write_chrome_trace
-from repro.pipelines.astro import on_myria as astro_myria
 from repro.pipelines.astro.staging import stage_visits
+from repro.plan import astro_plan, lower
 
 N_NODES = 8
 
@@ -68,8 +68,9 @@ def myria_memory():
             stage_visits(cluster.object_store, visits)
             watch = Stopwatch(cluster)
             try:
-                astro_myria.run(engine, visits, mode=mode, chunks=chunks,
-                                source="s3")
+                lower(astro_plan(), "myria", engine).run(
+                    visits, mode=mode, chunks=chunks, source="s3"
+                )
                 print(f"    {mode:<14} {watch.lap():8.1f} s")
             except OutOfMemoryError as exc:
                 print(f"    {mode:<14}      OOM ({exc.node})")

@@ -26,7 +26,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task, TaskResult
-from repro.obs import Observability
+from repro.obs.spans import Observability
 from repro.obs.events import (
     NodeCrashed,
     NodeRecovered,

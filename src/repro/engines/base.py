@@ -92,6 +92,50 @@ def as_costed(fn):
     return CostedFunction(fn)
 
 
+class LoweredPlan:
+    """What ``lower(plan, ctx)`` returns: ``run()`` plus the step protocol.
+
+    Figures 11 and 12 time one logical op at a time.  ``prepare`` --
+    untimed -- materializes everything the op reads (warm deployment,
+    ingested or persisted inputs, side inputs, registered UDFs);
+    ``run_op`` then executes exactly that op and materializes its
+    output.  A lowering implements the pair per op as ``_prepare_<op>``
+    and ``_step_<op>`` methods over the kernels its ``run()`` uses; an
+    op without them is one of the engine's Table 1 NA cells.
+    """
+
+    def __init__(self, plan, ctx):
+        self.plan = plan
+        self.ctx = ctx
+
+    def prepare(self, op_id, data, **tuning):
+        """Materialize, untimed, what ``op_id`` reads from ``data``."""
+        self._step_method("_prepare_", op_id)(data, **tuning)
+
+    def run_op(self, op_id, **tuning):
+        """Execute ``op_id`` over what :meth:`prepare` left behind.
+
+        The op's provenance scope is open for the whole call, so every
+        task and coordinator charge that carries no stamp of its own
+        (shuffles, broadcasts, collects the op causes) is attributed to
+        the measured op by construction.
+        """
+        with self.ctx.cluster.obs.provenance(self.plan.provenance(op_id)):
+            self._run_step(op_id, **tuning)
+
+    def _run_step(self, op_id, **tuning):
+        self._step_method("_step_", op_id)(**tuning)
+
+    def _step_method(self, prefix, op_id):
+        method = getattr(self, prefix + op_id, None)
+        if method is None:
+            raise NotImplementedError(
+                f"the {self.ctx.name} lowering of {self.plan.name!r} has no"
+                f" {op_id!r} step"
+            )
+        return method
+
+
 class Engine:
     """Base class for the five mini systems."""
 

@@ -21,7 +21,8 @@ broadcast with ordinary graph edges — the scheduler ships the mask to
 whichever worker needs it.  Delayed-node construction order is part of
 the lowering: task keys come from the client's key counter, so the
 graph below is built in exactly the order the paper's Figure 8
-pseudocode implies.
+pseudocode implies.  The step protocol (figures 11, 12a-c) builds its
+windows from the same graph builders ``run()`` chains.
 """
 
 import numpy as np
@@ -29,240 +30,298 @@ import numpy as np
 from repro.algorithms.dtm import fit_dtm, fractional_anisotropy
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import median_otsu
+from repro.engines.base import LoweredPlan
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
-from repro.pipelines.neuro.staging import DEFAULT_BUCKET, volume_key
+from repro.pipelines.neuro.staging import volume_key
 from repro.plan.ir import provenance_id
-from repro.plan.neuro import DEFAULT_BLOCKS
 
 
-def _pid(op_id):
-    """Provenance id of a neuro-plan op (Dask restructures ``group_by``
-    ops into explicit graph nodes, so ids are stamped per kernel)."""
-    return provenance_id("neuro", op_id)
+def _flat(vols_by_subject):
+    return [v for vols in vols_by_subject.values() for v in vols]
 
 
-def fetch_volume(client, subject, index, bucket=DEFAULT_BUCKET, workers=None):
-    """One delayed node fetching one staged volume from S3.
-
-    ``workers`` pins the download (Section 5.2.1: "we explicitly
-    specify the number of subjects to download per node" because the
-    scheduler does not know download sizes up front).
-    """
-    store = client.cluster.object_store
-    cm = client.cost_model
-    key = volume_key(subject.subject_id, index)
-    nbytes = store.size_of(bucket, key)
-
-    def fetch(subject_id, image_id):
-        return store.get(bucket, key)
-
-    def fetch_cost(subject_id, image_id):
-        # Concurrent per-volume fetches on the pinned node share its S3
-        # bandwidth (one subject's 288 volumes all land on one node).
-        sharing = min(
-            client.cluster.spec.slots_per_node, subject.n_volumes
-        )
-        return client.cluster.network.s3_download_time(
-            nbytes, n_objects=1
-        ) * sharing + cm.unpickle_time(nbytes)
-
-    return client.delayed(
-        fetch, cost=fetch_cost, workers=workers, op=_pid("volumes")
-    )(subject.subject_id, index)
-
-
-def download_and_filter(client, subject, bucket=DEFAULT_BUCKET, workers=None):
-    """Figure 8's ``downloadAndFilter``: all of one subject's volumes.
-
-    Returns the list of per-volume :class:`Delayed` values; computing
-    them is the barrier Figure 8 inserts before graph construction
-    continues.
-    """
-    return [
-        fetch_volume(client, subject, index, bucket=bucket, workers=workers)
-        for index in range(subject.n_volumes)
-    ]
-
-
-def build_mask_graph(client, subject, vols_delayed):
-    """Step 1-N as a delayed graph (Figure 8 lines 7-11)."""
-    cm = client.cost_model
-    b0_indices = np.nonzero(subject.gtab.b0s_mask)[0]
-    b0_vols = [vols_delayed[i] for i in b0_indices]
-
-    def mean_volumes(*volumes):
-        stack = np.stack([v.array for v in volumes], axis=-1)
-        return SizedArray(
-            stack.mean(axis=-1),
-            nominal_shape=volumes[0].nominal_shape,
-            meta=volumes[0].meta,
-        )
-
-    def mean_cost(*volumes):
-        total = sum(v.nominal_elements for v in volumes)
-        return total * cm.elementwise_per_element
-
-    mean = client.delayed(mean_volumes, cost=mean_cost, op=_pid("mean_b0"))(
-        *b0_vols
-    )
-
-    def to_mask(mean_volume):
-        _masked, mask = median_otsu(
-            mean_volume.array, median_radius=MASK_MEDIAN_RADIUS
-        )
-        return mask
-
-    return client.delayed(to_mask, cost=common.otsu_cost(cm), op=_pid("otsu"))(
-        mean
-    )
-
-
-def build_fit_graph(client, subject, vols_delayed, mask_delayed,
-                    n_blocks=DEFAULT_BLOCKS):
-    """Steps 2-N and 3-N as one per-subject delayed chain."""
-    cm = client.cost_model
-    gtab = subject.gtab
-
-    def denoise_one(volume, mask):
-        out = nlmeans_3d(volume.array, sigma=DENOISE_SIGMA, mask=mask)
-        return volume.with_array(out)
-
-    def denoise_cost(volume, mask):
-        fraction = common.masked_fraction(mask)
-        return volume.nominal_elements * fraction * cm.nlmeans_per_voxel
-
-    denoised = [
-        client.delayed(denoise_one, cost=denoise_cost, op=_pid("denoise"))(
-            vol, mask_delayed
-        )
-        for vol in vols_delayed
-    ]
-
-    # Figure 8's partitionVoxels: per-volume voxel blocks are separate
-    # graph values, so model fitting only moves block-sized pieces
-    # between workers, not whole volumes.
-    def split_block(volume, block_index):
-        return common.split_volume_blocks(volume, n_blocks)[block_index][1]
-
-    def split_block_cost(volume, block_index):
-        return (volume.nominal_bytes / n_blocks) * cm.memcpy_per_byte
-
-    pieces = [
-        [
-            client.delayed(
-                split_block, cost=split_block_cost, op=_pid("repart")
-            )(vol, block_index)
-            for vol in denoised
-        ]
-        for block_index in range(n_blocks)
-    ]
-
-    def fit_block(mask, block_index, *blocks):
-        stacked = np.stack([b.array for b in blocks], axis=-1)
-        nz = mask.shape[0]
-        bounds = np.linspace(0, nz, min(n_blocks, nz) + 1).astype(int)
-        mask_block = mask[bounds[block_index]:bounds[block_index + 1]]
-        evals = fit_dtm(stacked, gtab, mask=mask_block)
-        fa = fractional_anisotropy(evals)
-        return SizedArray(fa, nominal_shape=blocks[0].nominal_shape)
-
-    def fit_block_cost(mask, block_index, *blocks):
-        fraction = common.masked_fraction(mask)
-        elements = sum(b.nominal_elements for b in blocks)
-        return elements * fraction * cm.dtm_fit_per_voxel_sample
-
-    fa_blocks = [
-        client.delayed(fit_block, cost=fit_block_cost, op=_pid("fitmodel"))(
-            mask_delayed, block_index, *pieces[block_index]
-        )
-        for block_index in range(n_blocks)
-    ]
-
-    def reassemble(*blocks):
-        return common.reassemble_blocks(dict(enumerate(blocks)))
-
-    def reassemble_cost(*blocks):
-        return sum(b.nominal_bytes for b in blocks) * cm.memcpy_per_byte
-
-    return client.delayed(reassemble, cost=reassemble_cost, op=_pid("fa"))(
-        *fa_blocks
-    )
-
-
-def run(client, subjects, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET):
-    """End-to-end neuroscience pipeline on Dask.
-
-    Returns ``(masks, fa_by_subject)``.  Subject downloads are pinned
-    round-robin over the nodes (the paper's manual placement).
-    """
-    nodes = client.cluster.node_order
-    data = {}
-    for index, subject in enumerate(subjects):
-        workers = nodes[index % len(nodes)]
-        data[subject.subject_id] = download_and_filter(
-            client, subject, bucket=bucket, workers=workers
-        )
-
-    # Figure 8's barrier: materialize the downloads and read numVols.
-    all_vols = [v for vols in data.values() for v in vols]
-    client.compute(all_vols)
-    num_vols = {
-        subject.subject_id: len(data[subject.subject_id])
-        for subject in subjects
-    }
-    assert all(n > 0 for n in num_vols.values())
-
-    masks_delayed = {
-        s.subject_id: build_mask_graph(client, s, data[s.subject_id])
-        for s in subjects
-    }
-    fa_delayed = {
-        s.subject_id: build_fit_graph(
-            client, s, data[s.subject_id], masks_delayed[s.subject_id],
-            n_blocks=n_blocks,
-        )
-        for s in subjects
-    }
-    # One barrier evaluates every subject's chain; subjects overlap.
-    keys = [s.subject_id for s in subjects]
-    results = client.compute(
-        [masks_delayed[k] for k in keys] + [fa_delayed[k] for k in keys]
-    )
-    masks = dict(zip(keys, results[: len(keys)]))
-    fa = dict(zip(keys, results[len(keys):]))
-    return masks, fa
-
-
-class LoweredNeuro:
+class LoweredNeuro(LoweredPlan):
     """Executable produced by ``lower(neuro_plan(), client)``.
 
-    Binds the plan's parameters (bucket from the ``volumes`` scan,
-    ``n_blocks`` from ``repart``) to the graph builders above.
+    Dask restructures ``group_by`` ops into explicit graph nodes, so
+    provenance ids are stamped per kernel (``client.delayed(op=...)``).
     """
 
     def __init__(self, plan, client):
-        self.plan = plan
+        super().__init__(plan, client)
         self.client = client
         self.bucket = plan.member_param("volumes", "bucket")
         self.n_blocks = plan.param("n_blocks")
+        self.sigma = plan.param("sigma")
+        self.median_radius = plan.param("median_radius")
 
-    def download_and_filter(self, subject, workers=None):
-        return download_and_filter(
-            self.client, subject, bucket=self.bucket, workers=workers
+    def _pid(self, op_id):
+        return provenance_id(self.plan.name, op_id)
+
+    # -- graph builders ------------------------------------------------
+
+    def fetch_volume(self, subject, index, workers):
+        """One delayed node fetching one staged volume from S3.
+
+        ``workers`` pins the download (Section 5.2.1: "we explicitly
+        specify the number of subjects to download per node" because
+        the scheduler does not know download sizes up front).
+        """
+        client = self.client
+        bucket = self.bucket
+        store = client.cluster.object_store
+        cm = client.cost_model
+        key = volume_key(subject.subject_id, index)
+        nbytes = store.size_of(bucket, key)
+
+        def fetch(subject_id, image_id):
+            return store.get(bucket, key)
+
+        def fetch_cost(subject_id, image_id):
+            # Concurrent per-volume fetches on the pinned node share its
+            # S3 bandwidth (one subject's 288 volumes all land on one
+            # node).
+            sharing = min(
+                client.cluster.spec.slots_per_node, subject.n_volumes
+            )
+            return client.cluster.network.s3_download_time(
+                nbytes, n_objects=1
+            ) * sharing + cm.unpickle_time(nbytes)
+
+        return client.delayed(
+            fetch, cost=fetch_cost, workers=workers, op=self._pid("volumes")
+        )(subject.subject_id, index)
+
+    def download_all(self, subjects):
+        """Figure 8's ``downloadAndFilter`` for every subject: per-volume
+        :class:`Delayed` values by subject id, each subject's downloads
+        pinned round-robin over the nodes (the paper's manual placement;
+        it fit at most 3 subjects per node).  Computing them is the
+        barrier Figure 8 inserts before graph construction continues.
+        """
+        nodes = self.client.cluster.node_order
+        return {
+            subject.subject_id: [
+                self.fetch_volume(
+                    subject, index, workers=nodes[position % len(nodes)]
+                )
+                for index in range(subject.n_volumes)
+            ]
+            for position, subject in enumerate(subjects)
+        }
+
+    def select_b0_graph(self, subject, vols_delayed):
+        """The ``b0`` filter as one node (``run()`` needs none: there the
+        selection is graph wiring inside :meth:`mask_graph`)."""
+        cm = self.client.cost_model
+
+        def select(*volumes):
+            return list(volumes)
+
+        def select_cost(*volumes):
+            total = sum(v.nominal_bytes for v in volumes)
+            return total * cm.memcpy_per_byte
+
+        b0_vols = [vols_delayed[i] for i in np.nonzero(subject.gtab.b0s_mask)[0]]
+        return self.client.delayed(
+            select, cost=select_cost, op=self._pid("b0")
+        )(*b0_vols)
+
+    def mask_graph(self, subject, vols_delayed):
+        """Step 1-N as a delayed graph (Figure 8 lines 7-11)."""
+        client = self.client
+        cm = client.cost_model
+        median_radius = self.median_radius
+        b0_indices = np.nonzero(subject.gtab.b0s_mask)[0]
+        b0_vols = [vols_delayed[i] for i in b0_indices]
+
+        def mean_volumes(*volumes):
+            stack = np.stack([v.array for v in volumes], axis=-1)
+            return SizedArray(
+                stack.mean(axis=-1),
+                nominal_shape=volumes[0].nominal_shape,
+                meta=volumes[0].meta,
+            )
+
+        def mean_cost(*volumes):
+            total = sum(v.nominal_elements for v in volumes)
+            return total * cm.elementwise_per_element
+
+        mean = client.delayed(
+            mean_volumes, cost=mean_cost, op=self._pid("mean_b0")
+        )(*b0_vols)
+
+        def to_mask(mean_volume):
+            _masked, mask = median_otsu(
+                mean_volume.array, median_radius=median_radius
+            )
+            return mask
+
+        return client.delayed(
+            to_mask, cost=common.otsu_cost(cm), op=self._pid("otsu")
+        )(mean)
+
+    def denoise_graph(self, subject, vols_delayed, mask_delayed):
+        """Step 2-N: one masked non-local-means node per volume."""
+        cm = self.client.cost_model
+        sigma = self.sigma
+
+        def denoise_one(volume, mask):
+            out = nlmeans_3d(volume.array, sigma=sigma, mask=mask)
+            return volume.with_array(out)
+
+        def denoise_cost(volume, mask):
+            fraction = common.masked_fraction(mask)
+            return volume.nominal_elements * fraction * cm.nlmeans_per_voxel
+
+        return [
+            self.client.delayed(
+                denoise_one, cost=denoise_cost, op=self._pid("denoise")
+            )(vol, mask_delayed)
+            for vol in vols_delayed
+        ]
+
+    def fit_graph(self, subject, denoised, mask_delayed):
+        """Step 3-N over one subject's denoised volumes."""
+        client = self.client
+        cm = client.cost_model
+        gtab = subject.gtab
+        n_blocks = self.n_blocks
+
+        # Figure 8's partitionVoxels: per-volume voxel blocks are
+        # separate graph values, so model fitting only moves block-sized
+        # pieces between workers, not whole volumes.
+        def split_block(volume, block_index):
+            return common.split_volume_blocks(volume, n_blocks)[block_index][1]
+
+        def split_block_cost(volume, block_index):
+            return (volume.nominal_bytes / n_blocks) * cm.memcpy_per_byte
+
+        pieces = [
+            [
+                client.delayed(
+                    split_block, cost=split_block_cost, op=self._pid("repart")
+                )(vol, block_index)
+                for vol in denoised
+            ]
+            for block_index in range(n_blocks)
+        ]
+
+        def fit_block(mask, block_index, *blocks):
+            stacked = np.stack([b.array for b in blocks], axis=-1)
+            nz = mask.shape[0]
+            bounds = np.linspace(0, nz, min(n_blocks, nz) + 1).astype(int)
+            mask_block = mask[bounds[block_index]:bounds[block_index + 1]]
+            evals = fit_dtm(stacked, gtab, mask=mask_block)
+            fa = fractional_anisotropy(evals)
+            return SizedArray(fa, nominal_shape=blocks[0].nominal_shape)
+
+        def fit_block_cost(mask, block_index, *blocks):
+            fraction = common.masked_fraction(mask)
+            elements = sum(b.nominal_elements for b in blocks)
+            return elements * fraction * cm.dtm_fit_per_voxel_sample
+
+        fa_blocks = [
+            client.delayed(
+                fit_block, cost=fit_block_cost, op=self._pid("fitmodel")
+            )(mask_delayed, block_index, *pieces[block_index])
+            for block_index in range(n_blocks)
+        ]
+
+        def reassemble(*blocks):
+            return common.reassemble_blocks(dict(enumerate(blocks)))
+
+        def reassemble_cost(*blocks):
+            return sum(b.nominal_bytes for b in blocks) * cm.memcpy_per_byte
+
+        return client.delayed(
+            reassemble, cost=reassemble_cost, op=self._pid("fa")
+        )(*fa_blocks)
+
+    # -- end to end ----------------------------------------------------
+
+    def analyze(self, subjects, vols):
+        """Everything after Figure 8's download barrier, evaluated in
+        one barrier so subjects overlap; returns ``(masks, fa)``."""
+        masks_delayed = {
+            s.subject_id: self.mask_graph(s, vols[s.subject_id])
+            for s in subjects
+        }
+        fa_delayed = {
+            s.subject_id: self.fit_graph(
+                s,
+                self.denoise_graph(
+                    s, vols[s.subject_id], masks_delayed[s.subject_id]
+                ),
+                masks_delayed[s.subject_id],
+            )
+            for s in subjects
+        }
+        keys = [s.subject_id for s in subjects]
+        results = self.client.compute(
+            [masks_delayed[k] for k in keys] + [fa_delayed[k] for k in keys]
         )
-
-    def build_mask_graph(self, subject, vols_delayed):
-        return build_mask_graph(self.client, subject, vols_delayed)
-
-    def build_fit_graph(self, subject, vols_delayed, mask_delayed):
-        return build_fit_graph(
-            self.client, subject, vols_delayed, mask_delayed,
-            n_blocks=self.n_blocks,
-        )
+        masks = dict(zip(keys, results[: len(keys)]))
+        fa = dict(zip(keys, results[len(keys):]))
+        return masks, fa
 
     def run(self, subjects):
-        return run(
-            self.client, subjects, n_blocks=self.n_blocks, bucket=self.bucket
-        )
+        """End-to-end neuroscience pipeline on Dask.
+
+        Returns ``(masks, fa_by_subject)``.
+        """
+        vols = self.download_all(subjects)
+        # Figure 8's barrier: materialize the downloads (``numVols`` is
+        # read here) before the rest of the graph is built.
+        self.client.compute(_flat(vols))
+        return self.analyze(subjects, vols)
+
+    # -- step protocol -------------------------------------------------
+
+    def _prepare_volumes(self, subjects):
+        self.client.ensure_started()
+        self._subjects = subjects
+
+    def _step_volumes(self):
+        self.client.compute(_flat(self.download_all(self._subjects)))
+
+    def _prepare_b0(self, subjects):
+        self._subjects = subjects
+        self._vols = self.download_all(subjects)
+        self.client.compute(_flat(self._vols))
+
+    _prepare_mean_b0 = _prepare_b0
+
+    def _prepare_denoise(self, subjects):
+        self._subjects = subjects
+        self._vols = self.download_all(subjects)
+        self._masks = {
+            s.subject_id: self.mask_graph(s, self._vols[s.subject_id])
+            for s in subjects
+        }
+        self.client.compute(_flat(self._vols) + list(self._masks.values()))
+
+    def _step_b0(self):
+        self.client.compute([
+            self.select_b0_graph(s, self._vols[s.subject_id])
+            for s in self._subjects
+        ])
+
+    def _step_mean_b0(self):
+        # Figure 8 builds the mean and the mask as one chain with no
+        # barrier between them, and fig 12b has always timed that chain:
+        # the Otsu node rides in this window (EXPERIMENTS.md, fig 12b).
+        self.client.compute([
+            self.mask_graph(s, self._vols[s.subject_id])
+            for s in self._subjects
+        ])
+
+    def _step_denoise(self):
+        self.client.compute([
+            node
+            for s in self._subjects
+            for node in self.denoise_graph(
+                s, self._vols[s.subject_id], self._masks[s.subject_id]
+            )
+        ])

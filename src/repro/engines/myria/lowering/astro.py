@@ -13,12 +13,13 @@ bands with the ``x0`` pushdown — a physical rewrite the plan permits
 because patches are independent.
 """
 
-from repro.engines.base import udf
+from repro.engines.base import LoweredPlan, udf
 from repro.engines.myria.connection import MyriaQuery
 from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
-from repro.pipelines.astro.staging import DEFAULT_BUCKET
+from repro.pipelines.astro.staging import exposure_key
 from repro.plan.astro import astro_plan
+from repro.plan.ir import provenance_id
 
 EXPOSURES_COLUMNS = ("expId", "visit", "sensor", "x0", "img")
 
@@ -27,24 +28,56 @@ def _lines(*parts):
     return "\n".join(("",) + parts + ("",))
 
 
-def pipeline_query(plan):
-    """Emit the full-sky MyriaL pipeline from the logical plan."""
+def _patch_statements(plan):
+    """``exposures -> preprocess -> patches -> stitch``."""
     for op_id, kind in (("preprocess", "map"), ("patches", "flat_map"),
-                        ("stitch", "group_by"), ("coadd", "group_by"),
-                        ("detect", "map"), ("sources", "materialize")):
+                        ("stitch", "group_by")):
         if plan.member(op_id).kind != kind:
             raise NotImplementedError(f"myria lowering: missing {op_id}")
-    return _lines(
+    return (
         "E = SCAN(Exposures);",
         "Calib = [FROM E EMIT PYUDF(Preproc, E.img) AS img, E.visit, E.expId];",
         "Pieces = [FROM Calib EMIT",
         "          UNNEST(PYUDF(PatchMap, Calib.img)) AS (patchY, patchX, visitId, piece)];",
         "PatchExp = [FROM Pieces EMIT Pieces.patchY, Pieces.patchX, Pieces.visitId,",
         "            UDA(Stitch, Pieces.piece) AS img];",
-        "Coadds = [FROM PatchExp EMIT PatchExp.patchY, PatchExp.patchX,",
-        "          UDA(CoaddAgg, PatchExp.img, PatchExp.visitId) AS coadd];",
+    )
+
+
+def _coadd_statement(plan, src):
+    """The ``coadd`` group_by over relation alias ``src``."""
+    if plan.member("coadd").kind != "group_by":
+        raise NotImplementedError("myria lowering: missing coadd")
+    return (
+        f"Coadds = [FROM {src} EMIT {src}.patchY, {src}.patchX,",
+        f"          UDA(CoaddAgg, {src}.img, {src}.visitId) AS coadd];",
+    )
+
+
+def pipeline_query(plan):
+    """Emit the full-sky MyriaL pipeline from the logical plan."""
+    for op_id, kind in (("detect", "map"), ("sources", "materialize")):
+        if plan.member(op_id).kind != kind:
+            raise NotImplementedError(f"myria lowering: missing {op_id}")
+    return _lines(
+        *_patch_statements(plan),
+        *_coadd_statement(plan, "PatchExp"),
         "Sources = [FROM Coadds EMIT Coadds.patchY, Coadds.patchX,",
         "           PYUDF(Detect, Coadds.coadd) AS srcs];",
+    )
+
+
+def patch_query(plan):
+    """Figure 12d's untimed input: patch exposures, stored."""
+    return _lines(
+        *_patch_statements(plan), "STORE(PatchExp, PatchExposures);"
+    )
+
+
+def coadd_query(plan):
+    """Figure 12d's step: ``coadd`` over the stored patch exposures."""
+    return _lines(
+        "P = SCAN(PatchExposures);", *_coadd_statement(plan, "P")
     )
 
 
@@ -60,86 +93,6 @@ def _loader(exposure):
         exposure.sky_box.x0,
         exposure,
     )
-
-
-def ingest(conn, visits, bucket=DEFAULT_BUCKET):
-    """Ingest staged exposures into the ``Exposures`` relation."""
-    return conn.ingest_s3(
-        "Exposures", bucket, EXPOSURES_COLUMNS, _loader, partition_column="expId"
-    )
-
-
-def register_s3(conn, bucket=DEFAULT_BUCKET):
-    """End-to-end path: scan staged FITS exposures directly from S3."""
-    return conn.register_s3_relation(
-        "Exposures", bucket, EXPOSURES_COLUMNS, _loader
-    )
-
-
-def declare_provenance(conn, plan=None):
-    """Declare the span/category -> logical-op maps for attribution.
-
-    Statement spans map to the last op they realize; the shuffles
-    feeding the ``Stitch``/``CoaddAgg`` UDAs belong to the ``stitch``
-    and ``coadd`` group_by ops themselves.
-    """
-    plan = plan or astro_plan()
-    pid = plan.provenance
-    conn.cluster.obs.declare_provenance(
-        spans={
-            "myria-insert-Exposures": pid("exposures"),
-            "myria-E": pid("exposures"),
-            "myria-InBand": pid("exposures"),
-            "myria-Calib": pid("preprocess"),
-            "myria-Pieces": pid("patches"),
-            "myria-Band": pid("patches"),
-            "myria-PatchExp": pid("stitch"),
-            "myria-Coadds": pid("coadd"),
-            "myria-Sources": pid("sources"),
-            "myria-shuffle-groupby-PatchExp": pid("stitch"),
-            "myria-shuffle-groupby-Coadds": pid("coadd"),
-        },
-        categories={
-            "myria-ingest": pid("exposures"),
-            "myria-scan": pid("exposures"),
-        },
-    )
-
-
-def register_udfs(conn, grid, pixel_scale):
-    """Register udfs."""
-    declare_provenance(conn)
-    cm = conn.cost_model
-
-    def patch_map(exposure):
-        rows = []
-        for (patch_id, visit_id), piece in ref.patch_pieces(
-            exposure, grid, pixel_scale
-        ):
-            rows.append((patch_id[0], patch_id[1], visit_id, piece))
-        return rows
-
-    def stitch_uda(pieces):
-        return ref.stitch_pieces(list(pieces))
-
-    def coadd_uda(imgs, visit_ids):
-        ordered = [img for _v, img in sorted(zip(visit_ids, imgs))]
-        return ref.coadd_patch(ordered)
-
-    def coadd_uda_cost(imgs, visit_ids):
-        return common.coadd_cost(cm, ref.COADD_ITERATIONS)(list(imgs))
-
-    conn.create_function(
-        "Preproc", udf(ref.preprocess_exposure, cost=common.preprocess_cost(cm))
-    )
-    conn.create_function(
-        "PatchMap", udf(patch_map, cost=common.patch_map_cost(cm))
-    )
-    conn.create_function(
-        "Stitch", udf(stitch_uda, cost=lambda pieces: common.stitch_cost(cm)(list(pieces)))
-    )
-    conn.create_function("CoaddAgg", udf(coadd_uda, cost=coadd_uda_cost))
-    conn.create_function("Detect", udf(ref.detect, cost=common.detect_cost(cm)))
 
 
 def band_query(x_lo, x_hi, px_lo, px_hi):
@@ -172,95 +125,177 @@ Sources = [FROM Coadds EMIT Coadds.patchY, Coadds.patchX,
 """
 
 
-def run(conn, visits, mode="pipelined", chunks=1, bucket=DEFAULT_BUCKET,
-        grid=None, source="s3"):
-    """End-to-end astronomy pipeline; returns ``(coadds, sources)``.
-
-    ``mode`` is ``"pipelined"`` or ``"materialized"``; pass
-    ``mode="multiquery"`` with ``chunks=k`` to process the sky in ``k``
-    patch-column bands as separate (materialized) queries.  ``source``
-    selects direct S3 scans (the paper's end-to-end path) or ingested
-    PostgreSQL storage.
-    """
-    exposures = [e for v in visits for e in v.exposures]
-    if grid is None:
-        grid = ref.default_patch_grid(exposures[0].shape)
-    pixel_scale = ref.nominal_pixel_scale(exposures[0].shape, exposures[0].bundle)
-
-    if source == "s3":
-        register_s3(conn, bucket=bucket)
-    elif source == "ingested":
-        if not conn.server.catalog.get("Exposures"):
-            ingest(conn, visits, bucket=bucket)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    register_udfs(conn, grid, pixel_scale)
-
-    coadds = {}
-    sources = {}
-    if mode == "multiquery":
-        if chunks < 2:
-            raise ValueError("multiquery mode requires chunks >= 2")
-        xs = sorted(
-            {
-                patch[1]
-                for e in exposures
-                for patch in grid.overlapping_patches(e.sky_box)
-            }
-        )
-        bounds = [xs[0] + (xs[-1] + 1 - xs[0]) * i // chunks for i in range(chunks + 1)]
-        width = exposures[0].shape[1]
-        from repro.pipelines.astro.staging import exposure_key
-
-        bands = []
-        for i in range(chunks):
-            if bounds[i] >= bounds[i + 1]:
-                continue
-            # Pixel bounds for the exposure-level pushdown: an exposure
-            # of width w contributes to band [lo, hi) patch columns iff
-            # its x0 lies in [lo * pw - w, hi * pw).
-            px_lo = max(0, bounds[i] * grid.patch_width - width)
-            px_hi = bounds[i + 1] * grid.patch_width
-            # The file list for this band (Myria consumes a csv list of
-            # files, so only in-band exposures are even fetched).
-            band_keys = [
-                exposure_key(e.visit_id, e.sensor_id)
-                for e in exposures
-                if px_lo <= e.sky_box.x0 < px_hi
-            ]
-            bands.append(
-                (band_query(bounds[i], bounds[i + 1], px_lo, px_hi), band_keys)
-            )
-        for text, band_keys in bands:
-            conn.register_s3_relation(
-                "Exposures", bucket, EXPOSURES_COLUMNS, _loader, keys=band_keys
-            )
-            query = MyriaQuery.submit(conn, text, mode="materialized")
-            for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
-                coadds[(patch_y, patch_x)] = coadd_img
-            for patch_y, patch_x, srcs in query.relation("Sources").rows:
-                sources[(patch_y, patch_x)] = srcs
-        return coadds, sources
-
-    query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode)
-    for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
-        coadds[(patch_y, patch_x)] = coadd_img
-    for patch_y, patch_x, srcs in query.relation("Sources").rows:
-        sources[(patch_y, patch_x)] = srcs
-    return coadds, sources
-
-
-class LoweredAstro:
+class LoweredAstro(LoweredPlan):
     """Executable produced by ``lower(astro_plan(), conn)``."""
 
     def __init__(self, plan, conn):
-        self.plan = plan
+        super().__init__(plan, conn)
         self.conn = conn
         self.bucket = plan.member_param("exposures", "bucket")
-        self.pipeline_query = pipeline_query(plan)
+
+    def ingest(self):
+        """Ingest staged exposures into the ``Exposures`` relation."""
+        return self.conn.ingest_s3(
+            "Exposures", self.bucket, EXPOSURES_COLUMNS, _loader,
+            partition_column="expId",
+        )
+
+    def register_s3(self):
+        """End-to-end path: scan staged FITS exposures directly from S3."""
+        return self.conn.register_s3_relation(
+            "Exposures", self.bucket, EXPOSURES_COLUMNS, _loader
+        )
+
+    def declare_provenance(self):
+        """Declare the span/category -> logical-op maps for attribution.
+
+        Statement spans map to the last op they realize; the shuffles
+        feeding the ``Stitch``/``CoaddAgg`` UDAs belong to the ``stitch``
+        and ``coadd`` group_by ops themselves.
+        """
+        def pid(op_id):
+            return provenance_id(self.plan.name, op_id)
+
+        self.conn.cluster.obs.declare_provenance(
+            spans={
+                "myria-insert-Exposures": pid("exposures"),
+                "myria-E": pid("exposures"),
+                "myria-InBand": pid("exposures"),
+                "myria-Calib": pid("preprocess"),
+                "myria-Pieces": pid("patches"),
+                "myria-Band": pid("patches"),
+                "myria-PatchExp": pid("stitch"),
+                "myria-Coadds": pid("coadd"),
+                "myria-Sources": pid("sources"),
+                "myria-shuffle-groupby-PatchExp": pid("stitch"),
+                "myria-shuffle-groupby-Coadds": pid("coadd"),
+            },
+            categories={
+                "myria-ingest": pid("exposures"),
+                "myria-scan": pid("exposures"),
+            },
+        )
+
+    def register_udfs(self, visits, grid):
+        """Register every Python UDF/UDA the queries call."""
+        self.declare_provenance()
+        conn = self.conn
+        cm = conn.cost_model
+        first = visits[0].exposures[0]
+        pixel_scale = ref.nominal_pixel_scale(first.shape, first.bundle)
+
+        def patch_map(exposure):
+            rows = []
+            for (patch_id, visit_id), piece in ref.patch_pieces(
+                exposure, grid, pixel_scale
+            ):
+                rows.append((patch_id[0], patch_id[1], visit_id, piece))
+            return rows
+
+        def stitch_uda(pieces):
+            return ref.stitch_pieces(list(pieces))
+
+        def coadd_uda(imgs, visit_ids):
+            ordered = [img for _v, img in sorted(zip(visit_ids, imgs))]
+            return ref.coadd_patch(ordered)
+
+        def coadd_uda_cost(imgs, visit_ids):
+            return common.coadd_cost(cm, ref.COADD_ITERATIONS)(list(imgs))
+
+        conn.create_function(
+            "Preproc", udf(ref.preprocess_exposure, cost=common.preprocess_cost(cm))
+        )
+        conn.create_function(
+            "PatchMap", udf(patch_map, cost=common.patch_map_cost(cm))
+        )
+        conn.create_function(
+            "Stitch", udf(stitch_uda, cost=lambda pieces: common.stitch_cost(cm)(list(pieces)))
+        )
+        conn.create_function("CoaddAgg", udf(coadd_uda, cost=coadd_uda_cost))
+        conn.create_function("Detect", udf(ref.detect, cost=common.detect_cost(cm)))
 
     def run(self, visits, mode="pipelined", chunks=1, grid=None, source="s3"):
-        return run(
-            self.conn, visits, mode=mode, chunks=chunks, bucket=self.bucket,
-            grid=grid, source=source,
-        )
+        """End-to-end astronomy pipeline; returns ``(coadds, sources)``.
+
+        ``mode`` is ``"pipelined"`` or ``"materialized"``; pass
+        ``mode="multiquery"`` with ``chunks=k`` to process the sky in
+        ``k`` patch-column bands as separate (materialized) queries.
+        ``source`` selects direct S3 scans (the paper's end-to-end path)
+        or ingested PostgreSQL storage.
+        """
+        conn = self.conn
+        bucket = self.bucket
+        exposures = [e for v in visits for e in v.exposures]
+        if grid is None:
+            grid = ref.default_patch_grid(exposures[0].shape)
+
+        if source == "s3":
+            self.register_s3()
+        elif source == "ingested":
+            if not conn.server.catalog.get("Exposures"):
+                self.ingest()
+        else:
+            raise ValueError(f"unknown source {source!r}")
+        self.register_udfs(visits, grid)
+
+        coadds = {}
+        sources = {}
+        if mode == "multiquery":
+            if chunks < 2:
+                raise ValueError("multiquery mode requires chunks >= 2")
+            xs = sorted(
+                {
+                    patch[1]
+                    for e in exposures
+                    for patch in grid.overlapping_patches(e.sky_box)
+                }
+            )
+            bounds = [xs[0] + (xs[-1] + 1 - xs[0]) * i // chunks for i in range(chunks + 1)]
+            width = exposures[0].shape[1]
+            bands = []
+            for i in range(chunks):
+                if bounds[i] >= bounds[i + 1]:
+                    continue
+                # Pixel bounds for the exposure-level pushdown: an exposure
+                # of width w contributes to band [lo, hi) patch columns iff
+                # its x0 lies in [lo * pw - w, hi * pw).
+                px_lo = max(0, bounds[i] * grid.patch_width - width)
+                px_hi = bounds[i + 1] * grid.patch_width
+                # The file list for this band (Myria consumes a csv list of
+                # files, so only in-band exposures are even fetched).
+                band_keys = [
+                    exposure_key(e.visit_id, e.sensor_id)
+                    for e in exposures
+                    if px_lo <= e.sky_box.x0 < px_hi
+                ]
+                bands.append(
+                    (band_query(bounds[i], bounds[i + 1], px_lo, px_hi), band_keys)
+                )
+            for text, band_keys in bands:
+                conn.register_s3_relation(
+                    "Exposures", bucket, EXPOSURES_COLUMNS, _loader, keys=band_keys
+                )
+                query = MyriaQuery.submit(conn, text, mode="materialized")
+                for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
+                    coadds[(patch_y, patch_x)] = coadd_img
+                for patch_y, patch_x, srcs in query.relation("Sources").rows:
+                    sources[(patch_y, patch_x)] = srcs
+            return coadds, sources
+
+        query = MyriaQuery.submit(conn, pipeline_query(self.plan), mode=mode)
+        for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
+            coadds[(patch_y, patch_x)] = coadd_img
+        for patch_y, patch_x, srcs in query.relation("Sources").rows:
+            sources[(patch_y, patch_x)] = srcs
+        return coadds, sources
+
+    # -- step protocol -------------------------------------------------
+
+    def _prepare_coadd(self, visits):
+        self.ingest()
+        first = visits[0].exposures[0]
+        self.register_udfs(visits, ref.default_patch_grid(first.shape))
+        MyriaQuery.submit(self.conn, patch_query(self.plan))
+
+    def _step_coadd(self):
+        MyriaQuery.submit(self.conn, coadd_query(self.plan))

@@ -22,13 +22,19 @@ import numpy as np
 from repro.algorithms.dtm import fit_dtm, fractional_anisotropy
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import median_otsu
-from repro.engines.base import udf
+from repro.data.catalog import NEURO_VOLUME_SHAPE
+from repro.engines.base import LoweredPlan, udf
 from repro.engines.myria.connection import MyriaQuery
+from repro.engines.myria.relation import Relation
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
-from repro.pipelines.neuro.staging import DEFAULT_BUCKET, gradient_tables
-from repro.plan.neuro import DEFAULT_BLOCKS, neuro_plan
+from repro.pipelines.neuro.reference import reference_masks
+from repro.pipelines.neuro.staging import (
+    charge_nifti_conversion,
+    gradient_tables,
+)
+from repro.plan.ir import provenance_id
+from repro.plan.neuro import neuro_plan
 
 IMAGES_COLUMNS = ("subjId", "imgId", "b0flag", "img")
 
@@ -85,14 +91,12 @@ def mean_query(plan):
     )
 
 
-def pipeline_query(plan):
-    """Query 2: ``denoise -> repart -> regroup+fitmodel``, starting from
-    the broadcast join that realizes the plan's ``mask_bcast`` op."""
+def _denoise_statements(plan):
+    """The broadcast join that realizes the plan's ``mask_bcast`` op,
+    then ``denoise`` over the joined tuples."""
     if plan.member("denoise").uses != ("mask_bcast",):
         raise NotImplementedError("myria lowering: denoise must use the mask")
-    if plan.member("regroup").param("key") != ("subject", "block"):
-        raise NotImplementedError("myria lowering: unexpected regroup key")
-    return _lines(
+    return (
         _SCAN_IMAGES,
         "T2 = SCAN(Mask);",
         "Joined = [SELECT T1.subjId, T1.imgId, T1.img, T2.mask",
@@ -100,6 +104,21 @@ def pipeline_query(plan):
         "          WHERE T1.subjId = T2.subjId];",
         "Denoised = [FROM Joined EMIT PYUDF(Denoise, Joined.img, Joined.mask) AS img,",
         "            Joined.subjId, Joined.imgId];",
+    )
+
+
+def denoise_query(plan):
+    """Figure 12c's step: ``mask_bcast -> denoise`` and nothing after."""
+    return _lines(*_denoise_statements(plan))
+
+
+def pipeline_query(plan):
+    """Query 2: ``denoise -> repart -> regroup+fitmodel``, starting from
+    the broadcast join."""
+    if plan.member("regroup").param("key") != ("subject", "block"):
+        raise NotImplementedError("myria lowering: unexpected regroup key")
+    return _lines(
+        *_denoise_statements(plan),
         "Blocks = [FROM Denoised EMIT",
         "          UNNEST(PYUDF(Repart, Denoised.img)) AS (blockId, imgId, block),",
         "          Denoised.subjId];",
@@ -114,40 +133,6 @@ MEAN_QUERY = mean_query(neuro_plan())
 PIPELINE_QUERY = pipeline_query(neuro_plan())
 
 
-def declare_provenance(conn, plan=None):
-    """Declare the span/category -> logical-op maps for attribution.
-
-    Myria work is observed through statement and shuffle spans rather
-    than per-task stamps, so the lowering publishes how those spans map
-    back to plan ops: fused statements attribute to the *last* op in
-    the fused chain (``Masks`` = mean_b0+otsu -> otsu, ``Fitted`` =
-    regroup+fitmodel -> fitmodel) while the shuffle feeding a fused UDA
-    belongs to the ``group_by`` op itself.
-    """
-    plan = plan or neuro_plan()
-    pid = plan.provenance
-    conn.cluster.obs.declare_provenance(
-        spans={
-            "myria-insert-Images": pid("volumes"),
-            "myria-T1": pid("volumes"),
-            "myria-B0": pid("b0"),
-            "myria-Masks": pid("otsu"),
-            "myria-Means": pid("mean_b0"),
-            "myria-T2": pid("mask_bcast"),
-            "myria-Joined": pid("mask_bcast"),
-            "myria-Denoised": pid("denoise"),
-            "myria-Blocks": pid("repart"),
-            "myria-Fitted": pid("fitmodel"),
-            "myria-shuffle-groupby-Masks": pid("mean_b0"),
-            "myria-shuffle-groupby-Fitted": pid("regroup"),
-        },
-        categories={
-            "myria-ingest": pid("volumes"),
-            "myria-scan": pid("volumes"),
-        },
-    )
-
-
 def make_loader(subjects):
     """Staged volume -> Images row: (subjId, imgId, b0flag, img-blob)."""
     gtabs = gradient_tables(subjects)
@@ -159,105 +144,6 @@ def make_loader(subjects):
         return (subject_id, image_id, b0flag, volume)
 
     return loader
-
-
-def ingest(conn, subjects, bucket=DEFAULT_BUCKET):
-    """Ingest staged volumes into the ``Images`` relation.
-
-    Each tuple is (subjId, imgId, b0flag, img-blob) -- "each tuple
-    consisting of subject ID, image ID and image volume ... stored using
-    the Myria blob data type" (Section 4.3), plus a scalar b0 flag so
-    the segmentation selection can be pushed into storage.
-    """
-    return conn.ingest_s3(
-        "Images", bucket, IMAGES_COLUMNS, make_loader(subjects),
-        partition_column="subjId",
-    )
-
-
-def register_s3(conn, subjects, bucket=DEFAULT_BUCKET):
-    """End-to-end path: scan the staged volumes directly from S3."""
-    return conn.register_s3_relation(
-        "Images", bucket, IMAGES_COLUMNS, make_loader(subjects)
-    )
-
-
-def register_udfs(conn, subjects, n_blocks=DEFAULT_BLOCKS, mask_fraction=None):
-    """Register every Python UDF/UDA the queries call."""
-    cm = conn.cost_model
-    gtabs = gradient_tables(subjects)
-    if mask_fraction is None:
-        mask_fraction = 0.45  # refined after the mask query runs
-
-    def mean_otsu_uda(volumes):
-        stack = np.stack([v.array for v in volumes], axis=-1)
-        mean = stack.mean(axis=-1)
-        _masked, mask = median_otsu(mean, median_radius=MASK_MEDIAN_RADIUS)
-        return SizedArray(
-            mask, nominal_shape=volumes[0].nominal_shape, meta=volumes[0].meta
-        )
-
-    def mean_otsu_cost(volumes):
-        per = volumes[0].nominal_elements
-        return per * len(volumes) * cm.elementwise_per_element + per * (
-            cm.otsu_per_voxel + 27 * cm.elementwise_per_element
-        )
-
-    def mean_vol_uda(volumes):
-        stack = np.stack([v.array for v in volumes], axis=-1)
-        return volumes[0].with_array(stack.mean(axis=-1))
-
-    def mean_vol_cost(volumes):
-        return (
-            volumes[0].nominal_elements * len(volumes) * cm.elementwise_per_element
-        )
-
-    def denoise(volume, mask):
-        out = nlmeans_3d(volume.array, sigma=DENOISE_SIGMA, mask=mask.array)
-        return volume.with_array(out)
-
-    def repart(volume):
-        rows = []
-        for block_id, block in common.split_volume_blocks(volume, n_blocks):
-            tagged = SizedArray(
-                block.array,
-                nominal_shape=block.nominal_shape,
-                meta={**block.meta, "block_id": block_id},
-            )
-            rows.append((block_id, volume.meta["image_id"], tagged))
-        return rows
-
-    def fit_model(blocks, image_ids):
-        order = np.argsort(image_ids)
-        stacked = np.stack([blocks[i].array for i in order], axis=-1)
-        meta = blocks[0].meta
-        subject_id = meta["subject_id"]
-        gtab = gtabs[subject_id]
-        mask = _MASK_CACHE[subject_id]
-        block_id = _block_of(blocks[0], n_blocks, mask.shape[0])
-        mask_block = mask[block_id]
-        evals = fit_dtm(stacked, gtab, mask=mask_block)
-        fa = fractional_anisotropy(evals)
-        return SizedArray(fa, nominal_shape=blocks[0].nominal_shape, meta=meta)
-
-    def fit_cost(blocks, image_ids):
-        elements = blocks[0].nominal_elements * len(blocks)
-        return elements * mask_fraction * cm.dtm_fit_per_voxel_sample
-
-    declare_provenance(conn)
-    conn.create_function("MeanOtsu", udf(mean_otsu_uda, cost=mean_otsu_cost))
-    conn.create_function("MeanVol", udf(mean_vol_uda, cost=mean_vol_cost))
-    conn.create_function(
-        "Denoise", udf(denoise, cost=common.denoise_cost(cm, mask_fraction))
-    )
-    conn.create_function("Repart", udf(repart, cost=common.repart_cost(cm)))
-    conn.create_function("FitModel", udf(fit_model, cost=fit_cost))
-
-
-#: Masks keyed by subject, filled by the mask query before the second
-#: query runs (the paper broadcasts the Mask relation; the FitModel UDA
-#: additionally needs mask blocks, captured here driver-side).
-_MASK_CACHE = {}
 
 
 def _block_of(block, n_blocks, nz):
@@ -274,63 +160,241 @@ def _block_of(block, n_blocks, nz):
     return slice(0, nz)
 
 
-def compute_masks(conn, subjects, mode="pipelined"):
-    """Query 1: per-subject masks; stores the Mask relation."""
-    query = MyriaQuery.submit(conn, MASK_QUERY, mode=mode)
-    masks = {}
-    for subj, mask in query.relation("Masks").rows:
-        masks[subj] = mask.array.astype(bool)
-    _MASK_CACHE.clear()
-    _MASK_CACHE.update(masks)
-    return masks
-
-
-def run(conn, subjects, n_blocks=DEFAULT_BLOCKS, mode="pipelined",
-        chunks=1, bucket=DEFAULT_BUCKET, source="s3"):
-    """End-to-end neuroscience pipeline on Myria.
-
-    ``source`` is ``"s3"`` (the paper's end-to-end path: read staged
-    NumPy volumes directly from S3) or ``"ingested"`` (scan previously
-    ingested per-worker PostgreSQL storage).  Returns
-    ``(masks, fa_by_subject)``.
-    """
-    if source == "s3":
-        register_s3(conn, subjects, bucket=bucket)
-    elif source == "ingested":
-        if not conn.server.catalog.get("Images"):
-            ingest(conn, subjects, bucket=bucket)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    register_udfs(conn, subjects, n_blocks=n_blocks)
-    masks = compute_masks(conn, subjects, mode=mode)
-    mask_fraction = float(np.mean([common.masked_fraction(m) for m in masks.values()]))
-    register_udfs(conn, subjects, n_blocks=n_blocks, mask_fraction=mask_fraction)
-
-    query = MyriaQuery.submit(conn, PIPELINE_QUERY, mode=mode, chunks=chunks)
-    fitted = query.relation("Fitted")
-    fa_by_subject = {}
-    for subj, block_id, fa_block in fitted.rows:
-        fa_by_subject.setdefault(subj, {})[block_id] = fa_block
-    fa = {
-        subject: common.reassemble_blocks(by_id)
-        for subject, by_id in fa_by_subject.items()
-    }
-    return masks, fa
-
-
-class LoweredNeuro:
+class LoweredNeuro(LoweredPlan):
     """Executable produced by ``lower(neuro_plan(), conn)``."""
 
     def __init__(self, plan, conn):
-        self.plan = plan
+        super().__init__(plan, conn)
         self.conn = conn
         self.bucket = plan.member_param("volumes", "bucket")
         self.n_blocks = plan.param("n_blocks")
-        self.mask_query = mask_query(plan)
-        self.pipeline_query = pipeline_query(plan)
+        self.sigma = plan.param("sigma")
+        self.median_radius = plan.param("median_radius")
+        #: Masks keyed by subject, filled by the mask query before the
+        #: second query runs (the paper broadcasts the Mask relation;
+        #: the FitModel UDA additionally needs mask blocks, captured
+        #: here driver-side).  Owned by this lowered object: two
+        #: connections in one process never see each other's masks.
+        self.masks = {}
+
+    def declare_provenance(self):
+        """Declare the span/category -> logical-op maps for attribution.
+
+        Myria work is observed through statement and shuffle spans
+        rather than per-task stamps, so the lowering publishes how those
+        spans map back to plan ops: fused statements attribute to the
+        *last* op in the fused chain (``Masks`` = mean_b0+otsu -> otsu,
+        ``Fitted`` = regroup+fitmodel -> fitmodel) while the shuffle
+        feeding a fused UDA belongs to the ``group_by`` op itself.
+        """
+        def pid(op_id):
+            return provenance_id(self.plan.name, op_id)
+
+        self.conn.cluster.obs.declare_provenance(
+            spans={
+                "myria-insert-Images": pid("volumes"),
+                "myria-T1": pid("volumes"),
+                "myria-B0": pid("b0"),
+                "myria-Masks": pid("otsu"),
+                "myria-Means": pid("mean_b0"),
+                "myria-T2": pid("mask_bcast"),
+                "myria-Joined": pid("mask_bcast"),
+                "myria-Denoised": pid("denoise"),
+                "myria-Blocks": pid("repart"),
+                "myria-Fitted": pid("fitmodel"),
+                "myria-shuffle-groupby-Masks": pid("mean_b0"),
+                "myria-shuffle-groupby-Fitted": pid("regroup"),
+            },
+            categories={
+                "myria-ingest": pid("volumes"),
+                "myria-scan": pid("volumes"),
+            },
+        )
+
+    def ingest(self, subjects):
+        """Ingest staged volumes into the ``Images`` relation.
+
+        Each tuple is (subjId, imgId, b0flag, img-blob) -- "each tuple
+        consisting of subject ID, image ID and image volume ... stored
+        using the Myria blob data type" (Section 4.3), plus a scalar b0
+        flag so the segmentation selection can be pushed into storage.
+        """
+        return self.conn.ingest_s3(
+            "Images", self.bucket, IMAGES_COLUMNS, make_loader(subjects),
+            partition_column="subjId",
+        )
+
+    def register_s3(self, subjects):
+        """End-to-end path: scan the staged volumes directly from S3."""
+        return self.conn.register_s3_relation(
+            "Images", self.bucket, IMAGES_COLUMNS, make_loader(subjects)
+        )
+
+    def register_udfs(self, subjects, mask_fraction=0.45):
+        """Register every Python UDF/UDA the queries call.
+
+        The default ``mask_fraction`` prices the UDFs before the mask
+        query has run; :meth:`run` re-registers with the measured one.
+        """
+        conn = self.conn
+        cm = conn.cost_model
+        gtabs = gradient_tables(subjects)
+        n_blocks = self.n_blocks
+        sigma = self.sigma
+        median_radius = self.median_radius
+        masks = self.masks
+
+        def mean_otsu_uda(volumes):
+            stack = np.stack([v.array for v in volumes], axis=-1)
+            mean = stack.mean(axis=-1)
+            _masked, mask = median_otsu(mean, median_radius=median_radius)
+            return SizedArray(
+                mask, nominal_shape=volumes[0].nominal_shape, meta=volumes[0].meta
+            )
+
+        def mean_otsu_cost(volumes):
+            per = volumes[0].nominal_elements
+            return per * len(volumes) * cm.elementwise_per_element + per * (
+                cm.otsu_per_voxel + 27 * cm.elementwise_per_element
+            )
+
+        def mean_vol_uda(volumes):
+            stack = np.stack([v.array for v in volumes], axis=-1)
+            return volumes[0].with_array(stack.mean(axis=-1))
+
+        def mean_vol_cost(volumes):
+            return (
+                volumes[0].nominal_elements * len(volumes) * cm.elementwise_per_element
+            )
+
+        def denoise(volume, mask):
+            out = nlmeans_3d(volume.array, sigma=sigma, mask=mask.array)
+            return volume.with_array(out)
+
+        def repart(volume):
+            rows = []
+            for block_id, block in common.split_volume_blocks(volume, n_blocks):
+                tagged = SizedArray(
+                    block.array,
+                    nominal_shape=block.nominal_shape,
+                    meta={**block.meta, "block_id": block_id},
+                )
+                rows.append((block_id, volume.meta["image_id"], tagged))
+            return rows
+
+        def fit_model(blocks, image_ids):
+            order = np.argsort(image_ids)
+            stacked = np.stack([blocks[i].array for i in order], axis=-1)
+            meta = blocks[0].meta
+            subject_id = meta["subject_id"]
+            gtab = gtabs[subject_id]
+            mask = masks[subject_id]
+            block_id = _block_of(blocks[0], n_blocks, mask.shape[0])
+            mask_block = mask[block_id]
+            evals = fit_dtm(stacked, gtab, mask=mask_block)
+            fa = fractional_anisotropy(evals)
+            return SizedArray(fa, nominal_shape=blocks[0].nominal_shape, meta=meta)
+
+        def fit_cost(blocks, image_ids):
+            elements = blocks[0].nominal_elements * len(blocks)
+            return elements * mask_fraction * cm.dtm_fit_per_voxel_sample
+
+        self.declare_provenance()
+        conn.create_function("MeanOtsu", udf(mean_otsu_uda, cost=mean_otsu_cost))
+        conn.create_function("MeanVol", udf(mean_vol_uda, cost=mean_vol_cost))
+        conn.create_function(
+            "Denoise", udf(denoise, cost=common.denoise_cost(cm, mask_fraction))
+        )
+        conn.create_function("Repart", udf(repart, cost=common.repart_cost(cm)))
+        conn.create_function("FitModel", udf(fit_model, cost=fit_cost))
+
+    def compute_masks(self, mode):
+        """Query 1: per-subject masks; stores the Mask relation."""
+        query = MyriaQuery.submit(self.conn, mask_query(self.plan), mode=mode)
+        self.masks.clear()
+        for subj, mask in query.relation("Masks").rows:
+            self.masks[subj] = mask.array.astype(bool)
+        return dict(self.masks)
 
     def run(self, subjects, mode="pipelined", chunks=1, source="s3"):
-        return run(
-            self.conn, subjects, n_blocks=self.n_blocks, mode=mode,
-            chunks=chunks, bucket=self.bucket, source=source,
+        """End-to-end neuroscience pipeline on Myria.
+
+        ``source`` is ``"s3"`` (the paper's end-to-end path: read staged
+        NumPy volumes directly from S3) or ``"ingested"`` (scan
+        previously ingested per-worker PostgreSQL storage).  Returns
+        ``(masks, fa_by_subject)``.
+        """
+        if source == "s3":
+            self.register_s3(subjects)
+        elif source == "ingested":
+            if not self.conn.server.catalog.get("Images"):
+                self.ingest(subjects)
+        else:
+            raise ValueError(f"unknown source {source!r}")
+        self.register_udfs(subjects)
+        masks = self.compute_masks(mode)
+        self.register_udfs(
+            subjects, mask_fraction=common.mean_masked_fraction(masks)
         )
+
+        query = MyriaQuery.submit(
+            self.conn, pipeline_query(self.plan), mode=mode, chunks=chunks
+        )
+        fitted = query.relation("Fitted")
+        fa_by_subject = {}
+        for subj, block_id, fa_block in fitted.rows:
+            fa_by_subject.setdefault(subj, {})[block_id] = fa_block
+        fa = {
+            subject: common.reassemble_blocks(by_id)
+            for subject, by_id in fa_by_subject.items()
+        }
+        return masks, fa
+
+    # -- step protocol -------------------------------------------------
+
+    def _prepare_volumes(self, subjects):
+        self.conn.ensure_started()
+        self._subjects = subjects
+
+    def _step_volumes(self):
+        charge_nifti_conversion(
+            self.conn.cluster, self._subjects, self.plan.provenance("volumes")
+        )
+        self.ingest(self._subjects)
+
+    def _prepare_b0(self, subjects):
+        self.ingest(subjects)
+        self.register_udfs(subjects)
+
+    _prepare_mean_b0 = _prepare_b0
+
+    def _prepare_denoise(self, subjects):
+        """Ingested volumes plus the stored ``Mask`` relation the
+        broadcast join scans."""
+        self.ingest(subjects)
+        masks = reference_masks(subjects)
+        self.register_udfs(
+            subjects, mask_fraction=common.mean_masked_fraction(masks)
+        )
+        mask_rows = [
+            (
+                sid,
+                SizedArray(
+                    mask, nominal_shape=NEURO_VOLUME_SHAPE,
+                    meta={"subject_id": sid},
+                ),
+            )
+            for sid, mask in masks.items()
+        ]
+        self.conn.ingest_relation(
+            Relation.from_rows("Mask", ("subjId", "mask"), mask_rows), "subjId"
+        )
+
+    def _step_b0(self):
+        MyriaQuery.submit(self.conn, filter_query(self.plan))
+
+    def _step_mean_b0(self):
+        MyriaQuery.submit(self.conn, mean_query(self.plan))
+
+    def _step_denoise(self):
+        MyriaQuery.submit(self.conn, denoise_query(self.plan))

@@ -22,22 +22,17 @@ physical knob of this backend, not plan data.
 import numpy as np
 
 from repro.data.catalog import ASTRO_SENSOR_SHAPE
+from repro.engines.base import LoweredPlan
 from repro.engines.scidb.array import DimSpec
 from repro.engines.scidb.ingest import aio_input
 from repro.formats.sizing import SizedArray
 from repro.pipelines.astro import reference as ref
-from repro.plan.ir import provenance_id
-
-
-def _pid(op_id):
-    """Provenance id of an astro-plan op (ambient scope per step)."""
-    return provenance_id("astro", op_id)
 
 #: The paper's best chunk size for Step 3-A.
 DEFAULT_CHUNK = 1000
 
 
-def sky_mosaic(visits, grid=None):
+def sky_mosaic(visits):
     """Place each visit's calibrated exposures onto a common sky frame.
 
     Returns ``(stack, origin, nominal_shape)``: a real (visits, H, W)
@@ -63,47 +58,6 @@ def sky_mosaic(visits, grid=None):
     return stack, (y0, x0), nominal
 
 
-def ingest(sdb, visits, chunk=DEFAULT_CHUNK, grid=None):
-    """FITS -> CSV -> ``aio_input`` ingest of the visit mosaic.
-
-    The paper: "We use the latter technique [aio_input] for the FITS
-    files from the astronomy use case" (Section 4.1).
-    """
-    stack, _origin, nominal = sky_mosaic(visits, grid)
-    n_visits, height, width = nominal
-    dims = [
-        DimSpec("visit", n_visits, n_visits),
-        DimSpec("y", height, min(chunk, height)),
-        DimSpec("x", width, min(chunk, width)),
-    ]
-    nominal_bytes = n_visits * height * width * 4
-    with sdb.cluster.obs.provenance(_pid("exposures")):
-        return aio_input(sdb, "sky", dims, stack, nominal_bytes, rank=3)
-
-
-def coadd_step(sdb, array, incremental=False):
-    """Step 3-A in AQL (Figure 12d / the Section 5.2.4 ablation)."""
-    with sdb.cluster.obs.provenance(_pid("coadd")):
-        return sdb.coadd_aql(
-            array,
-            n_sigma=ref.COADD_SIGMA,
-            n_iter=ref.COADD_ITERATIONS,
-            incremental=incremental,
-        )
-
-
-def run(sdb, visits, chunk=DEFAULT_CHUNK, incremental=False, grid=None):
-    """Ingest + co-addition (the SciDB-expressible steps).
-
-    Returns the coadded sky as a :class:`SizedArray`.
-    """
-    array = ingest(sdb, visits, chunk=chunk, grid=grid)
-    coadd = coadd_step(sdb, array, incremental=incremental)
-    return SizedArray(
-        np.nan_to_num(coadd.real, nan=0.0), nominal_shape=coadd.nominal_shape
-    )
-
-
 def preprocess_step(*_args, **_kwargs):
     """Step 1-A could not be implemented in SciDB (Table 1: X)."""
     raise NotImplementedError(
@@ -118,21 +72,64 @@ def detect_step(*_args, **_kwargs):
     )
 
 
-class LoweredAstro:
+class LoweredAstro(LoweredPlan):
     """Executable produced by ``lower(astro_plan(), sdb)``.
 
     Only ``scan`` (ingest) and ``coadd`` lower; :meth:`preprocess_step`
-    and :meth:`detect_step` raise per Table 1.
+    and :meth:`detect_step` raise per Table 1.  Each step opens an
+    ambient provenance scope, so its tasks inherit the op.
     """
 
     preprocess_step = staticmethod(preprocess_step)
     detect_step = staticmethod(detect_step)
 
     def __init__(self, plan, sdb):
-        self.plan = plan
+        super().__init__(plan, sdb)
         self.sdb = sdb
 
-    def run(self, visits, chunk=DEFAULT_CHUNK, incremental=False, grid=None):
-        return run(
-            self.sdb, visits, chunk=chunk, incremental=incremental, grid=grid
+    def ingest(self, visits, chunk=DEFAULT_CHUNK):
+        """FITS -> CSV -> ``aio_input`` ingest of the visit mosaic.
+
+        The paper: "We use the latter technique [aio_input] for the FITS
+        files from the astronomy use case" (Section 4.1).
+        """
+        sdb = self.sdb
+        stack, _origin, nominal = sky_mosaic(visits)
+        n_visits, height, width = nominal
+        dims = [
+            DimSpec("visit", n_visits, n_visits),
+            DimSpec("y", height, min(chunk, height)),
+            DimSpec("x", width, min(chunk, width)),
+        ]
+        nominal_bytes = n_visits * height * width * 4
+        with sdb.cluster.obs.provenance(self.plan.provenance("exposures")):
+            return aio_input(sdb, "sky", dims, stack, nominal_bytes, rank=3)
+
+    def coadd_step(self, array, incremental=False):
+        """Step 3-A in AQL (Figure 12d / the Section 5.2.4 ablation)."""
+        with self.sdb.cluster.obs.provenance(self.plan.provenance("coadd")):
+            return self.sdb.coadd_aql(
+                array,
+                n_sigma=ref.COADD_SIGMA,
+                n_iter=ref.COADD_ITERATIONS,
+                incremental=incremental,
+            )
+
+    def run(self, visits, chunk=DEFAULT_CHUNK, incremental=False):
+        """Ingest + co-addition (the SciDB-expressible steps).
+
+        Returns the coadded sky as a :class:`SizedArray`.
+        """
+        array = self.ingest(visits, chunk=chunk)
+        coadd = self.coadd_step(array, incremental=incremental)
+        return SizedArray(
+            np.nan_to_num(coadd.real, nan=0.0), nominal_shape=coadd.nominal_shape
         )
+
+    # -- step protocol -------------------------------------------------
+
+    def _prepare_coadd(self, visits, **tuning):
+        self._array = self.ingest(visits, **tuning)
+
+    def _step_coadd(self, **tuning):
+        self.coadd_step(self._array, **tuning)

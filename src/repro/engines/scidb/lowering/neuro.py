@@ -14,6 +14,14 @@ or ``from_array`` — the paper's SciDB-2 vs SciDB-1 choice); ``b0``/
 array; ``otsu`` runs client-side (small result); ``denoise`` lowers to
 ``stream()``; ``fitmodel`` has no lowering and raises.  Chunk shape
 (``VOLUME_CHUNK``) is a physical knob of this backend, not plan data.
+
+Steps run synchronously, so each step body opens an ambient
+``obs.provenance`` scope and every task/charge it issues inherits the
+op.  ``run()`` lowers one subject into its own 4-D array; the step
+protocol (figures 11, 12a-c) and F16 work on whole cohorts in one 5-D
+array, so the chunk grid spreads across every instance of a large
+deployment -- except the measured ingest of figure 11, which loads
+subject by subject as the paper's two ingest strategies did.
 """
 
 import numpy as np
@@ -21,18 +29,10 @@ import numpy as np
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import median_otsu
 from repro.data.catalog import NEURO_N_VOLUMES, NEURO_VOLUME_SHAPE
-from repro.engines.base import udf
+from repro.engines.base import LoweredPlan, udf
 from repro.engines.scidb.array import DimSpec
 from repro.engines.scidb.ingest import aio_input, from_array
-from repro.pipelines.neuro.reference import DENOISE_SIGMA, MASK_MEDIAN_RADIUS
-from repro.plan.ir import provenance_id
-
-
-def _pid(op_id):
-    """Provenance id of a neuro-plan op.  SciDB steps run synchronously,
-    so each step body opens an ambient ``obs.provenance`` scope and every
-    task/charge it issues inherits the op."""
-    return provenance_id("neuro", op_id)
+from repro.pipelines.neuro.reference import compute_mask
 
 #: Default per-dimension chunking for ingested subjects.  The volume
 #: axis is chunked in groups of 16, which leaves the Step 1-N selection
@@ -40,9 +40,8 @@ def _pid(op_id):
 #: aligned with the selection" (Section 5.2.2).
 VOLUME_CHUNK = 16
 
-
-def subject_dims(subject):
-    """Subject dims."""
+def subject_dims():
+    """One subject: (x, y, z, vol)."""
     x, y, z = NEURO_VOLUME_SHAPE
     return [
         DimSpec("x", x, x),
@@ -53,104 +52,10 @@ def subject_dims(subject):
 
 
 def cohort_dims(n_subjects):
-    """Dimensions for a whole cohort in one 5-D array.
-
-    Multi-subject studies ingest every subject into a single array with
-    a leading subject dimension (chunked per subject), so one query
-    spreads chunks across all instances.
-    """
-    x, y, z = NEURO_VOLUME_SHAPE
-    return [DimSpec("subj", n_subjects, 1)] + subject_dims(None)
-
-
-def ingest(sdb, subject, method="aio"):
-    """Ingest one subject; ``method`` is ``"from_array"`` (SciDB-1 in
-    Figure 11) or ``"aio"`` (SciDB-2)."""
-    dims = subject_dims(subject)
-    name = f"sub_{subject.subject_id}"
-    with sdb.cluster.obs.provenance(_pid("volumes")):
-        if method == "from_array":
-            return from_array(
-                sdb, name, dims, subject.data.array, subject.nominal_bytes
-            )
-        if method == "aio":
-            # Dense arrays load from coordinate-free CSV (one value per
-            # cell), the compact form SciDB's aio loader accepts.
-            return aio_input(
-                sdb, name, dims, subject.data.array, subject.nominal_bytes,
-                rank=0,
-            )
-    raise ValueError(f"unknown ingest method {method!r}")
-
-
-def filter_step(sdb, array, subject):
-    """Figure 5 line 4: ``compress`` on the b0 mask along the 4th axis."""
-    nominal_mask = _nominal_b0_mask(subject)
-    with sdb.cluster.obs.provenance(_pid("b0")):
-        return sdb.compress(array, nominal_mask, axis=3)
-
-
-def mean_step(sdb, filtered):
-    """Figure 5 line 5: mean along the volume axis."""
-    with sdb.cluster.obs.provenance(_pid("mean_b0")):
-        return sdb.mean(filtered, axis=3)
-
-
-def segmentation(sdb, array, subject):
-    """Step 1-N: filter, mean, then Otsu on the (small) mean volume.
-
-    The Otsu threshold itself runs client-side on the fetched mean
-    volume, as SciDB-py applications do for small results.
-    """
-    filtered = filter_step(sdb, array, subject)
-    mean = mean_step(sdb, filtered)
-    cm = sdb.cost_model
-    sdb.cluster.charge_master(
-        sdb.cluster.network.transfer_time(
-            mean.nominal_bytes, "instances", "client"
-        )
-        + mean.nominal_elements
-        * (cm.otsu_per_voxel + 27 * cm.elementwise_per_element),
-        label="SciDB mask (client-side Otsu)",
-        op=_pid("otsu"),
-    )
-    _masked, mask = median_otsu(mean.real, median_radius=MASK_MEDIAN_RADIUS)
-    return mask
-
-
-def denoise_step(sdb, array, mask):
-    """Step 2-N via ``stream()``: each chunk crosses to an external
-    Python process as TSV, is denoised with the reference code, and
-    returns as TSV (Sections 4.1 and 5.2.3)."""
-    cm = sdb.cost_model
-
-    def denoise_chunk(payload, coords):
-        out = np.empty_like(payload, dtype=np.float64)
-        for v in range(payload.shape[-1]):
-            out[..., v] = nlmeans_3d(payload[..., v], sigma=DENOISE_SIGMA, mask=mask)
-        return out
-
-    fraction = max(float(np.asarray(mask).mean()), 0.01)
-    cell_scale = array.nominal_elements / max(1, array.real.size)
-
-    def cost(payload, coords):
-        nominal_voxels = payload.size * cell_scale
-        return nominal_voxels * fraction * cm.nlmeans_per_voxel
-
-    with sdb.cluster.obs.provenance(_pid("denoise")):
-        return sdb.stream(array, udf(denoise_chunk, cost=cost))
-
-
-def run(sdb, subject, ingest_method="aio"):
-    """The SciDB-expressible part of the pipeline for one subject.
-
-    Returns ``(mask, denoised_array)``; model fitting raises
-    ``NotImplementedError`` by design (Table 1: NA).
-    """
-    array = ingest(sdb, subject, method=ingest_method)
-    mask = segmentation(sdb, array, subject)
-    denoised = denoise_step(sdb, array, mask)
-    return mask, denoised
+    """A whole cohort in one 5-D array: a leading subject dimension
+    chunked per subject, so one query spreads chunks across all
+    instances."""
+    return [DimSpec("subj", n_subjects, 1)] + subject_dims()
 
 
 def fit_step(*_args, **_kwargs):
@@ -175,70 +80,7 @@ def _nominal_b0_mask(subject):
     return nominal
 
 
-# ----------------------------------------------------------------------
-# Multi-subject (cohort) API: one 5-D array for a whole study, so the
-# chunk grid spreads across every instance of a large deployment.
-# ----------------------------------------------------------------------
-
-def ingest_cohort(sdb, subjects, method="aio"):
-    """Ingest all subjects into one array with a leading subject axis."""
-    real = np.stack([s.data.array for s in subjects])
-    dims = cohort_dims(len(subjects))
-    nominal_bytes = sum(s.nominal_bytes for s in subjects)
-    with sdb.cluster.obs.provenance(_pid("volumes")):
-        if method == "from_array":
-            return from_array(sdb, "cohort", dims, real, nominal_bytes)
-        if method == "aio":
-            return aio_input(sdb, "cohort", dims, real, nominal_bytes, rank=0)
-    raise ValueError(f"unknown ingest method {method!r}")
-
-
-def filter_step_cohort(sdb, array, subjects):
-    """Step 1-N filter over the cohort array (volume axis is axis 4)."""
-    nominal_mask = _nominal_b0_mask(subjects[0])
-    with sdb.cluster.obs.provenance(_pid("b0")):
-        return sdb.compress(array, nominal_mask, axis=4)
-
-
-def mean_step_cohort(sdb, filtered):
-    """Step 1-N mean over the cohort array's volume axis."""
-    with sdb.cluster.obs.provenance(_pid("mean_b0")):
-        return sdb.mean(filtered, axis=4)
-
-
-def denoise_step_cohort(sdb, array, masks_by_subject_index):
-    """Step 2-N via ``stream()`` over the cohort array.
-
-    Each chunk holds one subject's volumes (the subject axis is chunked
-    at 1), so the external process picks the right mask from the chunk
-    coordinates.
-    """
-    cm = sdb.cost_model
-    cell_scale = array.nominal_elements / max(1, array.real.size)
-    fractions = {
-        index: max(float(np.asarray(mask).mean()), 0.01)
-        for index, mask in masks_by_subject_index.items()
-    }
-
-    def denoise_chunk(payload, coords):
-        mask = masks_by_subject_index[coords[0]]
-        volumes = payload[0]
-        out = np.empty_like(volumes, dtype=np.float64)
-        for v in range(volumes.shape[-1]):
-            out[..., v] = nlmeans_3d(
-                volumes[..., v], sigma=DENOISE_SIGMA, mask=mask
-            )
-        return out[None, ...]
-
-    def cost(payload, coords):
-        nominal_voxels = payload.size * cell_scale
-        return nominal_voxels * fractions[coords[0]] * cm.nlmeans_per_voxel
-
-    with sdb.cluster.obs.provenance(_pid("denoise")):
-        return sdb.stream(array, udf(denoise_chunk, cost=cost))
-
-
-class LoweredNeuro:
+class LoweredNeuro(LoweredPlan):
     """Executable produced by ``lower(neuro_plan(), sdb)``.
 
     Only the plan segment through ``denoise`` is lowered; calling
@@ -248,8 +90,161 @@ class LoweredNeuro:
     fit_step = staticmethod(fit_step)
 
     def __init__(self, plan, sdb):
-        self.plan = plan
+        super().__init__(plan, sdb)
         self.sdb = sdb
+        self.sigma = plan.param("sigma")
+        self.median_radius = plan.param("median_radius")
+
+    def _scope(self, op_id):
+        return self.sdb.cluster.obs.provenance(self.plan.provenance(op_id))
+
+    def _load(self, name, dims, real, nominal_bytes, method):
+        """``method`` is ``"from_array"`` (SciDB-1 in Figure 11) or
+        ``"aio"`` (SciDB-2)."""
+        with self._scope("volumes"):
+            if method == "from_array":
+                return from_array(self.sdb, name, dims, real, nominal_bytes)
+            if method == "aio":
+                # Dense arrays load from coordinate-free CSV (one value
+                # per cell), the compact form SciDB's aio loader accepts.
+                return aio_input(
+                    self.sdb, name, dims, real, nominal_bytes, rank=0
+                )
+        raise ValueError(f"unknown ingest method {method!r}")
+
+    # -- one subject, one 4-D array ------------------------------------
+
+    def ingest(self, subject, method):
+        """Ingest one subject as array ``sub_<id>``."""
+        return self._load(
+            f"sub_{subject.subject_id}", subject_dims(),
+            subject.data.array, subject.nominal_bytes, method,
+        )
+
+    def filter_step(self, array, subject, axis):
+        """Figure 5 line 4: ``compress`` on the b0 mask along the volume
+        axis (``axis`` 3 of a subject array, 4 of a cohort array)."""
+        with self._scope("b0"):
+            return self.sdb.compress(array, _nominal_b0_mask(subject), axis=axis)
+
+    def mean_step(self, filtered, axis):
+        """Figure 5 line 5: mean along the volume axis."""
+        with self._scope("mean_b0"):
+            return self.sdb.mean(filtered, axis=axis)
+
+    def segmentation(self, array, subject):
+        """Step 1-N: filter, mean, then Otsu on the (small) mean volume.
+
+        The Otsu threshold itself runs client-side on the fetched mean
+        volume, as SciDB-py applications do for small results.
+        """
+        sdb = self.sdb
+        mean = self.mean_step(self.filter_step(array, subject, 3), 3)
+        cm = sdb.cost_model
+        sdb.cluster.charge_master(
+            sdb.cluster.network.transfer_time(
+                mean.nominal_bytes, "instances", "client"
+            )
+            + mean.nominal_elements
+            * (cm.otsu_per_voxel + 27 * cm.elementwise_per_element),
+            label="SciDB mask (client-side Otsu)",
+            op=self.plan.provenance("otsu"),
+        )
+        _masked, mask = median_otsu(mean.real, median_radius=self.median_radius)
+        return mask
+
+    def denoise_step(self, array, mask_of_chunk, volumes_of_chunk):
+        """Step 2-N via ``stream()``: each chunk crosses to an external
+        Python process as TSV, is denoised with the reference code, and
+        returns as TSV (Sections 4.1 and 5.2.3).
+
+        ``mask_of_chunk(coords)`` picks the chunk's mask and
+        ``volumes_of_chunk(payload)`` its ``(x, y, z, vol)`` view: the
+        whole payload of a subject array, ``payload[0]`` of a cohort
+        array (whose subject axis is chunked at 1).
+        """
+        cm = self.sdb.cost_model
+        sigma = self.sigma
+        cell_scale = array.nominal_elements / max(1, array.real.size)
+
+        def denoise_chunk(payload, coords):
+            volumes = volumes_of_chunk(payload)
+            mask = mask_of_chunk(coords)
+            out = np.empty_like(volumes, dtype=np.float64)
+            for v in range(volumes.shape[-1]):
+                out[..., v] = nlmeans_3d(volumes[..., v], sigma=sigma, mask=mask)
+            return out.reshape(payload.shape)
+
+        def cost(payload, coords):
+            fraction = max(float(np.asarray(mask_of_chunk(coords)).mean()), 0.01)
+            nominal_voxels = payload.size * cell_scale
+            return nominal_voxels * fraction * cm.nlmeans_per_voxel
+
+        with self._scope("denoise"):
+            return self.sdb.stream(array, udf(denoise_chunk, cost=cost))
 
     def run(self, subject, ingest_method="aio"):
-        return run(self.sdb, subject, ingest_method=ingest_method)
+        """The SciDB-expressible part of the pipeline for one subject.
+
+        Returns ``(mask, denoised_array)``; model fitting raises
+        ``NotImplementedError`` by design (Table 1: NA).
+        """
+        array = self.ingest(subject, ingest_method)
+        mask = self.segmentation(array, subject)
+        denoised = self.denoise_step(array, lambda coords: mask, lambda p: p)
+        return mask, denoised
+
+    # -- a cohort, one 5-D array ---------------------------------------
+
+    def ingest_cohort(self, subjects, method):
+        """Ingest all subjects into one array with a leading subject axis."""
+        return self._load(
+            "cohort", cohort_dims(len(subjects)),
+            np.stack([s.data.array for s in subjects]),
+            sum(s.nominal_bytes for s in subjects), method,
+        )
+
+    def filter_step_cohort(self, array, subjects):
+        return self.filter_step(array, subjects[0], 4)
+
+    def mean_step_cohort(self, filtered):
+        return self.mean_step(filtered, 4)
+
+    def denoise_step_cohort(self, array, masks):
+        """Step 2-N over the cohort array; ``masks`` are ordered like
+        its subject axis, so the external process picks each chunk's
+        mask from its subject coordinate."""
+        return self.denoise_step(
+            array, lambda coords: masks[coords[0]], lambda p: p[0]
+        )
+
+    # -- step protocol -------------------------------------------------
+
+    def _prepare_volumes(self, subjects):
+        self.sdb.ensure_started()
+        self._subjects = subjects
+
+    def _step_volumes(self, method):
+        for subject in self._subjects:
+            self.ingest(subject, method)
+
+    def _prepare_b0(self, subjects):
+        self._subjects = subjects
+        self._array = self.ingest_cohort(subjects, "aio")
+
+    def _prepare_denoise(self, subjects):
+        self._prepare_b0(subjects)
+        self._masks = [compute_mask(s) for s in subjects]
+
+    def _prepare_mean_b0(self, subjects):
+        self._prepare_b0(subjects)
+        self._filtered = self.filter_step_cohort(self._array, subjects)
+
+    def _step_b0(self):
+        self.filter_step_cohort(self._array, self._subjects)
+
+    def _step_mean_b0(self):
+        self.mean_step_cohort(self._filtered)
+
+    def _step_denoise(self):
+        self.denoise_step_cohort(self._array, self._masks)

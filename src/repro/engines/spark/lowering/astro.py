@@ -2,26 +2,30 @@
 
 Same structure as the neuroscience case: pair RDDs keyed by image
 fragment identifiers, reference step functions as lambdas, shuffles at
-the two grouping points (patch creation and co-addition).
+the two grouping points (patch creation and co-addition).  The step
+protocol (figure 12d) is the walker's, unchanged.
 """
 
 from repro.engines.base import udf
 from repro.engines.spark.lowering.walker import ChainWalker
 from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
-from repro.pipelines.astro.staging import DEFAULT_BUCKET
-from repro.plan.astro import astro_plan
 
 
 class LoweredAstro(ChainWalker):
     """Executable produced by ``lower(astro_plan(), sc)``."""
 
+    scan_id = "exposures"
+
     def __init__(self, plan, sc):
-        self.plan = plan
-        self.sc = sc
+        super().__init__(plan, sc)
         self.grid = None
         self.pixel_scale = None
-        self.group_partitions = None
+
+    def bind(self, visits):
+        first = visits[0].exposures[0]
+        self.grid = ref.default_patch_grid(first.shape)
+        self.pixel_scale = ref.nominal_pixel_scale(first.shape, first.bundle)
 
     # -- kernel factories, one per logical op --------------------------
 
@@ -82,26 +86,12 @@ class LoweredAstro(ChainWalker):
 
         return "map", udf(detect, cost=detect_cost)
 
-    # -- step entry points ---------------------------------------------
-
-    def scan(self, partitions=None, cache=False):
-        op = self.plan.member("exposures")
-        rdd = self.sc.s3_objects(op.param("bucket"), numPartitions=partitions)
-        rdd.plan_op = self.plan.provenance("exposures")
-        if cache:
-            rdd = rdd.cache()
-        return rdd
-
     def run(self, visits, input_partitions=None, group_partitions=None,
             grid=None):
         """End-to-end astronomy pipeline; returns ``(coadds, sources)``."""
-        exposures = [e for v in visits for e in v.exposures]
-        if grid is None:
-            grid = ref.default_patch_grid(exposures[0].shape)
-        self.grid = grid
-        self.pixel_scale = ref.nominal_pixel_scale(
-            exposures[0].shape, exposures[0].bundle
-        )
+        self.bind(visits)
+        if grid is not None:
+            self.grid = grid
         self.group_partitions = group_partitions
 
         exp_rdd = self.scan(partitions=input_partitions)
@@ -112,21 +102,3 @@ class LoweredAstro(ChainWalker):
         coadds = {patch: coadd_img for patch, (coadd_img, _s) in results}
         sources = {patch: srcs for patch, (_c, srcs) in results}
         return coadds, sources
-
-
-# -- hand-written-era API, now plan-backed -----------------------------
-
-
-def build_exposure_rdd(sc, partitions=None, bucket=DEFAULT_BUCKET, cache=False):
-    """Build exposure rdd."""
-    return LoweredAstro(astro_plan(bucket=bucket), sc).scan(
-        partitions=partitions, cache=cache
-    )
-
-
-def run(sc, visits, input_partitions=None, group_partitions=None,
-        bucket=DEFAULT_BUCKET, grid=None):
-    return LoweredAstro(astro_plan(bucket=bucket), sc).run(
-        visits, input_partitions=input_partitions,
-        group_partitions=group_partitions, grid=grid,
-    )

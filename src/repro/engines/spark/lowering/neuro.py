@@ -7,9 +7,10 @@ variable to avoid a join, and the Figure 6 chain::
     modelsRDD = imgRDD.map(denoise).flatMap(repart)
                       .groupBy(subject, block).map(regroup).map(fitmodel)
 
-The module-level functions keep the original hand-written API; they are
-thin wrappers that build :class:`LoweredNeuro` from the shared logical
-plan.
+The step protocol (figures 11, 12a-c) comes from the walker; this
+class adds what the neuro steps read besides their input RDD: the
+NIfTI conversion the measured ingest pays for, and the broadcast masks
+the denoise step closes over.
 """
 
 import numpy as np
@@ -21,23 +22,31 @@ from repro.engines.base import udf
 from repro.engines.spark.lowering.walker import ChainWalker
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.staging import DEFAULT_BUCKET, gradient_tables
-from repro.plan.neuro import DEFAULT_BLOCKS, neuro_plan
+from repro.pipelines.neuro.reference import reference_masks
+from repro.pipelines.neuro.staging import (
+    charge_nifti_conversion,
+    gradient_tables,
+)
 
 
 class LoweredNeuro(ChainWalker):
     """Executable produced by ``lower(neuro_plan(), sc)``."""
 
+    scan_id = "volumes"
+
     def __init__(self, plan, sc):
-        self.plan = plan
-        self.sc = sc
+        super().__init__(plan, sc)
         self.n_blocks = plan.param("n_blocks")
         self.sigma = plan.param("sigma")
         self.median_radius = plan.param("median_radius")
+        self.subjects = None
         self.gtabs = None
         self.masks_b = None
         self.mask_fraction = None
-        self.group_partitions = None
+
+    def bind(self, subjects):
+        self.subjects = subjects
+        self.gtabs = gradient_tables(subjects)
 
     # -- kernel factories, one per logical op --------------------------
 
@@ -149,35 +158,18 @@ class LoweredNeuro(ChainWalker):
 
     # -- step entry points ---------------------------------------------
 
-    def scan(self, partitions=None, cache=False):
-        """Lower the ``volumes`` scan: the staged-volume RDD; records are
-        SizedArray volumes with subject/image metadata."""
-        op = self.plan.member("volumes")
-        rdd = self.sc.s3_objects(op.param("bucket"), numPartitions=partitions)
-        rdd.plan_op = self.plan.provenance("volumes")
-        if cache:
-            rdd = rdd.cache()
-        return rdd
-
-    def segmentation(self, img_rdd, gtabs):
+    def segmentation(self, img_rdd):
         """Step 1-N: returns ``{subject_id: mask ndarray}``."""
-        self.gtabs = gtabs
         masks_rdd = self.lower_chain(
             img_rdd, self.plan.expanded_chain("b0", "masks")
         )
         return dict(masks_rdd.collect())
 
-    def denoise_and_fit(self, img_rdd, gtabs, masks, group_partitions=None):
+    def denoise_and_fit(self, img_rdd, masks, group_partitions=None):
         """Steps 2-N and 3-N (the Figure 6 chain); returns
         ``{subject_id: fa SizedArray}``."""
-        self.gtabs = gtabs
         self.group_partitions = group_partitions
-        self.mask_fraction = float(
-            np.mean([common.masked_fraction(m) for m in masks.values()])
-        )
-        mask_bytes = sum(m.size for m in masks.values())
-        with self.sc.cluster.obs.provenance(self.plan.provenance("mask_bcast")):
-            self.masks_b = self.sc.broadcast(masks, nominal_bytes=mask_bytes)
+        self._broadcast_masks(masks)
         models = self.lower_chain(
             img_rdd, self.plan.expanded_chain("denoise", "fa")
         )
@@ -191,81 +183,41 @@ class LoweredNeuro(ChainWalker):
             for subject, by_id in fa_by_subject.items()
         }
 
+    def _broadcast_masks(self, masks):
+        """Lower ``mask_bcast``: ship the masks to every executor."""
+        self.mask_fraction = common.mean_masked_fraction(masks)
+        mask_bytes = sum(m.size for m in masks.values())
+        with self.sc.cluster.obs.provenance(self.plan.provenance("mask_bcast")):
+            self.masks_b = self.sc.broadcast(masks, nominal_bytes=mask_bytes)
+
     def run(self, subjects, input_partitions=None, group_partitions=None,
             cache_input=False):
-        gtabs = gradient_tables(subjects)
+        """End-to-end neuroscience pipeline on Spark.
+
+        Data must already be staged (see
+        :func:`repro.pipelines.neuro.staging.stage_subjects`).  Returns
+        ``(masks, fa_by_subject)``.
+        """
+        self.bind(subjects)
         img_rdd = self.scan(partitions=input_partitions, cache=cache_input)
-        masks = self.segmentation(img_rdd, gtabs)
+        masks = self.segmentation(img_rdd)
         fa = self.denoise_and_fit(
-            img_rdd, gtabs, masks, group_partitions=group_partitions
+            img_rdd, masks, group_partitions=group_partitions
         )
         return masks, fa
 
+    # -- step protocol: what the walker cannot know --------------------
 
-# -- hand-written-era API, now plan-backed -----------------------------
-#
-# The micro-benchmark helpers (fig 11/12) lower from *plan fragments*
-# (repro.plan.fragments): the ancestor closure of the measured op,
-# carved out of the full plan.  Fragments keep the plan name and params,
-# so provenance ids and lowered task structure are byte-identical to
-# lowering the same window out of the full pipeline.
+    def prepare(self, op_id, subjects):
+        super().prepare(op_id, subjects)
+        if self.plan.member(op_id).uses:  # denoise closes over the masks
+            self._broadcast_masks(reference_masks(subjects))
 
-
-def _lowered(sc, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET, plan=None):
-    if plan is None:
-        plan = neuro_plan(n_blocks=n_blocks, bucket=bucket)
-    return LoweredNeuro(plan, sc)
-
-
-def build_image_rdd(sc, partitions=None, bucket=DEFAULT_BUCKET, cache=False,
-                    plan=None):
-    from repro.plan.fragments import neuro_scan_fragment
-
-    if plan is None:
-        plan = neuro_scan_fragment(bucket=bucket)
-    return _lowered(sc, plan=plan).scan(partitions=partitions, cache=cache)
-
-
-def filter_b0(sc, img_rdd, gtabs, plan=None):
-    """Figure 12a's step: select the non-diffusion-weighted volumes."""
-    from repro.plan.fragments import neuro_filter_fragment
-
-    low = _lowered(sc, plan=plan or neuro_filter_fragment())
-    low.gtabs = gtabs
-    return low.lower_chain(img_rdd, low.plan.expanded_chain("b0", "b0"))
-
-
-def mean_b0(sc, b0_rdd, plan=None):
-    """Figure 12b's step: per-subject mean volume via reduceByKey."""
-    from repro.plan.fragments import neuro_mean_fragment
-
-    low = _lowered(sc, plan=plan or neuro_mean_fragment())
-    return low.lower_chain(b0_rdd, low.plan.expanded_chain("mean_b0", "mean_b0"))
-
-
-def segmentation(sc, img_rdd, gtabs):
-    return _lowered(sc).segmentation(img_rdd, gtabs)
-
-
-def denoise_and_fit(sc, img_rdd, gtabs, masks, n_blocks=DEFAULT_BLOCKS,
-                    group_partitions=None):
-    return _lowered(sc, n_blocks=n_blocks).denoise_and_fit(
-        img_rdd, gtabs, masks, group_partitions=group_partitions
-    )
-
-
-def run(sc, subjects, input_partitions=None, group_partitions=None,
-        cache_input=False, n_blocks=DEFAULT_BLOCKS, bucket=DEFAULT_BUCKET):
-    """End-to-end neuroscience pipeline on Spark.
-
-    Data must already be staged (see
-    :func:`repro.pipelines.neuro.staging.stage_subjects`).  Returns
-    ``(masks, fa_by_subject)``.
-    """
-    return _lowered(sc, n_blocks=n_blocks, bucket=bucket).run(
-        subjects, input_partitions=input_partitions,
-        group_partitions=group_partitions, cache_input=cache_input,
-    )
+    def _scan_step(self):
+        charge_nifti_conversion(
+            self.sc.cluster, self.subjects, self.plan.provenance(self.scan_id)
+        )
+        return super()._scan_step()
 
 
 def _block_slices(nz, n_blocks):

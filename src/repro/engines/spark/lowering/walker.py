@@ -21,23 +21,75 @@ Physical translation rules (the Spark side of the lowering contract):
 Partition hints resolve against the live cluster: ``"n_nodes"`` ->
 one partition per node, ``"total_slots"`` -> the caller's tuning
 override or one per slot.
+
+The step protocol (figures 11/12) is the same walk over a one-op
+window: ``prepare`` persists the chain below the measured op, ``_run_step``
+lowers ``expanded_chain(op, op)`` over it -- generic over every op of
+both plans.
 """
 
-from repro.engines.base import udf
+from repro.engines.base import LoweredPlan, udf
 
 
-class ChainWalker:
-    """Mixin that turns ``plan.chain(first, last)`` into an RDD chain.
+class ChainWalker(LoweredPlan):
+    """Turns ``plan.chain(first, last)`` into an RDD chain.
 
     Every costed function and RDD node the walker creates is stamped
     with the provenance id of the logical op it implements, so stage
     tasks, spans and blame segments fold back to plan ops (see
-    ``repro.obs.attribution``).
+    ``repro.obs.attribution``).  Subclasses name their plan's scan
+    (``scan_id``), provide the ``_udf_<op_id>`` factories and a
+    ``bind(data)`` that captures what the factories close over.
     """
 
-    sc = None
-    plan = None
-    group_partitions = None
+    scan_id = None
+
+    def __init__(self, plan, sc):
+        super().__init__(plan, sc)
+        self.sc = sc
+        self.group_partitions = None
+
+    def scan(self, partitions=None, cache=False):
+        """Lower the plan's scan: the RDD of staged objects."""
+        op = self.plan.member(self.scan_id)
+        rdd = self.sc.s3_objects(op.param("bucket"), numPartitions=partitions)
+        rdd.plan_op = self.plan.provenance(self.scan_id)
+        if cache:
+            rdd = rdd.cache()
+        return rdd
+
+    # -- step protocol -------------------------------------------------
+
+    def _cached_scan(self):
+        return self.scan(
+            partitions=self.sc.cluster.spec.total_slots, cache=True
+        )
+
+    def prepare(self, op_id, data):
+        """Persist ``op_id``'s input in worker memory (the scan itself
+        is measured from a warm deployment instead)."""
+        self.bind(data)
+        if op_id == self.scan_id:
+            self.sc.ensure_started()
+            return
+        parent = self.plan.member(op_id).parents[0]
+        below = self.plan.expanded_chain(self.scan_id, parent)[1:]
+        self._input = self.lower_chain(self._cached_scan(), below).cache()
+        self._input.persist_to_workers()
+
+    def _run_step(self, op_id):
+        if op_id == self.scan_id:
+            rdd = self._scan_step()
+        else:
+            rdd = self.lower_chain(
+                self._input, self.plan.expanded_chain(op_id, op_id)
+            )
+        rdd.persist_to_workers()
+
+    def _scan_step(self):
+        return self._cached_scan()
+
+    # -- the walk ------------------------------------------------------
 
     def lower_chain(self, rdd, ops):
         for op in ops:
@@ -49,7 +101,7 @@ class ChainWalker:
         return getattr(self, "_udf_" + op.op_id)
 
     def _pid(self, op):
-        return self.plan.provenance(op.op_id) if self.plan is not None else None
+        return self.plan.provenance(op.op_id)
 
     def _stamp(self, fn, op):
         """Coerce to a costed function carrying ``op``'s provenance id."""

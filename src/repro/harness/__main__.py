@@ -742,7 +742,7 @@ def _compare_main(argv):
         baseline = load_snapshot(args.baseline)
         candidate = load_snapshot(args.candidate)
     except LedgerSchemaError as exc:
-        print(exc.diagnostic(), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         parser.error(str(exc))

@@ -6,23 +6,13 @@ cluster clock.  See DESIGN.md section 5 for the experiment index and
 EXPERIMENTS.md for the paper-vs-measured comparison.
 """
 
+from collections import namedtuple
+from functools import partial
+
 import numpy as np
 
 from repro.cluster.errors import OutOfMemoryError
-from repro.data.catalog import (
-    NEURO_VOLUME_SHAPE,
-    astro_size_table,
-    neuro_size_table,
-)
-from repro.engines.base import udf
-from repro.engines.dask.lowering import neuro as neuro_dask
-from repro.engines.myria.lowering import astro as astro_myria
-from repro.engines.myria.lowering import neuro as neuro_myria
-from repro.engines.scidb.lowering import astro as astro_scidb
-from repro.engines.scidb.lowering import neuro as neuro_scidb
-from repro.engines.spark.lowering import astro as astro_spark
-from repro.engines.spark.lowering import neuro as neuro_spark
-from repro.engines.tensorflow.lowering import neuro as neuro_tf
+from repro.data.catalog import astro_size_table, neuro_size_table
 from repro.harness.parallel import TrialSpec, grid_rows, trial
 from repro.harness.runner import (
     ASTRO_BENCH,
@@ -30,13 +20,22 @@ from repro.harness.runner import (
     NEURO_BENCH,
     Stopwatch,
     astro_visits,
+    cost_model_override,
     fresh_engine,
     neuro_subjects,
 )
-from repro.pipelines.astro import reference as astro_ref
 from repro.pipelines.astro.staging import stage_visits
-from repro.pipelines.neuro.staging import gradient_tables, stage_subjects
-from repro.plan import astro_plan, lower, neuro_plan
+from repro.pipelines.neuro.reference import reference_masks
+from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import (
+    astro_plan,
+    choose_engine,
+    fragments,
+    lower,
+    neuro_plan,
+    optimize_for,
+    route,
+)
 
 NEURO_SIZES = (1, 2, 4, 8, 12, 25)
 ASTRO_SIZES = (2, 4, 8, 12, 24)
@@ -90,100 +89,75 @@ def fig10b_sizes():
 # End-to-end runners (shared by Figures 10c-10h, 13, 14, §5.3.3)
 # ----------------------------------------------------------------------
 
-def _routed(kind, plan_fn, profile_fn, data, n_nodes):
-    """Resolve ``kind == "auto"`` through the cost-based router."""
-    if kind != "auto":
-        return kind
-    from repro.plan import choose_engine
+#: What differs between the two workloads in an end-to-end trial:
+#: cohort generator, stage function, plan builder and the tuning keys
+#: that are really plan parameters, router profile, and the tuning
+#: defaults of the paper's tuned Spark runs beyond one partition per
+#: slot (Section 5.3.3: the neuro input RDD is cached).
+Pipeline = namedtuple(
+    "Pipeline", "cohort stage plan plan_keys profile spark_defaults"
+)
+PIPELINES = {
+    "neuro": Pipeline(neuro_subjects, stage_subjects, neuro_plan,
+                      ("n_blocks", "bucket"), route.neuro_profile,
+                      {"cache_input": True}),
+    "astro": Pipeline(astro_visits, stage_visits, astro_plan,
+                      ("bucket",), route.astro_profile, {}),
+}
 
-    return choose_engine(
-        plan_fn(), profile_fn(data), n_nodes=n_nodes
-    ).engine
 
+def _end_to_end(pipeline, kind, data, n_nodes=DEFAULT_NODES, optimize=False,
+                run_label=None, **tuning):
+    """One end-to-end trial; returns ``(seconds, results, opt)``.
 
-def _neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, optimize=False,
-                      run_label=None, **tuning):
-    """One end-to-end neuro trial; returns ``(seconds, results, opt)``.
-
-    ``optimize`` routes the plan through :func:`repro.plan.optimize_for`
-    under the engine's calibrated cost guard before lowering (``opt`` is
-    the :class:`~repro.plan.opt.OptimizationResult`, or ``None`` on the
-    naive path).  ``kind == "auto"`` resolves through the router first.
+    Starts "with data stored in Amazon S3", executes all steps, and
+    materializes output in worker memory (Section 5.1); staging time is
+    excluded (data was staged ahead of the experiment).  ``optimize``
+    routes the plan through :func:`repro.plan.optimize_for` under the
+    engine's calibrated cost guard before lowering (``opt`` is the
+    :class:`~repro.plan.opt.OptimizationResult`, or ``None`` on the
+    naive path).  ``kind == "auto"`` resolves through the cost-based
+    router first.
     """
-    from repro.plan.route import neuro_profile
-
-    kind = _routed(kind, neuro_plan, neuro_profile, subjects, n_nodes)
+    pipe = PIPELINES[pipeline]
+    if kind == "auto":
+        kind = choose_engine(
+            pipe.plan(), pipe.profile(data), n_nodes=n_nodes
+        ).engine
     cluster, engine = fresh_engine(
         kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None)
     )
     if run_label:
         cluster.run_label = run_label
-    stage_subjects(cluster.object_store, subjects)
+    pipe.stage(cluster.object_store, data)
     watch = Stopwatch(cluster)
     if kind == "spark":
         tuning.setdefault("input_partitions", cluster.spec.total_slots)
-        tuning.setdefault("cache_input", True)
+        for key, value in pipe.spark_defaults.items():
+            tuning.setdefault(key, value)
     elif kind == "myria":
         tuning.setdefault("source", "s3")
     elif kind != "dask":
-        raise ValueError(f"no end-to-end neuroscience runner for {kind!r}")
-    plan_kwargs = {k: tuning.pop(k) for k in ("n_blocks", "bucket")
-                   if k in tuning}
-    plan = neuro_plan(**plan_kwargs)
+        raise ValueError(f"no end-to-end {pipeline} runner for {kind!r}")
+    plan = pipe.plan(
+        **{k: tuning.pop(k) for k in pipe.plan_keys if k in tuning}
+    )
     opt = None
     if optimize:
-        from repro.plan import optimize_for
-
-        opt = optimize_for(plan, kind, profile=neuro_profile(subjects))
+        opt = optimize_for(plan, kind, profile=pipe.profile(data))
         plan = opt.plan
-    results = lower(plan, kind, engine).run(subjects, **tuning)
+    results = lower(plan, kind, engine).run(data, **tuning)
     return watch.lap(), results, opt
 
 
 def run_neuro_end_to_end(kind, subjects, n_nodes=DEFAULT_NODES, **tuning):
-    """One tuned end-to-end neuroscience trial; returns simulated secs.
-
-    Starts "with data stored in Amazon S3", executes all steps, and
-    materializes output in worker memory (Section 5.1).  Staging time
-    is excluded (data was staged ahead of the experiment).
-    """
-    return _neuro_end_to_end(kind, subjects, n_nodes=n_nodes, **tuning)[0]
-
-
-def _astro_end_to_end(kind, visits, n_nodes=DEFAULT_NODES, optimize=False,
-                      run_label=None, **tuning):
-    """One end-to-end astro trial; returns ``(seconds, results, opt)``."""
-    from repro.plan.route import astro_profile
-
-    kind = _routed(kind, astro_plan, astro_profile, visits, n_nodes)
-    cluster, engine = fresh_engine(
-        kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None)
-    )
-    if run_label:
-        cluster.run_label = run_label
-    stage_visits(cluster.object_store, visits)
-    watch = Stopwatch(cluster)
-    if kind == "spark":
-        tuning.setdefault("input_partitions", cluster.spec.total_slots)
-    elif kind == "myria":
-        tuning.setdefault("source", "s3")
-    elif kind != "dask":
-        raise ValueError(f"no end-to-end astronomy runner for {kind!r}")
-    plan_kwargs = {k: tuning.pop(k) for k in ("bucket",) if k in tuning}
-    plan = astro_plan(**plan_kwargs)
-    opt = None
-    if optimize:
-        from repro.plan import optimize_for
-
-        opt = optimize_for(plan, kind, profile=astro_profile(visits))
-        plan = opt.plan
-    results = lower(plan, kind, engine).run(visits, **tuning)
-    return watch.lap(), results, opt
+    """One tuned end-to-end neuroscience trial; returns simulated secs."""
+    return _end_to_end("neuro", kind, subjects, n_nodes=n_nodes, **tuning)[0]
 
 
 def run_astro_end_to_end(kind, visits, n_nodes=DEFAULT_NODES, **tuning):
     """One tuned end-to-end astronomy trial; returns simulated seconds."""
-    return _astro_end_to_end(kind, visits, n_nodes=n_nodes, **tuning)[0]
+    return _end_to_end("astro", kind, visits, n_nodes=n_nodes, **tuning)[0]
 
 
 # ----------------------------------------------------------------------
@@ -236,17 +210,10 @@ def optimize_token(pipeline, kind, count, profile, n_nodes=DEFAULT_NODES):
     optimizer builds.  Truthy, so trial bodies treat it as the
     ``optimize`` flag itself.
     """
-    from repro.plan import optimize_for
-    from repro.plan.route import astro_profile, neuro_profile
-
-    if pipeline == "neuro":
-        data = neuro_subjects(count, **profile)
-        return optimize_for(
-            neuro_plan(), kind, profile=neuro_profile(data)
-        ).fingerprint()
-    data = astro_visits(count, **profile)
+    pipe = PIPELINES[pipeline]
+    data = pipe.cohort(count, **profile)
     return optimize_for(
-        astro_plan(), kind, profile=astro_profile(data)
+        pipe.plan(), kind, profile=pipe.profile(data)
     ).fingerprint()
 
 
@@ -260,14 +227,13 @@ def _trial_optcell(pipeline, kind, count, n_nodes, profile):
     cell the `harness optimize --check` / `ledger --optimize` gates
     assert over: ``optimized_s <= naive_s`` and ``identical``.
     """
-    run = _neuro_end_to_end if pipeline == "neuro" else _astro_end_to_end
-    data = (neuro_subjects(count, **profile) if pipeline == "neuro"
-            else astro_visits(count, **profile))
-    naive_s, naive_out, _ = run(
-        kind, data, n_nodes=n_nodes, run_label=f"{pipeline}-{kind}-naive"
+    data = PIPELINES[pipeline].cohort(count, **profile)
+    naive_s, naive_out, _ = _end_to_end(
+        pipeline, kind, data, n_nodes=n_nodes,
+        run_label=f"{pipeline}-{kind}-naive",
     )
-    opt_s, opt_out, opt = run(
-        kind, data, n_nodes=n_nodes, optimize=True,
+    opt_s, opt_out, opt = _end_to_end(
+        pipeline, kind, data, n_nodes=n_nodes, optimize=True,
         run_label=f"{pipeline}-{kind}-optimized",
     )
     return {
@@ -312,19 +278,16 @@ def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
 def routing_table(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
                   neuro_profile=None, astro_profile=None):
     """Router decisions for both pipelines at the given workload sizes."""
-    from repro.plan import choose_engine
-    from repro.plan import route as R
-
-    neuro_profile = neuro_profile or NEURO_BENCH
-    astro_profile = astro_profile or ASTRO_BENCH
-    subjects = neuro_subjects(n_subjects, **neuro_profile)
-    visits = astro_visits(n_visits, **astro_profile)
     rows = []
-    for pipeline, plan, prof in (
-        ("neuro", neuro_plan(), R.neuro_profile(subjects)),
-        ("astro", astro_plan(), R.astro_profile(visits)),
+    for pipeline, count, profile in (
+        ("neuro", n_subjects, neuro_profile or NEURO_BENCH),
+        ("astro", n_visits, astro_profile or ASTRO_BENCH),
     ):
-        decision = choose_engine(plan, prof, n_nodes=n_nodes)
+        pipe = PIPELINES[pipeline]
+        decision = choose_engine(
+            pipe.plan(), pipe.profile(pipe.cohort(count, **profile)),
+            n_nodes=n_nodes,
+        )
         for row in decision.as_rows():
             rows.append(dict({"pipeline": pipeline}, **row))
     return rows
@@ -337,8 +300,8 @@ def routing_table(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
 @trial("fig10c")
 def _trial_fig10c(kind, count, n_nodes, profile, optimize=None):
     subjects = neuro_subjects(count, **profile)
-    seconds, _results, _opt = _neuro_end_to_end(
-        kind, subjects, n_nodes=n_nodes, optimize=bool(optimize)
+    seconds, _results, _opt = _end_to_end(
+        "neuro", kind, subjects, n_nodes=n_nodes, optimize=bool(optimize)
     )
     row = {"engine": kind, "subjects": count, "simulated_s": seconds}
     if optimize:
@@ -408,8 +371,8 @@ def fig10d_astro_end_to_end(visit_counts=ASTRO_SIZES,
 @trial("fig10d")
 def _trial_fig10d(kind, count, n_nodes, profile, optimize=None):
     visits = astro_visits(count, **profile)
-    seconds, _results, _opt = _astro_end_to_end(
-        kind, visits, n_nodes=n_nodes, optimize=bool(optimize)
+    seconds, _results, _opt = _end_to_end(
+        "astro", kind, visits, n_nodes=n_nodes, optimize=bool(optimize)
     )
     row = {"engine": kind, "visits": count, "simulated_s": seconds}
     if optimize:
@@ -510,315 +473,107 @@ def fig10h_astro_speedup(node_counts=CLUSTER_SIZES, n_visits=24,
 
 
 # ----------------------------------------------------------------------
-# Figure 11: data ingest (neuroscience)
+# Figures 11 and 12: individual steps (16 nodes)
 # ----------------------------------------------------------------------
 
-def _charge_nifti_to_numpy_staging(cluster, subjects):
-    """Conversion of NIfTI files to pickled-NumPy S3 objects, run in
-    parallel across the cluster; "the conversion time is included in
-    the data ingest time" (Section 5.2.1)."""
-    from repro.cluster.task import Task
+def _run_step(kind, frag, data, prepare_tuning, op_tuning):
+    """Time one logical op on one engine; returns simulated seconds.
 
-    cm = cluster.cost_model
-    total = sum(s.nominal_bytes for s in subjects)
-    share = total / cluster.spec.n_nodes
-    tasks = [
-        Task(
-            f"nifti-convert-{node}",
-            duration=share / cm.nifti_parse_bandwidth
-            + cm.pickle_time(share)
-            + share / cm.s3_bandwidth_per_node,
-            node=node,
-        )
-        for node in cluster.node_order
-    ]
-    cluster.run(tasks)
+    ``frag`` is the plan fragment (:mod:`repro.plan.fragments`) whose
+    last op is measured.  The engine's lowering owns the protocol: an
+    untimed ``prepare`` leaves everything the op reads materialized,
+    then ``run_op`` runs exactly that op inside the stopwatch window.
+    Tunings ride to the call they tune (SciDB's chunk size to the
+    prepared ingest; its ingest method and incremental co-add to the
+    measured op).
+    """
+    cluster, engine = fresh_engine(kind)
+    PIPELINES[frag.name].stage(cluster.object_store, data)
+    op_id = fragments.measured_op(frag)
+    lowered = lower(frag, kind, engine)
+    lowered.prepare(op_id, data, **prepare_tuning)
+    watch = Stopwatch(cluster)
+    lowered.run_op(op_id, **op_tuning)
+    return watch.lap()
+
+
+#: Figure 11 system -> (engine, tuning of the measured scan): SciDB
+#: ingests through ``from_array`` (SciDB-1) or ``aio_input`` (SciDB-2).
+INGEST_SYSTEMS = {
+    "spark": ("spark", {}),
+    "myria": ("myria", {}),
+    "dask": ("dask", {}),
+    "tensorflow": ("tensorflow", {}),
+    "scidb-1": ("scidb", {"method": "from_array"}),
+    "scidb-2": ("scidb", {"method": "aio"}),
+}
 
 
 @trial("fig11")
 def _trial_fig11(system, count, profile):
-    subjects = neuro_subjects(count, **profile)
+    kind, scan_tuning = INGEST_SYSTEMS[system]
     return {
         "system": system,
         "subjects": count,
-        "simulated_s": _ingest_once(system, subjects),
+        "simulated_s": _run_step(
+            kind, fragments.neuro_scan_fragment(),
+            neuro_subjects(count, **profile), {}, scan_tuning,
+        ),
     }
 
 
 def fig11_ingest(subject_counts=NEURO_SIZES, profile=None,
                  systems=("spark", "myria", "dask", "tensorflow",
                           "scidb-1", "scidb-2")):
-    """Fig11 ingest."""
+    """Fig11 ingest, measured on a warm deployment."""
     profile = profile or NEURO_BENCH
     return grid_rows(
         TrialSpec(
             "fig11",
             {"system": system, "count": count, "profile": dict(profile)},
-            engine="scidb" if system.startswith("scidb") else system,
+            engine=INGEST_SYSTEMS[system][0],
         )
         for count in subject_counts
         for system in systems
     )
 
 
-def _ingest_once(system, subjects):
-    kind = "scidb" if system.startswith("scidb") else system
-    cluster, engine = fresh_engine(kind)
-    engine.ensure_started()  # ingest measured on a warm deployment
-    watch = Stopwatch(cluster)
+def _neuro_step_row(frag, system, n_subjects, profile):
+    """One Figure 12a-c cell: ``frag``'s measured op on ``system``."""
+    return {
+        "system": system,
+        "simulated_s": _run_step(
+            system, frag, neuro_subjects(n_subjects, **profile), {}, {}
+        ),
+    }
 
-    if system in ("spark", "myria"):
-        _charge_nifti_to_numpy_staging(cluster, subjects)
-        stage_subjects(cluster.object_store, subjects)
-        if system == "spark":
-            rdd = neuro_spark.build_image_rdd(
-                engine, partitions=cluster.spec.total_slots, cache=True
-            )
-            rdd.persist_to_workers()
-        else:
-            neuro_myria.ingest(engine, subjects)
-        return watch.lap()
-
-    if system == "dask":
-        # Dask loads NIfTI directly into worker memory with manual
-        # placement (Section 5.2.1); the paper fit at most 3 subjects
-        # per node, so subjects round-robin across nodes.
-        stage_subjects(cluster.object_store, subjects)
-        nodes = cluster.node_order
-        delayed = [
-            vol
-            for i, subject in enumerate(subjects)
-            for vol in neuro_dask.download_and_filter(
-                engine, subject, workers=nodes[i % len(nodes)]
-            )
-        ]
-        engine.compute(delayed)
-        return watch.lap()
-
-    if system == "tensorflow":
-        # All ingest goes through the master, then partitions are sent
-        # to each node in a pipelined fashion (Section 5.2.1).
-        cm = cluster.cost_model
-        total = sum(s.nominal_bytes for s in subjects)
-        engine.ensure_started()
-        cluster.charge_master(
-            cm.s3_read_time(total, n_objects=len(subjects))
-            + total / cm.nifti_parse_bandwidth
-            + cm.tensor_convert_time(total),
-            label="TF master ingest",
-        )
-        # Pipelined scatter: the master sends node-shares sequentially,
-        # overlapping with the next read; charge the serial send.
-        share = total / cluster.spec.n_nodes
-        for node in cluster.node_order:
-            cluster.charge_master(
-                cluster.network.transfer_time(share, cluster.master, node),
-                label="TF scatter",
-            )
-        return watch.lap()
-
-    if system in ("scidb-1", "scidb-2"):
-        method = "from_array" if system == "scidb-1" else "aio"
-        for subject in subjects:
-            neuro_scidb.ingest(engine, subject, method=method)
-        return watch.lap()
-
-    raise ValueError(f"unknown ingest system {system!r}")
-
-
-# ----------------------------------------------------------------------
-# Figure 12: individual steps (16 nodes, largest dataset)
-# ----------------------------------------------------------------------
 
 @trial("fig12a")
 def _trial_fig12a(system, n_subjects, profile):
-    subjects = neuro_subjects(n_subjects, **profile)
-    return {"system": system, "simulated_s": _filter_once(system, subjects)}
-
-
-def fig12a_filter(n_subjects=25, profile=None,
-                  systems=("dask", "myria", "spark", "scidb", "tensorflow")):
-    """Step: select the b0 subset of image volumes."""
-    profile = profile or NEURO_BENCH
-    return grid_rows(
-        TrialSpec(
-            "fig12a",
-            {"system": system, "n_subjects": n_subjects,
-             "profile": dict(profile)},
-            engine=system,
-        )
-        for system in systems
+    return _neuro_step_row(
+        fragments.neuro_filter_fragment(), system, n_subjects, profile
     )
-
-
-def _filter_once(system, subjects):
-    cluster, engine = fresh_engine(system)
-    gtabs = gradient_tables(subjects)
-    stage_subjects(cluster.object_store, subjects)
-
-    if system == "spark":
-        base = neuro_spark.build_image_rdd(
-            engine, partitions=cluster.spec.total_slots, cache=True
-        )
-        base.persist_to_workers()  # data in memory, untimed
-        watch = Stopwatch(cluster)
-        neuro_spark.filter_b0(engine, base, gtabs).persist_to_workers()
-        return watch.lap()
-
-    if system == "myria":
-        neuro_myria.ingest(engine, subjects)
-        watch = Stopwatch(cluster)
-        from repro.engines.myria.connection import MyriaQuery
-        from repro.plan.fragments import neuro_filter_fragment
-
-        # Emit the step's MyriaL from its plan fragment (identical text
-        # to FILTER_QUERY — the emitter only consults ops the fragment
-        # keeps).
-        MyriaQuery.submit(
-            engine, neuro_myria.filter_query(neuro_filter_fragment())
-        )
-        return watch.lap()
-
-    if system == "dask":
-        import numpy as np
-
-        nodes = cluster.node_order
-        downloads = {
-            s.subject_id: neuro_dask.download_and_filter(
-                engine, s, workers=nodes[i % len(nodes)]
-            )
-            for i, s in enumerate(subjects)
-        }
-        engine.compute([v for vols in downloads.values() for v in vols])
-        watch = Stopwatch(cluster)
-
-        def select(*volumes):
-            return list(volumes)
-
-        def select_cost(*volumes):
-            total = sum(v.nominal_bytes for v in volumes)
-            return total * engine.cost_model.memcpy_per_byte
-
-        filtered = []
-        for s in subjects:
-            b0 = [
-                downloads[s.subject_id][i]
-                for i in np.nonzero(s.gtab.b0s_mask)[0]
-            ]
-            filtered.append(engine.delayed(select, cost=select_cost)(*b0))
-        engine.compute(filtered)
-        return watch.lap()
-
-    if system == "scidb":
-        array = neuro_scidb.ingest_cohort(engine, subjects, method="aio")
-        watch = Stopwatch(cluster)
-        neuro_scidb.filter_step_cohort(engine, array, subjects)
-        return watch.lap()
-
-    if system == "tensorflow":
-        watch = Stopwatch(cluster)
-        for subject in subjects:
-            neuro_tf.filter_step(engine, subject)
-        return watch.lap()
-
-    raise ValueError(f"unknown system {system!r}")
 
 
 @trial("fig12b")
 def _trial_fig12b(system, n_subjects, profile):
-    subjects = neuro_subjects(n_subjects, **profile)
-    return {"system": system, "simulated_s": _mean_once(system, subjects)}
-
-
-def fig12b_mean(n_subjects=25, profile=None,
-                systems=("dask", "myria", "spark", "scidb", "tensorflow")):
-    """Step: per-subject mean of the b0 volumes."""
-    profile = profile or NEURO_BENCH
-    return grid_rows(
-        TrialSpec(
-            "fig12b",
-            {"system": system, "n_subjects": n_subjects,
-             "profile": dict(profile)},
-            engine=system,
-        )
-        for system in systems
+    return _neuro_step_row(
+        fragments.neuro_mean_fragment(), system, n_subjects, profile
     )
-
-
-def _mean_once(system, subjects):
-    cluster, engine = fresh_engine(system)
-    gtabs = gradient_tables(subjects)
-    stage_subjects(cluster.object_store, subjects)
-
-    if system == "spark":
-        base = neuro_spark.build_image_rdd(
-            engine, partitions=cluster.spec.total_slots, cache=True
-        )
-        b0 = neuro_spark.filter_b0(engine, base, gtabs).cache()
-        b0.persist_to_workers()  # untimed: input of the mean step
-        watch = Stopwatch(cluster)
-        neuro_spark.mean_b0(engine, b0).persist_to_workers()
-        return watch.lap()
-
-    if system == "myria":
-        neuro_myria.ingest(engine, subjects)
-        neuro_myria.register_udfs(engine, subjects)
-        watch = Stopwatch(cluster)
-        from repro.engines.myria.connection import MyriaQuery
-        from repro.plan.fragments import neuro_mean_fragment
-
-        MyriaQuery.submit(
-            engine, neuro_myria.mean_query(neuro_mean_fragment())
-        )
-        return watch.lap()
-
-    if system == "dask":
-        nodes = cluster.node_order
-        downloads = {
-            s.subject_id: neuro_dask.download_and_filter(
-                engine, s, workers=nodes[i % len(nodes)]
-            )
-            for i, s in enumerate(subjects)
-        }
-        engine.compute([v for vols in downloads.values() for v in vols])
-        watch = Stopwatch(cluster)
-        means = [
-            neuro_dask.build_mask_graph(engine, s, downloads[s.subject_id])
-            for s in subjects
-        ]
-        engine.compute(means)
-        return watch.lap()
-
-    if system == "scidb":
-        array = neuro_scidb.ingest_cohort(engine, subjects, method="aio")
-        filtered = neuro_scidb.filter_step_cohort(engine, array, subjects)
-        watch = Stopwatch(cluster)
-        neuro_scidb.mean_step_cohort(engine, filtered)
-        return watch.lap()
-
-    if system == "tensorflow":
-        filtered = [neuro_tf.filter_step(engine, s) for s in subjects]
-        watch = Stopwatch(cluster)
-        for f in filtered:
-            neuro_tf.mean_step(engine, f)
-        return watch.lap()
-
-    raise ValueError(f"unknown system {system!r}")
 
 
 @trial("fig12c")
 def _trial_fig12c(system, n_subjects, profile):
-    subjects = neuro_subjects(n_subjects, **profile)
-    return {"system": system, "simulated_s": _denoise_once(system, subjects)}
+    return _neuro_step_row(
+        fragments.neuro_denoise_fragment(), system, n_subjects, profile
+    )
 
 
-def fig12c_denoise(n_subjects=25, profile=None,
-                   systems=("dask", "myria", "spark", "scidb", "tensorflow")):
-    """Step 2-N: denoising (SciDB via stream(), TF via convolutions)."""
+def _neuro_step_figure(name, n_subjects, profile, systems):
     profile = profile or NEURO_BENCH
     return grid_rows(
         TrialSpec(
-            "fig12c",
+            name,
             {"system": system, "n_subjects": n_subjects,
              "profile": dict(profile)},
             engine=system,
@@ -827,145 +582,38 @@ def fig12c_denoise(n_subjects=25, profile=None,
     )
 
 
-def _denoise_once(system, subjects):
-    from repro.pipelines.neuro.reference import compute_mask
+_NEURO_STEP_SYSTEMS = ("dask", "myria", "spark", "scidb", "tensorflow")
 
-    cluster, engine = fresh_engine(system)
-    gtabs = gradient_tables(subjects)
-    stage_subjects(cluster.object_store, subjects)
-    masks = {s.subject_id: compute_mask(s) for s in subjects}
 
-    if system == "spark":
-        from repro.algorithms.nlmeans import nlmeans_3d
-        from repro.pipelines import common
-        from repro.pipelines.neuro.reference import DENOISE_SIGMA
+def fig12a_filter(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+    """Step: select the b0 subset of image volumes."""
+    return _neuro_step_figure("fig12a", n_subjects, profile, systems)
 
-        base = neuro_spark.build_image_rdd(
-            engine, partitions=cluster.spec.total_slots, cache=True
-        )
-        base.persist_to_workers()
-        fraction = float(np.mean([m.mean() for m in masks.values()]))
-        masks_b = engine.broadcast(
-            masks, nominal_bytes=sum(m.size for m in masks.values())
-        )
-        watch = Stopwatch(cluster)
 
-        def denoise(volume):
-            mask = masks_b.value[volume.meta["subject_id"]]
-            return volume.with_array(
-                nlmeans_3d(volume.array, sigma=DENOISE_SIGMA, mask=mask)
-            )
+def fig12b_mean(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+    """Step: per-subject mean of the b0 volumes."""
+    return _neuro_step_figure("fig12b", n_subjects, profile, systems)
 
-        base.map(
-            udf(denoise, cost=common.denoise_cost(cluster.cost_model, fraction))
-        ).persist_to_workers()
-        return watch.lap()
 
-    if system == "myria":
-        neuro_myria.ingest(engine, subjects)
-        fraction = float(np.mean([m.mean() for m in masks.values()]))
-        neuro_myria.register_udfs(engine, subjects, mask_fraction=fraction)
-        neuro_myria._MASK_CACHE.clear()
-        neuro_myria._MASK_CACHE.update(masks)
-        from repro.engines.myria import Relation
-        from repro.formats.sizing import SizedArray
+def fig12c_denoise(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+    """Step 2-N: denoising (SciDB via stream(), TF via convolutions)."""
+    return _neuro_step_figure("fig12c", n_subjects, profile, systems)
 
-        mask_rows = [
-            (
-                sid,
-                SizedArray(
-                    mask,
-                    nominal_shape=NEURO_VOLUME_SHAPE,
-                    meta={"subject_id": sid},
-                ),
-            )
-            for sid, mask in masks.items()
-        ]
-        engine.ingest_relation(
-            Relation.from_rows("Mask", ("subjId", "mask"), mask_rows), "subjId"
-        )
-        watch = Stopwatch(cluster)
-        from repro.engines.myria.connection import MyriaQuery
 
-        MyriaQuery.submit(
-            engine,
-            """
-T1 = SCAN(Images);
-T2 = SCAN(Mask);
-Joined = [SELECT T1.subjId, T1.imgId, T1.img, T2.mask
-          FROM T1, BROADCAST(T2) WHERE T1.subjId = T2.subjId];
-Denoised = [FROM Joined EMIT PYUDF(Denoise, Joined.img, Joined.mask) AS img,
-            Joined.subjId, Joined.imgId];
-""",
-        )
-        return watch.lap()
-
-    if system == "dask":
-        nodes = cluster.node_order
-        downloads = {
-            s.subject_id: neuro_dask.download_and_filter(
-                engine, s, workers=nodes[i % len(nodes)]
-            )
-            for i, s in enumerate(subjects)
-        }
-        mask_delayed = {
-            s.subject_id: neuro_dask.build_mask_graph(
-                engine, s, downloads[s.subject_id]
-            )
-            for s in subjects
-        }
-        engine.compute(
-            [v for vols in downloads.values() for v in vols]
-            + list(mask_delayed.values())
-        )
-        watch = Stopwatch(cluster)
-        from repro.algorithms.nlmeans import nlmeans_3d
-        from repro.pipelines import common
-        from repro.pipelines.neuro.reference import DENOISE_SIGMA
-
-        cm = cluster.cost_model
-
-        def denoise_one(volume, mask):
-            return volume.with_array(
-                nlmeans_3d(volume.array, sigma=DENOISE_SIGMA, mask=mask)
-            )
-
-        def denoise_cost(volume, mask):
-            fraction = common.masked_fraction(mask)
-            return volume.nominal_elements * fraction * cm.nlmeans_per_voxel
-
-        denoised = [
-            engine.delayed(denoise_one, cost=denoise_cost)(
-                vol, mask_delayed[s.subject_id]
-            )
-            for s in subjects
-            for vol in downloads[s.subject_id]
-        ]
-        engine.compute(denoised)
-        return watch.lap()
-
-    if system == "scidb":
-        array = neuro_scidb.ingest_cohort(engine, subjects, method="aio")
-        masks_by_index = {
-            i: masks[s.subject_id] for i, s in enumerate(subjects)
-        }
-        watch = Stopwatch(cluster)
-        neuro_scidb.denoise_step_cohort(engine, array, masks_by_index)
-        return watch.lap()
-
-    if system == "tensorflow":
-        watch = Stopwatch(cluster)
-        for s in subjects:
-            neuro_tf.denoise_step(engine, s)
-        return watch.lap()
-
-    raise ValueError(f"unknown system {system!r}")
+def _coadd_step(system, n_visits, profile, prepare_tuning, op_tuning):
+    """Step 3-A on ``system`` over ``n_visits`` visits."""
+    return _run_step(
+        system, fragments.astro_coadd_fragment(),
+        astro_visits(n_visits, **profile), prepare_tuning, op_tuning,
+    )
 
 
 @trial("fig12d")
 def _trial_fig12d(system, n_visits, profile):
-    visits = astro_visits(n_visits, **profile)
-    return {"system": system, "simulated_s": _coadd_once(system, visits)}
+    return {
+        "system": system,
+        "simulated_s": _coadd_step(system, n_visits, profile, {}, {}),
+    }
 
 
 def fig12d_coadd(n_visits=24, profile=None,
@@ -981,102 +629,6 @@ def fig12d_coadd(n_visits=24, profile=None,
         )
         for system in systems
     )
-
-
-def _coadd_once(system, visits, incremental=False, chunk=None):
-    from repro.pipelines import common
-
-    cluster, engine = fresh_engine(system)
-    stage_visits(cluster.object_store, visits)
-    exposures = [e for v in visits for e in v.exposures]
-    grid = astro_ref.default_patch_grid(exposures[0].shape)
-    pixel_scale = astro_ref.nominal_pixel_scale(
-        exposures[0].shape, exposures[0].bundle
-    )
-
-    if system == "spark":
-        base = astro_spark.build_exposure_rdd(
-            engine, partitions=cluster.spec.total_slots, cache=True
-        )
-        calibrated = base.map(
-            udf(astro_ref.preprocess_exposure,
-                cost=common.preprocess_cost(cluster.cost_model))
-        )
-
-        def to_pieces(exposure):
-            return astro_ref.patch_pieces(exposure, grid, pixel_scale)
-
-        def stitch(kv):
-            return kv[0], astro_ref.stitch_pieces(kv[1])
-
-        patch_exp = (
-            calibrated.flatMap(
-                udf(to_pieces, cost=common.patch_map_cost(cluster.cost_model))
-            )
-            .groupByKey(numPartitions=cluster.spec.total_slots)
-            .map(udf(stitch))
-            .cache()
-        )
-        patch_exp.persist_to_workers()  # input of the step, untimed
-        watch = Stopwatch(cluster)
-
-        def rekey(kv):
-            (patch_id, visit_id), stitched = kv
-            return patch_id, (visit_id, stitched)
-
-        def coadd(kv):
-            ordered = [s for _v, s in sorted(kv[1], key=lambda e: e[0])]
-            return kv[0], astro_ref.coadd_patch(ordered)
-
-        def coadd_cost(kv):
-            return common.coadd_cost(
-                cluster.cost_model, astro_ref.COADD_ITERATIONS
-            )([s for _v, s in kv[1]])
-
-        (
-            patch_exp.map(udf(rekey))
-            .groupByKey(numPartitions=cluster.spec.total_slots)
-            .map(udf(coadd, cost=coadd_cost))
-            .persist_to_workers()
-        )
-        return watch.lap()
-
-    if system == "myria":
-        astro_myria.ingest(engine, visits)
-        astro_myria.register_udfs(engine, grid, pixel_scale)
-        from repro.engines.myria.connection import MyriaQuery
-
-        MyriaQuery.submit(
-            engine,
-            """
-E = SCAN(Exposures);
-Calib = [FROM E EMIT PYUDF(Preproc, E.img) AS img, E.visit, E.expId];
-Pieces = [FROM Calib EMIT
-          UNNEST(PYUDF(PatchMap, Calib.img)) AS (patchY, patchX, visitId, piece)];
-PatchExp = [FROM Pieces EMIT Pieces.patchY, Pieces.patchX, Pieces.visitId,
-            UDA(Stitch, Pieces.piece) AS img];
-STORE(PatchExp, PatchExposures);
-""",
-        )
-        watch = Stopwatch(cluster)
-        MyriaQuery.submit(
-            engine,
-            """
-P = SCAN(PatchExposures);
-Coadds = [FROM P EMIT P.patchY, P.patchX, UDA(CoaddAgg, P.img, P.visitId) AS coadd];
-""",
-        )
-        return watch.lap()
-
-    if system == "scidb":
-        array = astro_scidb.ingest(
-            engine, visits, chunk=chunk or astro_scidb.DEFAULT_CHUNK
-        )
-        watch = Stopwatch(cluster)
-        astro_scidb.coadd_step(engine, array, incremental=incremental)
-        return watch.lap()
-
-    raise ValueError(f"unknown system {system!r}")
 
 
 # ----------------------------------------------------------------------
@@ -1154,8 +706,8 @@ def _trial_fig15(count, mode, n_nodes, chunks, profile):
     stage_visits(cluster.object_store, visits)
     watch = Stopwatch(cluster)
     try:
-        astro_myria.run(
-            engine, visits, mode=mode,
+        lower(astro_plan(), "myria", engine).run(
+            visits, mode=mode,
             chunks=chunks if mode == "multiquery" else 1,
             source="s3",
         )
@@ -1190,10 +742,11 @@ def fig15_myria_memory(visit_counts=(2, 4, 8, 12, 24),
 
 @trial("s531")
 def _trial_s531(chunk, n_visits, profile):
-    visits = astro_visits(n_visits, **profile)
     return {
         "chunk": chunk,
-        "simulated_s": _coadd_once("scidb", visits, chunk=chunk),
+        "simulated_s": _coadd_step(
+            "scidb", n_visits, profile, {"chunk": chunk}, {}
+        ),
     }
 
 
@@ -1249,10 +802,11 @@ def s533_spark_caching(subject_counts=(1, 4, 12, 25), n_nodes=DEFAULT_NODES,
 
 @trial("ablation_scidb")
 def _trial_ablation_scidb(incremental, n_visits, profile):
-    visits = astro_visits(n_visits, **profile)
     return {
         "variant": "incremental [34]" if incremental else "stock AQL",
-        "simulated_s": _coadd_once("scidb", visits, incremental=incremental),
+        "simulated_s": _coadd_step(
+            "scidb", n_visits, profile, {}, {"incremental": incremental}
+        ),
     }
 
 
@@ -1380,21 +934,21 @@ def _f16_faulty(kind, subjects, n_nodes, crash_at, restart_after_s, seed):
         _f16_pipeline(kind, cluster, engine, subjects)
         return {"start": start, "end": cluster.now, "victim": victim}
 
+    # SciDB and TensorFlow have no recovery path: the operator waits out
+    # the reboot and reruns the compute (SciDB from its ingested array).
+    lowered = lower(neuro_plan(), kind, engine)
     if kind == "scidb":
-        array = neuro_scidb.ingest_cohort(engine, subjects, method="aio")
-        try:
-            _f16_scidb_compute(engine, array, subjects)
-        except NodeCrashedError as exc:
-            _f16_wait_for_reboot(cluster, kind, exc)
-            _f16_scidb_compute(engine, array, subjects)
+        array = lowered.ingest_cohort(subjects, "aio")
+        compute = partial(_f16_scidb_compute, lowered, array, subjects)
     elif kind == "tensorflow":
-        try:
-            _f16_tf_compute(engine, subjects)
-        except NodeCrashedError as exc:
-            _f16_wait_for_reboot(cluster, kind, exc)
-            _f16_tf_compute(engine, subjects)
+        compute = partial(_f16_tf_compute, lowered, subjects)
     else:
         raise ValueError(f"no F16 runner for {kind!r}")
+    try:
+        compute()
+    except NodeCrashedError as exc:
+        _f16_wait_for_reboot(cluster, kind, exc)
+        compute()
     return {"start": start, "end": cluster.now, "victim": victim}
 
 
@@ -1420,71 +974,45 @@ def _f16_wait_for_reboot(cluster, kind, exc):
 
 def _f16_pipeline(kind, cluster, engine, subjects):
     """Run the neuro pipeline; returns the clock time ingest finished."""
+    lowered = lower(neuro_plan(), kind, engine)
     if kind == "spark":
-        gtabs = gradient_tables(subjects)
-        rdd = neuro_spark.build_image_rdd(
-            engine, partitions=cluster.spec.total_slots, cache=True
-        )
+        lowered.bind(subjects)
+        rdd = lowered.scan(partitions=cluster.spec.total_slots, cache=True)
         rdd.persist_to_workers()
         ingest_end = cluster.now
-        masks = neuro_spark.segmentation(engine, rdd, gtabs)
-        neuro_spark.denoise_and_fit(engine, rdd, gtabs, masks)
-        return ingest_end
-    if kind == "dask":
-        nodes = cluster.node_order
-        data = {}
-        for index, subject in enumerate(subjects):
-            data[subject.subject_id] = neuro_dask.download_and_filter(
-                engine, subject, workers=nodes[index % len(nodes)]
-            )
-        engine.compute([v for vols in data.values() for v in vols])
+        lowered.denoise_and_fit(rdd, lowered.segmentation(rdd))
+    elif kind == "dask":
+        vols = lowered.download_all(subjects)
+        engine.compute([v for per_subject in vols.values() for v in per_subject])
         ingest_end = cluster.now
-        masks = {
-            s.subject_id: neuro_dask.build_mask_graph(
-                engine, s, data[s.subject_id]
-            )
-            for s in subjects
-        }
-        fa = [
-            neuro_dask.build_fit_graph(
-                engine, s, data[s.subject_id], masks[s.subject_id]
-            )
-            for s in subjects
-        ]
-        engine.compute(list(masks.values()) + fa)
-        return ingest_end
-    if kind == "myria":
-        neuro_myria.ingest(engine, subjects)
+        lowered.analyze(subjects, vols)
+    elif kind == "myria":
+        lowered.ingest(subjects)
         ingest_end = cluster.now
-        neuro_myria.run(engine, subjects, source="ingested")
-        return ingest_end
-    if kind == "scidb":
-        array = neuro_scidb.ingest_cohort(engine, subjects, method="aio")
+        lowered.run(subjects, source="ingested")
+    elif kind == "scidb":
+        array = lowered.ingest_cohort(subjects, "aio")
         ingest_end = cluster.now
-        _f16_scidb_compute(engine, array, subjects)
-        return ingest_end
-    if kind == "tensorflow":
+        _f16_scidb_compute(lowered, array, subjects)
+    elif kind == "tensorflow":
         ingest_end = cluster.now  # every TF run re-ingests via the master
-        _f16_tf_compute(engine, subjects)
-        return ingest_end
-    raise ValueError(f"no F16 runner for {kind!r}")
+        _f16_tf_compute(lowered, subjects)
+    else:
+        raise ValueError(f"no F16 runner for {kind!r}")
+    return ingest_end
 
 
-def _f16_scidb_compute(engine, array, subjects):
-    from repro.pipelines.neuro.reference import compute_mask
+def _f16_scidb_compute(lowered, array, subjects):
+    filtered = lowered.filter_step_cohort(array, subjects)
+    lowered.mean_step_cohort(filtered)
+    lowered.denoise_step_cohort(
+        array, list(reference_masks(subjects).values())
+    )
 
-    masks = {i: compute_mask(s) for i, s in enumerate(subjects)}
-    filtered = neuro_scidb.filter_step_cohort(engine, array, subjects)
-    neuro_scidb.mean_step_cohort(engine, filtered)
-    neuro_scidb.denoise_step_cohort(engine, array, masks)
 
-
-def _f16_tf_compute(engine, subjects):
+def _f16_tf_compute(lowered, subjects):
     for subject in subjects:
-        filtered = neuro_tf.filter_step(engine, subject)
-        mean = neuro_tf.mean_step(engine, filtered)
-        neuro_tf.mask_step(engine, mean)
-        neuro_tf.denoise_step(engine, subject)
+        lowered.run(subject)
 
 
 # ----------------------------------------------------------------------
@@ -1495,19 +1023,18 @@ def _f16_tf_compute(engine, subjects):
 def _trial_ablation_tf(free_conversions, n_subjects, profile):
     from repro.cluster.costs import CostModel
 
-    subjects = neuro_subjects(n_subjects, **profile)
     cost_model = CostModel()
     if free_conversions:
         cost_model = cost_model.with_overrides(tensor_convert_bandwidth=1e18)
-    cluster, engine = fresh_engine("tensorflow", cost_model=cost_model)
-    filtered = [neuro_tf.filter_step(engine, s) for s in subjects]
-    watch = Stopwatch(cluster)
-    for f in filtered:
-        neuro_tf.mean_step(engine, f)
+    with cost_model_override(cost_model):
+        seconds = _run_step(
+            "tensorflow", fragments.neuro_mean_fragment(),
+            neuro_subjects(n_subjects, **profile), {}, {},
+        )
     return {
         "variant": "free conversions" if free_conversions
                    else "stock TensorFlow",
-        "simulated_s": watch.lap(),
+        "simulated_s": seconds,
     }
 
 

@@ -79,105 +79,157 @@ def _sum(items):
     return sum(count_source_lines(i) for i in items)
 
 
+def _nested(fn, *names):
+    """Closures defined inside ``fn``, by name (countable like any
+    function: a step kernel is often a closure of its factory)."""
+    found = {
+        const.co_name: const
+        for const in fn.__code__.co_consts if inspect.iscode(const)
+    }
+    return [found[name] for name in names]
+
+
+def _myrial(text, *relations):
+    """The statements of a MyriaL query that define ``relations``."""
+    statements = [part.strip() for part in text.split(";")]
+    return "\n".join(
+        next(s for s in statements if s.startswith(f"{name} ="))
+        for name in relations
+    )
+
+
 def measured_table1():
     """Count this repository's implementations into Table 1 cells.
 
-    Returns ``{use_case: {row: {system: count-or-NA-or-X}}}``.
+    Every cell points at the code that implements the step on that
+    engine: the lowered class's step methods and ``_udf_*`` kernel
+    factories, the closures registered as Myria UDFs, and the MyriaL
+    statements the lowering emits.  Returns
+    ``{use_case: {row: {system: count-or-NA-or-X}}}``.
     """
+    from repro.engines.dask.lowering import astro as a_dask
     from repro.engines.dask.lowering import neuro as n_dask
     from repro.engines.myria.lowering import astro as a_myria
     from repro.engines.myria.lowering import neuro as n_myria
     from repro.engines.scidb.lowering import astro as a_scidb
     from repro.engines.scidb.lowering import neuro as n_scidb
+    from repro.engines.scidb.query import SciDBConnection
     from repro.engines.spark.lowering import astro as a_spark
     from repro.engines.spark.lowering import neuro as n_spark
+    from repro.engines.spark.lowering.walker import ChainWalker
     from repro.engines.tensorflow.lowering import neuro as n_tf
     from repro.pipelines.astro import reference as a_ref
     from repro.pipelines.neuro import reference as n_ref
 
+    dask, spark, myria = (
+        n_dask.LoweredNeuro, n_spark.LoweredNeuro, n_myria.LoweredNeuro
+    )
+    scidb, tf = n_scidb.LoweredNeuro, n_tf.LoweredNeuro
+    neuro_reused = _sum(
+        [n_ref.compute_mask, n_ref.denoise_volume, n_ref.fit_subject]
+    )
     neuro = {
         "Re-used Reference": {
-            "Dask": _sum([n_ref.compute_mask, n_ref.denoise_volume, n_ref.fit_subject]),
+            "Dask": neuro_reused,
             "SciDB": _sum([n_ref.denoise_volume]),
-            "Spark": _sum([n_ref.compute_mask, n_ref.denoise_volume, n_ref.fit_subject]),
-            "Myria": _sum([n_ref.compute_mask, n_ref.denoise_volume, n_ref.fit_subject]),
+            "Spark": neuro_reused,
+            "Myria": neuro_reused,
             "TensorFlow": 0,
         },
         "Data Ingest": {
-            "Dask": _sum([n_dask.download_and_filter]),
-            "SciDB": _sum([n_scidb.ingest, n_scidb.subject_dims]),
-            "Spark": _sum([n_spark.build_image_rdd]),
-            "Myria": _sum([n_myria.make_loader, n_myria.ingest]),
-            "TensorFlow": _sum([n_tf.make_steps]),
+            "Dask": _sum([dask.fetch_volume, dask.download_all]),
+            "SciDB": _sum([scidb.ingest, scidb._load, n_scidb.subject_dims]),
+            "Spark": _sum([ChainWalker.scan]),
+            "Myria": _sum([n_myria.make_loader, myria.ingest]),
+            "TensorFlow": _sum([n_tf.make_steps, tf.ingest_step]),
         },
         "Segmentation": {
-            "Dask": _sum([n_dask.build_mask_graph]),
-            "SciDB": _sum([n_scidb.filter_step, n_scidb.mean_step,
-                           n_scidb.segmentation, n_scidb._nominal_b0_mask]),
-            "Spark": _sum([n_spark.filter_b0, n_spark.mean_b0, n_spark.segmentation]),
-            "Myria": _sum([n_myria.MASK_QUERY, n_myria.compute_masks]),
-            "TensorFlow": _sum([n_tf.filter_step, n_tf.mean_step, n_tf.mask_step]),
+            "Dask": _sum([dask.mask_graph]),
+            "SciDB": _sum([scidb.filter_step, scidb.mean_step,
+                           scidb.segmentation, n_scidb._nominal_b0_mask]),
+            "Spark": _sum([spark._udf_b0, spark._udf_mean_b0,
+                           spark._udf_otsu, spark.segmentation]),
+            "Myria": _sum([n_myria.MASK_QUERY, myria.compute_masks]
+                          + _nested(myria.register_udfs, "mean_otsu_uda")),
+            "TensorFlow": _sum([tf.filter_step, tf.mean_step, tf.mask_step]),
         },
         "Denoising": {
-            "Dask": _sum([]) + 8,   # the denoise_one closure in build_fit_graph
-            "SciDB": _sum([n_scidb.denoise_step]),
-            "Spark": 3,             # the denoise lambda in denoise_and_fit
-            "Myria": 4,             # the Denoise UDF + one MyriaL statement
-            "TensorFlow": _sum([n_tf.denoise_step, n_tf._gaussian_kernel_3d]),
+            "Dask": _sum([dask.denoise_graph]),
+            "SciDB": _sum([scidb.denoise_step]),
+            "Spark": _sum([spark._udf_denoise, spark._broadcast_masks]),
+            "Myria": _sum(
+                [_myrial(n_myria.PIPELINE_QUERY, "T2", "Joined", "Denoised")]
+                + _nested(myria.register_udfs, "denoise")),
+            "TensorFlow": _sum([tf.denoise_step, n_tf._gaussian_kernel_3d]),
         },
         "Model Fitting": {
-            "Dask": _sum([n_dask.build_fit_graph]),
+            "Dask": _sum([dask.fit_graph]),
             "SciDB": None,
-            "Spark": _sum([n_spark.denoise_and_fit]),
-            "Myria": _sum([n_myria.PIPELINE_QUERY]),
+            "Spark": _sum([spark._udf_repart, spark._udf_regroup,
+                           spark._udf_fitmodel, spark.denoise_and_fit,
+                           n_spark._block_slices]),
+            "Myria": _sum(
+                [_myrial(n_myria.PIPELINE_QUERY, "Blocks", "Fitted"),
+                 n_myria._block_of]
+                + _nested(myria.register_udfs, "repart", "fit_model")),
             "TensorFlow": None,
         },
     }
 
+    dask, spark, myria = (
+        a_dask.LoweredAstro, a_spark.LoweredAstro, a_myria.LoweredAstro
+    )
+    scidb = a_scidb.LoweredAstro
+    astro_reused = _sum([a_ref.preprocess_exposure, a_ref.patch_pieces,
+                         a_ref.stitch_pieces, a_ref.coadd_patch, a_ref.detect])
     astro = {
         "Re-used Reference": {
-            "Dask": _sum([a_ref.preprocess_exposure, a_ref.patch_pieces,
-                          a_ref.stitch_pieces, a_ref.coadd_patch, a_ref.detect]),
+            "Dask": astro_reused,
             "SciDB": None,
-            "Spark": _sum([a_ref.preprocess_exposure, a_ref.patch_pieces,
-                           a_ref.stitch_pieces, a_ref.coadd_patch, a_ref.detect]),
-            "Myria": _sum([a_ref.preprocess_exposure, a_ref.patch_pieces,
-                           a_ref.stitch_pieces, a_ref.coadd_patch, a_ref.detect]),
+            "Spark": astro_reused,
+            "Myria": astro_reused,
             "TensorFlow": None,
         },
         "Data Ingest": {
-            "Dask": 6,  # the fetch closure in on_dask.run
-            "SciDB": _sum([a_scidb.sky_mosaic, a_scidb.ingest]),
-            "Spark": _sum([a_spark.build_exposure_rdd]),
-            "Myria": _sum([a_myria._loader, a_myria.ingest]),
+            "Dask": _sum(_nested(dask.run, "fetch", "fetch_cost")),
+            "SciDB": _sum([a_scidb.sky_mosaic, scidb.ingest]),
+            "Spark": _sum([ChainWalker.scan]),
+            "Myria": _sum([a_myria._loader, myria.ingest]),
             "TensorFlow": None,
         },
         "Pre-processing": {
-            "Dask": 2,
+            # One entry of run()'s kernel table: the reference function
+            # is the delayed kernel as it stands.
+            "Dask": 1,
             "SciDB": "X",
-            "Spark": 2,
-            "Myria": 2,
+            "Spark": _sum([spark._udf_preprocess]),
+            "Myria": _sum([_myrial(a_myria.PIPELINE_QUERY, "Calib")]),
             "TensorFlow": None,
         },
         "Patch Creation": {
-            "Dask": 16,
+            "Dask": _sum(_nested(dask.run, "pieces_for", "stitch",
+                                 "stitch_cost")),
             "SciDB": "X",
-            "Spark": 8,
-            "Myria": 9,
+            "Spark": _sum([spark._udf_patches, spark._udf_stitch]),
+            "Myria": _sum(
+                [_myrial(a_myria.PIPELINE_QUERY, "Pieces", "PatchExp")]
+                + _nested(myria.register_udfs, "patch_map", "stitch_uda")),
             "TensorFlow": None,
         },
         "Co-addition": {
-            "Dask": 5,
-            "SciDB": _sum([a_scidb.coadd_step]) + 60,  # + the AQL engine path
-            "Spark": 8,
-            "Myria": 5,
+            "Dask": _sum(_nested(dask.run, "coadd", "coadd_cost")),
+            "SciDB": _sum([scidb.coadd_step, SciDBConnection.coadd_aql]),
+            "Spark": _sum([spark._udf_coadd]),
+            "Myria": _sum(
+                [_myrial(a_myria.PIPELINE_QUERY, "Coadds")]
+                + _nested(myria.register_udfs, "coadd_uda")),
             "TensorFlow": None,
         },
         "Source Detection": {
-            "Dask": 4,
+            "Dask": _sum(_nested(dask.run, "detect")),
             "SciDB": None,
-            "Spark": 5,
-            "Myria": 2,
+            "Spark": _sum([spark._udf_detect]),
+            "Myria": _sum([_myrial(a_myria.PIPELINE_QUERY, "Sources")]),
             "TensorFlow": None,
         },
     }

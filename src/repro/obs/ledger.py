@@ -23,8 +23,6 @@ from repro.obs.breakdown import records_of, summarize_records
 from repro.obs.critical_path import compute_critical_path
 
 #: Bump when snapshot layout changes incompatibly.
-#: v2 (this build) adds the ``op_blame`` section: critical-path blame
-#: folded up to logical plan ops (see ``repro.obs.attribution``).
 LEDGER_SCHEMA_VERSION = 2
 
 #: Default relative tolerance for makespan/blame regression flags.
@@ -39,24 +37,10 @@ class LedgerSchemaError(ValueError):
         self.found = found
         super().__init__(
             f"ledger snapshot {path} has schema_version {found!r};"
-            f" this build reads version {LEDGER_SCHEMA_VERSION}"
+            f" this build reads version {LEDGER_SCHEMA_VERSION}."
+            " Regenerate it with: PYTHONPATH=src python -m repro.harness"
+            " ledger <experiment> --quick --out-dir benchmarks/ledger"
         )
-
-    def diagnostic(self):
-        """Human-readable explanation of the schema gap."""
-        lines = [str(self)]
-        if self.found == 1 and LEDGER_SCHEMA_VERSION == 2:
-            lines.append(
-                "schema v2 adds the per-logical-op 'op_blame' section"
-                " (critical-path blame folded up to repro.plan ops);"
-                " v1 snapshots lack it and cannot be compared op-for-op."
-            )
-        lines.append(
-            "regenerate the snapshot with:"
-            " PYTHONPATH=src python -m repro.harness ledger <experiment>"
-            " --quick --out-dir benchmarks/ledger"
-        )
-        return "\n".join(lines)
 
 
 def _round(value, digits=6):

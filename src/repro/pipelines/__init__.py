@@ -1,4 +1,4 @@
-"""The two end-to-end use cases (Section 3), on every engine.
+"""The two end-to-end use cases (Section 3).
 
 - :mod:`repro.pipelines.neuro` -- the diffusion-MRI pipeline:
   segmentation, denoising, model fitting (Section 3.1.2).
@@ -7,6 +7,7 @@
   (Section 3.2.2).
 
 Each has a single-process ``reference`` implementation (the ground
-truth all engine implementations are tested against) plus one module
-per engine, mirroring the paper's Table 1 implementations.
+truth all engine implementations are tested against) and a ``staging``
+module; the per-engine implementations of Table 1 are the lowerings of
+:mod:`repro.plan` under ``repro.engines.<engine>.lowering``.
 """

@@ -1,4 +1,4 @@
-"""The astronomy (LSST-style) use case on every engine.
+"""The astronomy (LSST-style) use case.
 
 Pipeline steps (Section 3.2.2, Figure 3):
 

@@ -23,6 +23,12 @@ def masked_fraction(mask):
     return max(float(mask.mean()), 0.01)
 
 
+def mean_masked_fraction(masks):
+    """Cohort-wide mask fraction (``{subject_id: mask}``): what prices
+    UDFs that see one volume at a time and cannot look at its mask."""
+    return float(np.mean([masked_fraction(m) for m in masks.values()]))
+
+
 # ----------------------------------------------------------------------
 # Neuroscience UDF costs
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The neuroscience (diffusion MRI) use case on every engine.
+"""The neuroscience (diffusion MRI) use case.
 
 Pipeline steps (Section 3.1.2, Figure 1):
 

@@ -27,6 +27,12 @@ def compute_mask(subject):
     return mask
 
 
+def reference_masks(subjects):
+    """``{subject_id: mask}`` computed driver-side: the materialized
+    segmentation result a denoise micro-benchmark starts from."""
+    return {s.subject_id: compute_mask(s) for s in subjects}
+
+
 def denoise_volume(volume, mask, sigma=DENOISE_SIGMA):
     """Step 2-N: non-local means on one volume, masked."""
     return nlmeans_3d(volume, sigma=sigma, mask=mask)

@@ -40,6 +40,28 @@ def stage_subjects(object_store, subjects, bucket=DEFAULT_BUCKET):
     return count
 
 
+def charge_nifti_conversion(cluster, subjects, op):
+    """Conversion of NIfTI files to pickled-NumPy S3 objects, run in
+    parallel across the cluster; "the conversion time is included in
+    the data ingest time" (Section 5.2.1).  ``op`` is the provenance id
+    of the scan the conversion feeds."""
+    from repro.cluster.task import Task  # repro.cluster imports this module
+
+    cm = cluster.cost_model
+    share = sum(s.nominal_bytes for s in subjects) / cluster.spec.n_nodes
+    cluster.run([
+        Task(
+            f"nifti-convert-{node}",
+            duration=share / cm.nifti_parse_bandwidth
+            + cm.pickle_time(share)
+            + share / cm.s3_bandwidth_per_node,
+            node=node,
+            op=op,
+        )
+        for node in cluster.node_order
+    ])
+
+
 def gradient_tables(subjects):
     """Gradient tables."""
     return {s.subject_id: s.gtab for s in subjects}

@@ -65,6 +65,15 @@ def fragment(plan, last, outputs=()):
     return sliced.validate()
 
 
+def measured_op(frag):
+    """The op id a fragment was cut to measure: what its sink
+    materializes (or the tail itself when that is a materialize)."""
+    tail = frag.ops[-1]
+    if tail.op_id == f"{tail.parents[0]}.sink":
+        return tail.parents[0]
+    return tail.op_id
+
+
 def glue(*fragments, rename=None):
     """Compose fragments into one plan, renaming colliding op ids.
 

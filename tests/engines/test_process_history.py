@@ -93,3 +93,53 @@ def test_trial_repeats_exactly_whatever_ran_before(histories, cell):
         )
         assert run[1] == first[1]  # ledger snapshot bytes
         assert run[2] == first[2]  # (name, node, start, end) per task
+
+
+def test_myria_masks_belong_to_their_connection():
+    """Two Myria trials interleaved in one process keep their own masks.
+
+    Cohorts share ``subjNNN`` ids across seeds, and the FitModel UDA
+    reads the mask its lowering captured driver-side after the mask
+    query.  When that capture was a module-level dict, running cohort
+    B's mask query between cohort A's two queries fitted A's voxels
+    under B's masks, silently.
+    """
+    import numpy as np
+
+    from repro.data import generate_subject
+    from repro.engines.myria.connection import MyriaQuery
+    from repro.engines.myria.lowering.neuro import pipeline_query
+
+    def cohort(seed):
+        return [generate_subject("subj000", seed=seed, scale=20, n_volumes=24)]
+
+    def lowered_for(subjects):
+        cluster, conn = fresh_engine("myria", n_nodes=4)
+        stage_subjects(cluster.object_store, subjects)
+        return lower(neuro_plan(), "myria", conn)
+
+    def mask_query(low, subjects):
+        low.register_s3(subjects)
+        low.register_udfs(subjects)
+        return low.compute_masks("pipelined")
+
+    def fit_query(low):
+        query = MyriaQuery.submit(low.conn, pipeline_query(low.plan))
+        return {
+            (subj, block): fa.array
+            for subj, block, fa in query.relation("Fitted").rows
+        }
+
+    a, b = cohort(seed=1), cohort(seed=2)
+    alone = lowered_for(a)
+    masks_a = mask_query(alone, a)
+    expected = fit_query(alone)
+
+    first, second = lowered_for(a), lowered_for(b)
+    mask_query(first, a)
+    masks_b = mask_query(second, b)
+    assert not np.array_equal(masks_a["subj000"], masks_b["subj000"])
+    fitted = fit_query(first)
+    assert fitted.keys() == expected.keys()
+    for key, fa in expected.items():
+        assert np.array_equal(fitted[key], fa, equal_nan=True), key

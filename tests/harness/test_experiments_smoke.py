@@ -128,3 +128,23 @@ def test_ablation_tiny():
     by = {r["variant"]: r["simulated_s"] for r in rows}
     assert by["stock AQL"] > by["incremental [34]"]
     assert by["speedup"] > 1.0
+
+
+def test_experiments_imports_no_lowering_module():
+    """``repro.plan.lower`` is the only way from the harness to an
+    engine's lowering (``repro/plan/__init__.py`` promises as much)."""
+    import ast
+    import re
+
+    lowering = re.compile(r"^repro\.engines\.\w+\.lowering(\.|$)")
+    with open(E.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+    assert [name for name in imported if lowering.match(name)] == []

@@ -133,9 +133,8 @@ def engine_attributions():
     from repro.engines.scidb import SciDBConnection
     from repro.engines.spark import SparkContext
     from repro.engines.tensorflow import Session as TfSession
-    from repro.pipelines.neuro import on_dask, on_myria, on_scidb, on_spark
-    from repro.pipelines.neuro import on_tensorflow as on_tf
     from repro.pipelines.neuro.staging import stage_subjects
+    from repro.plan import lower
 
     subject = generate_subject("s0", scale=12, n_volumes=12)
     results = {}
@@ -150,25 +149,29 @@ def engine_attributions():
 
     cluster = spark_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_spark.run(SparkContext(cluster), [subject], input_partitions=16)
+    lower(neuro_plan(), "spark", SparkContext(cluster)).run(
+        [subject], input_partitions=16
+    )
     results["spark"] = (cluster, attribute_critical_path(cluster))
 
     cluster = worker_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_myria.run(MyriaConnection(cluster), [subject], source="s3")
+    lower(neuro_plan(), "myria", MyriaConnection(cluster)).run(
+        [subject], source="s3"
+    )
     results["myria"] = (cluster, attribute_critical_path(cluster))
 
     cluster = spark_cluster()
     stage_subjects(cluster.object_store, [subject])
-    on_dask.run(DaskClient(cluster), [subject])
+    lower(neuro_plan(), "dask", DaskClient(cluster)).run([subject])
     results["dask"] = (cluster, attribute_critical_path(cluster))
 
     cluster = worker_cluster()
-    on_scidb.run(SciDBConnection(cluster), subject)
+    lower(neuro_plan(), "scidb", SciDBConnection(cluster)).run(subject)
     results["scidb"] = (cluster, attribute_critical_path(cluster))
 
     cluster = spark_cluster()
-    on_tf.run(TfSession(cluster), subject)
+    lower(neuro_plan(), "tensorflow", TfSession(cluster)).run(subject)
     results["tensorflow"] = (cluster, attribute_critical_path(cluster))
 
     return results

@@ -8,9 +8,10 @@ from repro.engines.dask import DaskClient
 from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
-from repro.pipelines.astro import on_dask, on_myria, on_scidb, on_spark
+from repro.engines.scidb.lowering import astro as scidb_lowering
 from repro.pipelines.astro.reference import run_reference
 from repro.pipelines.astro.staging import stage_visits
+from repro.plan import astro_plan, lower
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,9 @@ def test_spark_matches_reference(tiny_visits, reference):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     sc = SparkContext(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_spark.run(sc, tiny_visits, input_partitions=16)
+    coadds, sources = lower(astro_plan(), "spark", sc).run(
+        tiny_visits, input_partitions=16
+    )
     _assert_matches(coadds, sources, reference)
 
 
@@ -46,8 +49,8 @@ def test_myria_matches_reference(tiny_visits, reference):
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_myria.run(
-        conn, tiny_visits, mode="materialized", source="s3"
+    coadds, sources = lower(astro_plan(), "myria", conn).run(
+        tiny_visits, mode="materialized", source="s3"
     )
     _assert_matches(coadds, sources, reference)
 
@@ -58,8 +61,8 @@ def test_myria_multiquery_matches_reference(tiny_visits, reference):
     )
     conn = MyriaConnection(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_myria.run(
-        conn, tiny_visits, mode="multiquery", chunks=2, source="s3"
+    coadds, sources = lower(astro_plan(), "myria", conn).run(
+        tiny_visits, mode="multiquery", chunks=2, source="s3"
     )
     _assert_matches(coadds, sources, reference)
 
@@ -71,7 +74,7 @@ def test_dask_matches_reference(tiny_visits, reference):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     client = DaskClient(cluster)
     stage_visits(cluster.object_store, tiny_visits)
-    coadds, sources = on_dask.run(client, tiny_visits)
+    coadds, sources = lower(astro_plan(), "dask", client).run(tiny_visits)
     _assert_matches(coadds, sources, reference)
 
 
@@ -81,17 +84,17 @@ def test_scidb_coadd_only(tiny_visits):
         ClusterSpec(n_nodes=4, workers_per_node=4, slots_per_worker=1)
     )
     sdb = SciDBConnection(cluster)
-    coadd = on_scidb.run(sdb, tiny_visits)
+    coadd = lower(astro_plan(), "scidb", sdb).run(tiny_visits)
     assert coadd.array.ndim == 2
     assert np.nanmax(coadd.array) > 0
     with pytest.raises(NotImplementedError):
-        on_scidb.preprocess_step()
+        scidb_lowering.preprocess_step()
     with pytest.raises(NotImplementedError):
-        on_scidb.detect_step()
+        scidb_lowering.detect_step()
 
 
 def test_scidb_mosaic_covers_field(tiny_visits):
-    stack, origin, nominal = on_scidb.sky_mosaic(tiny_visits)
+    stack, origin, nominal = scidb_lowering.sky_mosaic(tiny_visits)
     assert stack.shape[0] == len(tiny_visits)
     # Every visit contributed non-NaN pixels.
     for vi in range(len(tiny_visits)):

@@ -15,10 +15,11 @@ from repro.engines.myria import MyriaConnection
 from repro.engines.scidb import SciDBConnection
 from repro.engines.spark import SparkContext
 from repro.engines.tensorflow import Session as TfSession
-from repro.pipelines.neuro import on_dask, on_myria, on_scidb, on_spark
-from repro.pipelines.neuro import on_tensorflow as on_tf
+from repro.engines.scidb.lowering import neuro as scidb_lowering
+from repro.engines.tensorflow.lowering import neuro as tf_lowering
 from repro.pipelines.neuro.reference import run_reference
 from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import lower, neuro_plan
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,9 @@ def test_spark_matches_reference(tiny_subjects, reference):
     cluster = _spark_cluster()
     sc = SparkContext(cluster)
     stage_subjects(cluster.object_store, tiny_subjects)
-    masks, fa = on_spark.run(sc, tiny_subjects, input_partitions=16)
+    masks, fa = lower(neuro_plan(), "spark", sc).run(
+        tiny_subjects, input_partitions=16
+    )
     for s in tiny_subjects:
         ref_mask, _d, ref_fa = reference[s.subject_id]
         assert np.array_equal(masks[s.subject_id], ref_mask)
@@ -51,8 +54,8 @@ def test_spark_caching_same_results(tiny_subjects, reference):
     cluster = _spark_cluster()
     sc = SparkContext(cluster)
     stage_subjects(cluster.object_store, tiny_subjects)
-    _masks, fa = on_spark.run(
-        sc, tiny_subjects, input_partitions=16, cache_input=True
+    _masks, fa = lower(neuro_plan(), "spark", sc).run(
+        tiny_subjects, input_partitions=16, cache_input=True
     )
     ref_fa = reference[tiny_subjects[0].subject_id][2]
     assert np.allclose(fa[tiny_subjects[0].subject_id].array, ref_fa, atol=1e-10)
@@ -62,7 +65,9 @@ def test_myria_matches_reference_s3(tiny_subjects, reference):
     cluster = _worker_cluster()
     conn = MyriaConnection(cluster)
     stage_subjects(cluster.object_store, tiny_subjects)
-    masks, fa = on_myria.run(conn, tiny_subjects, source="s3")
+    masks, fa = lower(neuro_plan(), "myria", conn).run(
+        tiny_subjects, source="s3"
+    )
     for s in tiny_subjects:
         ref_mask, _d, ref_fa = reference[s.subject_id]
         assert np.array_equal(masks[s.subject_id], ref_mask)
@@ -73,7 +78,9 @@ def test_myria_matches_reference_ingested(tiny_subjects, reference):
     cluster = _worker_cluster()
     conn = MyriaConnection(cluster)
     stage_subjects(cluster.object_store, tiny_subjects)
-    _masks, fa = on_myria.run(conn, tiny_subjects, source="ingested")
+    _masks, fa = lower(neuro_plan(), "myria", conn).run(
+        tiny_subjects, source="ingested"
+    )
     ref_fa = reference[tiny_subjects[0].subject_id][2]
     assert np.allclose(fa[tiny_subjects[0].subject_id].array, ref_fa, atol=1e-10)
 
@@ -82,7 +89,7 @@ def test_dask_matches_reference(tiny_subjects, reference):
     cluster = _spark_cluster()
     client = DaskClient(cluster)
     stage_subjects(cluster.object_store, tiny_subjects)
-    masks, fa = on_dask.run(client, tiny_subjects)
+    masks, fa = lower(neuro_plan(), "dask", client).run(tiny_subjects)
     for s in tiny_subjects:
         ref_mask, _d, ref_fa = reference[s.subject_id]
         assert np.array_equal(masks[s.subject_id], ref_mask)
@@ -94,12 +101,14 @@ def test_scidb_partial_pipeline(tiny_subjects, reference):
     cluster = _worker_cluster()
     sdb = SciDBConnection(cluster)
     subject = tiny_subjects[0]
-    mask, denoised = on_scidb.run(sdb, subject, ingest_method="aio")
+    mask, denoised = lower(neuro_plan(), "scidb", sdb).run(
+        subject, ingest_method="aio"
+    )
     ref_mask, ref_denoised, _fa = reference[subject.subject_id]
     assert np.array_equal(mask, ref_mask)
     assert np.allclose(denoised.real, ref_denoised, atol=1e-9)
     with pytest.raises(NotImplementedError):
-        on_scidb.fit_step()
+        scidb_lowering.fit_step()
 
 
 def test_tensorflow_partial_pipeline(tiny_subjects, reference):
@@ -107,14 +116,14 @@ def test_tensorflow_partial_pipeline(tiny_subjects, reference):
     cluster = _spark_cluster()
     session = TfSession(cluster)
     subject = tiny_subjects[0]
-    mask, denoised = on_tf.run(session, subject)
+    mask, denoised = lower(neuro_plan(), "tensorflow", session).run(subject)
     ref_mask = reference[subject.subject_id][0]
     # The simplified mask still recovers the brain region.
     overlap = (mask & ref_mask).sum() / ref_mask.sum()
     assert overlap > 0.8
     assert denoised.array.shape == subject.data.array.shape
     with pytest.raises(NotImplementedError):
-        on_tf.fit_step()
+        tf_lowering.fit_step()
 
 
 def test_engines_agree_with_each_other(tiny_subjects):
@@ -122,12 +131,16 @@ def test_engines_agree_with_each_other(tiny_subjects):
     c1 = _spark_cluster()
     sc = SparkContext(c1)
     stage_subjects(c1.object_store, tiny_subjects)
-    _m1, fa_spark = on_spark.run(sc, tiny_subjects, input_partitions=16)
+    _m1, fa_spark = lower(neuro_plan(), "spark", sc).run(
+        tiny_subjects, input_partitions=16
+    )
 
     c2 = _worker_cluster()
     conn = MyriaConnection(c2)
     stage_subjects(c2.object_store, tiny_subjects)
-    _m2, fa_myria = on_myria.run(conn, tiny_subjects, source="s3")
+    _m2, fa_myria = lower(neuro_plan(), "myria", conn).run(
+        tiny_subjects, source="s3"
+    )
 
     for s in tiny_subjects:
         assert np.allclose(
