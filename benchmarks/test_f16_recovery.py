@@ -9,7 +9,8 @@ five engines); enable with::
 Asserts the paper-faithful ordering of recovery costs -- lineage
 recompute (Spark, Dask) beats a coordinator query restart (Myria),
 which beats rerunning from the last checkpoint or scratch (SciDB,
-TensorFlow) -- and that the fixed seed reproduces the checked-in
+TensorFlow) --, that each faulted run says how much of its overhead is
+``@recovery``, and that the fixed seed reproduces the checked-in
 ``benchmarks/ledger/f16-quick.json`` byte-for-byte except for the
 ``git_sha`` stamp.  Regenerate after an intentional cost-model change::
 
@@ -64,6 +65,26 @@ def test_recovery_class_ordering(f16, capsys):
     assert overhead["myria"] < overhead["tensorflow"]
     # Every faulty run costs something: recovery is never free.
     assert all(row["overhead_s"] > 0 for row in rows)
+
+
+def test_every_faulted_run_names_its_recovery(f16, capsys):
+    """``@recovery`` is the recompute or the wait for the reboot: only
+    faulted runs have it, and for the two recompute engines it accounts
+    for all the crash cost them."""
+    rows, snapshot = f16
+    capsys.readouterr()
+    runs = snapshot["runs"]
+    assert len(runs) == 2 * len(rows)
+    for row, clean, faulted in zip(rows, runs[0::2], runs[1::2]):
+        recovery = sum(
+            r["seconds"] for r in faulted["op_blame"] if r["op"] == "@recovery"
+        )
+        assert recovery > 0, faulted["label"]
+        assert all(r["op"] != "@recovery" for r in clean["op_blame"]), (
+            clean["label"]
+        )
+        if row["engine"] in ("spark", "dask"):
+            assert recovery >= row["overhead_s"], faulted["label"]
 
 
 def test_blame_fractions_sum_to_one(f16, capsys):

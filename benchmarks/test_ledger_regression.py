@@ -9,8 +9,8 @@ A failure means the current tree's simulated makespan drifted more
 than the tolerance past the committed baseline.  If the change is an
 intentional cost-model or scheduling change, regenerate the baselines::
 
-    PYTHONPATH=src python -m repro.harness ledger fig10c fig11 \
-        fig12a fig12b fig12c fig12d --quick
+    PYTHONPATH=src python -m repro.harness ledger fig10c fig10d fig11 \
+        fig12a fig12b fig12c fig12d fig13 fig15 --quick
 """
 
 import os
@@ -21,8 +21,8 @@ import pytest
 from repro.obs.ledger import compare_snapshots, format_compare, load_snapshot
 
 LEDGER_DIR = Path(__file__).parent / "ledger"
-BASELINES = ("fig10a", "fig10b", "fig10c", "fig11",
-             "fig12a", "fig12b", "fig12c", "fig12d")
+BASELINES = ("fig10a", "fig10b", "fig10c", "fig10d", "fig11",
+             "fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig15")
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_LEDGER_GATE"),

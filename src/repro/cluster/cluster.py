@@ -26,7 +26,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task, TaskResult
-from repro.obs.spans import Observability
+from repro.obs.spans import PSEUDO_RECOVERY, Observability
 from repro.obs.events import (
     NodeCrashed,
     NodeRecovered,
@@ -373,7 +373,10 @@ class SimulatedCluster:
                         "retried": True,
                     }
                     if policy.recompute_category:
-                        info["category_override"] = policy.recompute_category
+                        # A lineage recompute is recovery work, whatever
+                        # op the lost result first implemented.
+                        info["category"] = policy.recompute_category
+                        info["op"] = PSEUDO_RECOVERY
                     self._sched_info[task.task_id] = info
                 elif info is None:
                     self._sched_info[task.task_id] = {
@@ -657,11 +660,8 @@ class SimulatedCluster:
                     record_task(
                         task.name, node.name, result.start_time, time,
                         task_id=task.task_id,
-                        category=info.get("category_override") or task.category,
-                        # A recovery recompute loses its logical op so
-                        # the attribution fold charges it to @recovery
-                        # via the recompute category, not the op.
-                        op=None if info.get("category_override") else task.op,
+                        category=info.get("category", task.category),
+                        op=info.get("op", task.op),
                         queued=info.get("queued"),
                         ready=info.get("ready"),
                         not_before=task.not_before,

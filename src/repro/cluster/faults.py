@@ -78,7 +78,8 @@ class RecoveryPolicy:
     a fresh executor);
     ``recompute_category`` re-tags recomputed tasks so the critical-path
     blame walk can attribute recovery work (``spark-recompute``,
-    ``dask-recompute``).
+    ``dask-recompute``); the executor stamps the same records
+    ``@recovery``.
     """
 
     ABORT = "abort"

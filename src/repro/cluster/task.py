@@ -56,8 +56,10 @@ class Task:
         to the name-prefix grouping heuristic.
     op:
         Provenance id of the logical plan op this task implements
-        (``"neuro/denoise"``), or ``None`` when the lowering resolves
-        provenance through spans/categories instead.
+        (``"neuro/denoise"``) or a pseudo-op (``"@overhead"``).
+        ``None`` takes the ambient ``obs.provenance(...)`` scope open
+        when the task is recorded; with no scope either, the record
+        stays unstamped and attribution reads it as ``@overhead``.
     """
 
     __slots__ = (

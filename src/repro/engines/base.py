@@ -11,6 +11,7 @@ inside.
 import numpy as np
 
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 #: Nominal size assumed for small opaque records (ids, small tuples).
 SMALL_RECORD_BYTES = 64
@@ -166,9 +167,13 @@ class Engine:
             self._started = True
             cost = self.startup_cost()
             if cost > 0:
+                # Start-up implements no op: overhead, unless it falls
+                # inside a scope that claims everything it causes.
+                obs = self.cluster.obs
                 self.cluster.charge_master(
                     cost, label=f"{self.name} startup",
                     category=f"{self.name.lower()}-startup",
+                    op=obs.current_provenance() or PSEUDO_OVERHEAD,
                 )
 
     def __repr__(self):

@@ -45,9 +45,10 @@ class MyriaConnection(Engine):
         """Register a Python UDF or UDA under ``name`` (Figure 7 line 2)."""
         self.server.register_udf(name, as_costed(fn))
 
-    def ingest_relation(self, relation, partition_column):
-        """Ingest a driver-side :class:`Relation` (small tables)."""
-        return self.server.insert_relation(relation, partition_column)
+    def ingest_relation(self, relation, partition_column, op=None):
+        """Ingest a driver-side :class:`Relation` (small tables); ``op``
+        is the logical op the insert tasks are charged to."""
+        return self.server.insert_relation(relation, partition_column, op=op)
 
     def register_s3_relation(self, table, bucket, columns, loader, prefix="",
                              keys=None):
@@ -74,14 +75,15 @@ class MyriaConnection(Engine):
         return relation
 
     def ingest_s3(self, table, bucket, columns, loader, partition_column,
-                  prefix=""):
+                  prefix="", op=None):
         """Parallel S3 ingest into per-worker PostgreSQL storage.
 
         Each worker downloads its share of the object list directly --
         "Myria can directly work with a csv list of files avoiding
         overhead" (Section 5.2.1), so unlike Spark no master-side
         listing cost is charged.  ``loader`` maps a stored object to a
-        row tuple.
+        row tuple; ``op`` is the logical op (the plan's scan) the ingest
+        tasks are charged to.
         """
         store = self.cluster.object_store
         keys = store.list_keys(bucket, prefix)
@@ -119,6 +121,7 @@ class MyriaConnection(Engine):
                     fn=run,
                     duration=cost,
                     node=server.worker_node(worker),
+                    op=op,
                 )
             )
         self.cluster.run(tasks)
@@ -133,14 +136,19 @@ class MyriaQuery:
         self.results = results
 
     @classmethod
-    def submit(cls, connection, text, mode="pipelined", chunks=1):
+    def submit(cls, connection, text, mode="pipelined", chunks=1, ops=None):
         """Parse and execute MyriaL ``text``; returns a MyriaQuery.
 
         ``mode``/``chunks`` select the memory-management strategy of
-        Figure 15 ("pipelined", "materialized", or "chunked").
+        Figure 15 ("pipelined", "materialized", or "chunked").  ``ops``
+        is a :class:`PlanQuery`'s statement -> plan-op association; a
+        statement it does not name runs under the caller's provenance
+        scope.
         """
         program = parse(text)
-        results = connection.server.execute(program, mode=mode, chunks=chunks)
+        results = connection.server.execute(
+            program, mode=mode, chunks=chunks, ops=ops
+        )
         return cls(connection, results)
 
     def relation(self, name):
@@ -164,3 +172,36 @@ class MyriaQuery:
     def shards(self, name):
         """Per-worker shards left in place (worker-memory materialization)."""
         return self.results[name].shards
+
+
+class PlanQuery:
+    """MyriaL emitted from a logical plan, by a lowering.
+
+    Built from statements ``(op_ids, line, ...)``: the MyriaL lines of
+    one statement preceded by the ids of the plan ops it realises, in
+    plan order (a bare string is a statement that realises none --
+    ``SCAN``, ``STORE``).  ``text`` is the program; ``ops`` maps each
+    statement name to its ops' provenance ids.  A statement's tasks are
+    attributed to the *last* op of its fused chain (``Masks`` =
+    mean_b0+otsu -> otsu) and the shuffle feeding its UDA to the
+    *first*, the ``group_by`` itself.
+    """
+
+    def __init__(self, plan, *statements):
+        lines = []
+        self.ops = {}
+        for statement in statements:
+            if isinstance(statement, str):
+                lines.append(statement)
+                continue
+            op_ids, *text = statement
+            lines.extend(text)
+            name = text[0].split(" = ")[0]
+            self.ops[name] = tuple(plan.provenance(op) for op in op_ids)
+        self.text = "\n".join(["", *lines, ""])
+
+    def submit(self, connection, **options):
+        """Run the query with every statement attributed to its op."""
+        return MyriaQuery.submit(
+            connection, self.text, ops=self.ops, **options
+        )

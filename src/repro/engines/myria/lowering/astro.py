@@ -6,7 +6,8 @@ hashable keys through its shuffle), visits as longs, image payloads as
 blobs.
 
 Lowering contract notes: the MyriaL text is emitted from the logical
-plan by :func:`pipeline_query`.  The ``stitch`` and ``coadd`` group_bys
+plan by the ``*_query`` functions, each statement next to the plan ops
+it realises.  The ``stitch`` and ``coadd`` group_bys
 lower to Myria UDAs fed by the engine's hash shuffle; multi-query
 execution (Figure 15) additionally restricts the plan to patch-column
 bands with the ``x0`` pushdown — a physical rewrite the plan permits
@@ -14,33 +15,34 @@ because patches are independent.
 """
 
 from repro.engines.base import LoweredPlan, udf
-from repro.engines.myria.connection import MyriaQuery
+from repro.engines.myria.connection import MyriaQuery, PlanQuery
 from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
 from repro.pipelines.astro.staging import exposure_key
 from repro.plan.astro import astro_plan
-from repro.plan.ir import provenance_id
+from repro.plan.ir import PSEUDO_OVERHEAD
 
 EXPOSURES_COLUMNS = ("expId", "visit", "sensor", "x0", "img")
 
 
-def _lines(*parts):
-    return "\n".join(("",) + parts + ("",))
-
-
-def _patch_statements(plan):
-    """``exposures -> preprocess -> patches -> stitch``."""
+def _patch_statements(plan, exposures="E", pieces="Pieces"):
+    """``exposures -> preprocess -> patches -> stitch``, calibrating
+    relation alias ``exposures`` and stitching alias ``pieces``."""
     for op_id, kind in (("preprocess", "map"), ("patches", "flat_map"),
                         ("stitch", "group_by")):
         if plan.member(op_id).kind != kind:
             raise NotImplementedError(f"myria lowering: missing {op_id}")
+    e, p = exposures, pieces
     return (
         "E = SCAN(Exposures);",
-        "Calib = [FROM E EMIT PYUDF(Preproc, E.img) AS img, E.visit, E.expId];",
-        "Pieces = [FROM Calib EMIT",
-        "          UNNEST(PYUDF(PatchMap, Calib.img)) AS (patchY, patchX, visitId, piece)];",
-        "PatchExp = [FROM Pieces EMIT Pieces.patchY, Pieces.patchX, Pieces.visitId,",
-        "            UDA(Stitch, Pieces.piece) AS img];",
+        (("preprocess",),
+         f"Calib = [FROM {e} EMIT PYUDF(Preproc, {e}.img) AS img, {e}.visit, {e}.expId];"),
+        (("patches",),
+         "Pieces = [FROM Calib EMIT",
+         "          UNNEST(PYUDF(PatchMap, Calib.img)) AS (patchY, patchX, visitId, piece)];"),
+        (("stitch",),
+         f"PatchExp = [FROM {p} EMIT {p}.patchY, {p}.patchX, {p}.visitId,",
+         f"            UDA(Stitch, {p}.piece) AS img];"),
     )
 
 
@@ -49,39 +51,49 @@ def _coadd_statement(plan, src):
     if plan.member("coadd").kind != "group_by":
         raise NotImplementedError("myria lowering: missing coadd")
     return (
+        ("coadd",),
         f"Coadds = [FROM {src} EMIT {src}.patchY, {src}.patchX,",
         f"          UDA(CoaddAgg, {src}.img, {src}.visitId) AS coadd];",
     )
 
 
-def pipeline_query(plan):
-    """Emit the full-sky MyriaL pipeline from the logical plan."""
+def _sources_statement(plan):
+    """``detect`` over the coadds, materialized as ``sources``."""
     for op_id, kind in (("detect", "map"), ("sources", "materialize")):
         if plan.member(op_id).kind != kind:
             raise NotImplementedError(f"myria lowering: missing {op_id}")
-    return _lines(
-        *_patch_statements(plan),
-        *_coadd_statement(plan, "PatchExp"),
+    return (
+        ("detect", "sources"),
         "Sources = [FROM Coadds EMIT Coadds.patchY, Coadds.patchX,",
         "           PYUDF(Detect, Coadds.coadd) AS srcs];",
     )
 
 
+def pipeline_query(plan):
+    """Emit the full-sky MyriaL pipeline from the logical plan."""
+    return PlanQuery(
+        plan,
+        *_patch_statements(plan),
+        _coadd_statement(plan, "PatchExp"),
+        _sources_statement(plan),
+    )
+
+
 def patch_query(plan):
     """Figure 12d's untimed input: patch exposures, stored."""
-    return _lines(
-        *_patch_statements(plan), "STORE(PatchExp, PatchExposures);"
+    return PlanQuery(
+        plan, *_patch_statements(plan), "STORE(PatchExp, PatchExposures);"
     )
 
 
 def coadd_query(plan):
     """Figure 12d's step: ``coadd`` over the stored patch exposures."""
-    return _lines(
-        "P = SCAN(PatchExposures);", *_coadd_statement(plan, "P")
+    return PlanQuery(
+        plan, "P = SCAN(PatchExposures);", _coadd_statement(plan, "P")
     )
 
 
-PIPELINE_QUERY = pipeline_query(astro_plan())
+PIPELINE_QUERY = pipeline_query(astro_plan()).text
 
 
 def _loader(exposure):
@@ -95,7 +107,7 @@ def _loader(exposure):
     )
 
 
-def band_query(x_lo, x_hi, px_lo, px_hi):
+def band_query(plan, x_lo, x_hi, px_lo, px_hi):
     """The pipeline restricted to a band of patch columns.
 
     Used by multi-query execution (Figure 15): "the system must cut the
@@ -105,24 +117,23 @@ def band_query(x_lo, x_hi, px_lo, px_hi):
     relation, so each sub-query only preprocesses exposures that can
     contribute to its band (boundary exposures are processed twice).
     """
-    return f"""
-E = SCAN(Exposures);
-InBand = [SELECT E.expId, E.visit, E.img FROM E
-          WHERE E.x0 >= {px_lo} AND E.x0 < {px_hi}];
-Calib = [FROM InBand EMIT PYUDF(Preproc, InBand.img) AS img,
-         InBand.visit, InBand.expId];
-Pieces = [FROM Calib EMIT
-          UNNEST(PYUDF(PatchMap, Calib.img)) AS (patchY, patchX, visitId, piece)];
-Band = [SELECT Pieces.patchY, Pieces.patchX, Pieces.visitId, Pieces.piece
-        FROM Pieces
-        WHERE Pieces.patchX >= {x_lo} AND Pieces.patchX < {x_hi}];
-PatchExp = [FROM Band EMIT Band.patchY, Band.patchX, Band.visitId,
-            UDA(Stitch, Band.piece) AS img];
-Coadds = [FROM PatchExp EMIT PatchExp.patchY, PatchExp.patchX,
-          UDA(CoaddAgg, PatchExp.img, PatchExp.visitId) AS coadd];
-Sources = [FROM Coadds EMIT Coadds.patchY, Coadds.patchX,
-           PYUDF(Detect, Coadds.coadd) AS srcs];
-"""
+    scan, calib, pieces, stitch = _patch_statements(plan, "InBand", "Band")
+    return PlanQuery(
+        plan,
+        scan,
+        (("exposures",),
+         "InBand = [SELECT E.expId, E.visit, E.img FROM E",
+         f"          WHERE E.x0 >= {px_lo} AND E.x0 < {px_hi}];"),
+        calib,
+        pieces,
+        (("patches",),
+         "Band = [SELECT Pieces.patchY, Pieces.patchX, Pieces.visitId, Pieces.piece",
+         "        FROM Pieces",
+         f"        WHERE Pieces.patchX >= {x_lo} AND Pieces.patchX < {x_hi}];"),
+        stitch,
+        _coadd_statement(plan, "PatchExp"),
+        _sources_statement(plan),
+    )
 
 
 class LoweredAstro(LoweredPlan):
@@ -137,7 +148,7 @@ class LoweredAstro(LoweredPlan):
         """Ingest staged exposures into the ``Exposures`` relation."""
         return self.conn.ingest_s3(
             "Exposures", self.bucket, EXPOSURES_COLUMNS, _loader,
-            partition_column="expId",
+            partition_column="expId", op=self.plan.provenance("exposures"),
         )
 
     def register_s3(self):
@@ -146,39 +157,8 @@ class LoweredAstro(LoweredPlan):
             "Exposures", self.bucket, EXPOSURES_COLUMNS, _loader
         )
 
-    def declare_provenance(self):
-        """Declare the span/category -> logical-op maps for attribution.
-
-        Statement spans map to the last op they realize; the shuffles
-        feeding the ``Stitch``/``CoaddAgg`` UDAs belong to the ``stitch``
-        and ``coadd`` group_by ops themselves.
-        """
-        def pid(op_id):
-            return provenance_id(self.plan.name, op_id)
-
-        self.conn.cluster.obs.declare_provenance(
-            spans={
-                "myria-insert-Exposures": pid("exposures"),
-                "myria-E": pid("exposures"),
-                "myria-InBand": pid("exposures"),
-                "myria-Calib": pid("preprocess"),
-                "myria-Pieces": pid("patches"),
-                "myria-Band": pid("patches"),
-                "myria-PatchExp": pid("stitch"),
-                "myria-Coadds": pid("coadd"),
-                "myria-Sources": pid("sources"),
-                "myria-shuffle-groupby-PatchExp": pid("stitch"),
-                "myria-shuffle-groupby-Coadds": pid("coadd"),
-            },
-            categories={
-                "myria-ingest": pid("exposures"),
-                "myria-scan": pid("exposures"),
-            },
-        )
-
     def register_udfs(self, visits, grid):
         """Register every Python UDF/UDA the queries call."""
-        self.declare_provenance()
         conn = self.conn
         cm = conn.cost_model
         first = visits[0].exposures[0]
@@ -238,8 +218,6 @@ class LoweredAstro(LoweredPlan):
             raise ValueError(f"unknown source {source!r}")
         self.register_udfs(visits, grid)
 
-        coadds = {}
-        sources = {}
         if mode == "multiquery":
             if chunks < 2:
                 raise ValueError("multiquery mode requires chunks >= 2")
@@ -252,7 +230,7 @@ class LoweredAstro(LoweredPlan):
             )
             bounds = [xs[0] + (xs[-1] + 1 - xs[0]) * i // chunks for i in range(chunks + 1)]
             width = exposures[0].shape[1]
-            bands = []
+            queries = []
             for i in range(chunks):
                 if bounds[i] >= bounds[i + 1]:
                     continue
@@ -268,25 +246,30 @@ class LoweredAstro(LoweredPlan):
                     for e in exposures
                     if px_lo <= e.sky_box.x0 < px_hi
                 ]
-                bands.append(
-                    (band_query(bounds[i], bounds[i + 1], px_lo, px_hi), band_keys)
-                )
-            for text, band_keys in bands:
-                conn.register_s3_relation(
-                    "Exposures", bucket, EXPOSURES_COLUMNS, _loader, keys=band_keys
-                )
-                query = MyriaQuery.submit(conn, text, mode="materialized")
+                queries.append((
+                    band_query(self.plan, bounds[i], bounds[i + 1], px_lo, px_hi),
+                    band_keys,
+                ))
+            mode = "materialized"
+        else:
+            queries = [(pipeline_query(self.plan), None)]
+
+        coadds = {}
+        sources = {}
+        # What no statement claims -- query submit, collect -- is the
+        # coordinator's overhead.
+        with conn.cluster.obs.provenance(PSEUDO_OVERHEAD):
+            for emitted, band_keys in queries:
+                if band_keys is not None:
+                    conn.register_s3_relation(
+                        "Exposures", bucket, EXPOSURES_COLUMNS, _loader,
+                        keys=band_keys,
+                    )
+                query = emitted.submit(conn, mode=mode)
                 for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
                     coadds[(patch_y, patch_x)] = coadd_img
                 for patch_y, patch_x, srcs in query.relation("Sources").rows:
                     sources[(patch_y, patch_x)] = srcs
-            return coadds, sources
-
-        query = MyriaQuery.submit(conn, pipeline_query(self.plan), mode=mode)
-        for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
-            coadds[(patch_y, patch_x)] = coadd_img
-        for patch_y, patch_x, srcs in query.relation("Sources").rows:
-            sources[(patch_y, patch_x)] = srcs
         return coadds, sources
 
     # -- step protocol -------------------------------------------------
@@ -295,7 +278,8 @@ class LoweredAstro(LoweredPlan):
         self.ingest()
         first = visits[0].exposures[0]
         self.register_udfs(visits, ref.default_patch_grid(first.shape))
-        MyriaQuery.submit(self.conn, patch_query(self.plan))
+        patch_query(self.plan).submit(self.conn)
 
     def _step_coadd(self):
-        MyriaQuery.submit(self.conn, coadd_query(self.plan))
+        # Bare text: ``run_op``'s scope owns the whole window.
+        MyriaQuery.submit(self.conn, coadd_query(self.plan).text)

@@ -7,8 +7,10 @@ query then computes the rest of the pipeline starting from a broadcast
 join between the data and the mask."
 
 Lowering contract notes: MyriaL text is *emitted* from the logical plan
-by the ``*_query`` functions.  The lowering makes three engine-specific
-structural choices the paper documents:
+by the ``*_query`` functions, each statement next to the plan ops it
+realises (:class:`~repro.engines.myria.connection.PlanQuery`).  The
+lowering makes three engine-specific structural choices the paper
+documents:
 
 * ``mean_b0`` + ``otsu`` fuse into one ``UDA(MeanOtsu, ...)`` (query 1);
 * ``regroup`` + ``fitmodel`` fuse into one ``UDA(FitModel, ...)``
@@ -24,7 +26,7 @@ from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import median_otsu
 from repro.data.catalog import NEURO_VOLUME_SHAPE
 from repro.engines.base import LoweredPlan, udf
-from repro.engines.myria.connection import MyriaQuery
+from repro.engines.myria.connection import MyriaQuery, PlanQuery
 from repro.engines.myria.relation import Relation
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
@@ -33,14 +35,10 @@ from repro.pipelines.neuro.staging import (
     charge_nifti_conversion,
     gradient_tables,
 )
-from repro.plan.ir import provenance_id
+from repro.plan.ir import PSEUDO_OVERHEAD
 from repro.plan.neuro import neuro_plan
 
 IMAGES_COLUMNS = ("subjId", "imgId", "b0flag", "img")
-
-
-def _lines(*parts):
-    return "\n".join(("",) + parts + ("",))
 
 
 _SCAN_IMAGES = "T1 = SCAN(Images);"
@@ -53,7 +51,7 @@ def _b0_select(plan, columns):
     if op.kind != "filter" or op.param("predicate") != "is_b0":
         raise NotImplementedError(f"myria lowering: unexpected filter {op}")
     cols = ", ".join("T1." + c for c in columns)
-    return f"B0 = [SELECT {cols} FROM T1 WHERE T1.b0flag = 1];"
+    return ("b0",), f"B0 = [SELECT {cols} FROM T1 WHERE T1.b0flag = 1];"
 
 
 def mask_query(plan):
@@ -64,17 +62,20 @@ def mask_query(plan):
                         ("masks", "materialize")):
         if plan.member(op_id).kind != kind:
             raise NotImplementedError(f"myria lowering: missing {op_id}")
-    return _lines(
+    return PlanQuery(
+        plan,
         _SCAN_IMAGES,
         _b0_select(plan, ("subjId", "img")),
-        "Masks = [FROM B0 EMIT B0.subjId, UDA(MeanOtsu, B0.img) AS mask];",
+        (("mean_b0", "otsu"),
+         "Masks = [FROM B0 EMIT B0.subjId, UDA(MeanOtsu, B0.img) AS mask];"),
         "STORE(Masks, Mask);",
     )
 
 
 def filter_query(plan):
     """Figure 12a's step: just the ``b0`` selection."""
-    return _lines(
+    return PlanQuery(
+        plan,
         _SCAN_IMAGES,
         _b0_select(plan, ("subjId", "imgId", "img")),
     )
@@ -84,10 +85,12 @@ def mean_query(plan):
     """Figure 12b's step: ``b0 -> mean_b0`` as ``UDA(MeanVol)``."""
     if plan.member("mean_b0").param("agg") != "mean_volume":
         raise NotImplementedError("myria lowering: unexpected mean agg")
-    return _lines(
+    return PlanQuery(
+        plan,
         _SCAN_IMAGES,
         _b0_select(plan, ("subjId", "img")),
-        "Means = [FROM B0 EMIT B0.subjId, UDA(MeanVol, B0.img) AS mean];",
+        (("mean_b0",),
+         "Means = [FROM B0 EMIT B0.subjId, UDA(MeanVol, B0.img) AS mean];"),
     )
 
 
@@ -99,17 +102,19 @@ def _denoise_statements(plan):
     return (
         _SCAN_IMAGES,
         "T2 = SCAN(Mask);",
-        "Joined = [SELECT T1.subjId, T1.imgId, T1.img, T2.mask",
-        "          FROM T1, BROADCAST(T2)",
-        "          WHERE T1.subjId = T2.subjId];",
-        "Denoised = [FROM Joined EMIT PYUDF(Denoise, Joined.img, Joined.mask) AS img,",
-        "            Joined.subjId, Joined.imgId];",
+        (("mask_bcast",),
+         "Joined = [SELECT T1.subjId, T1.imgId, T1.img, T2.mask",
+         "          FROM T1, BROADCAST(T2)",
+         "          WHERE T1.subjId = T2.subjId];"),
+        (("denoise",),
+         "Denoised = [FROM Joined EMIT PYUDF(Denoise, Joined.img, Joined.mask) AS img,",
+         "            Joined.subjId, Joined.imgId];"),
     )
 
 
 def denoise_query(plan):
     """Figure 12c's step: ``mask_bcast -> denoise`` and nothing after."""
-    return _lines(*_denoise_statements(plan))
+    return PlanQuery(plan, *_denoise_statements(plan))
 
 
 def pipeline_query(plan):
@@ -117,20 +122,23 @@ def pipeline_query(plan):
     the broadcast join."""
     if plan.member("regroup").param("key") != ("subject", "block"):
         raise NotImplementedError("myria lowering: unexpected regroup key")
-    return _lines(
+    return PlanQuery(
+        plan,
         *_denoise_statements(plan),
-        "Blocks = [FROM Denoised EMIT",
-        "          UNNEST(PYUDF(Repart, Denoised.img)) AS (blockId, imgId, block),",
-        "          Denoised.subjId];",
-        "Fitted = [FROM Blocks EMIT Blocks.subjId, Blocks.blockId,",
-        "          UDA(FitModel, Blocks.block, Blocks.imgId) AS fa];",
+        (("repart",),
+         "Blocks = [FROM Denoised EMIT",
+         "          UNNEST(PYUDF(Repart, Denoised.img)) AS (blockId, imgId, block),",
+         "          Denoised.subjId];"),
+        (("regroup", "fitmodel"),
+         "Fitted = [FROM Blocks EMIT Blocks.subjId, Blocks.blockId,",
+         "          UDA(FitModel, Blocks.block, Blocks.imgId) AS fa];"),
     )
 
 
-MASK_QUERY = mask_query(neuro_plan())
-FILTER_QUERY = filter_query(neuro_plan())
-MEAN_QUERY = mean_query(neuro_plan())
-PIPELINE_QUERY = pipeline_query(neuro_plan())
+MASK_QUERY = mask_query(neuro_plan()).text
+FILTER_QUERY = filter_query(neuro_plan()).text
+MEAN_QUERY = mean_query(neuro_plan()).text
+PIPELINE_QUERY = pipeline_query(neuro_plan()).text
 
 
 def make_loader(subjects):
@@ -177,40 +185,6 @@ class LoweredNeuro(LoweredPlan):
         #: connections in one process never see each other's masks.
         self.masks = {}
 
-    def declare_provenance(self):
-        """Declare the span/category -> logical-op maps for attribution.
-
-        Myria work is observed through statement and shuffle spans
-        rather than per-task stamps, so the lowering publishes how those
-        spans map back to plan ops: fused statements attribute to the
-        *last* op in the fused chain (``Masks`` = mean_b0+otsu -> otsu,
-        ``Fitted`` = regroup+fitmodel -> fitmodel) while the shuffle
-        feeding a fused UDA belongs to the ``group_by`` op itself.
-        """
-        def pid(op_id):
-            return provenance_id(self.plan.name, op_id)
-
-        self.conn.cluster.obs.declare_provenance(
-            spans={
-                "myria-insert-Images": pid("volumes"),
-                "myria-T1": pid("volumes"),
-                "myria-B0": pid("b0"),
-                "myria-Masks": pid("otsu"),
-                "myria-Means": pid("mean_b0"),
-                "myria-T2": pid("mask_bcast"),
-                "myria-Joined": pid("mask_bcast"),
-                "myria-Denoised": pid("denoise"),
-                "myria-Blocks": pid("repart"),
-                "myria-Fitted": pid("fitmodel"),
-                "myria-shuffle-groupby-Masks": pid("mean_b0"),
-                "myria-shuffle-groupby-Fitted": pid("regroup"),
-            },
-            categories={
-                "myria-ingest": pid("volumes"),
-                "myria-scan": pid("volumes"),
-            },
-        )
-
     def ingest(self, subjects):
         """Ingest staged volumes into the ``Images`` relation.
 
@@ -221,7 +195,7 @@ class LoweredNeuro(LoweredPlan):
         """
         return self.conn.ingest_s3(
             "Images", self.bucket, IMAGES_COLUMNS, make_loader(subjects),
-            partition_column="subjId",
+            partition_column="subjId", op=self.plan.provenance("volumes"),
         )
 
     def register_s3(self, subjects):
@@ -299,7 +273,6 @@ class LoweredNeuro(LoweredPlan):
             elements = blocks[0].nominal_elements * len(blocks)
             return elements * mask_fraction * cm.dtm_fit_per_voxel_sample
 
-        self.declare_provenance()
         conn.create_function("MeanOtsu", udf(mean_otsu_uda, cost=mean_otsu_cost))
         conn.create_function("MeanVol", udf(mean_vol_uda, cost=mean_vol_cost))
         conn.create_function(
@@ -310,7 +283,7 @@ class LoweredNeuro(LoweredPlan):
 
     def compute_masks(self, mode):
         """Query 1: per-subject masks; stores the Mask relation."""
-        query = MyriaQuery.submit(self.conn, mask_query(self.plan), mode=mode)
+        query = mask_query(self.plan).submit(self.conn, mode=mode)
         self.masks.clear()
         for subj, mask in query.relation("Masks").rows:
             self.masks[subj] = mask.array.astype(bool)
@@ -332,15 +305,17 @@ class LoweredNeuro(LoweredPlan):
         else:
             raise ValueError(f"unknown source {source!r}")
         self.register_udfs(subjects)
-        masks = self.compute_masks(mode)
-        self.register_udfs(
-            subjects, mask_fraction=common.mean_masked_fraction(masks)
-        )
-
-        query = MyriaQuery.submit(
-            self.conn, pipeline_query(self.plan), mode=mode, chunks=chunks
-        )
-        fitted = query.relation("Fitted")
+        # What no statement claims -- query submit, STORE, collect -- is
+        # the coordinator's overhead.
+        with self.conn.cluster.obs.provenance(PSEUDO_OVERHEAD):
+            masks = self.compute_masks(mode)
+            self.register_udfs(
+                subjects, mask_fraction=common.mean_masked_fraction(masks)
+            )
+            query = pipeline_query(self.plan).submit(
+                self.conn, mode=mode, chunks=chunks
+            )
+            fitted = query.relation("Fitted")
         fa_by_subject = {}
         for subj, block_id, fa_block in fitted.rows:
             fa_by_subject.setdefault(subj, {})[block_id] = fa_block
@@ -386,15 +361,22 @@ class LoweredNeuro(LoweredPlan):
             )
             for sid, mask in masks.items()
         ]
+        # Input staging like the volume ingest beside it, so charged to
+        # the scan as well.
         self.conn.ingest_relation(
-            Relation.from_rows("Mask", ("subjId", "mask"), mask_rows), "subjId"
+            Relation.from_rows("Mask", ("subjId", "mask"), mask_rows), "subjId",
+            op=self.plan.provenance("volumes"),
         )
 
+    # A step submits bare text: the measured op's scope, opened by
+    # ``run_op``, owns the whole window -- ``T1 = SCAN`` and the
+    # ``Joined`` broadcast join included.
+
     def _step_b0(self):
-        MyriaQuery.submit(self.conn, filter_query(self.plan))
+        MyriaQuery.submit(self.conn, filter_query(self.plan).text)
 
     def _step_mean_b0(self):
-        MyriaQuery.submit(self.conn, mean_query(self.plan))
+        MyriaQuery.submit(self.conn, mean_query(self.plan).text)
 
     def _step_denoise(self):
-        MyriaQuery.submit(self.conn, denoise_query(self.plan))
+        MyriaQuery.submit(self.conn, denoise_query(self.plan).text)

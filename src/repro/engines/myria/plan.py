@@ -42,6 +42,7 @@ from repro.engines.myria.operators import (
 )
 from repro.engines.myria.relation import Schema
 from repro.engines.myria.storage import ShardedRelation, WorkerStorage
+from repro.obs.spans import PSEUDO_RECOVERY
 
 EXECUTION_MODES = ("pipelined", "materialized", "chunked")
 
@@ -146,6 +147,7 @@ class MyriaServer:
         self.udfs = _make_builtin_udfs()
         self._resident = []  # (node, alloc_id) pinned during a query
         self._stored_this_query = []  # tables STOREd by the running attempt
+        self._ops = {}  # statement name -> plan ops, for the running query
         # A worker crash aborts the running statement; the coordinator
         # resubmits the whole query once the node rejoins (Section 2).
         cluster.install_recovery(abort_recovery("myria-restart"))
@@ -202,7 +204,7 @@ class MyriaServer:
             storage.create_table(name, schema)
         return sharded
 
-    def insert_relation(self, relation, partition_column):
+    def insert_relation(self, relation, partition_column, op=None):
         """Insert a driver-side relation, hash-partitioned (used by tests
         and small metadata tables)."""
         sharded = self.create_relation(
@@ -229,6 +231,7 @@ class MyriaServer:
                     duration=duration,
                     node=self.worker_node(worker),
                     category="myria-ingest",
+                    op=op,
                 )
             )
         with self.cluster.obs.span(
@@ -246,9 +249,15 @@ class MyriaServer:
     #: query once the node rejoins.
     MAX_QUERY_RESTARTS = 3
 
-    def execute(self, program, mode="pipelined", chunks=1):
+    def execute(self, program, mode="pipelined", chunks=1, ops=None):
         """Run a parsed program; returns ``{name: Intermediate}`` for
         every assignment plus stored relations in the catalog.
+
+        ``ops`` names the plan ops each statement realises (see
+        :class:`~repro.engines.myria.connection.PlanQuery`): the
+        statement's provenance scope opens with its span.  Whatever it
+        leaves unnamed -- the submit charge, ``STORE`` -- is recorded
+        under the caller's scope.
 
         A worker-node crash aborts the running statement; the
         coordinator rolls back relations stored by the aborted attempt,
@@ -261,6 +270,7 @@ class MyriaServer:
             raise ValueError("chunked mode requires chunks >= 2")
         if mode != "chunked":
             chunks = 1
+        self._ops = ops or {}
 
         with self.cluster.obs.span(
             "myria-query", category="myria", mode=mode, chunks=chunks,
@@ -314,6 +324,7 @@ class MyriaServer:
                 exc.recover_at - self.cluster.now,
                 label="Myria restart wait",
                 category="myria-restart",
+                op=PSEUDO_RECOVERY,
             )
         if self.cluster.obs.events:
             self.cluster.obs.events.emit(
@@ -380,7 +391,10 @@ class MyriaServer:
     # -- query body -------------------------------------------------------
 
     def _run_query(self, name, query, env, mode, chunk):
-        with self.cluster.obs.span(f"myria-{name}", category="myria"):
+        obs = self.cluster.obs
+        # A fused statement's own tasks belong to the last op it realises.
+        op = self._ops.get(name, (None,))[-1]
+        with obs.span(f"myria-{name}", category="myria"), obs.provenance(op):
             return self._run_query_inner(name, query, env, mode, chunk)
 
     def _run_query_inner(self, name, query, env, mode, chunk):
@@ -636,9 +650,11 @@ class MyriaServer:
 
     # -- shuffle ---------------------------------------------------------
 
-    def _shuffle(self, shards, key_indices, label):
+    def _shuffle(self, shards, key_indices, label, op=None):
         """Hash-repartition shards by key; charges network + (de)serialization."""
-        with self.cluster.obs.span(f"myria-shuffle-{label}", category="myria"):
+        obs = self.cluster.obs
+        with obs.span(f"myria-shuffle-{label}", category="myria"), \
+                obs.provenance(op):
             return self._shuffle_inner(shards, key_indices, label)
 
     def _shuffle_inner(self, shards, key_indices, label):
@@ -754,7 +770,11 @@ class MyriaServer:
             pre_shards.append(out)
 
         key_indices = list(range(len(key_emits)))
-        shuffled = self._shuffle(pre_shards, key_indices, f"groupby-{name}")
+        # ... and the shuffle feeding its UDA to the first, the group_by.
+        shuffled = self._shuffle(
+            pre_shards, key_indices, f"groupby-{name}",
+            op=self._ops.get(name, (None,))[0],
+        )
 
         out_columns = self._output_columns(query)
         cm = self.cluster.cost_model

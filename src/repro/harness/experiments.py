@@ -28,6 +28,7 @@ from repro.pipelines.astro.staging import stage_visits
 from repro.pipelines.neuro.reference import reference_masks
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import (
+    PSEUDO_RECOVERY,
     astro_plan,
     choose_engine,
     fragments,
@@ -963,6 +964,7 @@ def _f16_wait_for_reboot(cluster, kind, exc):
             exc.recover_at - cluster.now,
             label="wait for node reboot",
             category="recovery-wait",
+            op=PSEUDO_RECOVERY,
         )
     if cluster.obs.events:
         cluster.obs.events.emit(

@@ -34,7 +34,6 @@ from repro.obs.attribution import (
     attribute_critical_path,
     format_attribution,
     format_op_table,
-    is_recovery_category,
     op_table,
     op_totals,
     resolve_segment_op,
@@ -162,7 +161,6 @@ __all__ = [
     "format_op_table",
     "format_opt_comparison",
     "group_of",
-    "is_recovery_category",
     "load_snapshot",
     "node_utilization_rows",
     "op_table",

@@ -8,19 +8,18 @@ workload is defined exactly once -- so per-op cost is comparable
 op-for-op across all five systems (the paper's Table 1 comparison made
 quantitative).
 
-Each segment resolves to a provenance id through a fixed order:
+A record's op is the stamp it got when it was recorded -- an explicit
+``op=`` on the ``Task`` / ``charge_master`` / ``CostedFunction``, or the
+ambient ``obs.provenance(...)`` scope ``record_task`` read -- so the fold
+looks nothing up.  A segment resolves to:
 
-1. the explicit ``op`` its task record carries (stamped by the lowering
-   on the task, a costed function, or an ambient
-   ``obs.provenance(...)`` scope);
-2. the span chain the record ran under, innermost first -- a span's
-   ``plan_op`` attribute or the lowering-declared span-name map;
-3. the lowering-declared category map (exact match, then declared
-   prefixes);
-4. a pseudo-op: ``@recovery`` for failure-recovery work and waits,
-   ``@idle`` for uncovered gaps, ``@overhead`` for everything an
-   engine does that implements no logical op (startup, coordinator
-   bookkeeping, scheduler waits).
+1. ``@idle`` when no record covers it (gaps between ``cluster.run``
+   calls that no coordinator charge covers);
+2. ``@recovery`` when it is a ``recovery-wait`` (the ready->start gap of
+   a retried attempt: failure detection plus backoff);
+3. the ``op`` its record carries -- a plan op, or the ``@overhead`` /
+   ``@recovery`` a lowering, the executor or the harness wrote out;
+4. ``@overhead`` for a record nobody stamped (hand-built tasks).
 
 Pseudo-ops keep the tiling invariant: attributed op costs tile the
 makespan exactly and fractions sum to 1, property-tested like
@@ -30,20 +29,10 @@ makespan exactly and fractions sum to 1, property-tested like
 from collections import defaultdict
 
 from repro.obs.critical_path import compute_critical_path
-from repro.plan.ir import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
-
-#: Category suffixes that mark failure-recovery work in any engine
-#: (``spark-recompute``, ``dask-recompute``, ``myria-restart``,
-#: ``tf-rerun``, ``scidb-rerun``).
-_RECOVERY_SUFFIXES = ("-recompute", "-restart", "-rerun")
+from repro.obs.spans import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
 
 
-def is_recovery_category(category):
-    """True when a physical blame category is failure-recovery work."""
-    return bool(category) and category.endswith(_RECOVERY_SUFFIXES)
-
-
-def resolve_segment_op(segment, record, span_map=None, category_map=None):
+def resolve_segment_op(segment, record):
     """Provenance id of one critical-path segment (never ``None``)."""
     if record is None:
         return PSEUDO_IDLE
@@ -51,24 +40,6 @@ def resolve_segment_op(segment, record, span_map=None, category_map=None):
         return PSEUDO_RECOVERY
     if record.op is not None:
         return record.op
-    span_map = span_map or {}
-    span = record.span
-    while span is not None:
-        op = span.attrs.get("plan_op") or span_map.get(span.name)
-        if op is not None:
-            return op
-        span = span.parent
-    category = segment.category if segment is not None else record.category
-    if category:
-        category_map = category_map or {}
-        op = category_map.get(category)
-        if op is not None:
-            return op
-        for prefix, mapped in category_map.items():
-            if category.startswith(prefix):
-                return mapped
-        if is_recovery_category(category):
-            return PSEUDO_RECOVERY
     return PSEUDO_OVERHEAD
 
 
@@ -79,15 +50,11 @@ def attribute_critical_path(cluster, path=None):
     largest-first.  The rows tile the makespan exactly: seconds sum to
     the makespan and fractions sum to 1 (pseudo-ops included).
     """
-    obs = getattr(cluster, "obs", None)
-    span_map = dict(obs.provenance_spans) if obs is not None else {}
-    category_map = dict(obs.provenance_categories) if obs is not None else {}
     if path is None:
         path = compute_critical_path(cluster)
     totals = defaultdict(float)
     for segment in path.segments:
-        record = path.record_for(segment)
-        op = resolve_segment_op(segment, record, span_map, category_map)
+        op = resolve_segment_op(segment, path.record_for(segment))
         totals[(op, segment.kind)] += segment.duration
     makespan = path.makespan or 1.0
     rows = [

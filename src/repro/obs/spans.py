@@ -16,6 +16,17 @@ from contextlib import contextmanager
 
 from repro.obs.events import SpanClosed, SpanOpened
 
+#: Pseudo-ops a record is stamped with when its work implements no
+#: logical operator.  Real provenance ids are ``"<plan>/<op_id>"``
+#: (``repro.plan.ir.provenance_id``); the ``@`` prefix keeps these
+#: disjoint.  They live here, below both ``repro.plan`` and
+#: ``repro.cluster``, so either can stamp them; ``repro.plan.ir``
+#: re-exports them.
+PSEUDO_OVERHEAD = "@overhead"
+PSEUDO_RECOVERY = "@recovery"
+PSEUDO_IDLE = "@idle"
+PSEUDO_OPS = (PSEUDO_OVERHEAD, PSEUDO_RECOVERY, PSEUDO_IDLE)
+
 
 class Span:
     """One named extent of simulated time, with a parent link."""
@@ -184,12 +195,8 @@ class Observability:
         self.events = EventBus()
         self.spans = SpanStore()
         self.task_records = []
-        # Plane-1 provenance state: the ambient logical-op scope stack
-        # plus the lowering's declared span-name/category -> op maps
-        # (consumed by repro.obs.attribution).
+        # Plane-1 provenance state: the ambient logical-op scope stack.
         self._provenance_stack = []
-        self.provenance_spans = {}
-        self.provenance_categories = {}
 
     @contextmanager
     def span(self, name, category=None, **attrs):
@@ -229,7 +236,10 @@ class Observability:
     @contextmanager
     def provenance(self, op):
         """Attribute every task recorded inside the block to logical
-        ``op`` (unless the record carries its own explicit op)."""
+        ``op`` (unless the record carries its own explicit op).
+        ``None`` keeps the enclosing scope."""
+        if op is None:
+            op = self.current_provenance()
         self._provenance_stack.append(op)
         try:
             yield
@@ -240,20 +250,7 @@ class Observability:
         """The innermost ambient provenance id, or ``None``."""
         return self._provenance_stack[-1] if self._provenance_stack else None
 
-    def declare_provenance(self, spans=None, categories=None):
-        """Merge lowering-declared span-name -> op and category -> op
-        maps, used by the attribution fold for tasks whose records do
-        not carry an explicit op."""
-        if spans:
-            self.provenance_spans.update(spans)
-        if categories:
-            self.provenance_categories.update(categories)
-
     def reset(self):
-        """Drop spans and records (used by ``cluster.reset_clock``).
-
-        Provenance declarations survive a reset: they describe the
-        lowering, not one run.
-        """
+        """Drop spans and records (used by ``cluster.reset_clock``)."""
         self.spans.clear()
         self.task_records.clear()

@@ -30,6 +30,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+# Re-exported: the pseudo-ops for physical work that maps to no logical
+# operator are defined below ``repro.cluster``, which stamps one too.
+from repro.obs.spans import (  # noqa: F401
+    PSEUDO_IDLE,
+    PSEUDO_OPS,
+    PSEUDO_OVERHEAD,
+    PSEUDO_RECOVERY,
+)
+
 OP_KINDS = (
     "scan",
     "filter",
@@ -40,14 +49,6 @@ OP_KINDS = (
     "broadcast",
     "materialize",
 )
-
-#: Pseudo-ops used by the attribution fold for physical work that maps
-#: to no logical operator.  Real provenance ids are ``"<plan>/<op_id>"``
-#: (see :func:`provenance_id`); the ``@`` prefix keeps these disjoint.
-PSEUDO_OVERHEAD = "@overhead"
-PSEUDO_RECOVERY = "@recovery"
-PSEUDO_IDLE = "@idle"
-PSEUDO_OPS = (PSEUDO_OVERHEAD, PSEUDO_RECOVERY, PSEUDO_IDLE)
 
 
 def _fingerprint_canon(obj):

@@ -107,7 +107,6 @@ def test_myria_masks_belong_to_their_connection():
     import numpy as np
 
     from repro.data import generate_subject
-    from repro.engines.myria.connection import MyriaQuery
     from repro.engines.myria.lowering.neuro import pipeline_query
 
     def cohort(seed):
@@ -124,7 +123,7 @@ def test_myria_masks_belong_to_their_connection():
         return low.compute_masks("pipelined")
 
     def fit_query(low):
-        query = MyriaQuery.submit(low.conn, pipeline_query(low.plan))
+        query = pipeline_query(low.plan).submit(low.conn)
         return {
             (subj, block): fa.array
             for subj, block, fa in query.relation("Fitted").rows

@@ -100,11 +100,7 @@ def test_measured_op_owns_its_window(figure, system, monkeypatch):
     share = defaultdict(float)
     for segment in path.segments:
         if segment.start >= start - 1e-9:
-            op = resolve_segment_op(
-                segment, path.record_for(segment),
-                cluster.obs.provenance_spans,
-                cluster.obs.provenance_categories,
-            )
+            op = resolve_segment_op(segment, path.record_for(segment))
             share[op] += segment.duration
     assert sum(share.values()) == pytest.approx(cluster.now - start)
     if (figure, system) not in RIDERS:

@@ -1,5 +1,5 @@
-"""Logical-op attribution: unit resolution order + the cross-engine
-golden table.
+"""Logical-op attribution: the resolver's four outcomes + the
+cross-engine golden table.
 
 The golden test is the tentpole acceptance check: every engine's
 lowered quick neuro run must attribute every critical-path segment to a
@@ -18,7 +18,6 @@ from repro.obs.attribution import (
     attribute_critical_path,
     format_attribution,
     format_op_table,
-    is_recovery_category,
     op_table,
     op_totals,
     resolve_segment_op,
@@ -28,7 +27,7 @@ from repro.plan.ir import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
 
 
 # ----------------------------------------------------------------------
-# Resolution order (unit)
+# The four outcomes (unit): @idle, recovery-wait, the stamp, @overhead
 # ----------------------------------------------------------------------
 
 class _Span:
@@ -62,47 +61,20 @@ def test_recovery_wait_beats_explicit_op():
 
 
 def test_explicit_record_op_wins():
-    record = _Record(op="neuro/denoise", span=_Span("s", {"plan_op": "x"}))
+    record = _Record(op="neuro/denoise", span=_Span("s", {"plan_op": "x"}),
+                     category="spark-recompute")
     assert resolve_segment_op(_Segment(), record) == "neuro/denoise"
 
 
-def test_span_chain_inner_attr_then_outer_map():
-    outer = _Span("myria-Denoised")
-    inner = _Span("inner", parent=outer)
-    record = _Record(span=inner)
-    span_map = {"myria-Denoised": "neuro/denoise"}
-    assert resolve_segment_op(_Segment(), record, span_map) == "neuro/denoise"
-    # An inner plan_op attr shadows the outer declared name.
-    inner.attrs["plan_op"] = "neuro/repart"
-    assert resolve_segment_op(_Segment(), record, span_map) == "neuro/repart"
-
-
-def test_category_map_exact_then_prefix():
-    record = _Record(category="myria-ingest")
-    segment = _Segment(category="myria-ingest")
-    category_map = {"myria-ingest": "neuro/volumes"}
-    assert (
-        resolve_segment_op(segment, record, None, category_map)
-        == "neuro/volumes"
-    )
-    prefixed = _Segment(category="myria-ingest-csv")
-    assert (
-        resolve_segment_op(prefixed, record, None, category_map)
-        == "neuro/volumes"
-    )
-
-
 def test_recovery_category_and_overhead_fallback():
-    record = _Record(category="spark-recompute")
+    """Nothing is looked up: an unstamped record is ``@overhead``
+    whatever its span chain or its category would once have said."""
+    inner = _Span("inner", {"plan_op": "neuro/repart"},
+                  parent=_Span("myria-Denoised"))
+    record = _Record(span=inner, category="spark-recompute")
     segment = _Segment(category="spark-recompute")
-    assert resolve_segment_op(segment, record) == PSEUDO_RECOVERY
-    assert is_recovery_category("myria-restart")
-    assert not is_recovery_category("myria-scan")
-    plain = _Record(category="spark-startup")
-    assert (
-        resolve_segment_op(_Segment(category="spark-startup"), plain)
-        == PSEUDO_OVERHEAD
-    )
+    assert resolve_segment_op(segment, record) == PSEUDO_OVERHEAD
+    assert resolve_segment_op(_Segment(), _Record()) == PSEUDO_OVERHEAD
 
 
 def test_unattributed_cluster_tiles_with_pseudo_ops():

@@ -102,8 +102,8 @@ def test_fragment_lowered_myrial_byte_identical():
         mean_query,
     )
 
-    assert filter_query(neuro_filter_fragment()) == FILTER_QUERY
-    assert mean_query(neuro_mean_fragment()) == MEAN_QUERY
+    assert filter_query(neuro_filter_fragment()).text == FILTER_QUERY
+    assert mean_query(neuro_mean_fragment()).text == MEAN_QUERY
 
 
 # ----------------------------------------------------------------------
