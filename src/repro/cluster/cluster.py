@@ -9,7 +9,6 @@ clock are all handled here, so that engines only need to express the
 """
 
 import heapq
-from bisect import insort
 
 from repro.cluster.clock import VirtualClock
 from repro.cluster.costs import DEFAULT_COST_MODEL
@@ -24,6 +23,7 @@ from repro.cluster.faults import RecoveryPolicy
 from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import NetworkModel
 from repro.cluster.objectstore import ObjectStore
+from repro.cluster.ready import ReadySet
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task, TaskResult
 from repro.obs.spans import PSEUDO_RECOVERY, Observability
@@ -39,69 +39,13 @@ from repro.obs.events import (
 )
 
 
-class AdmissionQueue:
-    """Tasks eligible to start, kept permanently sorted by ``task_id``.
-
-    The executor used to keep a plain ``ready`` list and re-sort it
-    after every completion, retry and requeue (three copies of the same
-    ``append`` + ``sort`` idiom, O(n log n) per event).  This queue is
-    the one admission path: it maintains the sorted invariant
-    incrementally -- single admissions are binary insertions, batches
-    are sort-then-merge -- so a scan can hand the backing list out
-    wholesale and iteration order is exactly the old fully-sorted
-    order.  Memory-deferred (OOM-wait) tasks re-enter through the same
-    queue, so they compete with newly-ready tasks in plain task-id
-    order instead of being prepended ahead of tasks with smaller ids.
-
-    Entries are ``(task_id, task)`` pairs; ids are unique, so tuple
-    comparison never reaches the task object.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries = []
-
-    def __bool__(self):
-        return bool(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def clear(self):
-        """Drop every entry (schedule rebuilds start from scratch)."""
-        del self._entries[:]
-
-    def admit(self, task):
-        """Insert one task, preserving task-id order."""
-        insort(self._entries, (task.task_id, task))
-
-    def admit_all(self, tasks):
-        """Insert a batch: sort the newcomers once, then linear-merge."""
-        new = sorted((t.task_id, t) for t in tasks)
-        if not new:
-            return
-        if self._entries:
-            self._entries = list(heapq.merge(self._entries, new))
-        else:
-            self._entries = new
-
-    def take(self):
-        """Remove and return every entry, in task-id order."""
-        entries = self._entries
-        self._entries = []
-        return entries
-
-    def put_back(self, entries):
-        """Restore (still-sorted) entries a scan did not consume."""
-        if self._entries:
-            self._entries = list(heapq.merge(entries, self._entries))
-        else:
-            self._entries = entries
-
-    def first(self):
-        """The lowest-id task (error reporting)."""
-        return self._entries[0][1]
+def _deadlock(blocked):
+    """The error for a run that cannot go on, blamed on ``blocked``."""
+    return TaskFailedError(
+        blocked.name,
+        RuntimeError("deadlock: task cannot start (insufficient memory or slots)"),
+        category=blocked.category,
+    )
 
 
 class Node:
@@ -318,8 +262,8 @@ class SimulatedCluster:
 
         waiting_deps = {}
         dependents = {}
-        ready = AdmissionQueue()
-        events = []  # heap of (time, tiebreak, kind, payload)
+        ready = ReadySet()
+        events = []  # heap of (time, tiebreak, seq, kind, payload)
         run_results = {}
         oom_waiting = []
         timers_set = set()
@@ -330,6 +274,21 @@ class SimulatedCluster:
         #: the only-fault-events-left check is O(1) per event instead
         #: of a scan of the whole heap.
         heap_faults = [0]
+
+        def admit(tasks):
+            """``tasks`` join the ready set, in id order.
+
+            One that sleeps behind its ``not_before`` floor gets a
+            single timer event to wake the loop at that time, however
+            often a crash rebuilds the set around it.
+            """
+            now = self.now
+            for task in sorted(tasks, key=lambda t: t.task_id):
+                if ready.add(task, now) and task.task_id not in timers_set:
+                    timers_set.add(task.task_id)
+                    self._push_event(
+                        events, task.not_before, task.task_id, "timer", None
+                    )
 
         def rebuild_schedule(time):
             """(Re)derive readiness state from ``pending``.
@@ -390,8 +349,7 @@ class SimulatedCluster:
                     info["ready"] = time
                 if not open_deps:
                     runnable.append(task)
-            # FIFO by task id keeps scheduling deterministic.
-            ready.admit_all(runnable)
+            admit(runnable)
 
         def fire_crash(crash, time):
             """Kill a node: wipe its state, then recover per policy."""
@@ -507,52 +465,39 @@ class SimulatedCluster:
             rebuild_schedule(time)
 
         def start_candidates():
-            entries = ready.take()
-            if not entries:
+            if not ready:
                 return
-            # Free slots across usable nodes: once this hits zero no
-            # further placement can succeed, so the remaining ready
-            # tasks skip their O(nodes) placement scans entirely.
+            nodes = self.nodes
+            blacklisted = self._blacklisted
+            # Free slots across usable nodes: once this hits zero only
+            # stale pins are still looked at.
             free = 0
-            for node in self.nodes.values():
-                if node.alive and node.name not in self._blacklisted:
-                    free += node.free_slots
+            for node in nodes.values():
+                if node.alive and node.name not in blacklisted:
+                    free += node.slots - node.busy_slots
+
+            def can_act(pin):
+                if pin is None:
+                    return free > 0
+                node = nodes.get(pin)
+                if node is None or not node.alive or pin in blacklisted:
+                    # A stale pin is shed (or surfaced) when its turn
+                    # comes, whether or not a slot is free.
+                    return True
+                return node.slots > node.busy_slots
+
             now = self.now
-            still_ready = []
-            for entry in entries:
-                task = entry[1]
-                if task.not_before > now:
-                    if task.task_id not in timers_set:
-                        timers_set.add(task.task_id)
-                        self._push_event(
-                            events, task.not_before, task.task_id, "timer", None
-                        )
-                    still_ready.append(entry)
-                    continue
-                if free <= 0:
-                    # Nothing can start, but a task pinned to a dead or
-                    # blacklisted node must still shed (or surface) its
-                    # stale pin exactly as _place would.
-                    if task.node is not None:
-                        pinned = self.node(task.node)
-                        if (not pinned.alive
-                                or pinned.name in self._blacklisted):
-                            if (self.recovery_policy.mode
-                                    == RecoveryPolicy.RECOMPUTE):
-                                task.node = None
-                            else:
-                                raise NodeCrashedError(
-                                    pinned.name, now,
-                                    recover_at=self._pending_recover.get(
-                                        pinned.name
-                                    ),
-                                )
-                    still_ready.append(entry)
-                    continue
-                node = self._place(task)
+            for task in ready.due(now, can_act):
+                node = None
+                if task.node is not None:
+                    node = self._pinned_node(task)
                 if node is None:
-                    still_ready.append(entry)
-                    continue
+                    if free <= 0:
+                        # Its stale pin was just shed and nothing is
+                        # free: it waits on as an unpinned task.
+                        ready.add(task, now)
+                        continue
+                    node = self._emptiest_node()
                 started = self._try_start(task, node, events)
                 if started is None:
                     # Memory admission deferred the task.
@@ -560,7 +505,6 @@ class SimulatedCluster:
                     oom_waiting.append(task)
                 else:
                     free -= 1
-            ready.put_back(still_ready)
 
         def check_progress_crashes(time):
             if self._faults is None or initial_total == 0:
@@ -596,11 +540,7 @@ class SimulatedCluster:
 
             start_candidates()
             if not events and (ready or oom_waiting):
-                blocked = ready.first() if ready else oom_waiting[0]
-                raise TaskFailedError(
-                    blocked.name,
-                    RuntimeError("no task could start: cluster has no usable slot"),
-                )
+                raise _deadlock(ready.first() if ready else oom_waiting[0])
 
             inflight = self._inflight
             advance_to = self.clock.advance_to
@@ -618,14 +558,7 @@ class SimulatedCluster:
                     ]
                     if not unfinished:
                         break
-                    raise TaskFailedError(
-                        unfinished[0].name,
-                        RuntimeError(
-                            "deadlock: task cannot start (insufficient"
-                            " memory or slots)"
-                        ),
-                        category=unfinished[0].category,
-                    )
+                    raise _deadlock(unfinished[0])
                 time, _tiebreak, _seq, kind, payload = heapq.heappop(events)
                 if kind in ("complete", "task-fail"):
                     key = (payload[0].task_id, payload[-1])
@@ -643,7 +576,10 @@ class SimulatedCluster:
                 elif kind == "recover":
                     self._revive(payload)
                 elif kind == "task-fail":
-                    self._handle_task_fail(payload, time, ready, timers_set)
+                    self._handle_task_fail(payload, time)
+                    # The retry sleeps behind a new, later floor.
+                    timers_set.discard(payload[0].task_id)
+                    admit([payload[0]])
                 elif kind == "complete":
                     task, node, alloc_id, value, _attempt = payload
                     inflight.pop(task.task_id, None)
@@ -686,25 +622,18 @@ class SimulatedCluster:
                             sched_info[child.task_id]["ready"] = time
                             newly_ready.append(child)
                     # Retry memory-deferred tasks now that memory may
-                    # have freed; they re-enter the admission queue in
-                    # plain task-id order alongside newly-ready tasks.
+                    # have freed; they re-enter the ready set in plain
+                    # task-id order alongside newly-ready tasks.
                     if oom_waiting:
                         newly_ready.extend(oom_waiting)
                         oom_waiting.clear()
                     if newly_ready:
-                        ready.admit_all(newly_ready)
+                        admit(newly_ready)
                     completions += 1
                     check_progress_crashes(time)
                 start_candidates()
                 if not events and (ready or oom_waiting):
-                    blocked = ready.first() if ready else oom_waiting[0]
-                    raise TaskFailedError(
-                        blocked.name,
-                        RuntimeError(
-                            "deadlock: task cannot start (insufficient memory or slots)"
-                        ),
-                        category=blocked.category,
-                    )
+                    raise _deadlock(ready.first() if ready else oom_waiting[0])
         except BaseException:
             # Whatever aborted the run, in-flight attempts must not
             # leak their slots or memory reservations.
@@ -717,8 +646,12 @@ class SimulatedCluster:
     # Internals
     # ------------------------------------------------------------------
 
-    def _handle_task_fail(self, payload, time, ready, timers_set):
-        """An injected transient failure was detected; retry or give up."""
+    def _handle_task_fail(self, payload, time):
+        """An injected transient failure was detected; retry or give up.
+
+        Returns with ``task.not_before`` raised by the backoff; the
+        caller puts the task back in the ready set.
+        """
         task, node, alloc_id, _end, _attempt = payload
         tid = task.task_id
         self._inflight.pop(tid, None)
@@ -753,10 +686,8 @@ class SimulatedCluster:
         if info is not None:
             info["ready"] = time
             info["retried"] = True
-        timers_set.discard(tid)
         if bus:
             bus.emit(TaskRetried(time, task.name, tid, node.name, attempts + 1))
-        ready.admit(task)
 
     def _collect(self, tasks):
         """Transitively gather the task set, keyed by id.
@@ -788,8 +719,8 @@ class SimulatedCluster:
             stack.extend(task.dependencies())
         return pending
 
-    def _place(self, task):
-        """Pick a node for ``task``; ``None`` when no slot is free.
+    def _pinned_node(self, task):
+        """The node ``task`` is pinned to, or ``None`` once a stale pin is shed.
 
         Dead and blacklisted nodes are never eligible.  A task pinned
         to one is silently unpinned under the "recompute" recovery
@@ -797,35 +728,39 @@ class SimulatedCluster:
         under "abort" the stranded pin surfaces as
         :class:`NodeCrashedError` so the engine can wait or restart.
         """
-        if task.node is not None:
-            node = self.node(task.node)
-            if not node.alive or node.name in self._blacklisted:
-                if self.recovery_policy.mode == RecoveryPolicy.RECOMPUTE:
-                    task.node = None
-                else:
-                    raise NodeCrashedError(
-                        node.name, self.now,
-                        recover_at=self._pending_recover.get(node.name),
-                    )
-            else:
-                return node if node.free_slots > 0 else None
+        node = self.node(task.node)
+        if node.alive and node.name not in self._blacklisted:
+            return node
+        if self.recovery_policy.mode != RecoveryPolicy.RECOMPUTE:
+            raise NodeCrashedError(
+                node.name, self.now,
+                recover_at=self._pending_recover.get(node.name),
+            )
+        task.node = None
+        return None
+
+    def _emptiest_node(self):
+        """The usable node with the most free slots, first in
+        ``node_order`` on ties; ``None`` when no slot is free."""
         best = None
+        most = 0
+        blacklisted = self._blacklisted
         for name in self.node_order:
             node = self.nodes[name]
-            if not node.alive or name in self._blacklisted:
-                continue
-            if node.free_slots <= 0:
-                continue
-            if best is None or node.free_slots > best.free_slots:
-                best = node
+            if node.alive and name not in blacklisted:
+                free = node.slots - node.busy_slots
+                if free > most:
+                    best, most = node, free
         return best
 
     def _try_start(self, task, node, events):
         """Begin executing ``task`` on ``node``.
 
-        Returns True on success, None when deferred by the "wait" OOM
-        policy, and raises for the "fail" policy.  (False is reserved
-        for future admission rules.)
+        Returns True once the task holds a slot, and None when the
+        "wait" OOM policy defers it (no slot taken, nothing allocated);
+        raises :class:`OutOfMemoryError` under the "fail" policy or when
+        the task can never fit, and :class:`TaskFailedError` when the
+        task body raises.
         """
         spill_bytes = 0
         alloc_id = None

@@ -25,6 +25,7 @@ sum to 1 by construction, and the path length (the extent segments only)
 can never exceed the makespan; for a pure chain DAG the two are equal.
 """
 
+from bisect import bisect_left
 from collections import defaultdict
 
 from repro.obs.breakdown import default_grouper, records_of
@@ -138,6 +139,57 @@ class CriticalPath:
         )
 
 
+class _Handover:
+    """Which record takes over when no dependency explains the frontier.
+
+    The choice is the record starting before the frontier whose extent
+    reaches closest to it: the maximum of ``(min(end, frontier), start,
+    name)``, the first in ``records`` order winning a full tie.  Records
+    are sorted once by ``(start, name)`` (stably, so ties keep
+    ``records`` order) next to a running maximum of ``(end, start,
+    name)``.  Those starting before the frontier are then a prefix found
+    by bisection.  If the prefix maximum ends short of the frontier,
+    every ``min`` is the record's own end and that maximum is the
+    answer; otherwise every record reaching the frontier ties on the
+    first key field, so the answer is the last of them in sort order,
+    a short walk down from the end of the prefix.
+    """
+
+    def __init__(self, records):
+        self._by_start = sorted(records, key=lambda r: (r.start, r.name))
+        self._starts = [r.start for r in self._by_start]
+        self._latest = []
+        latest = latest_key = None
+        for record in self._by_start:
+            key = (record.end, record.start, record.name)
+            if latest is None or key > latest_key:
+                latest, latest_key = record, key
+            self._latest.append(latest)
+
+    def at(self, frontier):
+        """The record to hand over to, or ``None`` if none starts earlier."""
+        count = bisect_left(self._starts, frontier - _EPS)
+        if not count:
+            return None
+        latest = self._latest[count - 1]
+        if latest.end < frontier:
+            return latest
+        by_start = self._by_start
+        index = count - 1
+        while by_start[index].end < frontier:
+            index -= 1
+        chosen = by_start[index]
+        # Records equal in (start, name) that also reach the frontier
+        # tie in full: the earliest in ``records`` order wins.
+        tie = (chosen.start, chosen.name)
+        while index and (by_start[index - 1].start,
+                         by_start[index - 1].name) == tie:
+            index -= 1
+            if by_start[index].end >= frontier:
+                chosen = by_start[index]
+        return chosen
+
+
 def compute_critical_path(source):
     """Reconstruct the critical path of a cluster (or list of records).
 
@@ -185,6 +237,7 @@ def compute_critical_path(source):
 
     current = max(records, key=order_key)
     frontier = end
+    handover = _Handover(records)
     # Each iteration strictly lowers the frontier or follows one DAG
     # edge (acyclic), so this terminates; the cap is a safety net.
     for _ in range(10 * len(records) + 100):
@@ -246,14 +299,11 @@ def compute_critical_path(source):
         # No dependency explains the frontier: hand over to whichever
         # record's extent reaches closest to it (serialized coordinator
         # work, a previous cluster.run, or a concurrent straggler).
-        candidates = [x for x in records if x.start < frontier - _EPS]
-        if not candidates:
+        current = handover.at(frontier)
+        if current is None:
             emit("idle", None, epoch, frontier)
             frontier = epoch
             break
-        current = max(
-            candidates, key=lambda x: (min(x.end, frontier), x.start, x.name)
-        )
         covered = min(current.end, frontier)
         if covered < frontier - _EPS:
             emit("idle", None, covered, frontier)

@@ -8,6 +8,11 @@ from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.errors import OutOfMemoryError
 from repro.cluster.memory import MemoryTracker
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
+from tests.cluster.test_ready_set import (
+    placements,
+    reference_schedule,
+    make_cluster,
+)
 
 
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
@@ -101,3 +106,42 @@ def test_slot_throughput(n_nodes, n_tasks):
     cluster.run(tasks)
     waves = -(-n_tasks // cluster.spec.total_slots)
     assert abs(cluster.now - waves) < 1e-9
+
+
+@st.composite
+def mixed_workloads(draw):
+    """A small cluster and a DAG mixing every reason a ready task waits:
+    a busy pinned node, no slot anywhere, a ``not_before`` floor, and
+    memory admission under ``on_oom="wait"``."""
+    n_nodes = draw(st.integers(1, 4))
+    slots = draw(st.integers(1, 3))
+    memory_bytes = 100
+    tasks = []
+    for index in range(draw(st.integers(1, 24))):
+        dep_indexes = draw(
+            st.sets(st.integers(0, index - 1), max_size=min(index, 2))
+        ) if index else set()
+        tasks.append(Task(
+            f"t{index}",
+            duration=draw(st.floats(0.0, 5.0)),
+            node=draw(st.one_of(
+                st.none(),
+                st.integers(0, n_nodes - 1).map(lambda i: f"node-{i}"),
+            )),
+            deps=[tasks[i] for i in sorted(dep_indexes)],
+            not_before=draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))),
+            memory_bytes=draw(st.sampled_from((0, 0, 40, 70, memory_bytes))),
+            on_oom="wait",
+        ))
+    return n_nodes, slots, memory_bytes, tasks
+
+
+@given(mixed_workloads())
+@settings(max_examples=150, deadline=None)
+def test_schedule_equals_the_rescanning_reference(workload):
+    """Every (task, node, start, end) is exactly what a scheduler that
+    rescans all unstarted tasks in id order after every event decides."""
+    n_nodes, slots, memory_bytes, tasks = workload
+    cluster = make_cluster(n_nodes, slots, memory_bytes)
+    got = placements(cluster.run(tasks))
+    assert got == reference_schedule(tasks, n_nodes, slots, memory_bytes)
