@@ -13,7 +13,6 @@ Usage::
     python -m repro.harness ledger fig12c --quick
     python -m repro.harness ledger --figure fig10c --jobs 4 --quick
     python -m repro.harness compare benchmarks/ledger/fig12c-quick.json new.json
-    python -m repro.harness bench --jobs 4
 
 ``--quick`` swaps the benchmark dataset profile for a miniature one, so
 every experiment finishes in seconds (shapes are still indicative but
@@ -24,9 +23,9 @@ processes; results are byte-identical to ``--jobs 1`` (DESIGN.md
 section 11).  Trials are cached content-addressed under
 ``.harness-cache/`` (or ``$REPRO_CACHE_DIR``) so re-running a figure
 replays instantly; ``--no-cache`` disables that, and any edit to the
-``repro`` source tree or a relevant cost constant invalidates the
-affected entries automatically.  ``bench`` times serial vs parallel vs
-warm-cache execution per figure and writes ``BENCH_harness.json``.
+``repro`` source tree (cost constants included) invalidates every
+entry.  The harness's own wall clock is measured by ``bench/run.py``
+(workload ``grid-pool``).
 
 The ``trace`` subcommand runs one experiment with the observability
 layer attached, prints the "where did the time go" breakdown (plus the
@@ -194,9 +193,9 @@ def _run_fig13(quick):
 
 def _run_fig14(quick):
     rows = E.fig14_spark_partitions(
-        partition_counts=(1, 4, 16) if quick else None or
-        (1, 2, 4, 8, 16, 32, 64, 97, 128, 192, 256),
-        profile={"scale": 20, "n_volumes": 24} if quick else None,
+        partition_counts=(1, 4, 16) if quick
+        else (1, 2, 4, 8, 16, 32, 64, 97, 128, 192, 256),
+        profile=QUICK_NEURO if quick else None,
     )
     print_table(rows, title="Figure 14: Spark input partitions")
 
@@ -442,41 +441,29 @@ def _trace_main(argv):
     return 0
 
 
+def _numbered(snapshots):
+    """Run snapshots labeled ``NN-<label>`` in merge order."""
+    return [dict(s, label=f"{i:02d}-{s['label']}")
+            for i, s in enumerate(snapshots)]
+
+
 def build_experiment_snapshot(name, quick=True):
     """Run one experiment id and snapshot every cluster it builds.
 
-    Grid experiments report their runs through the trial executor's
-    snapshot sink (so they work at ``--jobs N`` and from the cache,
-    where the parent never holds the cluster objects); experiments not
-    yet routed through :func:`repro.harness.parallel.run_grid` fall
-    back to observing the clusters directly.
+    Every experiment is a grid, so its runs arrive through the trial
+    executor's snapshot sink: that works at ``--jobs N`` and from the
+    cache, where the parent never holds the cluster objects.  The sink
+    stays empty only when the experiment builds no cluster.
     """
-    from repro.obs import run_snapshot
-    from repro.obs.breakdown import records_of, summarize_records
     from repro.obs.ledger import experiment_snapshot
 
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; use --list to see choices"
         )
-    clusters = []
-    with observe_clusters(clusters.append), \
-            collecting_snapshots() as collected:
+    with collecting_snapshots() as collected:
         EXPERIMENTS[name](quick)
-    if collected.snapshots:
-        runs = []
-        for index, snapshot in enumerate(collected.snapshots):
-            snapshot = dict(snapshot)
-            snapshot["label"] = f"{index:02d}-{snapshot['label']}"
-            runs.append(snapshot)
-    else:
-        runs = []
-        for index, cluster in enumerate(clusters):
-            groups = summarize_records(records_of(cluster))
-            top_group = groups[0]["group"] if groups else "empty"
-            runs.append(
-                run_snapshot(cluster, label=f"{index:02d}-{top_group}")
-            )
+    runs = _numbered(collected.snapshots)
     scale = {
         "quick": bool(quick),
         "neuro_profile": QUICK_NEURO if quick else None,
@@ -583,10 +570,10 @@ def _optimize_main(argv):
         )
     print()
     print_table(rows, title="Executed naive vs optimized (simulated s)")
-    runs = [dict(s, label=f"{i:02d}-{s['label']}")
-            for i, s in enumerate(collected.snapshots)]
     print()
-    print(format_opt_comparison(experiment_snapshot("opt", runs)))
+    print(format_opt_comparison(
+        experiment_snapshot("opt", _numbered(collected.snapshots))
+    ))
     failures = _opt_failures(rows)
     for failure in failures:
         print(f"optimize check: {failure}", file=sys.stderr)
@@ -684,9 +671,8 @@ def _compare_main(argv):
     """``python -m repro.harness compare`` entry point.
 
     Exit codes: 0 comparable and no regression, 1 regression past the
-    tolerance, 2 the two documents cannot be compared at all (mismatched
-    schema versions, or one is a ledger snapshot and the other a bench
-    report) -- with a diagnostic instead of a traceback.
+    tolerance, 2 a document is not a ledger snapshot of this build's
+    schema version -- with a diagnostic instead of a traceback.
     """
     from repro.obs.ledger import (
         DEFAULT_TOLERANCE,
@@ -711,34 +697,6 @@ def _compare_main(argv):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.baseline) as fh:
-            raw_baseline = json.load(fh)
-        with open(args.candidate) as fh:
-            raw_candidate = json.load(fh)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    is_bench = [
-        "bench_schema_version" in raw_baseline,
-        "bench_schema_version" in raw_candidate,
-    ]
-    if any(is_bench) and not all(is_bench):
-        bench_path = args.baseline if is_bench[0] else args.candidate
-        ledger_path = args.candidate if is_bench[0] else args.baseline
-        print(
-            f"cannot compare: {bench_path} is a harness bench report"
-            f" while {ledger_path} is a ledger snapshot;"
-            " compare bench against bench (harness bench) or ledger"
-            " against ledger (harness ledger)",
-            file=sys.stderr,
-        )
-        return 2
-    if all(is_bench):
-        return _compare_bench(
-            raw_baseline, raw_candidate,
-            paths=(args.baseline, args.candidate), as_json=args.json,
-        )
-
-    try:
         baseline = load_snapshot(args.baseline)
         candidate = load_snapshot(args.candidate)
     except LedgerSchemaError as exc:
@@ -754,311 +712,6 @@ def _compare_main(argv):
     return 1 if report["makespan"]["regression"] else 0
 
 
-def _warm_hits(figure_row):
-    """Warm-run cache hits of a bench figure row (``None`` for a figure
-    only the other file has)."""
-    return figure_row.get("warm_cache", {}).get("hits")
-
-
-def _compare_bench(baseline, candidate, paths=("baseline", "candidate"),
-                   as_json=False):
-    """Diff two ``BENCH_harness.json`` files (report-only: wall-clock
-    depends on the machine, so bench deltas never fail the build).
-
-    Mismatched layouts -- different ``bench_schema_version``, or phase
-    decompositions present on only one side -- exit 2 with a diagnostic
-    rather than comparing apples to oranges.
-    """
-    b_version = baseline.get("bench_schema_version")
-    c_version = candidate.get("bench_schema_version")
-    if b_version != c_version:
-        print(
-            f"cannot compare: {paths[0]} has bench_schema_version"
-            f" {b_version!r} but {paths[1]} has {c_version!r};"
-            " regenerate both with the same build"
-            " (PYTHONPATH=src python -m repro.harness bench)",
-            file=sys.stderr,
-        )
-        return 2
-    has_phases = [
-        any("phases" in row for row in doc.get("figures", {}).values())
-        for doc in (baseline, candidate)
-    ]
-    if any(has_phases) and not all(has_phases):
-        with_p = paths[0] if has_phases[0] else paths[1]
-        without_p = paths[1] if has_phases[0] else paths[0]
-        print(
-            f"cannot compare: {with_p} carries a --phases wall-clock"
-            f" decomposition but {without_p} does not;"
-            " rerun both with (or both without) --phases",
-            file=sys.stderr,
-        )
-        return 2
-    figures = sorted(
-        set(baseline.get("figures", {})) | set(candidate.get("figures", {}))
-    )
-    rows = []
-    for name in figures:
-        b = baseline.get("figures", {}).get(name, {})
-        c = candidate.get("figures", {}).get(name, {})
-        row = {"figure": name}
-        for key in ("serial_s", "parallel_s", "warm_s"):
-            b_v, c_v = b.get(key), c.get(key)
-            row[f"baseline_{key}"] = b_v
-            row[f"candidate_{key}"] = c_v
-            if b_v and c_v:
-                row[f"{key}_ratio"] = round(c_v / b_v, 3)
-        row["baseline_cache_hits"] = _warm_hits(b)
-        row["candidate_cache_hits"] = _warm_hits(c)
-        rows.append(row)
-    report = {
-        "bench_compare": True,
-        "baseline_jobs": baseline.get("jobs"),
-        "candidate_jobs": candidate.get("jobs"),
-        "figures": rows,
-    }
-    if as_json:
-        print(json.dumps(report, indent=1, sort_keys=True))
-        return 0
-    print("Harness bench comparison (wall-clock; report only)")
-    for row in rows:
-        parts = [row["figure"]]
-        for key in ("serial_s", "parallel_s", "warm_s"):
-            b_v = row.get(f"baseline_{key}")
-            c_v = row.get(f"candidate_{key}")
-            if b_v is not None and c_v is not None:
-                ratio = row.get(f"{key}_ratio")
-                parts.append(
-                    f"{key} {b_v:.2f}s -> {c_v:.2f}s"
-                    + (f" (x{ratio:.2f})" if ratio else "")
-                )
-        print("  " + "; ".join(parts))
-    return 0
-
-
-#: Figures the self-benchmark times by default: the two end-to-end
-#: grids the CI parallel job replays plus the per-step figure.
-BENCH_FIGURES = ("fig10c", "fig11", "fig12c")
-
-#: ``BENCH_harness.json`` layout version; ``compare`` refuses two files
-#: whose versions differ.
-BENCH_SCHEMA_VERSION = 4
-
-
-def _timed_run(run, quick, label, phases=False, log_path=None):
-    """Time one figure run; returns ``(wall_s, phase_report, canon)``.
-
-    Every run executes under a :func:`collecting_snapshots` sink and
-    ``canon`` is the canonical JSON of the snapshots it produced, so
-    the bench can assert serial/parallel/warm byte-identity and every
-    leg pays the same snapshot-extraction work.
-
-    With ``phases`` the run additionally executes under an active
-    telemetry recorder whose top-level ``other`` phase wraps the whole
-    figure, so the executor's phases (cache-lookup, pool-startup,
-    dispatch, row-assemble, cache-store, result-merge) plus the
-    ``other`` residue tile the measured wall time by construction.
-    """
-    import time
-
-    if not phases:
-        with collecting_snapshots() as sink:
-            start = time.perf_counter()
-            run(quick)
-            wall = time.perf_counter() - start
-        return wall, None, json.dumps(sink.snapshots, sort_keys=True)
-    from repro.obs import telemetry
-
-    with telemetry.recording(log_path=log_path) as rec:
-        rec.event("bench-run", label=label)
-        with collecting_snapshots() as sink:
-            start = time.perf_counter()
-            with rec.phase("other", run=label):
-                run(quick)
-                # Close the bracket before the phase's exit bookkeeping
-                # (its own log write is telemetry overhead, not figure
-                # wall time).
-                wall = time.perf_counter() - start
-        report = telemetry.phase_report(rec.phase_totals(), wall)
-        report["metrics"] = rec.metrics.snapshot()
-    return wall, report, json.dumps(sink.snapshots, sort_keys=True)
-
-
-def _bench_main(argv):
-    """``python -m repro.harness bench`` entry point.
-
-    For each figure: one serial uncached run, one parallel cold-cache
-    run, one parallel warm-cache run.  Writes wall-clock seconds and
-    per-phase cache counters to ``BENCH_harness.json`` -- the harness's
-    own perf trajectory, the way ``benchmarks/ledger/`` tracks the
-    simulated clusters'.  Every leg runs under a snapshot sink so all
-    three do identical work, and the figure row records whether their
-    snapshots were byte-identical.  A ``host`` block records the core
-    count, the BLAS/OpenMP thread settings and the python and numpy
-    versions the seconds were measured under.  ``--phases`` additionally
-    decomposes each run's wall clock into executor phases and appends
-    the structured telemetry log; ``--gate`` turns a sub-1.0 speedup or
-    a snapshot mismatch into a non-zero exit (the CI parallel-harness
-    job runs this).
-    """
-    import contextlib
-    import os
-    import platform
-    import shutil
-    import tempfile
-
-    import numpy
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness bench",
-        description="Self-benchmark the harness: serial vs parallel vs"
-        " warm-cache wall-clock per figure.",
-    )
-    parser.add_argument("figures", nargs="*", default=None,
-                        help=f"figures to time (default {' '.join(BENCH_FIGURES)})")
-    parser.add_argument("--jobs", type=int,
-                        default=min(4, os.cpu_count() or 1),
-                        help="worker processes for the parallel runs")
-    parser.add_argument("--full", action="store_true",
-                        help="benchmark at the full dataset profile"
-                        " (default: --quick profiles)")
-    parser.add_argument("--out", default="BENCH_harness.json",
-                        help="output path (default BENCH_harness.json)")
-    parser.add_argument("--phases", action="store_true",
-                        help="record the wall-clock phase decomposition"
-                        " of every run (cache-lookup, pool-startup,"
-                        " dispatch, row-assemble, cache-store,"
-                        " result-merge, other)")
-    parser.add_argument("--telemetry-log", default="BENCH_telemetry.jsonl",
-                        help="JSON-lines telemetry log written under"
-                        " --phases (default BENCH_telemetry.jsonl)")
-    parser.add_argument("--gate", action="store_true",
-                        help="exit non-zero if any figure's parallel"
-                        " speedup falls below 1.0 or its serial/"
-                        "parallel/warm snapshots are not byte-identical")
-    args = parser.parse_args(argv)
-
-    names = args.figures or list(BENCH_FIGURES)
-    for name in names:
-        if name not in EXPERIMENTS:
-            parser.error(
-                f"unknown experiment {name!r}; use --list to see choices"
-            )
-    quick = not args.full
-    log_path = args.telemetry_log if args.phases else None
-    if log_path:
-        # The recorder appends (one recording per run); start clean.
-        with open(log_path, "w"):
-            pass
-    from repro.harness import parallel as parallel_mod
-
-    results = {}
-    gate_failures = []
-    with open(os.devnull, "w") as devnull:
-        for name in names:
-            run = EXPERIMENTS[name]
-            cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-            try:
-                with contextlib.redirect_stdout(devnull):
-                    with configured(jobs=1, cache=None):
-                        serial_s, serial_phases, serial_canon = _timed_run(
-                            run, quick, f"{name}/serial",
-                            phases=args.phases, log_path=log_path,
-                        )
-
-                    cold = TrialCache(cache_dir)
-                    parallel_mod.last_chunk_size = None
-                    with configured(jobs=args.jobs, cache=cold):
-                        parallel_s, parallel_phases, cold_canon = _timed_run(
-                            run, quick, f"{name}/parallel",
-                            phases=args.phases, log_path=log_path,
-                        )
-                    chunk_size = parallel_mod.last_chunk_size
-
-                    warm = TrialCache(cache_dir)
-                    with configured(jobs=args.jobs, cache=warm):
-                        warm_s, warm_phases, warm_canon = _timed_run(
-                            run, quick, f"{name}/warm",
-                            phases=args.phases, log_path=log_path,
-                        )
-            finally:
-                shutil.rmtree(cache_dir, ignore_errors=True)
-            identical = serial_canon == cold_canon == warm_canon
-            results[name] = {
-                "serial_s": round(serial_s, 3),
-                "parallel_s": round(parallel_s, 3),
-                "warm_s": round(warm_s, 3),
-                "jobs": args.jobs,
-                "cold_cache": cold.stats(),
-                "warm_cache": warm.stats(),
-                "chunk_size": chunk_size,
-                "snapshots_identical": identical,
-                "speedup": round(serial_s / parallel_s, 2)
-                if parallel_s else None,
-                "warm_over_cold": round(warm_s / parallel_s, 3)
-                if parallel_s else None,
-            }
-            if args.phases:
-                results[name]["phases"] = {
-                    "serial": serial_phases,
-                    "parallel": parallel_phases,
-                    "warm": warm_phases,
-                }
-            row = results[name]
-            print(f"{name}: serial {row['serial_s']:.2f}s,"
-                  f" parallel(x{args.jobs}) {row['parallel_s']:.2f}s"
-                  f" (speedup {row['speedup']}),"
-                  f" warm cache {row['warm_s']:.2f}s"
-                  f" ({row['warm_cache']['hits']} hit(s))")
-            if args.phases:
-                decomposition = parallel_phases["phases"]
-                parts = ", ".join(
-                    f"{phase} {data['self_s']:.2f}s"
-                    for phase, data in sorted(
-                        decomposition.items(),
-                        key=lambda item: -item[1]["self_s"],
-                    )
-                )
-                print(f"  parallel phases ({parallel_phases['coverage']:.0%}"
-                      f" of wall): {parts}")
-            if not identical:
-                gate_failures.append(
-                    f"{name}: serial/parallel/warm snapshots differ"
-                )
-            if row["speedup"] is not None and row["speedup"] < 1.0:
-                gate_failures.append(
-                    f"{name}: parallel speedup {row['speedup']} < 1.0"
-                )
-    document = {
-        "bench_schema_version": BENCH_SCHEMA_VERSION,
-        "quick": quick,
-        "jobs": args.jobs,
-        # What the seconds below were measured on; ``compare`` ignores it.
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "thread_env": {
-                name: os.environ.get(name)
-                for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                             "MKL_NUM_THREADS")
-            },
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-        },
-        "figures": results,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(document, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    if log_path:
-        print(f"wrote telemetry log to {log_path}")
-    if args.gate and gate_failures:
-        for failure in gate_failures:
-            print(f"bench gate: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None):
     """CLI entry point."""
     if argv is None:
@@ -1071,8 +724,6 @@ def main(argv=None):
         return _ledger_main(argv[1:])
     if argv and argv[0] == "compare":
         return _compare_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate tables/figures from the paper's evaluation.",

@@ -3,23 +3,18 @@
 Every figure is a grid of independent *trials* (one engine on one data
 size on one cluster size).  A trial is pure: its rows and ledger
 snapshots are a deterministic function of (a) the trial function and
-its arguments, (b) the engine kind, (c) the cost-model constants that
-engine consumes, (d) any fault plan, and (e) the simulator/harness
-code itself.  The cache keys on exactly those inputs, so
-
-* re-running a figure or a ledger compare replays cached trials
-  instantly, and
-* recalibrating a cost constant invalidates precisely the trials whose
-  engine reads that constant -- a ``spark_task_overhead`` change does
-  not evict Dask or SciDB trials, while a shared constant such as
-  ``network_bandwidth`` evicts everything.
+its arguments, (b) any fault plan, and (c) the simulator/harness code
+itself, cost constants included (they are defaults in
+``repro/cluster/costs.py``).  The cache keys on exactly those inputs,
+so re-running a figure or a ledger compare replays cached trials
+instantly.
 
 The code-version salt is a hash of the ``repro`` source tree: any
-source edit (new scheduling order, new blame category, ...) cold-starts
-the cache rather than serving stale simulations.
+source edit (new scheduling order, new blame category, a recalibrated
+cost constant, ...) cold-starts the cache rather than serving stale
+simulations.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -27,7 +22,6 @@ import tempfile
 import time
 import zlib
 
-from repro.cluster.costs import CostModel
 from repro.obs import telemetry
 
 #: Bump when the cached payload layout changes incompatibly.
@@ -39,56 +33,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".harness-cache"
-
-#: Field-name prefix -> the one engine kind that reads such constants.
-_ENGINE_PREFIXES = {
-    "spark_": "spark",
-    "myria_": "myria",
-    "dask_": "dask",
-    "scidb_": "scidb",
-    "tf_": "tensorflow",
-}
-
-#: Unprefixed constants consumed by a strict subset of the engines
-#: (verified against the cost-model method call sites).  Anything not
-#: listed here or matched by a prefix is treated as shared by every
-#: engine -- over-invalidation is safe, under-invalidation is not.
-_CONSTANT_ENGINES = {
-    "python_boundary_bandwidth": ("spark",),
-    "tensor_convert_bandwidth": ("tensorflow",),
-    "csv_encode_bandwidth": ("scidb",),
-    "csv_decode_bandwidth": ("scidb",),
-    "pickle_bandwidth": ("spark", "myria", "dask"),
-    "unpickle_bandwidth": ("spark", "myria", "dask"),
-}
-
-
-def constant_engines(name):
-    """Engine kinds whose simulations depend on cost constant ``name``.
-
-    Returns ``None`` when the constant is shared by every engine.
-    """
-    for prefix, engine in _ENGINE_PREFIXES.items():
-        if name.startswith(prefix):
-            return (engine,)
-    return _CONSTANT_ENGINES.get(name)
-
-
-def relevant_constants(cost_model, engine=None):
-    """The cost constants a trial on ``engine`` actually depends on.
-
-    With ``engine=None`` (a trial that mixes engines) every constant is
-    relevant.
-    """
-    constants = dataclasses.asdict(cost_model)
-    if engine is None:
-        return constants
-    out = {}
-    for name, value in constants.items():
-        engines = constant_engines(name)
-        if engines is None or engine in engines:
-            out[name] = value
-    return out
 
 
 _code_hash_cache = {}
@@ -125,25 +69,19 @@ def code_tree_hash(root=None):
     return result
 
 
-def cache_key(fn, kwargs, engine=None, cost_model=None, faults=None,
-              salt=None):
+def cache_key(fn, kwargs, faults=None, salt=None):
     """Content address of one trial.
 
     ``fn`` is the registered trial-function name, ``kwargs`` its
-    JSON-safe arguments, ``engine`` the engine kind (scopes which cost
-    constants key the trial), ``faults`` a JSON-safe description of any
+    JSON-safe arguments, ``faults`` a JSON-safe description of any
     fault plan, and ``salt`` overrides the code-tree hash (tests).
     """
-    if cost_model is None:
-        cost_model = CostModel()
     document = {
         "schema": CACHE_SCHEMA_VERSION,
         "salt": salt if salt is not None else code_tree_hash(),
         "fn": fn,
         "kwargs": kwargs,
-        "engine": engine,
         "faults": faults,
-        "constants": relevant_constants(cost_model, engine=engine),
     }
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -154,8 +92,8 @@ def encode_payload(payload):
 
     Canonical (sorted-key, no-whitespace) JSON, zlib-compressed at
     level 1: cheap to produce in workers, byte-deterministic for a
-    given payload, and typically an order of magnitude smaller than the
-    old uncompressed JSON through the pool pipe.
+    given payload, and typically an order of magnitude smaller than
+    uncompressed JSON through the pool pipe.
     """
     encoded = json.dumps(
         payload, sort_keys=True, separators=(",", ":")
@@ -164,9 +102,13 @@ def encode_payload(payload):
 
 
 def decode_payload(blob):
-    """Inverse of :func:`encode_payload`; raises ``ValueError``-family
-    errors (``zlib.error`` subclasses OSError-neither — callers catch
-    broadly) on corrupt input."""
+    """Inverse of :func:`encode_payload`.
+
+    Corrupt input raises ``zlib.error`` (a direct ``Exception``
+    subclass) when the bytes do not decompress, or ``ValueError``
+    (``json.JSONDecodeError`` / ``UnicodeDecodeError``) when they
+    decompress to something that is not JSON.
+    """
     return json.loads(zlib.decompress(blob))
 
 

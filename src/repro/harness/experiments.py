@@ -261,7 +261,6 @@ def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
             "optcell",
             {"pipeline": "neuro", "kind": kind, "count": n_subjects,
              "n_nodes": n_nodes, "profile": dict(neuro_profile)},
-            engine=kind,
         )
         for kind in engines
     ] + [
@@ -269,7 +268,6 @@ def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
             "optcell",
             {"pipeline": "astro", "kind": kind, "count": n_visits,
              "n_nodes": n_nodes, "profile": dict(astro_profile)},
-            engine=kind,
         )
         for kind in engines
     ]
@@ -334,7 +332,6 @@ def fig10c_neuro_end_to_end(subject_counts=NEURO_SIZES,
                    if optimize and kind != "auto"
                    else {"optimize": True} if optimize else {}),
             ),
-            engine=kind,
         )
         for count in subject_counts
         for kind in engines
@@ -362,7 +359,6 @@ def fig10d_astro_end_to_end(visit_counts=ASTRO_SIZES,
                    if optimize and kind != "auto"
                    else {"optimize": True} if optimize else {}),
             ),
-            engine=kind,
         )
         for count in visit_counts
         for kind in engines
@@ -440,7 +436,6 @@ def fig10g_neuro_speedup(node_counts=CLUSTER_SIZES, n_subjects=25,
             "fig10g",
             {"kind": kind, "n_nodes": n_nodes, "n_subjects": n_subjects,
              "profile": dict(profile)},
-            engine=kind,
         )
         for n_nodes in node_counts
         for kind in engines
@@ -466,7 +461,6 @@ def fig10h_astro_speedup(node_counts=CLUSTER_SIZES, n_visits=24,
             "fig10h",
             {"kind": kind, "n_nodes": n_nodes, "n_visits": n_visits,
              "profile": dict(profile)},
-            engine=kind,
         )
         for n_nodes in node_counts
         for kind in engines
@@ -532,7 +526,6 @@ def fig11_ingest(subject_counts=NEURO_SIZES, profile=None,
         TrialSpec(
             "fig11",
             {"system": system, "count": count, "profile": dict(profile)},
-            engine=INGEST_SYSTEMS[system][0],
         )
         for count in subject_counts
         for system in systems
@@ -577,7 +570,6 @@ def _neuro_step_figure(name, n_subjects, profile, systems):
             name,
             {"system": system, "n_subjects": n_subjects,
              "profile": dict(profile)},
-            engine=system,
         )
         for system in systems
     )
@@ -626,7 +618,6 @@ def fig12d_coadd(n_visits=24, profile=None,
             "fig12d",
             {"system": system, "n_visits": n_visits,
              "profile": dict(profile)},
-            engine=system,
         )
         for system in systems
     )
@@ -656,7 +647,6 @@ def fig13_myria_workers(worker_counts=(1, 2, 4, 8), n_subjects=25,
             "fig13",
             {"workers": workers, "n_subjects": n_subjects,
              "n_nodes": n_nodes, "profile": dict(profile)},
-            engine="myria",
         )
         for workers in worker_counts
     )
@@ -690,7 +680,6 @@ def fig14_spark_partitions(
             "fig14",
             {"partitions": partitions, "n_nodes": n_nodes,
              "profile": dict(profile)},
-            engine="spark",
         )
         for partitions in partition_counts
     )
@@ -730,7 +719,6 @@ def fig15_myria_memory(visit_counts=(2, 4, 8, 12, 24),
             "fig15",
             {"count": count, "mode": mode, "n_nodes": n_nodes,
              "chunks": chunks, "profile": dict(profile)},
-            engine="myria",
         )
         for count in visit_counts
         for mode in modes
@@ -759,7 +747,6 @@ def s531_scidb_chunks(chunk_sizes=(500, 1000, 1500, 2000), n_visits=24,
         TrialSpec(
             "s531",
             {"chunk": chunk, "n_visits": n_visits, "profile": dict(profile)},
-            engine="scidb",
         )
         for chunk in chunk_sizes
     )
@@ -790,7 +777,6 @@ def s533_spark_caching(subject_counts=(1, 4, 12, 25), n_nodes=DEFAULT_NODES,
             "s533",
             {"count": count, "cached": cached, "n_nodes": n_nodes,
              "profile": dict(profile)},
-            engine="spark",
         )
         for count in subject_counts
         for cached in (False, True)
@@ -819,7 +805,6 @@ def ablation_scidb_incremental(n_visits=24, profile=None):
             "ablation_scidb",
             {"incremental": incremental, "n_visits": n_visits,
              "profile": dict(profile)},
-            engine="scidb",
         )
         for incremental in (False, True)
     )
@@ -898,7 +883,6 @@ def f16_recovery(engines=F16_ENGINES, n_subjects=2, n_nodes=DEFAULT_NODES,
             {"kind": kind, "n_subjects": n_subjects, "n_nodes": n_nodes,
              "profile": dict(profile), "restart_after_s": restart_after_s,
              "seed": seed},
-            engine=kind,
             faults={"crash": "last-node@50%-progress",
                     "restart_after_s": restart_after_s, "seed": seed},
         )
@@ -1052,7 +1036,6 @@ def ablation_tf_format_conversion(n_subjects=4, profile=None):
             "ablation_tf",
             {"free_conversions": free, "n_subjects": n_subjects,
              "profile": dict(profile)},
-            engine="tensorflow",
         )
         for free in (False, True)
     )
@@ -1092,7 +1075,6 @@ def ablation_spark_self_tuning(profile=None, n_nodes=DEFAULT_NODES):
         TrialSpec(
             "ablation_tuning",
             {"tuned": tuned, "n_nodes": n_nodes, "profile": dict(profile)},
-            engine="spark",
         )
         for tuned in (False, True)
     )

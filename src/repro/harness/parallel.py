@@ -15,9 +15,9 @@ snapshots derived from them -- are byte-identical to a serial run.
 The pool is *warm*: created lazily on the first pooled grid and reused
 across ``run_grid`` calls and figures for the life of the process (or
 until :func:`shutdown_pool`), so only the first pooled grid pays
-process startup.  Trials are dispatched in adaptively-sized chunks --
-one pool submission carries several specs -- and grids whose estimated
-cost is below the dispatch overhead fall back to inline execution.
+process startup.  A grid with more than one uncached trial at
+``jobs > 1`` is one ``Pool.map`` over its trials; batching is the
+standard library's.
 
 Workers return compact payloads: canonical JSON compressed with zlib
 (see ``repro.harness.cache.encode_payload``), which the parent stores
@@ -33,9 +33,7 @@ import os
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict
 
-from repro.cluster.costs import CostModel
 from repro.harness import runner
 from repro.harness.cache import cache_key, decode_payload, encode_payload
 from repro.obs import telemetry
@@ -71,27 +69,26 @@ def trial(name):
 class TrialSpec:
     """One independent trial: a registered function plus JSON-safe args.
 
-    ``engine`` scopes which cost-model constants key the trial in the
-    cache; ``faults`` is an optional JSON-safe description of the fault
-    plan the trial constructs (also keyed).
+    ``faults`` is an optional JSON-safe description of the fault plan
+    the trial constructs; it keys the trial in the cache next to ``fn``
+    and ``kwargs``.
     """
 
-    __slots__ = ("fn", "kwargs", "engine", "faults")
+    __slots__ = ("fn", "kwargs", "faults")
 
     def __init__(self, fn, kwargs, engine=None, faults=None):
+        # ``engine`` is accepted and ignored: ``bench/workloads.py``
+        # (frozen by BENCHMARK.json) still passes it; delete together
+        # with that argument.
         if fn not in TRIAL_FNS:
             raise KeyError(f"unknown trial function {fn!r}")
         self.fn = fn
         self.kwargs = kwargs
-        self.engine = engine
         self.faults = faults
 
-    def key(self, cost_model=None, salt=None):
+    def key(self, salt=None):
         """Content address of this trial (see :mod:`repro.harness.cache`)."""
-        return cache_key(
-            self.fn, self.kwargs, engine=self.engine,
-            cost_model=cost_model, faults=self.faults, salt=salt,
-        )
+        return cache_key(self.fn, self.kwargs, faults=self.faults, salt=salt)
 
 
 class TrialExecutionError(RuntimeError):
@@ -123,23 +120,6 @@ class TrialExecutionError(RuntimeError):
 # ----------------------------------------------------------------------
 
 _config = {"jobs": 1, "cache": None}
-
-#: Pooled grids whose estimated total cost (from the observed per-trial
-#: EMA) is below this fall back to inline execution: dispatching them
-#: would cost more than it saves.  Tests may monkeypatch this.
-AUTO_SERIAL_THRESHOLD_S = 0.02
-
-#: Target pool submissions per worker process: more gives better load
-#: balancing, fewer cuts per-submission overhead.
-_CHUNKS_PER_WORKER = 4
-
-#: fn name -> exponential moving average of observed trial seconds.
-_trial_cost_ema = {}
-
-#: Chunk size of the most recent pooled dispatch (``None`` until one
-#: runs, or after an inline/auto-serial grid).  The self-benchmark
-#: publishes this per figure in ``BENCH_harness.json``.
-last_chunk_size = None
 
 
 @contextmanager
@@ -213,8 +193,7 @@ def _snapshot_cluster(cluster):
     return run_snapshot(cluster, label=label)
 
 
-def _execute_trial(fn_name, kwargs, cost_constants, want_snapshots,
-                   timings=None):
+def _execute_trial(fn_name, kwargs, want_snapshots, timings=None):
     """Run one trial in the current process; returns its payload.
 
     ``timings``, when given, receives wall-clock seconds for the trial
@@ -226,11 +205,7 @@ def _execute_trial(fn_name, kwargs, cost_constants, want_snapshots,
     clusters = []
     start = time.perf_counter()
     with runner.observe_clusters(clusters.append):
-        if cost_constants is None:
-            row = fn(**kwargs)
-        else:
-            with runner.cost_model_override(CostModel(**cost_constants)):
-                row = fn(**kwargs)
+        row = fn(**kwargs)
     exec_s = time.perf_counter() - start
     payload = {"row": row}
     snapshot_s = 0.0
@@ -257,11 +232,11 @@ def _worker_init():
 def _run_one(args):
     """Worker-side single trial: compact payload + telemetry sidecar.
 
-    Failures are captured, not raised: the chunk's surviving trials
+    Failures are captured, not raised: the grid's surviving trials
     still return, and the parent re-raises with the original traceback
     after completing the submission-order merge.
     """
-    fn_name, kwargs, cost_constants = args
+    fn_name, kwargs = args
     # Under the spawn start method the registry is empty until the
     # experiment definitions are imported.
     if fn_name not in TRIAL_FNS:
@@ -275,8 +250,7 @@ def _run_one(args):
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        payload = _execute_trial(fn_name, kwargs, cost_constants, True,
-                                 timings=timings)
+        payload = _execute_trial(fn_name, kwargs, True, timings=timings)
         start = time.perf_counter()
         blob = encode_payload(payload)
         timings["snapshot-serialize"] = (
@@ -302,12 +276,6 @@ def _run_one(args):
                 f"-{time.monotonic_ns()}.prof"
             ))
     return result
-
-
-def _pool_entry(chunk):
-    """Worker-side entry: one chunk of ``(fn, kwargs, cost_constants)``
-    trials -> list of results."""
-    return [_run_one(args) for args in chunk]
 
 
 def _pool_context():
@@ -361,7 +329,7 @@ def _ensure_pool(n_procs):
     ):
         shutdown_pool()
         ctx = _pool_context()
-        with telemetry.telemetry_phase("pool-startup", processes=n_procs):
+        with telemetry.telemetry_phase("pool-startup"):
             state["pool"] = ctx.Pool(
                 processes=n_procs, initializer=_worker_init
             )
@@ -371,39 +339,12 @@ def _ensure_pool(n_procs):
     return state["pool"]
 
 
-def _chunk_size(n_pending, n_procs):
-    """Adaptive dispatch granularity: enough submissions per worker to
-    balance load, but no more than needed (each costs a round trip)."""
-    target = n_procs * _CHUNKS_PER_WORKER
-    return max(1, -(-n_pending // target))
-
-
-def _note_trial_cost(fn_name, seconds):
-    previous = _trial_cost_ema.get(fn_name)
-    if previous is None:
-        _trial_cost_ema[fn_name] = seconds
-    else:
-        _trial_cost_ema[fn_name] = 0.5 * previous + 0.5 * seconds
-
-
-def _estimated_cost(specs, pending):
-    """Estimated total seconds for ``pending``, or ``None`` when any
-    trial has never been observed (assume expensive)."""
-    total = 0.0
-    for i in pending:
-        ema = _trial_cost_ema.get(specs[i].fn)
-        if ema is None:
-            return None
-        total += ema
-    return total
-
-
-def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
+def run_grid(specs, jobs=None, cache=_UNSET):
     """Execute a list of :class:`TrialSpec`; returns payloads in order.
 
     Payloads are ``{"row": <row dict>[, "snapshots": [...]]}``.  Rows
     and snapshots are identical whether trials ran inline, across the
-    warm pool in chunks, or were replayed from the trial cache; active
+    warm pool, or were replayed from the trial cache; active
     :func:`collecting_snapshots` sinks receive every snapshot in
     submission order.
 
@@ -411,8 +352,6 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
     cached) in submission order, then :class:`TrialExecutionError` is
     raised carrying the original traceback(s).
     """
-    global last_chunk_size
-    last_chunk_size = None
     specs = list(specs)
     if jobs is None:
         jobs = _config["jobs"]
@@ -421,61 +360,37 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
     want_snapshots = bool(_snapshot_sinks) or cache is not None
 
     rec = telemetry.recorder()
-    cost_constants = None if cost_model is None else asdict(cost_model)
     payloads = [None] * len(specs)
     encoded = [None] * len(specs)
     keys = [None] * len(specs)
     failures = []
     pending = []
-    with telemetry.telemetry_phase("cache-lookup", trials=len(specs)):
+    with telemetry.telemetry_phase("cache-lookup"):
         for index, spec in enumerate(specs):
             if cache is not None:
-                keys[index] = spec.key(cost_model=cost_model)
+                keys[index] = spec.key()
                 hit = cache.get(keys[index])
                 if hit is not None:
                     payloads[index] = hit
                     continue
             pending.append(index)
 
-    use_pool = jobs > 1 and len(pending) > 1
-    if use_pool:
-        estimate = _estimated_cost(specs, pending)
-        if estimate is not None and estimate < AUTO_SERIAL_THRESHOLD_S:
-            use_pool = False
-            rec.event(
-                "auto-serial", trials=len(pending),
-                estimate_s=round(estimate, 6),
-            )
-
-    if pending and use_pool:
+    if jobs > 1 and len(pending) > 1:
         n_procs = min(jobs, len(pending))
         pool = _ensure_pool(n_procs)
-        size = _chunk_size(len(pending), n_procs)
-        last_chunk_size = size
-        rec.gauge("pool.chunk_size", size)
-        work = [
-            [
-                (specs[i].fn, specs[i].kwargs, cost_constants)
-                for i in pending[lo:lo + size]
-            ]
-            for lo in range(0, len(pending), size)
-        ]
         start = time.perf_counter()
-        with telemetry.telemetry_phase(
-            "dispatch", trials=len(pending), chunks=len(work),
-        ):
-            chunk_results = pool.map(_pool_entry, work)
+        with telemetry.telemetry_phase("dispatch"):
+            results = pool.map(
+                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending]
+            )
         map_wall = time.perf_counter() - start
         busy = 0.0
-        with telemetry.telemetry_phase("row-assemble", trials=len(pending)):
-            flat = [r for chunk in chunk_results for r in chunk]
-            for i, wrapped in zip(pending, flat):
+        with telemetry.telemetry_phase("row-assemble"):
+            for i, wrapped in zip(pending, results):
                 worker = wrapped.get("telemetry") or {}
                 busy += sum(worker.values())
                 for name, seconds in sorted(worker.items()):
                     rec.observe(f"worker.{name}_s", seconds)
-                if "worker-exec" in worker:
-                    _note_trial_cost(specs[i].fn, worker["worker-exec"])
                 if "error" in wrapped:
                     failures.append((i, specs[i].fn, wrapped["error"]))
                     continue
@@ -485,21 +400,15 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                     # Workers cannot defer the decision; keep the
                     # payload shape identical to an inline run.
                     payloads[i].pop("snapshots", None)
-        utilization = busy / max(n_procs * map_wall, 1e-9)
-        rec.gauge("pool.utilization", utilization)
-        rec.event(
-            "pool", processes=n_procs, chunk_size=size,
-            busy_s=round(busy, 6), map_wall_s=round(map_wall, 6),
-            utilization=round(utilization, 6),
-        )
+        rec.gauge("pool.utilization", busy / max(n_procs * map_wall, 1e-9))
     elif pending:
         timings = {}
-        with telemetry.telemetry_phase("dispatch", trials=len(pending)):
+        with telemetry.telemetry_phase("dispatch"):
             for i in pending:
                 try:
                     payloads[i] = _execute_trial(
-                        specs[i].fn, specs[i].kwargs, cost_constants,
-                        want_snapshots, timings=timings,
+                        specs[i].fn, specs[i].kwargs, want_snapshots,
+                        timings=timings,
                     )
                 except Exception as exc:  # noqa: BLE001 - merged below
                     failures.append((i, specs[i].fn, {
@@ -507,21 +416,19 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
                         "message": str(exc),
                         "traceback": traceback.format_exc(),
                     }))
-                if "worker-exec" in timings:
-                    _note_trial_cost(specs[i].fn, timings["worker-exec"])
                 if rec.active:
                     for name, seconds in sorted(timings.items()):
                         rec.observe(f"worker.{name}_s", seconds)
                 timings.clear()
 
     if pending and cache is not None:
-        with telemetry.telemetry_phase("cache-store", trials=len(pending)):
+        with telemetry.telemetry_phase("cache-store"):
             for i in pending:
                 if payloads[i] is None:
                     continue
                 cache.put(keys[i], payloads[i], encoded=encoded[i])
 
-    with telemetry.telemetry_phase("result-merge", trials=len(specs)):
+    with telemetry.telemetry_phase("result-merge"):
         if _snapshot_sinks:
             for payload in payloads:
                 if payload is None:
@@ -535,11 +442,9 @@ def run_grid(specs, jobs=None, cache=_UNSET, cost_model=None):
     return payloads
 
 
-def grid_rows(specs, jobs=None, cache=_UNSET, cost_model=None):
+def grid_rows(specs, jobs=None, cache=_UNSET):
     """The common case: run a grid, return just the row dicts."""
     return [
         payload["row"]
-        for payload in run_grid(
-            specs, jobs=jobs, cache=cache, cost_model=cost_model
-        )
+        for payload in run_grid(specs, jobs=jobs, cache=cache)
     ]

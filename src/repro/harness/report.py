@@ -49,41 +49,14 @@ def print_breakdown(cluster, metrics=None, out=print):
     out(format_breakdown(cluster, metrics=metrics))
 
 
-def figure_blame(clusters, top=None):
-    """Aggregate critical-path blame across every cluster a figure built.
+def snapshot_blame(snapshots, top=None):
+    """Aggregate critical-path blame across a figure's run snapshots.
 
+    Snapshots rather than live clusters, because a figure's clusters
+    may have run in a pool worker or been replayed from the cache.
     Returns rows ``{"category", "kind", "seconds", "share"}`` sorted
     largest-first; shares are of the summed makespan, so over the full
     (untruncated) list they total 1.0.
-    """
-    from collections import defaultdict
-
-    from repro.obs import compute_critical_path
-
-    totals = defaultdict(float)
-    makespan = 0.0
-    for cluster in clusters:
-        path = compute_critical_path(cluster)
-        makespan += path.makespan
-        for row in path.blame():
-            totals[(row["category"], row["kind"])] += row["seconds"]
-    rows = [
-        {
-            "category": category,
-            "kind": kind,
-            "seconds": seconds,
-            "share": seconds / makespan if makespan else 0.0,
-        }
-        for (category, kind), seconds in totals.items()
-    ]
-    rows.sort(key=lambda r: (-r["seconds"], r["category"], r["kind"]))
-    return rows[:top] if top else rows
-
-
-def snapshot_blame(snapshots, top=None):
-    """:func:`figure_blame` over ledger run snapshots instead of live
-    clusters -- how parallel or cache-replayed figures report blame
-    (the cluster objects ran in another process, or never ran at all).
     """
     from collections import defaultdict
 
@@ -106,7 +79,9 @@ def snapshot_blame(snapshots, top=None):
     return rows[:top] if top else rows
 
 
-def _print_blame_rows(rows, title, out):
+def print_snapshot_blame(snapshots, title="blame (critical path)", top=8,
+                         out=print):
+    """Annotate a figure with where its simulated time actually went."""
     display = [
         {
             "category": r["category"],
@@ -114,21 +89,9 @@ def _print_blame_rows(rows, title, out):
             "seconds": r["seconds"],
             "share": f"{r['share']:.1%}",
         }
-        for r in rows
+        for r in snapshot_blame(snapshots, top=top)
     ]
     print_table(display, title=title, out=out)
-
-
-def print_figure_blame(clusters, title="blame (critical path)", top=8,
-                       out=print):
-    """Annotate a figure with where its simulated time actually went."""
-    _print_blame_rows(figure_blame(clusters, top=top), title, out)
-
-
-def print_snapshot_blame(snapshots, title="blame (critical path)", top=8,
-                         out=print):
-    """Blame table computed from collected run snapshots."""
-    _print_blame_rows(snapshot_blame(snapshots, top=top), title, out)
 
 
 def pivot(rows, index, column, value="simulated_s"):

@@ -8,7 +8,6 @@ out across a pool?  It provides
 - :class:`PhaseRecorder` -- nested wall-clock phases with self-time
   accounting (a phase's ``self_s`` excludes its children), so the
   recorded phases of a run tile its wall time by construction;
-- structured JSON-lines logging (one event per line, wall timestamps);
 - a :class:`~repro.obs.metrics.MetricsRegistry` for pool-utilization
   gauges, payload-size histograms and cache counters;
 - an optional per-worker cProfile hook, enabled by pointing the
@@ -22,7 +21,6 @@ payloads -- the serial/parallel/cache byte-identity invariant is
 property-tested in ``tests/harness/test_parallel.py``.
 """
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -34,21 +32,19 @@ PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
 
 
 class PhaseRecorder:
-    """Nested wall-clock phases + structured logging + metrics.
+    """Nested wall-clock phases + metrics.
 
     ``clock`` is injectable for tests; it defaults to
     :func:`time.perf_counter`.
     """
 
-    def __init__(self, log_path=None, clock=time.perf_counter):
+    def __init__(self, clock=time.perf_counter):
         self.clock = clock
         self.metrics = MetricsRegistry()
         #: Completed phases, in completion order:
         #: ``{"name", "wall_s", "self_s", "depth"}``.
         self.phases = []
         self._stack = []
-        self._log_path = log_path
-        self._log = open(log_path, "a") if log_path else None
 
     @property
     def active(self):
@@ -58,7 +54,7 @@ class PhaseRecorder:
     # -- phases --------------------------------------------------------
 
     @contextmanager
-    def phase(self, name, **fields):
+    def phase(self, name):
         """Measure the block as phase ``name``.
 
         Nested phases subtract their wall time from the parent's
@@ -84,10 +80,6 @@ class PhaseRecorder:
                     "depth": len(self._stack),
                 }
             )
-            self.event(
-                "phase", name=name, wall_s=round(wall, 6),
-                self_s=round(self_s, 6), **fields
-            )
 
     def phase_totals(self):
         """Aggregate completed phases by name.
@@ -104,17 +96,6 @@ class PhaseRecorder:
             row["count"] += 1
         return totals
 
-    # -- structured log ------------------------------------------------
-
-    def event(self, kind, **fields):
-        """Append one JSON event line to the telemetry log."""
-        if self._log is None:
-            return
-        record = {"ts": round(time.time(), 6), "event": kind}
-        record.update(fields)
-        self._log.write(json.dumps(record, sort_keys=True) + "\n")
-        self._log.flush()
-
     # -- metrics -------------------------------------------------------
 
     def count(self, name, amount=1):
@@ -129,12 +110,6 @@ class PhaseRecorder:
         """Record one observation in histogram ``name``."""
         self.metrics.histogram(name).observe(value)
 
-    def close(self):
-        """Flush and close the JSON log (idempotent)."""
-        if self._log is not None:
-            self._log.close()
-            self._log = None
-
 
 class _NullRecorder:
     """Inactive recorder: every operation is a no-op."""
@@ -143,14 +118,11 @@ class _NullRecorder:
     phases = ()
 
     @contextmanager
-    def phase(self, name, **fields):
+    def phase(self, name):
         yield
 
     def phase_totals(self):
         return {}
-
-    def event(self, kind, **fields):
-        pass
 
     def count(self, name, amount=1):
         pass
@@ -159,9 +131,6 @@ class _NullRecorder:
         pass
 
     def observe(self, name, value):
-        pass
-
-    def close(self):
         pass
 
 
@@ -177,34 +146,32 @@ def recorder():
 
 
 def clear_recorder():
-    """Reset to the null recorder without closing anything.
+    """Reset to the null recorder.
 
     Forked pool workers call this from their initializer: the recorder
-    they inherit belongs to the parent (including its log file
-    descriptor), and worker-side telemetry returns through the result
-    sidecar instead.
+    they inherit belongs to the parent, and worker-side telemetry
+    returns through the result sidecar instead.
     """
     global _current
     _current = NULL_RECORDER
 
 
 @contextmanager
-def recording(log_path=None, clock=time.perf_counter):
+def recording(clock=time.perf_counter):
     """Activate a fresh :class:`PhaseRecorder` for the block."""
     global _current
     previous = _current
-    _current = PhaseRecorder(log_path=log_path, clock=clock)
+    _current = PhaseRecorder(clock=clock)
     try:
         yield _current
     finally:
-        _current.close()
         _current = previous
 
 
 @contextmanager
-def telemetry_phase(name, **fields):
+def telemetry_phase(name):
     """Instrumentation shim: a phase on whatever recorder is active."""
-    with recorder().phase(name, **fields):
+    with recorder().phase(name):
         yield
 
 
@@ -212,27 +179,3 @@ def profile_dir():
     """The per-worker cProfile dump directory, or ``None``."""
     return os.environ.get(PROFILE_DIR_ENV) or None
 
-
-def phase_report(totals, total_wall_s):
-    """Summarize :meth:`PhaseRecorder.phase_totals` against a measured
-    wall time.
-
-    Returns ``{"phases": {name: {...}}, "accounted_s", "coverage"}``
-    where ``coverage`` is the fraction of ``total_wall_s`` explained by
-    phase self-times (capped at 1.0 against clock jitter).
-    """
-    phases = {
-        name: {
-            "wall_s": round(row["wall_s"], 6),
-            "self_s": round(row["self_s"], 6),
-            "count": row["count"],
-        }
-        for name, row in sorted(totals.items())
-    }
-    accounted = sum(row["self_s"] for row in totals.values())
-    coverage = min(1.0, accounted / total_wall_s) if total_wall_s else 1.0
-    return {
-        "phases": phases,
-        "accounted_s": round(accounted, 6),
-        "coverage": round(coverage, 6),
-    }

@@ -17,9 +17,13 @@ def test_no_args_lists(capsys):
     assert "fig11" in capsys.readouterr().out
 
 
-def test_unknown_experiment_errors():
-    with pytest.raises(SystemExit):
-        main(["fig99"])
+def test_unknown_experiment_errors(capsys):
+    # "bench" was a subcommand once; now it is an unknown id like any other.
+    for name in ("fig99", "bench"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name])
+        assert excinfo.value.code == 2
+        assert f"unknown experiment {name!r}" in capsys.readouterr().err
 
 
 def test_quick_table1(capsys):

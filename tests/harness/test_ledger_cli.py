@@ -86,3 +86,20 @@ def test_compare_cli_json_output(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["makespan"]["regression"] is False
     assert report["makespan"]["delta_s"] == 0.0
+
+
+def test_compare_cli_rejects_a_stale_bench_report(tmp_path, capsys):
+    """A leftover ``BENCH_harness.json`` (its subcommand is gone) is not
+    a ledger snapshot: exit 2 with the schema diagnostic, on either
+    side, instead of a traceback."""
+    main(["ledger", "fig12a", "--quick", "--out-dir", str(tmp_path)])
+    ledger = str(tmp_path / "fig12a-quick.json")
+    stale = tmp_path / "BENCH_harness.json"
+    stale.write_text(json.dumps({"bench_schema_version": 4, "figures": {}}))
+    for argv in ([str(stale), ledger], [ledger, str(stale)],
+                 [str(stale), str(stale)]):
+        capsys.readouterr()
+        assert main(["compare"] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"ledger snapshot {stale} has schema_version None" in err
+        assert "this build reads version" in err

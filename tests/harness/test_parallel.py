@@ -9,6 +9,7 @@ lives on the engine the trial builds, so a worker's process history
 cannot leak into results.
 """
 
+import hashlib
 import json
 import os
 import tempfile
@@ -17,11 +18,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.costs import CostModel
+from repro.cluster import Task
 from repro.cluster.faults import FaultPlan, RetryPolicy
+from repro.harness import cache as cache_mod
 from repro.harness import experiments as E  # noqa: F401 - fills the registry
 from repro.harness import parallel
-from repro.harness.cache import TrialCache, cache_key, relevant_constants
+from repro.harness.cache import (
+    CACHE_SCHEMA_VERSION,
+    TrialCache,
+    cache_key,
+    code_tree_hash,
+)
 from repro.harness.parallel import (
     TRIAL_FNS,
     SnapshotSink,
@@ -34,7 +41,7 @@ from repro.harness.parallel import (
     shutdown_pool,
     trial,
 )
-from repro.harness.runner import fresh_engine, neuro_subjects
+from repro.harness.runner import fresh_engine, make_cluster, neuro_subjects
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import lower, neuro_plan
 
@@ -66,6 +73,18 @@ def _trial_transient_neuro(kind, profile):
     return {"engine": kind, "simulated_s": cluster.now}
 
 
+@trial("test_cheap")
+def _trial_cheap(i, fail=False):
+    """Sub-millisecond trial whose row and snapshot depend on ``i``."""
+    if fail:
+        raise RuntimeError(f"cheap trial {i} was told to fail")
+    cluster = make_cluster(2, "spark")
+    cluster.run(
+        [Task(f"cheap-{i}-{n}", duration=1.0 + n) for n in range(i + 1)]
+    )
+    return {"i": i, "simulated_s": cluster.now}
+
+
 def _canon(payloads):
     return json.dumps(payloads, sort_keys=True)
 
@@ -76,7 +95,6 @@ def _tiny_specs(include_fault_trial=True, engines=("dask", "spark")):
             "fig10c",
             {"kind": kind, "count": 1, "n_nodes": 4,
              "profile": dict(TINY_NEURO)},
-            engine=kind,
         )
         for kind in engines
     ]
@@ -87,7 +105,6 @@ def _tiny_specs(include_fault_trial=True, engines=("dask", "spark")):
                 {"kind": "spark", "n_subjects": 1, "n_nodes": 4,
                  "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
                  "seed": 16},
-                engine="spark",
                 faults={"crash": "last-node@50%-progress", "seed": 16},
             )
         )
@@ -104,7 +121,6 @@ def _random_pool():
             "fig10c",
             {"kind": kind, "count": count, "n_nodes": nodes,
              "profile": dict(TINY_NEURO)},
-            engine=kind,
         )
         for kind in ("dask", "myria", "spark")
         for count in (1, 2)
@@ -115,7 +131,6 @@ def _random_pool():
             {"kind": kind, "n_subjects": 1, "n_nodes": 4,
              "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
              "seed": 16},
-            engine=kind,
             faults={"crash": "last-node@50%-progress", "seed": 16},
         )
         for kind in ("spark", "dask")
@@ -123,7 +138,6 @@ def _random_pool():
         TrialSpec(
             "test_transient_neuro",
             {"kind": kind, "profile": dict(TINY_NEURO)},
-            engine=kind,
             faults=dict(TRANSIENT_FAULTS),
         )
         for kind in ("dask", "tensorflow")
@@ -188,19 +202,12 @@ class TestDeterminism:
         specs = [pool[i] for i in indices]
         with collecting_snapshots() as serial_sink:
             serial = run_grid(specs, jobs=1, cache=None)
-        # Force the warm-pool chunked path (the cost EMA would otherwise
-        # route these tiny trials through the auto-serial fallback).
-        threshold = parallel.AUTO_SERIAL_THRESHOLD_S
-        parallel.AUTO_SERIAL_THRESHOLD_S = 0.0
-        try:
-            with tempfile.TemporaryDirectory() as root:
-                with collecting_snapshots() as pooled_sink:
-                    pooled = run_grid(specs, jobs=jobs, cache=TrialCache(root))
-                replay_cache = TrialCache(root)
-                with collecting_snapshots() as replay_sink:
-                    replayed = run_grid(specs, jobs=1, cache=replay_cache)
-        finally:
-            parallel.AUTO_SERIAL_THRESHOLD_S = threshold
+        with tempfile.TemporaryDirectory() as root:
+            with collecting_snapshots() as pooled_sink:
+                pooled = run_grid(specs, jobs=jobs, cache=TrialCache(root))
+            replay_cache = TrialCache(root)
+            with collecting_snapshots() as replay_sink:
+                replayed = run_grid(specs, jobs=1, cache=replay_cache)
         assert replay_cache.stats() == {"hits": len(specs), "misses": 0}
         assert _canon(serial) == _canon(pooled) == _canon(replayed)
         assert (
@@ -259,203 +266,116 @@ class TestCacheKeys:
         assert spec.key(salt="s") == spec.key(salt="s")
 
     def test_key_depends_on_kwargs(self):
-        a = cache_key("fig10c", {"count": 1}, engine="spark", salt="s")
-        b = cache_key("fig10c", {"count": 2}, engine="spark", salt="s")
+        a = cache_key("fig10c", {"count": 1}, salt="s")
+        b = cache_key("fig10c", {"count": 2}, salt="s")
         assert a != b
 
     def test_key_depends_on_fn_and_faults_and_salt(self):
-        base = cache_key("fig10c", {}, engine="spark", salt="s")
-        assert cache_key("fig10d", {}, engine="spark", salt="s") != base
+        base = cache_key("fig10c", {}, salt="s")
+        assert cache_key("fig10d", {}, salt="s") != base
         assert cache_key(
-            "fig10c", {}, engine="spark", faults={"seed": 1}, salt="s"
+            "fig10c", {}, faults={"seed": 1}, salt="s"
         ) != base
-        assert cache_key("fig10c", {}, engine="spark", salt="t") != base
+        assert cache_key("fig10c", {}, salt="t") != base
 
-    def test_engine_constant_scoping(self):
-        model = CostModel()
-        spark = relevant_constants(model, engine="spark")
-        dask = relevant_constants(model, engine="dask")
-        assert "spark_task_overhead" in spark
-        assert "spark_task_overhead" not in dask
-        assert "dask_task_overhead" in dask
-        assert "python_boundary_bandwidth" in spark
-        assert "python_boundary_bandwidth" not in dask
-        # Shared constants key every engine.
-        assert "network_bandwidth" in spark
-        assert "network_bandwidth" in dask
-        # engine=None (mixed trial) keys on everything.
-        assert "spark_task_overhead" in relevant_constants(model)
-        assert "dask_task_overhead" in relevant_constants(model)
-
-    def test_cost_constant_invalidation_is_engine_scoped(self):
-        model = CostModel()
-        retuned_spark = model.with_overrides(spark_task_overhead=0.05)
-        spark_key = cache_key("fig10c", {}, engine="spark",
-                              cost_model=model, salt="s")
-        dask_key = cache_key("fig10c", {}, engine="dask",
-                             cost_model=model, salt="s")
-        assert cache_key("fig10c", {}, engine="spark",
-                         cost_model=retuned_spark, salt="s") != spark_key
-        assert cache_key("fig10c", {}, engine="dask",
-                         cost_model=retuned_spark, salt="s") == dask_key
-        # A shared constant invalidates every engine.
-        retuned_net = model.with_overrides(network_bandwidth=1e9)
-        assert cache_key("fig10c", {}, engine="spark",
-                         cost_model=retuned_net, salt="s") != spark_key
-        assert cache_key("fig10c", {}, engine="dask",
-                         cost_model=retuned_net, salt="s") != dask_key
+    def test_key_is_the_hash_of_fn_kwargs_faults_salt_and_nothing_else(self):
+        kwargs = {"kind": "spark", "count": 1}
+        faults = {"seed": 1}
+        document = {"schema": CACHE_SCHEMA_VERSION, "salt": "s",
+                    "fn": "fig10c", "kwargs": kwargs, "faults": faults}
+        canonical = json.dumps(document, sort_keys=True,
+                               separators=(",", ":"))
+        expected = hashlib.sha256(canonical.encode()).hexdigest()
+        assert cache_key("fig10c", kwargs, faults=faults, salt="s") == expected
+        # ``engine`` is still accepted (bench/workloads.py passes it)
+        # and keys like the same spec without it.
+        with_engine = TrialSpec("fig10c", kwargs, engine="spark",
+                                faults=faults)
+        without = TrialSpec("fig10c", kwargs, faults=faults)
+        assert with_engine.key(salt="s") == without.key(salt="s") == expected
+        assert with_engine.key() == without.key()
 
 
-class TestCalibrationInvalidation:
-    """ROADMAP's ledger-driven calibration check: recalibrating one
-    cost constant re-simulates exactly the trials whose blame includes
-    that constant's engine, and replays everything else from cache."""
+class TestCodeTreeHash:
+    """The one invalidation story: the default salt is a digest of
+    every ``.py`` file's path and bytes under the package root."""
+
+    BASE = {
+        "__init__.py": b"",
+        "cluster/costs.py": b"spark_task_overhead = 0.020\n",
+        "harness/cache.py": b"# stand-in\n",
+    }
 
     @staticmethod
-    def _blames_spark(snapshot):
-        return any(
-            (row["category"] or "").startswith("spark")
-            for row in snapshot["critical_path"]["blame"]
-        )
+    def _write(root, files):
+        for relpath, blob in files.items():
+            path = os.path.join(str(root), relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        return str(root)
 
-    def test_recalibration_invalidates_only_blamed_trials(self, tmp_path):
-        specs = _tiny_specs(include_fault_trial=False)  # dask, spark
-        cache = TrialCache(str(tmp_path))
-        with collecting_snapshots() as base_sink:
-            base = run_grid(specs, jobs=1, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 2}
-        # The blame ledger says which trial depends on the spark
-        # scheduler constants -- exactly the one the retune must evict.
-        assert not self._blames_spark(base_sink.snapshots[0])
-        assert self._blames_spark(base_sink.snapshots[1])
+    def _digest(self, tmp_path, name, files):
+        # A fresh root per variant: digests are memoized per root and
+        # cover paths relative to it, never the root itself.
+        return code_tree_hash(self._write(tmp_path / name, files))
 
-        retuned = CostModel().with_overrides(spark_task_overhead=0.5)
-        recal_cache = TrialCache(str(tmp_path))
-        with collecting_snapshots() as recal_sink:
-            recal = run_grid(
-                specs, jobs=1, cache=recal_cache, cost_model=retuned
-            )
-        assert recal_cache.stats() == {"hits": 1, "misses": 1}
-        # Dask trial replayed byte-identically; spark trial re-simulated
-        # under the retuned model and got slower.
-        assert _canon(recal[0]) == _canon(base[0])
-        assert _canon(recal_sink.snapshots[0]) == _canon(base_sink.snapshots[0])
-        assert (recal[1]["row"]["simulated_s"]
-                > base[1]["row"]["simulated_s"])
+    def test_same_tree_under_another_root_hashes_equal(self, tmp_path):
+        assert (self._digest(tmp_path, "a", self.BASE)
+                == self._digest(tmp_path, "b", self.BASE))
 
-    def test_default_model_rerun_hits_everything(self, tmp_path):
-        specs = _tiny_specs(include_fault_trial=False)
-        cache = TrialCache(str(tmp_path))
-        run_grid(specs, jobs=1, cache=cache)
-        rerun_cache = TrialCache(str(tmp_path))
-        # An explicit default model keys identically to cost_model=None.
-        run_grid(specs, jobs=1, cache=rerun_cache, cost_model=CostModel())
-        assert rerun_cache.stats() == {"hits": len(specs), "misses": 0}
-
-
-class TestBenchCli:
-    def test_bench_writes_schema_and_compare_reads_it(self, tmp_path, capsys):
-        from repro.harness.__main__ import _bench_main, _compare_main
-
-        out = tmp_path / "bench.json"
-        assert _bench_main(["fig10c", "--jobs", "1", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["bench_schema_version"] == 4
-        assert doc["quick"] is True
-        host = doc["host"]
-        assert host["cpu_count"] == os.cpu_count()
-        assert set(host["thread_env"]) == {
-            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+    def test_changes_with_bytes_names_and_new_sources(self, tmp_path):
+        base = self._digest(tmp_path, "base", self.BASE)
+        edited = dict(self.BASE)
+        edited["cluster/costs.py"] = b"spark_task_overhead = 0.050\n"
+        renamed = dict(self.BASE)
+        renamed["cluster/cost_model.py"] = renamed.pop("cluster/costs.py")
+        added = dict(self.BASE, **{"cluster/extra.py": b""})
+        digests = {
+            base,
+            self._digest(tmp_path, "edited", edited),
+            self._digest(tmp_path, "renamed", renamed),
+            self._digest(tmp_path, "added", added),
         }
-        assert host["python"] and host["numpy"]
-        fig = doc["figures"]["fig10c"]
-        for key in ("serial_s", "parallel_s", "warm_s", "jobs",
-                    "cold_cache", "warm_cache", "chunk_size",
-                    "snapshots_identical", "speedup", "warm_over_cold"):
-            assert key in fig
-        assert "op_cache" not in fig  # v3's op-tier counters are gone
-        # The cold run populates the cache (all misses); the warm run
-        # replays it (all hits).
-        assert fig["cold_cache"]["hits"] == 0
-        assert fig["cold_cache"]["misses"] > 0
-        assert fig["warm_cache"]["hits"] == fig["cold_cache"]["misses"]
-        assert fig["warm_cache"]["misses"] == 0
-        # Every leg's snapshots were byte-identical.  --jobs 1 never
-        # pools, so the dispatch chunk size is null.
-        assert fig["snapshots_identical"] is True
-        assert fig["chunk_size"] is None
-        capsys.readouterr()
-        # ``compare`` auto-detects bench files; report-only, exit 0.
-        assert _compare_main([str(out), str(out), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["bench_compare"] is True
-        assert report["figures"][0]["figure"] == "fig10c"
-        assert report["figures"][0]["serial_s_ratio"] == 1.0
+        assert len(digests) == 4
 
-    def test_bench_phase_coverage_accounts_for_wall_time(self, tmp_path,
-                                                         capsys):
-        from repro.harness.__main__ import _bench_main
+    def test_ignores_bytecode_and_non_python_files(self, tmp_path):
+        noisy = dict(self.BASE, **{
+            "cluster/__pycache__/costs.cpython-312.pyc": b"\x00bytecode",
+            "__pycache__/stray.py": b"x = 1\n",
+            "harness/notes.md": b"# notes\n",
+            "cluster/costs.py.orig": b"spark_task_overhead = 0.1\n",
+        })
+        assert (self._digest(tmp_path, "noisy", noisy)
+                == self._digest(tmp_path, "base", self.BASE))
 
-        out = tmp_path / "bench.json"
-        log = tmp_path / "telemetry.jsonl"
-        assert _bench_main([
-            "fig11", "--jobs", "2", "--out", str(out), "--phases",
-            "--telemetry-log", str(log),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        phases = doc["figures"]["fig11"]["phases"]
-        for leg in ("serial", "parallel", "warm"):
-            assert phases[leg]["coverage"] >= 0.99, (
-                f"{leg} leg accounts for only"
-                f" {phases[leg]['coverage']:.1%} of its wall time"
-            )
-
-    def test_compare_rejects_mismatched_schema_versions(self, tmp_path,
-                                                        capsys):
-        from repro.harness.__main__ import _compare_main
-
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(
-            {"bench_schema_version": 3, "figures": {}}
-        ))
-        new.write_text(json.dumps(
-            {"bench_schema_version": 4, "figures": {}}
-        ))
-        assert _compare_main([str(old), str(new)]) == 2
-        err = capsys.readouterr().err
-        assert "has bench_schema_version 3 but" in err
-        assert "has 4;" in err
-
-    def test_bench_gate_flags_sub_unity_speedup(self, tmp_path, capsys,
-                                                monkeypatch):
-        from repro.harness import __main__ as cli
-
-        real_timed_run = cli._timed_run
-        walls = iter([0.1, 0.5, 0.01])  # serial, parallel, warm
-
-        def slow_parallel(run, quick, label, phases=False, log_path=None):
-            _wall, report, canon = real_timed_run(
-                run, quick, label, phases=phases, log_path=log_path
-            )
-            return next(walls), report, canon
-
-        monkeypatch.setattr(cli, "_timed_run", slow_parallel)
-        out = tmp_path / "bench.json"
-        assert cli._bench_main(
-            ["fig11", "--jobs", "1", "--out", str(out), "--gate"]
-        ) == 1
-        assert "speedup" in capsys.readouterr().err
+    def test_default_salt_follows_the_source_tree(self, tmp_path,
+                                                  monkeypatch):
+        """Editing a cost constant re-keys every trial, whatever its
+        engine: with no ``salt`` the key hashes the tree two levels
+        above ``cache.py``."""
+        root = self._write(tmp_path / "repro", self.BASE)
+        monkeypatch.setattr(
+            cache_mod, "__file__", os.path.join(root, "harness", "cache.py")
+        )
+        monkeypatch.setattr(cache_mod, "_code_hash_cache", {})
+        spec = TrialSpec("fig10c", {"kind": "dask", "count": 1})
+        before = spec.key()
+        assert before == spec.key(salt=code_tree_hash(root))
+        self._write(root, {
+            "cluster/costs.py": b"spark_task_overhead = 0.050\n",
+        })
+        cache_mod._code_hash_cache.clear()
+        assert spec.key() != before
 
 
 class TestTelemetry:
     """Plane-2 instrumentation: executor phases, worker sidecars, and
     the invariant that telemetry never alters payloads."""
 
-    def test_run_grid_records_executor_phases(self, tmp_path, monkeypatch):
+    def test_run_grid_records_executor_phases(self, tmp_path):
         from repro.obs import telemetry
 
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
         shutdown_pool()  # pool-startup only appears on a cold pool
         specs = _tiny_specs(include_fault_trial=False)
         cache = TrialCache(str(tmp_path / "cache"))
@@ -512,7 +432,6 @@ class TestTelemetry:
     def test_profile_dir_dumps_worker_profiles(self, tmp_path, monkeypatch):
         from repro.obs import telemetry
 
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
         profile_dir = tmp_path / "profiles"
         monkeypatch.setenv(telemetry.PROFILE_DIR_ENV, str(profile_dir))
         specs = _tiny_specs(include_fault_trial=False)
@@ -525,8 +444,7 @@ class TestWarmPool:
     """The pool outlives run_grid: one startup cost per process, not
     one per figure."""
 
-    def test_pool_persists_across_grids(self, monkeypatch):
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
+    def test_pool_persists_across_grids(self):
         shutdown_pool()
         specs = _tiny_specs(include_fault_trial=False)
         run_grid(specs, jobs=2, cache=None)
@@ -535,10 +453,9 @@ class TestWarmPool:
         run_grid(specs, jobs=2, cache=None)
         assert parallel._pool_state["pool"] is pool
 
-    def test_warm_reuse_skips_pool_startup_phase(self, monkeypatch):
+    def test_warm_reuse_skips_pool_startup_phase(self):
         from repro.obs import telemetry
 
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
         shutdown_pool()
         specs = _tiny_specs(include_fault_trial=False)
         run_grid(specs, jobs=2, cache=None)  # cold: creates the pool
@@ -548,8 +465,7 @@ class TestWarmPool:
         assert "pool-startup" not in totals
         assert "dispatch" in totals
 
-    def test_pool_grows_for_larger_grids(self, monkeypatch):
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
+    def test_pool_grows_for_larger_grids(self):
         shutdown_pool()
         run_grid(
             _tiny_specs(include_fault_trial=False), jobs=2, cache=None
@@ -563,48 +479,13 @@ class TestWarmPool:
         assert parallel._pool_state["pool"] is not small
         assert parallel._pool_state["procs"] == 3
 
-    def test_shutdown_resets_state(self, monkeypatch):
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
+    def test_shutdown_resets_state(self):
         run_grid(
             _tiny_specs(include_fault_trial=False), jobs=2, cache=None
         )
         shutdown_pool()
         assert parallel._pool_state["pool"] is None
         assert parallel._pool_state["procs"] == 0
-
-
-class TestAutoSerial:
-    """Grids cheaper than the dispatch overhead never touch the pool."""
-
-    def test_cheap_grid_runs_inline(self, monkeypatch):
-        from repro.obs import telemetry
-
-        specs = _tiny_specs(include_fault_trial=False)
-        run_grid(specs, jobs=1, cache=None)  # seed the cost EMA
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 1e9)
-        shutdown_pool()
-        with telemetry.recording() as rec:
-            payloads = run_grid(specs, jobs=4, cache=None)
-        assert parallel._pool_state["pool"] is None  # never created
-        assert parallel.last_chunk_size is None
-        totals = rec.phase_totals()
-        assert "pool-startup" not in totals
-        assert "dispatch" in totals
-        # The inline path still records worker-side telemetry.
-        snap = rec.metrics.snapshot()
-        assert snap["worker.worker-exec_s.count"] == len(specs)
-        assert len(payloads) == len(specs)
-
-    def test_unobserved_trials_assume_expensive(self, monkeypatch):
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 1e9)
-        monkeypatch.setattr(parallel, "_trial_cost_ema", {})
-        shutdown_pool()
-        run_grid(
-            _tiny_specs(include_fault_trial=False), jobs=2, cache=None
-        )
-        # No EMA observation -> no estimate -> pooled despite the
-        # enormous threshold.
-        assert parallel._pool_state["pool"] is not None
 
 
 class TestFailurePropagation:
@@ -618,12 +499,10 @@ class TestFailurePropagation:
             "fig10c",
             {"kind": "spark", "count": 1, "n_nodes": 4,
              "profile": dict(TINY_NEURO), "bogus": True},
-            engine="spark",
         )
         return good, [good[0], bad, good[1]]
 
-    def _check(self, jobs, monkeypatch):
-        monkeypatch.setattr(parallel, "AUTO_SERIAL_THRESHOLD_S", 0.0)
+    def _check(self, jobs):
         good, specs = self._specs_with_failure()
         with collecting_snapshots() as serial_sink:
             serial = run_grid(good, jobs=1, cache=None)
@@ -641,11 +520,46 @@ class TestFailurePropagation:
         assert _canon(survivors) == _canon(serial)
         assert _canon(sink.snapshots) == _canon(serial_sink.snapshots)
 
-    def test_pooled_failure(self, monkeypatch):
-        self._check(2, monkeypatch)
+    def test_pooled_failure(self):
+        self._check(2)
 
-    def test_inline_failure(self, monkeypatch):
-        self._check(1, monkeypatch)
+    def test_inline_failure(self):
+        self._check(1)
+
+    def test_failure_inside_a_multi_trial_batch(self, tmp_path):
+        """Nine pending trials on a two-worker pool: ``Pool.map`` cuts
+        them into batches of ceil(9 / (2 * 4)) = 2, so the failing
+        trial shares a batch with a survivor."""
+        bad = 4
+        specs = [TrialSpec("test_cheap", {"i": i, "fail": i == bad})
+                 for i in range(9)]
+        good = specs[:bad] + specs[bad + 1:]
+        with collecting_snapshots() as serial_sink:
+            serial = run_grid(good, jobs=1, cache=None)
+        shutdown_pool()  # a wider warm pool would get batches of 1
+        cache = TrialCache(str(tmp_path / "cache"))
+        with collecting_snapshots() as sink:
+            with pytest.raises(TrialExecutionError) as excinfo:
+                run_grid(specs, jobs=2, cache=cache)
+        assert parallel._pool_state["procs"] == 2
+        err = excinfo.value
+        assert [(i, fn) for i, fn, _ in err.failures] == [(bad, "test_cheap")]
+        error = err.failures[0][2]
+        assert error["type"] == "RuntimeError"
+        assert error["message"] == f"cheap trial {bad} was told to fail"
+        assert "Traceback" in error["traceback"]
+        assert "_trial_cheap" in error["traceback"]
+        assert err.payloads[bad] is None
+        survivors = err.payloads[:bad] + err.payloads[bad + 1:]
+        assert _canon(survivors) == _canon(serial)
+        assert _canon(sink.snapshots) == _canon(serial_sink.snapshots)
+        # The cache holds exactly the survivors.
+        stored = [name for _dir, _subdirs, names in os.walk(cache.root)
+                  for name in names]
+        assert sorted(stored) == sorted(f"{spec.key()}.jz" for spec in good)
+        replay = TrialCache(cache.root)
+        assert _canon(run_grid(good, jobs=1, cache=replay)) == _canon(serial)
+        assert replay.stats() == {"hits": len(good), "misses": 0}
 
 
 class TestCacheStore:

@@ -1,14 +1,11 @@
 """Unit tests for the harness self-telemetry plane (``repro.obs.telemetry``)."""
 
-import json
-
 import pytest
 
 from repro.obs import telemetry
 from repro.obs.telemetry import (
     NULL_RECORDER,
     PhaseRecorder,
-    phase_report,
     recorder,
     recording,
     telemetry_phase,
@@ -46,37 +43,6 @@ def test_nested_phases_self_time_tiles_wall():
     assert sum(row["self_s"] for row in totals.values()) == pytest.approx(3.5)
 
 
-def test_phase_report_coverage():
-    clock = FakeClock()
-    rec = PhaseRecorder(clock=clock)
-    with rec.phase("work"):
-        clock.tick(9.5)
-    report = phase_report(rec.phase_totals(), 10.0)
-    assert report["accounted_s"] == pytest.approx(9.5)
-    assert report["coverage"] == pytest.approx(0.95)
-    assert report["phases"]["work"]["count"] == 1
-    # Coverage caps at 1.0 against clock jitter.
-    assert phase_report(rec.phase_totals(), 9.0)["coverage"] == 1.0
-    assert phase_report({}, 0.0)["coverage"] == 1.0
-
-
-def test_json_log_lines(tmp_path):
-    log = tmp_path / "telemetry.jsonl"
-    clock = FakeClock()
-    rec = PhaseRecorder(log_path=str(log), clock=clock)
-    with rec.phase("dispatch", trials=3):
-        clock.tick(1.25)
-    rec.event("pool", processes=4)
-    rec.close()
-    lines = [json.loads(line) for line in log.read_text().splitlines()]
-    assert lines[0]["event"] == "phase"
-    assert lines[0]["name"] == "dispatch"
-    assert lines[0]["trials"] == 3
-    assert lines[0]["wall_s"] == pytest.approx(1.25)
-    assert lines[1] == {k: lines[1][k] for k in ("ts", "event", "processes")}
-    assert lines[1]["processes"] == 4
-
-
 def test_metrics_counters_gauges_histograms():
     rec = PhaseRecorder()
     rec.count("cache.hits")
@@ -96,12 +62,11 @@ def test_null_recorder_is_default_and_inert():
     assert recorder() is NULL_RECORDER
     assert not NULL_RECORDER.active
     # All operations are no-ops that do not raise.
-    with telemetry_phase("anything", extra=1):
+    with telemetry_phase("anything"):
         pass
     NULL_RECORDER.count("x")
     NULL_RECORDER.gauge("x", 1)
     NULL_RECORDER.observe("x", 1)
-    NULL_RECORDER.event("x")
     assert NULL_RECORDER.phase_totals() == {}
 
 
