@@ -77,6 +77,7 @@ class Task:
         "not_before",
         "category",
         "op",
+        "_dependencies",
     )
 
     _OOM_POLICIES = ("fail", "wait", "spill")
@@ -119,19 +120,17 @@ class Task:
         self.not_before = float(not_before)
         self.category = category
         self.op = op
+        # ``deps``, ``args`` and ``kwargs`` are never reassigned, so the
+        # upstream set is fixed here, once.
+        seen = {dep.task_id: dep for dep in self.deps}
+        for arg in (*self.args, *self.kwargs.values()):
+            if isinstance(arg, Task):
+                seen[arg.task_id] = arg
+        self._dependencies = tuple(seen.values())
 
     def dependencies(self):
         """All upstream tasks: explicit ``deps`` plus tasks in arguments."""
-        seen = {}
-        for dep in self.deps:
-            seen[dep.task_id] = dep
-        for arg in self.args:
-            if isinstance(arg, Task):
-                seen[arg.task_id] = arg
-        for arg in self.kwargs.values():
-            if isinstance(arg, Task):
-                seen[arg.task_id] = arg
-        return list(seen.values())
+        return self._dependencies
 
     def __repr__(self):
         return f"Task(#{self.task_id} {self.name!r})"

@@ -90,14 +90,13 @@ def cache_key(fn, kwargs, faults=None, salt=None):
 def encode_payload(payload):
     """Compact wire/disk form of a trial payload.
 
-    Canonical (sorted-key, no-whitespace) JSON, zlib-compressed at
-    level 1: cheap to produce in workers, byte-deterministic for a
-    given payload, and typically an order of magnitude smaller than
-    uncompressed JSON through the pool pipe.
+    No-whitespace JSON, zlib-compressed at level 1: cheap to produce in
+    workers and typically an order of magnitude smaller than
+    uncompressed JSON through the pool pipe.  Keys keep the order the
+    trial built them in, so a row decodes with the columns it would
+    have had inline (``print_table`` takes them from the first row).
     """
-    encoded = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return zlib.compress(encoded, 1)
 
 

@@ -19,7 +19,7 @@ process startup.  A grid with more than one uncached trial at
 ``jobs > 1`` is one ``Pool.map`` over its trials; batching is the
 standard library's.
 
-Workers return compact payloads: canonical JSON compressed with zlib
+Workers return compact payloads: JSON compressed with zlib
 (see ``repro.harness.cache.encode_payload``), which the parent stores
 in the cache verbatim and decodes once for merging.  Snapshots are
 only computed when someone will consume them (an active

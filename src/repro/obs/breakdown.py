@@ -8,8 +8,6 @@ exactly as before.
 
 from collections import defaultdict
 
-from repro.obs.spans import TaskRecord
-
 
 def default_grouper(name):
     """Group task names by their engine/stage prefix.
@@ -25,15 +23,8 @@ def default_grouper(name):
 
 
 def records_of(cluster):
-    """Task records of a cluster, span-tagged when available."""
-    obs = getattr(cluster, "obs", None)
-    if obs is not None:
-        return list(obs.task_records)
-    # Pre-observability clusters: synthesize span-less records.
-    return [
-        TaskRecord(name, node, start, end)
-        for name, node, start, end in cluster.task_trace
-    ]
+    """The task records of a cluster, in the order they were filed."""
+    return list(cluster.obs.task_records)
 
 
 def group_of(record, grouper=None):

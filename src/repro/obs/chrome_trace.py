@@ -67,9 +67,7 @@ def chrome_trace(cluster, metrics=None, critical_path=None):
         )
 
     # Spans: nesting depth as the thread id keeps parents above children.
-    obs = getattr(cluster, "obs", None)
-    spans = obs.spans.spans if obs is not None else []
-    for span in spans:
+    for span in cluster.obs.spans.spans:
         end = span.end if span.end is not None else cluster.now
         args = {"parent": span.parent.name if span.parent else None}
         args.update(span.attrs)

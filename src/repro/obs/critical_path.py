@@ -197,7 +197,7 @@ def compute_critical_path(source):
     (records come from ``records_of``) or an iterable of
     :class:`~repro.obs.spans.TaskRecord`.
     """
-    if hasattr(source, "task_trace") or hasattr(source, "obs"):
+    if hasattr(source, "obs"):
         records = records_of(source)
     else:
         records = list(source)
@@ -256,7 +256,7 @@ def compute_critical_path(source):
         # first, then memory/slot contention.
         ready = r.ready if r.ready is not None else r.start
         if ready < frontier - _EPS:
-            if getattr(r, "retried", False):
+            if r.retried:
                 # A retried attempt's whole ready->start gap (failure
                 # detection, retry backoff, waiting for a survivor
                 # slot) is recovery overhead.

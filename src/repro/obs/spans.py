@@ -112,13 +112,15 @@ class SpanStore:
 class TaskRecord:
     """One executed task, tagged with the span it ran under.
 
-    Beyond the ``[start, end]`` slot extent, the executor attaches the
-    scheduling metadata that critical-path analysis needs: when the
+    Beyond the ``[start, end]`` slot extent, a record carries the
+    scheduling history that critical-path analysis needs: when the
     task was queued, when its last dependency resolved (``ready``), its
     dispatch floor (``not_before``), whether memory admission deferred
     it, the transfer/compute/spill decomposition of its extent, and the
-    ids of its dependencies.  All fields default so that records
-    synthesized from bare ``task_trace`` tuples keep working.
+    ids of its dependencies.  The executor opens a task's record when it
+    admits the task, each field is written by whoever learns the fact,
+    and completion files it (:meth:`Observability.file_record`); until
+    then ``node``, ``start`` and ``end`` may be ``None``.
     """
 
     __slots__ = (
@@ -217,21 +219,25 @@ class Observability:
                     SpanClosed(self.clock.now, name, span.span_id, span.start)
                 )
 
-    def record_task(self, name, node, start, end, **meta):
-        """Record one executed task under the currently-open span.
+    def file_record(self, record):
+        """File a finished record under the currently-open span.
 
-        ``meta`` carries the optional :class:`TaskRecord` scheduling
-        fields (``task_id``, ``category``, ``queued``, ``ready``, ...).
-        Records with no explicit ``op`` inherit the ambient provenance
-        scope, if one is open.  Recording is pure bookkeeping -- it
-        never touches the clock, so observed and unobserved runs stay
+        A record with no explicit ``op`` inherits the ambient provenance
+        scope, if one is open.  Filing is pure bookkeeping -- it never
+        touches the clock, so observed and unobserved runs stay
         bit-identical.
         """
-        if meta.get("op") is None and self._provenance_stack:
-            meta["op"] = self._provenance_stack[-1]
-        self.task_records.append(
-            TaskRecord(name, node, start, end, self.spans.current(), **meta)
-        )
+        if record.op is None and self._provenance_stack:
+            record.op = self._provenance_stack[-1]
+        record.span = self.spans.current()
+        self.task_records.append(record)
+
+    def record_task(self, name, node, start, end, **meta):
+        """File a record of work that has no task id: a coordinator
+        charge, or the lost extent of an attempt that died.  ``meta``
+        carries optional :class:`TaskRecord` fields (``category``,
+        ``op``, ...)."""
+        self.file_record(TaskRecord(name, node, start, end, **meta))
 
     @contextmanager
     def provenance(self, op):

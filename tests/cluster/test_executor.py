@@ -172,4 +172,4 @@ def test_negative_duration_rejected():
 
 def test_task_trace_records_names(cluster):
     cluster.run([Task("traced", duration=1.0)])
-    assert any(entry[0] == "traced" for entry in cluster.task_trace)
+    assert any(r.name == "traced" for r in cluster.obs.task_records)

@@ -22,6 +22,7 @@ from repro.cluster.faults import (
     dask_recovery,
     spark_recovery,
 )
+from tests.properties.test_prop_cluster import check_records, watch
 
 GB = 1024 ** 3
 
@@ -126,6 +127,82 @@ def test_crash_aborts_run_under_default_policy(cluster):
     assert info.value.recover_at == 35.0
     assert len(info.value.killed_tasks) == 8
     assert not cluster.node("node-1").alive
+
+
+def test_abort_leaves_nothing_behind_and_the_resubmission_completes(cluster):
+    """What an ``ABORT`` engine does: wait out the reboot, submit again."""
+    cluster.install_faults(
+        FaultPlan().crash_node("node-1", at_time=5.0, restart_after=30.0)
+    )
+    finished, died = watch(cluster)
+    quick = [Task(f"quick{i}", duration=2.0, memory_bytes=GB, on_oom="wait")
+             for i in range(8)]
+    slow = [Task(f"slow{i}", duration=10.0, memory_bytes=GB, on_oom="wait",
+                 deps=[quick[i]]) for i in range(8)]
+    tasks = quick + slow
+    with pytest.raises(NodeCrashedError) as info:
+        cluster.run(tasks)
+    killed = [t for t in slow if t.name in info.value.killed_tasks]
+    assert len(killed) == 4 and len(finished) == 8
+    for node in cluster.nodes.values():
+        assert node.busy_slots == 0 and node.memory.used_bytes == 0
+    assert not cluster._inflight
+
+    cluster.clock.advance_to(info.value.recover_at)
+    results = cluster.run(tasks)
+    # Everything that was killed or that died with node-1's memory ran
+    # again; node-0's four finished results were kept.
+    lost = [e.task_id for e in finished[:8] if e.node == "node-1"]
+    assert sorted(results) == sorted(lost + [t.task_id for t in slow])
+    assert cluster.now == 47.0
+    check_records(cluster, tasks, finished, died)
+    assert len(died) == 4
+    records = {}
+    for record in cluster.obs.task_records:
+        records.setdefault(record.task_id, []).append(record)
+    for task in slow:
+        # Admitted by the run that aborted, killed or drained: the same
+        # record, first queue time included.
+        (record,) = records[task.task_id]
+        assert record.queued == 0.0 and not record.retried
+        # Ready since its dependency first finished, unless that result
+        # was lost too and had to be recomputed first.
+        assert (record.ready, record.start) == (
+            (37.0, 37.0) if task.deps[0].task_id in lost else (2.0, 35.0))
+    for task_id in lost:
+        first, again = records[task_id]
+        assert (first.queued, first.end, first.retried) == (0.0, 2.0, False)
+        assert (again.queued, again.start, again.retried) == (35.0, 35.0, True)
+
+
+@pytest.mark.parametrize("when", ["run start", "last event", "dead attempts"])
+def test_deadlock_blames_the_lowest_id_task_that_cannot_start(when):
+    """Nothing in flight, no event left, and a task still waiting."""
+    cluster = SimulatedCluster(ClusterSpec(n_nodes=1))
+    node = cluster.node("node-0")
+    first = Task("first", duration=1.0, category="stage-7")
+    if when == "dead attempts":
+        # The only node dies for good: what is left in the heap belongs
+        # to the attempt it killed.
+        cluster.install_recovery(spark_recovery())
+        cluster.install_faults(FaultPlan().crash_node("node-0", at_time=0.5))
+        blocked = first
+    else:
+        # Half the memory is taken, so a task that needs all of it is
+        # deferred, at the first look or once its dependency is done.
+        node.memory.allocate(node.memory.capacity_bytes // 2, "resident")
+        blocked = Task(
+            "blocked", duration=1.0, category="stage-7", on_oom="wait",
+            memory_bytes=node.memory.capacity_bytes,
+            deps=[first] if when == "last event" else [],
+        )
+    other = Task("other", duration=1.0, deps=[blocked])
+    with pytest.raises(TaskFailedError, match="deadlock") as info:
+        cluster.run([other])
+    assert info.value.task_name == blocked.name
+    assert info.value.category == "stage-7"
+    assert node.busy_slots == 0
+    assert (first.task_id in cluster.completed) == (when == "last event")
 
 
 def test_crash_wipes_memory_keeps_disk_by_default(cluster):

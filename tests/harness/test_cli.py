@@ -53,3 +53,22 @@ def test_experiment_registry_complete():
         "s531", "s533", "ablation", "ablation-tf", "ablation-tuning",
     }
     assert set(EXPERIMENTS) == expected
+
+
+def test_a_figure_prints_the_same_bytes_inline_pooled_and_replayed(
+        tmp_path, monkeypatch, capsys):
+    """``print_table`` takes its columns from the first row, so rows must
+    come back from a pool worker or the cache with their keys in the
+    order the trial built them."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def printed(*flags):
+        assert main(["fig12a", "--quick", *flags]) == 0
+        return capsys.readouterr().out
+
+    inline = printed("--no-cache")
+    assert inline.splitlines()[1].split() == ["system", "simulated_s"]
+    assert printed("--no-cache", "--jobs", "2") == inline  # pooled
+    assert printed("--jobs", "2") == inline  # pooled, and fills the cache
+    assert list(tmp_path.iterdir())
+    assert printed() == inline  # replayed

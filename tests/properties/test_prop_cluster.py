@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
-from repro.cluster.errors import OutOfMemoryError
+from repro.cluster.errors import ClusterError, OutOfMemoryError
+from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
 from repro.cluster.memory import MemoryTracker
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
+from repro.obs.events import TaskFailed, TaskFinished
 from tests.cluster.test_ready_set import (
     placements,
     reference_schedule,
@@ -109,7 +111,7 @@ def test_slot_throughput(n_nodes, n_tasks):
 
 
 @st.composite
-def mixed_workloads(draw):
+def mixed_workloads(draw, oom_policies=("wait",), output_bytes=(0,)):
     """A small cluster and a DAG mixing every reason a ready task waits:
     a busy pinned node, no slot anywhere, a ``not_before`` floor, and
     memory admission under ``on_oom="wait"``."""
@@ -131,7 +133,8 @@ def mixed_workloads(draw):
             deps=[tasks[i] for i in sorted(dep_indexes)],
             not_before=draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))),
             memory_bytes=draw(st.sampled_from((0, 0, 40, 70, memory_bytes))),
-            on_oom="wait",
+            on_oom=draw(st.sampled_from(oom_policies)),
+            output_bytes=draw(st.sampled_from(output_bytes)),
         ))
     return n_nodes, slots, memory_bytes, tasks
 
@@ -145,3 +148,112 @@ def test_schedule_equals_the_rescanning_reference(workload):
     cluster = make_cluster(n_nodes, slots, memory_bytes)
     got = placements(cluster.run(tasks))
     assert got == reference_schedule(tasks, n_nodes, slots, memory_bytes)
+
+
+# ----------------------------------------------------------------------
+# What ``obs.task_records`` says about a run
+# ----------------------------------------------------------------------
+
+recorded_workloads = mixed_workloads(
+    oom_policies=("wait", "spill"), output_bytes=(0, 10 ** 8)
+)
+
+
+def watch(cluster):
+    """Collect the cluster's ``TaskFinished`` and ``TaskFailed`` events."""
+    finished, died = [], []
+
+    def on_event(event):
+        if isinstance(event, TaskFinished):
+            finished.append(event)
+        elif isinstance(event, TaskFailed):
+            died.append(event)
+
+    cluster.obs.events.subscribe(on_event)
+    return finished, died
+
+
+def check_records(cluster, tasks, finished, died, charges=0):
+    """The contract of ``obs.task_records``, clean run or not.
+
+    One record per completion, filed in completion order, and one
+    id-less record per master charge and per attempt that died; a filed
+    record's history is ordered, its extent is exactly its
+    transfer/compute/spill split, and its ``dep_ids`` are the task's.
+    """
+    records = cluster.obs.task_records
+    by_id = {task.task_id: task for task in tasks}
+    filed = [r for r in records if r.task_id is not None]
+    assert [r.task_id for r in filed] == [e.task_id for e in finished]
+    assert len(records) == len(finished) + charges + len(died)
+    for r, event in zip(filed, finished):
+        task = by_id[r.task_id]
+        assert (r.name, r.node, r.start, r.end) == (
+            task.name, event.node, event.start, event.time)
+        assert r.queued <= r.ready <= r.start <= r.end
+        assert r.start >= r.not_before == task.not_before
+        assert r.transfer_s + r.compute_s + r.spill_s == pytest.approx(
+            r.end - r.start, abs=1e-9)
+        assert r.dep_ids == tuple(d.task_id for d in task.dependencies())
+    # An attempt that died left its extent behind, ending at the failure.
+    anonymous = [(r.name, r.node, r.end) for r in records if r.task_id is None]
+    for event in died:
+        assert (event.name, event.node, event.time) in anonymous
+    assert all(r.start <= r.end for r in records)
+
+
+@given(recorded_workloads, st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_finished_task_has_one_record_of_its_history(workload, data):
+    """Two submissions with a master charge between them: the second
+    admits tasks whose dependencies are all done already."""
+    n_nodes, slots, memory_bytes, tasks = workload
+    cluster = make_cluster(n_nodes, slots, memory_bytes)
+    finished, died = watch(cluster)
+    cluster.run(tasks[:data.draw(st.integers(0, len(tasks)))])
+    cluster.charge_master(1.5, category="driver")
+    cluster.run(tasks)
+    check_records(cluster, tasks, finished, died, charges=1)
+    assert not died
+    assert sorted(e.task_id for e in finished) == [t.task_id for t in tasks]
+    by_id = {r.task_id: r for r in cluster.obs.task_records}
+    for task in tasks:
+        record = by_id[task.task_id]
+        # Ready when its latest dependency ended, or as soon as it was
+        # queued when none was still open then.
+        assert record.ready == max(
+            [record.queued]
+            + [by_id[d.task_id].end for d in task.dependencies()])
+        assert not record.retried and record.category is None
+    assert by_id[None].category == "driver"
+
+
+@given(
+    recorded_workloads,
+    st.integers(0, 2 ** 16),
+    st.floats(0.05, 0.95),
+    st.sampled_from([None, 0.5, 5.0]),
+    st.floats(0.0, 0.6),
+)
+@settings(max_examples=100, deadline=None)
+def test_records_stay_consistent_under_a_crash_and_transient_failures(
+        workload, seed, crash_frac, restart_after, fail_rate):
+    n_nodes, slots, memory_bytes, tasks = workload
+    cluster = make_cluster(n_nodes, slots, memory_bytes)
+    cluster.install_recovery(spark_recovery())
+    plan = FaultPlan(seed=seed, retry_policy=RetryPolicy(max_attempts=6,
+                                                         base_delay_s=0.1))
+    plan.crash_node(f"node-{seed % n_nodes}",
+                    at_time=crash_frac * 2.0 * len(tasks),
+                    restart_after=restart_after)
+    plan.fail_tasks(fail_rate, detect_delay_s=0.2, max_failures_per_task=3)
+    cluster.install_faults(plan)
+    finished, died = watch(cluster)
+    try:
+        cluster.run(tasks)
+    except ClusterError:
+        pass  # what was filed before the run gave up still has to hold
+    check_records(cluster, tasks, finished, died)
+    recovered = [r for r in cluster.obs.task_records if r.op == "@recovery"]
+    assert all(r.retried and r.category == "spark-recompute"
+               for r in recovered)
