@@ -9,9 +9,10 @@ paper's Section 5.3:
 - Myria's memory-management strategies (Figure 15),
 
 then shows the observability layer explaining *why* one of those
-settings wins: a metrics-annotated re-run of the worst and best Spark
-partition counts, a "where did the time go" breakdown, and a Chrome
-trace you can open in chrome://tracing or ui.perfetto.dev.
+settings wins: the clusters of the worst and the best Spark partition
+count are kept, and their records and memory trackers give a "where did
+the time go" breakdown (straggler spread included) and a Chrome trace
+you can open in chrome://tracing or ui.perfetto.dev.
 
 Run with::
 
@@ -23,7 +24,7 @@ from repro.data import generate_subject, generate_visit
 from repro.harness.experiments import run_neuro_end_to_end
 from repro.harness.report import print_breakdown
 from repro.harness.runner import fresh_engine, observe_clusters, Stopwatch
-from repro.obs import ClusterMetrics, write_chrome_trace
+from repro.obs import write_chrome_trace
 from repro.pipelines.astro.staging import stage_visits
 from repro.plan import astro_plan, lower
 
@@ -77,26 +78,21 @@ def myria_memory():
 
 
 def why_partitions_matter():
-    """Observe the Spark partition study instead of just timing it."""
+    """Read the Spark partition study's clusters instead of just timing it."""
     print("\nWhy partition count matters (observability layer):")
     subjects = [generate_subject("tune", scale=14, n_volumes=48)]
     for partitions in (1, 48):
         captured = []
-
-        def observer(cluster):
-            captured.append((cluster, ClusterMetrics.attach(cluster)))
-
-        with observe_clusters(observer):
+        with observe_clusters(captured.append):
             run_neuro_end_to_end(
                 "spark", subjects, n_nodes=N_NODES,
                 input_partitions=partitions, group_partitions=partitions,
             )
-        cluster, metrics = captured[-1]
+        cluster = captured[-1]
         print(f"\n--- {partitions} partition(s) ---")
-        print_breakdown(cluster, metrics=metrics)
+        print_breakdown(cluster)
         path = write_chrome_trace(
-            cluster, f"spark-{partitions}-partitions-trace.json",
-            metrics=metrics,
+            cluster, f"spark-{partitions}-partitions-trace.json"
         )
         print(f"(Chrome trace written to {path})")
 

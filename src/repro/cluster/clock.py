@@ -7,18 +7,15 @@ class VirtualClock:
     The clock only moves forward.  All engine-visible timings in the
     reproduction are simulated seconds on this clock, never wall-clock
     time, which makes every benchmark deterministic and independent of
-    the host machine.
+    the host machine.  ``now``, the current simulated time in seconds,
+    is a plain attribute, so the event loop and the memory trackers
+    read it without a call; only the methods below move it.
     """
 
     def __init__(self, start=0.0):
         if start < 0:
             raise ValueError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
-
-    @property
-    def now(self):
-        """Current simulated time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def advance_to(self, timestamp):
         """Move the clock forward to ``timestamp``.
@@ -26,21 +23,21 @@ class VirtualClock:
         Raises :class:`ValueError` on attempts to move backwards, which
         would indicate a scheduling bug in an engine.
         """
-        if timestamp < self._now:
+        if timestamp < self.now:
             raise ValueError(
-                f"cannot move clock backwards from {self._now} to {timestamp}"
+                f"cannot move clock backwards from {self.now} to {timestamp}"
             )
-        self._now = float(timestamp)
+        self.now = float(timestamp)
 
     def advance_by(self, delta):
         """Move the clock forward by ``delta`` seconds (must be >= 0)."""
         if delta < 0:
             raise ValueError(f"cannot advance clock by negative delta {delta}")
-        self._now += float(delta)
+        self.now += float(delta)
 
     def reset(self):
         """Rewind to time zero (used between benchmark trials)."""
-        self._now = 0.0
+        self.now = 0.0
 
     def __repr__(self):
-        return f"VirtualClock(now={self._now:.6f})"
+        return f"VirtualClock(now={self.now:.6f})"

@@ -20,7 +20,6 @@ from repro.cluster.objectstore import ObjectStore
 from repro.cluster.run import Run
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task
-from repro.obs.events import NodeRecovered
 from repro.obs.spans import Observability
 
 
@@ -32,9 +31,7 @@ class Node:
         self.spec = spec
         self.slots = slots
         self.busy_slots = 0
-        self.memory = MemoryTracker(
-            name, spec.memory_bytes, events=obs.events, clock=obs.clock
-        )
+        self.memory = MemoryTracker(name, spec.memory_bytes, clock=obs.clock)
         self.disk = LocalDisk(name, spec.disk_bytes)
         self.busy_seconds = 0.0
         self.alive = True
@@ -58,11 +55,8 @@ class SimulatedCluster:
         self.cost_model = cost_model
         self.clock = VirtualClock()
         self.obs = Observability(self.clock)
-        self.network = NetworkModel(
-            cost_model, events=self.obs.events, clock=self.clock
-        )
+        self.network = NetworkModel(cost_model)
         self.object_store = object_store if object_store is not None else ObjectStore()
-        self.object_store.bind(self.obs.events, self.clock)
         self.nodes = {
             name: Node(name, spec.node, spec.slots_per_node, self.obs)
             for name in spec.node_names()
@@ -128,11 +122,7 @@ class SimulatedCluster:
         node = self.nodes[name]
         self._pending_recover.pop(name, None)
         self._blacklisted.discard(name)
-        if node.alive:
-            return
         node.alive = True
-        if self.obs.events:
-            self.obs.events.emit(NodeRecovered(self.now, name))
 
     def _drain_inflight(self):
         """Release slots/memory of running attempts when a run aborts.
@@ -303,3 +293,4 @@ class SimulatedCluster:
         self.obs.reset()
         for node in self.nodes.values():
             node.busy_seconds = 0.0
+            node.memory.history.clear()

@@ -7,24 +7,20 @@ responses: Myria's pipelined execution fails the query, Spark spills to
 disk, Dask keeps results on the producing worker.
 """
 
+from repro.cluster.clock import VirtualClock
 from repro.cluster.errors import OutOfMemoryError
-from repro.obs.events import (
-    MemoryAllocated,
-    MemoryFreed,
-    MemoryOOM,
-    MemorySpilled,
-)
 
 
 class MemoryTracker:
     """Tracks resident bytes on one node and enforces its capacity.
 
-    ``events``/``clock`` (optional, wired by the cluster) let the
-    tracker publish allocate/free/spill/OOM events with virtual-clock
-    timestamps; standalone trackers work unchanged without them.
+    ``history`` holds one ``(virtual time, signed bytes)`` step per
+    change of the level, stamped on ``clock`` (the cluster's; a
+    standalone tracker stays at 0.0): the memory counter tracks of the
+    Chrome trace are its running sum.
     """
 
-    def __init__(self, node, capacity_bytes, events=None, clock=None):
+    def __init__(self, node, capacity_bytes, clock=None):
         if capacity_bytes <= 0:
             raise ValueError("memory capacity must be positive")
         self.node = node
@@ -35,11 +31,8 @@ class MemoryTracker:
         self.peak_bytes = 0
         self.oom_count = 0
         self.spilled_bytes = 0
-        self._events = events
-        self._clock = clock
-
-    def _now(self):
-        return self._clock.now if self._clock is not None else 0.0
+        self.history = []
+        self._clock = clock if clock is not None else VirtualClock()
 
     @property
     def used_bytes(self):
@@ -61,38 +54,22 @@ class MemoryTracker:
         if nbytes < 0:
             raise ValueError(f"cannot allocate negative bytes: {nbytes}")
         if nbytes > self.available_bytes:
-            self.record_oom(nbytes, label)
+            self.record_oom()
             raise OutOfMemoryError(self.node, nbytes, self.available_bytes, label)
         alloc_id = self._next_id
         self._next_id += 1
         self._allocations[alloc_id] = nbytes
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-        if self._events:
-            self._events.emit(
-                MemoryAllocated(
-                    self._now(), self.node, nbytes, self.used_bytes, label
-                )
-            )
+        self.history.append((self._clock.now, nbytes))
         return alloc_id
 
-    def record_oom(self, requested, label=""):
-        """Count (and publish) one refused allocation."""
+    def record_oom(self):
+        """Count one refused allocation."""
         self.oom_count += 1
-        if self._events:
-            self._events.emit(
-                MemoryOOM(
-                    self._now(), self.node, int(requested),
-                    self.available_bytes, label,
-                )
-            )
 
-    def note_spill(self, nbytes, label=""):
-        """Count (and publish) bytes that overflowed to local disk."""
+    def note_spill(self, nbytes):
+        """Count bytes that overflowed to local disk."""
         self.spilled_bytes += int(nbytes)
-        if self._events:
-            self._events.emit(
-                MemorySpilled(self._now(), self.node, int(nbytes), label)
-            )
 
     def would_fit(self, nbytes):
         """Whether an allocation of ``nbytes`` would succeed."""
@@ -113,17 +90,14 @@ class MemoryTracker:
                 return
             raise KeyError(f"unknown or already-freed allocation {alloc_id}")
         nbytes = self._allocations.pop(alloc_id)
-        if self._events:
-            self._events.emit(
-                MemoryFreed(self._now(), self.node, nbytes, self.used_bytes)
-            )
+        self.history.append((self._clock.now, -nbytes))
 
     def free_all(self):
         """Release every outstanding allocation."""
         released = self.used_bytes
         self._allocations.clear()
-        if self._events and released:
-            self._events.emit(MemoryFreed(self._now(), self.node, released, 0))
+        if released:
+            self.history.append((self._clock.now, -released))
 
     def wipe(self):
         """Destroy all resident memory, as a node crash does.
@@ -135,8 +109,8 @@ class MemoryTracker:
         lost = self.used_bytes
         self._wiped_ids.update(self._allocations)
         self._allocations.clear()
-        if self._events and lost:
-            self._events.emit(MemoryFreed(self._now(), self.node, lost, 0))
+        if lost:
+            self.history.append((self._clock.now, -lost))
         return lost
 
     def holds(self, alloc_id):

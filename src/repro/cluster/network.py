@@ -5,33 +5,23 @@ flat per-link bandwidth plus a per-message latency, and S3 traffic is
 charged per node at the S3 bandwidth from the cost model.  This level of
 detail is sufficient for the paper's effects, which depend on *whether*
 data moves (shuffles, master-mediated ingest) far more than on topology.
-
-``events``/``clock`` (optional, wired by the cluster) publish each
-priced movement to the observability bus; a bare ``NetworkModel``
-works unchanged without them.
 """
 
 from repro.cluster.costs import DEFAULT_COST_MODEL
-from repro.obs.events import BroadcastSent, NetworkTransfer, S3Download
 
 
 class NetworkModel:
     """Computes transfer durations and tallies traffic statistics."""
 
-    def __init__(self, cost_model=DEFAULT_COST_MODEL, events=None, clock=None):
+    def __init__(self, cost_model=DEFAULT_COST_MODEL):
         self.cost_model = cost_model
         self.bytes_node_to_node = 0
         self.bytes_from_s3 = 0
         self.bytes_broadcast = 0
         self.transfer_count = 0
-        self._events = events
-        self._clock = clock
         #: (src, dst) -> slowdown factor for degraded links (fault
         #: injection); absent links run at full speed.
         self._link_factors = {}
-
-    def _now(self):
-        return self._clock.now if self._clock is not None else 0.0
 
     def set_link_factor(self, src, dst, factor):
         """Degrade the ``src``->``dst`` link by ``factor`` (>= 1)."""
@@ -49,16 +39,11 @@ class NetworkModel:
             raise ValueError(f"cannot transfer negative bytes: {nbytes}")
         self.transfer_count += 1
         if src == dst:
-            seconds = nbytes * self.cost_model.memcpy_per_byte
-        else:
-            self.bytes_node_to_node += nbytes
-            seconds = self.cost_model.network_time(nbytes, n_messages=n_messages)
-            if self._link_factors:
-                seconds *= self._link_factors.get((src, dst), 1.0)
-        if self._events:
-            self._events.emit(
-                NetworkTransfer(self._now(), nbytes, src, dst, seconds)
-            )
+            return nbytes * self.cost_model.memcpy_per_byte
+        self.bytes_node_to_node += nbytes
+        seconds = self.cost_model.network_time(nbytes, n_messages=n_messages)
+        if self._link_factors:
+            seconds *= self._link_factors.get((src, dst), 1.0)
         return seconds
 
     def s3_download_time(self, nbytes, n_objects=1):
@@ -66,12 +51,7 @@ class NetworkModel:
         if nbytes < 0:
             raise ValueError(f"cannot download negative bytes: {nbytes}")
         self.bytes_from_s3 += nbytes
-        seconds = self.cost_model.s3_read_time(nbytes, n_objects=n_objects)
-        if self._events:
-            self._events.emit(
-                S3Download(self._now(), nbytes, n_objects, seconds)
-            )
-        return seconds
+        return self.cost_model.s3_read_time(nbytes, n_objects=n_objects)
 
     def broadcast_time(self, nbytes, n_nodes):
         """Seconds to broadcast ``nbytes`` from one node to ``n_nodes``.
@@ -86,12 +66,7 @@ class NetworkModel:
         wire_bytes = nbytes * (n_nodes - 1)
         self.bytes_node_to_node += wire_bytes
         self.bytes_broadcast += wire_bytes
-        seconds = rounds * self.cost_model.network_time(nbytes)
-        if self._events:
-            self._events.emit(
-                BroadcastSent(self._now(), nbytes, n_nodes, seconds)
-            )
-        return seconds
+        return rounds * self.cost_model.network_time(nbytes)
 
     def reset_stats(self):
         """Zero the traffic counters."""

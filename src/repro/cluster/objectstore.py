@@ -12,8 +12,6 @@ class ObjectStore:
 
     def __init__(self):
         self._objects = {}
-        self._events = None
-        self._clock = None
         self._faults = None
         self.retry_count = 0
         self.total_retry_delay_s = 0.0
@@ -29,19 +27,6 @@ class ObjectStore:
         """
         self._faults = plan
 
-    def bind(self, events, clock):
-        """Attach an event bus + clock for put/get publication.
-
-        A store shared across clusters follows the most recently
-        constructed one (each ``SimulatedCluster`` re-binds the store
-        it is given).
-        """
-        self._events = events
-        self._clock = clock
-
-    def _now(self):
-        return self._clock.now if self._clock is not None else 0.0
-
     @staticmethod
     def _key(bucket, key):
         if not bucket or not key:
@@ -54,10 +39,6 @@ class ObjectStore:
         if nbytes < 0:
             raise ValueError(f"object size cannot be negative: {nbytes}")
         self._objects[self._key(bucket, key)] = (value, nbytes)
-        if self._events:
-            from repro.obs.events import ObjectPut
-
-            self._events.emit(ObjectPut(self._now(), bucket, key, nbytes))
 
     def get(self, bucket, key):
         """Return the stored object; raises ``KeyError`` when missing."""
@@ -79,10 +60,6 @@ class ObjectStore:
                     raise S3RetriesExhaustedError(full, retries + 1)
                 self.retry_count += retries
                 self.total_retry_delay_s += delay
-        if self._events:
-            from repro.obs.events import ObjectGet
-
-            self._events.emit(ObjectGet(self._now(), bucket, key, nbytes))
         return value
 
     def size_of(self, bucket, key):

@@ -20,15 +20,6 @@ from repro.cluster.errors import (
 from repro.cluster.faults import RecoveryPolicy
 from repro.cluster.ready import ReadySet
 from repro.cluster.task import Task, TaskResult
-from repro.obs.events import (
-    NodeCrashed,
-    TaskFailed,
-    TaskFinished,
-    TaskPlaced,
-    TaskQueued,
-    TaskRetried,
-    TaskStarted,
-)
 from repro.obs.spans import PSEUDO_RECOVERY, TaskRecord
 
 #: Heap tiebreak of crash and recover events: above every task id, so
@@ -67,7 +58,6 @@ class Run:
         self.pending = pending
         self.policy = cluster.recovery_policy
         self.obs = cluster.obs
-        self.bus = cluster.obs.events
         self.clock = cluster.clock
         self.completed = cluster.completed
         self.records = cluster._records
@@ -93,9 +83,6 @@ class Run:
     def run(self):
         """Drive the DAG to its makespan; returns ``{task_id: TaskResult}``."""
         now = self.clock.now
-        if self.bus:
-            for task in sorted(self.pending.values(), key=lambda t: t.task_id):
-                self.bus.emit(TaskQueued(now, task.name, task.task_id))
         self.rebuild_schedule(now)
         self.arm_faults(now)
         self.start_candidates()
@@ -323,14 +310,9 @@ class Run:
                 return True
         try:
             value, transfer, compute = self.run_body(task, node)
-        except TaskFailedError as failure:
+        except TaskFailedError:
             if alloc_id is not None:
                 node.memory.free(alloc_id)
-            if self.bus:
-                self.bus.emit(TaskFailed(
-                    self.clock.now, task.name, task.task_id, node.name,
-                    repr(failure.cause),
-                ))
             raise
         duration = compute
         if spill_bytes > 0:
@@ -369,9 +351,9 @@ class Run:
             alloc_id = None
             if fit_bytes > 0:
                 alloc_id = memory.allocate(fit_bytes, task.name)
-            memory.note_spill(spill_bytes, task.name)
+            memory.note_spill(spill_bytes)
             return alloc_id, spill_bytes
-        memory.record_oom(need, task.name)  # "fail"
+        memory.record_oom()  # "fail"
         raise OutOfMemoryError(
             node.name, need, memory.available_bytes, task.name
         )
@@ -432,9 +414,6 @@ class Run:
         record = self.records[tid]
         record.node = node.name
         record.start = start
-        if self.bus:
-            self.bus.emit(TaskPlaced(start, task.name, tid, node.name))
-            self.bus.emit(TaskStarted(start, task.name, tid, node.name))
         seq = self.push(end, tid, ending, (task, node, alloc_id, value))
         self.inflight[tid] = (task, node, alloc_id, end, seq)
 
@@ -457,10 +436,6 @@ class Run:
         self.completed[tid] = result
         self.results[tid] = result
         self.obs.file_record(record)
-        if self.bus:
-            self.bus.emit(
-                TaskFinished(time, task.name, tid, node.name, record.start)
-            )
         newly_ready = []
         waiting_deps = self.waiting_deps
         for child in self.dependents.get(tid, ()):
@@ -495,7 +470,7 @@ class Run:
             node.busy_slots -= 1
         if alloc_id is not None:
             node.memory.free(alloc_id)
-        self.attempt_died(task, node, time, "injected transient failure")
+        self.attempt_died(task, node, time)
         attempts = cluster._attempts[tid] = cluster._attempts.get(tid, 0) + 1
         retry = cluster._faults.retry_policy
         if attempts >= retry.max_attempts:
@@ -512,13 +487,20 @@ class Run:
         record.ready = time
         record.not_before = task.not_before
         record.retried = True
-        if self.bus:
-            self.bus.emit(
-                TaskRetried(time, task.name, tid, node.name, attempts + 1)
-            )
-        # The retry sleeps behind its new floor, with a fresh timer.
+        # The retry sleeps behind its new floor, with a fresh timer --
+        # unless a crash took a dependency's result while this attempt
+        # held its slot: then the recompute's completion readies it.
         self.timers_set.discard(tid)
-        self.admit([task])
+        lost = [
+            d for d in task.dependencies() if d.task_id not in self.completed
+        ]
+        if lost:
+            record.ready = None
+            self.waiting_deps[tid] = len(lost)
+            for dep in lost:
+                self.dependents.setdefault(dep.task_id, []).append(task)
+        else:
+            self.admit([task])
 
     def on_recover(self, name, _time):
         self.fault_events -= 1
@@ -531,7 +513,7 @@ class Run:
 
     # -- Crashes --
 
-    def attempt_died(self, task, node, time, reason):
+    def attempt_died(self, task, node, time):
         """File the lost extent of a dead attempt, so node-busy tiling
         (and blame, if it lands on the path) stays exact.  It carries no
         task id: the attempt that succeeds owns the id in the DAG."""
@@ -540,10 +522,6 @@ class Run:
             task.name, node.name, self.records[task.task_id].start, time,
             category=task.category, op=task.op,
         )
-        if self.bus:
-            self.bus.emit(
-                TaskFailed(time, task.name, task.task_id, node.name, reason)
-            )
 
     def fire_crash(self, crash, time):
         """Kill a node: wipe its state, then recover per policy."""
@@ -565,8 +543,7 @@ class Run:
                 del self.inflight[tid]
                 self.cancelled.add(seq)
                 node.busy_seconds -= max(0.0, end - time)
-                self.attempt_died(task, node, time,
-                                  f"node {node.name} crashed")
+                self.attempt_died(task, node, time)
                 killed.append(task)
         node.busy_slots = 0
         node.memory.wipe()
@@ -580,9 +557,6 @@ class Run:
             recover_at = time + crash.restart_after
             cluster._pending_recover[node.name] = recover_at
             self.push_fault(recover_at, self.on_recover, node.name)
-        if self.bus:
-            self.bus.emit(NodeCrashed(time, node.name,
-                                      tuple(t.name for t in killed)))
         if self.policy.mode == RecoveryPolicy.ABORT:
             raise NodeCrashedError(
                 node.name, time, recover_at=recover_at,
@@ -595,7 +569,7 @@ class Run:
         for task in self.pending.values():
             if task.node == node.name and task.task_id not in self.completed:
                 task.node = None
-        self.resurrect_lost_dependencies(node, time)
+        self.resurrect_lost_dependencies()
         self.rebuild_schedule(time)
 
     def requeue(self, killed, node, time, recover_at):
@@ -614,12 +588,9 @@ class Run:
                 )
             node.retried_tasks += 1
             self.cluster._resurrected.add(task.task_id)
-            if self.bus:
-                self.bus.emit(TaskRetried(time, task.name, task.task_id,
-                                          node.name, attempts + 1))
 
-    def resurrect_lost_dependencies(self, node, time):
-        """Every result that lived on the crashed ``node`` and is still
+    def resurrect_lost_dependencies(self):
+        """Every result that died with a crashed node and is still
         needed, transitively, is recomputed from lineage on the
         survivors."""
         cluster = self.cluster
@@ -638,10 +609,5 @@ class Run:
                         and dep.task_id in completed):
                     cluster._resurrect(dep)
                     self.pending[dep.task_id] = dep
-                    if self.bus:
-                        self.bus.emit(TaskRetried(
-                            time, dep.name, dep.task_id, node.name,
-                            cluster._attempts.get(dep.task_id, 0) + 1,
-                        ))
                 if dep.task_id not in completed:
                     stack.append(dep)

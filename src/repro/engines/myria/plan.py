@@ -290,7 +290,7 @@ class MyriaServer:
                 except NodeCrashedError as exc:
                     if attempt >= self.MAX_QUERY_RESTARTS or exc.recover_at is None:
                         raise
-                    self._restart_after_crash(exc, attempt)
+                    self._restart_after_crash(exc)
 
     def _execute_program(self, program, mode, chunks):
         if chunks == 1:
@@ -310,10 +310,8 @@ class MyriaServer:
                         )
         return merged
 
-    def _restart_after_crash(self, exc, attempt):
+    def _restart_after_crash(self, exc):
         """Roll back the aborted attempt and wait for the node to rejoin."""
-        from repro.obs.events import QueryRestarted
-
         for table in self._stored_this_query:
             self.catalog.pop(table, None)
             for storage in self.storages:
@@ -325,13 +323,6 @@ class MyriaServer:
                 label="Myria restart wait",
                 category="myria-restart",
                 op=PSEUDO_RECOVERY,
-            )
-        if self.cluster.obs.events:
-            self.cluster.obs.events.emit(
-                QueryRestarted(
-                    self.cluster.now, "Myria", attempt + 1,
-                    f"node {exc.node} crashed",
-                )
             )
 
     #: Safety bound for DO...WHILE loops (a query bug, not a data size,

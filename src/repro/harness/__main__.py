@@ -331,7 +331,6 @@ def _trace_main(argv):
     import contextlib
 
     from repro.obs import (
-        ClusterMetrics,
         compute_critical_path,
         format_critical_path,
         run_snapshot,
@@ -374,13 +373,10 @@ def _trace_main(argv):
     args = parser.parse_args(argv)
 
     captured = []
-
-    def observer(cluster):
-        captured.append((cluster, ClusterMetrics.attach(cluster)))
-
     # With --json, stdout carries only the snapshot document.
     human_out = sys.stderr if args.json else sys.stdout
-    with observe_clusters(observer), contextlib.redirect_stdout(human_out):
+    with observe_clusters(captured.append), \
+            contextlib.redirect_stdout(human_out):
         if args.experiment == "neuro":
             subjects = neuro_subjects(
                 args.subjects, **(QUICK_NEURO if args.quick else {})
@@ -411,14 +407,11 @@ def _trace_main(argv):
         parser.error(
             f"experiment {args.experiment!r} built no cluster to trace"
         )
-    cluster, metrics = captured[-1]
+    cluster = captured[-1]
     path = compute_critical_path(cluster) if (
         args.critical_path or args.by_op or args.json
     ) else None
-    print_breakdown(
-        cluster, metrics=metrics,
-        out=lambda text: print(text, file=human_out),
-    )
+    print_breakdown(cluster, out=lambda text: print(text, file=human_out))
     if args.critical_path:
         print("\n" + format_critical_path(path), file=human_out)
     if args.by_op:
@@ -430,7 +423,7 @@ def _trace_main(argv):
         rows = attribute_critical_path(cluster, path=path)
         print("\n" + format_attribution(rows), file=human_out)
     out_path = args.out or f"{args.experiment}-trace.json"
-    write_chrome_trace(cluster, out_path, metrics=metrics,
+    write_chrome_trace(cluster, out_path,
                        critical_path=path if args.critical_path else None)
     print(f"\nwrote Chrome trace to {out_path}"
           " (load in chrome://tracing or ui.perfetto.dev)", file=human_out)

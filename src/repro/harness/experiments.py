@@ -932,15 +932,13 @@ def _f16_faulty(kind, subjects, n_nodes, crash_at, restart_after_s, seed):
     try:
         compute()
     except NodeCrashedError as exc:
-        _f16_wait_for_reboot(cluster, kind, exc)
+        _f16_wait_for_reboot(cluster, exc)
         compute()
     return {"start": start, "end": cluster.now, "victim": victim}
 
 
-def _f16_wait_for_reboot(cluster, kind, exc):
+def _f16_wait_for_reboot(cluster, exc):
     """No engine-level recovery: wait for the node, then rerun."""
-    from repro.obs.events import QueryRestarted
-
     if exc.recover_at is None:
         raise exc
     if exc.recover_at > cluster.now:
@@ -949,12 +947,6 @@ def _f16_wait_for_reboot(cluster, kind, exc):
             label="wait for node reboot",
             category="recovery-wait",
             op=PSEUDO_RECOVERY,
-        )
-    if cluster.obs.events:
-        cluster.obs.events.emit(
-            QueryRestarted(
-                cluster.now, kind, 1, f"node {exc.node} crashed"
-            )
         )
 
 

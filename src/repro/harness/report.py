@@ -37,16 +37,11 @@ def print_table(rows, columns=None, title=None, out=print):
         out("  ".join(format_value(row.get(c, "")).rjust(widths[c]) for c in columns))
 
 
-def print_breakdown(cluster, metrics=None, out=print):
-    """Render the observability "where did the time go" report.
-
-    ``metrics`` is an optional
-    :class:`~repro.obs.metrics.ClusterMetrics` that was attached before
-    the run; it adds straggler-spread statistics to the report.
-    """
+def print_breakdown(cluster, out=print):
+    """Render the observability "where did the time go" report."""
     from repro.obs.breakdown import format_breakdown
 
-    out(format_breakdown(cluster, metrics=metrics))
+    out(format_breakdown(cluster))
 
 
 def snapshot_blame(snapshots, top=None):

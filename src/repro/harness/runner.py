@@ -56,10 +56,11 @@ def observe_clusters(callback):
     """Call ``callback(cluster)`` for every cluster built inside.
 
     Experiment helpers construct their clusters internally; this hook
-    lets observability consumers (the ``trace`` CLI, tests) subscribe
-    to those clusters' event buses before any task runs::
+    lets a caller (the ``trace`` CLI, the benchmark, tests) keep them,
+    to read their records, spans and trackers after the run::
 
-        with observe_clusters(lambda c: ClusterMetrics.attach(c)):
+        clusters = []
+        with observe_clusters(clusters.append):
             run_neuro_end_to_end("spark", subjects)
     """
     _cluster_observers.append(callback)

@@ -1,27 +1,26 @@
-"""Cluster-wide observability: events, metrics, spans, exporters.
+"""Cluster-wide observability: records, spans, trackers, exporters.
 
 The paper's conclusions come from explaining *where time goes* in each
 system (startup, format conversion, shuffles, memory pressure --
-Figures 10-15).  This package makes those explanations observable from
-any simulated run:
+Figures 10-15).  A run keeps one account of itself -- a
+:class:`TaskRecord` per task, the spans engines open, byte counters on
+the network model, peaks and a step history on each node's memory
+tracker -- and everything here reads it afterwards:
 
-- :mod:`repro.obs.events` -- typed lifecycle events on a per-cluster
-  bus (``cluster.obs.events``), with zero overhead while nobody
-  subscribes.
-- :mod:`repro.obs.metrics` -- counters/gauges/histograms populated
-  from the bus by :class:`ClusterMetrics`.
-- :mod:`repro.obs.spans` -- named, nested spans engines wrap their
-  stages in (``with cluster.obs.span("spark-stage0"): ...``).
+- :mod:`repro.obs.spans` -- task records and the named, nested spans
+  engines wrap their stages in (``with cluster.obs.span("spark-stage0"):
+  ...``).
 - :mod:`repro.obs.breakdown` -- per-group "where did the time go"
-  summaries and the plain-text report.
+  summaries, straggler spread, and the plain-text report.
 - :mod:`repro.obs.chrome_trace` -- Chrome ``trace_event`` JSON export
   (chrome://tracing / Perfetto).
 - :mod:`repro.obs.critical_path` -- critical-path reconstruction and
   per-resource blame attribution over the recorded task DAG.
 - :mod:`repro.obs.attribution` -- folds critical-path blame up to the
   logical ops of ``repro.plan`` for cross-engine per-op comparison.
+- :mod:`repro.obs.metrics` -- counter/gauge/histogram primitives.
 - :mod:`repro.obs.telemetry` -- wall-clock self-telemetry for the
-  harness process itself (phases, structured JSON logs, metrics).
+  harness process itself (phases and metrics).
 - :mod:`repro.obs.ledger` -- versioned JSON run snapshots under
   ``benchmarks/ledger/`` and regression diffing between them
   (``python -m repro.harness compare``).
@@ -44,6 +43,7 @@ from repro.obs.breakdown import (
     group_of,
     node_utilization_rows,
     records_of,
+    straggler_rows,
     summarize_records,
 )
 from repro.obs.chrome_trace import chrome_trace, write_chrome_trace
@@ -54,37 +54,7 @@ from repro.obs.critical_path import (
     compute_critical_path,
     format_critical_path,
 )
-from repro.obs.events import (
-    BroadcastSent,
-    Event,
-    EventBus,
-    MemoryAllocated,
-    MemoryFreed,
-    MemoryOOM,
-    MemorySpilled,
-    NetworkTransfer,
-    NodeCrashed,
-    NodeRecovered,
-    ObjectGet,
-    ObjectPut,
-    QueryRestarted,
-    S3Download,
-    SpanClosed,
-    SpanOpened,
-    TaskFailed,
-    TaskFinished,
-    TaskPlaced,
-    TaskQueued,
-    TaskRetried,
-    TaskStarted,
-)
-from repro.obs.metrics import (
-    ClusterMetrics,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.ledger import (
     LedgerSchemaError,
     compare_snapshots,
@@ -110,42 +80,19 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "BroadcastSent",
-    "ClusterMetrics",
     "Counter",
     "CriticalPath",
-    "Event",
-    "EventBus",
     "Gauge",
     "Histogram",
     "LedgerSchemaError",
     "NULL_RECORDER",
     "PhaseRecorder",
-    "MemoryAllocated",
-    "MemoryFreed",
-    "MemoryOOM",
-    "MemorySpilled",
     "MetricsRegistry",
-    "NetworkTransfer",
-    "NodeCrashed",
-    "NodeRecovered",
-    "ObjectGet",
-    "ObjectPut",
     "Observability",
     "PathSegment",
-    "QueryRestarted",
-    "S3Download",
     "Span",
-    "SpanClosed",
-    "SpanOpened",
     "SpanStore",
-    "TaskFailed",
-    "TaskFinished",
-    "TaskPlaced",
-    "TaskQueued",
     "TaskRecord",
-    "TaskRetried",
-    "TaskStarted",
     "attribute_critical_path",
     "blame_category",
     "check_opt_snapshot",
@@ -172,6 +119,7 @@ __all__ = [
     "records_of",
     "resolve_segment_op",
     "run_snapshot",
+    "straggler_rows",
     "summarize_records",
     "telemetry_phase",
     "write_chrome_trace",

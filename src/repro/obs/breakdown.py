@@ -8,6 +8,8 @@ exactly as before.
 
 from collections import defaultdict
 
+from repro.obs.metrics import Histogram
+
 
 def default_grouper(name):
     """Group task names by their engine/stage prefix.
@@ -75,6 +77,39 @@ def summarize_records(records, grouper=None):
     return rows
 
 
+def straggler_rows(records):
+    """Per-group duration spread: where max >> mean, stragglers.
+
+    Over the records that carry a task id (a coordinator charge or the
+    lost extent of a dead attempt is no task), grouped by
+    :func:`default_grouper`.  Rows sorted by descending total busy
+    time: ``{"group", "tasks", "mean_s", "p95_s", "max_s", "skew"}``
+    where ``skew`` is ``max / mean``.
+    """
+    durations = {}
+    for record in records:
+        if record.task_id is not None:
+            group = default_grouper(record.name)
+            if group not in durations:
+                durations[group] = Histogram(group)
+            durations[group].observe(record.end - record.start)
+    rows = []
+    for group, hist in durations.items():
+        mean = hist.mean
+        rows.append(
+            {
+                "group": group,
+                "tasks": hist.count,
+                "mean_s": mean,
+                "p95_s": hist.percentile(95),
+                "max_s": hist.max,
+                "skew": hist.max / mean if mean > 0 else 0.0,
+            }
+        )
+    rows.sort(key=lambda r: -(r["mean_s"] * r["tasks"]))
+    return rows
+
+
 def node_utilization_rows(cluster):
     """Per-node busy fraction of the elapsed simulated time."""
     if cluster.now == 0:
@@ -100,18 +135,18 @@ def _fmt_bytes(nbytes):
     return f"{nbytes} B"
 
 
-def format_breakdown(cluster, metrics=None, top=12):
+def format_breakdown(cluster, top=12):
     """Plain-text "where did the time go" report for one run.
 
     Sections: per-group busy time with shares, data-movement totals
-    from the network model, and per-node peaks from the cluster's node
-    summaries.  ``metrics`` (a
-    :class:`~repro.obs.metrics.ClusterMetrics`) adds straggler spread
-    columns when provided.
+    from the network model, per-node peaks from the cluster's node
+    summaries, and the straggler spread of the groups with more than
+    one task.
     """
     lines = []
     elapsed = cluster.now
-    rows = summarize_records(records_of(cluster))
+    records = records_of(cluster)
+    rows = summarize_records(records)
     total_busy = sum(r["busy_s"] for r in rows) or 1.0
     lines.append(
         f"Where did the time go ({elapsed:.1f} simulated s,"
@@ -162,14 +197,13 @@ def format_breakdown(cluster, metrics=None, top=12):
             f"  {_fmt_bytes(summary['spilled_bytes']):>10}"
         )
 
-    if metrics is not None:
-        stragglers = [r for r in metrics.straggler_rows() if r["tasks"] > 1]
-        if stragglers:
-            lines.append("Straggler spread (max/mean per group):")
-            for row in stragglers[:5]:
-                lines.append(
-                    f"  {row['group']:<{width}}  mean {row['mean_s']:.2f}s"
-                    f"  p95 {row['p95_s']:.2f}s  max {row['max_s']:.2f}s"
-                    f"  skew {row['skew']:.1f}x"
-                )
+    stragglers = [r for r in straggler_rows(records) if r["tasks"] > 1]
+    if stragglers:
+        lines.append("Straggler spread (max/mean per group):")
+        for row in stragglers[:5]:
+            lines.append(
+                f"  {row['group']:<{width}}  mean {row['mean_s']:.2f}s"
+                f"  p95 {row['p95_s']:.2f}s  max {row['max_s']:.2f}s"
+                f"  skew {row['skew']:.1f}x"
+            )
     return "\n".join(lines)

@@ -3,7 +3,7 @@
 Produces the JSON object format understood by ``chrome://tracing`` and
 Perfetto: one process per node (tasks as complete "X" events in greedy
 lanes), one extra process for engine spans (nesting depth as the
-thread id), and optional per-node memory counter tracks.
+thread id), and one memory counter track per node that held memory.
 
 Virtual-clock seconds map to trace microseconds.
 """
@@ -19,11 +19,9 @@ _LANE_EPSILON = 1e-9
 SPAN_PROCESS_NAME = "engine spans"
 
 
-def chrome_trace(cluster, metrics=None, critical_path=None):
+def chrome_trace(cluster, critical_path=None):
     """Build the trace document (a JSON-ready dict) for one cluster.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.ClusterMetrics` attached
-    before the run) adds per-node ``memory used`` counter tracks.
     ``critical_path`` (a :class:`~repro.obs.critical_path.CriticalPath`)
     adds flow arrows ("s"/"f" events) linking consecutive task slices
     along the path, so the chain that determines the makespan is
@@ -89,20 +87,21 @@ def chrome_trace(cluster, metrics=None, critical_path=None):
     if critical_path is not None:
         events.extend(_flow_events(critical_path, placement))
 
-    # Memory counter tracks, when a metrics aggregator was listening.
-    if metrics is not None:
-        for node, series in sorted(metrics.memory_series.items()):
-            for time, used in series:
-                events.append(
-                    {
-                        "name": "memory used",
-                        "ph": "C",
-                        "ts": time * 1e6,
-                        "pid": pids.get(node, span_pid),
-                        "tid": 0,
-                        "args": {"bytes": used},
-                    }
-                )
+    # Memory counter tracks: the running sum of each tracker's steps.
+    for name in sorted(pids):
+        used = 0
+        for time, delta in cluster.nodes[name].memory.history:
+            used += delta
+            events.append(
+                {
+                    "name": "memory used",
+                    "ph": "C",
+                    "ts": time * 1e6,
+                    "pid": pids[name],
+                    "tid": 0,
+                    "args": {"bytes": used},
+                }
+            )
 
     return {
         "traceEvents": events,
@@ -151,10 +150,9 @@ def _flow_events(critical_path, placement):
     return events
 
 
-def write_chrome_trace(cluster, path, metrics=None, critical_path=None):
+def write_chrome_trace(cluster, path, critical_path=None):
     """Serialize :func:`chrome_trace` to ``path``; returns the path."""
-    document = chrome_trace(cluster, metrics=metrics,
-                            critical_path=critical_path)
+    document = chrome_trace(cluster, critical_path=critical_path)
     with open(path, "w") as fh:
         json.dump(document, fh, indent=1, sort_keys=True)
     return path

@@ -294,6 +294,9 @@ def compute_critical_path(source):
         ]
         if binding:
             current = max(binding, key=order_key)
+            # A dependency accepted within the tolerance may end just
+            # short of the frontier: the gap is nobody's work.
+            emit("idle", None, current.end, frontier)
             continue
 
         # No dependency explains the frontier: hand over to whichever

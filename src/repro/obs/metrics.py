@@ -1,16 +1,13 @@
-"""Metrics primitives and the event-bus-fed cluster aggregator.
+"""Metrics primitives: counters, gauges and histograms.
 
 :class:`MetricsRegistry` holds counters, gauges (with high-water
-marks) and histograms.  :class:`ClusterMetrics` subscribes to a
-cluster's event bus and keeps the registry current while a run
-executes -- per-node slot occupancy and memory, bytes shuffled,
-broadcast and ingested, spill volume, and per-group task-duration
-histograms (the straggler statistics of Figures 10g/13).
+marks) and histograms, created on first use.  The harness's wall-clock
+telemetry (:mod:`repro.obs.telemetry`) registers into one; the
+straggler table of :mod:`repro.obs.breakdown` takes its mean, p95 and
+max from :class:`Histogram`.
 """
 
-from collections import defaultdict
-
-from repro.obs import events as ev
+import math
 
 
 class Counter:
@@ -96,8 +93,7 @@ class Histogram:
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         ordered = sorted(self.values)
-        rank = max(0, min(len(ordered) - 1, round(p / 100 * len(ordered)) - 1))
-        return ordered[rank]
+        return ordered[max(0, math.ceil(p * len(ordered) / 100) - 1)]
 
     def __repr__(self):
         return f"Histogram({self.name}, n={self.count})"
@@ -142,153 +138,3 @@ class MetricsRegistry:
             out[f"{name}.mean"] = histogram.mean
             out[f"{name}.max"] = histogram.max
         return out
-
-
-class ClusterMetrics:
-    """Aggregates a cluster's event stream into a registry.
-
-    Use :meth:`attach` to subscribe before a run and read the registry
-    (or the convenience properties) afterwards; :meth:`detach` restores
-    the zero-subscriber fast path.
-    """
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.registry = MetricsRegistry()
-        #: Per-node ``[(time, used_bytes), ...]`` for counter-track export.
-        self.memory_series = defaultdict(list)
-        self.events_seen = 0
-        self._dispatch = {
-            ev.TaskStarted: self._on_task_started,
-            ev.TaskFinished: self._on_task_finished,
-            ev.TaskFailed: self._on_task_failed,
-            ev.NetworkTransfer: self._on_transfer,
-            ev.BroadcastSent: self._on_broadcast,
-            ev.S3Download: self._on_s3,
-            ev.MemoryAllocated: self._on_memory,
-            ev.MemoryFreed: self._on_memory,
-            ev.MemorySpilled: self._on_spill,
-            ev.MemoryOOM: self._on_oom,
-            ev.ObjectPut: self._on_object_put,
-            ev.ObjectGet: self._on_object_get,
-        }
-
-    @classmethod
-    def attach(cls, cluster):
-        """Subscribe a fresh aggregator to ``cluster``'s event bus."""
-        metrics = cls(cluster)
-        cluster.obs.events.subscribe(metrics.on_event)
-        return metrics
-
-    def detach(self):
-        """Stop listening (the bus becomes falsy again if last out)."""
-        self.cluster.obs.events.unsubscribe(self.on_event)
-
-    def on_event(self, event):
-        """Bus callback: route one event to its aggregation handler."""
-        self.events_seen += 1
-        handler = self._dispatch.get(type(event))
-        if handler is not None:
-            handler(event)
-
-    # -- handlers ------------------------------------------------------
-
-    def _on_task_started(self, event):
-        self.registry.counter("tasks.started").inc()
-        self.registry.gauge(f"slots.busy.{event.node}").add(1)
-
-    def _on_task_finished(self, event):
-        self.registry.counter("tasks.finished").inc()
-        self.registry.gauge(f"slots.busy.{event.node}").add(-1)
-        from repro.obs.breakdown import default_grouper
-
-        group = default_grouper(event.name)
-        self.registry.histogram(f"task_seconds.{group}").observe(
-            event.time - event.start
-        )
-
-    def _on_task_failed(self, event):
-        self.registry.counter("tasks.failed").inc()
-
-    def _on_transfer(self, event):
-        self.registry.counter("network.transfers").inc()
-        if event.src != event.dst:
-            self.registry.counter("network.bytes_node_to_node").inc(event.nbytes)
-
-    def _on_broadcast(self, event):
-        self.registry.counter("network.broadcasts").inc()
-        self.registry.counter("network.bytes_broadcast").inc(
-            event.nbytes * (event.n_nodes - 1)
-        )
-
-    def _on_s3(self, event):
-        self.registry.counter("s3.objects").inc(event.n_objects)
-        self.registry.counter("s3.bytes_ingested").inc(event.nbytes)
-
-    def _on_memory(self, event):
-        gauge = self.registry.gauge(f"memory.used.{event.node}")
-        gauge.set(event.used_bytes)
-        self.memory_series[event.node].append((event.time, event.used_bytes))
-
-    def _on_spill(self, event):
-        self.registry.counter("memory.bytes_spilled").inc(event.nbytes)
-
-    def _on_oom(self, event):
-        self.registry.counter("memory.oom").inc()
-
-    def _on_object_put(self, event):
-        self.registry.counter("objectstore.bytes_put").inc(event.nbytes)
-
-    def _on_object_get(self, event):
-        self.registry.counter("objectstore.bytes_get").inc(event.nbytes)
-
-    # -- convenience views ---------------------------------------------
-
-    @property
-    def shuffle_bytes(self):
-        """Bytes moved node-to-node (shuffles, steals, fetches)."""
-        return self.registry.counter("network.bytes_node_to_node").value
-
-    @property
-    def broadcast_bytes(self):
-        """Bytes put on the wire by tree broadcasts."""
-        return self.registry.counter("network.bytes_broadcast").value
-
-    @property
-    def s3_bytes(self):
-        """Bytes ingested from the object store."""
-        return self.registry.counter("s3.bytes_ingested").value
-
-    @property
-    def spilled_bytes(self):
-        """Bytes that overflowed memory to local disk."""
-        return self.registry.counter("memory.bytes_spilled").value
-
-    def peak_memory(self, node):
-        """High-water mark of tracked memory on one node, in bytes."""
-        return self.registry.gauge(f"memory.used.{node}").high_water
-
-    def straggler_rows(self):
-        """Per-group duration spread: where max >> mean, stragglers.
-
-        Rows sorted by descending total busy time:
-        ``{"group", "tasks", "mean_s", "p95_s", "max_s", "skew"}`` where
-        ``skew`` is ``max / mean``.
-        """
-        rows = []
-        for name, hist in self.registry.histograms.items():
-            if not name.startswith("task_seconds.") or not hist.count:
-                continue
-            mean = hist.mean
-            rows.append(
-                {
-                    "group": name[len("task_seconds."):],
-                    "tasks": hist.count,
-                    "mean_s": mean,
-                    "p95_s": hist.percentile(95),
-                    "max_s": hist.max,
-                    "skew": hist.max / mean if mean > 0 else 0.0,
-                }
-            )
-        rows.sort(key=lambda r: -(r["mean_s"] * r["tasks"]))
-        return rows

@@ -14,8 +14,6 @@ name-prefix-grouping heuristic with explicit structure.
 
 from contextlib import contextmanager
 
-from repro.obs.events import SpanClosed, SpanOpened
-
 #: Pseudo-ops a record is stamped with when its work implements no
 #: logical operator.  Real provenance ids are ``"<plan>/<op_id>"``
 #: (``repro.plan.ir.provenance_id``); the ``@`` prefix keeps these
@@ -182,19 +180,15 @@ class TaskRecord:
 
 
 class Observability:
-    """Per-cluster observability state: event bus, spans, task records.
+    """Per-cluster observability state: spans and task records.
 
     Owned by :class:`~repro.cluster.cluster.SimulatedCluster` as
     ``cluster.obs``; engines only ever need :meth:`span`, consumers
-    subscribe to ``obs.events`` or read ``obs.task_records`` after a
-    run.
+    read ``obs.task_records`` and ``obs.spans`` after a run.
     """
 
     def __init__(self, clock):
-        from repro.obs.events import EventBus
-
         self.clock = clock
-        self.events = EventBus()
         self.spans = SpanStore()
         self.task_records = []
         # Plane-1 provenance state: the ambient logical-op scope stack.
@@ -206,26 +200,17 @@ class Observability:
         span = self.spans.open(
             name, self.clock.now, category=category, attrs=attrs
         )
-        if self.events:
-            self.events.emit(
-                SpanOpened(self.clock.now, name, span.span_id, span.parent_id)
-            )
         try:
             yield span
         finally:
             self.spans.close(span, self.clock.now)
-            if self.events:
-                self.events.emit(
-                    SpanClosed(self.clock.now, name, span.span_id, span.start)
-                )
 
     def file_record(self, record):
         """File a finished record under the currently-open span.
 
         A record with no explicit ``op`` inherits the ambient provenance
-        scope, if one is open.  Filing is pure bookkeeping -- it never
-        touches the clock, so observed and unobserved runs stay
-        bit-identical.
+        scope, if one is open.  Filing is pure bookkeeping: it never
+        touches the clock.
         """
         if record.op is None and self._provenance_stack:
             record.op = self._provenance_stack[-1]

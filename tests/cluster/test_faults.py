@@ -22,7 +22,7 @@ from repro.cluster.faults import (
     dask_recovery,
     spark_recovery,
 )
-from tests.properties.test_prop_cluster import check_records, watch
+from tests.properties.test_prop_cluster import check_records
 
 GB = 1024 ** 3
 
@@ -134,7 +134,6 @@ def test_abort_leaves_nothing_behind_and_the_resubmission_completes(cluster):
     cluster.install_faults(
         FaultPlan().crash_node("node-1", at_time=5.0, restart_after=30.0)
     )
-    finished, died = watch(cluster)
     quick = [Task(f"quick{i}", duration=2.0, memory_bytes=GB, on_oom="wait")
              for i in range(8)]
     slow = [Task(f"slow{i}", duration=10.0, memory_bytes=GB, on_oom="wait",
@@ -143,7 +142,8 @@ def test_abort_leaves_nothing_behind_and_the_resubmission_completes(cluster):
     with pytest.raises(NodeCrashedError) as info:
         cluster.run(tasks)
     killed = [t for t in slow if t.name in info.value.killed_tasks]
-    assert len(killed) == 4 and len(finished) == 8
+    first = dict(cluster.completed)
+    assert len(killed) == 4 and len(first) == 8
     for node in cluster.nodes.values():
         assert node.busy_slots == 0 and node.memory.used_bytes == 0
     assert not cluster._inflight
@@ -152,11 +152,11 @@ def test_abort_leaves_nothing_behind_and_the_resubmission_completes(cluster):
     results = cluster.run(tasks)
     # Everything that was killed or that died with node-1's memory ran
     # again; node-0's four finished results were kept.
-    lost = [e.task_id for e in finished[:8] if e.node == "node-1"]
+    lost = [tid for tid, res in first.items() if res.node == "node-1"]
     assert sorted(results) == sorted(lost + [t.task_id for t in slow])
     assert cluster.now == 47.0
-    check_records(cluster, tasks, finished, died)
-    assert len(died) == 4
+    check_records(cluster, tasks)
+    assert cluster.node("node-1").failed_tasks == 4
     records = {}
     for record in cluster.obs.task_records:
         records.setdefault(record.task_id, []).append(record)
@@ -216,6 +216,21 @@ def test_crash_wipes_memory_keeps_disk_by_default(cluster):
     assert node.disk.used_bytes == GB
 
 
+def test_crash_ends_the_memory_history_at_zero(cluster):
+    """The wipe is one step of the node's history, stamped at the crash:
+    everything resident goes at once, the killed attempts' working sets
+    included."""
+    node = cluster.node("node-1")
+    node.memory.allocate(GB, "resident")
+    cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
+    with pytest.raises(NodeCrashedError) as info:
+        cluster.run([Task(f"t{i}", duration=5.0, memory_bytes=GB)
+                     for i in range(16)])
+    held = 1 + len(info.value.killed_tasks)
+    assert node.memory.history == [(0.0, GB)] * held + [(1.0, -held * GB)]
+    assert node.memory.peak_bytes == held * GB
+
+
 def test_crash_with_lose_disk_wipes_disk(cluster):
     node = cluster.node("node-1")
     node.disk.write("spill/part-0", b"x", GB)
@@ -249,6 +264,30 @@ def test_recompute_resurrects_lost_dependencies(cluster):
     # dep's result died with node-1 mid-run and was recomputed from
     # lineage before the consumer ran.
     assert results[consumer.task_id].value == 42
+
+
+def test_failed_attempt_waits_for_the_dependency_a_crash_took(cluster):
+    """``b``'s attempt is failing on node-0 when node-1 dies with ``a``'s
+    result: the retry runs after the recompute of ``a``, not before."""
+    cluster.install_recovery(spark_recovery())
+    plan = FaultPlan(retry_policy=RetryPolicy(base_delay_s=0.1))
+    plan.fail_tasks(1.0, match="b", detect_delay_s=0.5,
+                    max_failures_per_task=1)
+    plan.crash_node("node-1", at_time=1.2, restart_after=0.2)
+    cluster.install_faults(plan)
+    a = Task("a", fn=lambda: 7, duration=1.0, node="node-1")
+    b = Task("b", fn=lambda x: x + 1, args=(a,), duration=1.0, node="node-0")
+    results = cluster.run([b])
+    assert results[b.task_id].value == 8
+    first, again, retry = [
+        r for r in cluster.obs.task_records if r.task_id is not None
+    ]
+    assert (first.name, first.end, first.retried) == ("a", 1.0, False)
+    assert (again.name, again.start, again.end) == ("a", 1.2, 2.2)
+    assert (retry.name, retry.ready, retry.start, retry.end) == (
+        "b", 2.2, 2.2, 3.2)
+    assert again.retried and retry.retried
+    check_records(cluster, [a, b])
 
 
 def test_progress_triggered_crash(cluster):

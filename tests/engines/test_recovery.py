@@ -19,7 +19,6 @@ from repro.engines.scidb import DimSpec, SciDBConnection
 from repro.engines.spark import SparkContext
 from repro.engines.tensorflow import Graph, Session
 from repro.obs.breakdown import records_of
-from repro.obs.events import QueryRestarted, TaskRetried
 from repro.formats.sizing import SizedArray
 
 
@@ -59,13 +58,9 @@ def test_spark_job_survives_mid_stage_crash():
 
     cluster = _four_nodes()
     cluster.install_faults(FaultPlan(seed=5).crash_node("node-3", at_time=half))
-    retried = []
-    cluster.obs.events.subscribe(
-        lambda e: retried.append(e) if isinstance(e, TaskRetried) else None
-    )
     assert _spark_job(cluster) == expected
     # The survivors redid the victim's killed attempts...
-    assert retried
+    assert cluster.node("node-3").retried_tasks > 0
     assert cluster.node("node-3").failed_tasks > 0
     # ...and the run costs more than the fault-free baseline.
     assert cluster.now > baseline.now
@@ -212,10 +207,6 @@ def test_myria_restarts_query_after_worker_crash():
 
     cluster = _worker_nodes()
     conn = _myria_setup(cluster)
-    restarts = []
-    cluster.obs.events.subscribe(
-        lambda e: restarts.append(e) if isinstance(e, QueryRestarted) else None
-    )
     cluster.install_faults(
         FaultPlan(seed=7).crash_node("node-3", at_time=crash_at,
                                      restart_after=5.0)
@@ -224,12 +215,10 @@ def test_myria_restarts_query_after_worker_crash():
     # Same answer, no duplicated rows from the aborted attempt.
     got = sorted(MyriaQuery.submit(conn, _RESCAN).relation("Q").rows)
     assert got == expected
-    assert len(restarts) == 1
-    assert restarts[0].engine == "Myria"
-    # The restart wait was charged under its blame category.
-    assert any(
-        r.category == "myria-restart" for r in records_of(cluster)
-    )
+    # One restart: its wait was charged once, under its blame category.
+    assert len([
+        r for r in records_of(cluster) if r.category == "myria-restart"
+    ]) == 1
     assert cluster.now > crash_at + 5.0
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.harness import experiments as E
 from repro.harness.runner import neuro_subjects, observe_clusters
-from repro.obs import ClusterMetrics, chrome_trace, write_chrome_trace
+from repro.obs import chrome_trace, write_chrome_trace
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny-neuro-trace.json"
 
@@ -25,25 +26,20 @@ TINY_PROFILE = {"scale": 12, "n_volumes": 12}
 
 @pytest.fixture(scope="module")
 def tiny_neuro_run():
-    """One observed miniature neuro run: ``(cluster, metrics)``."""
+    """The cluster of one miniature neuro run."""
     captured = []
-
-    def observer(cluster):
-        captured.append((cluster, ClusterMetrics.attach(cluster)))
-
-    with observe_clusters(observer):
+    with observe_clusters(captured.append):
         E.run_neuro_end_to_end(
             "spark", neuro_subjects(1, **TINY_PROFILE), n_nodes=2
         )
-    assert len(captured) == 1
-    return captured[0]
+    (cluster,) = captured
+    return cluster
 
 
 def test_golden_trace(tiny_neuro_run):
-    cluster, metrics = tiny_neuro_run
     # Round-trip through JSON so tuples/containers normalize exactly as
     # write_chrome_trace would serialize them.
-    document = json.loads(json.dumps(chrome_trace(cluster, metrics=metrics)))
+    document = json.loads(json.dumps(chrome_trace(tiny_neuro_run)))
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     golden = json.loads(GOLDEN.read_text())
@@ -51,8 +47,8 @@ def test_golden_trace(tiny_neuro_run):
 
 
 def test_trace_structure_valid(tiny_neuro_run):
-    cluster, metrics = tiny_neuro_run
-    document = chrome_trace(cluster, metrics=metrics)
+    cluster = tiny_neuro_run
+    document = chrome_trace(cluster)
     events = document["traceEvents"]
     assert events
     assert set(document) == {"traceEvents", "displayTimeUnit", "otherData"}
@@ -92,33 +88,44 @@ def test_trace_structure_valid(tiny_neuro_run):
 
 
 def test_tiny_run_metrics_nonzero(tiny_neuro_run):
-    cluster, metrics = tiny_neuro_run
-    assert metrics.s3_bytes > 0
-    assert metrics.shuffle_bytes > 0
-    for node in cluster.node_order:
-        assert metrics.peak_memory(node) > 0
-        assert cluster.nodes[node].memory.peak_bytes == metrics.peak_memory(node)
+    cluster = tiny_neuro_run
+    assert cluster.network.bytes_from_s3 > 0
+    assert cluster.network.bytes_node_to_node > 0
     rows = cluster.node_summaries()
     assert all(row["peak_memory_bytes"] > 0 for row in rows)
 
 
+def test_memory_counter_tracks_follow_the_trackers(tiny_neuro_run):
+    """Per node, the ``memory used`` track rises to that node's peak,
+    never runs backwards in time, and ends where the tracker stands."""
+    cluster = tiny_neuro_run
+    tracks = {}
+    for event in chrome_trace(cluster)["traceEvents"]:
+        if event["ph"] == "C":
+            assert event["name"] == "memory used"
+            tracks.setdefault(event["pid"], []).append(
+                (event["ts"], event["args"]["bytes"]))
+    assert sorted(tracks) == list(range(len(cluster.node_order)))
+    for pid, summary in enumerate(cluster.node_summaries()):
+        times = [ts for ts, _level in tracks[pid]]
+        levels = [level for _ts, level in tracks[pid]]
+        assert times == sorted(times)
+        assert max(levels) == summary["peak_memory_bytes"]
+        assert min(levels) >= 0
+        assert levels[-1] == summary["used_memory_bytes"]
+
+
+def test_shuffle_bytes_counted():
+    cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
+    mb32 = 32 * 1024 ** 2
+    a = Task("a", fn=lambda: 1, duration=1.0, node="node-0",
+             output_bytes=mb32)
+    b = Task("b", fn=lambda x: x, args=(a,), duration=1.0, node="node-1")
+    cluster.run([b])
+    assert cluster.network.bytes_node_to_node == mb32
+
+
 def test_write_chrome_trace_roundtrip(tiny_neuro_run, tmp_path):
-    cluster, metrics = tiny_neuro_run
-    path = write_chrome_trace(
-        cluster, tmp_path / "trace.json", metrics=metrics
-    )
+    path = write_chrome_trace(tiny_neuro_run, tmp_path / "trace.json")
     document = json.loads(Path(path).read_text())
     assert document["traceEvents"]
-
-
-def test_end_to_end_unobserved_is_bit_identical():
-    """Acceptance: no subscribers => durations identical to observed run."""
-    subjects = neuro_subjects(1, **TINY_PROFILE)
-    plain = E.run_neuro_end_to_end("spark", subjects, n_nodes=2)
-
-    def observer(cluster):
-        ClusterMetrics.attach(cluster)
-
-    with observe_clusters(observer):
-        observed = E.run_neuro_end_to_end("spark", subjects, n_nodes=2)
-    assert plain == observed

@@ -114,6 +114,23 @@ class TestComputeCriticalPath:
         assert "coord" in {row["category"] for row in path.blame()}
         assert_tiles(path)
 
+    def test_gap_behind_a_followed_dependency_is_tiled(self):
+        """A dependency inside the binding tolerance may end short of
+        the frontier: the walk must cover ``[dep.end, frontier]`` too."""
+        cluster = make_cluster(n_nodes=1)
+        t0 = Task("task-0", duration=0.0)
+        t1 = Task("task-1", duration=0.0, not_before=2 ** -24)
+        t3 = Task("task-3", duration=0.0, deps=(t0, t1))
+        cluster.run([t0, t1, t3])
+        path = compute_critical_path(cluster)
+        assert path.makespan == 2 ** -24
+        assert path.segments[0].start == path.epoch
+        assert path.segments[-1].end == path.end
+        for before, after in zip(path.segments, path.segments[1:]):
+            assert before.end == after.start
+        total = sum(row["fraction"] for row in path.blame())
+        assert total == pytest.approx(1.0)
+
     def test_record_for_maps_extent_segments(self):
         cluster = make_cluster(n_nodes=1)
         cluster.run([Task("solo", duration=1.0)])

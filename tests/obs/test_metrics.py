@@ -1,14 +1,8 @@
-"""Metrics primitives and the ClusterMetrics event-bus aggregator."""
+"""Metrics primitives: counters, gauges, histograms, the registry."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, SimulatedCluster, Task
-from repro.obs import ClusterMetrics, Counter, Gauge, Histogram, MetricsRegistry
-
-MB = 1024 ** 2
-
-
-# ------------------------------------------------------------- primitives
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
 def test_counter_monotonic():
@@ -43,6 +37,18 @@ def test_histogram_statistics():
     assert h.percentile(100) == 10.0
     with pytest.raises(ValueError):
         h.percentile(101)
+    # Nearest rank is ceil(p/100 * n): the median of five is the third,
+    # and the p95 of eleven is the eleventh, not the tenth.
+    odd = Histogram("odd")
+    for v in (5.0, 1.0, 4.0, 2.0, 3.0):
+        odd.observe(v)
+    assert odd.percentile(50) == 3.0
+    assert odd.percentile(0) == 1.0
+    eleven = Histogram("eleven")
+    for v in range(1, 12):
+        eleven.observe(float(v))
+    assert eleven.percentile(95) == 11.0
+    assert eleven.percentile(90) == 10.0
 
 
 def test_empty_histogram_is_safe():
@@ -65,80 +71,3 @@ def test_registry_create_on_first_use_and_snapshot():
     assert snap["b.high_water"] == 7
     assert snap["c.count"] == 1
     assert snap["c.mean"] == 1.5
-
-
-# --------------------------------------------------------- ClusterMetrics
-
-
-@pytest.fixture
-def cluster():
-    return SimulatedCluster(ClusterSpec(n_nodes=2))
-
-
-def test_task_counters(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    cluster.run([Task(f"t{i}", duration=1.0) for i in range(6)])
-    assert metrics.registry.counter("tasks.started").value == 6
-    assert metrics.registry.counter("tasks.finished").value == 6
-    assert metrics.registry.counter("tasks.failed").value == 0
-
-
-def test_slot_gauge_returns_to_zero(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    cluster.run([Task(f"t{i}", duration=1.0) for i in range(10)])
-    for node in cluster.node_order:
-        gauge = metrics.registry.gauge(f"slots.busy.{node}")
-        assert gauge.value == 0
-        assert gauge.high_water >= 1
-
-
-def test_peak_memory_and_series(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    node = cluster.node_order[0]
-    cluster.run([Task("m", duration=1.0, memory_bytes=48 * MB, node=node)])
-    assert metrics.peak_memory(node) == 48 * MB
-    assert cluster.nodes[node].memory.peak_bytes == 48 * MB
-    series = metrics.memory_series[node]
-    assert series[-1][1] == 0  # freed after the run
-    assert max(level for _, level in series) == 48 * MB
-
-
-def test_shuffle_bytes_counted(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    a = Task("a", fn=lambda: 1, duration=1.0, node="node-0",
-             output_bytes=32 * MB)
-    b = Task("b", fn=lambda x: x, args=(a,), duration=1.0, node="node-1")
-    cluster.run([b])
-    assert metrics.shuffle_bytes == 32 * MB
-
-
-def test_task_duration_histograms_by_group(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    tasks = [Task(f"map-{i}", duration=2.0) for i in range(4)]
-    tasks += [Task(f"reduce-{i}", duration=1.0) for i in range(2)]
-    cluster.run(tasks)
-    hists = metrics.registry.histograms
-    assert hists["task_seconds.map"].count == 4
-    assert hists["task_seconds.reduce"].count == 2
-    assert hists["task_seconds.map"].mean == 2.0
-
-
-def test_straggler_rows_report_skew(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    tasks = [Task(f"work-{i}", duration=1.0) for i in range(7)]
-    tasks.append(Task("work-7", duration=9.0))  # the straggler
-    cluster.run(tasks)
-    rows = metrics.straggler_rows()
-    row = next(r for r in rows if r["group"] == "work")
-    assert row["tasks"] == 8
-    assert row["max_s"] == 9.0
-    assert row["skew"] == pytest.approx(9.0 / 2.0)
-
-
-def test_detach_stops_updates(cluster):
-    metrics = ClusterMetrics.attach(cluster)
-    cluster.run([Task("t0", duration=1.0)])
-    metrics.detach()
-    assert not cluster.obs.events
-    cluster.run([Task("t1", duration=1.0)])
-    assert metrics.registry.counter("tasks.finished").value == 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.engines.spark import SparkContext
-from repro.obs.events import SpanClosed, SpanOpened
 from repro.obs.spans import SpanStore
 
 
@@ -56,23 +55,6 @@ def test_out_of_order_close_rejected():
     store.open("b", 0.0)
     with pytest.raises(RuntimeError, match="out of order"):
         store.close(a, 1.0)
-
-
-def test_span_events_emitted_when_subscribed(cluster):
-    seen = []
-    cluster.obs.events.subscribe(seen.append)
-    with cluster.obs.span("outer"):
-        with cluster.obs.span("inner"):
-            pass
-    kinds = [(type(e), e.name) for e in seen]
-    assert kinds == [
-        (SpanOpened, "outer"),
-        (SpanOpened, "inner"),
-        (SpanClosed, "inner"),
-        (SpanClosed, "outer"),
-    ]
-    opened = {e.name: e for e in seen if isinstance(e, SpanOpened)}
-    assert opened["inner"].parent_id == opened["outer"].span_id
 
 
 def test_reset_clears_spans_and_records(cluster):

@@ -1,5 +1,8 @@
 """Property-based tests: executor and substrate invariants."""
 
+from collections import Counter
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,6 @@ from repro.cluster.errors import ClusterError, OutOfMemoryError
 from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
 from repro.cluster.memory import MemoryTracker
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
-from repro.obs.events import TaskFailed, TaskFinished
 from tests.cluster.test_ready_set import (
     placements,
     reference_schedule,
@@ -52,8 +54,13 @@ def test_chain_is_serial(durations):
 @settings(max_examples=60, deadline=None)
 def test_memory_tracker_conserves(sizes, capacity):
     """used + available == capacity at every step; OOM exactly when the
-    request exceeds what is available."""
+    request exceeds what is available; the step history sums to the
+    level after every step and peaks where the tracker says it did."""
     tracker = MemoryTracker("n", capacity)
+
+    def level():
+        return sum(delta for _time, delta in tracker.history)
+
     allocations = []
     for size in sizes:
         if size <= tracker.available_bytes:
@@ -62,9 +69,31 @@ def test_memory_tracker_conserves(sizes, capacity):
             with pytest.raises(OutOfMemoryError):
                 tracker.allocate(size)
         assert tracker.used_bytes + tracker.available_bytes == capacity
+        assert level() == tracker.used_bytes
     for alloc in allocations:
         tracker.free(alloc)
+        assert level() == tracker.used_bytes
     assert tracker.used_bytes == 0
+    assert len(tracker.history) == 2 * len(allocations)
+    levels = accumulate(delta for _time, delta in tracker.history)
+    assert max(levels, default=0) == tracker.peak_bytes
+    assert all(time == 0.0 for time, _delta in tracker.history)
+
+
+def test_a_task_leaves_one_allocate_free_pair_on_its_node():
+    cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
+    cluster.charge_master(3.0)
+    mb64 = 64 * 1024 ** 2
+    (result,) = cluster.run(
+        [Task("big", duration=1.5, memory_bytes=mb64, node="node-1")]
+    ).values()
+    assert cluster.node("node-1").memory.history == [
+        (result.start_time, mb64), (result.end_time, -mb64)]
+    assert (result.start_time, result.end_time) == (3.0, 4.5)
+    assert cluster.node("node-1").memory.peak_bytes == mb64
+    assert cluster.node("node-0").memory.history == []
+    cluster.reset_clock()
+    assert cluster.node("node-1").memory.history == []
 
 
 @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=50),
@@ -159,46 +188,43 @@ recorded_workloads = mixed_workloads(
 )
 
 
-def watch(cluster):
-    """Collect the cluster's ``TaskFinished`` and ``TaskFailed`` events."""
-    finished, died = [], []
-
-    def on_event(event):
-        if isinstance(event, TaskFinished):
-            finished.append(event)
-        elif isinstance(event, TaskFailed):
-            died.append(event)
-
-    cluster.obs.events.subscribe(on_event)
-    return finished, died
-
-
-def check_records(cluster, tasks, finished, died, charges=0):
+def check_records(cluster, tasks, results=None, charges=0):
     """The contract of ``obs.task_records``, clean run or not.
 
     One record per completion, filed in completion order, and one
     id-less record per master charge and per attempt that died; a filed
     record's history is ordered, its extent is exactly its
     transfer/compute/spill split, and its ``dep_ids`` are the task's.
+    ``results`` is what the ``run()`` calls returned, in call order,
+    when none of them raised.
     """
     records = cluster.obs.task_records
     by_id = {task.task_id: task for task in tasks}
     filed = [r for r in records if r.task_id is not None]
-    assert [r.task_id for r in filed] == [e.task_id for e in finished]
-    assert len(records) == len(finished) + charges + len(died)
-    for r, event in zip(filed, finished):
-        task = by_id[r.task_id]
+    if results is not None:
+        assert [r.task_id for r in filed] == [x.task.task_id for x in results]
+    ends = [r.end for r in filed]
+    assert ends == sorted(ends)
+    last = {r.task_id: r for r in filed}
+    for task_id, result in cluster.completed.items():
+        r = last[task_id]
         assert (r.name, r.node, r.start, r.end) == (
-            task.name, event.node, event.start, event.time)
+            result.task.name, result.node, result.start_time, result.end_time)
+    for r in filed:
+        task = by_id[r.task_id]
+        assert r.name == task.name
         assert r.queued <= r.ready <= r.start <= r.end
         assert r.start >= r.not_before == task.not_before
         assert r.transfer_s + r.compute_s + r.spill_s == pytest.approx(
             r.end - r.start, abs=1e-9)
         assert r.dep_ids == tuple(d.task_id for d in task.dependencies())
-    # An attempt that died left its extent behind, ending at the failure.
-    anonymous = [(r.name, r.node, r.end) for r in records if r.task_id is None]
-    for event in died:
-        assert (event.name, event.node, event.time) in anonymous
+    # An attempt that died left its extent behind, on its node; nothing
+    # still holds a slot.
+    anonymous = Counter(r.node for r in records if r.task_id is None)
+    anonymous[cluster.master] -= charges
+    for node in cluster.nodes.values():
+        assert anonymous[node.name] == node.failed_tasks
+        assert node.busy_slots == 0
     assert all(r.start <= r.end for r in records)
 
 
@@ -209,13 +235,14 @@ def test_every_finished_task_has_one_record_of_its_history(workload, data):
     admits tasks whose dependencies are all done already."""
     n_nodes, slots, memory_bytes, tasks = workload
     cluster = make_cluster(n_nodes, slots, memory_bytes)
-    finished, died = watch(cluster)
-    cluster.run(tasks[:data.draw(st.integers(0, len(tasks)))])
+    first = cluster.run(tasks[:data.draw(st.integers(0, len(tasks)))])
     cluster.charge_master(1.5, category="driver")
-    cluster.run(tasks)
-    check_records(cluster, tasks, finished, died, charges=1)
-    assert not died
-    assert sorted(e.task_id for e in finished) == [t.task_id for t in tasks]
+    second = cluster.run(tasks)
+    results = [*first.values(), *second.values()]
+    check_records(cluster, tasks, results, charges=1)
+    assert len(cluster.obs.task_records) == len(tasks) + 1
+    assert sorted(x.task.task_id for x in results) == [
+        t.task_id for t in tasks]
     by_id = {r.task_id: r for r in cluster.obs.task_records}
     for task in tasks:
         record = by_id[task.task_id]
@@ -248,12 +275,11 @@ def test_records_stay_consistent_under_a_crash_and_transient_failures(
                     restart_after=restart_after)
     plan.fail_tasks(fail_rate, detect_delay_s=0.2, max_failures_per_task=3)
     cluster.install_faults(plan)
-    finished, died = watch(cluster)
     try:
         cluster.run(tasks)
     except ClusterError:
         pass  # what was filed before the run gave up still has to hold
-    check_records(cluster, tasks, finished, died)
+    check_records(cluster, tasks)
     recovered = [r for r in cluster.obs.task_records if r.op == "@recovery"]
     assert all(r.retried and r.category == "spark-recompute"
                for r in recovered)
