@@ -12,6 +12,8 @@ NaN marks both "no coverage" (patch pixels outside an exposure's
 footprint) and "nulled outlier".
 """
 
+import warnings
+
 import numpy as np
 
 
@@ -27,8 +29,6 @@ def sigma_clip_stack(stack, n_sigma=3.0, n_iter=2):
         raise ValueError(f"stack must be (visits, h, w), got {stack.shape}")
     if n_sigma <= 0:
         raise ValueError(f"n_sigma must be positive, got {n_sigma}")
-    import warnings
-
     for _iteration in range(n_iter):
         with np.errstate(invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -11,7 +11,11 @@ LA-Cosmic-style algorithms in simplified form.
 
 import numpy as np
 
-from repro.algorithms.stencil import median_filter_2d
+from repro.algorithms.stencil import (
+    median_filter_2d,
+    sliding_windows,
+    window_medians,
+)
 
 
 def detect_cosmic_rays(image, variance=None, n_sigma=6.0, radius=2,
@@ -61,9 +65,10 @@ def repair_cosmic_rays(image, cr_mask, radius=2):
         raise ValueError(
             f"mask shape {cr_mask.shape} does not match image {image.shape}"
         )
-    if not cr_mask.any():
-        return image.copy()
-    local_median = median_filter_2d(image, radius=radius)
     repaired = image.copy()
-    repaired[cr_mask] = local_median[cr_mask]
+    if radius == 0 or not cr_mask.any():
+        return repaired
+    repaired[cr_mask] = window_medians(
+        sliding_windows(image, radius)[cr_mask], 2
+    )
     return repaired

@@ -92,17 +92,18 @@ def label_regions(mask, connectivity=8):
                 for n in neighbors:
                     uf.union(smallest, n)
 
-    # Pass 2: resolve to dense final labels.
-    remap = {}
-    next_label = 1
+    # Pass 2: resolve the labelled pixels to dense final labels, in
+    # raster order of first appearance.
     flat = labels.ravel()
-    roots = np.array([uf.find(v) if v else 0 for v in flat], dtype=np.int64)
-    for root in roots:
-        if root and root not in remap:
-            remap[root] = next_label
-            next_label += 1
-    final = np.array([remap[r] if r else 0 for r in roots], dtype=np.int64)
-    return final.reshape(ny, nx), next_label - 1
+    labelled = np.flatnonzero(flat)
+    remap = {}
+    dense = []
+    for provisional in flat[labelled].tolist():
+        root = uf.find(provisional)
+        dense.append(remap.setdefault(root, len(remap) + 1))
+    final = np.zeros(ny * nx, dtype=np.int64)
+    final[labelled] = dense
+    return final.reshape(ny, nx), len(remap)
 
 
 def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):

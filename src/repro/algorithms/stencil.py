@@ -3,8 +3,10 @@
 The paper highlights stencil operations as one of the core data
 processing patterns of image analytics (Section 1: "Data processing
 involves ... stencil (a.k.a. multidimensional window) operations").
-These helpers back the median-Otsu mask, non-local means, background
-estimation and cosmic-ray repair.
+``median_filter_3d`` backs the median-Otsu mask, ``median_filter_2d``
+cosmic-ray detection, and ``sliding_windows`` + ``window_medians``
+cosmic-ray repair (the flagged pixels only).  Non-local means and
+background estimation slice their own windows and import nothing here.
 """
 
 import numpy as np
@@ -31,6 +33,31 @@ def sliding_windows(volume, radius):
     return np.lib.stride_tricks.sliding_window_view(padded, window_shape)
 
 
+def window_medians(windows, window_ndim):
+    """Median over the trailing ``window_ndim`` axes of ``windows``.
+
+    Returns the bytes numpy's ``median`` returns on the flattened windows,
+    cast back to the input dtype, from one sort of all windows
+    together.  Window sizes are odd, so the median is one element.
+    """
+    lead = windows.shape[:windows.ndim - window_ndim]
+    flat = windows.reshape(-1, windows.shape[-1] ** window_ndim)
+    if np.may_share_memory(flat, windows):
+        # Windows that were contiguous already (one pixel, or gathered):
+        # the reshape made no copy to sort in place.
+        flat = flat.copy()
+    flat.sort(axis=1)
+    medians = flat[:, flat.shape[1] // 2].copy()
+    if np.issubdtype(flat.dtype, np.inexact):
+        # numpy's median takes the mean of the one middle element, which
+        # turns a -0.0 into +0.0, and answers NaN for a window that
+        # holds one.  NaN sorts last.
+        medians += 0.0
+        last = flat[:, -1]
+        np.copyto(medians, last, where=np.isnan(last))
+    return medians.reshape(lead)
+
+
 def median_filter_3d(volume, radius=1):
     """Median filter over cubic windows of half-width ``radius``."""
     volume = np.asarray(volume)
@@ -38,9 +65,7 @@ def median_filter_3d(volume, radius=1):
         raise ValueError(f"expected a 3-d volume, got shape {volume.shape}")
     if radius == 0:
         return volume.copy()
-    windows = sliding_windows(volume, radius)
-    flat = windows.reshape(volume.shape + (-1,))
-    return np.median(flat, axis=-1).astype(volume.dtype, copy=False)
+    return window_medians(sliding_windows(volume, radius), 3)
 
 
 def median_filter_2d(image, radius=1):
@@ -50,9 +75,7 @@ def median_filter_2d(image, radius=1):
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
     if radius == 0:
         return image.copy()
-    windows = sliding_windows(image, radius)
-    flat = windows.reshape(image.shape + (-1,))
-    return np.median(flat, axis=-1).astype(image.dtype, copy=False)
+    return window_medians(sliding_windows(image, radius), 2)
 
 
 def uniform_filter_2d(image, radius=1):

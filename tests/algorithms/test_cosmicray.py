@@ -4,6 +4,45 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
+from tests.algorithms.test_stencil import (
+    VALUE_CLASSES,
+    _reference_median_filter,
+    assert_same_bytes,
+)
+
+
+def _reference_repair_cosmic_rays(image, cr_mask, radius=2):
+    """The full-image filter ``repair_cosmic_rays`` replaced, verbatim
+    (its median filter being the ``np.median`` oracle).
+
+    The oracle: ``repair_cosmic_rays`` must return these bytes.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    cr_mask = np.asarray(cr_mask, dtype=bool)
+    if cr_mask.shape != image.shape:
+        raise ValueError(
+            f"mask shape {cr_mask.shape} does not match image {image.shape}"
+        )
+    if not cr_mask.any():
+        return image.copy()
+    local_median = _reference_median_filter(image, radius=radius)
+    repaired = image.copy()
+    repaired[cr_mask] = local_median[cr_mask]
+    return repaired
+
+
+def _flag_one(rng, shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(rng.integers(0, n) for n in shape)] = True
+    return mask
+
+
+MASKS = {
+    "none": lambda rng, shape: np.zeros(shape, dtype=bool),
+    "one": _flag_one,
+    "few": lambda rng, shape: rng.random(shape) < 0.05,
+    "all": lambda rng, shape: np.ones(shape, dtype=bool),
+}
 
 
 def test_detects_single_pixel_hits(rng):
@@ -60,3 +99,29 @@ def test_shape_validation():
         detect_cosmic_rays(np.zeros((4, 4)), variance=np.zeros((5, 5)))
     with pytest.raises(ValueError):
         repair_cosmic_rays(np.zeros((4, 4)), np.zeros((5, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("value_class", sorted(VALUE_CLASSES))
+@pytest.mark.parametrize("mask_kind", sorted(MASKS))
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_repair_bytes_match_full_image_filter(radius, mask_kind, value_class):
+    rng = np.random.default_rng(radius)
+    for shape in [(12, 9), (4, 4)]:
+        image = VALUE_CLASSES[value_class](rng, shape)
+        mask = MASKS[mask_kind](rng, shape)
+        before = image.copy()
+        assert_same_bytes(
+            repair_cosmic_rays(image, mask, radius),
+            _reference_repair_cosmic_rays(image, mask, radius),
+        )
+        assert image.tobytes() == before.tobytes()
+
+
+def test_detect_then_repair_bytes_match_on_quick_sensor_shape(rng):
+    image = rng.normal(100.0, 5.0, (40, 40))
+    image[rng.random(image.shape) < 0.004] += 900.0
+    mask = detect_cosmic_rays(image, variance=np.full(image.shape, 25.0))
+    assert 0 < mask.sum() < 20
+    assert_same_bytes(
+        repair_cosmic_rays(image, mask), _reference_repair_cosmic_rays(image, mask)
+    )

@@ -3,7 +3,59 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.sources import Source, detect_sources, label_regions
+from repro.algorithms.sources import (
+    Source,
+    _UnionFind,
+    detect_sources,
+    label_regions,
+)
+
+
+def _reference_label_regions(mask, connectivity=8):
+    """``label_regions`` before its second pass skipped the background,
+    verbatim.
+
+    The oracle: ``label_regions`` must return these labels and count.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ny, nx = mask.shape
+    labels = np.zeros((ny, nx), dtype=np.int64)
+    uf = _UnionFind()
+
+    # Pass 1: provisional labels, merging via earlier neighbors.
+    for y in range(ny):
+        row_mask = mask[y]
+        for x in np.nonzero(row_mask)[0]:
+            neighbors = []
+            if x > 0 and labels[y, x - 1]:
+                neighbors.append(labels[y, x - 1])
+            if y > 0:
+                if labels[y - 1, x]:
+                    neighbors.append(labels[y - 1, x])
+                if connectivity == 8:
+                    if x > 0 and labels[y - 1, x - 1]:
+                        neighbors.append(labels[y - 1, x - 1])
+                    if x + 1 < nx and labels[y - 1, x + 1]:
+                        neighbors.append(labels[y - 1, x + 1])
+            if not neighbors:
+                labels[y, x] = uf.make()
+            else:
+                smallest = min(uf.find(n) for n in neighbors)
+                labels[y, x] = smallest
+                for n in neighbors:
+                    uf.union(smallest, n)
+
+    # Pass 2: resolve to dense final labels.
+    remap = {}
+    next_label = 1
+    flat = labels.ravel()
+    roots = np.array([uf.find(v) if v else 0 for v in flat], dtype=np.int64)
+    for root in roots:
+        if root and root not in remap:
+            remap[root] = next_label
+            next_label += 1
+    final = np.array([remap[r] if r else 0 for r in roots], dtype=np.int64)
+    return final.reshape(ny, nx), next_label - 1
 
 
 def test_label_single_region():
@@ -112,3 +164,16 @@ def test_source_is_frozen():
     s = Source(1, 0.0, 0.0, 1.0, 1.0, 3)
     with pytest.raises(Exception):
         s.flux = 2.0
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("fill", [0.0, 0.04, 0.3, 0.6, 1.0])
+def test_labels_match_full_image_second_pass(fill, connectivity):
+    rng = np.random.default_rng(int(fill * 100) + connectivity)
+    for shape in [(40, 26), (9, 14), (1, 7), (6, 1)]:
+        mask = rng.random(shape) < fill
+        labels, n = label_regions(mask, connectivity)
+        want, want_n = _reference_label_regions(mask, connectivity)
+        assert labels.dtype == want.dtype
+        assert labels.tobytes() == want.tobytes()
+        assert n == want_n

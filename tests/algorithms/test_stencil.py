@@ -10,7 +10,57 @@ from repro.algorithms.stencil import (
     median_filter_3d,
     sliding_windows,
     uniform_filter_2d,
+    window_medians,
 )
+
+
+def _reference_median_filter(volume, radius=1):
+    """The ``np.median`` form both median filters replaced, verbatim.
+
+    The oracle, 2-d and 3-d: ``median_filter_2d`` / ``median_filter_3d``
+    must return these bytes and this dtype.
+    """
+    volume = np.asarray(volume)
+    if radius == 0:
+        return volume.copy()
+    windows = sliding_windows(volume, radius)
+    flat = windows.reshape(volume.shape + (-1,))
+    return np.median(flat, axis=-1).astype(volume.dtype, copy=False)
+
+
+def _with_inf(rng, shape):
+    values = rng.normal(0.0, 3.0, shape)
+    values[rng.random(shape) < 0.1] = np.inf
+    values[rng.random(shape) < 0.1] = -np.inf
+    return values
+
+
+def _with_nan(rng, shape):
+    values = rng.normal(0.0, 3.0, shape)
+    values[rng.random(shape) < 0.08] = np.nan
+    return values
+
+
+#: The value classes where a median picked from a sort could part from
+#: ``np.median``: ties, signed zeros, NaN and infinite pixels, dtypes.
+VALUE_CLASSES = {
+    "float64": lambda rng, shape: rng.normal(0.0, 3.0, shape),
+    "float32": lambda rng, shape: rng.normal(0.0, 3.0, shape).astype(np.float32),
+    "int32": lambda rng, shape: rng.integers(-9, 10, shape).astype(np.int32),
+    "uint8": lambda rng, shape: rng.integers(0, 4, shape).astype(np.uint8),
+    "ties": lambda rng, shape: np.round(rng.normal(0.0, 2.0, shape)),
+    "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0], shape),
+    "negative_zero": lambda rng, shape: np.full(shape, -0.0),
+    "constant": lambda rng, shape: np.full(shape, 4.25),
+    "nan": _with_nan,
+    "inf": _with_inf,
+}
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sliding_windows_shape(rng):
@@ -122,3 +172,54 @@ def test_local_mean_and_std(rng):
     flat = np.full((6, 6), 2.0)
     _m, s = local_mean_and_std(flat, radius=1)
     assert np.allclose(s, 0.0)
+
+
+@pytest.mark.parametrize("value_class", sorted(VALUE_CLASSES))
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(9, 7), (4, 4), (5, 6, 4), (4, 4, 4)])
+def test_median_filter_bytes_match_np_median(shape, radius, value_class):
+    rng = np.random.default_rng(len(shape) * 10 + radius)
+    volume = VALUE_CLASSES[value_class](rng, shape)
+    median_filter = median_filter_2d if len(shape) == 2 else median_filter_3d
+    before = volume.copy()
+    assert_same_bytes(
+        median_filter(volume, radius), _reference_median_filter(volume, radius)
+    )
+    # The sort is in place; it must never reach the caller's array.
+    assert volume.tobytes() == before.tobytes()
+
+
+def test_median_filter_bytes_match_np_median_on_quick_sensor_shape(rng):
+    image = rng.normal(100.0, 5.0, (40, 40))
+    for radius in (1, 2, 3):
+        assert_same_bytes(
+            median_filter_2d(image, radius), _reference_median_filter(image, radius)
+        )
+
+
+def test_median_filter_of_one_pixel():
+    """Its windows reshape without a copy, as a read-only view."""
+    pixel, voxel = np.full((1, 1), 4.25), np.zeros((1, 1, 1))
+    assert_same_bytes(median_filter_2d(pixel, 1), pixel)
+    assert_same_bytes(median_filter_3d(voxel, 2), voxel)
+
+
+def test_window_medians_leaves_contiguous_windows_alone(rng):
+    windows = rng.random((3, 5, 5))
+    before = windows.copy()
+    assert_same_bytes(
+        window_medians(windows, 2), np.median(before.reshape(3, 25), axis=1)
+    )
+    assert windows.tobytes() == before.tobytes()
+
+
+def test_median_filter_result_owns_its_memory(rng):
+    """Not a view that keeps the sorted ``(pixels, window)`` copy alive."""
+    for image in (rng.random((6, 6)), rng.integers(0, 9, (6, 6))):
+        out = median_filter_2d(image, radius=2)
+        assert out.base is None or out.base.size == out.size
+
+
+def test_window_medians_of_no_window():
+    windows = sliding_windows(np.zeros((4, 4)), 1)[np.zeros((4, 4), dtype=bool)]
+    assert window_medians(windows, 2).shape == (0,)

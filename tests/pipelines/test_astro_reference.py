@@ -1,9 +1,14 @@
 """Tests for the astronomy reference pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.algorithms import cosmicray
 from repro.data.astro import generate_visit
+from repro.harness.runner import astro_visits
+from repro.pipelines.astro import reference
 from repro.pipelines.astro.reference import (
     coadd_patch,
     default_patch_grid,
@@ -14,6 +19,9 @@ from repro.pipelines.astro.reference import (
     run_reference,
     stitch_pieces,
 )
+from tests.algorithms.test_background import _reference_estimate_background
+from tests.algorithms.test_cosmicray import _reference_repair_cosmic_rays
+from tests.algorithms.test_stencil import _reference_median_filter
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +46,55 @@ def test_preprocess_repairs_cosmic_rays(tiny_visits):
             assert calibrated.flux[y, x] < exposure.flux[y, x] * 0.5
             return
     pytest.skip("no cosmic rays injected in this visit")
+
+
+@pytest.fixture(scope="module")
+def quick_exposures():
+    """The 24 exposures of 40 x 40 the ``astro-grid`` benchmark
+    preprocesses at seed 0 (Fig 10d's quick cells)."""
+    visits = astro_visits(4, scale=100, n_sensors=6)
+    return [exposure for visit in visits for exposure in visit.exposures]
+
+
+def _sha256(exposures, planes):
+    digest = hashlib.sha256()
+    for exposure in exposures:
+        for plane in planes:
+            digest.update(getattr(exposure, plane).tobytes())
+    return digest.hexdigest()
+
+
+def test_preprocess_bytes_match_reference_kernels(quick_exposures, monkeypatch):
+    """Step 1-A end to end against the three loops its kernels replaced."""
+    got = [preprocess_exposure(exposure) for exposure in quick_exposures]
+
+    def reference_subtract(image, box_size):
+        background = _reference_estimate_background(image, box_size)
+        return image - background, background
+
+    monkeypatch.setattr(reference, "subtract_background", reference_subtract)
+    monkeypatch.setattr(cosmicray, "median_filter_2d", _reference_median_filter)
+    monkeypatch.setattr(
+        reference, "repair_cosmic_rays", _reference_repair_cosmic_rays
+    )
+    want = [preprocess_exposure(exposure) for exposure in quick_exposures]
+    planes = ("flux", "mask")
+    assert _sha256(got, planes) == _sha256(want, planes)
+    assert sum((exposure.mask & 2).any() for exposure in got) > 12
+
+
+def test_preprocess_sha256_is_the_parents(quick_exposures):
+    """The digest the tree gave before the kernels were batched (PR 24's
+    parent), recorded on an AVX-512 host.  The generator's ``exp`` rounds
+    differently on other hosts, so the inputs are pinned first."""
+    if _sha256(quick_exposures, ("flux", "variance", "mask")) != (
+        "15a876c17cb1b266ce8cba6295c8116fb568c616e727e3903f5bb11e5d91e909"
+    ):
+        pytest.skip("this host generates other exposures than the recorded ones")
+    got = [preprocess_exposure(exposure) for exposure in quick_exposures]
+    assert _sha256(got, ("flux", "mask")) == (
+        "83ad76adbe8dcc075e69ba39540b006d0cc36daf48f96bd7f95ba30eecf2cd86"
+    )
 
 
 def test_patch_pieces_fanout_bounds(tiny_visits):

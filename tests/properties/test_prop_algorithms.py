@@ -5,12 +5,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.algorithms.background import estimate_background
 from repro.algorithms.coadd import coadd_stack, sigma_clip_stack
+from repro.algorithms.cosmicray import repair_cosmic_rays
 from repro.algorithms.dtm import fractional_anisotropy, tensor_eigenvalues
 from repro.algorithms.otsu import otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
 from repro.algorithms.sources import label_regions
-from repro.algorithms.stencil import median_filter_3d
+from repro.algorithms.stencil import median_filter_2d, median_filter_3d
+from tests.algorithms.test_background import (
+    BACKGROUND_CLASSES,
+    _reference_estimate_background,
+)
+from tests.algorithms.test_cosmicray import _reference_repair_cosmic_rays
+from tests.algorithms.test_sources import _reference_label_regions
+from tests.algorithms.test_stencil import (
+    VALUE_CLASSES,
+    _reference_median_filter,
+    assert_same_bytes,
+)
 
 
 @given(
@@ -162,3 +175,76 @@ def test_labeling_8_coarser_than_4(mask):
     _l8, n8 = label_regions(mask, connectivity=8)
     _l4, n4 = label_regions(mask, connectivity=4)
     assert n8 <= n4
+
+
+@given(
+    hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    st.sampled_from([4, 8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_labeling_matches_full_image_second_pass(mask, connectivity):
+    labels, n = label_regions(mask, connectivity)
+    want, want_n = _reference_label_regions(mask, connectivity)
+    assert_same_bytes(labels, want)
+    assert n == want_n
+
+
+# The three astronomy kernels against the loops they replaced (the
+# oracles live with the unit tests): same bytes on every shape, radius
+# and value class, not only on the hand-picked ones.
+
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 14), st.integers(1, 14)),
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    ),
+    radius=st.integers(0, 3),
+    value_class=st.sampled_from(sorted(VALUE_CLASSES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_median_filter_bytes_match_np_median(shape, radius, value_class, seed):
+    # Axes shorter than the radius make the reflect padding wrap.
+    volume = VALUE_CLASSES[value_class](np.random.default_rng(seed), shape)
+    median_filter = median_filter_2d if len(shape) == 2 else median_filter_3d
+    assert_same_bytes(
+        median_filter(volume, radius), _reference_median_filter(volume, radius)
+    )
+
+
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    box_size=st.integers(1, 40),
+    n_sigma=st.sampled_from([3.0, 2.0, 1.0, 0.5]),
+    value_class=st.sampled_from(sorted(BACKGROUND_CLASSES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_background_bytes_match_per_box_loop(
+    shape, box_size, n_sigma, value_class, seed
+):
+    image = BACKGROUND_CLASSES[value_class](np.random.default_rng(seed), shape)
+    assert_same_bytes(
+        estimate_background(image, box_size, n_sigma),
+        _reference_estimate_background(image, box_size, n_sigma),
+    )
+
+
+@given(
+    shape=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+    radius=st.integers(0, 3),
+    flagged=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    value_class=st.sampled_from(sorted(VALUE_CLASSES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_repair_bytes_match_full_image_filter(
+    shape, radius, flagged, value_class, seed
+):
+    rng = np.random.default_rng(seed)
+    image = VALUE_CLASSES[value_class](rng, shape)
+    mask = rng.random(shape) < flagged
+    assert_same_bytes(
+        repair_cosmic_rays(image, mask, radius),
+        _reference_repair_cosmic_rays(image, mask, radius),
+    )
