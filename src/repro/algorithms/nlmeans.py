@@ -10,28 +10,31 @@ simplest per-voxel form: for every masked voxel, candidate patches
 within a search window are weighted by Gaussian-kernelized patch
 distance and averaged.
 
-The search offsets ``(dz, dy, dx)`` are processed in batches.  One batch
-stacks the squared differences of its offsets along a leading axis, so
-the box sums, the scaling and the ``exp`` each run once per batch rather
-than once per offset.  The results are the bytes a one-offset-at-a-time
-loop produces (the test suite keeps that loop as its oracle) because
-every voxel sees the same floating-point operations in the same order:
+The search offsets ``(dz, dy, dx)`` are processed in batches of whole
+``(dz, dy)`` rows of the search cube.  All shifted windows of a batch
+are one strided view of the padded volume, so the squared differences,
+each box-sum stage, the scaling, the ``exp`` and the weighted values
+each cost one numpy call per batch.  The results are the bytes a
+one-offset-at-a-time loop produces (the test suite keeps that loop as
+its oracle) because every voxel sees the same floating-point operations
+in the same order:
 
 * a box sum is the difference of two running sums along each axis in
   turn, and the running sums are built one slab at a time, each slab
-  added to the one before it;
+  added to the one before it; the axis being summed is always the
+  outermost one of its buffer, so a slab is one contiguous block;
 * ``weights_sum`` and ``values_sum`` grow by one offset at a time, in
   ``(dz, dy, dx)`` order, as one left-to-right chain of additions --
-  never by a per-batch partial sum.
+  never by a per-batch partial sum or a reduction over the offsets;
+* ``exp`` runs on a contiguous buffer, as it does in the loop.
 
-The batch length is the number of shifted windows that fit in
-``_BATCH_ELEMENTS`` float64 values.  The scaled-down test volumes
-(8x8x8) take 32 offsets per batch; a volume whose padded window exceeds
-half that budget takes one offset per batch, where each slab is large
-enough that numpy's per-call overhead no longer matters.
+A batch holds as many rows as fit in ``_BATCH_ELEMENTS`` float64 values.
+The scaled-down test volumes (8x8x8) take a whole ``dz`` plane, 25
+offsets, per batch; a volume whose row of padded windows exceeds half
+that budget takes one row per batch, where each slab is large enough
+that numpy's per-call overhead no longer matters.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -49,8 +52,9 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     volume:
         3-d array of intensities.
     sigma:
-        Noise standard deviation; controls the smoothing strength
-        ``h = sqrt(2) * sigma`` per the classic formulation.
+        Noise standard deviation, positive and finite; controls the
+        smoothing strength ``h = sqrt(2) * sigma`` per the classic
+        formulation.
     mask:
         Optional boolean array; voxels outside the mask are passed
         through unchanged (and are still usable as patch content).
@@ -66,8 +70,8 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
         raise ValueError(f"nlmeans_3d expects a 3-d volume, got {volume.shape}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != volume.shape:
@@ -90,39 +94,54 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     values_sum = np.zeros_like(volume)
 
     shape = volume.shape
+    span = 2 * br + 1
     # A patch distance at every voxel needs the squared differences on
     # the volume grown by the patch radius.
     window = tuple(n + 2 * pr for n in shape)
-    center = padded[br: br + window[0], br: br + window[1], br: br + window[2]]
-
-    # Corner of each shifted window in ``padded``, in (dz, dy, dx) order.
-    corners = list(itertools.product(range(2 * br + 1), repeat=3))
-    batch = max(1, min(len(corners), _BATCH_ELEMENTS // math.prod(window)))
-    # stages[k] holds a batch once its first k axes are box-summed.
-    scratch = [
-        np.empty((batch,) + shape[:k] + window[k:]) for k in range(4)
+    # windows[dz, dy, dx] is the window shifted by the offset
+    # (dz - br, dy - br, dx - br); neighbors[dz, dy, dx] holds the
+    # voxels that offset averages in.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    neighbors = np.lib.stride_tricks.sliding_window_view(padded, shape)[
+        pr: pr + span, pr: pr + span, pr: pr + span
     ]
-    weighted = np.empty(shape)
+    center = windows[br, br, br]
 
-    for start in range(0, len(corners), batch):
-        chunk = corners[start: start + batch]
-        stages = [buffer[: len(chunk)] for buffer in scratch]
-        sq_diff = stages[0]
-        for row, (z, y, x) in zip(sq_diff, chunk):
-            shifted = padded[z: z + window[0], y: y + window[1], x: x + window[2]]
-            np.subtract(shifted, center, out=row)
-        np.multiply(sq_diff, sq_diff, out=sq_diff)
-        weights = _box_sum_3d(stages, width)
-        np.divide(weights, neg_scale, out=weights)
-        np.exp(weights, out=weights)
-        for weight, (z, y, x) in zip(weights, chunk):
-            neighbor = padded[
-                z + pr: z + pr + shape[0],
-                y + pr: y + pr + shape[1],
-                x + pr: x + pr + shape[2],
+    rows = max(1, min(span, _BATCH_ELEMENTS // (span * math.prod(window))))
+    # The box-sum stages alternate between two buffers, each sized for
+    # the squared differences of a full batch (the largest stage):
+    # stage k + 2 reuses the buffer of stage k, which is spent by then.
+    scratch = [np.empty(rows * span * math.prod(window)) for _ in range(2)]
+
+    for dz in range(span):
+        for dy in range(0, span, rows):
+            shifted = windows[dz, dy: dy + rows]
+            count = len(shifted)
+            stages = [
+                scratch[k % 2][: math.prod(layout)].reshape(layout)
+                for k, layout in enumerate(
+                    _stage_layouts(count * span, shape, window)
+                )
             ]
-            weights_sum += weight
-            values_sum += np.multiply(weight, neighbor, out=weighted)
+            sq_diff = stages[0].reshape((window[0], count, span) + window[1:])
+            np.subtract(
+                shifted.transpose(2, 0, 1, 3, 4), center[:, None, None],
+                out=sq_diff,
+            )
+            np.multiply(sq_diff, sq_diff, out=sq_diff)
+            weights = _box_sums(stages, width)
+            np.divide(weights, neg_scale, out=weights)
+            np.exp(weights, out=weights)
+            # Stage 2 is spent: its buffer takes the weighted values.
+            weighted = scratch[0][: weights.size].reshape(weights.shape)
+            np.multiply(
+                weights.reshape((count, span) + shape),
+                neighbors[dz, dy: dy + count],
+                out=weighted.reshape((count, span) + shape),
+            )
+            for weight, value in zip(weights, weighted):
+                weights_sum += weight
+                values_sum += value
 
     denoised = values_sum / weights_sum
     if mask is not None:
@@ -137,23 +156,35 @@ def _radius(name, value):
     return int(value)
 
 
-def _box_sum_3d(stages, width):
+def _stage_layouts(n, shape, window):
+    """Buffer shapes of the four box-sum stages of a batch of ``n``.
+
+    Stage ``k`` holds the batch with its first ``k`` volume axes
+    box-summed and axis ``k`` outermost; the last stage is the
+    contiguous ``(n,) + shape``.
+    """
+    (a, b, c), (wa, wb, wc) = shape, window
+    return [(wa, n, wb, wc), (wb, n, a, wc), (wc, n, a, b), (n, a, b, c)]
+
+
+def _box_sums(stages, width):
     """Sum over all cubic windows of edge ``width`` (valid mode), batched.
 
-    ``stages[0]`` has shape ``(n, a, b, c)`` and is overwritten;
-    ``stages[k]`` receives the batch with its first ``k`` volume axes
-    summed, so ``stages[3]`` -- the return value -- has shape
-    ``(n, a - width + 1, b - width + 1, c - width + 1)``.
+    ``stages`` are buffers laid out as ``_stage_layouts`` says;
+    ``stages[0]`` holds the batch and is overwritten, and ``stages[3]``
+    -- the return value -- receives the window sums; ``stages[k + 2]``
+    may share a buffer with ``stages[k]``.  Each axis is
+    running-summed as the outermost axis of its stage, and its window
+    differences are written through a transposed view of the next
+    stage, which stores the next axis outermost.
     """
-    for axis in (1, 2, 3):
-        source, target = stages[axis - 1], stages[axis]
-        outer = math.prod(source.shape[:axis])
-        length = source.shape[axis]
-        sums = source.reshape(outer, length, -1)
-        for i in range(1, length):
-            np.add(sums[:, i - 1], sums[:, i], out=sums[:, i])
-        out = target.reshape(outer, length - width + 1, -1)
-        # The first window is ``sums[width - 1] - 0.0``: a copy is exact.
-        out[:, 0] = sums[:, width - 1]
-        np.subtract(sums[:, width:], sums[:, :-width], out=out[:, 1:])
+    # The axes of each next stage, in the order of the stage before it.
+    rotations = [(2, 1, 0, 3), (3, 1, 2, 0), (3, 0, 1, 2)]
+    for source, target, axes in zip(stages, stages[1:], rotations):
+        for i in range(1, len(source)):
+            np.add(source[i - 1], source[i], out=source[i])
+        out = target.transpose(axes)
+        # The first window is ``source[width - 1] - 0.0``: a copy is exact.
+        out[0] = source[width - 1]
+        np.subtract(source[width:], source[:-width], out=out[1:])
     return stages[3]

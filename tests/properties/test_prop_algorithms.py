@@ -9,6 +9,7 @@ from repro.algorithms.background import estimate_background
 from repro.algorithms.coadd import coadd_stack, sigma_clip_stack
 from repro.algorithms.cosmicray import repair_cosmic_rays
 from repro.algorithms.dtm import fractional_anisotropy, tensor_eigenvalues
+from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
 from repro.algorithms.sources import label_regions
@@ -18,6 +19,11 @@ from tests.algorithms.test_background import (
     _reference_estimate_background,
 )
 from tests.algorithms.test_cosmicray import _reference_repair_cosmic_rays
+from tests.algorithms.test_nlmeans import (
+    MASKS,
+    ONE_ROW_SHAPE,
+    _reference_nlmeans_3d,
+)
 from tests.algorithms.test_sources import _reference_label_regions
 from tests.algorithms.test_stencil import (
     VALUE_CLASSES,
@@ -189,9 +195,35 @@ def test_labeling_matches_full_image_second_pass(mask, connectivity):
     assert n == want_n
 
 
-# The three astronomy kernels against the loops they replaced (the
-# oracles live with the unit tests): same bytes on every shape, radius
-# and value class, not only on the hand-picked ones.
+# The denoiser and the three astronomy kernels against the loops they
+# replaced (the oracles live with the unit tests): same bytes on every
+# shape, radius and value class, not only on the hand-picked ones.
+
+@given(
+    # Axes down to 1 voxel are shorter than patch_radius + block_radius,
+    # so the reflect padding wraps more than once.
+    shape=st.one_of(
+        st.just((1, 4, 6)),
+        st.tuples(*[st.integers(1, 10)] * 3),
+        st.just(ONE_ROW_SHAPE),
+    ),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    mask_kind=st.sampled_from(sorted(MASKS)),
+    patch_radius=st.integers(0, 2),
+    block_radius=st.integers(1, 3),
+    sigma=st.floats(0.5, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_nlmeans_bytes_match_reference_loop(
+    shape, dtype, mask_kind, patch_radius, block_radius, sigma, seed
+):
+    rng = np.random.default_rng(seed)
+    volume = rng.normal(100.0, 25.0, shape).astype(dtype)
+    mask = MASKS[mask_kind](rng, shape)
+    args = (volume, sigma, mask, patch_radius, block_radius)
+    assert nlmeans_3d(*args).tobytes() == _reference_nlmeans_3d(*args).tobytes()
+
 
 @given(
     shape=st.one_of(
