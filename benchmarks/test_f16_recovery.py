@@ -34,23 +34,15 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def f16(request):
+def f16():
     """Run the F16 quick sweep once; yield (rows, experiment snapshot)."""
-    from repro.harness import __main__ as cli
+    from repro.harness.__main__ import figure_snapshot
+    from repro.harness.figures import run_figure
+    from repro.harness.parallel import collecting_snapshots
 
-    captured = {}
-    original = cli.EXPERIMENTS["f16"]
-
-    def capturing(quick):
-        captured["rows"] = original(quick)
-        return captured["rows"]
-
-    cli.EXPERIMENTS["f16"] = capturing
-    try:
-        snapshot = cli.build_experiment_snapshot("f16", quick=True)
-    finally:
-        cli.EXPERIMENTS["f16"] = original
-    return captured["rows"], snapshot
+    with collecting_snapshots() as collected:
+        rows = run_figure("f16", quick=True)
+    return rows, figure_snapshot("f16", collected.snapshots, quick=True)
 
 
 def test_recovery_class_ordering(f16, capsys):

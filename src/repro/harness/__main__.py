@@ -14,9 +14,12 @@ Usage::
     python -m repro.harness ledger --figure fig10c --jobs 4 --quick
     python -m repro.harness compare benchmarks/ledger/fig12c-quick.json new.json
 
-``--quick`` swaps the benchmark dataset profile for a miniature one, so
-every experiment finishes in seconds (shapes are still indicative but
-noisier; the pytest benchmark suite asserts them at the full profile).
+Every id is one entry of ``repro.harness.figures.FIGURES``, which holds
+its sizes, title and printer.  ``--quick`` swaps the benchmark dataset
+profile for a miniature one, so every experiment finishes in seconds
+(shapes are still indicative but noisier;
+``benchmarks/test_claims.py`` checks the paper's claims at the full
+profile).
 
 ``--jobs N`` fans a figure's independent trials across N worker
 processes; results are byte-identical to ``--jobs 1`` (DESIGN.md
@@ -43,218 +46,15 @@ import sys
 
 from repro.harness import experiments as E
 from repro.harness.cache import TrialCache
+from repro.harness.figures import FIGURES, dataset_profiles, run_figure
 from repro.harness.parallel import collecting_snapshots, configured
-from repro.harness.report import (
-    print_breakdown,
-    print_series,
-    print_snapshot_blame,
-    print_table,
-)
+from repro.harness.report import print_breakdown, print_table
 from repro.harness.runner import (
     DEFAULT_NODES,
     astro_visits,
     neuro_subjects,
     observe_clusters,
 )
-
-QUICK_NEURO = {"scale": 20, "n_volumes": 24}
-QUICK_ASTRO = {"scale": 100, "n_sensors": 6}
-
-
-def _run_table1(_quick):
-    tables = E.table1()
-    print_table(tables["neuro"], title="Table 1 (neuroscience)")
-    print_table(tables["astro"], title="Table 1 (astronomy)")
-
-
-def _run_fig10a(_quick):
-    print_table(E.fig10a_sizes(), title="Figure 10a: neuro data sizes (GB)")
-
-
-def _run_fig10b(_quick):
-    print_table(E.fig10b_sizes(), title="Figure 10b: astro data sizes (GB)")
-
-
-def _run_fig10c(quick, optimize=False, route=None):
-    kwargs = {"optimize": optimize}
-    if route == "auto":
-        kwargs["engines"] = ("auto",)
-    rows = E.fig10c_neuro_end_to_end(
-        subject_counts=(1, 2, 4) if quick else E.NEURO_SIZES,
-        profile=QUICK_NEURO if quick else None,
-        **kwargs,
-    )
-    suffix = " [optimized]" if optimize else ""
-    print_series(rows, "subjects", "engine",
-                 title=f"Figure 10c: neuro end-to-end (simulated s){suffix}")
-    return rows
-
-
-def _run_fig10d(quick, optimize=False, route=None):
-    kwargs = {"optimize": optimize}
-    if route == "auto":
-        kwargs["engines"] = ("auto",)
-    rows = E.fig10d_astro_end_to_end(
-        visit_counts=(2, 4) if quick else E.ASTRO_SIZES,
-        profile=QUICK_ASTRO if quick else None,
-        **kwargs,
-    )
-    suffix = " [optimized]" if optimize else ""
-    print_series(rows, "visits", "engine",
-                 title=f"Figure 10d: astro end-to-end (simulated s){suffix}")
-    return rows
-
-
-def _run_fig10e(quick):
-    rows = E.fig10e_neuro_normalized(rows=_run_fig10c(quick))
-    print_series(rows, "subjects", "engine", value="normalized",
-                 title="Figure 10e: normalized runtime per subject")
-
-
-def _run_fig10f(quick):
-    rows = E.fig10f_astro_normalized(rows=_run_fig10d(quick))
-    print_series(rows, "visits", "engine", value="normalized",
-                 title="Figure 10f: normalized runtime per visit")
-
-
-def _run_fig10g(quick):
-    rows = E.fig10g_neuro_speedup(
-        node_counts=(4, 8) if quick else E.CLUSTER_SIZES,
-        n_subjects=4 if quick else 25,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_series(rows, "nodes", "engine",
-                 title="Figure 10g: neuro runtime vs cluster size")
-
-
-def _run_fig10h(quick):
-    rows = E.fig10h_astro_speedup(
-        node_counts=(4, 8) if quick else E.CLUSTER_SIZES,
-        n_visits=4 if quick else 24,
-        profile=QUICK_ASTRO if quick else None,
-    )
-    print_series(rows, "nodes", "engine",
-                 title="Figure 10h: astro runtime vs cluster size")
-
-
-def _run_fig11(quick):
-    with collecting_snapshots() as collected:
-        rows = E.fig11_ingest(
-            subject_counts=(1, 2) if quick else E.NEURO_SIZES,
-            profile=QUICK_NEURO if quick else None,
-        )
-    print_series(rows, "subjects", "system",
-                 title="Figure 11: ingest time (simulated s, log y)")
-    print_snapshot_blame(collected.snapshots,
-                         title="Figure 11 blame (critical path)")
-    return rows
-
-
-def _run_fig12a(quick):
-    rows = E.fig12a_filter(
-        n_subjects=2 if quick else 25,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Figure 12a: filter step")
-
-
-def _run_fig12b(quick):
-    rows = E.fig12b_mean(
-        n_subjects=2 if quick else 25,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Figure 12b: mean step")
-
-
-def _run_fig12c(quick):
-    rows = E.fig12c_denoise(
-        n_subjects=2 if quick else 25,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Figure 12c: denoise step")
-
-
-def _run_fig12d(quick):
-    rows = E.fig12d_coadd(
-        n_visits=4 if quick else 24,
-        profile=QUICK_ASTRO if quick else None,
-    )
-    print_table(rows, title="Figure 12d: co-addition step")
-
-
-def _run_fig13(quick):
-    rows = E.fig13_myria_workers(
-        n_subjects=2 if quick else 25,
-        n_nodes=4 if quick else 16,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Figure 13: Myria workers per node")
-
-
-def _run_fig14(quick):
-    rows = E.fig14_spark_partitions(
-        partition_counts=(1, 4, 16) if quick
-        else (1, 2, 4, 8, 16, 32, 64, 97, 128, 192, 256),
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Figure 14: Spark input partitions")
-
-
-def _run_fig15(quick):
-    rows = E.fig15_myria_memory(
-        visit_counts=(2,) if quick else (2, 8, 24, 96),
-        n_nodes=4 if quick else 16,
-        profile=QUICK_ASTRO if quick else None,
-    )
-    print_series(rows, "visits", "mode",
-                 title="Figure 15: Myria memory management")
-
-
-def _run_s531(quick):
-    rows = E.s531_scidb_chunks(
-        chunk_sizes=(500, 1000) if quick else (500, 1000, 1500, 2000),
-        n_visits=4 if quick else 24,
-        profile=QUICK_ASTRO if quick else None,
-    )
-    print_table(rows, title="Section 5.3.1: SciDB chunk size")
-
-
-def _run_s533(quick):
-    rows = E.s533_spark_caching(
-        subject_counts=(2,) if quick else (1, 4, 12, 25),
-        n_nodes=4 if quick else 16,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_series(rows, "subjects", "cached",
-                 title="Section 5.3.3: Spark input caching")
-
-
-def _run_f16(quick):
-    with collecting_snapshots() as collected:
-        rows = E.f16_recovery(
-            n_subjects=2 if quick else 4,
-            profile=QUICK_NEURO if quick else None,
-        )
-    print_table(
-        rows,
-        title="F16: recovery overhead, 1 of 16 nodes killed at 50% progress",
-    )
-    print_snapshot_blame(collected.snapshots,
-                         title="F16 blame (critical path)")
-    return rows
-
-
-def _run_opt(quick):
-    rows = E.opt_comparison(
-        n_subjects=2 if quick else 4,
-        n_visits=2 if quick else 4,
-        neuro_profile=QUICK_NEURO if quick else None,
-        astro_profile=QUICK_ASTRO if quick else None,
-    )
-    print_table(
-        rows, title="Optimizer: naive vs optimized per (pipeline, engine)"
-    )
-    return rows
 
 
 def _opt_failures(rows):
@@ -272,58 +72,6 @@ def _opt_failures(rows):
                 f"{cell}: optimized results are not byte-identical to naive"
             )
     return failures
-
-
-def _run_ablation(quick):
-    rows = E.ablation_scidb_incremental(
-        n_visits=4 if quick else 24,
-        profile=QUICK_ASTRO if quick else None,
-    )
-    print_table(rows, title="Ablation: SciDB incremental iteration [34]")
-
-
-def _run_ablation_tf(quick):
-    rows = E.ablation_tf_format_conversion(
-        n_subjects=2 if quick else 4,
-        profile=QUICK_NEURO if quick else None,
-    )
-    print_table(rows, title="Ablation: TF format conversions (Section 6)")
-
-
-def _run_ablation_tuning(quick):
-    rows = E.ablation_spark_self_tuning(
-        profile={"scale": 20, "n_volumes": 48} if quick else None,
-        n_nodes=8 if quick else 16,
-    )
-    print_table(rows, title="Ablation: Spark default vs tuned partitions")
-
-
-EXPERIMENTS = {
-    "table1": _run_table1,
-    "fig10a": _run_fig10a,
-    "fig10b": _run_fig10b,
-    "fig10c": _run_fig10c,
-    "fig10d": _run_fig10d,
-    "fig10e": _run_fig10e,
-    "fig10f": _run_fig10f,
-    "fig10g": _run_fig10g,
-    "fig10h": _run_fig10h,
-    "fig11": _run_fig11,
-    "fig12a": _run_fig12a,
-    "fig12b": _run_fig12b,
-    "fig12c": _run_fig12c,
-    "fig12d": _run_fig12d,
-    "fig13": _run_fig13,
-    "fig14": _run_fig14,
-    "fig15": _run_fig15,
-    "f16": _run_f16,
-    "opt": _run_opt,
-    "s531": _run_s531,
-    "s533": _run_s533,
-    "ablation": _run_ablation,
-    "ablation-tf": _run_ablation_tf,
-    "ablation-tuning": _run_ablation_tuning,
-}
 
 
 def _trace_main(argv):
@@ -375,28 +123,25 @@ def _trace_main(argv):
     captured = []
     # With --json, stdout carries only the snapshot document.
     human_out = sys.stderr if args.json else sys.stdout
+    neuro_profile, astro_profile = dataset_profiles(args.quick)
     with observe_clusters(captured.append), \
             contextlib.redirect_stdout(human_out):
         if args.experiment == "neuro":
-            subjects = neuro_subjects(
-                args.subjects, **(QUICK_NEURO if args.quick else {})
-            )
+            subjects = neuro_subjects(args.subjects, **(neuro_profile or {}))
             seconds = E.run_neuro_end_to_end(
                 args.engine, subjects, n_nodes=args.nodes
             )
             print(f"{args.engine} neuro end-to-end over {args.nodes} nodes:"
                   f" {seconds:.1f} simulated s\n")
         elif args.experiment == "astro":
-            visits = astro_visits(
-                args.visits, **(QUICK_ASTRO if args.quick else {})
-            )
+            visits = astro_visits(args.visits, **(astro_profile or {}))
             seconds = E.run_astro_end_to_end(
                 args.engine, visits, n_nodes=args.nodes
             )
             print(f"{args.engine} astro end-to-end over {args.nodes} nodes:"
                   f" {seconds:.1f} simulated s\n")
-        elif args.experiment in EXPERIMENTS:
-            EXPERIMENTS[args.experiment](args.quick)
+        elif args.experiment in FIGURES:
+            run_figure(args.experiment, args.quick)
             print()
         else:
             parser.error(
@@ -440,6 +185,21 @@ def _numbered(snapshots):
             for i, s in enumerate(snapshots)]
 
 
+def figure_snapshot(name, snapshots, quick=True):
+    """The ledger snapshot of one run of figure ``name``, from the run
+    snapshots it produced in merge order."""
+    from repro.obs.ledger import experiment_snapshot
+
+    neuro_profile, astro_profile = dataset_profiles(quick)
+    scale = {
+        "quick": bool(quick),
+        "neuro_profile": neuro_profile,
+        "astro_profile": astro_profile,
+    }
+    return experiment_snapshot(name, _numbered(snapshots), quick=quick,
+                               scale=scale)
+
+
 def build_experiment_snapshot(name, quick=True):
     """Run one experiment id and snapshot every cluster it builds.
 
@@ -448,21 +208,13 @@ def build_experiment_snapshot(name, quick=True):
     cache, where the parent never holds the cluster objects.  The sink
     stays empty only when the experiment builds no cluster.
     """
-    from repro.obs.ledger import experiment_snapshot
-
-    if name not in EXPERIMENTS:
+    if name not in FIGURES:
         raise KeyError(
             f"unknown experiment {name!r}; use --list to see choices"
         )
     with collecting_snapshots() as collected:
-        EXPERIMENTS[name](quick)
-    runs = _numbered(collected.snapshots)
-    scale = {
-        "quick": bool(quick),
-        "neuro_profile": QUICK_NEURO if quick else None,
-        "astro_profile": QUICK_ASTRO if quick else None,
-    }
-    return experiment_snapshot(name, runs, quick=quick, scale=scale)
+        run_figure(name, quick)
+    return figure_snapshot(name, collected.snapshots, quick)
 
 
 def _optimize_main(argv):
@@ -486,9 +238,11 @@ def _optimize_main(argv):
     parser.add_argument("--quick", action="store_true",
                         help="miniature dataset profiles")
     parser.add_argument("--subjects", type=int, default=None,
-                        help="neuro workload size (default 2 quick / 4)")
+                        help="neuro workload size (default: the 'opt'"
+                        " figure's)")
     parser.add_argument("--visits", type=int, default=None,
-                        help="astro workload size (default 2 quick / 4)")
+                        help="astro workload size (default: the 'opt'"
+                        " figure's)")
     parser.add_argument("--nodes", type=int, default=DEFAULT_NODES,
                         help="cluster size the estimates assume")
     parser.add_argument("--engines", default="dask,myria,spark",
@@ -503,12 +257,13 @@ def _optimize_main(argv):
                         help="disable the content-addressed trial cache")
     args = parser.parse_args(argv)
 
-    n_subjects = args.subjects or (2 if args.quick else 4)
-    n_visits = args.visits or (2 if args.quick else 4)
+    sizes = FIGURES["opt"].sizes(args.quick)
+    n_subjects = args.subjects or sizes["n_subjects"]
+    n_visits = args.visits or sizes["n_visits"]
+    neuro_profile, astro_profile = dataset_profiles(args.quick)
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-    subjects = neuro_subjects(n_subjects,
-                              **(QUICK_NEURO if args.quick else {}))
-    visits = astro_visits(n_visits, **(QUICK_ASTRO if args.quick else {}))
+    subjects = neuro_subjects(n_subjects, **(neuro_profile or {}))
+    visits = astro_visits(n_visits, **(astro_profile or {}))
     workloads = (
         ("neuro", neuro_plan(), R.neuro_profile(subjects)),
         ("astro", astro_plan(), R.astro_profile(visits)),
@@ -557,8 +312,7 @@ def _optimize_main(argv):
             collecting_snapshots() as collected:
         rows = E.opt_comparison(
             n_subjects=n_subjects, n_visits=n_visits, n_nodes=args.nodes,
-            neuro_profile=QUICK_NEURO if args.quick else None,
-            astro_profile=QUICK_ASTRO if args.quick else None,
+            neuro_profile=neuro_profile, astro_profile=astro_profile,
             engines=engines,
         )
     print()
@@ -615,11 +369,11 @@ def _ledger_main(argv):
         requested = ["opt"]
     if not requested:
         parser.error("no experiments given (positional ids or --figure)")
-    names = list(EXPERIMENTS) if requested == ["all"] else requested
+    names = list(FIGURES) if requested == ["all"] else requested
     if args.optimize and "opt" not in names:
         names.append("opt")
     for name in names:
-        if name not in EXPERIMENTS:
+        if name not in FIGURES:
             parser.error(
                 f"unknown experiment {name!r}; use --list to see choices"
             )
@@ -630,7 +384,7 @@ def _ledger_main(argv):
         for name in names:
             with contextlib.redirect_stdout(sys.stderr):
                 snapshot = build_experiment_snapshot(name, quick=args.quick)
-            suffix = "-quick" if args.quick else ""
+            suffix = "-quick" if snapshot["quick"] else ""
             path = os.path.join(args.out_dir, f"{name}{suffix}.json")
             write_snapshot(snapshot, path)
             print(
@@ -645,12 +399,7 @@ def _ledger_main(argv):
                 # the rows carry the per-cell digests the byte-identity
                 # gate needs (snapshots only record makespans).
                 with contextlib.redirect_stdout(sys.stderr):
-                    rows = E.opt_comparison(
-                        n_subjects=2 if args.quick else 4,
-                        n_visits=2 if args.quick else 4,
-                        neuro_profile=QUICK_NEURO if args.quick else None,
-                        astro_profile=QUICK_ASTRO if args.quick else None,
-                    )
+                    rows = E.opt_comparison(**FIGURES["opt"].sizes(args.quick))
                 failures.extend(_opt_failures(rows))
     if cache is not None and (cache.hits or cache.misses):
         print(f"trial cache: {cache.hits} hit(s), {cache.misses} miss(es)",
@@ -746,32 +495,27 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
-        for name in EXPERIMENTS:
+        for name in FIGURES:
             print(name)
         return 0
 
-    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    names = list(FIGURES) if args.experiments == ["all"] else args.experiments
     for name in names:
-        if name not in EXPERIMENTS:
+        if name not in FIGURES:
             parser.error(
                 f"unknown experiment {name!r}; use --list to see choices"
             )
-    import inspect
-
+    variant = {"optimize": args.optimize, "route": args.route}
     cache = None if args.no_cache else TrialCache()
     with configured(jobs=args.jobs, cache=cache):
         for name in names:
-            fn = EXPERIMENTS[name]
-            accepted = inspect.signature(fn).parameters
-            kwargs = {}
-            if args.optimize and "optimize" in accepted:
-                kwargs["optimize"] = True
-            if args.route and "route" in accepted:
-                kwargs["route"] = args.route
-            if (args.optimize or args.route) and not kwargs and name != "opt":
-                print(f"note: {name} has no optimizer/router variant;"
-                      " running unchanged", file=sys.stderr)
-            fn(args.quick, **kwargs)
+            if FIGURES[name].variants:
+                run_figure(name, args.quick, **variant)
+            else:
+                if (args.optimize or args.route) and name != "opt":
+                    print(f"note: {name} has no optimizer/router variant;"
+                          " running unchanged", file=sys.stderr)
+                run_figure(name, args.quick)
             print()
     return 0
 

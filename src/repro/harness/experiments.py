@@ -2,8 +2,10 @@
 
 Every function returns a list of row dicts (one per plotted point /
 table cell) with a ``simulated_s`` field holding seconds on the virtual
-cluster clock.  See DESIGN.md section 5 for the experiment index and
-EXPERIMENTS.md for the paper-vs-measured comparison.
+cluster clock.  Sizes are required keywords with no default: a
+figure's sizes are written once, in :mod:`repro.harness.figures`.  See
+DESIGN.md section 5 for the experiment index and EXPERIMENTS.md for the
+paper-vs-measured comparison.
 """
 
 from collections import namedtuple
@@ -37,11 +39,6 @@ from repro.plan import (
     optimize_for,
     route,
 )
-
-NEURO_SIZES = (1, 2, 4, 8, 12, 25)
-ASTRO_SIZES = (2, 4, 8, 12, 24)
-CLUSTER_SIZES = (16, 32, 48, 64)
-
 
 # ----------------------------------------------------------------------
 # Table 1 and Figures 10a / 10b: LoC accounting and data-size tables
@@ -162,7 +159,7 @@ def run_astro_end_to_end(kind, visits, n_nodes=DEFAULT_NODES, **tuning):
 
 
 # ----------------------------------------------------------------------
-# Optimizer: naive-vs-optimized comparison cells and routing table
+# Optimizer: naive-vs-optimized comparison cells
 # ----------------------------------------------------------------------
 
 def _feed_digest(digest, value):
@@ -250,7 +247,7 @@ def _trial_optcell(pipeline, kind, count, n_nodes, profile):
     }
 
 
-def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
+def opt_comparison(*, n_subjects, n_visits, n_nodes=DEFAULT_NODES,
                    neuro_profile=None, astro_profile=None,
                    engines=("dask", "myria", "spark")):
     """Naive-vs-optimized cells for every (pipeline, engine) pair."""
@@ -274,24 +271,6 @@ def opt_comparison(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
     return grid_rows(specs)
 
 
-def routing_table(n_subjects=2, n_visits=2, n_nodes=DEFAULT_NODES,
-                  neuro_profile=None, astro_profile=None):
-    """Router decisions for both pipelines at the given workload sizes."""
-    rows = []
-    for pipeline, count, profile in (
-        ("neuro", n_subjects, neuro_profile or NEURO_BENCH),
-        ("astro", n_visits, astro_profile or ASTRO_BENCH),
-    ):
-        pipe = PIPELINES[pipeline]
-        decision = choose_engine(
-            pipe.plan(), pipe.profile(pipe.cohort(count, **profile)),
-            n_nodes=n_nodes,
-        )
-        for row in decision.as_rows():
-            rows.append(dict({"pipeline": pipeline}, **row))
-    return rows
-
-
 # ----------------------------------------------------------------------
 # Figures 10c-10f: end-to-end vs data size (+ normalized views)
 # ----------------------------------------------------------------------
@@ -308,7 +287,7 @@ def _trial_fig10c(kind, count, n_nodes, profile, optimize=None):
     return row
 
 
-def fig10c_neuro_end_to_end(subject_counts=NEURO_SIZES,
+def fig10c_neuro_end_to_end(*, subject_counts,
                             engines=("dask", "myria", "spark"),
                             n_nodes=DEFAULT_NODES, profile=None,
                             optimize=False):
@@ -338,7 +317,7 @@ def fig10c_neuro_end_to_end(subject_counts=NEURO_SIZES,
     )
 
 
-def fig10d_astro_end_to_end(visit_counts=ASTRO_SIZES,
+def fig10d_astro_end_to_end(*, visit_counts,
                             engines=("myria", "spark"),
                             n_nodes=DEFAULT_NODES, profile=None,
                             optimize=False):
@@ -427,7 +406,7 @@ def _trial_fig10g(kind, n_nodes, n_subjects, profile):
     }
 
 
-def fig10g_neuro_speedup(node_counts=CLUSTER_SIZES, n_subjects=25,
+def fig10g_neuro_speedup(*, node_counts, n_subjects,
                          engines=("dask", "myria", "spark"), profile=None):
     """Fig10g neuro speedup."""
     profile = profile or NEURO_BENCH
@@ -452,7 +431,7 @@ def _trial_fig10h(kind, n_nodes, n_visits, profile):
     }
 
 
-def fig10h_astro_speedup(node_counts=CLUSTER_SIZES, n_visits=24,
+def fig10h_astro_speedup(*, node_counts, n_visits,
                          engines=("myria", "spark"), profile=None):
     """Fig10h astro speedup."""
     profile = profile or ASTRO_BENCH
@@ -517,7 +496,7 @@ def _trial_fig11(system, count, profile):
     }
 
 
-def fig11_ingest(subject_counts=NEURO_SIZES, profile=None,
+def fig11_ingest(*, subject_counts, profile=None,
                  systems=("spark", "myria", "dask", "tensorflow",
                           "scidb-1", "scidb-2")):
     """Fig11 ingest, measured on a warm deployment."""
@@ -578,17 +557,18 @@ def _neuro_step_figure(name, n_subjects, profile, systems):
 _NEURO_STEP_SYSTEMS = ("dask", "myria", "spark", "scidb", "tensorflow")
 
 
-def fig12a_filter(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+def fig12a_filter(*, n_subjects, profile=None, systems=_NEURO_STEP_SYSTEMS):
     """Step: select the b0 subset of image volumes."""
     return _neuro_step_figure("fig12a", n_subjects, profile, systems)
 
 
-def fig12b_mean(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+def fig12b_mean(*, n_subjects, profile=None, systems=_NEURO_STEP_SYSTEMS):
     """Step: per-subject mean of the b0 volumes."""
     return _neuro_step_figure("fig12b", n_subjects, profile, systems)
 
 
-def fig12c_denoise(n_subjects=25, profile=None, systems=_NEURO_STEP_SYSTEMS):
+def fig12c_denoise(*, n_subjects, profile=None,
+                   systems=_NEURO_STEP_SYSTEMS):
     """Step 2-N: denoising (SciDB via stream(), TF via convolutions)."""
     return _neuro_step_figure("fig12c", n_subjects, profile, systems)
 
@@ -609,7 +589,7 @@ def _trial_fig12d(system, n_visits, profile):
     }
 
 
-def fig12d_coadd(n_visits=24, profile=None,
+def fig12d_coadd(*, n_visits, profile=None,
                  systems=("myria", "spark", "scidb")):
     """Step 3-A: co-addition (SciDB in stock iterative AQL)."""
     profile = profile or ASTRO_BENCH
@@ -638,7 +618,7 @@ def _trial_fig13(workers, n_subjects, n_nodes, profile):
     }
 
 
-def fig13_myria_workers(worker_counts=(1, 2, 4, 8), n_subjects=25,
+def fig13_myria_workers(*, worker_counts, n_subjects,
                         n_nodes=DEFAULT_NODES, profile=None):
     """Fig13 myria workers."""
     profile = profile or NEURO_BENCH
@@ -669,10 +649,8 @@ def _trial_fig14(partitions, n_nodes, profile):
     }
 
 
-def fig14_spark_partitions(
-    partition_counts=(1, 2, 4, 8, 16, 32, 64, 97, 128, 192, 256),
-    n_nodes=DEFAULT_NODES, profile=None,
-):
+def fig14_spark_partitions(*, partition_counts, n_nodes=DEFAULT_NODES,
+                           profile=None):
     """Fig14 spark partitions."""
     profile = profile or {"scale": NEURO_BENCH["scale"], "n_volumes": 288}
     return grid_rows(
@@ -707,7 +685,7 @@ def _trial_fig15(count, mode, n_nodes, chunks, profile):
     return {"visits": count, "mode": mode, "simulated_s": result}
 
 
-def fig15_myria_memory(visit_counts=(2, 4, 8, 12, 24),
+def fig15_myria_memory(*, visit_counts,
                        modes=("pipelined", "materialized", "multiquery"),
                        n_nodes=DEFAULT_NODES, chunks=2, profile=None):
     """Pipelined vs materialized vs multi-query execution; cells where
@@ -739,8 +717,7 @@ def _trial_s531(chunk, n_visits, profile):
     }
 
 
-def s531_scidb_chunks(chunk_sizes=(500, 1000, 1500, 2000), n_visits=24,
-                      profile=None):
+def s531_scidb_chunks(*, chunk_sizes, n_visits, profile=None):
     """S531 scidb chunks."""
     profile = profile or ASTRO_BENCH
     return grid_rows(
@@ -768,7 +745,7 @@ def _trial_s533(count, cached, n_nodes, profile):
     }
 
 
-def s533_spark_caching(subject_counts=(1, 4, 12, 25), n_nodes=DEFAULT_NODES,
+def s533_spark_caching(*, subject_counts, n_nodes=DEFAULT_NODES,
                        profile=None):
     """S533 spark caching."""
     profile = profile or NEURO_BENCH
@@ -797,7 +774,7 @@ def _trial_ablation_scidb(incremental, n_visits, profile):
     }
 
 
-def ablation_scidb_incremental(n_visits=24, profile=None):
+def ablation_scidb_incremental(*, n_visits, profile=None):
     """Ablation scidb incremental."""
     profile = profile or ASTRO_BENCH
     rows = grid_rows(
@@ -862,7 +839,7 @@ def _trial_f16(kind, n_subjects, n_nodes, profile, restart_after_s, seed):
     }
 
 
-def f16_recovery(engines=F16_ENGINES, n_subjects=2, n_nodes=DEFAULT_NODES,
+def f16_recovery(*, n_subjects, engines=F16_ENGINES, n_nodes=DEFAULT_NODES,
                  profile=None, restart_after_s=F16_RESTART_AFTER_S,
                  seed=F16_SEED):
     """Kill 1 of ``n_nodes`` at 50% progress of the neuro pipeline.
@@ -1016,7 +993,7 @@ def _trial_ablation_tf(free_conversions, n_subjects, profile):
     }
 
 
-def ablation_tf_format_conversion(n_subjects=4, profile=None):
+def ablation_tf_format_conversion(*, n_subjects, profile=None):
     """Section 6, "Data Formats": "An interesting area of future work is
     to optimize away these format conversions."  Re-runs the TensorFlow
     mean step with tensor conversion made free, quantifying how much of

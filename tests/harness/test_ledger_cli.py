@@ -4,21 +4,18 @@ import json
 
 import pytest
 
-from repro.harness.__main__ import (
-    EXPERIMENTS,
-    build_experiment_snapshot,
-    main,
-)
+from repro.harness.__main__ import build_experiment_snapshot, main
+from repro.harness.figures import FIGURES, run_figure
 from repro.harness.runner import observe_clusters
 from repro.obs import compute_critical_path
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("name", FIGURES)
 def test_blame_fractions_sum_to_one_in_quick_mode(name, capsys):
     """Every quick experiment's clusters satisfy the blame invariant."""
     clusters = []
     with observe_clusters(clusters.append):
-        EXPERIMENTS[name](True)
+        run_figure(name, quick=True)
     capsys.readouterr()  # the experiment prints its table; discard
     for cluster in clusters:
         path = compute_critical_path(cluster)

@@ -2,18 +2,37 @@
 
 import pytest
 
-from repro.harness.__main__ import (
-    EXPERIMENTS,
-    QUICK_ASTRO,
-    QUICK_NEURO,
-    _opt_failures,
-    main,
-)
-from repro.harness.experiments import optimize_token, routing_table
+from repro.harness import __main__ as cli
+from repro.harness.__main__ import _opt_failures, main
+from repro.harness.experiments import optimize_token
+from repro.harness.figures import FIGURES, QUICK_ASTRO, QUICK_NEURO
+from repro.harness.runner import astro_visits, neuro_subjects
+from repro.plan import astro_plan, choose_engine, neuro_plan
+from repro.plan import route as R
 
 
 def test_opt_experiment_registered():
-    assert "opt" in EXPERIMENTS
+    assert "opt" in FIGURES
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_optimize_and_route_reach_only_the_variant_figures(
+        name, monkeypatch, capsys):
+    """``--optimize --route auto`` runs fig10c/fig10d as their variant;
+    every other id runs unchanged, with a note unless it is ``opt``."""
+    calls = []
+    monkeypatch.setattr(
+        cli, "run_figure",
+        lambda fig, quick, **variant: calls.append((fig, quick, variant)),
+    )
+    assert main([name, "--quick", "--optimize", "--route", "auto"]) == 0
+    err = capsys.readouterr().err
+    if name in ("fig10c", "fig10d"):
+        assert calls == [(name, True, {"optimize": True, "route": "auto"})]
+    else:
+        assert calls == [(name, True, {})]
+    noted = f"note: {name} has no optimizer/router variant" in err
+    assert noted == (name not in ("fig10c", "fig10d", "opt"))
 
 
 def test_optimize_explain_quick(capsys):
@@ -75,9 +94,17 @@ def test_optimize_token_astro_reflects_firings():
 
 
 def test_routing_table_rows():
-    rows = routing_table(n_subjects=1, n_visits=1,
-                         neuro_profile=QUICK_NEURO,
-                         astro_profile=QUICK_ASTRO)
+    """The router's table for both pipelines, as ``harness optimize``
+    prints it."""
+    rows = []
+    for pipeline, plan, profile in (
+        ("neuro", neuro_plan(),
+         R.neuro_profile(neuro_subjects(1, **QUICK_NEURO))),
+        ("astro", astro_plan(),
+         R.astro_profile(astro_visits(1, **QUICK_ASTRO))),
+    ):
+        rows += [dict({"pipeline": pipeline}, **row)
+                 for row in choose_engine(plan, profile).as_rows()]
     pipelines = {row["pipeline"] for row in rows}
     assert pipelines == {"neuro", "astro"}
     chosen = [row for row in rows if row.get("chosen")]
