@@ -11,10 +11,15 @@ planes, as in the FITS files of the use case, plus a sky bounding box.
 
 Real pixels are generated at ``1/scale`` resolution and optionally for a
 subset of sensors; nominal sizes stay at paper scale.
+
+Generation is a pure function of its arguments, so it is memoized: a
+process generates each visit once, however many trials read it, and
+every array it returns is read-only.
 """
 
+import functools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +47,7 @@ SKY_LEVEL = 200.0
 PSF_SIGMA = 1.6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorExposure:
     """One sensor's calibrated or raw exposure.
 
@@ -98,12 +103,12 @@ class SensorExposure:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Visit:
     """One visit: a dithered pass over the field with 60 sensors."""
 
     visit_id: int
-    exposures: list = field(default_factory=list)
+    exposures: tuple = ()
 
     @property
     def nominal_bytes(self):
@@ -183,14 +188,14 @@ def _add_cosmic_rays(flux, mask, rng, rate=3):
             mask[yy, xx] |= 1  # CR bit
 
 
-def generate_visit(
-    visit_id,
-    scale=25,
-    n_sensors=None,
-    star_catalog=None,
-    seed=None,
-):
+@functools.cache
+def generate_visit(visit_id, scale=25, n_sensors=None, seed=None):
     """Generate one synthetic visit.
+
+    Memoized on the call's arguments: the same call returns the same
+    read-only visit (``generate_visit.__wrapped__`` generates a fresh
+    one).  Its stars come from :func:`make_star_catalog` over the
+    scaled field.
 
     Parameters
     ----------
@@ -201,9 +206,6 @@ def generate_visit(
     n_sensors:
         Real sensors generated (nominal stays 60).  Sensors are taken
         from the focal-plane center outward so overlaps stay realistic.
-    star_catalog:
-        ``(ys, xs, fluxes)`` from :func:`make_star_catalog`; generated
-        to match the scaled field when omitted.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
@@ -218,9 +220,8 @@ def generate_visit(
         seed = _stable_seed("astro", visit_id)
     rng = np.random.default_rng(seed)
 
-    if star_catalog is None:
-        fh, fw = field_extent(sensor_shape)
-        star_catalog = make_star_catalog(field_height=fh, field_width=fw)
+    fh, fw = field_extent(sensor_shape)
+    star_catalog = make_star_catalog(field_height=fh, field_width=fw)
 
     # Deterministic per-visit dither.
     dither_rng = np.random.default_rng(visit_id * 7919 + 13)
@@ -240,7 +241,7 @@ def generate_visit(
     )
 
     h, w = sensor_shape
-    visit = Visit(visit_id=visit_id)
+    exposures = []
     sky_gradient = rng.uniform(0.02, 0.08)
     bundle = max(1, round(ASTRO_SENSORS_PER_VISIT / n_sensors))
     for sensor_id in order[:n_sensors]:
@@ -257,7 +258,9 @@ def generate_visit(
         flux = flux + rng.normal(0.0, np.sqrt(variance))
         mask = np.zeros(sensor_shape, dtype=np.int32)
         _add_cosmic_rays(flux, mask, rng)
-        visit.exposures.append(
+        for array in (flux, variance, mask):
+            array.flags.writeable = False
+        exposures.append(
             SensorExposure(
                 visit_id=visit_id,
                 sensor_id=sensor_id,
@@ -268,7 +271,7 @@ def generate_visit(
                 bundle=bundle,
             )
         )
-    return visit
+    return Visit(visit_id=visit_id, exposures=tuple(exposures))
 
 
 def _stable_seed(*parts):

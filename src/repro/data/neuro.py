@@ -9,8 +9,13 @@ b0 entries drive the segmentation step.
 Real arrays are generated at ``1/scale`` of the paper's resolution so
 tests and examples run in seconds; nominal shapes stay at paper scale
 (145 x 145 x 174 x 288) for the simulator's cost accounting.
+
+Generation is a pure function of its arguments, so it is memoized: a
+process generates each subject once, however many trials read it, and
+every array it returns is read-only.
 """
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -38,7 +43,7 @@ D_TRACT = (1.7e-3, 0.2e-3, 0.2e-3)
 B_VALUE = 1000.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subject:
     """One synthetic subject: data, acquisition metadata, bookkeeping."""
 
@@ -67,9 +72,10 @@ class Subject:
         """Size in bytes at the paper's nominal data scale."""
         return neuro_subject_bytes()
 
-    def volume(self, index):
-        """One 3-d volume as a :class:`SizedArray` (the pipelines' unit
-        of parallelism).
+    @functools.cached_property
+    def volumes(self):
+        """The 3-d volumes as :class:`SizedArray` records (the
+        pipelines' unit of parallelism), built once per subject.
 
         The nominal shape carries the bundle factor on the z axis so
         that ``nominal_elements``/``nominal_bytes`` of all of a
@@ -77,10 +83,13 @@ class Subject:
         """
         x, y, z = NEURO_VOLUME_SHAPE
         nominal = (x, y, z * self.bundle)
-        return SizedArray(
-            self.data.array[..., index],
-            nominal_shape=nominal,
-            meta={"subject_id": self.subject_id, "image_id": index},
+        return tuple(
+            SizedArray(
+                self.data.array[..., index],
+                nominal_shape=nominal,
+                meta={"subject_id": self.subject_id, "image_id": index},
+            )
+            for index in range(self.n_volumes)
         )
 
     def to_nifti(self):
@@ -147,8 +156,13 @@ def _brain_geometry(shape):
     return brain, tract
 
 
+@functools.cache
 def generate_subject(subject_id, scale=8, n_volumes=36, noise_sigma=12.0, seed=None):
     """Generate one synthetic subject.
+
+    Memoized on the call's arguments: the same call returns the same
+    read-only subject (``generate_subject.__wrapped__`` generates a
+    fresh one).
 
     Parameters
     ----------
@@ -200,6 +214,8 @@ def generate_subject(subject_id, scale=8, n_volumes=36, noise_sigma=12.0, seed=N
     data *= modulation
     data += rng.normal(0.0, noise_sigma, size=data.shape)
     data = np.clip(data, 0.0, None).astype(np.float32)
+    for array in (data, brain, gtab.bvals, gtab.bvecs):
+        array.flags.writeable = False
 
     sized = SizedArray(
         data,

@@ -28,8 +28,7 @@ def stage_subjects(object_store, subjects, bucket=DEFAULT_BUCKET):
     """
     count = 0
     for subject in subjects:
-        for index in range(subject.n_volumes):
-            volume = subject.volume(index)
+        for index, volume in enumerate(subject.volumes):
             object_store.put(
                 bucket,
                 volume_key(subject.subject_id, index),

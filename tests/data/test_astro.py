@@ -1,5 +1,7 @@
 """Tests for the synthetic telescope-visit generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,36 @@ from repro.data.catalog import ASTRO_SENSOR_BYTES, ASTRO_SENSORS_PER_VISIT
 
 
 def test_deterministic_by_visit_id():
-    a = generate_visit(3, scale=80, n_sensors=4)
-    b = generate_visit(3, scale=80, n_sensors=4)
-    assert np.array_equal(a.exposures[0].flux, b.exposures[0].flux)
+    """The memo returns one visit per call, with the bytes a fresh
+    generation has."""
+    memo = generate_visit(3, scale=80, n_sensors=4)
+    assert generate_visit(3, scale=80, n_sensors=4) is memo
+    fresh = generate_visit.__wrapped__(3, scale=80, n_sensors=4)
+    assert fresh is not memo
+    assert len(memo) == len(fresh) == 4
+    for got, want in zip(memo.exposures, fresh.exposures):
+        assert (got.sensor_id, got.sky_box, got.bundle) == (
+            want.sensor_id, want.sky_box, want.bundle)
+        for plane in ("flux", "variance", "mask"):
+            a, b = getattr(got, plane), getattr(want, plane)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_generated_arrays_are_read_only(tiny_visits):
+    for exposure in tiny_visits[0].exposures:
+        for array in (exposure.flux, exposure.variance, exposure.mask):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+
+def test_visit_and_exposures_are_frozen(tiny_visits):
+    visit = tiny_visits[0]
+    assert isinstance(visit.exposures, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        visit.exposures = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        visit.exposures[0].flux = None
 
 
 def test_full_visit_has_60_sensors():

@@ -1,18 +1,67 @@
 """Tests for the synthetic dMRI subject generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data.catalog import NEURO_N_VOLUMES, NEURO_VOLUME_SHAPE
 from repro.data.neuro import generate_subject, make_gradient_table
 from repro.formats.nifti import nifti_bytes, read_nifti
+from repro.formats.sizing import SizedArray
 import io
 
 
+def _arrays(subject):
+    return (subject.data.array, subject.brain_mask_truth,
+            subject.gtab.bvals, subject.gtab.bvecs)
+
+
+def _reference_volume(subject, index):
+    """Reference: volume ``index`` as a record built on its own."""
+    x, y, z = NEURO_VOLUME_SHAPE
+    return SizedArray(
+        subject.data.array[..., index],
+        nominal_shape=(x, y, z * subject.bundle),
+        meta={"subject_id": subject.subject_id, "image_id": index},
+    )
+
+
 def test_deterministic_by_id():
-    a = generate_subject("s1", scale=12, n_volumes=24)
-    b = generate_subject("s1", scale=12, n_volumes=24)
-    assert np.array_equal(a.data.array, b.data.array)
+    """The memo returns one subject per call, with the bytes a fresh
+    generation has."""
+    memo = generate_subject("s1", scale=12, n_volumes=24)
+    assert generate_subject("s1", scale=12, n_volumes=24) is memo
+    fresh = generate_subject.__wrapped__("s1", scale=12, n_volumes=24)
+    assert fresh is not memo
+    for got, want in zip(_arrays(memo), _arrays(fresh)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_generated_arrays_are_read_only(tiny_subject):
+    for array in _arrays(tiny_subject) + (tiny_subject.volumes[0].array,):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_subject_is_frozen(tiny_subject):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tiny_subject.subject_id = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tiny_subject.data = None
+
+
+def test_volumes_match_per_index_records(tiny_subject):
+    volumes = tiny_subject.volumes
+    assert tiny_subject.volumes is volumes  # built once
+    assert len(volumes) == tiny_subject.n_volumes
+    for index, volume in enumerate(volumes):
+        want = _reference_volume(tiny_subject, index)
+        assert volume.array.dtype == want.array.dtype
+        assert volume.array.tobytes() == want.array.tobytes()
+        assert volume.nominal_shape == want.nominal_shape
+        assert volume.meta == want.meta
 
 
 def test_distinct_subjects_differ():
@@ -31,15 +80,12 @@ def test_volume_bundling(tiny_subject):
     """24 real volumes stand in for 288: bundle = 12, and the volume
     records' nominal bytes sum to the full subject."""
     assert tiny_subject.bundle == 12
-    total = sum(
-        tiny_subject.volume(i).nominal_bytes
-        for i in range(tiny_subject.n_volumes)
-    )
+    total = sum(volume.nominal_bytes for volume in tiny_subject.volumes)
     assert total == tiny_subject.nominal_bytes
 
 
 def test_volume_metadata(tiny_subject):
-    vol = tiny_subject.volume(3)
+    vol = tiny_subject.volumes[3]
     assert vol.meta["subject_id"] == "tiny"
     assert vol.meta["image_id"] == 3
 

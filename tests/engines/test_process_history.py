@@ -7,14 +7,24 @@ below took 658.174 virtual seconds the first time and 657.377 the
 second time in one process (TensorFlow: 100.560 vs 102.713).  Every
 name-bearing counter now lives on the engine object the trial builds,
 so any trial must repeat exactly whatever the process ran before it.
+The same holds for the memoized inputs: a trial that generates its
+cohort and one that finds it in the memo run the same tasks.
 """
 
 import json
 
 import pytest
 
+import repro.harness.experiments  # noqa: F401  (registers the trials)
 from repro.cluster.faults import FaultPlan, RetryPolicy
-from repro.harness.runner import astro_visits, fresh_engine, neuro_subjects
+from repro.data import generate_subject
+from repro.harness.parallel import TRIAL_FNS
+from repro.harness.runner import (
+    astro_visits,
+    fresh_engine,
+    neuro_subjects,
+    observe_clusters,
+)
 from repro.obs.breakdown import records_of
 from repro.obs.ledger import run_snapshot
 from repro.pipelines.astro.staging import stage_visits
@@ -93,6 +103,42 @@ def test_trial_repeats_exactly_whatever_ran_before(histories, cell):
         )
         assert run[1] == first[1]  # ledger snapshot bytes
         assert run[2] == first[2]  # (name, node, start, end) per task
+
+
+#: figure -> (the measured cell, other systems of the same figure, whose
+#: trials read the same two-subject cohort).
+STEP_CELLS = {
+    "fig11": ({"system": "dask", "count": 2},
+              ("spark", "scidb-1", "tensorflow")),
+    "fig12a": ({"system": "myria", "n_subjects": 2},
+               ("dask", "spark", "scidb")),
+}
+
+
+def _step_cell(figure, **kwargs):
+    """One step-figure trial's makespan and ledger snapshot bytes."""
+    clusters = []
+    with observe_clusters(clusters.append):
+        TRIAL_FNS[figure](profile={"scale": 20, "n_volumes": 24}, **kwargs)
+    (cluster,) = clusters
+    return cluster.now, json.dumps(run_snapshot(cluster), sort_keys=True)
+
+
+@pytest.mark.parametrize("figure", sorted(STEP_CELLS))
+def test_step_cell_repeats_whatever_the_memo_holds(figure):
+    cell, others = STEP_CELLS[figure]
+    generate_subject.cache_clear()
+    cold = _step_cell(figure, **cell)
+
+    generate_subject.cache_clear()
+    for system in others:
+        _step_cell(figure, **dict(cell, system=system))
+    hits = generate_subject.cache_info().hits
+    warm = _step_cell(figure, **cell)
+    assert generate_subject.cache_info().hits > hits  # read from the memo
+
+    assert warm[0] == cold[0]  # makespan
+    assert warm[1] == cold[1]  # ledger snapshot bytes
 
 
 def test_myria_masks_belong_to_their_connection():

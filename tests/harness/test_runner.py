@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data import generate_subject, generate_visit
 from repro.harness.runner import (
     ENGINE_KINDS,
     Stopwatch,
@@ -39,20 +40,32 @@ def test_unknown_engine_rejected():
 
 
 def test_neuro_subjects_deterministic():
-    a = neuro_subjects(2, scale=16, n_volumes=24)
-    b = neuro_subjects(2, scale=16, n_volumes=24)
-    assert a[0].subject_id == b[0].subject_id
-    import numpy as np
-
-    assert np.array_equal(a[1].data.array, b[1].data.array)
+    """Every trial reads the memoized cohort, with the bytes a fresh
+    generation has."""
+    subjects = neuro_subjects(2, scale=16, n_volumes=24)
+    assert [s.subject_id for s in subjects] == ["subj000", "subj001"]
+    for subject in subjects:
+        fresh = generate_subject.__wrapped__(
+            subject.subject_id, scale=16, n_volumes=24
+        )
+        assert subject.data.array.dtype == fresh.data.array.dtype
+        assert subject.data.array.tobytes() == fresh.data.array.tobytes()
+    again = neuro_subjects(2, scale=16, n_volumes=24)
+    assert all(a is b for a, b in zip(subjects, again))
 
 
 def test_astro_visits_deterministic():
-    import numpy as np
-
-    a = astro_visits(2, scale=80, n_sensors=4)
-    b = astro_visits(2, scale=80, n_sensors=4)
-    assert np.array_equal(a[0].exposures[0].flux, b[0].exposures[0].flux)
+    visits = astro_visits(2, scale=80, n_sensors=4)
+    for visit in visits:
+        fresh = generate_visit.__wrapped__(
+            visit.visit_id, scale=80, n_sensors=4
+        )
+        for got, want in zip(visit.exposures, fresh.exposures):
+            assert got.flux.dtype == want.flux.dtype
+            assert got.flux.tobytes() == want.flux.tobytes()
+            assert got.mask.tobytes() == want.mask.tobytes()
+    again = astro_visits(2, scale=80, n_sensors=4)
+    assert all(a is b for a, b in zip(visits, again))
 
 
 def test_stopwatch_laps():

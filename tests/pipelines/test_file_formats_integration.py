@@ -5,6 +5,8 @@ being parsed and converted; these tests write genuine files to disk and
 run pipeline steps on what comes back.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.data import generate_subject, generate_visit
@@ -34,8 +36,8 @@ def test_segmentation_on_reloaded_nifti(tmp_path):
     reloaded = read_nifti(path)
     # Re-wrap the loaded data and check the mask is unchanged.
     original_mask = compute_mask(subject)
-    subject.data.array[...] = reloaded.data
-    assert np.array_equal(compute_mask(subject), original_mask)
+    rewrapped = replace(subject, data=subject.data.with_array(reloaded.data))
+    assert np.array_equal(compute_mask(rewrapped), original_mask)
 
 
 def test_exposure_survives_fits_disk_roundtrip(tmp_path):
@@ -50,8 +52,6 @@ def test_exposure_survives_fits_disk_roundtrip(tmp_path):
 
 
 def test_preprocess_on_reloaded_fits(tmp_path):
-    from dataclasses import replace
-
     visit = generate_visit(4, scale=80, n_sensors=1)
     exposure = visit.exposures[0]
     path = str(tmp_path / "exp.fits")
