@@ -8,7 +8,7 @@ Usage::
     python -m repro.harness all --quick
     python -m repro.harness trace neuro --engine spark --out trace.json
     python -m repro.harness fig10c --quick --optimize --route auto
-    python -m repro.harness optimize --quick --check
+    python -m repro.harness optimize --quick
     python -m repro.harness ledger --optimize --quick
     python -m repro.harness ledger fig12c --quick
     python -m repro.harness ledger --figure fig10c --jobs 4 --quick
@@ -220,20 +220,18 @@ def build_experiment_snapshot(name, quick=True):
 def _optimize_main(argv):
     """``python -m repro.harness optimize`` entry point.
 
-    Explains the query compiler: per-(pipeline, engine) rule firing
-    traces with estimated savings, the cost table behind the router's
-    decision, and — with ``--check`` — an executed naive-vs-optimized
-    comparison of every cell that gates on the two invariants
-    (non-increasing makespan, byte-identical results).
+    Explains the query compiler: per-(pipeline, engine) fusion firing
+    traces with estimated savings, and the cost table behind the
+    router's decision.  The executed naive-vs-optimized gate is
+    ``ledger --optimize``.
     """
     from repro.plan import astro_plan, choose_engine, neuro_plan, optimize_for
     from repro.plan import route as R
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness optimize",
-        description="Explain the rewrite-rule optimizer and the"
-        " cost-based engine router; optionally verify both invariants"
-        " by running every cell naive and optimized.",
+        description="Explain the fusion optimizer and the cost-based"
+        " engine router.",
     )
     parser.add_argument("--quick", action="store_true",
                         help="miniature dataset profiles")
@@ -244,17 +242,9 @@ def _optimize_main(argv):
                         help="astro workload size (default: the 'opt'"
                         " figure's)")
     parser.add_argument("--nodes", type=int, default=DEFAULT_NODES,
-                        help="cluster size the estimates assume")
+                        help="cluster size the rewrites and estimates assume")
     parser.add_argument("--engines", default="dask,myria,spark",
-                        help="comma-separated engines to trace/check")
-    parser.add_argument("--check", action="store_true",
-                        help="execute every (pipeline, engine) cell naive"
-                        " and optimized; non-zero exit on a makespan"
-                        " regression or a result byte-diff")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --check trials")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the content-addressed trial cache")
+                        help="comma-separated engines to trace")
     args = parser.parse_args(argv)
 
     sizes = FIGURES["opt"].sizes(args.quick)
@@ -272,7 +262,8 @@ def _optimize_main(argv):
     print("Rule firing trace (per-engine calibrated cost guards)")
     for pipeline, plan, prof in workloads:
         for engine in engines:
-            result = optimize_for(plan, engine, profile=prof)
+            result = optimize_for(plan, engine, profile=prof,
+                                  n_nodes=args.nodes)
             naive_est = R.estimate_plan_cost(
                 plan, engine, profile=prof, n_nodes=args.nodes
             ).total
@@ -281,13 +272,9 @@ def _optimize_main(argv):
             ).total
             print(f"  {pipeline}/{engine}: estimated {naive_est:.1f}s"
                   f" -> {opt_est:.1f}s, {len(result.firings)} rewrite(s)"
-                  f" in {result.passes} pass(es)"
                   f" [fingerprint {result.fingerprint()[:12]}]")
             for firing in result.firings:
-                saving = (f", est. -{firing.saving:.3f}s"
-                          if firing.saving is not None else "")
-                print(f"    pass {firing.pass_no} {firing.rule}:"
-                      f" {firing.detail}{saving}")
+                print(f"    {firing.detail}, est. -{firing.saving:.3f}s")
             if not result.firings:
                 print("    (no rewrites accepted: every candidate was"
                       " cost-neutral or worse on this engine)")
@@ -300,34 +287,7 @@ def _optimize_main(argv):
              for row in decision.as_rows()],
             title=f"{pipeline}: routed to {decision.engine}",
         )
-
-    if not args.check:
-        return 0
-
-    from repro.obs import format_opt_comparison
-    from repro.obs.ledger import experiment_snapshot
-
-    cache = None if args.no_cache else TrialCache()
-    with configured(jobs=args.jobs, cache=cache), \
-            collecting_snapshots() as collected:
-        rows = E.opt_comparison(
-            n_subjects=n_subjects, n_visits=n_visits, n_nodes=args.nodes,
-            neuro_profile=neuro_profile, astro_profile=astro_profile,
-            engines=engines,
-        )
-    print()
-    print_table(rows, title="Executed naive vs optimized (simulated s)")
-    print()
-    print(format_opt_comparison(
-        experiment_snapshot("opt", _numbered(collected.snapshots))
-    ))
-    failures = _opt_failures(rows)
-    for failure in failures:
-        print(f"optimize check: {failure}", file=sys.stderr)
-    if not failures:
-        print("\noptimize check: all cells non-increasing and"
-              " byte-identical")
-    return 1 if failures else 0
+    return 0
 
 
 def _ledger_main(argv):
@@ -479,7 +439,7 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="miniature datasets (seconds instead of minutes)")
     parser.add_argument("--optimize", action="store_true",
-                        help="run plans through the rewrite-rule optimizer"
+                        help="run plans through the fusion optimizer"
                         " before lowering (figures with end-to-end plans:"
                         " fig10c, fig10d; results stay byte-identical and"
                         " cache entries are separately keyed)")

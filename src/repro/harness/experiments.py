@@ -22,7 +22,6 @@ from repro.harness.runner import (
     NEURO_BENCH,
     Stopwatch,
     astro_visits,
-    cost_model_override,
     fresh_engine,
     neuro_subjects,
 )
@@ -111,8 +110,8 @@ def _end_to_end(pipeline, kind, data, n_nodes=DEFAULT_NODES, optimize=False,
     Starts "with data stored in Amazon S3", executes all steps, and
     materializes output in worker memory (Section 5.1); staging time is
     excluded (data was staged ahead of the experiment).  ``optimize``
-    routes the plan through :func:`repro.plan.optimize_for` under the
-    engine's calibrated cost guard before lowering (``opt`` is the
+    routes the plan through :func:`repro.plan.optimize_for`, priced for
+    the engine at ``n_nodes``, before lowering (``opt`` is the
     :class:`~repro.plan.opt.OptimizationResult`, or ``None`` on the
     naive path).  ``kind == "auto"`` resolves through the cost-based
     router first.
@@ -142,7 +141,8 @@ def _end_to_end(pipeline, kind, data, n_nodes=DEFAULT_NODES, optimize=False,
     )
     opt = None
     if optimize:
-        opt = optimize_for(plan, kind, profile=pipe.profile(data))
+        opt = optimize_for(plan, kind, profile=pipe.profile(data),
+                           n_nodes=n_nodes)
         plan = opt.plan
     results = lower(plan, kind, engine).run(data, **tuning)
     return watch.lap(), results, opt
@@ -203,15 +203,14 @@ def optimize_token(pipeline, kind, count, profile, n_nodes=DEFAULT_NODES):
 
     This is the value carried in the trial params when ``optimize`` is
     requested, so optimized runs are content-addressed by the exact
-    optimizer outcome (rule catalog, guard constants, plan shape) in
-    the trial cache — never colliding with naive entries or with stale
-    optimizer builds.  Truthy, so trial bodies treat it as the
-    ``optimize`` flag itself.
+    optimizer outcome (firings, plan shape) in the trial cache — never
+    colliding with naive entries or with stale optimizer builds.
+    Truthy, so trial bodies treat it as the ``optimize`` flag itself.
     """
     pipe = PIPELINES[pipeline]
     data = pipe.cohort(count, **profile)
     return optimize_for(
-        pipe.plan(), kind, profile=pipe.profile(data)
+        pipe.plan(), kind, profile=pipe.profile(data), n_nodes=n_nodes
     ).fingerprint()
 
 
@@ -222,8 +221,8 @@ def _trial_optcell(pipeline, kind, count, n_nodes, profile):
     Both runs execute on fresh clusters over the same staged dataset;
     the row records both makespans, whether the materialized results
     are byte-identical, and the optimizer's firing trace.  This is the
-    cell the `harness optimize --check` / `ledger --optimize` gates
-    assert over: ``optimized_s <= naive_s`` and ``identical``.
+    cell the ``harness ledger --optimize`` gate asserts over:
+    ``optimized_s <= naive_s`` and ``identical``.
     """
     data = PIPELINES[pipeline].cohort(count, **profile)
     naive_s, naive_out, _ = _end_to_end(
@@ -450,7 +449,7 @@ def fig10h_astro_speedup(*, node_counts, n_visits,
 # Figures 11 and 12: individual steps (16 nodes)
 # ----------------------------------------------------------------------
 
-def _run_step(kind, frag, data, prepare_tuning, op_tuning):
+def _run_step(kind, frag, data, prepare_tuning, op_tuning, cost_model=None):
     """Time one logical op on one engine; returns simulated seconds.
 
     ``frag`` is the plan fragment (:mod:`repro.plan.fragments`) whose
@@ -459,9 +458,10 @@ def _run_step(kind, frag, data, prepare_tuning, op_tuning):
     then ``run_op`` runs exactly that op inside the stopwatch window.
     Tunings ride to the call they tune (SciDB's chunk size to the
     prepared ingest; its ingest method and incremental co-add to the
-    measured op).
+    measured op).  ``cost_model`` prices the cluster (default: the
+    calibrated one).
     """
-    cluster, engine = fresh_engine(kind)
+    cluster, engine = fresh_engine(kind, cost_model=cost_model)
     PIPELINES[frag.name].stage(cluster.object_store, data)
     op_id = fragments.measured_op(frag)
     lowered = lower(frag, kind, engine)
@@ -981,15 +981,14 @@ def _trial_ablation_tf(free_conversions, n_subjects, profile):
     cost_model = CostModel()
     if free_conversions:
         cost_model = cost_model.with_overrides(tensor_convert_bandwidth=1e18)
-    with cost_model_override(cost_model):
-        seconds = _run_step(
-            "tensorflow", fragments.neuro_mean_fragment(),
-            neuro_subjects(n_subjects, **profile), {}, {},
-        )
     return {
         "variant": "free conversions" if free_conversions
                    else "stock TensorFlow",
-        "simulated_s": seconds,
+        "simulated_s": _run_step(
+            "tensorflow", fragments.neuro_mean_fragment(),
+            neuro_subjects(n_subjects, **profile), {}, {},
+            cost_model=cost_model,
+        ),
     }
 
 

@@ -31,25 +31,6 @@ ENGINE_KINDS = ("spark", "myria", "dask", "scidb", "tensorflow")
 #: while an :func:`observe_clusters` context is active.
 _cluster_observers = []
 
-#: Stack of cost models installed by :func:`cost_model_override`.
-_cost_model_overrides = []
-
-
-@contextmanager
-def cost_model_override(cost_model):
-    """Make every cluster built inside use ``cost_model``.
-
-    Experiment helpers construct their clusters internally with the
-    default model; this hook lets the trial executor (and calibration
-    tests) re-run a trial grid under a recalibrated model without
-    threading a parameter through every helper.
-    """
-    _cost_model_overrides.append(cost_model)
-    try:
-        yield
-    finally:
-        _cost_model_overrides.pop()
-
 
 @contextmanager
 def observe_clusters(callback):
@@ -77,8 +58,6 @@ def make_cluster(n_nodes, kind, workers_per_node=None, cost_model=None):
         spec = ClusterSpec(n_nodes=n_nodes, workers_per_node=w, slots_per_worker=1)
     else:
         spec = ClusterSpec(n_nodes=n_nodes)
-    if cost_model is None and _cost_model_overrides:
-        cost_model = _cost_model_overrides[-1]
     if cost_model is None:
         cluster = SimulatedCluster(spec)
     else:

@@ -9,10 +9,10 @@ labeled ``NN-<pipeline>-<engine>-naive`` / ``...-optimized``.
 This module pairs those runs back up and renders the compiler's
 scorecard: per-cell simulated makespans side by side, the per-op
 critical-path blame rows that moved, and the two invariants the
-`harness optimize --check` / ``ledger --optimize`` gates enforce:
+``harness ledger --optimize`` gate enforces:
 
-- **non-increasing makespan** — the cost guard only accepts rewrites
-  that strictly win, so ``optimized <= naive`` on every cell;
+- **non-increasing makespan** — the optimizer only keeps fusions its
+  estimate says strictly win, so ``optimized <= naive`` on every cell;
 - **byte-identical results** — rewrites are semantics-preserving, so
   materialized outputs digest identically (asserted trial-side and
   recorded in the comparison rows, not re-derivable from snapshots).

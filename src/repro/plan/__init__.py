@@ -22,18 +22,10 @@ from repro.plan.ir import (
     provenance_id,
 )
 from repro.plan.neuro import neuro_plan
-from repro.plan.opt import (
-    OptimizationResult,
-    Optimizer,
-    RuleFiring,
-    default_optimizer,
-    optimize_for,
-    optimize_logical,
-)
+from repro.plan.opt import OptimizationResult, RuleFiring, optimize_for
 from repro.plan.route import (
     RoutingDecision,
     choose_engine,
-    engine_guard,
     estimate_plan_cost,
     supports,
 )
@@ -73,18 +65,14 @@ __all__ = [
     "PSEUDO_RECOVERY",
     "ENGINE_LOWERINGS",
     "OptimizationResult",
-    "Optimizer",
     "RoutingDecision",
     "RuleFiring",
     "astro_plan",
     "choose_engine",
-    "default_optimizer",
-    "engine_guard",
     "estimate_plan_cost",
     "lower",
     "neuro_plan",
     "optimize_for",
-    "optimize_logical",
     "provenance_id",
     "supports",
 ]

@@ -10,10 +10,7 @@ op runs inside the full pipeline or inside its micro-benchmark slice,
 so the fig11/fig12 baselines stay byte-stable.
 
 Fragments are ordinary :class:`~repro.plan.ir.LogicalPlan` objects: they
-validate, lower, and optimize like any plan.  :func:`glue` composes
-fragments into one plan (renaming colliding op ids), which is what makes
-the optimizer's common-subexpression rule earn its keep: two glued
-fragments re-declare the same scan chain, and CSE merges them.
+validate, lower, route and optimize like any plan.
 """
 
 from __future__ import annotations
@@ -26,13 +23,11 @@ from repro.plan.ir import materialize as _mk_materialize
 from repro.plan.neuro import neuro_plan
 
 
-def fragment(plan, last, outputs=()):
+def fragment(plan, last):
     """The ancestor closure of ``last`` as a standalone plan.
 
     Includes ``last``, its parents, its broadcast side inputs
     (``uses``), and so on transitively, in the original plan order.
-    ``outputs`` optionally declares the fragment's live materializes
-    (see ``LogicalPlan.outputs``) so the optimizer may elide dead ones.
     """
     by_id = {op.op_id: op for op in plan.ops}
     if last not in by_id:
@@ -47,9 +42,6 @@ def fragment(plan, last, outputs=()):
         op = by_id[op_id]
         frontier.extend(op.parents)
         frontier.extend(op.uses)
-    params = dict(plan.params)
-    if outputs:
-        params["outputs"] = tuple(outputs)
     ops = [op for op in plan.ops if op.op_id in keep]
     tail = by_id[last]
     if tail.kind != "materialize":
@@ -61,7 +53,7 @@ def fragment(plan, last, outputs=()):
             f"{last}.sink", last,
             step=tail.step, blame=tail.blame or tail.op_id,
         ))
-    sliced = _dc_replace(plan, ops=tuple(ops), params=params)
+    sliced = _dc_replace(plan, ops=tuple(ops), params=dict(plan.params))
     return sliced.validate()
 
 
@@ -72,47 +64,6 @@ def measured_op(frag):
     if tail.op_id == f"{tail.parents[0]}.sink":
         return tail.parents[0]
     return tail.op_id
-
-
-def glue(*fragments, rename=None):
-    """Compose fragments into one plan, renaming colliding op ids.
-
-    The first fragment's ops keep their ids; a later fragment's op
-    whose id is already taken gets a ``.2``/``.3``... suffix (its
-    parents and uses are rewritten to match).  The result deliberately
-    re-declares any shared prefix — running the optimizer's CSE rule
-    afterwards merges the duplicates back into one chain.
-    """
-    if not fragments:
-        raise PlanError("glue needs at least one fragment")
-    base = fragments[0]
-    ops = list(base.ops)
-    taken = {op.op_id for op in ops}
-    for index, frag in enumerate(fragments[1:], start=2):
-        if frag.name != base.name:
-            raise PlanError(
-                f"cannot glue {frag.name!r} onto {base.name!r}: fragments "
-                f"must come from the same pipeline"
-            )
-        mapping = {}
-        for op in frag.ops:
-            new_id = op.op_id
-            if new_id in taken:
-                new_id = rename(op.op_id, index) if rename \
-                    else f"{op.op_id}.{index}"
-            if new_id in taken:
-                raise PlanError(f"glue: renamed id {new_id!r} still collides")
-            mapping[op.op_id] = new_id
-            taken.add(new_id)
-        for op in frag.ops:
-            ops.append(_dc_replace(
-                op,
-                op_id=mapping[op.op_id],
-                parents=tuple(mapping[p] for p in op.parents),
-                uses=tuple(mapping[u] for u in op.uses),
-            ))
-    glued = _dc_replace(base, ops=tuple(ops), params=dict(base.params))
-    return glued.validate()
 
 
 # ----------------------------------------------------------------------

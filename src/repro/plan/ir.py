@@ -306,46 +306,6 @@ class LogicalPlan:
             fps[op.op_id] = hashlib.sha256(doc.encode("utf-8")).hexdigest()
         return fps
 
-    def structural_fingerprints(self):
-        """op_id -> fingerprint of the op's *structure*, ignoring ids.
-
-        Unlike :meth:`fingerprints` the op's own name is left out of the
-        hash, so two ops with identical kind/params/step over identical
-        upstream structure collide — exactly the equivalence the CSE
-        rewrite rule needs.  Cache keys must keep using
-        :meth:`fingerprints` (ids are part of a window's address).
-        """
-        fps = {}
-        base = _fingerprint_canon({"plan": self.name, "params": self.params})
-        for op in self.ops:
-            doc = _fingerprint_canon({
-                "base": base,
-                "kind": op.kind,
-                "step": op.step,
-                "blame": op.blame,
-                "params": op.params,
-                "parents": [fps[p] for p in op.parents],
-                "uses": [fps[u] for u in op.uses],
-            })
-            fps[op.op_id] = hashlib.sha256(doc.encode("utf-8")).hexdigest()
-        return fps
-
-    def outputs(self):
-        """Op ids of the results the figure consumes.
-
-        Declared explicitly via ``params["outputs"]``; otherwise every
-        childless ``materialize`` is assumed consumed (so the
-        materialize-elision rule never fires on a plan that does not opt
-        in by declaring its outputs).
-        """
-        declared = self.params.get("outputs")
-        if declared is not None:
-            return tuple(declared)
-        return tuple(
-            op.op_id for op in self.ops
-            if op.kind == "materialize" and not self.children_of(op.op_id)
-        )
-
     def replace_ops(self, ops):
         """A copy of this plan with a new op tuple (params unchanged)."""
         return LogicalPlan(name=self.name, ops=tuple(ops), params=self.params)

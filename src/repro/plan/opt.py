@@ -1,50 +1,60 @@
-"""Rewrite-rule engine over :class:`~repro.plan.ir.LogicalPlan`.
+"""The optimizer: narrow-map fusion, priced per engine.
 
-The optimizer applies a catalog of semantics-preserving rewrite rules
-(`repro.plan.rules`) to fixpoint under a bounded pass budget.  Each rule
-is *match + apply + cost-guard*: ``sites()`` enumerates candidate
-rewrite sites, ``apply()`` produces a rewritten (and re-validated) plan,
-and the optimizer keeps the rewrite only when the cost guard says the
-target engine strictly benefits.  Every accepted rewrite is recorded in
-a :class:`RuleFiring` trace, so `harness optimize` can explain exactly
-what the compiler did and why — the raco ``rules.py``/``opt_rules``
-shape, scaled to this repo's IR.
+The optimizer has one rewrite.  It fuses ``b`` (a ``map``/``flat_map``)
+into its single parent ``a`` when ``b`` is ``a``'s only consumer and
+``a`` is itself narrow (scan, filter, map, flat_map).  The fused carrier
+remembers its members (see :func:`repro.plan.ir.fused_members`), so a
+lowering can either execute the members as one physical task (Dask,
+where every graph node pays ``dask_task_overhead``) or expand them back
+to the original sequence (Spark, whose scheduler already pipelines
+narrow ops into stages).
 
-Guards are deliberately conservative: a rewrite that an engine cannot
-exploit (Spark already pipelines narrow chains into stages; Myria
-pipelines operators within a fragment) estimates as cost-neutral and is
-*rejected*, leaving the plan byte-identical to the naive one.  That is
-what makes ``optimized makespan <= naive`` a guarantee rather than a
-hope: only strictly-winning rewrites survive.
+Whether a fusion *pays* is the per-engine estimate's call
+(:func:`repro.plan.route.estimate_plan_cost`): :func:`optimize_for`
+takes the first site whose fused plan prices strictly lower, records a
+:class:`RuleFiring`, and scans the new plan again from the start.  A
+rewrite an engine cannot exploit estimates as cost-neutral and is
+rejected, leaving the plan byte-identical to the naive one; fusing a map
+into a fan-out ``flat_map`` that Dask lowers one task per output element
+would duplicate the map's work, and the estimate prices exactly that.
+Every firing is kept, so ``harness optimize`` can explain what was done;
+``harness ledger --optimize`` checks that each measured optimized cell
+is no slower than naive and returns the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from dataclasses import replace as _dc_replace
+from typing import Tuple
 
-#: Default bound on full rule-catalog passes before the optimizer stops
-#: (a safety valve; real plans reach fixpoint in one or two passes).
-MAX_PASSES = 8
+from repro.plan.ir import FUSED_SEP, Op, fused_members, member_doc
+from repro.plan.route import estimate_plan_cost
+
+#: Op kinds a narrow op may be fused into.
+FUSABLE_PARENTS = ("scan", "filter", "map", "flat_map")
+
+#: Op kinds that may be fused into their parent.
+FUSABLE_CHILDREN = ("map", "flat_map")
+
+#: A fusion is kept only when it saves more than this many estimated
+#: seconds, so float noise never turns a neutral rewrite into a firing.
+EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
 class RuleFiring:
-    """One accepted rewrite, for the firing trace."""
+    """One accepted fusion, for the firing trace."""
 
-    rule: str                    # rule name
-    pass_no: int                 # which fixpoint pass fired it
-    site: Tuple[str, ...]        # op ids the rewrite touched
+    site: Tuple[str, ...]        # (parent op id, fused child op id)
     detail: str                  # human-readable description
-    saving: Optional[float] = None   # estimated seconds saved (guarded mode)
+    saving: float                # estimated seconds saved
 
     def as_row(self):
         """Row form for snapshots and CLI tables."""
         return {
-            "rule": self.rule,
-            "pass": self.pass_no,
             "site": list(self.site),
             "detail": self.detail,
             "saving_s": self.saving,
@@ -56,14 +66,8 @@ class OptimizationResult:
     """An optimized plan plus the trace of how it got that way."""
 
     plan: "LogicalPlan"
-    firings: Tuple[RuleFiring, ...] = ()
-    engine: Optional[str] = None
-    passes: int = 0
-
-    @property
-    def changed(self):
-        """Changed."""
-        return bool(self.firings)
+    firings: Tuple[RuleFiring, ...]
+    engine: str
 
     def fingerprint(self):
         """Stable hash of the optimization outcome.
@@ -84,158 +88,108 @@ class OptimizationResult:
         )
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
-    def trace_rows(self):
-        """Trace rows."""
-        return [f.as_row() for f in self.firings]
+
+def rewire(ops, old_id, new_id):
+    """Point every parent/uses reference to ``old_id`` at ``new_id``."""
+    out = []
+    for op in ops:
+        parents = tuple(new_id if p == old_id else p for p in op.parents)
+        uses = tuple(new_id if u == old_id else u for u in op.uses)
+        if parents != op.parents or uses != op.uses:
+            op = _dc_replace(op, parents=parents, uses=uses)
+        out.append(op)
+    return tuple(out)
 
 
-class RewriteRule:
-    """Base class: match + apply (+ describe) for one rewrite."""
-
-    #: Rule name used in firing traces; subclasses override.
-    name = "rule"
-
-    def sites(self, plan):
-        """Candidate rewrite sites, each a tuple of op ids."""
-        raise NotImplementedError
-
-    def apply(self, plan, site):
-        """Rewrite ``plan`` at ``site``; returns a *validated* new plan."""
-        raise NotImplementedError
-
-    def describe(self, plan, site):
-        """One-line description of the rewrite at ``site``."""
-        return f"{self.name} at {site}"
+def consumers_of(plan, op_id):
+    """Every op consuming ``op_id`` — as a parent or a side input."""
+    return tuple(
+        op for op in plan.ops
+        if op_id in op.parents or op_id in op.uses
+    )
 
 
-class CostGuard:
-    """Decides whether a candidate rewrite is kept.
-
-    ``estimate(plan)`` prices a whole plan in estimated simulated
-    seconds for the guard's engine; ``accepts`` keeps a rewrite only on
-    strict improvement beyond a tiny epsilon (so float noise can never
-    flip a neutral rewrite into an accepted one).
-    """
-
-    epsilon = 1e-9
-
-    def __init__(self, estimate, engine=None):
-        self._estimate = estimate
-        self.engine = engine
-
-    def estimate(self, plan):
-        """Estimate."""
-        return float(self._estimate(plan))
-
-    def accepts(self, before, after):
-        """Returns the estimated saving if strictly positive, else None."""
-        saving = self.estimate(before) - self.estimate(after)
-        if saving > self.epsilon:
-            return saving
-        return None
+def _carrier_kind(members):
+    kinds = [m.kind for m in members]
+    if "scan" in kinds:
+        return "scan"
+    if "flat_map" in kinds:
+        return "flat_map"
+    if "map" in kinds:
+        return "map"
+    return "filter"
 
 
-def structural_guard():
-    """Engine-agnostic guard: fewer/cheaper ops win.
-
-    Used when optimizing without an engine target (tests, the `harness
-    optimize` explain view): prices a plan by op count with materialize
-    weighted heaviest, so elision/CSE/fusion all register as wins while
-    pushdown — which only reorders — is accepted via its own structural
-    preference (a filter earlier in the chain counts fractionally less).
-    """
-    weights = {"materialize": 4.0, "group_by": 2.0}
-
-    def estimate(plan):
-        total = 0.0
-        for index, op in enumerate(plan.ops):
-            weight = weights.get(op.kind, 1.0)
-            if op.kind == "filter":
-                # Earlier filters are better: weight grows with depth.
-                weight = 1.0 + 0.01 * index
-            total += weight
-        return total
-
-    return CostGuard(estimate, engine=None)
-
-
-class Optimizer:
-    """Applies a rule catalog to fixpoint under a pass budget."""
-
-    def __init__(self, rules, max_passes=MAX_PASSES):
-        self.rules = tuple(rules)
-        self.max_passes = max_passes
-
-    def optimize(self, plan, guard=None):
-        """Rewrite ``plan`` to fixpoint; returns :class:`OptimizationResult`.
-
-        Each pass offers every rule every current site; a rewrite is
-        kept only when the guard accepts it.  The pass loop ends when a
-        full pass accepts nothing or the pass budget runs out.
-        """
-        if guard is None:
-            guard = structural_guard()
-        current = plan
-        firings = []
-        passes = 0
-        for pass_no in range(1, self.max_passes + 1):
-            passes = pass_no
-            fired_this_pass = False
-            for rule in self.rules:
-                # Re-enumerate after every accepted rewrite: sites are
-                # positional and a rewrite invalidates its siblings.
-                while True:
-                    accepted = False
-                    for site in rule.sites(current):
-                        candidate = rule.apply(current, site)
-                        saving = guard.accepts(current, candidate)
-                        if saving is None:
-                            continue
-                        firings.append(RuleFiring(
-                            rule=rule.name,
-                            pass_no=pass_no,
-                            site=tuple(site),
-                            detail=rule.describe(current, site),
-                            saving=saving,
-                        ))
-                        current = candidate
-                        accepted = True
-                        fired_this_pass = True
-                        break
-                    if not accepted:
-                        break
-            if not fired_this_pass:
-                break
-        return OptimizationResult(
-            plan=current,
-            firings=tuple(firings),
-            engine=guard.engine,
-            passes=passes,
-        )
+def fuse_pair(plan, a_id, b_id):
+    """The plan with ``b_id`` fused into ``a_id`` (not priced)."""
+    a = plan.op(a_id)
+    b = plan.op(b_id)
+    members = fused_members(a) + fused_members(b)
+    params = {"fused": tuple(member_doc(m) for m in members)}
+    if members[0].kind == "scan":
+        # The scan lint requires a format on the carrier itself.
+        params["format"] = members[0].param("format")
+    carrier = Op(
+        op_id=FUSED_SEP.join(m.op_id for m in members),
+        kind=_carrier_kind(members),
+        parents=a.parents,
+        step=b.step,
+        uses=tuple(dict.fromkeys(a.uses + b.uses)),
+        params=params,
+    )
+    ops = []
+    for op in plan.ops:
+        if op.op_id == a.op_id:
+            ops.append(carrier)
+        elif op.op_id != b.op_id:
+            ops.append(op)
+    ops = rewire(ops, b.op_id, carrier.op_id)
+    ops = rewire(ops, a.op_id, carrier.op_id)
+    return plan.replace_ops(ops).validate()
 
 
-def default_optimizer():
-    """The standard rule catalog, in application order."""
-    from repro.plan.rules import DEFAULT_RULES
+def fusion_sites(plan):
+    """Every ``(a_id, b_id)`` pair :func:`fuse_pair` may fuse, in plan
+    order: ``b`` narrow with ``a`` as its one parent, ``a`` narrow with
+    ``b`` as its one consumer."""
+    for b in plan.ops:
+        if b.kind not in FUSABLE_CHILDREN or len(b.parents) != 1:
+            continue
+        a = plan.op(b.parents[0])
+        if a.kind in FUSABLE_PARENTS and len(consumers_of(plan, a.op_id)) == 1:
+            yield (a.op_id, b.op_id)
 
-    return Optimizer(DEFAULT_RULES)
 
-
-def optimize_for(plan, engine, profile=None, cost_model=None):
-    """Optimize ``plan`` for one engine under its calibrated cost guard.
+def optimize_for(plan, engine, profile=None, cost_model=None, n_nodes=16):
+    """Fuse ``plan`` greedily for ``engine`` at ``n_nodes`` nodes.
 
     ``profile`` describes the workload's nominal sizes (see
     :mod:`repro.plan.route`); without one a generic unit profile is
-    used, which preserves the guard's *relative* judgments (per-task
+    used, which preserves the estimate's *relative* judgments (per-task
     overheads and duplication factors) even if absolute seconds are
     meaningless.
     """
-    from repro.plan.route import engine_guard
+    def cost(candidate):
+        return estimate_plan_cost(
+            candidate, engine, profile=profile, cost_model=cost_model,
+            n_nodes=n_nodes,
+        ).total
 
-    guard = engine_guard(engine, profile=profile, cost_model=cost_model)
-    return default_optimizer().optimize(plan, guard=guard)
-
-
-def optimize_logical(plan):
-    """Optimize ``plan`` with the engine-agnostic structural guard."""
-    return default_optimizer().optimize(plan)
+    firings = []
+    current = cost(plan)
+    while True:
+        for a_id, b_id in fusion_sites(plan):
+            candidate = fuse_pair(plan, a_id, b_id)
+            candidate_cost = cost(candidate)
+            saving = current - candidate_cost
+            if saving > EPSILON:
+                firings.append(RuleFiring(
+                    site=(a_id, b_id),
+                    detail=f"fuse {b_id!r} into {a_id!r}"
+                           " (one physical task per input)",
+                    saving=saving,
+                ))
+                plan, current = candidate, candidate_cost
+                break
+        else:
+            return OptimizationResult(plan, tuple(firings), engine)

@@ -10,10 +10,10 @@ Two jobs live here:
    Python-boundary serialization, Dask's serial task dispatch and
    per-subject placement pinning, Myria's per-tuple operator overhead,
    TF's tensor conversion, SciDB's CSV/stream path.  The estimator is
-   coarse in absolute terms; what the router and the optimizer's cost
-   guards need from it is *ordering* (which engine is cheapest, whether
-   a rewrite strictly helps a given engine), and the structural terms
-   carry exactly those distinctions.
+   coarse in absolute terms; what the router and the optimizer need
+   from it is *ordering* (which engine is cheapest, whether a fusion
+   strictly helps a given engine), and the structural terms carry
+   exactly those distinctions.
 
 2. :func:`choose_engine` — Table-1-style routing: engines whose
    lowering cannot produce the plan's outputs (SciDB and TensorFlow
@@ -25,7 +25,7 @@ Dask charges ``dask_task_overhead`` per graph node so collapsing a
 narrow 1:1 chain strictly helps, while a fan-out ``flat_map`` that Dask
 lowers one-task-per-output-element (``repart``'s per-block split) would
 *duplicate* upstream member work — the estimator prices that
-duplication, and the guard therefore rejects the rewrite.  Spark fuses
+duplication, and the optimizer therefore rejects the rewrite.  Spark fuses
 narrow chains into stages natively and Myria pipelines operators within
 a fragment, so for them the same rewrite estimates neutral and is
 rejected, keeping their optimized plans byte-identical to naive.
@@ -413,24 +413,6 @@ def estimate_plan_cost(plan, engine, profile=None, cost_model=None,
         compute=compute,
         tax=tax,
     )
-
-
-# ----------------------------------------------------------------------
-# Optimizer cost guards
-# ----------------------------------------------------------------------
-
-def engine_guard(engine, profile=None, cost_model=None, n_nodes=16,
-                 slots_per_node=8):
-    """A :class:`~repro.plan.opt.CostGuard` pricing plans for one engine."""
-    from repro.plan.opt import CostGuard
-
-    def estimate(plan):
-        return estimate_plan_cost(
-            plan, engine, profile=profile, cost_model=cost_model,
-            n_nodes=n_nodes, slots_per_node=slots_per_node,
-        ).total
-
-    return CostGuard(estimate, engine=engine)
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,35 @@ def test_optimize_token_is_truthy_and_engine_specific():
     assert optimize_token("neuro", "dask", 1, QUICK_NEURO) == tokens["dask"]
 
 
+def test_every_optimizer_caller_prices_at_its_node_count(monkeypatch):
+    """``optimize_token``, an optimized end-to-end trial and ``harness
+    optimize --nodes`` all decide the rewrites at the cell's node count."""
+    import repro.plan
+    from repro.harness import experiments as E
+
+    class Priced(Exception):
+        pass
+
+    seen = []
+
+    def record(plan, kind, profile=None, n_nodes=16):
+        seen.append(n_nodes)
+        raise Priced
+
+    monkeypatch.setattr(E, "optimize_for", record)
+    monkeypatch.setattr(repro.plan, "optimize_for", record)
+    visits = astro_visits(1, **QUICK_ASTRO)
+    for call in (
+        lambda: optimize_token("astro", "dask", 1, QUICK_ASTRO, n_nodes=3),
+        lambda: E._end_to_end("astro", "dask", visits, n_nodes=5,
+                              optimize=True),
+        lambda: main(["optimize", "--quick", "--nodes", "7"]),
+    ):
+        with pytest.raises(Priced):
+            call()
+    assert seen == [3, 5, 7]
+
+
 def test_optimize_token_astro_reflects_firings():
     token = optimize_token("astro", "dask", 1, QUICK_ASTRO)
     assert token != optimize_token("astro", "spark", 1, QUICK_ASTRO)

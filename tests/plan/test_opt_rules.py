@@ -1,105 +1,43 @@
-"""Unit tests for the rewrite-rule catalog and the optimizer driver.
+"""Unit tests for narrow-map fusion and the greedy optimizer loop.
 
-Each rule gets a synthetic plan engineered to trip it (the two real
-pipeline plans carry none of the opt-in annotations pushdown and
-elision require), plus a golden firing-trace test pinning exactly what
-the engine-guarded optimizer does to the real plans: the astro plan on
-Dask gains two narrow-map fusions, every other (pipeline, engine) cell
-is left byte-identical to naive.
+``fuse_pair`` and the site scan get synthetic plans; a golden firing
+trace pins exactly what the optimizer does to the two real plans on
+every engine at the quick ``opt`` profiles: the astro plan on Dask and
+on TensorFlow gains two narrow-map fusions, every other (pipeline,
+engine) cell is left byte-identical to naive.
 """
 
 import pytest
 
+from repro.cluster.costs import DEFAULT_COST_MODEL
+from repro.harness.figures import FIGURES
+from repro.harness.runner import astro_visits, neuro_subjects
 from repro.plan import astro_plan, neuro_plan
 from repro.plan.ir import (
     FUSED_SEP,
     LogicalPlan,
-    filter_,
+    flat_map,
     fused_members,
     is_fused,
     map_,
     materialize,
     scan,
 )
-from repro.plan.opt import (
-    MAX_PASSES,
-    Optimizer,
-    default_optimizer,
-    optimize_for,
-    optimize_logical,
-    structural_guard,
-)
-from repro.plan.rules import (
-    DEFAULT_RULES,
-    ElideDeadMaterialize,
-    EliminateCommonSubexpressions,
-    FuseNarrowMaps,
-    PushFilterThroughMap,
-)
-from repro.plan.rules.fusion import fuse_pair
+from repro.plan.opt import fuse_pair, fusion_sites, optimize_for
+from repro.plan.route import ROUTABLE_ENGINES
 
 
-def _plan(*ops, name="test", params=None):
-    return LogicalPlan(name=name, ops=tuple(ops),
-                       params=params or {}).validate()
+def _plan(*ops):
+    return LogicalPlan(name="test", ops=tuple(ops)).validate()
 
 
-# ----------------------------------------------------------------------
-# Filter pushdown
-# ----------------------------------------------------------------------
-
-def _pushdown_plan(on_meta=True, preserves_meta=True):
+def _chain_plan():
     return _plan(
         scan("src", step="S", format="npy"),
-        map_("xform", "src", step="S", preserves_meta=preserves_meta,
-             kernel="mean_volume"),
-        filter_("keep", "xform", step="S", on_meta=on_meta),
-        materialize("out", "keep", step="S", blame="out"),
+        map_("a", "src", step="S", kernel="mean_volume"),
+        map_("b", "a", step="S", kernel="stack_volumes"),
+        materialize("out", "b", step="S", blame="out"),
     )
-
-
-def test_pushdown_swaps_filter_below_map():
-    plan = _pushdown_plan()
-    rule = PushFilterThroughMap()
-    sites = list(rule.sites(plan))
-    assert sites == [("keep", "xform")]
-    rewritten = rule.apply(plan, sites[0])
-    assert [op.op_id for op in rewritten.ops] == \
-        ["src", "keep", "xform", "out"]
-    assert rewritten.op("keep").parents == ("src",)
-    assert rewritten.op("xform").parents == ("keep",)
-    # Downstream consumers of the filter now read the map's output.
-    assert rewritten.op("out").parents == ("xform",)
-
-
-def test_pushdown_requires_both_annotations():
-    rule = PushFilterThroughMap()
-    assert list(rule.sites(_pushdown_plan(on_meta=False))) == []
-    assert list(rule.sites(_pushdown_plan(preserves_meta=False))) == []
-
-
-def test_pushdown_blocked_by_second_consumer():
-    plan = _plan(
-        scan("src", step="S", format="npy"),
-        map_("xform", "src", step="S", preserves_meta=True),
-        filter_("keep", "xform", step="S", on_meta=True),
-        materialize("tap", "xform", step="S", blame="tap"),
-        materialize("out", "keep", step="S", blame="out"),
-    )
-    # The map's output is observed directly, so the filter cannot move
-    # above it.
-    assert list(PushFilterThroughMap().sites(plan)) == []
-
-
-def test_structural_guard_accepts_pushdown():
-    # Pushdown neither adds nor removes ops; the structural guard's
-    # depth-weighted filter pricing is what lets it through.
-    result = optimize_logical(_pushdown_plan())
-    fired = [f for f in result.firings
-             if f.rule == "push-filter-through-map"]
-    assert len(fired) == 1
-    assert fired[0].site == ("keep", "xform")
-    assert "push filter 'keep' below map 'xform'" in fired[0].detail
 
 
 # ----------------------------------------------------------------------
@@ -107,12 +45,7 @@ def test_structural_guard_accepts_pushdown():
 # ----------------------------------------------------------------------
 
 def test_fuse_pair_builds_expandable_carrier():
-    plan = _plan(
-        scan("src", step="S", format="npy"),
-        map_("a", "src", step="S", kernel="mean_volume"),
-        map_("b", "a", step="S", kernel="stack_volumes"),
-        materialize("out", "b", step="S", blame="out"),
-    )
+    plan = _chain_plan()
     fused = fuse_pair(plan, "a", "b")
     carrier = fused.op(FUSED_SEP.join(("a", "b")))
     assert is_fused(carrier)
@@ -148,214 +81,110 @@ def test_fusion_sites_skip_shared_parents():
         materialize("out_b", "b", step="S", blame="b"),
     )
     # 'src' has two consumers; fusing either child would duplicate it.
-    assert list(FuseNarrowMaps().sites(plan)) == []
+    assert list(fusion_sites(plan)) == []
 
 
 # ----------------------------------------------------------------------
-# Common-subexpression elimination
+# The greedy loop
 # ----------------------------------------------------------------------
-
-def test_cse_merges_structural_duplicates():
-    plan = _plan(
-        scan("src", step="S", format="npy"),
-        scan("src.2", step="S", format="npy"),
-        map_("a", "src", step="S", kernel="mean_volume"),
-        map_("a.2", "src.2", step="S", kernel="mean_volume"),
-        materialize("out", "a", step="S", blame="out"),
-        materialize("out.2", "a.2", step="S", blame="out2"),
-    )
-    result = Optimizer([EliminateCommonSubexpressions()]).optimize(plan)
-    merged = result.plan
-    assert [f.rule for f in result.firings] == \
-        ["common-subexpression-elimination"] * 2
-    ids = [op.op_id for op in merged.ops]
-    assert "src.2" not in ids and "a.2" not in ids
-    # Both materializes survive (identity is part of the contract) and
-    # now share the single computed chain.
-    assert merged.op("out").parents == ("a",)
-    assert merged.op("out.2").parents == ("a",)
-
-
-def test_cse_never_merges_materializes():
-    plan = _plan(
-        scan("src", step="S", format="npy"),
-        materialize("out", "src", step="S", blame="same"),
-        materialize("out.2", "src", step="S", blame="same"),
-    )
-    assert list(EliminateCommonSubexpressions().sites(plan)) == []
-
-
-def test_cse_respects_differing_params():
-    plan = _plan(
-        scan("src", step="S", format="npy"),
-        map_("a", "src", step="S", kernel="mean_volume"),
-        map_("b", "src", step="S", kernel="stack_volumes"),
-        materialize("out_a", "a", step="S", blame="a"),
-        materialize("out_b", "b", step="S", blame="b"),
-    )
-    assert list(EliminateCommonSubexpressions().sites(plan)) == []
-
-
-# ----------------------------------------------------------------------
-# Dead-materialize elision
-# ----------------------------------------------------------------------
-
-def _dead_branch_plan(declare_outputs):
-    params = {"outputs": ("out",)} if declare_outputs else None
-    return _plan(
-        scan("src", step="S", format="npy"),
-        map_("live", "src", step="S"),
-        map_("debug", "src", step="S"),
-        materialize("out", "live", step="S", blame="out"),
-        materialize("scratch", "debug", step="S", blame="scratch"),
-        params=params,
-    )
-
-
-def test_elision_requires_declared_outputs():
-    # Without the opt-in every childless materialize counts as consumed.
-    assert list(ElideDeadMaterialize().sites(_dead_branch_plan(False))) == []
-
-
-def test_elision_cascades_dead_upstream_branch():
-    plan = _dead_branch_plan(True)
-    rule = ElideDeadMaterialize()
-    sites = list(rule.sites(plan))
-    assert sites == [("scratch",)]
-    rewritten = rule.apply(plan, sites[0])
-    ids = [op.op_id for op in rewritten.ops]
-    assert ids == ["src", "live", "out"]
-    assert "elide materialize 'scratch'" in rule.describe(plan, sites[0])
-
-
-def test_structural_guard_accepts_elision():
-    result = optimize_logical(_dead_branch_plan(True))
-    # Elision fires first; the surviving linear chain may then fuse.
-    assert result.firings[0].rule == "elide-dead-materialize"
-    assert result.firings[0].saving > 0
-    assert "scratch" not in {op.op_id for op in result.plan.ops}
-
-
-# ----------------------------------------------------------------------
-# The optimizer driver
-# ----------------------------------------------------------------------
-
-def test_default_catalog_order():
-    assert [type(rule) for rule in DEFAULT_RULES] == [
-        ElideDeadMaterialize,
-        EliminateCommonSubexpressions,
-        PushFilterThroughMap,
-        FuseNarrowMaps,
-    ]
-    assert default_optimizer().max_passes == MAX_PASSES
-
 
 def test_optimizer_reaches_fixpoint_and_is_idempotent():
-    first = optimize_logical(_dead_branch_plan(True))
-    again = default_optimizer().optimize(first.plan, structural_guard())
+    first = optimize_for(_chain_plan(), "dask")
+    assert [f.site for f in first.firings] == [("src", "a"), ("src+a", "b")]
+    again = optimize_for(first.plan, "dask")
     assert again.firings == ()
     assert again.plan.fingerprints() == first.plan.fingerprints()
 
 
-def test_pass_budget_bounds_the_loop():
-    from dataclasses import replace as _dc_replace
-
-    from repro.plan.opt import RewriteRule
-
-    # Two rules that undo each other keep every pass productive; only
-    # the pass budget stops the seesaw.
-    class _Set(RewriteRule):
-        def __init__(self, value):
-            self.value = value
-            self.name = f"set-{value}"
-
-        def sites(self, plan):
-            if plan.op("xform").param("flip", False) != self.value:
-                yield ("xform",)
-
-        def apply(self, plan, site):
-            ops = [
-                _dc_replace(op, params=dict(op.params, flip=self.value))
-                if op.op_id == "xform" else op
-                for op in plan.ops
-            ]
-            return plan.replace_ops(ops).validate()
-
-    class GreedyGuard:
-        engine = None
-
-        def accepts(self, before, after):
-            return 1.0
-
-    result = Optimizer([_Set(True), _Set(False)], max_passes=3).optimize(
-        _pushdown_plan(), guard=GreedyGuard()
-    )
-    assert result.passes == 3
-    assert len(result.firings) == 6  # both rules fire every pass
-
-
 def test_firing_rows_are_serializable():
-    result = optimize_logical(_dead_branch_plan(True))
-    row = result.trace_rows()[0]
-    assert row["rule"] == "elide-dead-materialize"
-    assert row["site"] == ["scratch"]
-    assert row["pass"] == 1
+    result = optimize_for(_chain_plan(), "dask")
+    row = result.firings[0].as_row()
+    assert row == {
+        "site": ["src", "a"],
+        "detail": "fuse 'a' into 'src' (one physical task per input)",
+        "saving_s": result.firings[0].saving,
+    }
     assert row["saving_s"] > 0
+
+
+def test_fusion_is_priced_at_the_given_node_count():
+    # Fusing the fan-out 'b' into 'a' duplicates a's work per block: at
+    # one node that costs more than the task it saves (-0.006 s), from
+    # two nodes up it pays (+0.004 s).  The tap keeps 'src' unfusable.
+    plan = _plan(
+        scan("src", step="S", format="npy"),
+        materialize("tap", "src", step="S", blame="tap"),
+        map_("a", "src", step="S"),
+        flat_map("b", "a", step="S", n_blocks=2),
+        materialize("out", "b", step="S", blame="out"),
+    )
+    prof = {"n_chains": 1, "items_per_chain": 24,
+            "op_seconds": {"a": 10 * DEFAULT_COST_MODEL.dask_task_overhead}}
+    assert optimize_for(plan, "dask", prof, n_nodes=1).firings == ()
+    fired = optimize_for(plan, "dask", prof, n_nodes=16).firings
+    assert [f.site for f in fired] == [("a", "b")]
+    assert fired[0].saving == pytest.approx(0.004)
 
 
 def test_fingerprint_distinguishes_naive_and_unchanged():
     plan = neuro_plan()
     unchanged = optimize_for(plan, "spark")
-    assert not unchanged.changed
+    assert unchanged.firings == ()
     # Stable token, distinct per engine (the engine joins the hash).
     assert unchanged.fingerprint() == optimize_for(plan, "spark").fingerprint()
     assert unchanged.fingerprint() != optimize_for(plan, "myria").fingerprint()
 
 
 # ----------------------------------------------------------------------
-# Golden firing trace over the real plans
+# Golden firing trace over the real plans, quick 'opt' profiles
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def astro_prof(tiny_visits):
-    from repro.plan.route import astro_profile
+def quick_profiles():
+    from repro.plan.route import astro_profile, neuro_profile
 
-    return astro_profile(tiny_visits)
+    sizes = FIGURES["opt"].sizes(True)
+    return {
+        "neuro": neuro_profile(neuro_subjects(
+            sizes["n_subjects"], **sizes["neuro_profile"])),
+        "astro": astro_profile(astro_visits(
+            sizes["n_visits"], **sizes["astro_profile"])),
+    }
 
 
-@pytest.fixture(scope="module")
-def neuro_prof(tiny_subjects):
-    from repro.plan.route import neuro_profile
-
-    return neuro_profile(tiny_subjects)
-
-
-def test_golden_trace_astro_dask(astro_prof):
-    result = optimize_for(astro_plan(), "dask", profile=astro_prof)
-    assert [f.rule for f in result.firings] == ["fuse-narrow-maps"] * 2
-    assert result.firings[0].site == ("exposures", "preprocess")
-    assert result.firings[0].detail == \
-        "fuse 'preprocess' into 'exposures' (one physical task per input)"
-    assert result.firings[1].site == ("exposures+preprocess", "patches")
-    assert result.firings[1].detail == (
+def _assert_astro_fusions(kind, saving, profile):
+    result = optimize_for(astro_plan(), kind, profile=profile)
+    assert [f.site for f in result.firings] == [
+        ("exposures", "preprocess"), ("exposures+preprocess", "patches"),
+    ]
+    assert [f.detail for f in result.firings] == [
+        "fuse 'preprocess' into 'exposures' (one physical task per input)",
         "fuse 'patches' into 'exposures+preprocess' "
-        "(one physical task per input)"
-    )
-    assert all(f.saving > 0 for f in result.firings)
+        "(one physical task per input)",
+    ]
+    assert [f.saving for f in result.firings] == [pytest.approx(saving)] * 2
     carrier = result.plan.op("exposures+preprocess+patches")
     assert [m.op_id for m in fused_members(carrier)] == \
         ["exposures", "preprocess", "patches"]
 
 
-@pytest.mark.parametrize("kind", ["spark", "myria"])
-def test_golden_trace_astro_other_engines_unchanged(kind, astro_prof):
-    result = optimize_for(astro_plan(), kind, profile=astro_prof)
+def test_golden_trace_astro_dask(quick_profiles):
+    _assert_astro_fusions("dask", 0.012, quick_profiles["astro"])
+
+
+def test_golden_trace_astro_tensorflow(quick_profiles):
+    _assert_astro_fusions("tensorflow", 0.05, quick_profiles["astro"])
+
+
+@pytest.mark.parametrize("kind", ["spark", "myria", "scidb"])
+def test_golden_trace_astro_other_engines_unchanged(kind, quick_profiles):
+    result = optimize_for(astro_plan(), kind, profile=quick_profiles["astro"])
     assert result.firings == ()
     assert result.plan.fingerprints() == astro_plan().fingerprints()
 
 
-@pytest.mark.parametrize("kind", ["dask", "spark", "myria"])
-def test_golden_trace_neuro_unchanged_everywhere(kind, neuro_prof):
-    result = optimize_for(neuro_plan(), kind, profile=neuro_prof)
+@pytest.mark.parametrize("kind", ROUTABLE_ENGINES)
+def test_golden_trace_neuro_unchanged_everywhere(kind, quick_profiles):
+    result = optimize_for(neuro_plan(), kind, profile=quick_profiles["neuro"])
     assert result.firings == ()
     assert result.plan.fingerprints() == neuro_plan().fingerprints()

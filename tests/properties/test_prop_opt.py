@@ -1,15 +1,12 @@
 """Property-based tests: the optimizer preserves plan semantics.
 
 A reference interpreter evaluates randomly generated linear plans over
-a toy record stream ``(meta, payload)``.  The op annotations are kept
-*truthful*: a map declared ``preserves_meta=True`` leaves metadata
-alone, one declared ``False`` rewrites it; a filter declared
-``on_meta=True`` reads only metadata.  Whatever subset of rewrites the
-optimizer fires — pushdown, fusion, CSE, elision — the interpreted
-outputs at every declared materialize must be identical, the optimized
-plan must still validate (``apply`` re-validates, so a crash here is a
-rule bug), and optimization must be idempotent (a second pass over the
-fixpoint fires nothing).
+a toy record stream ``(meta, payload)``.  On every engine, whatever
+fusions the optimizer fires, the interpreted outputs at every childless
+materialize must be identical, the optimized plan must still validate
+(``fuse_pair`` re-validates, so a crash here is a fusion bug), and
+optimization must be idempotent (a second run over the result fires
+nothing).
 """
 
 from hypothesis import given, settings
@@ -24,7 +21,10 @@ from repro.plan.ir import (
     materialize,
     scan,
 )
-from repro.plan.opt import default_optimizer, optimize_for, optimize_logical
+from repro.plan.opt import fuse_pair, fusion_sites, optimize_for
+from repro.plan.route import ROUTABLE_ENGINES
+
+_ENGINES = st.sampled_from(ROUTABLE_ENGINES)
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +35,6 @@ _STAGE = st.one_of(
     st.tuples(
         st.just("map"),
         st.integers(0, 3),                 # kernel tag
-        st.booleans(),                     # preserves_meta
     ),
     st.tuples(
         st.just("flat_map"),
@@ -45,7 +44,6 @@ _STAGE = st.one_of(
     st.tuples(
         st.just("filter"),
         st.integers(1, 3),                 # keep meta % mod == 0
-        st.booleans(),                     # on_meta annotation
     ),
 )
 
@@ -59,21 +57,19 @@ def _build(stages):
         op_id = f"op{index}"
         kind = stage[0]
         if kind == "map":
-            ops.append(map_(op_id, prev, step="S", tag=stage[1],
-                            preserves_meta=stage[2]))
+            ops.append(map_(op_id, prev, step="S", tag=stage[1]))
         elif kind == "flat_map":
             ops.append(flat_map(op_id, prev, step="S", tag=stage[1],
                                 n_blocks=stage[2]))
         else:
-            ops.append(filter_(op_id, prev, step="S", mod=stage[1],
-                               on_meta=stage[2]))
+            ops.append(filter_(op_id, prev, step="S", mod=stage[1]))
         prev = op_id
     ops.append(materialize("out", prev, step="S", blame="out"))
     return LogicalPlan(name="prop", ops=tuple(ops)).validate()
 
 
 # ----------------------------------------------------------------------
-# Reference interpreter (honors the annotations the rules rely on)
+# Reference interpreter
 # ----------------------------------------------------------------------
 
 def _eval_member(member, stream):
@@ -81,12 +77,9 @@ def _eval_member(member, stream):
     if kind == "scan":
         return [(meta, ("scan",)) for meta in range(6)]
     if kind == "map":
+        # Rewrites metadata, so a reordered filter would be observable.
         tag = member.param("tag")
-        if member.param("preserves_meta", False):
-            return [(meta, path + (("map", tag),)) for meta, path in stream]
-        # A meta-rewriting map: pushing a filter through it would be
-        # observable — the rule must never do so.
-        return [(meta + 100 * (tag + 1), path + (("map!", tag),))
+        return [(meta + 100 * (tag + 1), path + (("map", tag),))
                 for meta, path in stream]
     if kind == "flat_map":
         tag = member.param("tag")
@@ -105,7 +98,8 @@ def _eval_member(member, stream):
 
 
 def _interpret(plan):
-    """``{output_id: records}`` over the toy stream, fused-op aware."""
+    """``{materialize_id: records}`` over the toy stream for every
+    childless materialize, fused-op aware."""
     produced = {}
     for carrier in plan.ops:
         if carrier.parents:
@@ -115,7 +109,10 @@ def _interpret(plan):
         for member in fused_members(carrier):
             stream = _eval_member(member, stream)
         produced[carrier.op_id] = stream
-    return {out: produced[out] for out in plan.outputs()}
+    return {
+        op.op_id: produced[op.op_id] for op in plan.ops
+        if op.kind == "materialize" and not plan.children_of(op.op_id)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +122,20 @@ def _interpret(plan):
 @given(_CHAIN)
 @settings(max_examples=60, deadline=None)
 def test_structural_rewrites_preserve_interpretation(stages):
+    # Every fusion site fused, unpriced: what no engine's cost guard
+    # would all accept must still leave the outputs unchanged.
     plan = _build(stages)
-    result = optimize_logical(plan)
-    assert _interpret(result.plan) == _interpret(plan)
+    fused = plan
+    while True:
+        site = next(fusion_sites(fused), None)
+        if site is None:
+            break
+        fused = fuse_pair(fused, *site)
+    assert _interpret(fused) == _interpret(plan)
 
 
-@given(_CHAIN, st.sampled_from(["dask", "spark", "myria"]))
-@settings(max_examples=40, deadline=None)
+@given(_CHAIN, _ENGINES)
+@settings(max_examples=60, deadline=None)
 def test_engine_guarded_rewrites_preserve_interpretation(stages, engine):
     plan = _build(stages)
     result = optimize_for(plan, engine)
@@ -139,27 +143,27 @@ def test_engine_guarded_rewrites_preserve_interpretation(stages, engine):
     assert _interpret(result.plan) == _interpret(plan)
 
 
-@given(_CHAIN)
+@given(_CHAIN, _ENGINES)
 @settings(max_examples=40, deadline=None)
-def test_optimization_is_idempotent(stages):
-    once = optimize_logical(_build(stages))
-    twice = default_optimizer().optimize(once.plan)
+def test_optimization_is_idempotent(stages, engine):
+    once = optimize_for(_build(stages), engine)
+    twice = optimize_for(once.plan, engine)
     assert twice.firings == ()
     assert twice.plan.fingerprints() == once.plan.fingerprints()
 
 
-@given(_CHAIN)
+@given(_CHAIN, _ENGINES)
 @settings(max_examples=40, deadline=None)
-def test_optimized_plans_validate_and_keep_outputs(stages):
+def test_optimized_plans_validate_and_keep_outputs(stages, engine):
     plan = _build(stages)
-    optimized = optimize_logical(plan).plan
+    optimized = optimize_for(plan, engine).plan
     optimized.validate()  # idempotent re-lint must not raise
-    assert optimized.outputs() == plan.outputs()
+    assert _interpret(optimized).keys() == _interpret(plan).keys()
 
 
-@given(_CHAIN)
+@given(_CHAIN, _ENGINES)
 @settings(max_examples=40, deadline=None)
-def test_fingerprint_is_deterministic(stages):
+def test_fingerprint_is_deterministic(stages, engine):
     plan = _build(stages)
-    assert optimize_logical(plan).fingerprint() == \
-        optimize_logical(plan).fingerprint()
+    assert optimize_for(plan, engine).fingerprint() == \
+        optimize_for(plan, engine).fingerprint()
