@@ -9,13 +9,14 @@ A failure means the current tree's simulated makespan drifted more
 than the tolerance past the committed baseline.  If the change is an
 intentional cost-model or scheduling change, regenerate the baselines::
 
-    PYTHONPATH=src python -m repro.harness ledger fig10a fig10b fig10c \
-        fig10d fig11 fig12a fig12b fig12c fig12d fig13 fig15 f16 \
-        --quick --optimize
+    PYTHONPATH=src python -m repro.harness ledger $(ls benchmarks/ledger \
+        | sed 's/-quick.json$//' | grep -vx opt) --quick --optimize
 
-(``--optimize`` adds ``opt-quick.json``.)  CI's ``parallel-harness`` job
-compares the same thirteen files byte for byte; this gate is the
-tolerant one, for a tree whose cost model moved on purpose.
+(``--optimize`` adds ``opt-quick.json``.)  Every
+``benchmarks/ledger/<id>-quick.json`` is a baseline, so adding a file
+there adds it to this gate.  CI's ``parallel-harness`` job compares the
+same files byte for byte; this gate is the tolerant one, for a tree
+whose cost model moved on purpose.
 """
 
 import os
@@ -26,9 +27,9 @@ import pytest
 from repro.obs.ledger import compare_snapshots, format_compare, load_snapshot
 
 LEDGER_DIR = Path(__file__).parent / "ledger"
-BASELINES = ("fig10a", "fig10b", "fig10c", "fig10d", "fig11",
-             "fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig15",
-             "f16", "opt")
+BASELINES = sorted(
+    path.name[:-len("-quick.json")] for path in LEDGER_DIR.glob("*-quick.json")
+)
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_LEDGER_GATE"),
@@ -40,12 +41,7 @@ pytestmark = pytest.mark.skipif(
 def test_quick_run_matches_baseline(name, capsys):
     from repro.harness.__main__ import build_experiment_snapshot
 
-    baseline_path = LEDGER_DIR / f"{name}-quick.json"
-    assert baseline_path.exists(), (
-        f"missing baseline {baseline_path}; regenerate with"
-        f" 'python -m repro.harness ledger {name} --quick'"
-    )
-    baseline = load_snapshot(baseline_path)
+    baseline = load_snapshot(LEDGER_DIR / f"{name}-quick.json")
     candidate = build_experiment_snapshot(name, quick=True)
     capsys.readouterr()
     report = compare_snapshots(baseline, candidate)

@@ -11,11 +11,10 @@ Mirrors the usage in the paper's Figure 7:
     ''')
 """
 
-from repro.engines.base import Engine, as_costed, nominal_bytes_of
+from repro.engines.base import Engine, as_costed
 from repro.engines.myria.myrial import parse
-from repro.engines.myria.plan import MyriaServer
+from repro.engines.myria.plan import MyriaServer, S3Relation
 from repro.engines.myria.relation import Relation, Schema
-from repro.cluster.task import Task
 
 #: The paper's tuned optimum: "four workers per node yields the best
 #: results" (Section 5.3.1, Figure 13).
@@ -60,9 +59,6 @@ class MyriaConnection(Engine):
         that know which files matter (e.g. one sky band's exposures)
         hand over just those.
         """
-        from repro.engines.myria.plan import S3Relation
-        from repro.engines.myria.relation import Schema
-
         store = self.cluster.object_store
         if keys is None:
             keys = store.list_keys(bucket, prefix)
@@ -90,41 +86,20 @@ class MyriaConnection(Engine):
         if not keys:
             raise ValueError(f"no objects under s3://{bucket}/{prefix}")
         server = self.server
-        schema = Schema(columns)
-        sharded = server.create_relation(table, schema, partition_column)
-        cm = self.cluster.cost_model
+        sharded = server.create_relation(table, Schema(columns), partition_column)
 
-        groups = [keys[w::server.n_workers] for w in range(server.n_workers)]
-        tasks = []
-        for worker, group in enumerate(groups):
-            storage = server.storages[worker]
+        def download(worker):
+            group = keys[worker::server.n_workers]
+            rows = [loader(store.get(bucket, key)) for key in group]
+            nbytes = sum(store.size_of(bucket, key) for key in group)
+            seconds = self.cluster.network.s3_download_time(
+                nbytes, n_objects=max(1, len(group))
+            ) * server.workers_per_node
+            return rows, seconds
 
-            def run(worker=worker, group=group, storage=storage):
-                rows = [loader(store.get(bucket, key)) for key in group]
-                storage.insert_rows(table, rows)
-                return rows
-
-            def cost(worker=worker, group=group):
-                nbytes = sum(store.size_of(bucket, key) for key in group)
-                rows = [loader(store.get(bucket, key)) for key in group]
-                total = self.cluster.network.s3_download_time(
-                    nbytes, n_objects=max(1, len(group))
-                ) * server.workers_per_node
-                total += len(rows) * cm.myria_insert_per_tuple
-                row_bytes = sum(nominal_bytes_of(r) for r in rows)
-                total += cm.disk_write_time(row_bytes) * server.workers_per_node
-                return total
-
-            tasks.append(
-                Task(
-                    f"myria-ingest-{table}-w{worker}",
-                    fn=run,
-                    duration=cost,
-                    node=server.worker_node(worker),
-                    op=op,
-                )
-            )
-        self.cluster.run(tasks)
+        server.insert_shards(
+            table, f"myria-ingest-{table}", "myria-ingest", download, op=op
+        )
         return sharded
 
 
@@ -136,19 +111,17 @@ class MyriaQuery:
         self.results = results
 
     @classmethod
-    def submit(cls, connection, text, mode="pipelined", chunks=1, ops=None):
+    def submit(cls, connection, text, mode="pipelined", ops=None):
         """Parse and execute MyriaL ``text``; returns a MyriaQuery.
 
-        ``mode``/``chunks`` select the memory-management strategy of
-        Figure 15 ("pipelined", "materialized", or "chunked").  ``ops``
-        is a :class:`PlanQuery`'s statement -> plan-op association; a
+        ``mode`` selects the memory-management strategy of Figure 15
+        ("pipelined" or "materialized").  ``ops`` is a
+        :class:`PlanQuery`'s statement -> plan-op association; a
         statement it does not name runs under the caller's provenance
         scope.
         """
         program = parse(text)
-        results = connection.server.execute(
-            program, mode=mode, chunks=chunks, ops=ops
-        )
+        results = connection.server.execute(program, mode=mode, ops=ops)
         return cls(connection, results)
 
     def relation(self, name):

@@ -289,7 +289,7 @@ class LoweredNeuro(LoweredPlan):
             self.masks[subj] = mask.array.astype(bool)
         return dict(self.masks)
 
-    def run(self, subjects, mode="pipelined", chunks=1, source="s3"):
+    def run(self, subjects, mode="pipelined", source="s3"):
         """End-to-end neuroscience pipeline on Myria.
 
         ``source`` is ``"s3"`` (the paper's end-to-end path: read staged
@@ -312,9 +312,7 @@ class LoweredNeuro(LoweredPlan):
             self.register_udfs(
                 subjects, mask_fraction=common.mean_masked_fraction(masks)
             )
-            query = pipeline_query(self.plan).submit(
-                self.conn, mode=mode, chunks=chunks
-            )
+            query = pipeline_query(self.plan).submit(self.conn, mode=mode)
             fitted = query.relation("Fitted")
         fa_by_subject = {}
         for subj, block_id, fa_block in fitted.rows:

@@ -1,7 +1,7 @@
 """Physical query execution for miniMyria.
 
 A parsed MyriaL :class:`~repro.engines.myria.myrial.Program` executes
-statement by statement across the workers.  Three execution modes model
+statement by statement across the workers.  Two execution modes model
 the memory-management trade-off of Section 5.3.2 / Figure 15:
 
 - ``"pipelined"`` -- intermediates stay in worker memory for the whole
@@ -9,11 +9,16 @@ the memory-management trade-off of Section 5.3.2 / Figure 15:
   outgrows the cluster).
 - ``"materialized"`` -- every statement's output is written to local
   disk and read back by the next (8-11% slower in the paper).
-- ``"chunked"`` -- the materialized plan runs serially over ``chunks``
-  subsets of the input (15-23% slower; survives the largest inputs).
 
-Worker-per-node contention reproduces Figure 13: more workers increase
-parallelism until they compete for cores, memory bandwidth and disk.
+Figure 15's third bar, the input processed in pieces (15-23% slower;
+survives the largest inputs), is a series of materialized queries over
+bands of the sky: ``mode="multiquery"`` of the astronomy lowering's
+``run``.
+
+Every per-worker step runs through :meth:`MyriaServer.run_workers`,
+which prices each task in the pass that computes it.  Worker-per-node
+contention reproduces Figure 13: more workers increase parallelism
+until they compete for cores, memory bandwidth and disk.
 """
 
 from repro.cluster.errors import NodeCrashedError
@@ -44,7 +49,7 @@ from repro.engines.myria.relation import Schema
 from repro.engines.myria.storage import ShardedRelation, WorkerStorage
 from repro.obs.spans import PSEUDO_RECOVERY
 
-EXECUTION_MODES = ("pipelined", "materialized", "chunked")
+EXECUTION_MODES = ("pipelined", "materialized")
 
 
 def _make_builtin_udfs():
@@ -188,6 +193,35 @@ class MyriaServer:
         """Worker-level CPU cost adjusted for overlap and contention."""
         return seconds * self.contention_factor() / self.overlap_factor()
 
+    def run_workers(self, label, category, work, op=None):
+        """One task per worker, pinned to its node and named
+        ``<label>-w<worker>``, all in one ``cluster.run``.
+
+        ``work(worker)`` returns ``(value, seconds)``: the task's value
+        and its price, computed in one pass.  Returns the values in
+        worker order.
+        """
+        tasks = []
+        for worker in range(self.n_workers):
+            cell = {}
+
+            def run(worker=worker, cell=cell):
+                value, cell["seconds"] = work(worker)
+                return value
+
+            tasks.append(
+                Task(
+                    f"{label}-w{worker}",
+                    fn=run,
+                    duration=lambda cell=cell: cell["seconds"],
+                    node=self.worker_node(worker),
+                    category=category,
+                    op=op,
+                )
+            )
+        results = self.cluster.run(tasks)
+        return [results[task.task_id].value for task in tasks]
+
     # ------------------------------------------------------------------
     # Catalog / ingest
     # ------------------------------------------------------------------
@@ -204,6 +238,25 @@ class MyriaServer:
             storage.create_table(name, schema)
         return sharded
 
+    def insert_shards(self, table, label, category, fetch, op=None):
+        """Each worker appends rows to its shard of ``table``: the one
+        insert path of ingest, driver-side inserts and ``STORE``.
+
+        ``fetch(worker)`` returns ``(rows, seconds)``, the worker's rows
+        and what obtaining them costs; each row then costs one insert
+        and its bytes' share of the node's disk bandwidth.
+        """
+        cm = self.cluster.cost_model
+
+        def work(worker):
+            rows, seconds = fetch(worker)
+            n_rows, nbytes = self.storages[worker].insert_rows(table, rows)
+            seconds += n_rows * cm.myria_insert_per_tuple
+            seconds += cm.disk_write_time(nbytes) * self.workers_per_node
+            return rows, seconds
+
+        return self.run_workers(label, category, work, op=op)
+
     def insert_relation(self, relation, partition_column, op=None):
         """Insert a driver-side relation, hash-partitioned (used by tests
         and small metadata tables)."""
@@ -211,33 +264,12 @@ class MyriaServer:
             relation.name, relation.schema, partition_column
         )
         shards = sharded.shard_rows(relation.rows)
-        cm = self.cluster.cost_model
-        tasks = []
-        for worker, rows in enumerate(shards):
-            storage = self.storages[worker]
-
-            def run(storage=storage, rows=rows):
-                storage.insert_rows(relation.name, rows)
-
-            nbytes = rows_bytes(rows)
-            duration = (
-                len(rows) * cm.myria_insert_per_tuple
-                + cm.disk_write_time(nbytes) * self.workers_per_node
+        label = f"myria-insert-{relation.name}"
+        with self.cluster.obs.span(label, category="myria"):
+            self.insert_shards(
+                relation.name, label, "myria-ingest",
+                lambda worker: (shards[worker], 0.0), op=op,
             )
-            tasks.append(
-                Task(
-                    f"myria-insert-{relation.name}-w{worker}",
-                    fn=run,
-                    duration=duration,
-                    node=self.worker_node(worker),
-                    category="myria-ingest",
-                    op=op,
-                )
-            )
-        with self.cluster.obs.span(
-            f"myria-insert-{relation.name}", category="myria",
-        ):
-            self.cluster.run(tasks)
         return sharded
 
     # ------------------------------------------------------------------
@@ -249,7 +281,7 @@ class MyriaServer:
     #: query once the node rejoins.
     MAX_QUERY_RESTARTS = 3
 
-    def execute(self, program, mode="pipelined", chunks=1, ops=None):
+    def execute(self, program, mode="pipelined", ops=None):
         """Run a parsed program; returns ``{name: Intermediate}`` for
         every assignment plus stored relations in the catalog.
 
@@ -266,15 +298,9 @@ class MyriaServer:
         """
         if mode not in EXECUTION_MODES:
             raise ValueError(f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
-        if mode == "chunked" and chunks < 2:
-            raise ValueError("chunked mode requires chunks >= 2")
-        if mode != "chunked":
-            chunks = 1
         self._ops = ops or {}
 
-        with self.cluster.obs.span(
-            "myria-query", category="myria", mode=mode, chunks=chunks,
-        ):
+        with self.cluster.obs.span("myria-query", category="myria", mode=mode):
             for attempt in range(self.MAX_QUERY_RESTARTS + 1):
                 self.cluster.charge_master(
                     self.cluster.cost_model.myria_query_startup,
@@ -284,31 +310,13 @@ class MyriaServer:
                 self._stored_this_query = []
                 try:
                     try:
-                        return self._execute_program(program, mode, chunks)
+                        return self._execute_program(program, mode)
                     finally:
                         self._release_resident()
                 except NodeCrashedError as exc:
                     if attempt >= self.MAX_QUERY_RESTARTS or exc.recover_at is None:
                         raise
                     self._restart_after_crash(exc)
-
-    def _execute_program(self, program, mode, chunks):
-        if chunks == 1:
-            return self._execute_once(program, mode, chunk=(0, 1))
-        merged = {}
-        for chunk_index in range(chunks):
-            partial = self._execute_once(
-                program, "materialized", chunk=(chunk_index, chunks)
-            )
-            for name, intermediate in partial.items():
-                if name not in merged:
-                    merged[name] = intermediate
-                else:
-                    for w in range(self.n_workers):
-                        merged[name].shards[w].extend(
-                            intermediate.shards[w]
-                        )
-        return merged
 
     def _restart_after_crash(self, exc):
         """Roll back the aborted attempt and wait for the node to rejoin."""
@@ -329,14 +337,14 @@ class MyriaServer:
     #: if an iterative analysis needs more).
     MAX_LOOP_ITERATIONS = 1000
 
-    def _execute_once(self, program, mode, chunk):
+    def _execute_program(self, program, mode):
         env = {}
         results = {}
         for statement in program.statements:
-            self._execute_statement(statement, env, results, mode, chunk)
+            self._execute_statement(statement, env, results, mode)
         return results
 
-    def _execute_statement(self, statement, env, results, mode, chunk):
+    def _execute_statement(self, statement, env, results, mode):
         from repro.engines.myria.myrial import DoWhile
 
         if isinstance(statement, Assign):
@@ -349,7 +357,7 @@ class MyriaServer:
                 env[statement.name] = _ScanRef(sharded)
             else:
                 intermediate = self._run_query(
-                    statement.name, statement.source, env, mode, chunk
+                    statement.name, statement.source, env, mode
                 )
                 env[statement.name] = intermediate
                 results[statement.name] = intermediate
@@ -361,7 +369,7 @@ class MyriaServer:
         elif isinstance(statement, DoWhile):
             for _iteration in range(self.MAX_LOOP_ITERATIONS):
                 for inner in statement.body:
-                    self._execute_statement(inner, env, results, mode, chunk)
+                    self._execute_statement(inner, env, results, mode)
                 condition = env.get(statement.condition)
                 if condition is None:
                     raise KeyError(
@@ -381,24 +389,22 @@ class MyriaServer:
 
     # -- query body -------------------------------------------------------
 
-    def _run_query(self, name, query, env, mode, chunk):
+    def _run_query(self, name, query, env, mode):
         obs = self.cluster.obs
         # A fused statement's own tasks belong to the last op it realises.
         op = self._ops.get(name, (None,))[-1]
         with obs.span(f"myria-{name}", category="myria"), obs.provenance(op):
-            return self._run_query_inner(name, query, env, mode, chunk)
+            return self._run_query_inner(name, query, env, mode)
 
-    def _run_query_inner(self, name, query, env, mode, chunk):
+    def _run_query_inner(self, name, query, env, mode):
         join_conditions, selections = split_conditions(query.conditions)
 
         if len(query.froms) == 1:
-            shards, refs = self._resolve_input(
-                query.froms[0], env, selections, chunk
-            )
+            shards, refs = self._resolve_input(query.froms[0], env, selections)
             selections_left = [] if self._pushed_down(query.froms[0], env) else selections
         elif len(query.froms) == 2:
             shards, refs = self._join_inputs(
-                query.froms, env, join_conditions, selections, chunk
+                query.froms, env, join_conditions, selections
             )
             selections_left = [
                 s for f in query.froms
@@ -421,10 +427,14 @@ class MyriaServer:
             raise ValueError("cannot mix UDA and UNNEST in one emit list")
 
         if has_uda:
-            return self._aggregate(name, query, shards, refs, selections_left, mode)
-        return self._project(
-            name, query, shards, refs, selections_left, mode, flatmap=has_unnest
-        )
+            out_shards = self._aggregate(name, query, shards, refs, selections_left)
+        else:
+            out_shards = self._project(
+                name, query, shards, refs, selections_left, flatmap=has_unnest
+            )
+        intermediate = Intermediate(name, self._output_columns(query), out_shards)
+        self._account_intermediate(intermediate, mode)
+        return intermediate
 
     def _condition_alias(self, condition):
         for side in (condition.left, condition.right):
@@ -435,135 +445,85 @@ class MyriaServer:
     def _pushed_down(self, from_item, env):
         return isinstance(env.get(from_item.name), _ScanRef)
 
-    def _resolve_input(self, from_item, env, selections, chunk):
+    def _resolve_input(self, from_item, env, selections):
         source = env.get(from_item.name)
         if source is None:
             raise KeyError(f"unknown relation alias {from_item.name!r}")
         if isinstance(source, _ScanRef):
-            return self._scan_shards(
-                from_item.name, source.sharded, selections, chunk
-            )
+            return self._scan_shards(from_item.name, source.sharded, selections)
         shards = [list(s) for s in source.shards]
-        shards = self._select_chunk(shards, chunk)
         refs = build_column_map(from_item.name, source.columns)
         if source.on_disk:
             self._charge_shard_reads(source)
         return shards, refs
 
-    def _select_chunk(self, shards, chunk):
-        index, total = chunk
-        if total == 1:
-            return shards
-        return [s[index::total] for s in shards]
-
-    def _scan_shards(self, alias, sharded, selections, chunk):
-        """Parallel storage scan with selection pushdown (Figure 12a)."""
-        if isinstance(sharded, S3Relation):
-            return self._scan_s3(alias, sharded, selections, chunk)
-        cm = self.cluster.cost_model
-        refs = build_column_map(alias, sharded.schema.columns)
-
+    def _pushdown(self, alias, refs, selections):
+        """Row predicate of the selections on ``alias``, or ``None``."""
         applicable = [
             s for s in selections if self._condition_alias(s) in ("", alias)
         ]
+        if not applicable:
+            return None
 
         def predicate(row):
-            ctx = RowContext(refs, row)
-            return all(check_condition(c, ctx, self.udfs) for c in applicable)
+            return self._passes(RowContext(refs, row), applicable)
 
-        shards = []
-        tasks = []
-        outputs = [None] * self.n_workers
-        for worker in range(self.n_workers):
+        return predicate
+
+    def _passes(self, ctx, selections):
+        return all(check_condition(c, ctx, self.udfs) for c in selections)
+
+    def _scan_shards(self, alias, sharded, selections):
+        """Parallel storage scan with selection pushdown (Figure 12a)."""
+        refs = build_column_map(alias, sharded.schema.columns)
+        predicate = self._pushdown(alias, refs, selections)
+        if isinstance(sharded, S3Relation):
+            return self._scan_s3(sharded, predicate), refs
+        cm = self.cluster.cost_model
+
+        def work(worker):
             storage = self.storages[worker]
+            rows, scanned, _matched = storage.scan(sharded.name, predicate)
+            seconds = storage.row_count(sharded.name) * cm.myria_index_scan_per_tuple
+            seconds += cm.disk_read_time(scanned) * self.workers_per_node
+            seconds += cm.myria_operator_overhead
+            return rows, seconds
 
-            def run(worker=worker, storage=storage):
-                rows, scanned, _matched = storage.scan(
-                    sharded.name, predicate if applicable else None
-                )
-                outputs[worker] = (rows, scanned)
-                return rows
+        return self.run_workers(
+            f"myria-scan-{sharded.name}", "myria-scan", work
+        ), refs
 
-            def cost(worker=worker, storage=storage):
-                rows, scanned = outputs[worker]
-                total = storage.row_count(sharded.name) * cm.myria_index_scan_per_tuple
-                total += cm.disk_read_time(scanned) * self.workers_per_node
-                total += cm.myria_operator_overhead
-                return total * 1.0
-
-            tasks.append(
-                Task(
-                    f"myria-scan-{sharded.name}-w{worker}",
-                    fn=run,
-                    duration=cost,
-                    node=self.worker_node(worker),
-                    category="myria-scan",
-                )
-            )
-        results = self.cluster.run(tasks)
-        for worker, task in enumerate(tasks):
-            shards.append(results[task.task_id].value)
-        shards = self._select_chunk(shards, chunk)
-        return shards, refs
-
-    def _scan_s3(self, alias, relation, selections, chunk):
+    def _scan_s3(self, relation, predicate):
         """Parallel S3 scan (no pushdown into opaque staged objects)."""
         cm = self.cluster.cost_model
         store = self.cluster.object_store
-        refs = build_column_map(alias, relation.schema.columns)
-        applicable = [
-            s for s in selections if self._condition_alias(s) in ("", alias)
-        ]
 
-        def predicate(row):
-            ctx = RowContext(refs, row)
-            return all(check_condition(c, ctx, self.udfs) for c in applicable)
-
-        tasks = []
-        shards = []
-        for worker in range(self.n_workers):
+        def work(worker):
             keys = relation.worker_keys(worker)
+            rows = [relation.loader(store.get(relation.bucket, k)) for k in keys]
+            if predicate is not None:
+                rows = [r for r in rows if predicate(r)]
+            nbytes = sum(store.size_of(relation.bucket, k) for k in keys)
+            # Workers on one node share its S3 bandwidth.
+            seconds = self.cluster.network.s3_download_time(
+                nbytes, n_objects=max(1, len(keys))
+            ) * self.workers_per_node
+            seconds += cm.unpickle_time(nbytes)
+            seconds += cm.myria_operator_overhead
+            return rows, seconds
 
-            def run(keys=keys):
-                rows = [relation.loader(store.get(relation.bucket, k)) for k in keys]
-                if applicable:
-                    rows = [r for r in rows if predicate(r)]
-                return rows
+        return self.run_workers(
+            f"myria-s3scan-{relation.name}", "myria-ingest", work
+        )
 
-            def cost(keys=keys):
-                nbytes = sum(store.size_of(relation.bucket, k) for k in keys)
-                # Workers on one node share its S3 bandwidth.
-                total = self.cluster.network.s3_download_time(
-                    nbytes, n_objects=max(1, len(keys))
-                ) * self.workers_per_node
-                total += cm.unpickle_time(nbytes)
-                total += cm.myria_operator_overhead
-                return total
-
-            tasks.append(
-                Task(
-                    f"myria-s3scan-{relation.name}-w{worker}",
-                    fn=run,
-                    duration=cost,
-                    node=self.worker_node(worker),
-                    category="myria-ingest",
-                )
-            )
-        results = self.cluster.run(tasks)
-        for task in tasks:
-            shards.append(results[task.task_id].value)
-        shards = self._select_chunk(shards, chunk)
-        return shards, refs
-
-    def _join_inputs(self, froms, env, join_conditions, selections, chunk):
+    def _join_inputs(self, froms, env, join_conditions, selections):
         """Two-way join: broadcast when flagged, else repartition both."""
         if not join_conditions:
             raise ValueError("joins require at least one equi-join condition")
-        cm = self.cluster.cost_model
 
         sides = []
         for from_item in froms:
-            shards, refs = self._resolve_input(from_item, env, selections, chunk)
+            shards, refs = self._resolve_input(from_item, env, selections)
             sides.append((from_item, shards, refs))
 
         broadcast_side = next(
@@ -657,12 +617,14 @@ class MyriaServer:
             for dest, rows_out in enumerate(shard_by_key(rows, key_indices, self.n_workers)):
                 new_shards[dest].extend(rows_out)
 
-        tasks = []
-        for worker in range(self.n_workers):
-            nbytes = rows_bytes(new_shards[worker])
+        # Priced before the run: the exchange's traffic is tallied by
+        # the network model as it is priced.
+        seconds = []
+        for rows in new_shards:
+            nbytes = rows_bytes(rows)
             # Workers sharing a node also share its NIC during the
             # all-to-all exchange.
-            duration = (
+            seconds.append(
                 cm.pickle_time(nbytes)
                 + self.cluster.network.transfer_time(
                     int(nbytes * remote_fraction), "shuffle-src", "shuffle-dst"
@@ -670,70 +632,36 @@ class MyriaServer:
                 + cm.unpickle_time(nbytes)
                 + cm.myria_operator_overhead
             )
-            tasks.append(
-                Task(
-                    f"myria-shuffle-{label}-w{worker}",
-                    duration=duration,
-                    node=self.worker_node(worker),
-                    category="myria-shuffle",
-                )
-            )
-        self.cluster.run(tasks)
+        self.run_workers(
+            f"myria-shuffle-{label}", "myria-shuffle",
+            lambda worker: (None, seconds[worker]),
+        )
         return new_shards
 
     # -- projection / flatmap / aggregation -------------------------------
 
-    def _project(self, name, query, shards, refs, selections, mode, flatmap):
-        out_columns = self._output_columns(query)
-        tasks = []
+    def _project(self, name, query, shards, refs, selections, flatmap):
         cm = self.cluster.cost_model
 
-        for worker in range(self.n_workers):
-            rows = shards[worker]
+        def work(worker):
+            out = []
+            cpu = 0.0
+            for row in shards[worker]:
+                ctx = RowContext(refs, row)
+                if not self._passes(ctx, selections):
+                    continue
+                if flatmap:
+                    out.extend(self._emit_flatmap(query.emits, ctx))
+                else:
+                    out.append(self._emit_row(query.emits, ctx))
+                for emit in query.emits:
+                    expr = emit.call if isinstance(emit, Unnest) else emit.expr
+                    cpu += expression_cost(expr, ctx, self.udfs)
+            return out, self.cpu_time(cpu) + cm.myria_operator_overhead
 
-            def run(worker=worker, rows=rows):
-                out = []
-                for row in rows:
-                    ctx = RowContext(refs, row)
-                    if not all(
-                        check_condition(c, ctx, self.udfs) for c in selections
-                    ):
-                        continue
-                    if flatmap:
-                        out.extend(self._emit_flatmap(query.emits, ctx))
-                    else:
-                        out.append(self._emit_row(query.emits, ctx))
-                return out
+        return self.run_workers(f"myria-{name}", f"myria-{name}", work)
 
-            def cost(worker=worker, rows=rows):
-                cpu = 0.0
-                for row in rows:
-                    ctx = RowContext(refs, row)
-                    if not all(
-                        check_condition(c, ctx, self.udfs) for c in selections
-                    ):
-                        continue
-                    for emit in query.emits:
-                        expr = emit.call if isinstance(emit, Unnest) else emit.expr
-                        cpu += expression_cost(expr, ctx, self.udfs)
-                return self.cpu_time(cpu) + cm.myria_operator_overhead
-
-            tasks.append(
-                Task(
-                    f"myria-{name}-w{worker}",
-                    fn=run,
-                    duration=cost,
-                    node=self.worker_node(worker),
-                    category=f"myria-{name}",
-                )
-            )
-        results = self.cluster.run(tasks)
-        out_shards = [results[task.task_id].value for task in tasks]
-        intermediate = Intermediate(name, out_columns, out_shards)
-        self._account_intermediate(intermediate, mode)
-        return intermediate
-
-    def _aggregate(self, name, query, shards, refs, selections, mode):
+    def _aggregate(self, name, query, shards, refs, selections):
         """Implicit group-by: shuffle on key columns, then run the UDA."""
         key_emits = [
             e for e in query.emits
@@ -750,7 +678,7 @@ class MyriaServer:
             out = []
             for row in rows:
                 ctx = RowContext(refs, row)
-                if not all(check_condition(c, ctx, self.udfs) for c in selections):
+                if not self._passes(ctx, selections):
                     continue
                 key = tuple(evaluate(e.expr, ctx, self.udfs) for e in key_emits)
                 args = tuple(
@@ -767,49 +695,22 @@ class MyriaServer:
             op=self._ops.get(name, (None,))[0],
         )
 
-        out_columns = self._output_columns(query)
         cm = self.cluster.cost_model
 
-        tasks = []
-        for worker in range(self.n_workers):
-            rows = shuffled[worker]
+        def work(worker):
+            out = []
+            cpu = 0.0
+            for key, members in group_rows(shuffled[worker], key_indices).items():
+                aggregated = []
+                for uda_index, emit in enumerate(uda_emits):
+                    fn = self.udfs[emit.expr.fname]
+                    arg_lists = list(zip(*(m[-1][uda_index] for m in members)))
+                    aggregated.append(fn(*arg_lists))
+                    cpu += fn.cost(*arg_lists)
+                out.append(tuple(key) + tuple(aggregated))
+            return out, self.cpu_time(cpu) + cm.myria_operator_overhead
 
-            def run(worker=worker, rows=rows):
-                groups = group_rows(rows, key_indices)
-                out = []
-                for key, members in groups.items():
-                    aggregated = []
-                    for uda_index, emit in enumerate(uda_emits):
-                        fn = self.udfs[emit.expr.fname]
-                        arg_lists = list(zip(*(m[-1][uda_index] for m in members)))
-                        aggregated.append(fn(*arg_lists))
-                    out.append(tuple(key) + tuple(aggregated))
-                return out
-
-            def cost(worker=worker, rows=rows):
-                groups = group_rows(rows, key_indices)
-                cpu = 0.0
-                for _key, members in groups.items():
-                    for uda_index, emit in enumerate(uda_emits):
-                        fn = self.udfs[emit.expr.fname]
-                        arg_lists = list(zip(*(m[-1][uda_index] for m in members)))
-                        cpu += fn.cost(*arg_lists)
-                return self.cpu_time(cpu) + cm.myria_operator_overhead
-
-            tasks.append(
-                Task(
-                    f"myria-uda-{name}-w{worker}",
-                    fn=run,
-                    duration=cost,
-                    node=self.worker_node(worker),
-                    category=f"myria-{name}",
-                )
-            )
-        results = self.cluster.run(tasks)
-        out_shards = [results[task.task_id].value for task in tasks]
-        intermediate = Intermediate(name, out_columns, out_shards)
-        self._account_intermediate(intermediate, mode)
-        return intermediate
+        return self.run_workers(f"myria-uda-{name}", f"myria-{name}", work)
 
     def _emit_row(self, emits, ctx):
         return tuple(evaluate(e.expr, ctx, self.udfs) for e in emits)
@@ -865,33 +766,21 @@ class MyriaServer:
         else:
             # Materialize to local disk: charge parallel writes.
             intermediate.on_disk = True
-            tasks = []
-            for worker in range(self.n_workers):
-                nbytes = intermediate.shard_bytes(worker)
-                tasks.append(
-                    Task(
-                        f"myria-materialize-{intermediate.name}-w{worker}",
-                        duration=cm.disk_write_time(nbytes) * self.workers_per_node,
-                        node=self.worker_node(worker),
-                        category="myria-materialize",
-                    )
-                )
-            self.cluster.run(tasks)
+            self.run_workers(
+                f"myria-materialize-{intermediate.name}", "myria-materialize",
+                lambda worker: (None, cm.disk_write_time(
+                    intermediate.shard_bytes(worker)
+                ) * self.workers_per_node),
+            )
 
     def _charge_shard_reads(self, intermediate):
         cm = self.cluster.cost_model
-        tasks = []
-        for worker in range(self.n_workers):
-            nbytes = intermediate.shard_bytes(worker)
-            tasks.append(
-                Task(
-                    f"myria-read-{intermediate.name}-w{worker}",
-                    duration=cm.disk_read_time(nbytes) * self.workers_per_node,
-                    node=self.worker_node(worker),
-                    category="myria-materialize",
-                )
-            )
-        self.cluster.run(tasks)
+        self.run_workers(
+            f"myria-read-{intermediate.name}", "myria-materialize",
+            lambda worker: (None, cm.disk_read_time(
+                intermediate.shard_bytes(worker)
+            ) * self.workers_per_node),
+        )
 
     def _release_resident(self):
         for node, alloc in self._resident:
@@ -906,29 +795,12 @@ class MyriaServer:
         sharded = ShardedRelation(table, schema, partition_column, self.n_workers)
         self.catalog[table] = sharded
         self._stored_this_query.append(table)
-        cm = self.cluster.cost_model
         all_rows = [row for shard in intermediate.shards for row in shard]
         shards = sharded.shard_rows(all_rows)
-        tasks = []
-        for worker, rows in enumerate(shards):
-            storage = self.storages[worker]
+        for storage in self.storages:
             if not storage.has_table(table):
                 storage.create_table(table, schema)
-
-            def run(storage=storage, rows=rows):
-                storage.insert_rows(table, rows)
-
-            nbytes = rows_bytes(rows)
-            tasks.append(
-                Task(
-                    f"myria-store-{table}-w{worker}",
-                    fn=run,
-                    duration=(
-                        len(rows) * cm.myria_insert_per_tuple
-                        + cm.disk_write_time(nbytes) * self.workers_per_node
-                    ),
-                    node=self.worker_node(worker),
-                    category="myria-store",
-                )
-            )
-        self.cluster.run(tasks)
+        self.insert_shards(
+            table, f"myria-store-{table}", "myria-store",
+            lambda worker: (shards[worker], 0.0),
+        )

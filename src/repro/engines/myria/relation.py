@@ -54,10 +54,6 @@ class Schema:
                 f"no column {column!r}; schema has {self.columns}"
             ) from None
 
-    def type_of(self, column):
-        """Type tag of a column."""
-        return self.types[self.index_of(column)]
-
     def __len__(self):
         return len(self.columns)
 

@@ -85,10 +85,6 @@ class SparkScheduler:
                         self._store_cache(node, partitions)
         return partitions
 
-    def cached_partitions(self, rdd):
-        """Stored partitions of a cached RDD, if any."""
-        return self._cache_store.get(rdd.rdd_id)
-
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
@@ -146,8 +142,7 @@ class SparkScheduler:
     def _run_stage(self, plan, upstream, shuffle_partitioner):
         base = plan.base
         if base.rdd_id in self._cache_store:
-            inputs = self._read_cache(base)
-            tasks = self._narrow_tasks(plan, inputs, shuffle_partitioner)
+            tasks = self._cached_tasks(plan, shuffle_partitioner)
         elif base.op == "parallelize":
             tasks = self._parallelize_tasks(plan, shuffle_partitioner)
         elif base.op == "s3_objects":
@@ -249,163 +244,145 @@ class SparkScheduler:
             cost += cm.pickle_time(out_bytes) + cm.disk_write_time(out_bytes)
         return cost
 
+    def _stage_task(self, plan, shuffle_partitioner, suffix, read,
+                    combine=None, **placement):
+        """One task of the running stage, priced in the pass that runs it.
+
+        ``read()`` returns the partition's input records, their nominal
+        bytes and the seconds reading them costs; ``combine(records)``
+        (reduce stages only) returns the combined records and their
+        seconds.  The task then runs the fused narrow chain and buckets
+        its output for the next shuffle.  Its price adds, in this order:
+        the input cost, combine + narrow cost, and the fixed per-task
+        costs.  ``placement`` holds the task's ``node``, ``deps``,
+        ``memory_bytes`` and ``category``.
+        """
+        cell = {}
+
+        def run():
+            records, in_bytes, seconds = read()
+            combine_cost = 0.0
+            if combine is not None:
+                records, combine_cost = combine(records)
+            out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
+            seconds += combine_cost + narrow_cost
+            seconds += self._boundary_and_overhead(
+                in_bytes, nominal_bytes_of(out), shuffle_partitioner
+            )
+            cell["seconds"] = seconds
+            return self._finish_records(out, shuffle_partitioner)
+
+        return Task(
+            f"spark-stage{self.stages_run}-{suffix}",
+            fn=run,
+            duration=lambda: cell["seconds"],
+            on_oom="spill",
+            op=self._stage_op(plan),
+            **placement,
+        )
+
     def _parallelize_tasks(self, plan, shuffle_partitioner):
-        base = plan.base
-        data = base.params["data"]
-        n = base.num_partitions
-        slices = [data[i::n] for i in range(n)]
-        cm = self.sc.cluster.cost_model
+        data = plan.base.params["data"]
+        n = plan.base.num_partitions
+        cluster = self.sc.cluster
+        cm = cluster.cost_model
         category = self._stage_category(plan, "spark-parallelize")
-        stage_op = self._stage_op(plan)
         tasks = []
-        for index, part_records in enumerate(slices):
-            in_bytes = nominal_bytes_of(part_records)
-            cell = {}
+        for index in range(n):
+            records = data[index::n]
+            in_bytes = nominal_bytes_of(records)
 
-            def run(records=part_records, cell=cell):
-                out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
-                cell["narrow_cost"] = narrow_cost
-                cell["out_bytes"] = nominal_bytes_of(out)
-                return self._finish_records(out, shuffle_partitioner)
-
-            def cost(in_bytes=in_bytes, cell=cell):
+            def read(records=records, in_bytes=in_bytes):
                 # Driver ships the slice to the worker.
-                total = cm.pickle_time(in_bytes)
-                total += self.sc.cluster.network.transfer_time(
+                seconds = cm.pickle_time(in_bytes)
+                seconds += cluster.network.transfer_time(
                     in_bytes, "driver", "worker"
                 )
-                total += cell["narrow_cost"]
-                total += self._boundary_and_overhead(
-                    in_bytes, cell["out_bytes"], shuffle_partitioner
-                )
-                return total
+                return records, in_bytes, seconds
 
-            tasks.append(
-                Task(
-                    f"spark-stage{self.stages_run}-part{index}",
-                    fn=run,
-                    duration=cost,
-                    memory_bytes=in_bytes,
-                    on_oom="spill",
-                    category=category,
-                    op=stage_op,
-                )
-            )
+            tasks.append(self._stage_task(
+                plan, shuffle_partitioner, f"part{index}", read,
+                memory_bytes=in_bytes, category=category,
+            ))
         return tasks
 
     def _s3_tasks(self, plan, shuffle_partitioner):
         base = plan.base
-        store = self.sc.cluster.object_store
+        cluster = self.sc.cluster
+        store = cluster.object_store
         bucket = base.params["bucket"]
         keys = base.params["keys"]
         loader = base.params["loader"]
         n = base.num_partitions
         # The Spark S3 API enumerates objects on the master before
         # scheduling the parallel download (Section 5.2.1).
-        cm = self.sc.cluster.cost_model
-        stage_op = self._stage_op(plan)
-        self.sc.cluster.charge_master(
+        cm = cluster.cost_model
+        cluster.charge_master(
             cm.s3_list_time(len(keys)), label="s3 listing",
             category="spark-s3-ingest",
             op=getattr(base, "plan_op", None),
         )
-        groups = [keys[i::n] for i in range(n)]
+        # Concurrent download tasks on one node share its S3 bandwidth.
+        s3_sharing = min(cluster.spec.slots_per_node,
+                         -(-n // cluster.spec.n_nodes))
         tasks = []
-        for index, group in enumerate(groups):
-            if not group:
-                group = []
+        for index in range(n):
+            group = keys[index::n]
             group_bytes = sum(store.size_of(bucket, k) for k in group)
-            cell = {}
 
-            def run(group=group, cell=cell):
+            def read(group=group, group_bytes=group_bytes):
                 records = [loader(store.get(bucket, k)) for k in group]
-                out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
-                cell["narrow_cost"] = narrow_cost
-                cell["out_bytes"] = nominal_bytes_of(out)
-                return self._finish_records(out, shuffle_partitioner)
-
-            def cost(group=group, group_bytes=group_bytes, cell=cell):
-                # Concurrent download tasks on one node share its S3
-                # bandwidth.
-                spec = self.sc.cluster.spec
-                s3_sharing = min(spec.slots_per_node, -(-n // spec.n_nodes))
-                total = self.sc.cluster.network.s3_download_time(
+                seconds = cluster.network.s3_download_time(
                     group_bytes, n_objects=max(1, len(group))
                 ) * s3_sharing
-                total += cm.unpickle_time(group_bytes)
-                total += cell["narrow_cost"]
-                total += self._boundary_and_overhead(
-                    group_bytes, cell["out_bytes"], shuffle_partitioner
-                )
-                return total
+                seconds += cm.unpickle_time(group_bytes)
+                return records, group_bytes, seconds
 
-            tasks.append(
-                Task(
-                    f"spark-stage{self.stages_run}-s3part{index}",
-                    fn=run,
-                    duration=cost,
-                    memory_bytes=group_bytes,
-                    on_oom="spill",
-                    category="spark-s3-ingest",
-                    op=stage_op,
-                )
-            )
+            tasks.append(self._stage_task(
+                plan, shuffle_partitioner, f"s3part{index}", read,
+                memory_bytes=group_bytes, category="spark-s3-ingest",
+            ))
         return tasks
 
-    def _narrow_tasks(self, plan, inputs, shuffle_partitioner):
-        """Stage over already-materialized partitions (cache reads)."""
+    def _cached_tasks(self, plan, shuffle_partitioner):
+        """Stage over a cached RDD's stored partitions."""
         cm = self.sc.cluster.cost_model
         category = self._stage_category(plan, "spark-cache-read")
-        stage_op = self._stage_op(plan)
         tasks = []
-        for index, partition in enumerate(inputs):
-            cell = {}
+        for index, partition in enumerate(self._cache_store[plan.base.rdd_id]):
 
-            def run(partition=partition, cell=cell):
-                out, narrow_cost = self._apply_narrow(
-                    partition.records, plan.narrow_ops
-                )
-                cell["narrow_cost"] = narrow_cost
-                cell["out_bytes"] = nominal_bytes_of(out)
-                return self._finish_records(out, shuffle_partitioner)
-
-            def cost(partition=partition, cell=cell):
-                total = 0.0
+            def read(partition=partition):
+                seconds = 0.0
                 if partition.on_disk:
-                    total += cm.disk_read_time(partition.nominal_bytes)
-                total += cell["narrow_cost"]
-                total += self._boundary_and_overhead(
-                    partition.nominal_bytes, cell["out_bytes"], shuffle_partitioner
-                )
-                return total
+                    seconds += cm.disk_read_time(partition.nominal_bytes)
+                return partition.records, partition.nominal_bytes, seconds
 
-            tasks.append(
-                Task(
-                    f"spark-stage{self.stages_run}-cached{index}",
-                    fn=run,
-                    duration=cost,
-                    node=partition.node,  # locality: cache lives there
-                    # Lineage link (timing-neutral: zero output bytes):
-                    # if the cached partition died with its node, the
-                    # executor recomputes it before this task runs.
-                    deps=[partition.task] if partition.task is not None else (),
-                    memory_bytes=partition.nominal_bytes,
-                    on_oom="spill",
-                    category=category,
-                    op=stage_op,
-                )
-            )
+            tasks.append(self._stage_task(
+                plan, shuffle_partitioner, f"cached{index}", read,
+                node=partition.node,  # locality: cache lives there
+                # Lineage link (timing-neutral: zero output bytes): if
+                # the cached partition died with its node, the executor
+                # recomputes it before this task runs.
+                deps=[partition.task] if partition.task is not None else (),
+                memory_bytes=partition.nominal_bytes,
+                category=category,
+            ))
         return tasks
 
     def _reduce_tasks(self, plan, upstream, shuffle_partitioner):
         """Shuffle-read side of a wide op, with fused narrow follow-ups."""
         base = plan.base
-        cm = self.sc.cluster.cost_model
+        cluster = self.sc.cluster
+        cm = cluster.cost_model
         n_reducers = base.num_partitions
-        n_nodes = self.sc.cluster.spec.n_nodes
-        remote_fraction = (n_nodes - 1) / n_nodes if n_nodes > 1 else 0.0
-
-        stage_op = self._stage_op(plan)
+        spec = cluster.spec
+        remote_fraction = (
+            (spec.n_nodes - 1) / spec.n_nodes if spec.n_nodes > 1 else 0.0
+        )
+        # Concurrent reducers on a node share its NIC, so each task's
+        # shuffle read is slowed by the per-node task concurrency
+        # (bounded by how many reducers exist).
+        nic_sharing = min(spec.slots_per_node, -(-n_reducers // spec.n_nodes))
 
         if base.op == "repartition":
             # Upstream produced plain record lists; round-robin them.
@@ -419,79 +396,52 @@ class SparkScheduler:
         else:
             upstream_buckets = [p.records for p in upstream]  # dicts
 
+        def combine(records):
+            if base.op == "groupByKey":
+                grouped = {}
+                for key, value in records:
+                    grouped.setdefault(key, []).append(value)
+                return list(grouped.items()), 0.0
+            if base.op == "reduceByKey":
+                cost = 0.0
+                reduced = {}
+                for key, value in records:
+                    if key in reduced:
+                        cost += base.fn.cost(reduced[key], value)
+                        reduced[key] = base.fn(reduced[key], value)
+                    else:
+                        reduced[key] = value
+                return list(reduced.items()), cost
+            return records, 0.0  # repartition
+
+        # Lineage links to every map-side partition (a wide dependency):
+        # lost shuffle outputs recompute first.
+        deps = [p.task for p in upstream if p.task is not None]
         tasks = []
         for reducer in range(n_reducers):
-            cell = {}
 
-            def gather(reducer=reducer):
+            def read(reducer=reducer):
                 records = []
                 for bucket_map in upstream_buckets:
                     records.extend(bucket_map.get(reducer, []))
-                return records
-
-            def run(reducer=reducer, cell=cell):
-                records = gather(reducer)
-                cell["in_bytes"] = nominal_bytes_of(records)
-                combine_cost = 0.0
-                if base.op == "groupByKey":
-                    grouped = {}
-                    for key, value in records:
-                        grouped.setdefault(key, []).append(value)
-                    mid = [(k, vs) for k, vs in grouped.items()]
-                elif base.op == "reduceByKey":
-                    reduced = {}
-                    for key, value in records:
-                        if key in reduced:
-                            combine_cost += base.fn.cost(reduced[key], value)
-                            reduced[key] = base.fn(reduced[key], value)
-                        else:
-                            reduced[key] = value
-                    mid = list(reduced.items())
-                else:  # repartition
-                    mid = records
-                out, narrow_cost = self._apply_narrow(mid, plan.narrow_ops)
-                cell["compute_cost"] = combine_cost + narrow_cost
-                cell["out_bytes"] = nominal_bytes_of(out)
-                return self._finish_records(out, shuffle_partitioner)
-
-            def cost(cell=cell):
-                in_bytes = cell["in_bytes"]
-                total = cm.disk_read_time(in_bytes)
-                # Concurrent reducers on a node share its NIC, so each
-                # task's shuffle read is slowed by the per-node task
-                # concurrency (bounded by how many reducers exist).
-                spec = self.sc.cluster.spec
-                nic_sharing = min(
-                    spec.slots_per_node,
-                    -(-n_reducers // spec.n_nodes),
-                )
-                total += self.sc.cluster.network.transfer_time(
+                in_bytes = nominal_bytes_of(records)
+                seconds = cm.disk_read_time(in_bytes)
+                seconds += cluster.network.transfer_time(
                     int(in_bytes * remote_fraction), "maps", "reduce"
                 ) * nic_sharing
-                total += cm.unpickle_time(in_bytes)
-                total += cell["compute_cost"]
-                total += self._boundary_and_overhead(
-                    in_bytes, cell["out_bytes"], shuffle_partitioner
-                )
-                return total
+                seconds += cm.unpickle_time(in_bytes)
+                return records, in_bytes, seconds
 
-            in_estimate = sum(
-                nominal_bytes_of(bm.get(reducer, [])) for bm in upstream_buckets
-            )
-            tasks.append(
-                Task(
-                    f"spark-stage{self.stages_run}-reduce{reducer}",
-                    fn=run,
-                    duration=cost,
-                    # Lineage links to every map-side partition (a wide
-                    # dependency): lost shuffle outputs recompute first.
-                    deps=[p.task for p in upstream if p.task is not None],
-                    memory_bytes=in_estimate,
-                    on_oom="spill",
-                    category="spark-shuffle",
-                    op=stage_op,
-                )
-            )
+            tasks.append(self._stage_task(
+                plan, shuffle_partitioner, f"reduce{reducer}", read,
+                combine=combine,
+                deps=deps,
+                memory_bytes=sum(
+                    nominal_bytes_of(bm.get(reducer, []))
+                    for bm in upstream_buckets
+                ),
+                category="spark-shuffle",
+            ))
         return tasks
 
     # ------------------------------------------------------------------
@@ -530,6 +480,3 @@ class SparkScheduler:
                     )
                 )
         self._cache_store[rdd.rdd_id] = stored
-
-    def _read_cache(self, rdd):
-        return self._cache_store[rdd.rdd_id]

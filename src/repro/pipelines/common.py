@@ -48,14 +48,6 @@ def denoise_cost_unmasked(cost_model):
     return cost
 
 
-def mean_volume_cost(cost_model):
-    """Mean volume cost."""
-    def cost(*volumes):
-        total = sum(getattr(v, "nominal_elements", np.asarray(v).size) for v in volumes)
-        return total * cost_model.elementwise_per_element
-    return cost
-
-
 def otsu_cost(cost_model):
     """Otsu cost."""
     def cost(volume, *rest):
