@@ -8,7 +8,8 @@ queue per pin), or it only needs a slot anywhere (one id-ordered queue
 for unpinned tasks).  An event then merges the heads of just the queues
 that can act instead of rescanning every ready task, and the merge is by
 task id, so the tasks come out in exactly the order a full scan in id
-order would have reached them.
+order would have reached them.  The set counts its queued tasks, so an
+event that woke nothing and finds every queue empty costs two compares.
 """
 
 from collections import defaultdict
@@ -19,19 +20,21 @@ class ReadySet:
     """Ready tasks, indexed by what holds each one back.
 
     Queues are heaps of ``(task_id, task)``; ids are unique, so tuple
-    comparison never reaches the task object.  ``Task.node`` and
-    ``Task.not_before`` are read when a task is added: whoever changes
-    either on a ready task must take it out (``due`` pops what it
-    yields; ``clear`` drops everything) and add it again.
+    comparison never reaches the task object.  A queue that ``due``
+    empties is dropped.  ``Task.node`` and ``Task.not_before`` are read
+    when a task is added: whoever changes either on a ready task must
+    take it out (``due`` pops what it yields; ``clear`` drops
+    everything) and add it again.
     """
 
-    __slots__ = ("_asleep", "_queues", "_size")
+    __slots__ = ("_asleep", "_queues", "_size", "_queued")
 
     def __init__(self):
         self._asleep = []  # heap of (not_before, task_id, task)
         # pin (node name, or None) -> heap of (task_id, task)
         self._queues = defaultdict(list)
-        self._size = 0
+        self._size = 0  # every task, asleep or queued
+        self._queued = 0  # tasks in ``_queues``
 
     def __len__(self):
         return self._size
@@ -41,6 +44,7 @@ class ReadySet:
         del self._asleep[:]
         self._queues.clear()
         self._size = 0
+        self._queued = 0
 
     def add(self, task, now):
         """Admit one task.
@@ -54,7 +58,14 @@ class ReadySet:
             heappush(self._asleep, (task.not_before, task.task_id, task))
             return True
         heappush(self._queues[task.node], (task.task_id, task))
+        self._queued += 1
         return False
+
+    def has_due(self, now):
+        """Whether :meth:`due` may yield anything at ``now``: a task is
+        queued, or a sleeper's floor has passed."""
+        asleep = self._asleep
+        return self._queued > 0 or (asleep and asleep[0][0] <= now)
 
     def first(self):
         """The lowest-id task, due or not (error reporting)."""
@@ -81,6 +92,7 @@ class ReadySet:
         while asleep and asleep[0][0] <= now:
             _floor, task_id, task = heappop(asleep)
             heappush(queues[task.node], (task_id, task))
+            self._queued += 1
         heads = [(queue[0][0], pin) for pin, queue in queues.items()
                  if queue and can_act(pin)]
         heapify(heads)
@@ -92,8 +104,10 @@ class ReadySet:
             queue = queues[pin]
             task = heappop(queue)[1]
             self._size -= 1
+            self._queued -= 1
             yield task
             if queue:
                 heapreplace(heads, (queue[0][0], pin))
             else:
                 heappop(heads)
+                del queues[pin]

@@ -77,6 +77,12 @@ class Run:
         #: Count of crash and recover events currently in the heap, so
         #: the only-fault-events-left check is one integer compare.
         self.fault_events = 0
+        #: ``{name: node}`` of the nodes that may take work, and the
+        #: free slots across them.  Rederived only where a node dies or
+        #: rejoins (:meth:`refresh_usable`); every slot taken or given
+        #: back adjusts ``free_slots`` by one.
+        self.usable = {}
+        self.free_slots = 0
 
     # -- The loop --
 
@@ -85,6 +91,7 @@ class Run:
         now = self.clock.now
         self.rebuild_schedule(now)
         self.arm_faults(now)
+        self.refresh_usable()
         self.start_candidates()
 
         events = self.events
@@ -144,6 +151,13 @@ class Run:
             for crash in cluster._faults.crashes:
                 if not crash.fired and crash.at_time is not None:
                     self.push_fault(max(crash.at_time, now), self.on_crash, crash)
+
+    def refresh_usable(self):
+        """Rederive ``usable`` and ``free_slots`` from the nodes."""
+        self.usable = self.cluster._usable_nodes()
+        self.free_slots = sum(
+            node.slots - node.busy_slots for node in self.usable.values()
+        )
 
     # -- Readiness --
 
@@ -233,37 +247,31 @@ class Run:
         """Start, in id order, every due task that has somewhere to run;
         a run left with ready tasks and no event to wait for is dead."""
         ready = self.ready
-        if ready:
-            usable = self.cluster._usable_nodes()
-            # Free slots across usable nodes: once this hits zero only
-            # stale pins are still looked at.
-            free = 0
-            for node in usable.values():
-                free += node.slots - node.busy_slots
+        now = self.clock.now
+        if ready.has_due(now):
+            usable = self.usable
 
             def can_act(pin):
                 if pin is None:
-                    return free > 0
+                    # Once no slot is free only stale pins are looked at.
+                    return self.free_slots > 0
                 node = usable.get(pin)
                 # A stale pin is shed (or surfaced) when its turn
                 # comes, whether or not a slot is free.
                 return node is None or node.slots > node.busy_slots
 
-            now = self.clock.now
             for task in ready.due(now, can_act):
                 node = usable.get(task.node)
                 if node is None:
                     if task.node is not None:
                         self.shed_stale_pin(task)
-                    if free <= 0:
+                    if self.free_slots <= 0:
                         # Its stale pin was just shed and nothing is
                         # free: it waits on as an unpinned task.
                         ready.add(task, now)
                         continue
                     node = _emptiest(usable.values())
-                if self.start(task, node):
-                    free -= 1
-                else:
+                if not self.start(task, node):
                     self.records[task.task_id].mem_deferred = True
                     self.oom_waiting.append(task)
         if not self.events and (ready or self.oom_waiting):
@@ -410,6 +418,7 @@ class Run:
         start = self.clock.now
         end = start + transfer + duration
         node.busy_slots += 1
+        self.free_slots -= 1
         node.busy_seconds += transfer + duration
         record = self.records[tid]
         record.node = node.name
@@ -428,6 +437,7 @@ class Run:
         tid = task.task_id
         self.inflight.pop(tid, None)
         node.busy_slots -= 1
+        self.free_slots += 1
         if alloc_id is not None:
             node.memory.free(alloc_id)
         record = self.records.pop(tid)
@@ -468,6 +478,7 @@ class Run:
         self.inflight.pop(tid, None)
         if node.alive:
             node.busy_slots -= 1
+            self.free_slots += 1
         if alloc_id is not None:
             node.memory.free(alloc_id)
         self.attempt_died(task, node, time)
@@ -505,6 +516,7 @@ class Run:
     def on_recover(self, name, _time):
         self.fault_events -= 1
         self.cluster._revive(name)
+        self.refresh_usable()
 
     def on_crash(self, crash, time):
         self.fault_events -= 1
@@ -571,6 +583,7 @@ class Run:
                 task.node = None
         self.resurrect_lost_dependencies()
         self.rebuild_schedule(time)
+        self.refresh_usable()
 
     def requeue(self, killed, node, time, recover_at):
         """Killed attempts run again, bounded by the recovery policy."""

@@ -28,7 +28,7 @@ def nominal_bytes_of(item):
     if isinstance(item, SizedArray):
         return item.nominal_bytes
     nominal = getattr(item, "nominal_bytes", None)
-    if nominal is not None and not callable(nominal):
+    if nominal is not None:
         return int(nominal)
     if isinstance(item, np.ndarray):
         return item.nbytes

@@ -30,6 +30,11 @@ from repro.engines.dask.delayed import Delayed, DelayedFactory
 STEAL_SLACK = 2
 
 
+def _least_loaded(queue_depth):
+    """The node with the shallowest queue, the first by name on ties."""
+    return min(sorted(queue_depth), key=lambda n: queue_depth[n])
+
+
 class DaskClient(Engine):
     """Entry point: build delayed graphs, compute them at barriers."""
 
@@ -41,6 +46,7 @@ class DaskClient(Engine):
         #: hands out; per client, so names depend on the trial alone.
         self.key_counter = itertools.count()
         self._results = {}          # Delayed.key -> value
+        self._result_bytes = {}     # Delayed.key -> nominal bytes of value
         self._result_nodes = {}     # Delayed.key -> node name
         self._result_allocs = {}    # Delayed.key -> (node, alloc_id)
         self._result_epochs = {}    # Delayed.key -> (node, crash_count)
@@ -106,6 +112,7 @@ class DaskClient(Engine):
                 category="dask-scatter",
             )
             self._results[handle.key] = value
+            self._result_bytes[handle.key] = nbytes
             self._result_nodes[handle.key] = placement
             self._result_epochs[handle.key] = (
                 placement, self.cluster.node(placement).crash_count
@@ -145,6 +152,7 @@ class DaskClient(Engine):
                 node, alloc_id = alloc
                 node.memory.free(alloc_id)
             self._results.pop(delayed_node.key, None)
+            self._result_bytes.pop(delayed_node.key, None)
             self._result_nodes.pop(delayed_node.key, None)
             self._result_epochs.pop(delayed_node.key, None)
 
@@ -179,6 +187,7 @@ class DaskClient(Engine):
             if alloc is not None:
                 alloc[0].memory.free(alloc[1])
             self._results.pop(key, None)
+            self._result_bytes.pop(key, None)
             self._result_nodes.pop(key, None)
             self._result_epochs.pop(key, None)
             self.lost_futures += 1
@@ -227,13 +236,15 @@ class DaskClient(Engine):
         for delayed_node in pending:
             task = cluster_tasks[delayed_node.key]
             result = results[task.task_id]
+            # Sized once, by the task body that made the value.
+            nbytes = task.output_bytes
             self._results[delayed_node.key] = result.value
+            self._result_bytes[delayed_node.key] = nbytes
             self._result_nodes[delayed_node.key] = result.node
             self._result_epochs[delayed_node.key] = (
                 result.node, self.cluster.node(result.node).crash_count
             )
             # Results stay resident on the worker until released.
-            nbytes = nominal_bytes_of(result.value)
             if nbytes > 0:
                 node = self.cluster.node(result.node)
                 alloc_id = node.memory.allocate(nbytes, delayed_node.key)
@@ -242,10 +253,14 @@ class DaskClient(Engine):
     def _place(self, delayed_node, queue_depth, cluster_tasks):
         """Locality-preferred placement with deterministic stealing.
 
-        Returns ``(node_name, stolen)``.
+        Returns ``(node_name, stolen)``.  A ``workers`` pin is kept
+        while its node is up; a pin to a crashed node goes, like a
+        byte-preferred node that is down, to the least-loaded survivor.
         """
         if delayed_node.workers is not None:
-            return delayed_node.workers, False
+            if delayed_node.workers in queue_depth:
+                return delayed_node.workers, False
+            return _least_loaded(queue_depth), False
 
         # Prefer the node expected to hold the most input bytes: known
         # exactly for results of earlier barriers, and approximated by
@@ -255,9 +270,8 @@ class DaskClient(Engine):
             node = self._result_nodes.get(dep.key)
             weight = 1
             if node is not None:
-                value = self._results.get(dep.key)
-                if value is not None:
-                    weight = max(1, nominal_bytes_of(value))
+                if self._results.get(dep.key) is not None:
+                    weight = max(1, self._result_bytes[dep.key])
             elif dep.key in cluster_tasks:
                 node = cluster_tasks[dep.key].node
             if node is not None:
@@ -267,13 +281,13 @@ class DaskClient(Engine):
             if preferred not in queue_depth:
                 # The byte-preferred node is down; fall back to the
                 # least-loaded survivor.
-                preferred = min(sorted(queue_depth), key=lambda n: queue_depth[n])
+                preferred = _least_loaded(queue_depth)
         else:
-            preferred = min(sorted(queue_depth), key=lambda n: queue_depth[n])
+            preferred = _least_loaded(queue_depth)
 
         mean_depth = sum(queue_depth.values()) / len(queue_depth)
         if queue_depth[preferred] > mean_depth + STEAL_SLACK:
-            thief = min(sorted(queue_depth), key=lambda n: queue_depth[n])
+            thief = _least_loaded(queue_depth)
             if thief != preferred:
                 self.steal_count += 1
                 return thief, True

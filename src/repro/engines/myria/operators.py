@@ -157,5 +157,5 @@ def shard_by_key(rows, key_indices, n_workers):
 
 
 def rows_bytes(rows):
-    """Rows bytes."""
+    """Nominal bytes of a list of rows: the sum of each row's size."""
     return sum(nominal_bytes_of(r) for r in rows)

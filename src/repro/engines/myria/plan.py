@@ -129,7 +129,7 @@ class Intermediate:
         return rows_bytes(self.shards[worker])
 
     def total_bytes(self):
-        """Total stored bytes (optionally under a prefix)."""
+        """Nominal bytes held across all workers' shards."""
         return sum(rows_bytes(s) for s in self.shards)
 
 

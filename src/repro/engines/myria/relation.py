@@ -9,7 +9,6 @@ NumPy arrays or other specialized data types by storing them as blobs."
 
 import numpy as np
 
-from repro.engines.base import nominal_bytes_of
 from repro.formats.sizing import SizedArray
 
 #: Column type tags.
@@ -91,10 +90,6 @@ class Relation:
         """Values of one column across all rows."""
         idx = self.schema.index_of(name)
         return [row[idx] for row in self.rows]
-
-    def nominal_bytes(self):
-        """Size in bytes at the paper's nominal data scale."""
-        return sum(nominal_bytes_of(row) for row in self.rows)
 
     def blob_columns(self):
         """Indices of columns holding blobs (by inspection of row 0)."""

@@ -21,19 +21,26 @@ class WorkerStorage:
         self.node = node
         self.disk = disk
         self._tables = {}
+        #: table name -> nominal bytes of its rows, kept as rows arrive.
+        self._bytes = {}
 
     def create_table(self, name, schema):
         """Create an empty shard for a relation."""
         self._tables[name] = (schema, [])
+        self._bytes[name] = 0
         self.disk.write(self._path(name), [], 0)
 
     def insert_rows(self, name, rows):
-        """Append rows to a shard; returns (n_rows, nominal_bytes)."""
+        """Append rows to a shard; returns (n_rows, nominal_bytes).
+
+        Only the new rows are sized: the shard's total is a running sum.
+        """
         schema, existing = self._tables[name]
         existing.extend(rows)
-        nbytes = sum(nominal_bytes_of(r) for r in existing)
-        self.disk.write(self._path(name), existing, nbytes)
-        return len(rows), sum(nominal_bytes_of(r) for r in rows)
+        nbytes = sum(nominal_bytes_of(r) for r in rows)
+        self._bytes[name] += nbytes
+        self.disk.write(self._path(name), existing, self._bytes[name])
+        return len(rows), nbytes
 
     def has_table(self, name):
         """Whether this worker stores the named shard."""
@@ -68,6 +75,7 @@ class WorkerStorage:
     def drop_table(self, name):
         """Delete a shard from this worker."""
         del self._tables[name]
+        del self._bytes[name]
         self.disk.delete(self._path(name))
 
     def _path(self, name):

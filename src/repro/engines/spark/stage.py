@@ -156,10 +156,9 @@ class SparkScheduler:
         partitions = []
         for task in tasks:
             result = results[task.task_id]
-            records = result.value
+            records, nominal_bytes = result.value
             partitions.append(
-                Partition(records, nominal_bytes_of(records), result.node,
-                          task=task)
+                Partition(records, nominal_bytes, result.node, task=task)
             )
         return partitions
 
@@ -256,6 +255,9 @@ class SparkScheduler:
         the input cost, combine + narrow cost, and the fixed per-task
         costs.  ``placement`` holds the task's ``node``, ``deps``,
         ``memory_bytes`` and ``category``.
+
+        The task's value is ``(records, nominal_bytes)``: the output is
+        sized once, here, and bucketing it for a shuffle keeps the sum.
         """
         cell = {}
 
@@ -265,12 +267,13 @@ class SparkScheduler:
             if combine is not None:
                 records, combine_cost = combine(records)
             out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
+            out_bytes = nominal_bytes_of(out)
             seconds += combine_cost + narrow_cost
             seconds += self._boundary_and_overhead(
-                in_bytes, nominal_bytes_of(out), shuffle_partitioner
+                in_bytes, out_bytes, shuffle_partitioner
             )
             cell["seconds"] = seconds
-            return self._finish_records(out, shuffle_partitioner)
+            return self._finish_records(out, shuffle_partitioner), out_bytes
 
         return Task(
             f"spark-stage{self.stages_run}-{suffix}",
@@ -419,12 +422,14 @@ class SparkScheduler:
         deps = [p.task for p in upstream if p.task is not None]
         tasks = []
         for reducer in range(n_reducers):
+            in_bytes = sum(
+                nominal_bytes_of(bm.get(reducer, [])) for bm in upstream_buckets
+            )
 
-            def read(reducer=reducer):
+            def read(reducer=reducer, in_bytes=in_bytes):
                 records = []
                 for bucket_map in upstream_buckets:
                     records.extend(bucket_map.get(reducer, []))
-                in_bytes = nominal_bytes_of(records)
                 seconds = cm.disk_read_time(in_bytes)
                 seconds += cluster.network.transfer_time(
                     int(in_bytes * remote_fraction), "maps", "reduce"
@@ -436,10 +441,7 @@ class SparkScheduler:
                 plan, shuffle_partitioner, f"reduce{reducer}", read,
                 combine=combine,
                 deps=deps,
-                memory_bytes=sum(
-                    nominal_bytes_of(bm.get(reducer, []))
-                    for bm in upstream_buckets
-                ),
+                memory_bytes=in_bytes,
                 category="spark-shuffle",
             ))
         return tasks

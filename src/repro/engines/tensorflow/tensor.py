@@ -8,15 +8,21 @@ import numpy as np
 
 
 class Tensor:
-    """An immutable tensor value."""
+    """An immutable tensor value.
 
-    __slots__ = ("array", "nominal_shape")
+    Only the constructor assigns ``array`` and ``nominal_shape``, so
+    ``nominal_bytes`` is computed there, once.
+    """
+
+    __slots__ = ("array", "nominal_shape", "nominal_bytes")
 
     def __init__(self, array, nominal_shape=None):
         self.array = np.asarray(array)
         if nominal_shape is None:
             nominal_shape = self.array.shape
         self.nominal_shape = tuple(int(d) for d in nominal_shape)
+        #: Size in bytes at the paper's nominal data scale.
+        self.nominal_bytes = self.nominal_elements * self.array.dtype.itemsize
 
     @property
     def nominal_elements(self):
@@ -25,11 +31,6 @@ class Tensor:
         for d in self.nominal_shape:
             n *= d
         return n
-
-    @property
-    def nominal_bytes(self):
-        """Size in bytes at the paper's nominal data scale."""
-        return self.nominal_elements * self.array.dtype.itemsize
 
     @classmethod
     def wrap(cls, value):

@@ -15,9 +15,13 @@ class SizedArray:
     The nominal shape defaults to the real shape (scale factor 1), so
     code paths that do not care about simulation can treat a
     ``SizedArray`` as a thin array wrapper.
+
+    The object is immutable: only the constructor assigns ``array`` and
+    ``nominal_shape``, so ``nominal_bytes`` is computed there, once, and
+    every later size lookup is an attribute read.
     """
 
-    __slots__ = ("array", "nominal_shape", "meta")
+    __slots__ = ("array", "nominal_shape", "nominal_bytes", "meta")
 
     def __init__(self, array, nominal_shape=None, meta=None):
         self.array = np.asarray(array)
@@ -26,6 +30,8 @@ class SizedArray:
         self.nominal_shape = tuple(int(d) for d in nominal_shape)
         if any(d <= 0 for d in self.nominal_shape):
             raise ValueError(f"nominal shape must be positive: {nominal_shape}")
+        #: Size in bytes at the paper's nominal data scale.
+        self.nominal_bytes = self.nominal_elements * self.array.dtype.itemsize
         self.meta = dict(meta or {})
 
     # ------------------------------------------------------------------
@@ -39,11 +45,6 @@ class SizedArray:
         for d in self.nominal_shape:
             n *= d
         return n
-
-    @property
-    def nominal_bytes(self):
-        """Size in bytes at the paper's nominal data scale."""
-        return self.nominal_elements * self.array.dtype.itemsize
 
     @property
     def scale_factor(self):

@@ -16,7 +16,11 @@ import random
 import pytest
 
 from repro.cluster import ClusterSpec, NodeSpec, SimulatedCluster, Task
-from repro.cluster.errors import NodeCrashedError, TaskFailedError
+from repro.cluster.errors import (
+    NodeCrashedError,
+    PlacementError,
+    TaskFailedError,
+)
 from repro.cluster.faults import FaultPlan, spark_recovery
 from repro.cluster.ready import ReadySet
 
@@ -70,6 +74,8 @@ def test_a_task_sleeps_until_its_floor_then_joins_its_queue():
     assert ready.add(due, now=1.0) is False  # floor already reached
     assert drain(ready, 1.0) == ["due"]
     assert len(ready) == 2  # sleepers count as ready
+    assert not ready.has_due(1.9)  # nothing queued, no floor passed
+    assert ready.has_due(2.0)
     assert drain(ready, 1.9) == []
     assert drain(ready, 2.0) == ["early"]
     assert drain(ready, 9.0) == ["late"]
@@ -381,6 +387,22 @@ def test_stale_pin_surfaces_with_no_slot_free_but_not_before_it_is_due():
         cluster.run(tasks)
     # Raised at the floor, with node-0's only slot still held by "long".
     assert info.value.at_time == 4.0
+    assert log == ["long"]
+
+
+def test_unknown_pin_surfaces_at_its_floor_while_every_slot_is_busy():
+    """A pin to a node the cluster never had is reached like a stale
+    one: at the first event past its floor, with no slot free."""
+    cluster = make_cluster(n_nodes=1, slots=1)
+    log = []
+    tasks = [
+        Task("long", fn=lambda: log.append("long"), duration=10.0),
+        Task("lost", duration=1.0, node="node-7", not_before=4.0),
+        Task("queued", fn=lambda: log.append("queued"), duration=1.0),
+    ]
+    with pytest.raises(PlacementError, match="node-7"):
+        cluster.run(tasks)
+    assert cluster.now == 4.0
     assert log == ["long"]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultPlan
 from repro.engines.dask import DaskClient
 from repro.formats.sizing import SizedArray
 
@@ -154,3 +155,15 @@ def test_scatter_consumes_memory_until_release(client):
     assert held >= 8 * 10 ** 9
     client.release([handle])
     assert sum(n.memory.used_bytes for n in client.cluster.nodes.values()) == 0
+
+
+def test_pin_to_a_crashed_node_runs_on_the_least_loaded_survivor(client):
+    """A ``workers=`` pin is treated like a byte-preferred node that is
+    down: the task goes to the least-loaded survivor."""
+    cluster = client.cluster
+    cluster.install_faults(FaultPlan(seed=1).crash_node("node-1", at_time=0.0))
+    client.compute([client.delayed(lambda: 1, cost=lambda: 1.0)()])
+    assert not cluster.node("node-1").alive
+    pinned = client.delayed(lambda: 2, cost=lambda: 1.0, workers="node-1")()
+    assert client.compute([pinned]) == [2]
+    assert client.node_of(pinned) == "node-0"

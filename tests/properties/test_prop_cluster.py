@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.errors import ClusterError, OutOfMemoryError
 from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
 from repro.cluster.memory import MemoryTracker
+from repro.cluster.run import Run
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
 from tests.cluster.test_ready_set import (
     placements,
@@ -255,6 +257,21 @@ def test_every_finished_task_has_one_record_of_its_history(workload, data):
     assert by_id[None].category == "driver"
 
 
+def checked_start_candidates():
+    """``Run.start_candidates`` that first checks the executor state a
+    run carries across events against a recount from the nodes."""
+    original = Run.start_candidates
+
+    def checked(run):
+        usable = run.cluster._usable_nodes()
+        assert run.usable == usable
+        assert run.free_slots == sum(
+            node.slots - node.busy_slots for node in usable.values())
+        return original(run)
+
+    return mock.patch.object(Run, "start_candidates", checked)
+
+
 @given(
     recorded_workloads,
     st.integers(0, 2 ** 16),
@@ -276,7 +293,8 @@ def test_records_stay_consistent_under_a_crash_and_transient_failures(
     plan.fail_tasks(fail_rate, detect_delay_s=0.2, max_failures_per_task=3)
     cluster.install_faults(plan)
     try:
-        cluster.run(tasks)
+        with checked_start_candidates():
+            cluster.run(tasks)
     except ClusterError:
         pass  # what was filed before the run gave up still has to hold
     check_records(cluster, tasks)
