@@ -471,7 +471,7 @@ def rows_of():
         if name not in computed:
             fig = FIGURES[name]
             if fig.base:
-                computed[name] = fig.fn(rows=rows_of(fig.base))
+                computed[name] = fig.post(rows_of(fig.base))
                 fig.show(computed[name])
             else:
                 computed[name] = run_figure(name, quick=False)

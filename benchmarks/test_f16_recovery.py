@@ -36,13 +36,10 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def f16():
     """Run the F16 quick sweep once; yield (rows, experiment snapshot)."""
-    from repro.harness.__main__ import figure_snapshot
-    from repro.harness.figures import run_figure
-    from repro.harness.parallel import collecting_snapshots
+    from repro.harness.__main__ import build_experiment_snapshot
 
-    with collecting_snapshots() as collected:
-        rows = run_figure("f16", quick=True)
-    return rows, figure_snapshot("f16", collected.snapshots, quick=True)
+    snapshot, rows = build_experiment_snapshot("f16", quick=True)
+    return rows, snapshot
 
 
 def test_recovery_class_ordering(f16, capsys):

@@ -42,7 +42,7 @@ def test_quick_run_matches_baseline(name, capsys):
     from repro.harness.__main__ import build_experiment_snapshot
 
     baseline = load_snapshot(LEDGER_DIR / f"{name}-quick.json")
-    candidate = build_experiment_snapshot(name, quick=True)
+    candidate, _rows = build_experiment_snapshot(name, quick=True)
     capsys.readouterr()
     report = compare_snapshots(baseline, candidate)
     assert not report["makespan"]["regression"], format_compare(report)

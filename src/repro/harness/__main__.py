@@ -201,7 +201,7 @@ def figure_snapshot(name, snapshots, quick=True):
 
 
 def build_experiment_snapshot(name, quick=True):
-    """Run one experiment id and snapshot every cluster it builds.
+    """Run one experiment id; returns ``(ledger snapshot, rows)``.
 
     Every experiment is a grid, so its runs arrive through the trial
     executor's snapshot sink: that works at ``--jobs N`` and from the
@@ -213,8 +213,8 @@ def build_experiment_snapshot(name, quick=True):
             f"unknown experiment {name!r}; use --list to see choices"
         )
     with collecting_snapshots() as collected:
-        run_figure(name, quick)
-    return figure_snapshot(name, collected.snapshots, quick)
+        rows = run_figure(name, quick)
+    return figure_snapshot(name, collected.snapshots, quick), rows
 
 
 def _optimize_main(argv):
@@ -248,12 +248,11 @@ def _optimize_main(argv):
     args = parser.parse_args(argv)
 
     sizes = FIGURES["opt"].sizes(args.quick)
-    n_subjects = args.subjects or sizes["n_subjects"]
-    n_visits = args.visits or sizes["n_visits"]
-    neuro_profile, astro_profile = dataset_profiles(args.quick)
+    profiles = sizes["profiles"]
     engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-    subjects = neuro_subjects(n_subjects, **(neuro_profile or {}))
-    visits = astro_visits(n_visits, **(astro_profile or {}))
+    subjects = neuro_subjects(args.subjects or sizes["count"],
+                              **profiles["neuro"])
+    visits = astro_visits(args.visits or sizes["count"], **profiles["astro"])
     workloads = (
         ("neuro", neuro_plan(), R.neuro_profile(subjects)),
         ("astro", astro_plan(), R.astro_profile(visits)),
@@ -343,7 +342,9 @@ def _ledger_main(argv):
     with configured(jobs=args.jobs, cache=cache):
         for name in names:
             with contextlib.redirect_stdout(sys.stderr):
-                snapshot = build_experiment_snapshot(name, quick=args.quick)
+                snapshot, rows = build_experiment_snapshot(
+                    name, quick=args.quick
+                )
             suffix = "-quick" if snapshot["quick"] else ""
             path = os.path.join(args.out_dir, f"{name}{suffix}.json")
             write_snapshot(snapshot, path)
@@ -355,11 +356,8 @@ def _ledger_main(argv):
                 from repro.obs import format_opt_comparison
 
                 print(format_opt_comparison(snapshot))
-                # Replays from the trial cache the figure just filled;
-                # the rows carry the per-cell digests the byte-identity
+                # The rows carry the per-cell digests the byte-identity
                 # gate needs (snapshots only record makespans).
-                with contextlib.redirect_stdout(sys.stderr):
-                    rows = E.opt_comparison(**FIGURES["opt"].sizes(args.quick))
                 failures.extend(_opt_failures(rows))
     if cache is not None and (cache.hits or cache.misses):
         print(f"trial cache: {cache.hits} hit(s), {cache.misses} miss(es)",

@@ -3,8 +3,8 @@
 Every figure is a grid of independent *trials* (one engine on one data
 size on one cluster size).  A trial is pure: its rows and ledger
 snapshots are a deterministic function of (a) the trial function and
-its arguments, (b) any fault plan, and (c) the simulator/harness code
-itself, cost constants included (they are defaults in
+its arguments, a fault plan included, and (b) the simulator/harness
+code itself, cost constants included (they are defaults in
 ``repro/cluster/costs.py``).  The cache keys on exactly those inputs,
 so re-running a figure or a ledger compare replays cached trials
 instantly.
@@ -69,19 +69,18 @@ def code_tree_hash(root=None):
     return result
 
 
-def cache_key(fn, kwargs, faults=None, salt=None):
+def cache_key(fn, kwargs, salt=None):
     """Content address of one trial.
 
     ``fn`` is the registered trial-function name, ``kwargs`` its
-    JSON-safe arguments, ``faults`` a JSON-safe description of any
-    fault plan, and ``salt`` overrides the code-tree hash (tests).
+    JSON-safe arguments, and ``salt`` overrides the code-tree hash
+    (tests).
     """
     document = {
         "schema": CACHE_SCHEMA_VERSION,
         "salt": salt if salt is not None else code_tree_hash(),
         "fn": fn,
         "kwargs": kwargs,
-        "faults": faults,
     }
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -69,14 +69,14 @@ def trial(name):
 class TrialSpec:
     """One independent trial: a registered function plus JSON-safe args.
 
-    ``faults`` is an optional JSON-safe description of the fault plan
-    the trial constructs; it keys the trial in the cache next to ``fn``
-    and ``kwargs``.
+    A trial is a pure function of its kwargs and the code (a fault plan
+    included: the trial builds it from its kwargs), so ``fn`` and
+    ``kwargs`` are all the cache keys on beside the code-tree salt.
     """
 
-    __slots__ = ("fn", "kwargs", "faults")
+    __slots__ = ("fn", "kwargs")
 
-    def __init__(self, fn, kwargs, engine=None, faults=None):
+    def __init__(self, fn, kwargs, engine=None):
         # ``engine`` is accepted and ignored: ``bench/workloads.py``
         # (frozen by BENCHMARK.json) still passes it; delete together
         # with that argument.
@@ -84,11 +84,10 @@ class TrialSpec:
             raise KeyError(f"unknown trial function {fn!r}")
         self.fn = fn
         self.kwargs = kwargs
-        self.faults = faults
 
     def key(self, salt=None):
         """Content address of this trial (see :mod:`repro.harness.cache`)."""
-        return cache_key(self.fn, self.kwargs, faults=self.faults, salt=salt)
+        return cache_key(self.fn, self.kwargs, salt=salt)
 
 
 class TrialExecutionError(RuntimeError):

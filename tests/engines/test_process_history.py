@@ -15,9 +15,9 @@ import json
 
 import pytest
 
-import repro.harness.experiments  # noqa: F401  (registers the trials)
 from repro.cluster.faults import FaultPlan, RetryPolicy
 from repro.data import generate_subject
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import TRIAL_FNS
 from repro.harness.runner import (
     astro_visits,
@@ -110,7 +110,7 @@ def test_trial_repeats_exactly_whatever_ran_before(histories, cell):
 STEP_CELLS = {
     "fig11": ({"system": "dask", "count": 2},
               ("spark", "scidb-1", "tensorflow")),
-    "fig12a": ({"system": "myria", "n_subjects": 2},
+    "fig12a": ({"system": "myria", "count": 2},
                ("dask", "spark", "scidb")),
 }
 
@@ -119,7 +119,8 @@ def _step_cell(figure, **kwargs):
     """One step-figure trial's makespan and ledger snapshot bytes."""
     clusters = []
     with observe_clusters(clusters.append):
-        TRIAL_FNS[figure](profile={"scale": 20, "n_volumes": 24}, **kwargs)
+        TRIAL_FNS["step"](profile={"scale": 20, "n_volumes": 24},
+                          **FIGURES[figure].fixed, **kwargs)
     (cluster,) = clusters
     return cluster.now, json.dumps(run_snapshot(cluster), sort_keys=True)
 

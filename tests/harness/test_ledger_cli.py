@@ -29,8 +29,9 @@ def test_blame_fractions_sum_to_one_in_quick_mode(name, capsys):
 
 
 def test_build_experiment_snapshot_shape(capsys):
-    snapshot = build_experiment_snapshot("fig12a", quick=True)
+    snapshot, rows = build_experiment_snapshot("fig12a", quick=True)
     capsys.readouterr()
+    assert len(rows) == len(snapshot["runs"]) == 5
     assert snapshot["experiment"] == "fig12a"
     assert snapshot["quick"] is True
     assert snapshot["runs"]

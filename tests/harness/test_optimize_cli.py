@@ -4,7 +4,6 @@ import pytest
 
 from repro.harness import __main__ as cli
 from repro.harness.__main__ import _opt_failures, main
-from repro.harness.experiments import optimize_token
 from repro.harness.figures import FIGURES, QUICK_ASTRO, QUICK_NEURO
 from repro.harness.runner import astro_visits, neuro_subjects
 from repro.plan import astro_plan, choose_engine, neuro_plan
@@ -77,20 +76,30 @@ def test_opt_failures_tolerate_float_noise():
     assert _opt_failures([row]) == []
 
 
-def test_optimize_token_is_truthy_and_engine_specific():
-    tokens = {
-        kind: optimize_token("neuro", kind, 1, QUICK_NEURO)
-        for kind in ("dask", "spark")
-    }
-    assert all(tokens.values())  # truthy: doubles as the optimize flag
-    assert tokens["dask"] != tokens["spark"]
-    # Content-addressed: same inputs, same token.
-    assert optimize_token("neuro", "dask", 1, QUICK_NEURO) == tokens["dask"]
+def test_ledger_optimize_runs_each_opt_cell_once(tmp_path, monkeypatch,
+                                                 capsys):
+    """``ledger --optimize`` gates on the rows its snapshot run
+    returned, so without a cache to replay from each of the six cells
+    still runs once."""
+    from repro.harness.parallel import TRIAL_FNS
+
+    optcell = TRIAL_FNS["optcell"]
+    pipelines = []
+
+    def counted(**kwargs):
+        pipelines.append(kwargs["pipeline"])
+        return optcell(**kwargs)
+
+    monkeypatch.setitem(TRIAL_FNS, "optcell", counted)
+    assert main(["ledger", "--optimize", "--quick", "--no-cache",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert pipelines == ["neuro"] * 3 + ["astro"] * 3
 
 
 def test_every_optimizer_caller_prices_at_its_node_count(monkeypatch):
-    """``optimize_token``, an optimized end-to-end trial and ``harness
-    optimize --nodes`` all decide the rewrites at the cell's node count."""
+    """An optimized end-to-end trial and ``harness optimize --nodes``
+    decide the rewrites at the cell's node count."""
     import repro.plan
     from repro.harness import experiments as E
 
@@ -107,19 +116,13 @@ def test_every_optimizer_caller_prices_at_its_node_count(monkeypatch):
     monkeypatch.setattr(repro.plan, "optimize_for", record)
     visits = astro_visits(1, **QUICK_ASTRO)
     for call in (
-        lambda: optimize_token("astro", "dask", 1, QUICK_ASTRO, n_nodes=3),
         lambda: E._end_to_end("astro", "dask", visits, n_nodes=5,
                               optimize=True),
         lambda: main(["optimize", "--quick", "--nodes", "7"]),
     ):
         with pytest.raises(Priced):
             call()
-    assert seen == [3, 5, 7]
-
-
-def test_optimize_token_astro_reflects_firings():
-    token = optimize_token("astro", "dask", 1, QUICK_ASTRO)
-    assert token != optimize_token("astro", "spark", 1, QUICK_ASTRO)
+    assert seen == [5, 7]
 
 
 def test_routing_table_rows():

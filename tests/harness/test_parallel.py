@@ -48,11 +48,8 @@ from repro.plan import lower, neuro_plan
 TINY_NEURO = {"scale": 20, "n_volumes": 12}
 TINY_ASTRO = {"scale": 100, "n_sensors": 4}
 
-TRANSIENT_FAULTS = {"fail_tasks": 0.2, "seed": 7}
-
-
 @trial("test_transient_neuro")
-def _trial_transient_neuro(kind, profile):
+def _trial_transient_neuro(kind, profile, fail_tasks, seed):
     """Tiny neuro trial under seeded transient task failures.  Fault
     draws are keyed on task names, so the row and snapshot move if a
     name depends on what the executing process ran before."""
@@ -61,11 +58,9 @@ def _trial_transient_neuro(kind, profile):
     stage_subjects(cluster.object_store, subjects)
     cluster.install_faults(
         FaultPlan(
-            seed=TRANSIENT_FAULTS["seed"],
-            retry_policy=RetryPolicy(max_attempts=6),
+            seed=seed, retry_policy=RetryPolicy(max_attempts=6),
         ).fail_tasks(
-            TRANSIENT_FAULTS["fail_tasks"], detect_delay_s=0.3,
-            max_failures_per_task=2,
+            fail_tasks, detect_delay_s=0.3, max_failures_per_task=2,
         )
     )
     lowered = lower(neuro_plan(), kind, engine)
@@ -89,56 +84,44 @@ def _canon(payloads):
     return json.dumps(payloads, sort_keys=True)
 
 
+def _neuro_cell(engine, count=1, nodes=4):
+    return TrialSpec(
+        "end_to_end",
+        {"pipeline": "neuro", "engine": engine, "count": count,
+         "n_nodes": nodes, "profile": dict(TINY_NEURO)},
+    )
+
+
+def _f16_cell(engine):
+    return TrialSpec(
+        "f16",
+        {"engine": engine, "count": 1, "n_nodes": 4,
+         "profile": dict(TINY_NEURO), "restart_after_s": 18.0, "seed": 16},
+    )
+
+
 def _tiny_specs(include_fault_trial=True, engines=("dask", "spark")):
-    specs = [
-        TrialSpec(
-            "fig10c",
-            {"kind": kind, "count": 1, "n_nodes": 4,
-             "profile": dict(TINY_NEURO)},
-        )
-        for kind in engines
-    ]
+    specs = [_neuro_cell(engine) for engine in engines]
     if include_fault_trial:
-        specs.append(
-            TrialSpec(
-                "f16",
-                {"kind": "spark", "n_subjects": 1, "n_nodes": 4,
-                 "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
-                 "seed": 16},
-                faults={"crash": "last-node@50%-progress", "seed": 16},
-            )
-        )
+        specs.append(_f16_cell("spark"))
     return specs
 
 
 def _random_pool():
     """Spec pool the hypothesis grid test draws from: engine x count x
-    cluster-size fig10c trials, two f16 trials under a node crash, and
-    a Dask and a TensorFlow trial under transient task failures (the
-    two engines whose task names embed counters)."""
+    cluster-size end-to-end trials, two f16 trials under a node crash,
+    and a Dask and a TensorFlow trial under transient task failures
+    (the two engines whose task names embed counters)."""
     return [
-        TrialSpec(
-            "fig10c",
-            {"kind": kind, "count": count, "n_nodes": nodes,
-             "profile": dict(TINY_NEURO)},
-        )
-        for kind in ("dask", "myria", "spark")
+        _neuro_cell(engine, count, nodes)
+        for engine in ("dask", "myria", "spark")
         for count in (1, 2)
         for nodes in (2, 4)
-    ] + [
-        TrialSpec(
-            "f16",
-            {"kind": kind, "n_subjects": 1, "n_nodes": 4,
-             "profile": dict(TINY_NEURO), "restart_after_s": 18.0,
-             "seed": 16},
-            faults={"crash": "last-node@50%-progress", "seed": 16},
-        )
-        for kind in ("spark", "dask")
-    ] + [
+    ] + [_f16_cell(engine) for engine in ("spark", "dask")] + [
         TrialSpec(
             "test_transient_neuro",
-            {"kind": kind, "profile": dict(TINY_NEURO)},
-            faults=dict(TRANSIENT_FAULTS),
+            {"kind": kind, "profile": dict(TINY_NEURO), "fail_tasks": 0.2,
+             "seed": 7},
         )
         for kind in ("dask", "tensorflow")
     ]
@@ -146,12 +129,10 @@ def _random_pool():
 
 class TestRegistry:
     def test_all_grid_figures_registered(self):
-        for name in ("table1", "fig10a", "fig10b",
-                     "fig10c", "fig10d", "fig10g", "fig10h", "fig11",
-                     "fig12a", "fig12b", "fig12c", "fig12d", "fig13",
-                     "fig14", "fig15", "s531", "s533", "f16",
-                     "ablation_scidb", "ablation_tf", "ablation_tuning"):
-            assert name in TRIAL_FNS
+        """Eight trials make every figure; the rest are this file's."""
+        assert {name for name in TRIAL_FNS if not name.startswith("test_")} \
+            == {"table1", "fig10a", "fig10b", "end_to_end", "step", "fig15",
+                "optcell", "f16"}
 
     def test_unknown_trial_rejected(self):
         with pytest.raises(KeyError):
@@ -266,32 +247,27 @@ class TestCacheKeys:
         assert spec.key(salt="s") == spec.key(salt="s")
 
     def test_key_depends_on_kwargs(self):
-        a = cache_key("fig10c", {"count": 1}, salt="s")
-        b = cache_key("fig10c", {"count": 2}, salt="s")
+        a = cache_key("end_to_end", {"count": 1}, salt="s")
+        b = cache_key("end_to_end", {"count": 2}, salt="s")
         assert a != b
 
-    def test_key_depends_on_fn_and_faults_and_salt(self):
-        base = cache_key("fig10c", {}, salt="s")
-        assert cache_key("fig10d", {}, salt="s") != base
-        assert cache_key(
-            "fig10c", {}, faults={"seed": 1}, salt="s"
-        ) != base
-        assert cache_key("fig10c", {}, salt="t") != base
+    def test_key_depends_on_fn_and_salt(self):
+        base = cache_key("end_to_end", {}, salt="s")
+        assert cache_key("step", {}, salt="s") != base
+        assert cache_key("end_to_end", {}, salt="t") != base
 
-    def test_key_is_the_hash_of_fn_kwargs_faults_salt_and_nothing_else(self):
-        kwargs = {"kind": "spark", "count": 1}
-        faults = {"seed": 1}
+    def test_key_is_the_hash_of_fn_kwargs_salt_and_nothing_else(self):
+        kwargs = {"engine": "spark", "count": 1}
         document = {"schema": CACHE_SCHEMA_VERSION, "salt": "s",
-                    "fn": "fig10c", "kwargs": kwargs, "faults": faults}
+                    "fn": "end_to_end", "kwargs": kwargs}
         canonical = json.dumps(document, sort_keys=True,
                                separators=(",", ":"))
         expected = hashlib.sha256(canonical.encode()).hexdigest()
-        assert cache_key("fig10c", kwargs, faults=faults, salt="s") == expected
+        assert cache_key("end_to_end", kwargs, salt="s") == expected
         # ``engine`` is still accepted (bench/workloads.py passes it)
         # and keys like the same spec without it.
-        with_engine = TrialSpec("fig10c", kwargs, engine="spark",
-                                faults=faults)
-        without = TrialSpec("fig10c", kwargs, faults=faults)
+        with_engine = TrialSpec("end_to_end", kwargs, engine="spark")
+        without = TrialSpec("end_to_end", kwargs)
         assert with_engine.key(salt="s") == without.key(salt="s") == expected
         assert with_engine.key() == without.key()
 
@@ -359,7 +335,7 @@ class TestCodeTreeHash:
             cache_mod, "__file__", os.path.join(root, "harness", "cache.py")
         )
         monkeypatch.setattr(cache_mod, "_code_hash_cache", {})
-        spec = TrialSpec("fig10c", {"kind": "dask", "count": 1})
+        spec = TrialSpec("end_to_end", {"engine": "dask", "count": 1})
         before = spec.key()
         assert before == spec.key(salt=code_tree_hash(root))
         self._write(root, {
@@ -496,9 +472,9 @@ class TestFailurePropagation:
     def _specs_with_failure():
         good = _tiny_specs(include_fault_trial=False)  # dask, spark
         bad = TrialSpec(
-            "fig10c",
-            {"kind": "spark", "count": 1, "n_nodes": 4,
-             "profile": dict(TINY_NEURO), "bogus": True},
+            "end_to_end",
+            {"pipeline": "neuro", "engine": "spark", "count": 1,
+             "n_nodes": 4, "profile": dict(TINY_NEURO), "bogus": True},
         )
         return good, [good[0], bad, good[1]]
 
@@ -510,7 +486,7 @@ class TestFailurePropagation:
             with pytest.raises(TrialExecutionError) as excinfo:
                 run_grid(specs, jobs=jobs, cache=None)
         err = excinfo.value
-        assert [(i, fn) for i, fn, _ in err.failures] == [(1, "fig10c")]
+        assert [(i, fn) for i, fn, _ in err.failures] == [(1, "end_to_end")]
         assert err.failures[0][2]["type"] == "TypeError"
         # The original worker-side traceback is embedded in the message.
         assert "bogus" in str(err)

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.harness import experiments as E
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import TRIAL_FNS
 from repro.harness.runner import (
     astro_visits,
@@ -32,6 +32,7 @@ TINY_NEURO = {"scale": 20, "n_volumes": 12}
 TINY_ASTRO = {"scale": 100, "n_sensors": 4}
 
 ENGINES = ("spark", "dask", "myria", "scidb", "tensorflow")
+F16 = FIGURES["f16"]
 
 #: The nine lowerings.  TensorFlow has no astro lowering.
 LOWERINGS = [("neuro", kind) for kind in ENGINES] + [
@@ -118,18 +119,18 @@ def test_myria_statement_scopes_nest():
 def f16_runs():
     """``{engine: (clean cluster, faulted cluster)}`` of one F16 trial."""
     runs = {}
-    for kind in E.F16_ENGINES:
+    for kind in F16.quick["engine"].values:
         clusters = []
         with observe_clusters(clusters.append):
-            TRIAL_FNS["f16"](
-                kind=kind, n_subjects=1, n_nodes=4, profile=TINY_NEURO,
-                restart_after_s=E.F16_RESTART_AFTER_S, seed=E.F16_SEED,
-            )
+            TRIAL_FNS["f16"](**dict(
+                F16.fixed, engine=kind, count=1, n_nodes=4,
+                profile=TINY_NEURO,
+            ))
         runs[kind] = tuple(clusters)
     return runs
 
 
-@pytest.mark.parametrize("kind", E.F16_ENGINES)
+@pytest.mark.parametrize("kind", F16.quick["engine"].values)
 def test_f16_stamps_every_record(f16_runs, kind):
     clean, faulted = f16_runs[kind]
     for cluster in (clean, faulted):

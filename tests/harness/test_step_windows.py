@@ -15,6 +15,7 @@ from collections import defaultdict
 import pytest
 
 from repro.harness import experiments as E
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import TRIAL_FNS
 from repro.harness.runner import Stopwatch
 from repro.obs import compute_critical_path, resolve_segment_op
@@ -23,26 +24,20 @@ from repro.plan.ir import PSEUDO_OVERHEAD
 TINY_NEURO = {"scale": 20, "n_volumes": 12}
 TINY_ASTRO = {"scale": 100, "n_sensors": 4}
 
-_NEURO_SYSTEMS = ("dask", "myria", "spark", "scidb", "tensorflow")
-
-#: figure -> (measured op, trial kwargs, systems).
-FIGURES = {
-    "fig11": ("neuro/volumes", {"count": 1, "profile": TINY_NEURO},
-              tuple(E.INGEST_SYSTEMS)),
-    "fig12a": ("neuro/b0", {"n_subjects": 1, "profile": TINY_NEURO},
-               _NEURO_SYSTEMS),
-    "fig12b": ("neuro/mean_b0", {"n_subjects": 1, "profile": TINY_NEURO},
-               _NEURO_SYSTEMS),
-    "fig12c": ("neuro/denoise", {"n_subjects": 1, "profile": TINY_NEURO},
-               _NEURO_SYSTEMS),
-    "fig12d": ("astro/coadd", {"n_visits": 2, "profile": TINY_ASTRO},
-               ("myria", "spark", "scidb")),
+#: figure -> (measured op, step-trial arguments besides the system).
+STEP_FIGURES = {
+    "fig11": ("neuro/volumes", {"count": 1, "profile": TINY_NEURO}),
+    "fig12a": ("neuro/b0", {"count": 1, "profile": TINY_NEURO}),
+    "fig12b": ("neuro/mean_b0", {"count": 1, "profile": TINY_NEURO}),
+    "fig12c": ("neuro/denoise", {"count": 1, "profile": TINY_NEURO}),
+    "fig12d": ("astro/coadd", {"count": 2, "profile": TINY_ASTRO}),
 }
 
+#: Every figure's systems axis, as ``FIGURES`` declares it.
 CELLS = [
     (figure, system)
-    for figure, (_op, _kwargs, systems) in FIGURES.items()
-    for system in systems
+    for figure in STEP_FIGURES
+    for system in FIGURES[figure].full["system"].values
 ]
 
 #: Ops that ride in a window next to the measured one, each a known
@@ -63,28 +58,25 @@ def _run_cell(figure, system, monkeypatch):
             windows.append((cluster, cluster.now))
 
     monkeypatch.setattr(E, "Stopwatch", RecordingStopwatch)
-    _op, kwargs, _systems = FIGURES[figure]
-    row = TRIAL_FNS[figure](system=system, **kwargs)
+    _op, kwargs = STEP_FIGURES[figure]
+    row = TRIAL_FNS["step"](system=system, **FIGURES[figure].fixed, **kwargs)
     (cluster, start), = windows
     assert row["simulated_s"] == pytest.approx(cluster.now - start)
     return cluster, start
 
 
 def test_the_24_cells_are_the_figures_defaults():
-    import inspect
-
     assert len(CELLS) == 24
-    for figure, fn in (("fig11", E.fig11_ingest), ("fig12a", E.fig12a_filter),
-                       ("fig12b", E.fig12b_mean), ("fig12c", E.fig12c_denoise),
-                       ("fig12d", E.fig12d_coadd)):
-        default = inspect.signature(fn).parameters["systems"].default
-        assert set(default) == set(FIGURES[figure][2])
+    for figure in STEP_FIGURES:
+        fig = FIGURES[figure]
+        assert fig.trial == "step"
+        assert fig.quick["system"] == fig.full["system"]
 
 
 @pytest.mark.parametrize("figure,system", CELLS,
                          ids=[f"{f}-{s}" for f, s in CELLS])
 def test_measured_op_owns_its_window(figure, system, monkeypatch):
-    measured = FIGURES[figure][0]
+    measured = STEP_FIGURES[figure][0]
     allowed = {measured, PSEUDO_OVERHEAD} | RIDERS.get((figure, system), set())
     cluster, start = _run_cell(figure, system, monkeypatch)
 

@@ -171,7 +171,7 @@ class TestChromeTraceFlowEvents:
 
 class TestLedger:
     def snapshot(self, slow=1.0):
-        from repro.harness import experiments as E
+        from repro.harness.figures import grid
         from repro.harness.runner import observe_clusters
         from repro.obs.ledger import experiment_snapshot
 
@@ -183,11 +183,9 @@ class TestLedger:
                 DEFAULT_COST_MODEL, "nlmeans_per_voxel", orig * slow
             )
             with observe_clusters(clusters.append):
-                E.fig12c_denoise(
-                    n_subjects=1,
-                    profile={"scale": 12, "n_volumes": 12},
-                    systems=("spark",),
-                )
+                grid("fig12c", True, count=1,
+                     profile={"scale": 12, "n_volumes": 12},
+                     system=("spark",))
         finally:
             object.__setattr__(DEFAULT_COST_MODEL, "nlmeans_per_voxel", orig)
         runs = [

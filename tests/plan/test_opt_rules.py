@@ -144,11 +144,12 @@ def quick_profiles():
     from repro.plan.route import astro_profile, neuro_profile
 
     sizes = FIGURES["opt"].sizes(True)
+    profiles = sizes["profiles"]
     return {
         "neuro": neuro_profile(neuro_subjects(
-            sizes["n_subjects"], **sizes["neuro_profile"])),
+            sizes["count"], **profiles["neuro"])),
         "astro": astro_profile(astro_visits(
-            sizes["n_visits"], **sizes["astro_profile"])),
+            sizes["count"], **profiles["astro"])),
     }
 
 
