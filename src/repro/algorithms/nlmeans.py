@@ -39,11 +39,14 @@ import math
 
 import numpy as np
 
+from repro.algorithms.memo import memoized
+
 #: Most float64 values one batch of shifted windows may hold (256 KiB,
 #: so a batch and its box-sum stages stay cache-resident).
 _BATCH_ELEMENTS = 1 << 15
 
 
+@memoized
 def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     """Denoise a 3-d volume with non-local means.
 

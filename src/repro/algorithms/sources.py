@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.memo import memoized
+
 
 @dataclass(frozen=True)
 class Source:
@@ -106,6 +108,7 @@ def label_regions(mask, connectivity=8):
     return final.reshape(ny, nx), len(remap)
 
 
+@memoized
 def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
     """Detect sources above a background-relative threshold.
 

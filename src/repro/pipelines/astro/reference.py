@@ -57,8 +57,9 @@ def preprocess_exposure(exposure):
     box = background_box_size(exposure.shape)
     flux, _background = subtract_background(exposure.flux, box_size=box)
     cr_mask = detect_cosmic_rays(flux, variance=exposure.variance)
-    flux = repair_cosmic_rays(flux, cr_mask)
-    return replace(exposure, flux=flux, mask=exposure.mask | (cr_mask << 1))
+    # Bit 1 flags a repaired cosmic ray, in the mask plane's own dtype.
+    return replace(exposure, flux=repair_cosmic_rays(flux, cr_mask),
+                   mask=exposure.mask | cr_mask.astype(exposure.mask.dtype) << 1)
 
 
 def patch_pieces(exposure, grid, pixel_scale):

@@ -120,7 +120,8 @@ def test_bytes_match_reference_loop_on_tiny_volumes(shape, patch_radius):
     ``(1, 1, 1)`` at patch radius 0, block radius 1)."""
     volume = np.random.default_rng(0).normal(100.0, 25.0, shape)
     args = (volume, 10.0, None, patch_radius, 1)
-    assert nlmeans_3d(*args).tobytes() == _reference_nlmeans_3d(*args).tobytes()
+    assert (nlmeans_3d.__wrapped__(*args).tobytes()
+            == _reference_nlmeans_3d(*args).tobytes())
 
 
 def test_bytes_match_reference_loop_on_bench_cohort():
@@ -131,7 +132,7 @@ def test_bytes_match_reference_loop_on_bench_cohort():
         for index in range(data.shape[-1]):
             args = (data[..., index], DENOISE_SIGMA, mask)
             assert (
-                nlmeans_3d(*args).tobytes()
+                nlmeans_3d.__wrapped__(*args).tobytes()
                 == _reference_nlmeans_3d(*args).tobytes()
             ), (subject.subject_id, index)
 

@@ -7,14 +7,21 @@ below took 658.174 virtual seconds the first time and 657.377 the
 second time in one process (TensorFlow: 100.560 vs 102.713).  Every
 name-bearing counter now lives on the engine object the trial builds,
 so any trial must repeat exactly whatever the process ran before it.
-The same holds for the memoized inputs: a trial that generates its
-cohort and one that finds it in the memo run the same tasks.
+The same holds for the memoized inputs and kernels: a trial that
+generates its cohort, or computes its kernels, and one that finds them
+in the memo run the same tasks.
 """
 
 import json
 
 import pytest
 
+from repro.algorithms import (
+    detect_cosmic_rays,
+    detect_sources,
+    estimate_background,
+    nlmeans_3d,
+)
 from repro.cluster.faults import FaultPlan, RetryPolicy
 from repro.data import generate_subject
 from repro.harness.figures import FIGURES
@@ -137,6 +144,56 @@ def test_step_cell_repeats_whatever_the_memo_holds(figure):
     hits = generate_subject.cache_info().hits
     warm = _step_cell(figure, **cell)
     assert generate_subject.cache_info().hits > hits  # read from the memo
+
+    assert warm[0] == cold[0]  # makespan
+    assert warm[1] == cold[1]  # ledger snapshot bytes
+
+
+#: pipeline -> (the measured engine, the other engines of its quick
+#: end-to-end figure, which run the same kernels on the same inputs,
+#: the kernel the measured cell must then read from the memo).
+KERNEL_CELLS = {
+    "neuro": ("dask", ("myria", "spark"), nlmeans_3d),
+    "astro": ("spark", ("myria",), estimate_background),
+}
+MEMOIZED = (nlmeans_3d, estimate_background, detect_cosmic_rays, detect_sources)
+
+
+def _end_to_end_cell(pipeline, engine):
+    """One fig10c / fig10d quick cell's makespan and snapshot bytes."""
+    figure = FIGURES["fig10c" if pipeline == "neuro" else "fig10d"]
+    clusters = []
+    with observe_clusters(clusters.append):
+        TRIAL_FNS[figure.trial](engine=engine, count=2,
+                                profile=figure.quick["profile"],
+                                **figure.fixed)
+    (cluster,) = clusters
+    return cluster.now, json.dumps(run_snapshot(cluster), sort_keys=True)
+
+
+@pytest.mark.parametrize("pipeline", sorted(KERNEL_CELLS))
+def test_end_to_end_cell_repeats_whatever_the_kernel_memo_holds(
+    pipeline, monkeypatch
+):
+    engine, others, read = KERNEL_CELLS[pipeline]
+    for kernel in MEMOIZED:
+        kernel.cache_clear()
+    cold = _end_to_end_cell(pipeline, engine)
+
+    for kernel in MEMOIZED:
+        kernel.cache_clear()
+    for other in others:
+        _end_to_end_cell(pipeline, other)
+    computed = []
+    uncached = read.__wrapped__
+
+    def counted(*args, **kwargs):
+        computed.append(args)
+        return uncached(*args, **kwargs)
+
+    monkeypatch.setattr(read, "__wrapped__", counted)
+    warm = _end_to_end_cell(pipeline, engine)
+    assert computed == []  # every call read from the memo
 
     assert warm[0] == cold[0]  # makespan
     assert warm[1] == cold[1]  # ledger snapshot bytes

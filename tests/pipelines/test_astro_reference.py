@@ -1,6 +1,7 @@
 """Tests for the astronomy reference pipeline."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,9 +93,29 @@ def test_preprocess_sha256_is_the_parents(quick_exposures):
     ):
         pytest.skip("this host generates other exposures than the recorded ones")
     got = [preprocess_exposure(exposure) for exposure in quick_exposures]
-    assert _sha256(got, ("flux", "mask")) == (
+    # Recorded when Step 1-A widened the int32 mask plane to int64: the
+    # values must be the parent's, the dtype no longer is.
+    widened = [replace(e, mask=e.mask.astype(np.int64)) for e in got]
+    assert _sha256(widened, ("flux", "mask")) == (
         "83ad76adbe8dcc075e69ba39540b006d0cc36daf48f96bd7f95ba30eecf2cd86"
     )
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint8, np.int64])
+def test_preprocess_keeps_the_mask_dtype(quick_exposures, dtype):
+    """The cosmic-ray bit is or-ed into the mask plane as it is: a bool
+    shifted left is int64, and used to widen the int32 plane."""
+    exposure = quick_exposures[0]
+    given = replace(exposure, mask=exposure.mask.astype(dtype))
+    calibrated = preprocess_exposure(given)
+    assert calibrated.mask.dtype == dtype
+    assert (calibrated.mask & 2).any()
+    assert np.array_equal(calibrated.mask | 2, given.mask | 2)
+
+
+def test_preprocess_mask_plane_is_the_generators_dtype(quick_exposures):
+    for exposure in quick_exposures:
+        assert preprocess_exposure(exposure).mask.dtype == np.int32
 
 
 def test_patch_pieces_fanout_bounds(tiny_visits):

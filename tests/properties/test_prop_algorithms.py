@@ -9,6 +9,7 @@ from repro.algorithms.background import estimate_background
 from repro.algorithms.coadd import coadd_stack, sigma_clip_stack
 from repro.algorithms.cosmicray import repair_cosmic_rays
 from repro.algorithms.dtm import fractional_anisotropy, tensor_eigenvalues
+from repro.algorithms.memo import memoized
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
@@ -222,7 +223,8 @@ def test_nlmeans_bytes_match_reference_loop(
     volume = rng.normal(100.0, 25.0, shape).astype(dtype)
     mask = MASKS[mask_kind](rng, shape)
     args = (volume, sigma, mask, patch_radius, block_radius)
-    assert nlmeans_3d(*args).tobytes() == _reference_nlmeans_3d(*args).tobytes()
+    assert (nlmeans_3d.__wrapped__(*args).tobytes()
+            == _reference_nlmeans_3d(*args).tobytes())
 
 
 @given(
@@ -257,7 +259,7 @@ def test_background_bytes_match_per_box_loop(
 ):
     image = BACKGROUND_CLASSES[value_class](np.random.default_rng(seed), shape)
     assert_same_bytes(
-        estimate_background(image, box_size, n_sigma),
+        estimate_background.__wrapped__(image, box_size, n_sigma),
         _reference_estimate_background(image, box_size, n_sigma),
     )
 
@@ -280,3 +282,43 @@ def test_repair_bytes_match_full_image_filter(
         repair_cosmic_rays(image, mask, radius),
         _reference_repair_cosmic_rays(image, mask, radius),
     )
+
+
+# A memo is a function of the arguments' values: any sequence of calls
+# returns what the kernel returns, and computes once per distinct input,
+# where inputs differing only in dtype, shape or scalar type (1, 1.0,
+# True and np.float64(1.0) compare equal) are distinct.
+
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["|b1", "|u1", "<i4", "<f4", "<f8"]),
+            st.sampled_from([(), (0,), (4,), (2, 2), (1, 4)]),
+            st.integers(0, 2),
+            st.sampled_from([None, 1, 1.0, True, "1", np.float64(1.0)]),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_memo_returns_the_kernel_result_once_per_distinct_input(calls):
+    computed = []
+
+    def echo(array, scale=None):
+        computed.append(None)
+        return array.copy(), scale
+
+    kernel = memoized(echo)
+    distinct = set()
+    for dtype, shape, seed, scale in calls:
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        # 0/1 bytes are valid values of every dtype drawn, bool included.
+        raw = np.random.default_rng(seed).integers(0, 2, size, dtype=np.uint8)
+        array = raw.view(dtype).reshape(shape)
+        result, echoed = kernel(array, scale=scale)
+        assert result.dtype == array.dtype and result.shape == array.shape
+        assert result.tobytes() == array.tobytes()
+        assert type(echoed) is type(scale) and echoed == scale
+        result[...] = 1  # a later hit must not see this
+        distinct.add((dtype, shape, array.tobytes(), type(scale), repr(scale)))
+    assert len(computed) == len(distinct)
