@@ -14,13 +14,23 @@ A third case holds the task count and grows the cluster: an event used
 to rebuild the usable nodes and re-sum their free slots, so the same
 pinned run cost O(nodes) more per event on a bigger cluster.  The run
 keeps both across events now; 16x the nodes must cost well under 2x.
+
+A fourth case is a Spark shuffle.  Every reducer used to size every
+map's bucket for it, empty ones included, so a ``groupByKey`` over a
+fixed record list cost O(reducers x maps) host time in its partition
+count.  Each record is now sized once, as it is bucketed, and the byte
+totals travel with the buckets.  4x the partitions cost about 3.3x the
+host time then and about 2.3x now (the records are fixed, so neither
+reaches 4); the bound sits between.
 """
 
+import gc
 import time
 
 import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
+from repro.engines.spark import SparkContext
 from repro.obs import compute_critical_path
 from repro.obs.spans import TaskRecord
 
@@ -31,6 +41,12 @@ BOUND = 6.0
 #: with the node state carried across events.
 NODE_GROWTH = 16
 NODE_BOUND = 1.75
+#: 32 -> 128 partitions over 1 024 records, best of 15 with the collector
+#: off.  Measured on a shared 2-core host over 25-30 runs a side:
+#: 2.7-4.6x (mostly 3.2-3.5x) when every reducer sized every map's
+#: bucket, 2.1-2.5x with the byte totals carried beside the buckets.
+SHUFFLE_PARTITIONS = 32
+SHUFFLE_BOUND = 2.75
 
 
 def _best_of(rounds, *cases):
@@ -57,6 +73,28 @@ def _staggered_pinned_run(n_tasks, n_nodes=16):
         for i in range(n_tasks)
     ]
     return lambda: cluster.run(tasks)
+
+
+def _group_by_key(n_partitions, n_records=1024):
+    """One shuffle of a fixed record list into ``n_partitions``.
+
+    Timed with the collector off: a run lasts milliseconds, and one
+    collection of the test process's heap falling inside it would
+    outweigh the difference the bound looks for.
+    """
+    sc = SparkContext(SimulatedCluster(ClusterSpec(n_nodes=4)))
+    records = [(i % 97, i) for i in range(n_records)]
+    grouped = sc.parallelize(records, numSlices=n_partitions).groupByKey(
+        n_partitions)
+
+    def collect():
+        gc.disable()
+        try:
+            grouped.collect()
+        finally:
+            gc.enable()
+
+    return collect
 
 
 def _dependency_free_walk(n_records):
@@ -100,3 +138,14 @@ def test_host_time_is_flat_in_the_node_count():
           f"{small_s * 1e3:.1f} ms -> {large_s * 1e3:.1f} ms "
           f"= {large_s / small_s:.2f}x (bound {NODE_BOUND}x)")
     assert large_s <= NODE_BOUND * small_s
+
+
+def test_shuffle_host_time_is_not_reducers_times_maps():
+    small, large = SHUFFLE_PARTITIONS, GROWTH * SHUFFLE_PARTITIONS
+    small_s, large_s = _best_of(
+        15, lambda: _group_by_key(small), lambda: _group_by_key(large),
+    )
+    print(f"_group_by_key: {small} -> {large} partitions, "
+          f"{small_s * 1e3:.1f} ms -> {large_s * 1e3:.1f} ms "
+          f"= {large_s / small_s:.2f}x (bound {SHUFFLE_BOUND}x)")
+    assert large_s <= SHUFFLE_BOUND * small_s

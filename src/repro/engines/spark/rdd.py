@@ -9,7 +9,7 @@ it into stages at shuffle boundaries, exactly as described in Section 2:
 from repro.engines.base import as_costed
 
 #: Operations that repartition by key and therefore end a stage.
-WIDE_OPS = frozenset({"groupByKey", "reduceByKey", "repartition"})
+WIDE_OPS = frozenset({"groupByKey", "reduceByKey"})
 #: Per-record narrow operations fused into their parent's stage.
 NARROW_OPS = frozenset({"map", "flatMap", "filter", "mapValues"})
 #: Lineage sources.
@@ -91,12 +91,6 @@ class RDD:
             parent=self,
             fn=fn,
             num_partitions=numPartitions or self.num_partitions,
-        )
-
-    def repartition(self, numPartitions):  # noqa: N802,N803
-        """Round-robin shuffle into ``numPartitions`` partitions."""
-        return RDD(
-            self.sc, "repartition", parent=self, num_partitions=numPartitions
         )
 
     # ------------------------------------------------------------------

@@ -20,16 +20,22 @@ class Partition:
     ``task`` is the simulated task that produced the partition -- the
     lineage link downstream stages declare as a dependency, so that a
     node crash can trigger recomputation of exactly the lost partitions.
+    A map-side partition's ``records`` is a ``{bucket: records}`` map
+    for the next shuffle, and ``bucket_bytes`` holds each bucket's
+    nominal bytes; it is None for a plain record list.
     """
 
-    __slots__ = ("records", "nominal_bytes", "node", "on_disk", "task")
+    __slots__ = ("records", "nominal_bytes", "node", "on_disk", "task",
+                 "bucket_bytes")
 
-    def __init__(self, records, nominal_bytes, node, on_disk=False, task=None):
+    def __init__(self, records, nominal_bytes, node, on_disk=False, task=None,
+                 bucket_bytes=None):
         self.records = records
         self.nominal_bytes = int(nominal_bytes)
         self.node = node
         self.on_disk = on_disk
         self.task = task
+        self.bucket_bytes = bucket_bytes
 
     def __repr__(self):
         return (
@@ -156,10 +162,9 @@ class SparkScheduler:
         partitions = []
         for task in tasks:
             result = results[task.task_id]
-            records, nominal_bytes = result.value
-            partitions.append(
-                Partition(records, nominal_bytes, result.node, task=task)
-            )
+            records, nominal_bytes, bucket_bytes = result.value
+            partitions.append(Partition(records, nominal_bytes, result.node,
+                                        task=task, bucket_bytes=bucket_bytes))
         return partitions
 
     # -- stage bodies ---------------------------------------------------
@@ -223,14 +228,20 @@ class SparkScheduler:
         return out, cost
 
     def _finish_records(self, records, shuffle_partitioner):
-        """Optionally bucket output records for the next shuffle."""
+        """Size the output as ``(records, nominal_bytes, bucket_bytes)``.
+
+        Before a shuffle each record is sized once, as it is bucketed,
+        into its bucket's total; otherwise ``bucket_bytes`` is None."""
         if shuffle_partitioner is None:
-            return records
+            return records, nominal_bytes_of(records), None
         buckets = {}
+        bucket_bytes = {}
         for key, value in records:
             bucket = shuffle_partitioner.partition_for(key)
-            buckets.setdefault(bucket, []).append((key, value))
-        return buckets
+            record = (key, value)
+            buckets.setdefault(bucket, []).append(record)
+            bucket_bytes[bucket] = bucket_bytes.get(bucket, 0) + nominal_bytes_of(record)
+        return buckets, sum(bucket_bytes.values()), bucket_bytes
 
     def _boundary_and_overhead(self, in_bytes, out_bytes, shuffle_partitioner):
         """Fixed per-task costs: scheduling + Python boundary + shuffle
@@ -256,8 +267,8 @@ class SparkScheduler:
         costs.  ``placement`` holds the task's ``node``, ``deps``,
         ``memory_bytes`` and ``category``.
 
-        The task's value is ``(records, nominal_bytes)``: the output is
-        sized once, here, and bucketing it for a shuffle keeps the sum.
+        The task's value is ``(records, nominal_bytes, bucket_bytes)``
+        from :meth:`_finish_records`: the output is sized once, here.
         """
         cell = {}
 
@@ -267,13 +278,15 @@ class SparkScheduler:
             if combine is not None:
                 records, combine_cost = combine(records)
             out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
-            out_bytes = nominal_bytes_of(out)
+            out, out_bytes, bucket_bytes = self._finish_records(
+                out, shuffle_partitioner
+            )
             seconds += combine_cost + narrow_cost
             seconds += self._boundary_and_overhead(
                 in_bytes, out_bytes, shuffle_partitioner
             )
             cell["seconds"] = seconds
-            return self._finish_records(out, shuffle_partitioner), out_bytes
+            return out, out_bytes, bucket_bytes
 
         return Task(
             f"spark-stage{self.stages_run}-{suffix}",
@@ -387,61 +400,50 @@ class SparkScheduler:
         # (bounded by how many reducers exist).
         nic_sharing = min(spec.slots_per_node, -(-n_reducers // spec.n_nodes))
 
-        if base.op == "repartition":
-            # Upstream produced plain record lists; round-robin them.
-            all_records = []
-            for partition in upstream:
-                all_records.extend(partition.records)
-            buckets = {
-                r: all_records[r::n_reducers] for r in range(n_reducers)
-            }
-            upstream_buckets = [buckets]
-        else:
-            upstream_buckets = [p.records for p in upstream]  # dicts
-
         def combine(records):
             if base.op == "groupByKey":
                 grouped = {}
                 for key, value in records:
                     grouped.setdefault(key, []).append(value)
                 return list(grouped.items()), 0.0
-            if base.op == "reduceByKey":
-                cost = 0.0
-                reduced = {}
-                for key, value in records:
-                    if key in reduced:
-                        cost += base.fn.cost(reduced[key], value)
-                        reduced[key] = base.fn(reduced[key], value)
-                    else:
-                        reduced[key] = value
-                return list(reduced.items()), cost
-            return records, 0.0  # repartition
+            cost = 0.0  # reduceByKey
+            reduced = {}
+            for key, value in records:
+                if key in reduced:
+                    cost += base.fn.cost(reduced[key], value)
+                    reduced[key] = base.fn(reduced[key], value)
+                else:
+                    reduced[key] = value
+            return list(reduced.items()), cost
+
+        # One pass over the map outputs gathers each reducer's input and
+        # its byte total, in map-partition order, then bucket order.
+        inputs = [[] for _ in range(n_reducers)]
+        in_bytes = [0] * n_reducers
+        for partition in upstream:
+            for reducer, records in partition.records.items():
+                inputs[reducer].extend(records)
+                in_bytes[reducer] += partition.bucket_bytes[reducer]
 
         # Lineage links to every map-side partition (a wide dependency):
         # lost shuffle outputs recompute first.
         deps = [p.task for p in upstream if p.task is not None]
         tasks = []
         for reducer in range(n_reducers):
-            in_bytes = sum(
-                nominal_bytes_of(bm.get(reducer, [])) for bm in upstream_buckets
-            )
 
-            def read(reducer=reducer, in_bytes=in_bytes):
-                records = []
-                for bucket_map in upstream_buckets:
-                    records.extend(bucket_map.get(reducer, []))
-                seconds = cm.disk_read_time(in_bytes)
+            def read(records=inputs[reducer], nbytes=in_bytes[reducer]):
+                seconds = cm.disk_read_time(nbytes)
                 seconds += cluster.network.transfer_time(
-                    int(in_bytes * remote_fraction), "maps", "reduce"
+                    int(nbytes * remote_fraction), "maps", "reduce"
                 ) * nic_sharing
-                seconds += cm.unpickle_time(in_bytes)
-                return records, in_bytes, seconds
+                seconds += cm.unpickle_time(nbytes)
+                return records, nbytes, seconds
 
             tasks.append(self._stage_task(
                 plan, shuffle_partitioner, f"reduce{reducer}", read,
                 combine=combine,
                 deps=deps,
-                memory_bytes=in_bytes,
+                memory_bytes=in_bytes[reducer],
                 category="spark-shuffle",
             ))
         return tasks
@@ -479,6 +481,7 @@ class SparkScheduler:
                         partition.nominal_bytes,
                         partition.node,
                         on_disk=True,
+                        bucket_bytes=partition.bucket_bytes,
                     )
                 )
         self._cache_store[rdd.rdd_id] = stored

@@ -79,7 +79,7 @@ def test_stage_count_narrow_fused(sc):
     assert sc.scheduler.stages_run - before == 2
 
 
-def test_wide_op_repartitions(sc):
+def test_group_by_key_makes_num_partitions_partitions(sc):
     rdd = sc.parallelize([(i, i) for i in range(16)], numSlices=2)
     grouped = rdd.groupByKey(numPartitions=8)
     parts = grouped.persist_to_workers()
