@@ -9,8 +9,6 @@ resolution.
 
 import numpy as np
 
-from repro.algorithms.memo import memoized
-
 
 _CLIP_ITERATIONS = 3
 
@@ -52,7 +50,6 @@ def _sigma_clipped_medians(boxes, n_sigma):
     return medians
 
 
-@memoized
 def estimate_background(image, box_size=64, n_sigma=3.0):
     """Estimate a smooth background surface for a 2-d image.
 

@@ -11,7 +11,6 @@ LA-Cosmic-style algorithms in simplified form.
 
 import numpy as np
 
-from repro.algorithms.memo import memoized
 from repro.algorithms.stencil import (
     median_filter_2d,
     sliding_windows,
@@ -19,7 +18,6 @@ from repro.algorithms.stencil import (
 )
 
 
-@memoized
 def detect_cosmic_rays(image, variance=None, n_sigma=6.0, radius=2,
                        objlim=3.0):
     """Boolean mask of cosmic-ray pixels.

@@ -15,6 +15,8 @@ reweighted pass using the predicted signals as weights.
 
 import numpy as np
 
+from repro.algorithms.memo import memoized
+
 #: b-values at or below this are treated as non-diffusion-weighted (b0).
 B0_THRESHOLD = 50.0
 
@@ -118,13 +120,22 @@ def fit_dtm(data, gtab, mask=None):
             raise ValueError(
                 f"mask shape {mask.shape} does not match data {spatial}"
             )
+    return _fit_planes(data, mask, gtab.bvals, gtab.bvecs)
 
+
+@memoized
+def _fit_planes(data, mask, bvals, bvecs):
+    """The fit of :func:`fit_dtm` on validated planes.
+
+    Memoized: every engine fits the same voxel blocks of the same
+    subjects, so each distinct block is fitted once per process.
+    """
     signals = data[mask]                       # (v, n)
-    evals = np.zeros(spatial + (3,), dtype=np.float64)
+    evals = np.zeros(data.shape[:3] + (3,), dtype=np.float64)
     if signals.size == 0:
         return evals
 
-    tensors = _wls_tensors(signals, gtab)      # (v, 6)
+    tensors = _wls_tensors(signals, GradientTable(bvals, bvecs))  # (v, 6)
     evals[mask] = tensor_eigenvalues(tensors)
     return evals
 

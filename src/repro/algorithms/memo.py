@@ -1,10 +1,10 @@
-"""A content-keyed memo for the kernels the engines call repeatedly.
+"""A content-keyed memo for the kernels and steps the engines repeat.
 
 Every engine runs the same pipelines on the same staged inputs, so a
-figure asks a kernel for the same result many times over (Figure 10c's
-quick cells at one and two subjects make 216 denoise calls on 48
-distinct volumes).  ``memoized`` computes each distinct call once per
-process.
+figure asks a kernel or a step for the same result many times over
+(Figure 10c's quick cells at one and two subjects make 216 denoise
+calls on 48 distinct volumes).  ``memoized`` computes each distinct
+call once per process.
 
 The key is a digest of the call's arguments, positional ones in order,
 then keyword ones sorted by name.  An array contributes its dtype, its

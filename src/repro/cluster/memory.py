@@ -26,6 +26,7 @@ class MemoryTracker:
         self.node = node
         self.capacity_bytes = int(capacity_bytes)
         self._allocations = {}
+        self._used = 0  # the sum of _allocations, kept as it changes
         self._wiped_ids = set()
         self._next_id = 0
         self.peak_bytes = 0
@@ -37,7 +38,7 @@ class MemoryTracker:
     @property
     def used_bytes(self):
         """Bytes currently accounted as in use."""
-        return sum(self._allocations.values())
+        return self._used
 
     @property
     def available_bytes(self):
@@ -59,7 +60,8 @@ class MemoryTracker:
         alloc_id = self._next_id
         self._next_id += 1
         self._allocations[alloc_id] = nbytes
-        self.peak_bytes = max(self.peak_bytes, self.used_bytes)
+        self._used += nbytes
+        self.peak_bytes = max(self.peak_bytes, self._used)
         self.history.append((self._clock.now, nbytes))
         return alloc_id
 
@@ -90,12 +92,14 @@ class MemoryTracker:
                 return
             raise KeyError(f"unknown or already-freed allocation {alloc_id}")
         nbytes = self._allocations.pop(alloc_id)
+        self._used -= nbytes
         self.history.append((self._clock.now, -nbytes))
 
     def free_all(self):
         """Release every outstanding allocation."""
-        released = self.used_bytes
+        released = self._used
         self._allocations.clear()
+        self._used = 0
         if released:
             self.history.append((self._clock.now, -released))
 
@@ -106,9 +110,10 @@ class MemoryTracker:
         :meth:`free` calls from surviving owners succeed silently.
         Returns the number of bytes lost.
         """
-        lost = self.used_bytes
+        lost = self._used
         self._wiped_ids.update(self._allocations)
         self._allocations.clear()
+        self._used = 0
         if lost:
             self.history.append((self._clock.now, -lost))
         return lost

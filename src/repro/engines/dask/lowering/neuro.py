@@ -193,7 +193,7 @@ class LoweredNeuro(LoweredPlan):
         # separate graph values, so model fitting only moves block-sized
         # pieces between workers, not whole volumes.
         def split_block(volume, block_index):
-            return common.split_volume_blocks(volume, n_blocks)[block_index][1]
+            return common.volume_block(volume, n_blocks, block_index)
 
         def split_block_cost(volume, block_index):
             return (volume.nominal_bytes / n_blocks) * cm.memcpy_per_byte

@@ -22,20 +22,23 @@ class Partition:
     node crash can trigger recomputation of exactly the lost partitions.
     A map-side partition's ``records`` is a ``{bucket: records}`` map
     for the next shuffle, and ``bucket_bytes`` holds each bucket's
-    nominal bytes; it is None for a plain record list.
+    nominal bytes; it is None for a plain record list.  A map-side
+    partition of a cached RDD also keeps its plain record list as
+    ``rows``, which is what the cache stores.
     """
 
     __slots__ = ("records", "nominal_bytes", "node", "on_disk", "task",
-                 "bucket_bytes")
+                 "bucket_bytes", "rows")
 
     def __init__(self, records, nominal_bytes, node, on_disk=False, task=None,
-                 bucket_bytes=None):
+                 bucket_bytes=None, rows=None):
         self.records = records
         self.nominal_bytes = int(nominal_bytes)
         self.node = node
         self.on_disk = on_disk
         self.task = task
         self.bucket_bytes = bucket_bytes
+        self.rows = rows
 
     def __repr__(self):
         return (
@@ -114,7 +117,9 @@ class SparkScheduler:
         pending = False
         for node in lineage[start:]:
             if node.rdd_id in self._cache_store and node is lineage[start]:
+                # A stage reads the cache, even when a shuffle follows.
                 current_base = node
+                pending = True
                 continue
             if node.op in SOURCE_OPS or node.op in WIDE_OPS:
                 if current_base is not None and pending:
@@ -162,9 +167,10 @@ class SparkScheduler:
         partitions = []
         for task in tasks:
             result = results[task.task_id]
-            records, nominal_bytes, bucket_bytes = result.value
+            records, nominal_bytes, bucket_bytes, rows = result.value
             partitions.append(Partition(records, nominal_bytes, result.node,
-                                        task=task, bucket_bytes=bucket_bytes))
+                                        task=task, bucket_bytes=bucket_bytes,
+                                        rows=rows))
         return partitions
 
     # -- stage bodies ---------------------------------------------------
@@ -268,9 +274,12 @@ class SparkScheduler:
         ``memory_bytes`` and ``category``.
 
         The task's value is ``(records, nominal_bytes, bucket_bytes)``
-        from :meth:`_finish_records`: the output is sized once, here.
+        from :meth:`_finish_records` (the output is sized once, here),
+        then the unbucketed records when the stage's RDD is cached and
+        feeds a shuffle, else None.
         """
         cell = {}
+        keep_rows = shuffle_partitioner is not None and plan.result_rdd.cached
 
         def run():
             records, in_bytes, seconds = read()
@@ -278,7 +287,7 @@ class SparkScheduler:
             if combine is not None:
                 records, combine_cost = combine(records)
             out, narrow_cost = self._apply_narrow(records, plan.narrow_ops)
-            out, out_bytes, bucket_bytes = self._finish_records(
+            finished, out_bytes, bucket_bytes = self._finish_records(
                 out, shuffle_partitioner
             )
             seconds += combine_cost + narrow_cost
@@ -286,7 +295,7 @@ class SparkScheduler:
                 in_bytes, out_bytes, shuffle_partitioner
             )
             cell["seconds"] = seconds
-            return out, out_bytes, bucket_bytes
+            return finished, out_bytes, bucket_bytes, out if keep_rows else None
 
         return Task(
             f"spark-stage{self.stages_run}-{suffix}",
@@ -463,6 +472,11 @@ class SparkScheduler:
         cm = self.sc.cluster.cost_model
         stored = []
         for partition in partitions:
+            if partition.rows is not None:
+                # The cache holds the RDD's records, not the buckets of
+                # the shuffle that read them.
+                partition = Partition(partition.rows, partition.nominal_bytes,
+                                      partition.node, task=partition.task)
             node = self.sc.cluster.node(partition.node)
             if node.memory.would_fit(partition.nominal_bytes):
                 node.memory.allocate(partition.nominal_bytes, f"cache-rdd{rdd.rdd_id}")
@@ -481,7 +495,6 @@ class SparkScheduler:
                         partition.nominal_bytes,
                         partition.node,
                         on_disk=True,
-                        bucket_bytes=partition.bucket_bytes,
                     )
                 )
         self._cache_store[rdd.rdd_id] = stored

@@ -183,13 +183,12 @@ def _snapshot_cluster(cluster):
     may pin an explicit ``cluster.run_label`` instead.
     """
     from repro.obs import run_snapshot
-    from repro.obs.breakdown import records_of, summarize_records
 
-    label = getattr(cluster, "run_label", None)
-    if label is None:
-        groups = summarize_records(records_of(cluster))
-        label = groups[0]["group"] if groups else "empty"
-    return run_snapshot(cluster, label=label)
+    snapshot = run_snapshot(cluster, label=getattr(cluster, "run_label", None))
+    if snapshot["label"] is None:
+        groups = snapshot["groups"]
+        snapshot["label"] = groups[0]["group"] if groups else "empty"
+    return snapshot
 
 
 def _execute_trial(fn_name, kwargs, want_snapshots, timings=None):

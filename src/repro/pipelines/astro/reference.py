@@ -13,6 +13,7 @@ import numpy as np
 from repro.algorithms.background import subtract_background
 from repro.algorithms.coadd import coadd_stack
 from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
+from repro.algorithms.memo import memoized
 from repro.algorithms.patches import PatchGrid
 from repro.algorithms.sources import detect_sources
 from repro.data.catalog import ASTRO_SENSOR_SHAPE
@@ -54,12 +55,21 @@ def background_box_size(sensor_shape):
 
 def preprocess_exposure(exposure):
     """Step 1-A: background subtraction + cosmic-ray repair."""
-    box = background_box_size(exposure.shape)
-    flux, _background = subtract_background(exposure.flux, box_size=box)
-    cr_mask = detect_cosmic_rays(flux, variance=exposure.variance)
+    flux, cr_mask = _calibrate(exposure.flux, exposure.variance,
+                               background_box_size(exposure.shape))
     # Bit 1 flags a repaired cosmic ray, in the mask plane's own dtype.
-    return replace(exposure, flux=repair_cosmic_rays(flux, cr_mask),
+    return replace(exposure, flux=flux,
                    mask=exposure.mask | cr_mask.astype(exposure.mask.dtype) << 1)
+
+
+@memoized
+def _calibrate(flux, variance, box):
+    """Step 1-A on one exposure's planes: the repaired flux and the
+    cosmic-ray mask.  Memoized: every engine calibrates the same
+    exposures, so each distinct one is calibrated once per process."""
+    flux, _background = subtract_background(flux, box_size=box)
+    cr_mask = detect_cosmic_rays(flux, variance=variance)
+    return repair_cosmic_rays(flux, cr_mask), cr_mask
 
 
 def patch_pieces(exposure, grid, pixel_scale):
@@ -118,15 +128,23 @@ def coadd_patch(patch_exposures):
     Statistics run in float64 (as the reference math does); the stored
     Coadd is float32, like the input flux planes.
     """
-    stack = np.stack([p.array.astype(np.float64) for p in patch_exposures])
-    coadd, _counts = coadd_stack(
-        stack, n_sigma=COADD_SIGMA, n_iter=COADD_ITERATIONS
-    )
     return SizedArray(
-        coadd.astype(np.float32),
+        _coadd_planes(*(p.array for p in patch_exposures)),
         nominal_shape=patch_exposures[0].nominal_shape,
         meta={"patch": patch_exposures[0].meta.get("patch")},
     )
+
+
+@memoized
+def _coadd_planes(*planes):
+    """Step 3-A on one patch's visit planes: the float32 co-add.
+    Memoized on the planes, so a repeated stack is neither built nor
+    clipped again."""
+    stack = np.stack([plane.astype(np.float64) for plane in planes])
+    coadd, _counts = coadd_stack(
+        stack, n_sigma=COADD_SIGMA, n_iter=COADD_ITERATIONS
+    )
+    return coadd.astype(np.float32)
 
 
 def detect(coadd):

@@ -143,22 +143,36 @@ def split_volume_blocks(volume, n_blocks):
     Returns ``[(block_id, SizedArray), ...]``; nominal shapes divide the
     nominal z extent the same way the real split divides the real one.
     """
-    array = volume.array
-    nz_real = array.shape[0]
-    nz_nominal = volume.nominal_shape[0]
+    bounds = _block_bounds(volume, n_blocks)
+    return [(b, _block(volume, bounds, b)) for b in range(len(bounds[0]) - 1)]
+
+
+def volume_block(volume, n_blocks, index):
+    """Block ``index`` of :func:`split_volume_blocks`, built alone."""
+    bounds = _block_bounds(volume, n_blocks)
+    if not 0 <= index < len(bounds[0]) - 1:
+        raise IndexError(f"block {index} of {len(bounds[0]) - 1}")
+    return _block(volume, bounds, index)
+
+
+def _block_bounds(volume, n_blocks):
+    """Real and nominal z bounds of the blocks (at most one per real
+    slice)."""
+    nz_real = volume.array.shape[0]
     n_blocks = min(n_blocks, nz_real)
-    blocks = []
-    bounds_real = np.linspace(0, nz_real, n_blocks + 1).astype(int)
-    bounds_nominal = np.linspace(0, nz_nominal, n_blocks + 1).astype(int)
-    for b in range(n_blocks):
-        real_block = array[bounds_real[b]:bounds_real[b + 1]]
-        nominal = (
-            int(bounds_nominal[b + 1] - bounds_nominal[b]),
-        ) + tuple(volume.nominal_shape[1:])
-        blocks.append(
-            (b, SizedArray(real_block, nominal_shape=nominal, meta=volume.meta))
-        )
-    return blocks
+    return (
+        np.linspace(0, nz_real, n_blocks + 1).astype(int),
+        np.linspace(0, volume.nominal_shape[0], n_blocks + 1).astype(int),
+    )
+
+
+def _block(volume, bounds, index):
+    real, nominal = bounds
+    nominal_shape = (
+        int(nominal[index + 1] - nominal[index]),
+    ) + tuple(volume.nominal_shape[1:])
+    return SizedArray(volume.array[real[index]:real[index + 1]],
+                      nominal_shape=nominal_shape, meta=volume.meta)
 
 
 def reassemble_blocks(blocks_by_id, nominal_shape=None, meta=None):

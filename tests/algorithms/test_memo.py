@@ -1,30 +1,37 @@
 """Tests for the content-keyed kernel memo."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.algorithms.background import estimate_background
-from repro.algorithms.cosmicray import detect_cosmic_rays
+from repro.algorithms import dtm
 from repro.algorithms.memo import memoized
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.sources import detect_sources
 from repro.harness.figures import FIGURES
 from repro.harness.parallel import TRIAL_FNS
+from repro.pipelines.astro import reference
 
-#: Every memoized kernel with a small call it repeats.
+#: Every memoized function with a small call it repeats.
 KERNEL_CALLS = {
     "nlmeans_3d": (nlmeans_3d, lambda rng: (
         (rng.normal(100.0, 12.0, (6, 6, 7)),),
         {"sigma": 12.0, "mask": rng.random((6, 6, 7)) < 0.5},
     )),
-    "estimate_background": (estimate_background, lambda rng: (
-        (rng.normal(200.0, 5.0, (40, 40)),), {"box_size": 8},
-    )),
-    "detect_cosmic_rays": (detect_cosmic_rays, lambda rng: (
-        (_sky(rng),), {"variance": np.full((40, 40), 25.0)},
-    )),
     "detect_sources": (detect_sources, lambda rng: (
         (_sky(rng),), {"n_sigma": 5.0, "npix_min": 1},
+    )),
+    "_calibrate": (reference._calibrate, lambda rng: (
+        (_sky(rng), np.full((40, 40), 25.0), 8), {},
+    )),
+    "_coadd_planes": (reference._coadd_planes, lambda rng: (
+        tuple(_sky(rng).astype(np.float32) for _visit in range(3)), {},
+    )),
+    "_fit_planes": (dtm._fit_planes, lambda rng: (
+        (rng.normal(100.0, 5.0, (3, 3, 2, 7)), rng.random((3, 3, 2)) < 0.7,
+         np.array([0.0] + [1000.0] * 6),
+         np.vstack([np.zeros(3), np.eye(3), np.eye(3)[::-1]])), {},
     )),
 }
 
@@ -53,15 +60,21 @@ def test_a_hit_returns_the_bytes_and_dtype_of_the_kernel(name, rng):
     kernel.cache_clear()
     expected = kernel.__wrapped__(*args, **kwargs)
     for _call in range(2):  # a miss, then a hit
-        result = kernel(*args, **kwargs)
-        assert type(result) is type(expected)
-        if isinstance(expected, list):  # sources: frozen records
-            assert result == expected
-        else:
-            assert result.dtype == expected.dtype
-            assert result.shape == expected.shape
-            assert result.tobytes() == expected.tobytes()
-            assert result.flags.writeable
+        _assert_same_result(kernel(*args, **kwargs), expected)
+
+
+def _assert_same_result(result, expected):
+    assert type(result) is type(expected)
+    if isinstance(expected, tuple):  # Step 1-A: flux and mask
+        for got, want in zip(result, expected, strict=True):
+            _assert_same_result(got, want)
+    elif isinstance(expected, list):  # sources: frozen records
+        assert result == expected
+    else:
+        assert result.dtype == expected.dtype
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        assert result.flags.writeable
 
 
 def test_a_hit_reads_the_table_instead_of_computing():
@@ -198,6 +211,16 @@ def test_cache_clear_makes_the_next_call_compute():
     assert len(calls) == 2
 
 
+def _run_quick_cells(figure_id, counts):
+    figure = FIGURES[figure_id]
+    for engine in figure.quick["engine"].values:
+        for count in counts:
+            TRIAL_FNS[figure.trial](
+                engine=engine, count=count, profile=figure.quick["profile"],
+                **figure.fixed,
+            )
+
+
 def test_the_neuro_grid_cells_denoise_each_volume_once(monkeypatch):
     """Figure 10c's quick cells at 1 and 2 subjects (the ``neuro-grid``
     benchmark workload) make 216 denoise calls on 2 subjects x 24
@@ -212,11 +235,46 @@ def test_the_neuro_grid_cells_denoise_each_volume_once(monkeypatch):
 
     monkeypatch.setattr(nlmeans_3d, "__wrapped__", counted)
     nlmeans_3d.cache_clear()
-    figure = FIGURES["fig10c"]
-    for engine in figure.quick["engine"].values:
-        for count in (1, 2):
-            TRIAL_FNS[figure.trial](
-                engine=engine, count=count, profile=figure.quick["profile"],
-                **figure.fixed,
-            )
+    _run_quick_cells("fig10c", (1, 2))
     assert len(computed) == 48
+
+
+def _computed(monkeypatch, module, name):
+    """Digests of the inputs of each call ``module.name`` computes."""
+    digests = []
+    kernel = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        digest = hashlib.sha256()
+        for array in args:
+            if isinstance(array, np.ndarray):
+                digest.update(np.ascontiguousarray(array).data)
+        digests.append(digest.hexdigest())
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return digests
+
+
+def test_the_astro_grid_cells_calibrate_and_coadd_each_input_once(
+    monkeypatch,
+):
+    """Figure 10d's quick cells (the naive cells of the ``astro-grid``
+    benchmark) run Step 1-A 72 times on 24 exposures and co-add 76
+    times on 38 patch stacks: each distinct input is computed once."""
+    repaired = _computed(monkeypatch, reference, "repair_cosmic_rays")
+    coadded = _computed(monkeypatch, reference, "coadd_stack")
+    reference._calibrate.cache_clear()
+    reference._coadd_planes.cache_clear()
+    _run_quick_cells("fig10d", FIGURES["fig10d"].quick["count"].values)
+    assert len(repaired) == len(set(repaired)) == 24
+    assert len(coadded) == len(set(coadded)) == 38
+
+
+def test_the_neuro_grid_cells_fit_each_block_once(monkeypatch):
+    """Figure 10c's quick cells at 1 and 2 subjects fit 72 voxel
+    blocks, 16 of them distinct: each is fitted once."""
+    fitted = _computed(monkeypatch, dtm, "_wls_tensors")
+    dtm._fit_planes.cache_clear()
+    _run_quick_cells("fig10c", (1, 2))
+    assert len(fitted) == len(set(fitted)) == 16

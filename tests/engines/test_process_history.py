@@ -16,12 +16,8 @@ import json
 
 import pytest
 
-from repro.algorithms import (
-    detect_cosmic_rays,
-    detect_sources,
-    estimate_background,
-    nlmeans_3d,
-)
+from repro.algorithms import detect_sources, nlmeans_3d
+from repro.algorithms.dtm import _fit_planes
 from repro.cluster.faults import FaultPlan, RetryPolicy
 from repro.data import generate_subject
 from repro.harness.figures import FIGURES
@@ -34,6 +30,7 @@ from repro.harness.runner import (
 )
 from repro.obs.breakdown import records_of
 from repro.obs.ledger import run_snapshot
+from repro.pipelines.astro.reference import _calibrate, _coadd_planes
 from repro.pipelines.astro.staging import stage_visits
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import astro_plan, lower, neuro_plan
@@ -151,12 +148,12 @@ def test_step_cell_repeats_whatever_the_memo_holds(figure):
 
 #: pipeline -> (the measured engine, the other engines of its quick
 #: end-to-end figure, which run the same kernels on the same inputs,
-#: the kernel the measured cell must then read from the memo).
+#: the memoized function the measured cell must then read from the memo).
 KERNEL_CELLS = {
     "neuro": ("dask", ("myria", "spark"), nlmeans_3d),
-    "astro": ("spark", ("myria",), estimate_background),
+    "astro": ("spark", ("myria",), _calibrate),
 }
-MEMOIZED = (nlmeans_3d, estimate_background, detect_cosmic_rays, detect_sources)
+MEMOIZED = (nlmeans_3d, detect_sources, _calibrate, _coadd_planes, _fit_planes)
 
 
 def _end_to_end_cell(pipeline, engine):

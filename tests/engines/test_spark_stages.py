@@ -93,3 +93,30 @@ def test_cached_results_correct_after_recompute(sc):
     # Second derived action reads the cache and stays correct.
     tripled = base.map(udf(lambda x: 3 * x))
     assert sorted(tripled.collect()) == [3 * x for x in range(10)]
+
+
+def _records():
+    return [(i % 3, float(i)) for i in range(12)]
+
+
+def test_a_cached_rdd_feeding_a_shuffle_collects_twice(sc):
+    """The second action plans a stage over the cache before the
+    shuffle; it used to plan none and fail with a TypeError."""
+    grouped = sc.parallelize(_records(), numSlices=4).cache().groupByKey(3)
+    first = grouped.collect()
+    assert grouped.collect() == first
+    assert sorted(key for key, _values in first) == [0, 1, 2]
+
+
+def test_a_cache_filled_before_a_shuffle_holds_the_records(sc):
+    """The cache keeps each partition's records in order, not the
+    buckets its stage wrote for the shuffle, so other actions on it
+    see what a fresh computation gives."""
+    fresh = sc.parallelize(_records(), numSlices=4)
+    base = sc.parallelize(_records(), numSlices=4).cache()
+    base.groupByKey(3).collect()  # fills the cache in a bucketing stage
+    assert base.collect() == fresh.collect()
+    assert (base.groupByKey(2).collect()
+            == fresh.groupByKey(2).collect())
+    double = udf(lambda kv: (kv[0], 2 * kv[1]))
+    assert base.map(double).collect() == fresh.map(double).collect()

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms import cosmicray
+from repro.algorithms.coadd import coadd_stack
 from repro.data.astro import generate_visit
+from repro.formats.sizing import SizedArray
 from repro.harness.runner import astro_visits
 from repro.pipelines.astro import reference
 from repro.pipelines.astro.reference import (
+    COADD_ITERATIONS,
+    COADD_SIGMA,
+    background_box_size,
     coadd_patch,
     default_patch_grid,
     detect,
@@ -78,7 +83,9 @@ def test_preprocess_bytes_match_reference_kernels(quick_exposures, monkeypatch):
     monkeypatch.setattr(
         reference, "repair_cosmic_rays", _reference_repair_cosmic_rays
     )
+    reference._calibrate.cache_clear()  # computed by the oracles, not read back
     want = [preprocess_exposure(exposure) for exposure in quick_exposures]
+    reference._calibrate.cache_clear()  # keep no oracle result in the memo
     planes = ("flux", "mask")
     assert _sha256(got, planes) == _sha256(want, planes)
     assert sum((exposure.mask & 2).any() for exposure in got) > 12
@@ -116,6 +123,46 @@ def test_preprocess_keeps_the_mask_dtype(quick_exposures, dtype):
 def test_preprocess_mask_plane_is_the_generators_dtype(quick_exposures):
     for exposure in quick_exposures:
         assert preprocess_exposure(exposure).mask.dtype == np.int32
+
+
+def test_preprocess_keys_on_the_variance_plane(quick_exposures):
+    """One flux plane under two noise levels: each exposure gets the
+    mask the uncached step gives it, whatever the memo held before."""
+    exposure = quick_exposures[0]
+    loud = replace(exposure, variance=exposure.variance * 400.0)
+    box = background_box_size(exposure.shape)
+    masks = []
+    for given in (exposure, loud, exposure):
+        flux, cr_mask = reference._calibrate.__wrapped__(
+            given.flux, given.variance, box
+        )
+        calibrated = preprocess_exposure(given)
+        assert calibrated.flux.tobytes() == flux.tobytes()
+        assert np.array_equal(calibrated.mask, given.mask | cr_mask << 1)
+        masks.append(cr_mask)
+    assert not np.array_equal(masks[0], masks[1])
+
+
+def test_coadd_patch_returns_its_own_float32_coadd():
+    """A repeated stack reads the memo, and its caller still gets a
+    float32 array of its own to write to."""
+    rng = np.random.default_rng(7)
+    planes = [rng.normal(100.0, 5.0, (12, 12)).astype(np.float32)
+              for _visit in range(3)]
+    stack = [SizedArray(plane, nominal_shape=(24, 24), meta={"patch": (0, 1)})
+             for plane in planes]
+    want, _counts = coadd_stack(
+        np.stack([plane.astype(np.float64) for plane in planes]),
+        n_sigma=COADD_SIGMA, n_iter=COADD_ITERATIONS,
+    )
+    reference._coadd_planes.cache_clear()
+    for _call in range(2):  # a miss, then a hit
+        coadd = coadd_patch(stack)
+        assert coadd.array.dtype == np.float32
+        assert coadd.array.tobytes() == want.astype(np.float32).tobytes()
+        assert coadd.nominal_shape == (24, 24)
+        assert coadd.meta == {"patch": (0, 1)}
+        coadd.array[:] = 0.0
 
 
 def test_patch_pieces_fanout_bounds(tiny_visits):

@@ -105,3 +105,48 @@ def test_coadd_cost_scales_with_iterations():
 
 def test_otsu_cost_positive():
     assert common.otsu_cost(CM)(_volume()) > 0
+
+
+@pytest.mark.parametrize("shape, nominal, n_blocks", [
+    ((9, 8, 8), (145, 145, 174), 4),
+    ((8, 8, 8), (145, 145, 174), 8),
+    ((3, 4, 4), (20, 4, 4), 8),       # capped at the real extent
+    ((29, 29, 32), (145, 145, 174), 8),
+])
+def test_one_block_is_the_matching_block_of_the_split(shape, nominal, n_blocks):
+    vol = _volume(shape=shape, nominal=nominal)
+    blocks = common.split_volume_blocks(vol, n_blocks)
+    for index, block in blocks:
+        alone = common.volume_block(vol, n_blocks, index)
+        assert alone.array.tobytes() == block.array.tobytes()
+        assert alone.array.shape == block.array.shape
+        assert alone.nominal_shape == block.nominal_shape
+        assert alone.meta == block.meta
+    with pytest.raises(IndexError):
+        common.volume_block(vol, n_blocks, len(blocks))
+
+
+def test_each_dask_block_is_the_matching_block_of_the_split(monkeypatch):
+    """Dask's Step 3-N split builds one block per task: the block the
+    split of the whole volume holds at that index."""
+    from repro.harness.figures import FIGURES
+    from repro.harness.parallel import TRIAL_FNS
+
+    built = []
+    one_block = common.volume_block
+
+    def recorded(volume, n_blocks, index):
+        block = one_block(volume, n_blocks, index)
+        built.append((volume, n_blocks, index, block))
+        return block
+
+    monkeypatch.setattr(common, "volume_block", recorded)
+    figure = FIGURES["fig10c"]
+    TRIAL_FNS[figure.trial](engine="dask", count=1,
+                            profile=figure.quick["profile"], **figure.fixed)
+    assert built
+    for volume, n_blocks, index, block in built:
+        _block_id, whole = common.split_volume_blocks(volume, n_blocks)[index]
+        assert block.array.tobytes() == whole.array.tobytes()
+        assert block.nominal_shape == whole.nominal_shape
+        assert block.meta == whole.meta

@@ -259,7 +259,7 @@ def test_background_bytes_match_per_box_loop(
 ):
     image = BACKGROUND_CLASSES[value_class](np.random.default_rng(seed), shape)
     assert_same_bytes(
-        estimate_background.__wrapped__(image, box_size, n_sigma),
+        estimate_background(image, box_size, n_sigma),
         _reference_estimate_background(image, box_size, n_sigma),
     )
 

@@ -52,31 +52,62 @@ def test_chain_is_serial(durations):
 @given(
     st.lists(st.integers(1, 100), min_size=1, max_size=30),
     st.integers(100, 10_000),
+    st.sampled_from(["free", "free_all", "wipe"]),
+    st.lists(st.integers(1, 100), max_size=10),
 )
 @settings(max_examples=60, deadline=None)
-def test_memory_tracker_conserves(sizes, capacity):
+def test_memory_tracker_conserves(sizes, capacity, release, after):
     """used + available == capacity at every step; OOM exactly when the
     request exceeds what is available; the step history sums to the
-    level after every step and peaks where the tracker says it did."""
+    level after every step and peaks where the tracker says it did.
+    Half the allocations are freed one by one, the rest by ``free``,
+    by ``free_all`` or by a ``wipe`` (a crash, after which a late free
+    is a no-op); then the tracker allocates afresh."""
     tracker = MemoryTracker("n", capacity)
 
     def level():
         return sum(delta for _time, delta in tracker.history)
 
-    allocations = []
-    for size in sizes:
-        if size <= tracker.available_bytes:
-            allocations.append(tracker.allocate(size))
-        else:
-            with pytest.raises(OutOfMemoryError):
-                tracker.allocate(size)
+    def check():
         assert tracker.used_bytes + tracker.available_bytes == capacity
         assert level() == tracker.used_bytes
-    for alloc in allocations:
+
+    def allocate_all(sizes):
+        allocations = []
+        for size in sizes:
+            if size <= tracker.available_bytes:
+                allocations.append(tracker.allocate(size))
+            else:
+                with pytest.raises(OutOfMemoryError):
+                    tracker.allocate(size)
+            check()
+        return allocations
+
+    allocations = allocate_all(sizes)
+    for alloc in allocations[1::2]:
         tracker.free(alloc)
-        assert level() == tracker.used_bytes
+        check()
+    kept = allocations[::2]
+    if release == "free":
+        for alloc in kept:
+            tracker.free(alloc)
+            check()
+        assert len(tracker.history) == 2 * len(allocations)
+    elif release == "free_all":
+        tracker.free_all()
+        check()
+    else:
+        lost = tracker.used_bytes
+        assert tracker.wipe() == lost
+        check()
+        for alloc in kept:
+            tracker.free(alloc)
+        check()
     assert tracker.used_bytes == 0
-    assert len(tracker.history) == 2 * len(allocations)
+    for alloc in allocate_all(after):
+        tracker.free(alloc)
+        check()
+    assert tracker.used_bytes == 0
     levels = accumulate(delta for _time, delta in tracker.history)
     assert max(levels, default=0) == tracker.peak_bytes
     assert all(time == 0.0 for time, _delta in tracker.history)
