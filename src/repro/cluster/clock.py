@@ -21,9 +21,9 @@ class VirtualClock:
         """Move the clock forward to ``timestamp``.
 
         Raises :class:`ValueError` on attempts to move backwards, which
-        would indicate a scheduling bug in an engine.
+        would indicate a scheduling bug in an engine, and on NaN.
         """
-        if timestamp < self.now:
+        if not timestamp >= self.now:
             raise ValueError(
                 f"cannot move clock backwards from {self.now} to {timestamp}"
             )
@@ -31,7 +31,7 @@ class VirtualClock:
 
     def advance_by(self, delta):
         """Move the clock forward by ``delta`` seconds (must be >= 0)."""
-        if delta < 0:
+        if not delta >= 0:
             raise ValueError(f"cannot advance clock by negative delta {delta}")
         self.now += float(delta)
 

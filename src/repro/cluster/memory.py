@@ -43,7 +43,7 @@ class MemoryTracker:
     @property
     def available_bytes(self):
         """Bytes still free under the capacity."""
-        return self.capacity_bytes - self.used_bytes
+        return self.capacity_bytes - self._used
 
     def allocate(self, nbytes, label=""):
         """Reserve ``nbytes``; returns an allocation id for :meth:`free`.

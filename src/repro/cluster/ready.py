@@ -3,16 +3,14 @@
 A task is *ready* when its dependencies are complete and it has not
 started.  What still holds it back is one of three things, and the set
 is indexed by which: its ``not_before`` floor has not passed (it sleeps
-in a heap keyed by that floor), it is pinned to a node (one id-ordered
-queue per pin), or it only needs a slot anywhere (one id-ordered queue
-for unpinned tasks).  An event then merges the heads of just the queues
-that can act instead of rescanning every ready task, and the merge is by
-task id, so the tasks come out in exactly the order a full scan in id
-order would have reached them.  The set counts its queued tasks, so an
-event that woke nothing and finds every queue empty costs two compares.
+in a heap keyed by that floor, whose head the run's loop reads as a
+wake), it is pinned to a node (one id-ordered queue per pin), or it only
+needs a slot anywhere (one id-ordered queue for unpinned tasks, pin
+``None``).  The run tells the set which pins are *shut*, so an event
+merges, by task id, the heads of just the open queues: the tasks come
+out in exactly the order a full scan in id order would have reached.
 """
 
-from collections import defaultdict
 from heapq import heapify, heappop, heappush, heapreplace
 
 
@@ -20,94 +18,112 @@ class ReadySet:
     """Ready tasks, indexed by what holds each one back.
 
     Queues are heaps of ``(task_id, task)``; ids are unique, so tuple
-    comparison never reaches the task object.  A queue that ``due``
-    empties is dropped.  ``Task.node`` and ``Task.not_before`` are read
-    when a task is added: whoever changes either on a ready task must
-    take it out (``due`` pops what it yields; ``clear`` drops
-    everything) and add it again.
+    comparison never reaches the task object.  A queue lives while it
+    holds a task.  ``Task.node`` and ``Task.not_before`` are read when a
+    task is added: whoever changes either on a ready task must take it
+    out (``due`` pops what it yields; ``clear`` drops everything) and
+    add it again.
     """
 
-    __slots__ = ("_asleep", "_queues", "_size", "_queued")
+    __slots__ = ("asleep", "_queues", "_open", "_shut", "_size")
 
     def __init__(self):
-        self._asleep = []  # heap of (not_before, task_id, task)
-        # pin (node name, or None) -> heap of (task_id, task)
-        self._queues = defaultdict(list)
+        #: Heap of ``(not_before, task_id, task)``; read-only outside.
+        self.asleep = []
+        self._queues = {}  # pin (node name, or None) -> heap of (task_id, task)
+        self._open = set()  # pins with a queue that are not shut
+        self._shut = set()
         self._size = 0  # every task, asleep or queued
-        self._queued = 0  # tasks in ``_queues``
 
     def __len__(self):
         return self._size
 
     def clear(self):
         """Drop every task (schedule rebuilds start from scratch)."""
-        del self._asleep[:]
+        del self.asleep[:]
         self._queues.clear()
+        self._open.clear()
         self._size = 0
-        self._queued = 0
 
     def add(self, task, now):
-        """Admit one task.
-
-        Returns True when the task went to sleep until its
-        ``not_before``: the caller owes it an event at that time, or
-        nothing may ever look at the set again.
-        """
+        """Admit one task: asleep until its ``not_before``, or queued."""
         self._size += 1
         if task.not_before > now:
-            heappush(self._asleep, (task.not_before, task.task_id, task))
-            return True
-        heappush(self._queues[task.node], (task.task_id, task))
-        self._queued += 1
-        return False
+            heappush(self.asleep, (task.not_before, task.task_id, task))
+            return
+        pin = task.node
+        queue = self._queues.get(pin)
+        if queue is None:
+            self._queues[pin] = [(task.task_id, task)]
+            if pin not in self._shut:
+                self._open.add(pin)
+        else:
+            heappush(queue, (task.task_id, task))
+
+    def shut(self, pin):
+        """``pin``'s usable node has no free slot (``None``: no usable
+        node has one).  A dead, blacklisted or unknown pin is never shut."""
+        self._shut.add(pin)
+        self._open.discard(pin)
+
+    def reopen(self, pin):
+        """``pin``'s node (``None``: the cluster) has a free slot again."""
+        self._shut.discard(pin)
+        if pin in self._queues:
+            self._open.add(pin)
+
+    def reset_shut(self, usable, free_slots):
+        """Shut the full nodes of ``usable`` (``{name: node}``), and
+        ``None`` if no slot is free: after a node died or rejoined."""
+        shut = {name for name, node in usable.items()
+                if node.busy_slots >= node.slots}
+        if free_slots <= 0:
+            shut.add(None)
+        self._shut = shut
+        self._open = {pin for pin in self._queues if pin not in shut}
 
     def has_due(self, now):
-        """Whether :meth:`due` may yield anything at ``now``: a task is
-        queued, or a sleeper's floor has passed."""
-        asleep = self._asleep
-        return self._queued > 0 or (asleep and asleep[0][0] <= now)
+        """Whether a queue is open or a sleeper's floor has passed."""
+        asleep = self.asleep
+        return self._open or (asleep and asleep[0][0] <= now)
 
     def first(self):
         """The lowest-id task, due or not (error reporting)."""
-        heads = [queue[0] for queue in self._queues.values() if queue]
-        heads.extend((task_id, task) for _floor, task_id, task in self._asleep)
+        heads = [queue[0] for queue in self._queues.values()]
+        heads.extend((task_id, task) for _floor, task_id, task in self.asleep)
         return min(heads)[1]
 
-    def due(self, now, can_act):
-        """Pop and yield, in ascending task id, the due tasks that can act.
+    def due(self, now):
+        """Pop and yield, in ascending task id, the due tasks of open queues.
 
-        ``can_act(pin)`` says whether the head of that pin's queue could
-        do anything right now (``None`` is the unpinned queue).  It is
-        asked when a head is reached, not once up front: the caller
-        starts tasks between yields, so a queue that could act at the
-        start of the event may be shut by the time its turn comes.  A
-        queue that cannot act is dropped for the rest of the event, so
-        ``can_act`` must never turn true again within one call.
-
-        The caller owns a yielded task: it either starts it or hands it
-        back with :meth:`add`.
+        Sleepers whose floor has passed join their queue first.  The
+        caller starts tasks between yields and reports each pin that
+        fills with :meth:`shut`, so a queue open when the event began is
+        passed over if it is shut by the time its head is reached (slots
+        only fill within one event).  The caller owns a yielded task: it
+        either starts it or hands it back with :meth:`add`.
         """
-        asleep = self._asleep
-        queues = self._queues
+        asleep = self.asleep
         while asleep and asleep[0][0] <= now:
-            _floor, task_id, task = heappop(asleep)
-            heappush(queues[task.node], (task_id, task))
-            self._queued += 1
-        heads = [(queue[0][0], pin) for pin, queue in queues.items()
-                 if queue and can_act(pin)]
+            self._size -= 1  # added again, now due
+            self.add(heappop(asleep)[2], now)
+        queues = self._queues
+        open_pins = self._open
+        shut = self._shut
+        heads = [(queues[pin][0][0], pin) for pin in open_pins]
         heapify(heads)
         while heads:
             pin = heads[0][1]
-            if not can_act(pin):
+            if pin in shut:
                 heappop(heads)
                 continue
             queue = queues[pin]
             task = heappop(queue)[1]
             self._size -= 1
-            self._queued -= 1
             yield task
             if queue:
                 heapreplace(heads, (queue[0][0], pin))
             else:
                 heappop(heads)
                 del queues[pin]
+                open_pins.discard(pin)

@@ -10,6 +10,7 @@ fault work lives in the handlers that only fault events reach.
 """
 
 import heapq
+from math import inf
 
 from repro.cluster.errors import (
     NodeCrashedError,
@@ -68,7 +69,6 @@ class Run:
         self.waiting_deps = {}  # task_id -> count of open dependencies
         self.dependents = {}  # task_id -> tasks it holds back
         self.oom_waiting = []  # tasks memory admission deferred
-        self.timers_set = set()  # ids of sleepers that have their timer
         #: ``seq`` of the events, still in the heap, of attempts that
         #: died with their node.
         self.cancelled = set()
@@ -79,8 +79,8 @@ class Run:
         self.fault_events = 0
         #: ``{name: node}`` of the nodes that may take work, and the
         #: free slots across them.  Rederived only where a node dies or
-        #: rejoins (:meth:`refresh_usable`); every slot taken or given
-        #: back adjusts ``free_slots`` by one.
+        #: rejoins (:meth:`refresh_usable`); a slot taken or given back
+        #: adjusts ``free_slots`` and tells ``ready`` of a pin it shuts.
         self.usable = {}
         self.free_slots = 0
 
@@ -97,11 +97,21 @@ class Run:
         events = self.events
         inflight = self.inflight
         ready = self.ready
+        asleep = ready.asleep
         oom_waiting = self.oom_waiting
         cancelled = self.cancelled
         advance_to = self.clock.advance_to
-        while events:
-            if (not inflight and not ready and not oom_waiting
+        while events or asleep:
+            if asleep:
+                # A sleeper wakes the loop without an event of its own
+                # when its (floor, task id) comes before the next event.
+                floor, task_id, _task = asleep[0]
+                if (not events or floor < events[0][0]
+                        or (floor == events[0][0] and task_id < events[0][1])):
+                    advance_to(floor)
+                    self.start_candidates()
+                    continue
+            elif (not inflight and not ready and not oom_waiting
                     and len(events) == self.fault_events):
                 # Only future fault events remain.  If the DAG is done,
                 # leave them for the next run instead of advancing the
@@ -153,27 +163,14 @@ class Run:
                     self.push_fault(max(crash.at_time, now), self.on_crash, crash)
 
     def refresh_usable(self):
-        """Rederive ``usable`` and ``free_slots`` from the nodes."""
-        self.usable = self.cluster._usable_nodes()
+        """Rederive ``usable``, ``free_slots`` and ``ready``'s shut pins."""
+        self.usable = usable = self.cluster._usable_nodes()
         self.free_slots = sum(
-            node.slots - node.busy_slots for node in self.usable.values()
+            node.slots - node.busy_slots for node in usable.values()
         )
+        self.ready.reset_shut(usable, self.free_slots)
 
     # -- Readiness --
-
-    def admit(self, tasks):
-        """``tasks`` join the ready set, in id order.
-
-        One that sleeps behind its ``not_before`` floor gets a single
-        timer event to wake the loop at that time, however often a
-        crash rebuilds the set around it.
-        """
-        now = self.clock.now
-        for task in sorted(tasks, key=lambda t: t.task_id):
-            if (self.ready.add(task, now)
-                    and task.task_id not in self.timers_set):
-                self.timers_set.add(task.task_id)
-                self.push(task.not_before, task.task_id, self.on_timer, None)
 
     def rebuild_schedule(self, time):
         """(Re)derive readiness state from ``pending``.
@@ -187,7 +184,6 @@ class Run:
         self.dependents.clear()
         self.ready.clear()
         self.oom_waiting.clear()
-        runnable = []
         for task in self.pending.values():
             if task.task_id in completed or task.task_id in self.inflight:
                 continue
@@ -212,8 +208,7 @@ class Run:
             else:
                 if record.ready is None:
                     record.ready = time
-                runnable.append(task)
-        self.admit(runnable)
+                self.ready.add(task, time)
 
     def open_record(self, task, time):
         """The record of ``task`` as it is (re)admitted at ``time``.
@@ -250,17 +245,7 @@ class Run:
         now = self.clock.now
         if ready.has_due(now):
             usable = self.usable
-
-            def can_act(pin):
-                if pin is None:
-                    # Once no slot is free only stale pins are looked at.
-                    return self.free_slots > 0
-                node = usable.get(pin)
-                # A stale pin is shed (or surfaced) when its turn
-                # comes, whether or not a slot is free.
-                return node is None or node.slots > node.busy_slots
-
-            for task in ready.due(now, can_act):
+            for task in ready.due(now):
                 node = usable.get(task.node)
                 if node is None:
                     if task.node is not None:
@@ -274,7 +259,8 @@ class Run:
                 if not self.start(task, node):
                     self.records[task.task_id].mem_deferred = True
                     self.oom_waiting.append(task)
-        if not self.events and (ready or self.oom_waiting):
+        if (not self.events and not ready.asleep
+                and (ready or self.oom_waiting)):
             raise _deadlock(ready.first() if ready else self.oom_waiting[0])
 
     def shed_stale_pin(self, task):
@@ -301,19 +287,26 @@ class Run:
         :class:`OutOfMemoryError` when it cannot be admitted and
         :class:`TaskFailedError` when the task body raises.
         """
-        admitted = self.admit_memory(task, node)
-        if admitted is None:
-            return False
-        alloc_id, spill_bytes = admitted
+        need = task.memory_bytes
+        if need <= 0:
+            alloc_id, spill_bytes = None, 0
+        elif need <= node.memory.available_bytes:
+            alloc_id, spill_bytes = node.memory.allocate(need, task.name), 0
+        else:
+            admitted = self.admit_memory(task, node)
+            if admitted is None:
+                return False
+            alloc_id, spill_bytes = admitted
         cluster = self.cluster
-        attempt = cluster._attempts.get(task.task_id, 0)
+        record = self.records[task.task_id]
         if cluster._faults is not None:
             # An injected transient failure holds its slot for the
             # detection delay and never runs the task body (whose side
             # effects and cost closures must only happen once).
+            attempt = cluster._attempts.get(task.task_id, 0)
             detect_delay = cluster._faults.task_should_fail(task, attempt + 1)
             if detect_delay is not None:
-                self.occupy(self.on_task_fail, task, node, alloc_id,
+                self.occupy(self.on_task_fail, task, record, node, alloc_id,
                             0.0, detect_delay)
                 return True
         try:
@@ -326,16 +319,15 @@ class Run:
         if spill_bytes > 0:
             duration += cluster.cost_model.disk_write_time(spill_bytes)
             duration += cluster.cost_model.disk_read_time(spill_bytes)
-        record = self.records[task.task_id]
         record.transfer_s = transfer
         record.compute_s = compute
         record.spill_s = duration - compute
-        self.occupy(self.on_complete, task, node, alloc_id,
+        self.occupy(self.on_complete, task, record, node, alloc_id,
                     transfer, duration, value)
         return True
 
     def admit_memory(self, task, node):
-        """Reserve the task's working set on ``node``, per its OOM policy.
+        """Act on ``task``'s OOM policy: its working set does not fit.
 
         Returns ``(alloc_id, spill_bytes)``, or ``None`` when "wait"
         defers the task; raises :class:`OutOfMemoryError` under "fail"
@@ -343,10 +335,6 @@ class Run:
         """
         memory = node.memory
         need = task.memory_bytes
-        if need <= 0:
-            return None, 0
-        if memory.would_fit(need):
-            return memory.allocate(need, task.name), 0
         if task.on_oom == "wait":
             if need > memory.capacity_bytes:
                 raise OutOfMemoryError(
@@ -374,11 +362,14 @@ class Run:
         take to reach ``node``, and its modeled duration there.
         """
         cluster = self.cluster
-        args = [self.resolve(a) for a in task.args]
-        kwargs = {k: self.resolve(v) for k, v in task.kwargs.items()}
+        completed = self.completed
+        args = [completed[a.task_id].value if isinstance(a, Task) else a
+                for a in task.args]
+        kwargs = {k: completed[v.task_id].value if isinstance(v, Task) else v
+                  for k, v in task.kwargs.items()}
         transfer = 0.0
-        for dep in task.dependencies():
-            source = self.completed[dep.task_id].node
+        for dep in task._dependencies:
+            source = completed[dep.task_id].node
             if dep.output_bytes > 0 and source != node.name:
                 transfer += cluster.network.transfer_time(
                     dep.output_bytes, source, node.name
@@ -398,6 +389,11 @@ class Run:
             compute = float(task.duration(*args, **kwargs))
         else:
             compute = float(task.duration)
+        if not 0.0 <= compute < inf:  # NaN, inf or < 0 would poison the clock
+            raise TaskFailedError(
+                task.name, ValueError(f"priced at {compute!r} s"),
+                node=node.name, category=task.category,
+            )
         if cluster._faults is not None:
             # Stragglers stretch this node's compute; transient S3
             # retries hit during fn stretch it by their total backoff.
@@ -405,22 +401,20 @@ class Run:
             compute += cluster.object_store.total_retry_delay_s - s3_delay_before
         return value, transfer, compute
 
-    def resolve(self, arg):
-        if isinstance(arg, Task):
-            return self.completed[arg.task_id].value
-        return arg
-
-    def occupy(self, ending, task, node, alloc_id, transfer, duration,
-               value=None):
+    def occupy(self, ending, task, record, node, alloc_id, transfer,
+               duration, value=None):
         """The attempt takes a slot of ``node`` from now until ``ending``
         handles its event, ``transfer + duration`` seconds on."""
         tid = task.task_id
         start = self.clock.now
         end = start + transfer + duration
         node.busy_slots += 1
+        if node.busy_slots >= node.slots:
+            self.ready.shut(node.name)
         self.free_slots -= 1
+        if self.free_slots <= 0:
+            self.ready.shut(None)
         node.busy_seconds += transfer + duration
-        record = self.records[tid]
         record.node = node.name
         record.start = start
         seq = self.push(end, tid, ending, (task, node, alloc_id, value))
@@ -428,16 +422,17 @@ class Run:
 
     # -- Event handlers, one per kind: handler(payload, time) --
 
-    def on_timer(self, _payload, _time):
-        """A sleeper's floor passed; ``start_candidates`` does the rest."""
-
     def on_complete(self, payload, time):
         """An attempt finished: file its record, release its children."""
         task, node, alloc_id, value = payload
         tid = task.task_id
         self.inflight.pop(tid, None)
         node.busy_slots -= 1
+        if node.busy_slots == node.slots - 1:
+            self.ready.reopen(node.name)
         self.free_slots += 1
+        if self.free_slots == 1:
+            self.ready.reopen(None)
         if alloc_id is not None:
             node.memory.free(alloc_id)
         record = self.records.pop(tid)
@@ -446,21 +441,18 @@ class Run:
         self.completed[tid] = result
         self.results[tid] = result
         self.obs.file_record(record)
-        newly_ready = []
+        ready = self.ready
         waiting_deps = self.waiting_deps
         for child in self.dependents.get(tid, ()):
             waiting_deps[child.task_id] -= 1
             if waiting_deps[child.task_id] == 0:
                 self.records[child.task_id].ready = time
-                newly_ready.append(child)
+                ready.add(child, time)
         # Retry memory-deferred tasks now that memory may have freed;
-        # they re-enter the ready set in plain task-id order alongside
-        # newly-ready tasks.
-        if self.oom_waiting:
-            newly_ready.extend(self.oom_waiting)
-            self.oom_waiting.clear()
-        if newly_ready:
-            self.admit(newly_ready)
+        # the ready set orders them by id among the newly-ready ones.
+        for task in self.oom_waiting:
+            ready.add(task, time)
+        self.oom_waiting.clear()
         self.completions += 1
         if self.cluster._faults is not None:
             for crash in self.cluster._faults.crashes:
@@ -478,7 +470,11 @@ class Run:
         self.inflight.pop(tid, None)
         if node.alive:
             node.busy_slots -= 1
+            if node.busy_slots == node.slots - 1:
+                self.ready.reopen(node.name)
             self.free_slots += 1
+            if self.free_slots == 1:
+                self.ready.reopen(None)
         if alloc_id is not None:
             node.memory.free(alloc_id)
         self.attempt_died(task, node, time)
@@ -498,10 +494,9 @@ class Run:
         record.ready = time
         record.not_before = task.not_before
         record.retried = True
-        # The retry sleeps behind its new floor, with a fresh timer --
-        # unless a crash took a dependency's result while this attempt
-        # held its slot: then the recompute's completion readies it.
-        self.timers_set.discard(tid)
+        # The retry sleeps behind its new floor -- unless a crash took a
+        # dependency's result while this attempt held its slot: then the
+        # recompute's completion readies it.
         lost = [
             d for d in task.dependencies() if d.task_id not in self.completed
         ]
@@ -511,7 +506,7 @@ class Run:
             for dep in lost:
                 self.dependents.setdefault(dep.task_id, []).append(task)
         else:
-            self.admit([task])
+            self.ready.add(task, time)
 
     def on_recover(self, name, _time):
         self.fault_events -= 1

@@ -8,6 +8,7 @@ structure and node pinning.
 """
 
 import itertools
+from math import inf
 
 #: Process-global on purpose.  A task id is an ordinal: it orders tasks
 #: by creation (admission, tie-breaks) and keys lookups within one run.
@@ -102,10 +103,10 @@ class Task:
             raise ValueError(
                 f"on_oom must be one of {self._OOM_POLICIES}, got {on_oom!r}"
             )
-        if not callable(duration) and duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        if not_before < 0:
-            raise ValueError(f"not_before must be non-negative, got {not_before}")
+        if not callable(duration) and not 0 <= duration < inf:
+            raise ValueError(f"duration must be finite, >= 0, got {duration}")
+        if not 0 <= not_before < inf:
+            raise ValueError(f"not_before must be finite, >= 0, got {not_before}")
         self.task_id = next(_task_counter)
         self.name = name
         self.fn = fn
@@ -123,7 +124,10 @@ class Task:
         # ``deps``, ``args`` and ``kwargs`` are never reassigned, so the
         # upstream set is fixed here, once.
         seen = {dep.task_id: dep for dep in self.deps}
-        for arg in (*self.args, *self.kwargs.values()):
+        for arg in self.args:
+            if isinstance(arg, Task):
+                seen[arg.task_id] = arg
+        for arg in self.kwargs.values():
             if isinstance(arg, Task):
                 seen[arg.task_id] = arg
         self._dependencies = tuple(seen.values())

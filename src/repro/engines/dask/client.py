@@ -94,35 +94,44 @@ class DaskClient(Engine):
         with self.cluster.obs.span(
             "dask-scatter", category="dask", values=len(values),
         ):
-            handles.extend(self._scatter_all(values, workers, nodes))
+            for index, value in enumerate(values):
+                placement = workers or nodes[index % len(nodes)]
+                handle = self.delayed(lambda v=value: v, workers=placement)()
+                nbytes = nominal_bytes_of(value)
+                self.cluster.charge_master(
+                    self.cost_model.pickle_time(nbytes)
+                    + self.cluster.network.transfer_time(
+                        nbytes, self.cluster.master, placement
+                    ),
+                    label="dask scatter",
+                    category="dask-scatter",
+                )
+                self._keep(handle.key, value, nbytes, placement)
+                handles.append(handle)
         return handles
 
-    def _scatter_all(self, values, workers, nodes):
-        handles = []
-        for index, value in enumerate(values):
-            placement = workers or nodes[index % len(nodes)]
-            handle = self.delayed(lambda v=value: v, workers=placement)()
-            nbytes = nominal_bytes_of(value)
-            self.cluster.charge_master(
-                self.cost_model.pickle_time(nbytes)
-                + self.cluster.network.transfer_time(
-                    nbytes, self.cluster.master, placement
-                ),
-                label="dask scatter",
-                category="dask-scatter",
+    def _keep(self, key, value, nbytes, node_name):
+        """A result stays resident on the node that holds it, counted
+        against its memory, until released or lost with the node."""
+        node = self.cluster.node(node_name)
+        self._results[key] = value
+        self._result_bytes[key] = nbytes
+        self._result_nodes[key] = node_name
+        self._result_epochs[key] = (node_name, node.crash_count)
+        if nbytes > 0:
+            self._result_allocs[key] = (
+                node, node.memory.allocate(nbytes, key)
             )
-            self._results[handle.key] = value
-            self._result_bytes[handle.key] = nbytes
-            self._result_nodes[handle.key] = placement
-            self._result_epochs[handle.key] = (
-                placement, self.cluster.node(placement).crash_count
-            )
-            if nbytes > 0:
-                node = self.cluster.node(placement)
-                alloc_id = node.memory.allocate(nbytes, handle.key)
-                self._result_allocs[handle.key] = (node, alloc_id)
-            handles.append(handle)
-        return handles
+
+    def _drop(self, key):
+        """Forget a result and free the memory it held."""
+        alloc = self._result_allocs.pop(key, None)
+        if alloc is not None:
+            node, alloc_id = alloc
+            node.memory.free(alloc_id)
+        for table in (self._results, self._result_bytes,
+                      self._result_nodes, self._result_epochs):
+            table.pop(key, None)
 
     # ------------------------------------------------------------------
     # Barrier execution
@@ -147,14 +156,7 @@ class DaskClient(Engine):
     def release(self, delayeds):
         """Free worker memory held by computed results."""
         for delayed_node in delayeds:
-            alloc = self._result_allocs.pop(delayed_node.key, None)
-            if alloc is not None:
-                node, alloc_id = alloc
-                node.memory.free(alloc_id)
-            self._results.pop(delayed_node.key, None)
-            self._result_bytes.pop(delayed_node.key, None)
-            self._result_nodes.pop(delayed_node.key, None)
-            self._result_epochs.pop(delayed_node.key, None)
+            self._drop(delayed_node.key)
 
     def node_of(self, delayed_node):
         """Which node holds a computed result (no persistence layer)."""
@@ -177,19 +179,10 @@ class DaskClient(Engine):
             if epoch is None or key not in self._results:
                 continue
             node_name, crash_count = epoch
-            node = (
-                self.cluster.node(node_name)
-                if node_name in self.cluster.nodes else None
-            )
+            node = self.cluster.nodes.get(node_name)
             if node is not None and node.crash_count == crash_count:
                 continue
-            alloc = self._result_allocs.pop(key, None)
-            if alloc is not None:
-                alloc[0].memory.free(alloc[1])
-            self._results.pop(key, None)
-            self._result_bytes.pop(key, None)
-            self._result_nodes.pop(key, None)
-            self._result_epochs.pop(key, None)
+            self._drop(key)
             self.lost_futures += 1
 
     def _collect(self, delayeds):
@@ -223,10 +216,7 @@ class DaskClient(Engine):
             placement, stolen = self._place(delayed_node, queue_depth, cluster_tasks)
             queue_depth[placement] += 1
             task = self._make_task(
-                delayed_node,
-                placement,
-                cluster_tasks,
-                stolen=stolen,
+                delayed_node, placement, cluster_tasks, stolen=stolen,
                 not_before=base_time + self._dispatch_count * dispatch_interval,
             )
             self._dispatch_count += 1
@@ -237,18 +227,8 @@ class DaskClient(Engine):
             task = cluster_tasks[delayed_node.key]
             result = results[task.task_id]
             # Sized once, by the task body that made the value.
-            nbytes = task.output_bytes
-            self._results[delayed_node.key] = result.value
-            self._result_bytes[delayed_node.key] = nbytes
-            self._result_nodes[delayed_node.key] = result.node
-            self._result_epochs[delayed_node.key] = (
-                result.node, self.cluster.node(result.node).crash_count
-            )
-            # Results stay resident on the worker until released.
-            if nbytes > 0:
-                node = self.cluster.node(result.node)
-                alloc_id = node.memory.allocate(nbytes, delayed_node.key)
-                self._result_allocs[delayed_node.key] = (node, alloc_id)
+            self._keep(delayed_node.key, result.value, task.output_bytes,
+                       result.node)
 
     def _place(self, delayed_node, queue_depth, cluster_tasks):
         """Locality-preferred placement with deterministic stealing.
@@ -296,9 +276,7 @@ class DaskClient(Engine):
     def _make_task(self, delayed_node, placement, cluster_tasks, stolen,
                    not_before):
         """Build the cluster task; Delayed args resolve through Task args."""
-        cm = self.cost_model
         fn = delayed_node.fn
-        steal_overhead = cm.dask_steal_overhead if stolen else 0.0
 
         def to_task_arg(arg):
             if isinstance(arg, Delayed):
@@ -315,8 +293,13 @@ class DaskClient(Engine):
             task.output_bytes = nominal_bytes_of(value)
             return value
 
-        def duration(*args, **kwargs):
-            return fn.cost(*args, **kwargs) + steal_overhead
+        if stolen:
+            steal_overhead = self.cost_model.dask_steal_overhead
+
+            def duration(*args, **kwargs):
+                return fn.cost(*args, **kwargs) + steal_overhead
+        else:
+            duration = fn.cost
 
         fn_name = getattr(fn, "name", None)
         task = Task(

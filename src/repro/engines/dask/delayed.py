@@ -13,7 +13,7 @@ from repro.engines.base import as_costed
 class Delayed:
     """One node of a Dask compute graph."""
 
-    __slots__ = ("client", "fn", "args", "kwargs", "key", "workers", "_computed")
+    __slots__ = ("client", "fn", "args", "kwargs", "key", "workers")
 
     def __init__(self, client, fn, args, kwargs, workers=None):
         self.client = client
@@ -22,7 +22,6 @@ class Delayed:
         self.kwargs = dict(kwargs or {})
         self.key = f"{fn.name}-{next(client.key_counter)}"
         self.workers = workers
-        self._computed = False
 
     def dependencies(self):
         """Upstream tasks/nodes this one waits for."""

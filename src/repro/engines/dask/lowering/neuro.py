@@ -61,10 +61,11 @@ class LoweredNeuro(LoweredPlan):
 
     # -- graph builders ------------------------------------------------
 
-    def fetch_volume(self, subject, index, workers):
-        """One delayed node fetching one staged volume from S3.
+    def fetch_subject(self, subject, workers):
+        """One delayed node per staged volume of ``subject``, fetching it
+        from S3; one factory builds them all.
 
-        ``workers`` pins the download (Section 5.2.1: "we explicitly
+        ``workers`` pins the downloads (Section 5.2.1: "we explicitly
         specify the number of subjects to download per node" because
         the scheduler does not know download sizes up front).
         """
@@ -72,26 +73,24 @@ class LoweredNeuro(LoweredPlan):
         bucket = self.bucket
         store = client.cluster.object_store
         cm = client.cost_model
-        key = volume_key(subject.subject_id, index)
-        nbytes = store.size_of(bucket, key)
+        # Concurrent per-volume fetches on the pinned node share its S3
+        # bandwidth (one subject's 288 volumes all land on one node).
+        sharing = min(client.cluster.spec.slots_per_node, subject.n_volumes)
 
         def fetch(subject_id, image_id):
-            return store.get(bucket, key)
+            return store.get(bucket, volume_key(subject_id, image_id))
 
         def fetch_cost(subject_id, image_id):
-            # Concurrent per-volume fetches on the pinned node share its
-            # S3 bandwidth (one subject's 288 volumes all land on one
-            # node).
-            sharing = min(
-                client.cluster.spec.slots_per_node, subject.n_volumes
-            )
+            nbytes = store.size_of(bucket, volume_key(subject_id, image_id))
             return client.cluster.network.s3_download_time(
                 nbytes, n_objects=1
             ) * sharing + cm.unpickle_time(nbytes)
 
-        return client.delayed(
+        factory = client.delayed(
             fetch, cost=fetch_cost, workers=workers, op=self._pid("volumes")
-        )(subject.subject_id, index)
+        )
+        return [factory(subject.subject_id, index)
+                for index in range(subject.n_volumes)]
 
     def download_all(self, subjects):
         """Figure 8's ``downloadAndFilter`` for every subject: per-volume
@@ -102,12 +101,9 @@ class LoweredNeuro(LoweredPlan):
         """
         nodes = self.client.cluster.node_order
         return {
-            subject.subject_id: [
-                self.fetch_volume(
-                    subject, index, workers=nodes[position % len(nodes)]
-                )
-                for index in range(subject.n_volumes)
-            ]
+            subject.subject_id: self.fetch_subject(
+                subject, workers=nodes[position % len(nodes)]
+            )
             for position, subject in enumerate(subjects)
         }
 

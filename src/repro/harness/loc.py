@@ -137,7 +137,7 @@ def measured_table1():
             "TensorFlow": 0,
         },
         "Data Ingest": {
-            "Dask": _sum([dask.fetch_volume, dask.download_all]),
+            "Dask": _sum([dask.fetch_subject, dask.download_all]),
             "SciDB": _sum([scidb.ingest, scidb._load, n_scidb.subject_dims]),
             "Spark": _sum([ChainWalker.scan]),
             "Myria": _sum([n_myria.make_loader, myria.ingest]),

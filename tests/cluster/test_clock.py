@@ -52,3 +52,12 @@ def test_reset():
     clock = VirtualClock(7.0)
     clock.reset()
     assert clock.now == 0.0
+
+
+def test_nan_rejected():
+    clock = VirtualClock(2.0)
+    with pytest.raises(ValueError):
+        clock.advance_to(float("nan"))
+    with pytest.raises(ValueError):
+        clock.advance_by(float("nan"))
+    assert clock.now == 2.0

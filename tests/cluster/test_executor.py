@@ -170,6 +170,49 @@ def test_negative_duration_rejected():
         Task("t", duration=-1.0)
 
 
+BAD_PRICES = [float("nan"), float("inf"), -5.0]
+
+
+@pytest.mark.parametrize("price", BAD_PRICES[:2], ids=["nan", "inf"])
+def test_non_finite_static_price_or_floor_rejected(price):
+    with pytest.raises(ValueError, match="finite"):
+        Task("t", duration=price)
+    with pytest.raises(ValueError, match="finite"):
+        Task("t", not_before=price)
+
+
+@pytest.mark.parametrize("price", BAD_PRICES, ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("form", ["static", "callable"])
+def test_bad_price_fails_its_task_and_leaves_the_clock(cluster, form, price):
+    """A price that is not a finite number of seconds >= 0 fails the
+    task it priced, by name and category, before it reaches the clock.
+    A static one can only get here by being set after construction."""
+    ok = Task("ok", duration=1.0, node="node-0")
+    if form == "static":
+        bad = Task("bad", duration=2.0, node="node-1", category="c-bad")
+        bad.duration = price
+    else:
+        bad = Task("bad", duration=lambda: price, node="node-1",
+                   category="c-bad")
+    with pytest.raises(TaskFailedError) as info:
+        cluster.run([ok, bad])
+    assert info.value.task_name == "bad"
+    assert info.value.category == "c-bad"
+    assert cluster.now == 0.0
+    assert all(node.busy_slots == 0 for node in cluster.nodes.values())
+
+
+@pytest.mark.parametrize("price", BAD_PRICES, ids=["nan", "inf", "negative"])
+def test_bad_price_after_a_good_one_fails_mid_run(cluster, price):
+    first = Task("first", fn=lambda: 3, duration=1.0)
+    then = Task("then", args=(first,), duration=lambda x: price * x,
+                category="c-then")
+    with pytest.raises(TaskFailedError) as info:
+        cluster.run([first, then])
+    assert (info.value.task_name, info.value.category) == ("then", "c-then")
+    assert cluster.now == 1.0
+
+
 def test_task_trace_records_names(cluster):
     cluster.run([Task("traced", duration=1.0)])
     assert any(r.name == "traced" for r in cluster.obs.task_records)

@@ -12,6 +12,7 @@ and one named test per clause of the order contract in DESIGN.md §11.
 
 import heapq
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.cluster.errors import (
 )
 from repro.cluster.faults import FaultPlan, spark_recovery
 from repro.cluster.ready import ReadySet
+from repro.cluster.run import Run
 
 GB = 1024 ** 3
 
@@ -46,8 +48,12 @@ def placements(results):
 # The class on its own
 # ----------------------------------------------------------------------
 
-def drain(ready, now, can_act=lambda pin: True):
-    return [task.name for task in ready.due(now, can_act)]
+def drain(ready, now):
+    return [task.name for task in ready.due(now)]
+
+
+def asleep(ready):
+    return sorted(task.name for _floor, _task_id, task in ready.asleep)
 
 
 def test_due_merges_the_queues_in_task_id_order():
@@ -57,7 +63,8 @@ def test_due_merges_the_queues_in_task_id_order():
     ]
     ready = ReadySet()
     for task in reversed(tasks):
-        assert ready.add(task, now=0.0) is False
+        ready.add(task, now=0.0)
+    assert asleep(ready) == []
     assert len(ready) == 5
     assert drain(ready, 0.0) == ["a", "b", "c", "d", "e"]
     assert len(ready) == 0 and not ready
@@ -69,9 +76,11 @@ def test_a_task_sleeps_until_its_floor_then_joins_its_queue():
         Task("due", not_before=1.0),
     )
     ready = ReadySet()
-    assert ready.add(early, now=1.0) is True
-    assert ready.add(late, now=1.0) is True
-    assert ready.add(due, now=1.0) is False  # floor already reached
+    ready.add(early, now=1.0)
+    ready.add(late, now=1.0)
+    ready.add(due, now=1.0)  # floor already reached
+    assert asleep(ready) == ["early", "late"]
+    assert ready.asleep[0][:2] == (2.0, early.task_id)  # the next wake
     assert drain(ready, 1.0) == ["due"]
     assert len(ready) == 2  # sleepers count as ready
     assert not ready.has_due(1.9)  # nothing queued, no floor passed
@@ -79,32 +88,36 @@ def test_a_task_sleeps_until_its_floor_then_joins_its_queue():
     assert drain(ready, 1.9) == []
     assert drain(ready, 2.0) == ["early"]
     assert drain(ready, 9.0) == ["late"]
+    assert ready.asleep == []
 
 
 def test_a_closed_queue_keeps_its_tasks_for_a_later_event():
     tasks = [Task("p0", node="node-0"), Task("u1"), Task("p2", node="node-0")]
     ready = ReadySet()
+    ready.shut("node-0")
     for task in tasks:
         ready.add(task, now=0.0)
-    assert drain(ready, 0.0, lambda pin: pin is None) == ["u1"]
+    assert drain(ready, 0.0) == ["u1"]
     assert len(ready) == 2
+    assert not ready.has_due(0.0)  # the only queue left is shut
+    ready.reopen("node-0")
     assert drain(ready, 0.0) == ["p0", "p2"]
 
 
-def test_can_act_is_asked_again_when_a_head_is_reached():
+def test_a_head_is_checked_again_when_it_is_reached():
     """Starting one task may shut the queue of a later one."""
     tasks = [Task("u0"), Task("p1", node="node-0"), Task("u2"),
              Task("p3", node="node-0")]
     ready = ReadySet()
     for task in tasks:
         ready.add(task, now=0.0)
-    open_pins = {None, "node-0"}
     seen = []
-    for task in ready.due(0.0, lambda pin: pin in open_pins):
+    for task in ready.due(0.0):
         seen.append(task.name)
         if task.name == "u0":
-            open_pins.discard("node-0")  # u0 took node-0's last slot
+            ready.shut("node-0")  # u0 took node-0's last slot
     assert seen == ["u0", "u2"]
+    ready.reopen("node-0")
     assert drain(ready, 0.0) == ["p1", "p3"]
 
 
@@ -112,12 +125,14 @@ def test_a_yielded_task_can_be_handed_back_under_another_pin():
     stale = Task("stale", node="node-9")
     other = Task("other")
     ready = ReadySet()
+    ready.shut(None)  # no slot free anywhere: only the stale pin is open
     ready.add(stale, now=0.0)
     ready.add(other, now=0.0)
-    for task in ready.due(0.0, lambda pin: pin == "node-9"):
+    for task in ready.due(0.0):
         task.node = None
         ready.add(task, 0.0)
     assert len(ready) == 2
+    ready.reopen(None)
     assert drain(ready, 0.0) == ["stale", "other"]
 
 
@@ -225,6 +240,84 @@ def test_run_matches_the_rescanning_reference(seed):
     assert got == reference_schedule(tasks, n_nodes, slots, memory_bytes)
 
 
+class CountingQueues(defaultdict):
+    """A ready set's pin -> queue table that notes the queues looked at:
+    a pin read by key, and every pin of a walk over the table."""
+
+    def __init__(self):
+        super().__init__(list)
+        self.visited = set()
+
+    def __getitem__(self, pin):
+        self.visited.add(pin)
+        return super().__getitem__(pin)
+
+    def __iter__(self):
+        self.visited.update(super().keys())
+        return super().__iter__()
+
+    def items(self):
+        self.visited.update(super().keys())
+        return super().items()
+
+    def values(self):
+        self.visited.update(super().keys())
+        return super().values()
+
+
+def test_staggered_pinned_run_costs_one_event_per_attempt(monkeypatch):
+    """Dask's download graph in miniature: 1 152 tasks pinned in blocks
+    to 8 nodes, dispatched 10 ms apart, every pin oversubscribed.
+
+    A sleeper wakes the loop from the ready set, so the only events are
+    completions; and an event looks only at the queues that can act, so
+    a queue whose node is full is not visited while its tasks wait.
+    """
+    n_nodes, slots = 16, 2
+    tasks = [
+        Task(f"t{i}", duration=0.5, node=f"node-{(i // 144) % 8}",
+             not_before=i * 0.01)
+        for i in range(1152)
+    ]
+    tables = []
+    init = ReadySet.__init__
+
+    def counting_init(self):
+        init(self)
+        self._queues = CountingQueues()
+        tables.append(self._queues)
+
+    monkeypatch.setattr(ReadySet, "__init__", counting_init)
+    shed = [0]
+    shed_stale_pin = Run.shed_stale_pin
+
+    def counted_shed(self, task):
+        shed[0] += 1
+        shed_stale_pin(self, task)
+
+    monkeypatch.setattr(Run, "shed_stale_pin", counted_shed)
+    start_candidates = Run.start_candidates
+    per_event = []  # (queues visited, tasks started, stale pins shed)
+
+    def per_event_counts(self):
+        tables[-1].visited.clear()
+        running, stale = len(self.inflight), shed[0]
+        start_candidates(self)
+        per_event.append((len(tables[-1].visited),
+                          len(self.inflight) - running, shed[0] - stale))
+
+    monkeypatch.setattr(Run, "start_candidates", per_event_counts)
+    cluster = make_cluster(n_nodes, slots, memory_bytes=100)
+    got = placements(cluster.run(tasks))
+    # One attempt per task, and one event per attempt.
+    assert len(got) == len(tasks) and cluster._event_seq == len(tasks)
+    over = [(event, visited, starts, stale)
+            for event, (visited, starts, stale) in enumerate(per_event)
+            if visited > starts + stale]
+    assert over == []
+    assert got == reference_schedule(tasks, n_nodes, slots, 100)
+
+
 # ----------------------------------------------------------------------
 # The order contract, clause by clause
 # ----------------------------------------------------------------------
@@ -252,7 +345,7 @@ def test_unpinned_task_takes_the_first_node_on_a_tie():
     assert [got[f"u{i}"][0] for i in range(3)] == ["node-0", "node-1", "node-2"]
 
 
-def test_sleeper_gets_one_timer_and_runs_at_the_first_event_past_its_floor():
+def test_sleeper_needs_no_event_and_runs_at_the_first_event_past_its_floor():
     cluster = make_cluster(n_nodes=1, slots=1)
     tasks = [
         Task("first", duration=5.0),
@@ -260,13 +353,14 @@ def test_sleeper_gets_one_timer_and_runs_at_the_first_event_past_its_floor():
         Task("patient", duration=1.0),  # due since 0, but a higher id
     ]
     got = placements(cluster.run(tasks))
-    # "first" completes at (5.0, id 0), ahead of the timer at (5.0, id 1):
-    # the sleeper is already a candidate there and outranks "patient".
+    # "first" completes at (5.0, id 0), ahead of the sleeper's own wake
+    # at (5.0, id 1): the sleeper is a candidate there, starts at its
+    # floor and outranks "patient".
     assert got["sleeper"] == ("node-0", 5.0, 6.0)
     assert got["patient"] == ("node-0", 6.0, 7.0)
-    # Three completions and a single timer, though the sleeper was ready
-    # and not yet due at the start of the run.
-    assert cluster._event_seq == 4
+    # Three completions and no other event, though the sleeper was
+    # ready and not yet due at the start of the run.
+    assert cluster._event_seq == 3
 
 
 def test_a_lone_sleeper_wakes_the_loop_itself():
@@ -421,8 +515,9 @@ def test_sleeper_keeps_its_pin_across_a_crash_and_revive_elsewhere():
     assert got["sleeper"] == ("node-2", 10.0, 11.0)
     assert tasks[1].node == "node-2"
     assert cluster.node("node-1").alive
-    # crash + recover + two completions + still just one timer.
-    assert cluster._event_seq == 5
+    # crash + recover + two completions; the sleeper woke the loop
+    # from the ready set, with no event of its own.
+    assert cluster._event_seq == 4
 
 
 def test_killed_attempt_requeues_behind_lower_ids_after_a_crash():
@@ -441,7 +536,7 @@ def test_killed_attempt_requeues_behind_lower_ids_after_a_crash():
 
 
 def test_retry_of_a_sleeper_gets_a_fresh_timer():
-    """The retry's floor moved, so its one-timer guard is cleared."""
+    """The retry sleeps behind its new floor, which wakes the loop."""
     cluster = make_cluster(n_nodes=1, slots=1)
     cluster.install_faults(
         FaultPlan(seed=1).fail_tasks(1.0, detect_delay_s=0.5,
@@ -449,7 +544,7 @@ def test_retry_of_a_sleeper_gets_a_fresh_timer():
     )
     got = placements(cluster.run([Task("t", duration=1.0, not_before=1.0)]))
     # floor 1.0 + detection 0.5 + backoff(1) 1.0, then the real attempt;
-    # nothing but the second timer can wake the loop at 2.5.
+    # nothing but the retry's own floor can wake the loop at 2.5.
     assert got["t"] == ("node-0", 2.5, 3.5)
 
 

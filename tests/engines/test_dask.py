@@ -1,11 +1,20 @@
 """Tests for miniDask."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cluster import SimulatedCluster
 from repro.cluster.faults import FaultPlan
+from repro.engines.base import CostedFunction
 from repro.engines.dask import DaskClient
 from repro.formats.sizing import SizedArray
+from repro.harness.figures import QUICK_NEURO, grid
+from repro.harness.runner import fresh_engine, neuro_subjects
+from repro.pipelines.neuro.staging import stage_subjects
+from repro.plan import lower, neuro_plan
 
 
 @pytest.fixture
@@ -167,3 +176,51 @@ def test_pin_to_a_crashed_node_runs_on_the_least_loaded_survivor(client):
     pinned = client.delayed(lambda: 2, cost=lambda: 1.0, workers="node-1")()
     assert client.compute([pinned]) == [2]
     assert client.node_of(pinned) == "node-0"
+
+
+GOLDEN_FIG11 = Path(__file__).parent / "golden" / "fig11_dask_quick_tasks.json"
+
+
+def test_quick_fig11_cell_builds_the_recorded_cluster_tasks(monkeypatch):
+    """The 2-subject quick fig11 cell, task by task: name, category, op,
+    pin, dispatch floor and the output size its body set.  The list was
+    recorded when the download graph still built one factory per
+    volume."""
+    built = []
+    real_run = SimulatedCluster.run
+
+    def recording_run(self, tasks):
+        tasks = list(tasks)
+        results = real_run(self, tasks)
+        built.extend(tasks)
+        return results
+
+    monkeypatch.setattr(SimulatedCluster, "run", recording_run)
+    grid("fig11", True, system=("dask",), count=(2,))
+    got = [[t.name, t.category, t.op, t.node, t.not_before, t.output_bytes]
+           for t in built if t.name.startswith("dask-")]
+    assert got == json.loads(GOLDEN_FIG11.read_text())
+
+
+def test_download_graph_builds_one_costed_function_per_subject(monkeypatch):
+    subjects = neuro_subjects(3, **QUICK_NEURO)
+    cluster, engine = fresh_engine("dask")
+    stage_subjects(cluster.object_store, subjects)
+    lowered = lower(neuro_plan(), "dask", engine)
+    made = []
+    init = CostedFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostedFunction, "__init__", counting_init)
+    vols = lowered.download_all(subjects)
+    assert len(made) == len(subjects)
+    for subject, fn in zip(subjects, made):
+        nodes = vols[subject.subject_id]
+        assert len(nodes) == subject.n_volumes
+        assert all(node.fn is fn for node in nodes)
+    assert engine.compute([v for per in vols.values() for v in per]) == [
+        volume for subject in subjects for volume in subject.volumes
+    ]

@@ -290,7 +290,8 @@ def test_every_finished_task_has_one_record_of_its_history(workload, data):
 
 def checked_start_candidates():
     """``Run.start_candidates`` that first checks the executor state a
-    run carries across events against a recount from the nodes."""
+    run carries across events, the ready set's shut and open pins
+    included, against a recount from the nodes."""
     original = Run.start_candidates
 
     def checked(run):
@@ -298,6 +299,13 @@ def checked_start_candidates():
         assert run.usable == usable
         assert run.free_slots == sum(
             node.slots - node.busy_slots for node in usable.values())
+        shut = {name for name, node in usable.items()
+                if node.busy_slots >= node.slots}
+        if run.free_slots <= 0:
+            shut.add(None)
+        ready = run.ready
+        assert ready._shut == shut
+        assert ready._open == set(ready._queues) - shut
         return original(run)
 
     return mock.patch.object(Run, "start_candidates", checked)
