@@ -16,7 +16,7 @@ from repro.cluster.errors import PlacementError
 from repro.cluster.faults import RecoveryPolicy
 from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import NetworkModel
-from repro.cluster.objectstore import ObjectStore
+from repro.cluster.objectstore import ObjectStore, S3Client
 from repro.cluster.run import Run
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task
@@ -56,7 +56,12 @@ class SimulatedCluster:
         self.clock = VirtualClock()
         self.obs = Observability(self.clock)
         self.network = NetworkModel(cost_model)
-        self.object_store = object_store if object_store is not None else ObjectStore()
+        #: This cluster's reads of the store, with its own S3 faults and
+        #: retry counters; the store itself may be shared (see
+        #: :func:`repro.cluster.objectstore.staged`).
+        self.s3 = S3Client(
+            object_store if object_store is not None else ObjectStore()
+        )
         self.nodes = {
             name: Node(name, spec.node, spec.slots_per_node, self.obs)
             for name in spec.node_names()
@@ -104,7 +109,7 @@ class SimulatedCluster:
         for (src, dst), factor in sorted(plan.link_factors.items()):
             self.network.set_link_factor(src, dst, factor)
         if plan.s3_faults is not None:
-            self.object_store.install_faults(plan)
+            self.s3.install_faults(plan)
         return plan
 
     def install_recovery(self, policy):
@@ -153,6 +158,11 @@ class SimulatedCluster:
     def now(self):
         """Current simulated time in seconds."""
         return self.clock.now
+
+    @property
+    def object_store(self):
+        """The store this cluster's :attr:`s3` reads."""
+        return self.s3.store
 
     @property
     def master(self):

@@ -376,7 +376,9 @@ class Run:
                 )
         # Real computation runs first so that cost callables may price
         # the work from its actual outputs.
-        s3_delay_before = cluster.object_store.total_retry_delay_s
+        faults = cluster._faults
+        if faults is not None:
+            s3_delay_before = cluster.s3.total_retry_delay_s
         value = None
         if task.fn is not None:
             try:
@@ -394,11 +396,11 @@ class Run:
                 task.name, ValueError(f"priced at {compute!r} s"),
                 node=node.name, category=task.category,
             )
-        if cluster._faults is not None:
+        if faults is not None:
             # Stragglers stretch this node's compute; transient S3
             # retries hit during fn stretch it by their total backoff.
-            compute *= cluster._faults.slowdown(node.name)
-            compute += cluster.object_store.total_retry_delay_s - s3_delay_before
+            compute *= faults.slowdown(node.name)
+            compute += cluster.s3.total_retry_delay_s - s3_delay_before
         return value, transfer, compute
 
     def occupy(self, ending, task, record, node, alloc_id, transfer,

@@ -86,7 +86,7 @@ class LoweredAstro(LoweredPlan):
         if grid is None:
             grid = ref.default_patch_grid(exposures[0].shape)
         pixel_scale = ref.nominal_pixel_scale(exposures[0].shape, exposures[0].bundle)
-        store = client.cluster.object_store
+        store = client.cluster.s3
         nodes = client.cluster.node_order
 
         def fetch(visit_id, sensor_id):

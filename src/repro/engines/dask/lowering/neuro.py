@@ -33,7 +33,7 @@ from repro.algorithms.otsu import median_otsu
 from repro.engines.base import LoweredPlan
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.staging import volume_key
+from repro.pipelines.neuro.staging import volume_keys
 from repro.plan.ir import provenance_id
 
 
@@ -71,17 +71,17 @@ class LoweredNeuro(LoweredPlan):
         """
         client = self.client
         bucket = self.bucket
-        store = client.cluster.object_store
+        store = client.cluster.s3
         cm = client.cost_model
         # Concurrent per-volume fetches on the pinned node share its S3
         # bandwidth (one subject's 288 volumes all land on one node).
         sharing = min(client.cluster.spec.slots_per_node, subject.n_volumes)
 
-        def fetch(subject_id, image_id):
-            return store.get(bucket, volume_key(subject_id, image_id))
+        def fetch(key):
+            return store.get(bucket, key)
 
-        def fetch_cost(subject_id, image_id):
-            nbytes = store.size_of(bucket, volume_key(subject_id, image_id))
+        def fetch_cost(key):
+            nbytes = store.size_of(bucket, key)
             return client.cluster.network.s3_download_time(
                 nbytes, n_objects=1
             ) * sharing + cm.unpickle_time(nbytes)
@@ -89,8 +89,8 @@ class LoweredNeuro(LoweredPlan):
         factory = client.delayed(
             fetch, cost=fetch_cost, workers=workers, op=self._pid("volumes")
         )
-        return [factory(subject.subject_id, index)
-                for index in range(subject.n_volumes)]
+        keys = volume_keys(subject.subject_id, subject.n_volumes)
+        return [factory(key) for key in keys]
 
     def download_all(self, subjects):
         """Figure 8's ``downloadAndFilter`` for every subject: per-volume

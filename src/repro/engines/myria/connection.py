@@ -59,7 +59,7 @@ class MyriaConnection(Engine):
         that know which files matter (e.g. one sky band's exposures)
         hand over just those.
         """
-        store = self.cluster.object_store
+        store = self.cluster.s3
         if keys is None:
             keys = store.list_keys(bucket, prefix)
         if not keys:
@@ -81,7 +81,7 @@ class MyriaConnection(Engine):
         row tuple; ``op`` is the logical op (the plan's scan) the ingest
         tasks are charged to.
         """
-        store = self.cluster.object_store
+        store = self.cluster.s3
         keys = store.list_keys(bucket, prefix)
         if not keys:
             raise ValueError(f"no objects under s3://{bucket}/{prefix}")

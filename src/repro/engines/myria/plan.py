@@ -496,7 +496,7 @@ class MyriaServer:
     def _scan_s3(self, relation, predicate):
         """Parallel S3 scan (no pushdown into opaque staged objects)."""
         cm = self.cluster.cost_model
-        store = self.cluster.object_store
+        store = self.cluster.s3
 
         def work(worker):
             keys = relation.worker_keys(worker)

@@ -67,7 +67,7 @@ class SparkContext(Engine):
         HDFS-block-like behavior that under-utilizes the cluster in
         Figure 14 unless tuned.
         """
-        store = self.cluster.object_store
+        store = self.cluster.s3
         keys = store.list_keys(bucket, prefix)
         if not keys:
             raise ValueError(f"no objects under s3://{bucket}/{prefix}")

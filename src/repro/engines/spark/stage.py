@@ -334,7 +334,7 @@ class SparkScheduler:
     def _s3_tasks(self, plan, shuffle_partitioner):
         base = plan.base
         cluster = self.sc.cluster
-        store = cluster.object_store
+        store = cluster.s3
         bucket = base.params["bucket"]
         keys = base.params["keys"]
         loader = base.params["loader"]

@@ -28,9 +28,9 @@ from repro.harness.runner import (
     fresh_engine,
     neuro_subjects,
 )
-from repro.pipelines.astro.staging import stage_visits
+from repro.pipelines.astro.staging import staged_visits
 from repro.pipelines.neuro.reference import reference_masks
-from repro.pipelines.neuro.staging import stage_subjects
+from repro.pipelines.neuro.staging import staged_subjects
 from repro.plan import (
     PSEUDO_RECOVERY,
     astro_plan,
@@ -70,18 +70,18 @@ def _trial_fig10b():
 # ----------------------------------------------------------------------
 
 #: What differs between the two workloads in an end-to-end trial:
-#: cohort generator, stage function, plan builder and the tuning keys
+#: cohort generator, staged store, plan builder and the tuning keys
 #: that are really plan parameters, router profile, and the tuning
 #: defaults of the paper's tuned Spark runs beyond one partition per
 #: slot (Section 5.3.3: the neuro input RDD is cached).
 Pipeline = namedtuple(
-    "Pipeline", "cohort stage plan plan_keys profile spark_defaults"
+    "Pipeline", "cohort staged plan plan_keys profile spark_defaults"
 )
 PIPELINES = {
-    "neuro": Pipeline(neuro_subjects, stage_subjects, neuro_plan,
+    "neuro": Pipeline(neuro_subjects, staged_subjects, neuro_plan,
                       ("n_blocks", "bucket"), route.neuro_profile,
                       {"cache_input": True}),
-    "astro": Pipeline(astro_visits, stage_visits, astro_plan,
+    "astro": Pipeline(astro_visits, staged_visits, astro_plan,
                       ("bucket",), route.astro_profile, {}),
 }
 
@@ -105,11 +105,11 @@ def _end_to_end(pipeline, kind, data, n_nodes=DEFAULT_NODES, optimize=False,
             pipe.plan(), pipe.profile(data), n_nodes=n_nodes
         ).engine
     cluster, engine = fresh_engine(
-        kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None)
+        kind, n_nodes=n_nodes, workers_per_node=tuning.pop("workers_per_node", None),
+        object_store=pipe.staged(data),
     )
     if run_label:
         cluster.run_label = run_label
-    pipe.stage(cluster.object_store, data)
     watch = Stopwatch(cluster)
     if kind == "spark":
         tuning.setdefault("input_partitions", cluster.spec.total_slots)
@@ -264,9 +264,9 @@ def _trial_step(fragment, system, count, profile, prepare=None, op=None,
     data = pipe.cohort(count, **profile)
     kind, op_tuning = TUNED_SYSTEMS.get(system, (system, {}))
     cluster, engine = fresh_engine(
-        kind, cost_model=CostModel().with_overrides(**costs) if costs else None
+        kind, cost_model=CostModel().with_overrides(**costs) if costs else None,
+        object_store=pipe.staged(data),
     )
-    pipe.stage(cluster.object_store, data)
     op_id = fragments.measured_op(frag)
     lowered = lower(frag, kind, engine)
     lowered.prepare(op_id, data, **(prepare or {}))
@@ -284,8 +284,8 @@ def _trial_fig15(count, mode, n_nodes, chunks, profile):
     """A cell where ``mode`` runs out of memory reports ``"OOM"`` (the
     paper's missing bars)."""
     visits = astro_visits(count, **profile)
-    cluster, engine = fresh_engine("myria", n_nodes=n_nodes)
-    stage_visits(cluster.object_store, visits)
+    cluster, engine = fresh_engine("myria", n_nodes=n_nodes,
+                                   object_store=staged_visits(visits))
     watch = Stopwatch(cluster)
     try:
         lower(astro_plan(), "myria", engine).run(
@@ -344,8 +344,8 @@ def _trial_f16(engine, count, n_nodes, profile, restart_after_s, seed):
 
 def _f16_baseline(kind, subjects, n_nodes):
     """Fault-free reference run; returns absolute phase timestamps."""
-    cluster, engine = fresh_engine(kind, n_nodes=n_nodes)
-    stage_subjects(cluster.object_store, subjects)
+    cluster, engine = fresh_engine(kind, n_nodes=n_nodes,
+                                   object_store=staged_subjects(subjects))
     start = cluster.now
     ingest_end = _f16_pipeline(kind, cluster, engine, subjects)
     return {"start": start, "ingest_end": ingest_end, "end": cluster.now}
@@ -356,8 +356,8 @@ def _f16_faulty(kind, subjects, n_nodes, crash_at, restart_after_s, seed):
     from repro.cluster.errors import NodeCrashedError
     from repro.cluster.faults import FaultPlan
 
-    cluster, engine = fresh_engine(kind, n_nodes=n_nodes)
-    stage_subjects(cluster.object_store, subjects)
+    cluster, engine = fresh_engine(kind, n_nodes=n_nodes,
+                                   object_store=staged_subjects(subjects))
     victim = cluster.node_order[-1]  # never the master/coordinator
     cluster.install_faults(
         FaultPlan(seed=seed).crash_node(

@@ -3,7 +3,9 @@
 Every trial gets a *fresh* simulated cluster (engines are separate
 deployments in the paper too), shaped for the engine under test:
 Myria/SciDB run multiple single-slot workers/instances per node while
-Spark/Dask/TensorFlow multiplex cores within one worker.
+Spark/Dask/TensorFlow multiplex cores within one worker.  The clusters
+share the store their cohort was staged into once per process, as the
+paper staged its inputs ahead of every experiment.
 """
 
 from contextlib import contextmanager
@@ -51,17 +53,20 @@ def observe_clusters(callback):
         _cluster_observers.remove(callback)
 
 
-def make_cluster(n_nodes, kind, workers_per_node=None, cost_model=None):
-    """A fresh cluster shaped for one engine kind."""
+def make_cluster(n_nodes, kind, workers_per_node=None, cost_model=None,
+                 object_store=None):
+    """A fresh cluster shaped for one engine kind, reading
+    ``object_store`` (a staged store it shares) or an empty store."""
     if kind in ("myria", "scidb"):
         w = workers_per_node or 4
         spec = ClusterSpec(n_nodes=n_nodes, workers_per_node=w, slots_per_worker=1)
     else:
         spec = ClusterSpec(n_nodes=n_nodes)
     if cost_model is None:
-        cluster = SimulatedCluster(spec)
+        cluster = SimulatedCluster(spec, object_store=object_store)
     else:
-        cluster = SimulatedCluster(spec, cost_model=cost_model)
+        cluster = SimulatedCluster(spec, cost_model=cost_model,
+                                   object_store=object_store)
     for callback in list(_cluster_observers):
         callback(cluster)
     return cluster
@@ -83,10 +88,11 @@ def make_engine(kind, cluster, workers_per_node=None):
 
 
 def fresh_engine(kind, n_nodes=DEFAULT_NODES, workers_per_node=None,
-                 cost_model=None):
+                 cost_model=None, object_store=None):
     """Cluster + engine in one call; returns ``(cluster, engine)``."""
     cluster = make_cluster(
-        n_nodes, kind, workers_per_node=workers_per_node, cost_model=cost_model
+        n_nodes, kind, workers_per_node=workers_per_node,
+        cost_model=cost_model, object_store=object_store,
     )
     return cluster, make_engine(kind, cluster, workers_per_node=workers_per_node)
 

@@ -9,6 +9,9 @@ subject/image metadata) whose nominal size is the pickled-NumPy size of
 a full 145x145x174 float32 volume.
 """
 
+import functools
+
+from repro.cluster.objectstore import staged
 from repro.formats.npyio import PICKLE_OVERHEAD_BYTES
 
 DEFAULT_BUCKET = "neuro-npy"
@@ -19,24 +22,33 @@ def volume_key(subject_id, image_id):
     return f"{subject_id}/vol-{image_id:04d}"
 
 
-def stage_subjects(object_store, subjects, bucket=DEFAULT_BUCKET):
-    """Upload every subject's volumes as pickled-NumPy objects.
+@functools.cache
+def volume_keys(subject_id, n_volumes):
+    """A subject's staged keys by image id, built once per process."""
+    return tuple(volume_key(subject_id, index) for index in range(n_volumes))
 
-    Returns the number of objects staged.  Idempotent per key.  Nominal
-    object sizes are bundle-aware so each subject's staged bytes total
-    the paper's 4.2 GB regardless of the real volume count.
+
+def _volume_entries(subject):
+    keys = volume_keys(subject.subject_id, subject.n_volumes)
+    for key, volume in zip(keys, subject.volumes):
+        yield key, volume, volume.nominal_bytes + PICKLE_OVERHEAD_BYTES
+
+
+def staged_subjects(subjects, bucket=DEFAULT_BUCKET):
+    """The frozen store of every subject's volumes as pickled-NumPy
+    objects, built once per cohort and bucket per process.
+
+    Nominal object sizes are bundle-aware so each subject's staged bytes
+    total the paper's 4.2 GB regardless of the real volume count.
     """
-    count = 0
-    for subject in subjects:
-        for index, volume in enumerate(subject.volumes):
-            object_store.put(
-                bucket,
-                volume_key(subject.subject_id, index),
-                volume,
-                volume.nominal_bytes + PICKLE_OVERHEAD_BYTES,
-            )
-            count += 1
-    return count
+    return staged(bucket, subjects, _volume_entries)
+
+
+def stage_subjects(object_store, subjects, bucket=DEFAULT_BUCKET):
+    """Put every subject's volumes into ``object_store`` (a mount of
+    :func:`staged_subjects`); returns the number of objects staged."""
+    object_store.mount(staged_subjects(subjects, bucket))
+    return sum(subject.n_volumes for subject in subjects)
 
 
 def charge_nifti_conversion(cluster, subjects, op):

@@ -386,26 +386,24 @@ def test_degraded_link_stretches_transfers(cluster):
 
 
 def test_s3_transient_failures_charge_backoff_to_reader(cluster):
-    store = cluster.object_store
-    store.put("bucket", "k0", b"x", 100)
+    cluster.object_store.put("bucket", "k0", b"x", 100)
     plan = FaultPlan(seed=2).fail_s3(1.0, max_failures_per_key=2)
     cluster.install_faults(plan)
-    t = Task("read", fn=lambda: store.get("bucket", "k0"), duration=1.0)
+    t = Task("read", fn=lambda: cluster.s3.get("bucket", "k0"), duration=1.0)
     cluster.run([t])
-    assert store.retry_count == 2
+    assert cluster.s3.retry_count == 2
     # 1s of work plus backoff(1) + backoff(2) = 1 + 2 seconds.
     assert cluster.now == pytest.approx(1.0 + plan.retry_policy.total_delay(2))
 
 
 def test_s3_retries_exhausted_raises():
     store_cluster = SimulatedCluster(ClusterSpec(n_nodes=1))
-    store = store_cluster.object_store
-    store.put("bucket", "k0", b"x", 100)
+    store_cluster.object_store.put("bucket", "k0", b"x", 100)
     plan = FaultPlan(seed=2, retry_policy=RetryPolicy(max_attempts=2))
     plan.fail_s3(1.0, max_failures_per_key=5)
     store_cluster.install_faults(plan)
     with pytest.raises(S3RetriesExhaustedError):
-        store.get("bucket", "k0")
+        store_cluster.s3.get("bucket", "k0")
 
 
 # ----------------------------------------------------------------------

@@ -221,13 +221,13 @@ def test_s3_relation_scan(conn):
 
 def _ingest_one_object(fault_plan):
     """Ingest one staged object on a one-worker deployment; returns
-    ``(store, loaded objects, the ingest task's record)``."""
+    ``(the cluster's S3 client, loaded objects, the ingest task's
+    record)``."""
     from repro.cluster import ClusterSpec, SimulatedCluster
 
     cluster = SimulatedCluster(ClusterSpec(n_nodes=1))
     conn = MyriaConnection(cluster, workers_per_node=1)
-    store = cluster.object_store
-    store.put("bkt", "o0", (0, 10), 1000)
+    cluster.object_store.put("bkt", "o0", (0, 10), 1000)
     if fault_plan is not None:
         cluster.install_faults(fault_plan)
     loaded = []
@@ -240,17 +240,17 @@ def _ingest_one_object(fault_plan):
     (record,) = [
         r for r in cluster.obs.task_records if r.name == "myria-ingest-T-w0"
     ]
-    return store, loaded, record
+    return cluster.s3, loaded, record
 
 
 def test_s3_ingest_reads_each_object_once_and_charges_retries_once():
     from repro.cluster.faults import FaultPlan
 
-    _store, _loaded, healthy = _ingest_one_object(None)
+    _s3, _loaded, healthy = _ingest_one_object(None)
     plan = FaultPlan(seed=2).fail_s3(1.0, max_failures_per_key=2)
-    store, loaded, faulted = _ingest_one_object(plan)
+    s3, loaded, faulted = _ingest_one_object(plan)
     assert loaded == [(0, 10)]
-    assert store.retry_count == 2
+    assert s3.retry_count == 2
     assert faulted.compute_s == pytest.approx(
         healthy.compute_s + plan.retry_policy.total_delay(2)
     )
