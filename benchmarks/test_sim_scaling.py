@@ -44,7 +44,7 @@ from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.engines.spark import SparkContext
 from repro.harness.runner import neuro_subjects
 from repro.obs import compute_critical_path
-from repro.obs.spans import TaskRecord
+from repro.obs.spans import PSEUDO_OVERHEAD, TaskRecord
 from repro.pipelines.neuro.staging import stage_subjects
 
 GROWTH = 4
@@ -92,7 +92,7 @@ def _staggered_pinned_run(n_tasks, n_nodes=16):
     # node, both in the hundreds.
     tasks = [
         Task(f"t{i}", duration=2.0, node=names[i % len(names)],
-             not_before=i * 0.01)
+             not_before=i * 0.01, op=PSEUDO_OVERHEAD)
         for i in range(n_tasks)
     ]
     return lambda: cluster.run(tasks)
@@ -104,7 +104,7 @@ def _round_robin_pinned_run(n_nodes, n_tasks=4096):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=n_nodes))
     names = cluster.node_order
     tasks = [
-        Task(f"t{i}", duration=2.0, node=names[i % len(names)])
+        Task(f"t{i}", duration=2.0, node=names[i % len(names)], op=PSEUDO_OVERHEAD)
         for i in range(n_tasks)
     ]
     return lambda: cluster.run(tasks)
@@ -155,7 +155,7 @@ def _dependency_free_walk(n_records):
     # every step of the walk is a handover.
     records = [
         TaskRecord(f"step-{i}", "node-0", float(i),
-                   i + (3.5 if i % 10 == 0 else 1.0))
+                   i + (3.5 if i % 10 == 0 else 1.0), op=PSEUDO_OVERHEAD)
         for i in range(n_records)
     ]
     return lambda: compute_critical_path(records)

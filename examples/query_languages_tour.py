@@ -19,7 +19,7 @@ from repro.engines.base import udf
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.scidb import SciDBConnection
 from repro.engines.scidb.afl import execute as afl
-from repro.plan import lower, neuro_plan
+from repro.plan import PSEUDO_OVERHEAD, lower, neuro_plan
 
 
 def myrial_tour():
@@ -32,7 +32,7 @@ def myrial_tour():
     rows = [(f"subj{i % 3}", i, float(2 ** (i % 8))) for i in range(24)]
     conn.ingest_relation(
         Relation.from_rows("Scans", ("subjId", "imgId", "signal"), rows),
-        "subjId",
+        "subjId", op=PSEUDO_OVERHEAD,
     )
 
     print("\n1. Declarative query with built-in aggregates:")
@@ -40,7 +40,7 @@ def myrial_tour():
         T = SCAN(Scans);
         Stats = [FROM T EMIT T.subjId, COUNT(T.imgId) AS n,
                  AVG(T.signal) AS mean];
-    """)
+    """, op=PSEUDO_OVERHEAD)
     for row in sorted(query.relation("Stats").rows):
         print(f"   {row[0]}: n={row[1]}, mean={row[2]:.1f}")
 
@@ -50,7 +50,7 @@ def myrial_tour():
         T = SCAN(Scans);
         L = [FROM T EMIT T.subjId, T.imgId, PYUDF(Log2, T.signal) AS lg];
         Big = [SELECT L.subjId, L.imgId FROM L WHERE L.lg >= 6.0];
-    """)
+    """, op=PSEUDO_OVERHEAD)
     print(f"   rows with log2(signal) >= 6: {len(query.relation('Big').rows)}")
 
     print("\n3. Imperative DO...WHILE (MyriaL's hybrid nature):")
@@ -63,7 +63,7 @@ def myrial_tour():
                    PYUDF(Halve, Cur.signal) AS signal];
             Hot = [SELECT Cur.imgId FROM Cur WHERE Cur.signal >= 1.0];
         WHILE Hot;
-    """)
+    """, op=PSEUDO_OVERHEAD)
     signals = [row[2] for row in query.relation("Cur").rows]
     print(f"   after iterative halving, max signal = {max(signals):.3f}")
     print(f"   simulated time so far: {cluster.now:.1f} s")

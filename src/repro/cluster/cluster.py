@@ -9,6 +9,8 @@ per call), so that engines only need to express the *structure* of
 their execution.
 """
 
+from math import inf
+
 from repro.cluster.clock import VirtualClock
 from repro.cluster.costs import DEFAULT_COST_MODEL
 from repro.cluster.disk import LocalDisk
@@ -20,7 +22,7 @@ from repro.cluster.objectstore import ObjectStore, S3Client
 from repro.cluster.run import Run
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.task import Task
-from repro.obs.spans import Observability
+from repro.obs.spans import Observability, check_op
 
 
 class Node:
@@ -181,10 +183,18 @@ class SimulatedCluster:
         return self.completed[task.task_id].value
 
     def charge_master(self, seconds, label="coordinator work", category=None,
-                      op=None):
-        """Advance the clock for serial coordinator-side work."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
+                      *, op):
+        """Advance the clock for serial coordinator-side work.
+
+        ``op`` (required) is the provenance id or pseudo-op the charge
+        is attributed to; ``seconds`` must be finite and >= 0.
+        """
+        check_op(op, label)
+        if not 0 <= seconds < inf:
+            raise ValueError(
+                f"charge {label!r} ({category}) must be finite, >= 0,"
+                f" got {seconds}"
+            )
         self.clock.advance_by(seconds)
         self.obs.record_task(label, self.master, self.now - seconds, self.now,
                              category=category, op=op)

@@ -10,6 +10,8 @@ structure and node pinning.
 import itertools
 from math import inf
 
+from repro.obs.spans import check_op
+
 #: Process-global on purpose.  A task id is an ordinal: it orders tasks
 #: by creation (admission, tie-breaks) and keys lookups within one run.
 #: It never reaches a task name, a fault draw or a snapshot, so a
@@ -56,11 +58,10 @@ class Task:
         ``"spark-denoise"``, ``"scidb-convert"``).  ``None`` falls back
         to the name-prefix grouping heuristic.
     op:
-        Provenance id of the logical plan op this task implements
-        (``"neuro/denoise"``) or a pseudo-op (``"@overhead"``).
-        ``None`` takes the ambient ``obs.provenance(...)`` scope open
-        when the task is recorded; with no scope either, the record
-        stays unstamped and attribution reads it as ``@overhead``.
+        Required, keyword-only: the provenance id of the logical plan
+        op this task implements (``"neuro/denoise"``) or a pseudo-op
+        (``"@overhead"``).  Its record carries exactly this op; a
+        missing or non-``str`` op raises here.
     """
 
     __slots__ = (
@@ -97,8 +98,10 @@ class Task:
         on_oom="fail",
         not_before=0.0,
         category=None,
-        op=None,
+        *,
+        op,
     ):
+        check_op(op, name)
         if on_oom not in self._OOM_POLICIES:
             raise ValueError(
                 f"on_oom must be one of {self._OOM_POLICIES}, got {on_oom!r}"

@@ -46,15 +46,16 @@ class CostedFunction:
 
     ``cost_fn(*args)`` returns simulated seconds for one invocation at
     nominal scale; when omitted the call is priced as free (appropriate
-    for metadata-only lambdas like key extractors).  ``op`` optionally
-    names the logical plan op the function implements (a provenance id
-    like ``"neuro/denoise"``); lowerings stamp it so physical tasks
-    built from the function inherit the attribution.
+    for metadata-only lambdas like key extractors).  ``op`` is the
+    provenance id Spark's lowering walker stamps on a function it
+    lowers (``"neuro/denoise"``); the stage scheduler reads it to name
+    the op of the stage's tasks, and it stays ``None`` on functions no
+    walker lowered.
     """
 
     __slots__ = ("fn", "cost_fn", "name", "op")
 
-    def __init__(self, fn, cost_fn=None, name=None, op=None):
+    def __init__(self, fn, cost_fn=None, name=None):
         if not callable(fn):
             raise TypeError(f"fn must be callable, got {type(fn)!r}")
         if cost_fn is not None and not callable(cost_fn):
@@ -62,7 +63,7 @@ class CostedFunction:
         self.fn = fn
         self.cost_fn = cost_fn
         self.name = name or getattr(fn, "__name__", "udf")
-        self.op = op
+        self.op = None
 
     def __call__(self, *args, **kwargs):
         return self.fn(*args, **kwargs)
@@ -77,13 +78,13 @@ class CostedFunction:
         return f"CostedFunction({self.name!r})"
 
 
-def udf(fn=None, cost=None, name=None, op=None):
+def udf(fn=None, cost=None, name=None):
     """Convenience wrapper: ``udf(fn, cost=...)`` or decorator form."""
     if fn is None:
-        return lambda f: CostedFunction(f, cost_fn=cost, name=name, op=op)
+        return lambda f: CostedFunction(f, cost_fn=cost, name=name)
     if isinstance(fn, CostedFunction):
         return fn
-    return CostedFunction(fn, cost_fn=cost, name=name, op=op)
+    return CostedFunction(fn, cost_fn=cost, name=name)
 
 
 def as_costed(fn):
@@ -116,15 +117,10 @@ class LoweredPlan:
     def run_op(self, op_id, **tuning):
         """Execute ``op_id`` over what :meth:`prepare` left behind.
 
-        The op's provenance scope is open for the whole call, so every
-        task and coordinator charge that carries no stamp of its own
-        (shuffles, broadcasts, collects the op causes) is attributed to
-        the measured op by construction.
+        The step names its op at every call that makes a task or a
+        charge (shuffles, broadcasts, collects the op causes included),
+        so the measured op is attributed by construction.
         """
-        with self.ctx.cluster.obs.provenance(self.plan.provenance(op_id)):
-            self._run_step(op_id, **tuning)
-
-    def _run_step(self, op_id, **tuning):
         self._step_method("_step_", op_id)(**tuning)
 
     def _step_method(self, prefix, op_id):
@@ -162,18 +158,19 @@ class Engine:
         return 0.0
 
     def ensure_started(self):
-        """Charge the startup cost exactly once per engine instance."""
+        """Charge the startup cost exactly once per engine instance.
+
+        Start-up implements no plan op, so it is always ``@overhead``,
+        whichever op first touches the engine.
+        """
         if not self._started:
             self._started = True
             cost = self.startup_cost()
             if cost > 0:
-                # Start-up implements no op: overhead, unless it falls
-                # inside a scope that claims everything it causes.
-                obs = self.cluster.obs
                 self.cluster.charge_master(
                     cost, label=f"{self.name} startup",
                     category=f"{self.name.lower()}-startup",
-                    op=obs.current_provenance() or PSEUDO_OVERHEAD,
+                    op=PSEUDO_OVERHEAD,
                 )
 
     def __repr__(self):

@@ -62,30 +62,31 @@ class DaskClient(Engine):
         """One-time engine startup in simulated seconds."""
         return self.cost_model.dask_job_startup
 
-    def delayed(self, fn, cost=None, workers=None, op=None):
+    def delayed(self, fn, op, cost=None, workers=None):
         """Wrap ``fn`` for graph construction (Figure 8's ``delayed``).
 
-        ``workers`` pins execution to one node name -- the manual
-        data-placement control the paper needed for ingest ("we
+        ``op`` is the provenance id of the logical op this function
+        implements (``@overhead`` for user code with no plan); every
+        task built from the factory carries it for per-op blame
+        attribution.  ``workers`` pins execution to one node name -- the
+        manual data-placement control the paper needed for ingest ("we
         explicitly specify the number of subjects to download per
-        node", Section 5.2.1).  ``op`` is the provenance id of the
-        logical op this function implements; every task built from the
-        factory carries it for per-op blame attribution.
+        node", Section 5.2.1).
         """
-        return DelayedFactory(self, fn, cost=cost, workers=workers, op=op)
+        return DelayedFactory(self, fn, op, cost=cost, workers=workers)
 
-    def map(self, fn, *iterables, cost=None, workers=None, op=None):
+    def map(self, fn, *iterables, op, cost=None, workers=None):
         """Futures-style fan-out: one delayed node per zipped item."""
-        factory = self.delayed(fn, cost=cost, workers=workers, op=op)
+        factory = self.delayed(fn, op, cost=cost, workers=workers)
         return [factory(*args) for args in zip(*iterables)]
 
-    def scatter(self, values, workers=None):
+    def scatter(self, values, op, workers=None):
         """Place driver-side values onto workers ahead of computation.
 
         Returns one handle per value, usable as a graph input; the
         driver-to-worker transfer is charged now and the values become
         resident on their nodes (round-robin unless ``workers`` pins
-        them).
+        them).  ``op`` names what the transfer is charged to.
         """
         self.ensure_started()
         nodes = self.cluster.node_order
@@ -96,7 +97,7 @@ class DaskClient(Engine):
         ):
             for index, value in enumerate(values):
                 placement = workers or nodes[index % len(nodes)]
-                handle = self.delayed(lambda v=value: v, workers=placement)()
+                handle = self.delayed(lambda v=value: v, op, workers=placement)()
                 nbytes = nominal_bytes_of(value)
                 self.cluster.charge_master(
                     self.cost_model.pickle_time(nbytes)
@@ -105,6 +106,7 @@ class DaskClient(Engine):
                     ),
                     label="dask scatter",
                     category="dask-scatter",
+                    op=op,
                 )
                 self._keep(handle.key, value, nbytes, placement)
                 handles.append(handle)
@@ -312,6 +314,6 @@ class DaskClient(Engine):
             not_before=not_before,
             category=f"dask-{fn_name}"
             if fn_name and fn_name != "<lambda>" else "dask-task",
-            op=getattr(fn, "op", None),
+            op=delayed_node.op,
         )
         return task

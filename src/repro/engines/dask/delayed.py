@@ -13,11 +13,12 @@ from repro.engines.base import as_costed
 class Delayed:
     """One node of a Dask compute graph."""
 
-    __slots__ = ("client", "fn", "args", "kwargs", "key", "workers")
+    __slots__ = ("client", "fn", "args", "kwargs", "key", "op", "workers")
 
-    def __init__(self, client, fn, args, kwargs, workers=None):
+    def __init__(self, client, fn, args, kwargs, op, workers=None):
         self.client = client
         self.fn = fn
+        self.op = op
         self.args = tuple(args)
         self.kwargs = dict(kwargs or {})
         self.key = f"{fn.name}-{next(client.key_counter)}"
@@ -48,27 +49,28 @@ class Delayed:
 class DelayedFactory:
     """What ``client.delayed(fn, cost=...)`` returns.
 
-    ``op`` stamps the wrapped function with the provenance id of the
-    logical plan op it implements; the scheduler copies it onto every
-    task built from this factory (see ``repro.obs.attribution``).
+    ``op`` is the provenance id of the logical plan op the function
+    implements (or a pseudo-op); every node the factory makes carries
+    it, and the scheduler builds the node's task with it.
     """
 
-    __slots__ = ("client", "fn", "workers")
+    __slots__ = ("client", "fn", "op", "workers")
 
-    def __init__(self, client, fn, cost=None, workers=None, op=None):
+    def __init__(self, client, fn, op, cost=None, workers=None):
         self.client = client
         self.fn = as_costed(fn) if cost is None else _with_cost(fn, cost)
-        if op is not None and self.fn.op is None:
-            self.fn.op = op
+        self.op = op
         self.workers = workers
 
     def __call__(self, *args, **kwargs):
-        return Delayed(self.client, self.fn, args, kwargs, workers=self.workers)
+        return Delayed(
+            self.client, self.fn, args, kwargs, self.op, workers=self.workers
+        )
 
 
 def _with_cost(fn, cost):
     from repro.engines.base import CostedFunction
 
     if isinstance(fn, CostedFunction):
-        return CostedFunction(fn.fn, cost_fn=cost, name=fn.name, op=fn.op)
+        return CostedFunction(fn.fn, cost_fn=cost, name=fn.name)
     return CostedFunction(fn, cost_fn=cost)

@@ -8,13 +8,18 @@ Mirrors the usage in the paper's Figure 7:
     conn.create_function("Denoise", denoise_udf)
     query = MyriaQuery.submit(conn, '''
         T1 = SCAN(Images); ...
-    ''')
+    ''', op=PSEUDO_OVERHEAD)
+
+Every call that makes tasks or charges names the op they are charged
+to: a lowering passes its plan's provenance id, user code with no plan
+writes ``PSEUDO_OVERHEAD``.
 """
 
 from repro.engines.base import Engine, as_costed
 from repro.engines.myria.myrial import parse
 from repro.engines.myria.plan import MyriaServer, S3Relation
 from repro.engines.myria.relation import Relation, Schema
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 #: The paper's tuned optimum: "four workers per node yields the best
 #: results" (Section 5.3.1, Figure 13).
@@ -44,7 +49,7 @@ class MyriaConnection(Engine):
         """Register a Python UDF or UDA under ``name`` (Figure 7 line 2)."""
         self.server.register_udf(name, as_costed(fn))
 
-    def ingest_relation(self, relation, partition_column, op=None):
+    def ingest_relation(self, relation, partition_column, *, op):
         """Ingest a driver-side :class:`Relation` (small tables); ``op``
         is the logical op the insert tasks are charged to."""
         return self.server.insert_relation(relation, partition_column, op=op)
@@ -71,7 +76,7 @@ class MyriaConnection(Engine):
         return relation
 
     def ingest_s3(self, table, bucket, columns, loader, partition_column,
-                  prefix="", op=None):
+                  prefix="", *, op):
         """Parallel S3 ingest into per-worker PostgreSQL storage.
 
         Each worker downloads its share of the object list directly --
@@ -106,23 +111,24 @@ class MyriaConnection(Engine):
 class MyriaQuery:
     """A submitted MyriaL query and its results."""
 
-    def __init__(self, connection, results):
+    def __init__(self, connection, results, op):
         self.connection = connection
         self.results = results
+        self.op = op
 
     @classmethod
-    def submit(cls, connection, text, mode="pipelined", ops=None):
+    def submit(cls, connection, text, mode="pipelined", ops=None, *, op):
         """Parse and execute MyriaL ``text``; returns a MyriaQuery.
 
         ``mode`` selects the memory-management strategy of Figure 15
         ("pipelined" or "materialized").  ``ops`` is a
-        :class:`PlanQuery`'s statement -> plan-op association; a
-        statement it does not name runs under the caller's provenance
-        scope.
+        :class:`PlanQuery`'s statement -> plan-op association; the
+        submit charge, ``STORE``, every statement ``ops`` does not name
+        and the query's collects are charged to ``op``.
         """
         program = parse(text)
-        results = connection.server.execute(program, mode=mode, ops=ops)
-        return cls(connection, results)
+        results = connection.server.execute(program, mode=mode, ops=ops, op=op)
+        return cls(connection, results, op)
 
     def relation(self, name):
         """Gather one result as a driver-side :class:`Relation`.
@@ -138,6 +144,7 @@ class MyriaQuery:
             + cluster.network.transfer_time(total, "workers", "coordinator"),
             label="Myria collect",
             category="myria-coordinator",
+            op=self.op,
         )
         rows = [row for shard in intermediate.shards for row in shard]
         return Relation(name, Schema(intermediate.columns), rows)
@@ -157,7 +164,8 @@ class PlanQuery:
     statement name to its ops' provenance ids.  A statement's tasks are
     attributed to the *last* op of its fused chain (``Masks`` =
     mean_b0+otsu -> otsu) and the shuffle feeding its UDA to the
-    *first*, the ``group_by`` itself.
+    *first*, the ``group_by`` itself.  What no statement claims -- the
+    submit, ``STORE``, collects -- is the coordinator's ``@overhead``.
     """
 
     def __init__(self, plan, *statements):
@@ -176,5 +184,5 @@ class PlanQuery:
     def submit(self, connection, **options):
         """Run the query with every statement attributed to its op."""
         return MyriaQuery.submit(
-            connection, self.text, ops=self.ops, **options
+            connection, self.text, ops=self.ops, op=PSEUDO_OVERHEAD, **options
         )

@@ -20,7 +20,6 @@ from repro.pipelines import common
 from repro.pipelines.astro import reference as ref
 from repro.pipelines.astro.staging import exposure_key
 from repro.plan.astro import astro_plan
-from repro.plan.ir import PSEUDO_OVERHEAD
 
 EXPOSURES_COLUMNS = ("expId", "visit", "sensor", "x0", "img")
 
@@ -256,20 +255,17 @@ class LoweredAstro(LoweredPlan):
 
         coadds = {}
         sources = {}
-        # What no statement claims -- query submit, collect -- is the
-        # coordinator's overhead.
-        with conn.cluster.obs.provenance(PSEUDO_OVERHEAD):
-            for emitted, band_keys in queries:
-                if band_keys is not None:
-                    conn.register_s3_relation(
-                        "Exposures", bucket, EXPOSURES_COLUMNS, _loader,
-                        keys=band_keys,
-                    )
-                query = emitted.submit(conn, mode=mode)
-                for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
-                    coadds[(patch_y, patch_x)] = coadd_img
-                for patch_y, patch_x, srcs in query.relation("Sources").rows:
-                    sources[(patch_y, patch_x)] = srcs
+        for emitted, band_keys in queries:
+            if band_keys is not None:
+                conn.register_s3_relation(
+                    "Exposures", bucket, EXPOSURES_COLUMNS, _loader,
+                    keys=band_keys,
+                )
+            query = emitted.submit(conn, mode=mode)
+            for patch_y, patch_x, coadd_img in query.relation("Coadds").rows:
+                coadds[(patch_y, patch_x)] = coadd_img
+            for patch_y, patch_x, srcs in query.relation("Sources").rows:
+                sources[(patch_y, patch_x)] = srcs
         return coadds, sources
 
     # -- step protocol -------------------------------------------------
@@ -281,5 +277,8 @@ class LoweredAstro(LoweredPlan):
         patch_query(self.plan).submit(self.conn)
 
     def _step_coadd(self):
-        # Bare text: ``run_op``'s scope owns the whole window.
-        MyriaQuery.submit(self.conn, coadd_query(self.plan).text)
+        # Bare text charged to the measured op: it owns the whole window.
+        MyriaQuery.submit(
+            self.conn, coadd_query(self.plan).text,
+            op=self.plan.provenance("coadd"),
+        )

@@ -35,7 +35,6 @@ from repro.pipelines.neuro.staging import (
     charge_nifti_conversion,
     gradient_tables,
 )
-from repro.plan.ir import PSEUDO_OVERHEAD
 from repro.plan.neuro import neuro_plan
 
 IMAGES_COLUMNS = ("subjId", "imgId", "b0flag", "img")
@@ -305,15 +304,12 @@ class LoweredNeuro(LoweredPlan):
         else:
             raise ValueError(f"unknown source {source!r}")
         self.register_udfs(subjects)
-        # What no statement claims -- query submit, STORE, collect -- is
-        # the coordinator's overhead.
-        with self.conn.cluster.obs.provenance(PSEUDO_OVERHEAD):
-            masks = self.compute_masks(mode)
-            self.register_udfs(
-                subjects, mask_fraction=common.mean_masked_fraction(masks)
-            )
-            query = pipeline_query(self.plan).submit(self.conn, mode=mode)
-            fitted = query.relation("Fitted")
+        masks = self.compute_masks(mode)
+        self.register_udfs(
+            subjects, mask_fraction=common.mean_masked_fraction(masks)
+        )
+        query = pipeline_query(self.plan).submit(self.conn, mode=mode)
+        fitted = query.relation("Fitted")
         fa_by_subject = {}
         for subj, block_id, fa_block in fitted.rows:
             fa_by_subject.setdefault(subj, {})[block_id] = fa_block
@@ -366,15 +362,20 @@ class LoweredNeuro(LoweredPlan):
             op=self.plan.provenance("volumes"),
         )
 
-    # A step submits bare text: the measured op's scope, opened by
-    # ``run_op``, owns the whole window -- ``T1 = SCAN`` and the
-    # ``Joined`` broadcast join included.
+    # A step submits bare text charged to the measured op: the whole
+    # window -- submit, ``T1 = SCAN`` and the ``Joined`` broadcast join
+    # included.
 
     def _step_b0(self):
-        MyriaQuery.submit(self.conn, filter_query(self.plan).text)
+        self._submit_step("b0", filter_query)
 
     def _step_mean_b0(self):
-        MyriaQuery.submit(self.conn, mean_query(self.plan).text)
+        self._submit_step("mean_b0", mean_query)
 
     def _step_denoise(self):
-        MyriaQuery.submit(self.conn, denoise_query(self.plan).text)
+        self._submit_step("denoise", denoise_query)
+
+    def _submit_step(self, op_id, emit):
+        MyriaQuery.submit(
+            self.conn, emit(self.plan).text, op=self.plan.provenance(op_id)
+        )

@@ -193,9 +193,10 @@ class MyriaServer:
         """Worker-level CPU cost adjusted for overlap and contention."""
         return seconds * self.contention_factor() / self.overlap_factor()
 
-    def run_workers(self, label, category, work, op=None):
-        """One task per worker, pinned to its node and named
-        ``<label>-w<worker>``, all in one ``cluster.run``.
+    def run_workers(self, label, category, work, *, op):
+        """One task per worker, pinned to its node, named
+        ``<label>-w<worker>`` and charged to ``op``, all in one
+        ``cluster.run``.
 
         ``work(worker)`` returns ``(value, seconds)``: the task's value
         and its price, computed in one pass.  Returns the values in
@@ -238,7 +239,7 @@ class MyriaServer:
             storage.create_table(name, schema)
         return sharded
 
-    def insert_shards(self, table, label, category, fetch, op=None):
+    def insert_shards(self, table, label, category, fetch, *, op):
         """Each worker appends rows to its shard of ``table``: the one
         insert path of ingest, driver-side inserts and ``STORE``.
 
@@ -257,7 +258,7 @@ class MyriaServer:
 
         return self.run_workers(label, category, work, op=op)
 
-    def insert_relation(self, relation, partition_column, op=None):
+    def insert_relation(self, relation, partition_column, *, op):
         """Insert a driver-side relation, hash-partitioned (used by tests
         and small metadata tables)."""
         sharded = self.create_relation(
@@ -281,15 +282,15 @@ class MyriaServer:
     #: query once the node rejoins.
     MAX_QUERY_RESTARTS = 3
 
-    def execute(self, program, mode="pipelined", ops=None):
+    def execute(self, program, mode="pipelined", ops=None, *, op):
         """Run a parsed program; returns ``{name: Intermediate}`` for
         every assignment plus stored relations in the catalog.
 
         ``ops`` names the plan ops each statement realises (see
-        :class:`~repro.engines.myria.connection.PlanQuery`): the
-        statement's provenance scope opens with its span.  Whatever it
-        leaves unnamed -- the submit charge, ``STORE`` -- is recorded
-        under the caller's scope.
+        :class:`~repro.engines.myria.connection.PlanQuery`); each
+        statement passes its own to every task and charge it makes.
+        Whatever ``ops`` leaves unnamed -- the submit charge, ``STORE``,
+        a statement it does not list -- is charged to ``op``.
 
         A worker-node crash aborts the running statement; the
         coordinator rolls back relations stored by the aborted attempt,
@@ -306,11 +307,12 @@ class MyriaServer:
                     self.cluster.cost_model.myria_query_startup,
                     label="Myria query submit",
                     category="myria-coordinator",
+                    op=op,
                 )
                 self._stored_this_query = []
                 try:
                     try:
-                        return self._execute_program(program, mode)
+                        return self._execute_program(program, mode, op)
                     finally:
                         self._release_resident()
                 except NodeCrashedError as exc:
@@ -337,14 +339,14 @@ class MyriaServer:
     #: if an iterative analysis needs more).
     MAX_LOOP_ITERATIONS = 1000
 
-    def _execute_program(self, program, mode):
+    def _execute_program(self, program, mode, op):
         env = {}
         results = {}
         for statement in program.statements:
-            self._execute_statement(statement, env, results, mode)
+            self._execute_statement(statement, env, results, mode, op)
         return results
 
-    def _execute_statement(self, statement, env, results, mode):
+    def _execute_statement(self, statement, env, results, mode, op):
         from repro.engines.myria.myrial import DoWhile
 
         if isinstance(statement, Assign):
@@ -357,7 +359,7 @@ class MyriaServer:
                 env[statement.name] = _ScanRef(sharded)
             else:
                 intermediate = self._run_query(
-                    statement.name, statement.source, env, mode
+                    statement.name, statement.source, env, mode, op
                 )
                 env[statement.name] = intermediate
                 results[statement.name] = intermediate
@@ -365,11 +367,11 @@ class MyriaServer:
             intermediate = env[statement.source]
             if isinstance(intermediate, _ScanRef):
                 raise ValueError("STORE of a raw SCAN is not supported")
-            self._store(intermediate, statement.table)
+            self._store(intermediate, statement.table, op)
         elif isinstance(statement, DoWhile):
             for _iteration in range(self.MAX_LOOP_ITERATIONS):
                 for inner in statement.body:
-                    self._execute_statement(inner, env, results, mode)
+                    self._execute_statement(inner, env, results, mode, op)
                 condition = env.get(statement.condition)
                 if condition is None:
                     raise KeyError(
@@ -389,22 +391,27 @@ class MyriaServer:
 
     # -- query body -------------------------------------------------------
 
-    def _run_query(self, name, query, env, mode):
-        obs = self.cluster.obs
-        # A fused statement's own tasks belong to the last op it realises.
-        op = self._ops.get(name, (None,))[-1]
-        with obs.span(f"myria-{name}", category="myria"), obs.provenance(op):
-            return self._run_query_inner(name, query, env, mode)
+    def _run_query(self, name, query, env, mode, op):
+        # The plan ops the statement realises; one it does not name runs
+        # under the query's ``op``.
+        ops = self._ops.get(name, (op,))
+        with self.cluster.obs.span(f"myria-{name}", category="myria"):
+            return self._run_query_inner(name, query, env, mode, ops)
 
-    def _run_query_inner(self, name, query, env, mode):
+    def _run_query_inner(self, name, query, env, mode, ops):
+        # A fused statement's own tasks belong to the last op it
+        # realises; the shuffle feeding its UDA to the first.
+        op = ops[-1]
         join_conditions, selections = split_conditions(query.conditions)
 
         if len(query.froms) == 1:
-            shards, refs = self._resolve_input(query.froms[0], env, selections)
+            shards, refs = self._resolve_input(
+                query.froms[0], env, selections, op
+            )
             selections_left = [] if self._pushed_down(query.froms[0], env) else selections
         elif len(query.froms) == 2:
             shards, refs = self._join_inputs(
-                query.froms, env, join_conditions, selections
+                query.froms, env, join_conditions, selections, op
             )
             selections_left = [
                 s for f in query.froms
@@ -427,13 +434,15 @@ class MyriaServer:
             raise ValueError("cannot mix UDA and UNNEST in one emit list")
 
         if has_uda:
-            out_shards = self._aggregate(name, query, shards, refs, selections_left)
+            out_shards = self._aggregate(
+                name, query, shards, refs, selections_left, ops
+            )
         else:
             out_shards = self._project(
-                name, query, shards, refs, selections_left, flatmap=has_unnest
+                name, query, shards, refs, selections_left, has_unnest, op
             )
         intermediate = Intermediate(name, self._output_columns(query), out_shards)
-        self._account_intermediate(intermediate, mode)
+        self._account_intermediate(intermediate, mode, op)
         return intermediate
 
     def _condition_alias(self, condition):
@@ -445,16 +454,18 @@ class MyriaServer:
     def _pushed_down(self, from_item, env):
         return isinstance(env.get(from_item.name), _ScanRef)
 
-    def _resolve_input(self, from_item, env, selections):
+    def _resolve_input(self, from_item, env, selections, op):
         source = env.get(from_item.name)
         if source is None:
             raise KeyError(f"unknown relation alias {from_item.name!r}")
         if isinstance(source, _ScanRef):
-            return self._scan_shards(from_item.name, source.sharded, selections)
+            return self._scan_shards(
+                from_item.name, source.sharded, selections, op
+            )
         shards = [list(s) for s in source.shards]
         refs = build_column_map(from_item.name, source.columns)
         if source.on_disk:
-            self._charge_shard_reads(source)
+            self._charge_shard_reads(source, op)
         return shards, refs
 
     def _pushdown(self, alias, refs, selections):
@@ -473,12 +484,12 @@ class MyriaServer:
     def _passes(self, ctx, selections):
         return all(check_condition(c, ctx, self.udfs) for c in selections)
 
-    def _scan_shards(self, alias, sharded, selections):
+    def _scan_shards(self, alias, sharded, selections, op):
         """Parallel storage scan with selection pushdown (Figure 12a)."""
         refs = build_column_map(alias, sharded.schema.columns)
         predicate = self._pushdown(alias, refs, selections)
         if isinstance(sharded, S3Relation):
-            return self._scan_s3(sharded, predicate), refs
+            return self._scan_s3(sharded, predicate, op), refs
         cm = self.cluster.cost_model
 
         def work(worker):
@@ -490,10 +501,10 @@ class MyriaServer:
             return rows, seconds
 
         return self.run_workers(
-            f"myria-scan-{sharded.name}", "myria-scan", work
+            f"myria-scan-{sharded.name}", "myria-scan", work, op=op
         ), refs
 
-    def _scan_s3(self, relation, predicate):
+    def _scan_s3(self, relation, predicate, op):
         """Parallel S3 scan (no pushdown into opaque staged objects)."""
         cm = self.cluster.cost_model
         store = self.cluster.s3
@@ -513,17 +524,17 @@ class MyriaServer:
             return rows, seconds
 
         return self.run_workers(
-            f"myria-s3scan-{relation.name}", "myria-ingest", work
+            f"myria-s3scan-{relation.name}", "myria-ingest", work, op=op
         )
 
-    def _join_inputs(self, froms, env, join_conditions, selections):
+    def _join_inputs(self, froms, env, join_conditions, selections, op):
         """Two-way join: broadcast when flagged, else repartition both."""
         if not join_conditions:
             raise ValueError("joins require at least one equi-join condition")
 
         sides = []
         for from_item in froms:
-            shards, refs = self._resolve_input(from_item, env, selections)
+            shards, refs = self._resolve_input(from_item, env, selections, op)
             sides.append((from_item, shards, refs))
 
         broadcast_side = next(
@@ -540,6 +551,7 @@ class MyriaServer:
                 ),
                 label="Myria broadcast join",
                 category="myria-shuffle",
+                op=op,
             )
             left_refs = large[2]
             right_refs = build_column_map(
@@ -567,8 +579,8 @@ class MyriaServer:
         left_key_cols, right_key_cols = self._join_key_indices(
             join_conditions, left_item.name, left_refs, right_item.name, right_refs
         )
-        left_re = self._shuffle(left_shards, left_key_cols, "join-left")
-        right_re = self._shuffle(right_shards, right_key_cols, "join-right")
+        left_re = self._shuffle(left_shards, left_key_cols, "join-left", op)
+        right_re = self._shuffle(right_shards, right_key_cols, "join-right", op)
         n_left_cols = len(self._ref_columns(left_refs))
         joined_shards = [
             hash_join(lrows, left_refs, rrows, right_refs, join_conditions, self.udfs)
@@ -601,14 +613,13 @@ class MyriaServer:
 
     # -- shuffle ---------------------------------------------------------
 
-    def _shuffle(self, shards, key_indices, label, op=None):
-        """Hash-repartition shards by key; charges network + (de)serialization."""
-        obs = self.cluster.obs
-        with obs.span(f"myria-shuffle-{label}", category="myria"), \
-                obs.provenance(op):
-            return self._shuffle_inner(shards, key_indices, label)
+    def _shuffle(self, shards, key_indices, label, op):
+        """Hash-repartition shards by key; charges network +
+        (de)serialization to ``op``."""
+        with self.cluster.obs.span(f"myria-shuffle-{label}", category="myria"):
+            return self._shuffle_inner(shards, key_indices, label, op)
 
-    def _shuffle_inner(self, shards, key_indices, label):
+    def _shuffle_inner(self, shards, key_indices, label, op):
         cm = self.cluster.cost_model
         n_nodes = self.cluster.spec.n_nodes
         remote_fraction = (n_nodes - 1) / n_nodes if n_nodes > 1 else 0.0
@@ -634,13 +645,13 @@ class MyriaServer:
             )
         self.run_workers(
             f"myria-shuffle-{label}", "myria-shuffle",
-            lambda worker: (None, seconds[worker]),
+            lambda worker: (None, seconds[worker]), op=op,
         )
         return new_shards
 
     # -- projection / flatmap / aggregation -------------------------------
 
-    def _project(self, name, query, shards, refs, selections, flatmap):
+    def _project(self, name, query, shards, refs, selections, flatmap, op):
         cm = self.cluster.cost_model
 
         def work(worker):
@@ -659,10 +670,11 @@ class MyriaServer:
                     cpu += expression_cost(expr, ctx, self.udfs)
             return out, self.cpu_time(cpu) + cm.myria_operator_overhead
 
-        return self.run_workers(f"myria-{name}", f"myria-{name}", work)
+        return self.run_workers(f"myria-{name}", f"myria-{name}", work, op=op)
 
-    def _aggregate(self, name, query, shards, refs, selections):
-        """Implicit group-by: shuffle on key columns, then run the UDA."""
+    def _aggregate(self, name, query, shards, refs, selections, ops):
+        """Implicit group-by: shuffle on key columns (charged to the
+        first of ``ops``, the group_by), then run the UDA (the last)."""
         key_emits = [
             e for e in query.emits
             if not (isinstance(e.expr, UdfCall) and e.expr.kind == "UDA")
@@ -689,10 +701,8 @@ class MyriaServer:
             pre_shards.append(out)
 
         key_indices = list(range(len(key_emits)))
-        # ... and the shuffle feeding its UDA to the first, the group_by.
         shuffled = self._shuffle(
-            pre_shards, key_indices, f"groupby-{name}",
-            op=self._ops.get(name, (None,))[0],
+            pre_shards, key_indices, f"groupby-{name}", ops[0]
         )
 
         cm = self.cluster.cost_model
@@ -710,7 +720,9 @@ class MyriaServer:
                 out.append(tuple(key) + tuple(aggregated))
             return out, self.cpu_time(cpu) + cm.myria_operator_overhead
 
-        return self.run_workers(f"myria-uda-{name}", f"myria-{name}", work)
+        return self.run_workers(
+            f"myria-uda-{name}", f"myria-{name}", work, op=ops[-1]
+        )
 
     def _emit_row(self, emits, ctx):
         return tuple(evaluate(e.expr, ctx, self.udfs) for e in emits)
@@ -750,7 +762,7 @@ class MyriaServer:
 
     # -- memory / materialization accounting -------------------------------
 
-    def _account_intermediate(self, intermediate, mode):
+    def _account_intermediate(self, intermediate, mode, op):
         cm = self.cluster.cost_model
         if mode == "pipelined":
             # Intermediates stay resident until the query finishes.
@@ -771,15 +783,17 @@ class MyriaServer:
                 lambda worker: (None, cm.disk_write_time(
                     intermediate.shard_bytes(worker)
                 ) * self.workers_per_node),
+                op=op,
             )
 
-    def _charge_shard_reads(self, intermediate):
+    def _charge_shard_reads(self, intermediate, op):
         cm = self.cluster.cost_model
         self.run_workers(
             f"myria-read-{intermediate.name}", "myria-materialize",
             lambda worker: (None, cm.disk_read_time(
                 intermediate.shard_bytes(worker)
             ) * self.workers_per_node),
+            op=op,
         )
 
     def _release_resident(self):
@@ -789,7 +803,7 @@ class MyriaServer:
 
     # -- store ------------------------------------------------------------
 
-    def _store(self, intermediate, table):
+    def _store(self, intermediate, table, op):
         schema = Schema(intermediate.columns)
         partition_column = intermediate.columns[0]
         sharded = ShardedRelation(table, schema, partition_column, self.n_workers)
@@ -802,5 +816,5 @@ class MyriaServer:
                 storage.create_table(table, schema)
         self.insert_shards(
             table, f"myria-store-{table}", "myria-store",
-            lambda worker: (shards[worker], 0.0),
+            lambda worker: (shards[worker], 0.0), op=op,
         )

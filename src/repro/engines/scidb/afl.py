@@ -31,6 +31,8 @@ import re
 
 import numpy as np
 
+from repro.obs.spans import PSEUDO_OVERHEAD
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -223,6 +225,7 @@ def execute(sdb, text):
 
     Execution is compositional over the connection's native operators,
     so every step is charged chunk-at-a-time like hand-written calls.
+    AFL text implements no plan op, so its work is ``@overhead``.
     """
     return _Evaluator(sdb).eval(parse(text))
 
@@ -272,7 +275,8 @@ class _Evaluator:
             positions = np.arange(array.dims[axis].length)
             keep = op(positions, value)
             return self.sdb.compress(
-                array, keep, axis=axis, name=self._fresh("filter")
+                array, keep, axis=axis, name=self._fresh("filter"),
+                op=PSEUDO_OVERHEAD,
             )
         if subject.value == array.attr:
             # Attribute filter: a full elementwise pass; non-matching
@@ -285,6 +289,7 @@ class _Evaluator:
                 apply_filter,
                 self.sdb.cost_model.elementwise_per_element,
                 name=self._fresh("filter"),
+                op=PSEUDO_OVERHEAD,
             )
         raise AFLError(
             f"unknown dimension or attribute {subject.value!r}"
@@ -315,7 +320,8 @@ class _Evaluator:
             if keep.all():
                 continue
             result = self.sdb.compress(
-                result, keep, axis=axis, name=self._fresh(label)
+                result, keep, axis=axis, name=self._fresh(label),
+                op=PSEUDO_OVERHEAD,
             )
         return result
 
@@ -340,7 +346,10 @@ class _Evaluator:
         # Reduce one axis at a time (axes shift as dimensions drop).
         for axis in sorted(drop_axes, reverse=True):
             if agg.fname == "avg":
-                result = self.sdb.mean(result, axis=axis, name=self._fresh("agg"))
+                result = self.sdb.mean(
+                    result, axis=axis, name=self._fresh("agg"),
+                    op=PSEUDO_OVERHEAD,
+                )
             else:
                 reducer = _AGGREGATES[agg.fname]
                 current = result
@@ -359,6 +368,7 @@ class _Evaluator:
                     current, lambda a: a,
                     self.sdb.cost_model.elementwise_per_element,
                     name=self._fresh("aggpass"),
+                    op=PSEUDO_OVERHEAD,
                 )
                 result = SciDBArray(
                     self._fresh("agg"), new_dims, reduced_real,
@@ -381,6 +391,7 @@ class _Evaluator:
             array, compute,
             self.sdb.cost_model.elementwise_per_element,
             name=self._fresh("apply"),
+            op=PSEUDO_OVERHEAD,
         )
         out.attr = new_attr
         return out

@@ -12,46 +12,44 @@ SciDB's accelerated IO library (i.e., aio_input)." (Section 4.1.)
   SciDB slightly behind Spark and Myria in Figure 11.
 """
 
-from repro.cluster.task import Task
 from repro.engines.scidb.array import SciDBArray
 from repro.formats.csvconv import csv_nominal_bytes
 
 
-def from_array(sdb, name, dims, real, nominal_bytes):
-    """SciDB-1: the coordinator-mediated ``from_array()`` path."""
+def from_array(sdb, name, dims, real, nominal_bytes, *, op):
+    """SciDB-1: the coordinator-mediated ``from_array()`` path; every
+    charge and task is attributed to ``op``."""
     cm = sdb.cost_model
     sdb.ensure_started()
     # NIfTI -> NumPy conversion on the client.
     sdb.cluster.charge_master(
         nominal_bytes / cm.nifti_parse_bandwidth, label="NIfTI->NumPy",
-        category="scidb-convert",
+        category="scidb-convert", op=op,
     )
     # Single-stream upload through the coordinator.
     sdb.cluster.charge_master(
         nominal_bytes / cm.scidb_from_array_bandwidth,
-        label="from_array upload", category="scidb-ingest",
+        label="from_array upload", category="scidb-ingest", op=op,
     )
     array = SciDBArray(name, dims, real)
     # Redistribution: the coordinator scatters chunks to the instances.
-    tasks = []
-    for coords in array.chunk_grid():
-        instance = array.instance_of(coords, sdb.n_instances)
-        chunk_bytes = array.chunk_nominal_bytes(coords)
-        tasks.append(
-            Task(
-                f"scidb-scatter-{name}-{coords}",
-                duration=cm.disk_write_time(chunk_bytes) + cm.scidb_chunk_overhead,
-                node=sdb.instance_node(instance),
-                category="scidb-ingest",
-            )
+    sdb.run_tasks(f"scatter-{name}", "scidb-ingest", [
+        (
+            coords,
+            sdb.instance_node(array.instance_of(coords, sdb.n_instances)),
+            cm.disk_write_time(array.chunk_nominal_bytes(coords))
+            + cm.scidb_chunk_overhead,
+            None,
         )
-    sdb.cluster.run(tasks)
+        for coords in array.chunk_grid()
+    ], op=op)
     sdb.arrays[name] = array
     return array
 
 
-def aio_input(sdb, name, dims, real, nominal_bytes, rank=None):
-    """SciDB-2: CSV conversion + parallel ``aio_input`` load."""
+def aio_input(sdb, name, dims, real, nominal_bytes, rank=None, *, op):
+    """SciDB-2: CSV conversion + parallel ``aio_input`` load, attributed
+    to ``op``."""
     cm = sdb.cost_model
     sdb.ensure_started()
     array = SciDBArray(name, dims, real)
@@ -66,32 +64,28 @@ def aio_input(sdb, name, dims, real, nominal_bytes, rank=None):
     # job per node over its share of the input files).
     n_nodes = sdb.cluster.spec.n_nodes
     share = csv_bytes / n_nodes
-    convert_tasks = [
-        Task(
-            f"scidb-csvconv-{name}-{node}",
-            duration=(nominal_bytes / n_nodes) / cm.nifti_parse_bandwidth
+    sdb.run_tasks(f"csvconv-{name}", "scidb-convert", [
+        (
+            node, node,
+            (nominal_bytes / n_nodes) / cm.nifti_parse_bandwidth
             + share / cm.csv_encode_bandwidth,
-            node=node,
-            category="scidb-convert",
+            None,
         )
         for node in sdb.cluster.node_order
-    ]
-    sdb.cluster.run(convert_tasks)
+    ], op=op)
 
     # Parallel aio load: every instance parses its share of the CSV and
     # writes its chunks.
     per_instance_csv = csv_bytes / sdb.n_instances
     per_instance_binary = nominal_bytes / sdb.n_instances
-    load_tasks = [
-        Task(
-            f"scidb-aio-{name}-i{instance}",
-            duration=per_instance_csv / cm.scidb_aio_bandwidth
+    sdb.run_tasks(f"aio-{name}", "scidb-ingest", [
+        (
+            f"i{instance}", sdb.instance_node(instance),
+            per_instance_csv / cm.scidb_aio_bandwidth
             + cm.disk_write_time(per_instance_binary),
-            node=sdb.instance_node(instance),
-            category="scidb-ingest",
+            None,
         )
         for instance in range(sdb.n_instances)
-    ]
-    sdb.cluster.run(load_tasks)
+    ], op=op)
     sdb.arrays[name] = array
     return array

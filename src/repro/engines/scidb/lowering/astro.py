@@ -76,8 +76,8 @@ class LoweredAstro(LoweredPlan):
     """Executable produced by ``lower(astro_plan(), sdb)``.
 
     Only ``scan`` (ingest) and ``coadd`` lower; :meth:`preprocess_step`
-    and :meth:`detect_step` raise per Table 1.  Each step opens an
-    ambient provenance scope, so its tasks inherit the op.
+    and :meth:`detect_step` raise per Table 1.  Each step passes its
+    op's provenance id to the SciDB call that builds its tasks.
     """
 
     preprocess_step = staticmethod(preprocess_step)
@@ -102,18 +102,18 @@ class LoweredAstro(LoweredPlan):
             DimSpec("x", width, min(chunk, width)),
         ]
         nominal_bytes = n_visits * height * width * 4
-        with sdb.cluster.obs.provenance(self.plan.provenance("exposures")):
-            return aio_input(sdb, "sky", dims, stack, nominal_bytes, rank=3)
+        op = self.plan.provenance("exposures")
+        return aio_input(sdb, "sky", dims, stack, nominal_bytes, rank=3, op=op)
 
     def coadd_step(self, array, incremental=False):
         """Step 3-A in AQL (Figure 12d / the Section 5.2.4 ablation)."""
-        with self.sdb.cluster.obs.provenance(self.plan.provenance("coadd")):
-            return self.sdb.coadd_aql(
-                array,
-                n_sigma=ref.COADD_SIGMA,
-                n_iter=ref.COADD_ITERATIONS,
-                incremental=incremental,
-            )
+        return self.sdb.coadd_aql(
+            array,
+            n_sigma=ref.COADD_SIGMA,
+            n_iter=ref.COADD_ITERATIONS,
+            incremental=incremental,
+            op=self.plan.provenance("coadd"),
+        )
 
     def run(self, visits, chunk=DEFAULT_CHUNK, incremental=False):
         """Ingest + co-addition (the SciDB-expressible steps).

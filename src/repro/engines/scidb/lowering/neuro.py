@@ -15,9 +15,8 @@ array; ``otsu`` runs client-side (small result); ``denoise`` lowers to
 ``stream()``; ``fitmodel`` has no lowering and raises.  Chunk shape
 (``VOLUME_CHUNK``) is a physical knob of this backend, not plan data.
 
-Steps run synchronously, so each step body opens an ambient
-``obs.provenance`` scope and every task/charge it issues inherits the
-op.  ``run()`` lowers one subject into its own 4-D array; the step
+Each step passes its op's provenance id to the SciDB call that builds
+its tasks and charges (``op=``).  ``run()`` lowers one subject into its own 4-D array; the step
 protocol (figures 11, 12a-c) and F16 work on whole cohorts in one 5-D
 array, so the chunk grid spreads across every instance of a large
 deployment -- except the measured ingest of figure 11, which loads
@@ -95,21 +94,18 @@ class LoweredNeuro(LoweredPlan):
         self.sigma = plan.param("sigma")
         self.median_radius = plan.param("median_radius")
 
-    def _scope(self, op_id):
-        return self.sdb.cluster.obs.provenance(self.plan.provenance(op_id))
-
     def _load(self, name, dims, real, nominal_bytes, method):
         """``method`` is ``"from_array"`` (SciDB-1 in Figure 11) or
         ``"aio"`` (SciDB-2)."""
-        with self._scope("volumes"):
-            if method == "from_array":
-                return from_array(self.sdb, name, dims, real, nominal_bytes)
-            if method == "aio":
-                # Dense arrays load from coordinate-free CSV (one value
-                # per cell), the compact form SciDB's aio loader accepts.
-                return aio_input(
-                    self.sdb, name, dims, real, nominal_bytes, rank=0
-                )
+        op = self.plan.provenance("volumes")
+        if method == "from_array":
+            return from_array(self.sdb, name, dims, real, nominal_bytes, op=op)
+        if method == "aio":
+            # Dense arrays load from coordinate-free CSV (one value per
+            # cell), the compact form SciDB's aio loader accepts.
+            return aio_input(
+                self.sdb, name, dims, real, nominal_bytes, rank=0, op=op
+            )
         raise ValueError(f"unknown ingest method {method!r}")
 
     # -- one subject, one 4-D array ------------------------------------
@@ -124,13 +120,13 @@ class LoweredNeuro(LoweredPlan):
     def filter_step(self, array, subject, axis):
         """Figure 5 line 4: ``compress`` on the b0 mask along the volume
         axis (``axis`` 3 of a subject array, 4 of a cohort array)."""
-        with self._scope("b0"):
-            return self.sdb.compress(array, _nominal_b0_mask(subject), axis=axis)
+        op = self.plan.provenance("b0")
+        return self.sdb.compress(array, _nominal_b0_mask(subject), axis, op=op)
 
     def mean_step(self, filtered, axis):
         """Figure 5 line 5: mean along the volume axis."""
-        with self._scope("mean_b0"):
-            return self.sdb.mean(filtered, axis=axis)
+        op = self.plan.provenance("mean_b0")
+        return self.sdb.mean(filtered, axis=axis, op=op)
 
     def segmentation(self, array, subject):
         """Step 1-N: filter, mean, then Otsu on the (small) mean volume.
@@ -180,8 +176,8 @@ class LoweredNeuro(LoweredPlan):
             nominal_voxels = payload.size * cell_scale
             return nominal_voxels * fraction * cm.nlmeans_per_voxel
 
-        with self._scope("denoise"):
-            return self.sdb.stream(array, udf(denoise_chunk, cost=cost))
+        op = self.plan.provenance("denoise")
+        return self.sdb.stream(array, udf(denoise_chunk, cost=cost), op=op)
 
     def run(self, subject, ingest_method="aio"):
         """The SciDB-expressible part of the pipeline for one subject.

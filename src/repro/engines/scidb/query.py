@@ -92,8 +92,26 @@ class SciDBConnection(Engine):
             )
         return factor
 
+    def run_tasks(self, label, category, units, *, op):
+        """The one place SciDB builds tasks.
+
+        One task per ``(suffix, node, duration, fn)`` of ``units``, named
+        ``scidb-<label>-<suffix>`` and charged to ``op``, all in one
+        ``cluster.run``.  Returns the tasks' values in unit order.
+        """
+        tasks = [
+            Task(
+                f"scidb-{label}-{suffix}", fn=fn, duration=duration,
+                node=node, category=category, op=op,
+            )
+            for suffix, node, duration, fn in units
+        ]
+        results = self.cluster.run(tasks)
+        return [results[task.task_id].value for task in tasks]
+
     def run_chunks(self, array, label, work, cost, extra_chunk_io=0.0,
-                   delta_only=False, delta_cells=None, cell_scale=1.0):
+                   delta_only=False, delta_cells=None, cell_scale=1.0, *,
+                   op):
         """One task per chunk, placed on the owning instance's node.
 
         ``work(coords, payload)`` computes the real result for a chunk;
@@ -102,12 +120,13 @@ class SciDBConnection(Engine):
         added here).  With ``delta_only`` the base read covers only the
         changed cells (``delta_cells[coords] * cell_scale`` of them)
         instead of the full chunk -- the incremental-engine access path.
-        Returns ``{coords: value}``.
+        Every task is charged to ``op``.  Returns ``{coords: value}``.
         """
         self.ensure_started()
         cm = self.cost_model
-        tasks = {}
-        for coords in array.chunk_grid():
+        grid = array.chunk_grid()
+        units = []
+        for coords in grid:
             instance = array.instance_of(coords, self.n_instances)
             payload = array.chunk_payload(coords)
             if delta_only:
@@ -125,20 +144,17 @@ class SciDBConnection(Engine):
                 total += cost(coords)
                 return total
 
-            tasks[coords] = Task(
-                f"scidb-{label}-{coords}",
-                fn=lambda coords=coords, payload=payload: work(coords, payload),
-                duration=duration,
-                node=self.instance_node(instance),
-                category=f"scidb-{label.split('-', 1)[0]}",
-            )
+            units.append((
+                coords, self.instance_node(instance), duration,
+                lambda coords=coords, payload=payload: work(coords, payload),
+            ))
         with self.cluster.obs.span(
-            f"scidb-{label}", category="scidb", chunks=len(tasks),
+            f"scidb-{label}", category="scidb", chunks=len(units),
         ):
-            results = self.cluster.run(list(tasks.values()))
-        return {
-            coords: results[task.task_id].value for coords, task in tasks.items()
-        }
+            values = self.run_tasks(
+                label, f"scidb-{label.split('-', 1)[0]}", units, op=op
+            )
+        return dict(zip(grid, values))
 
     # ------------------------------------------------------------------
     # Array lifecycle
@@ -158,7 +174,7 @@ class SciDBConnection(Engine):
     # AFL-style operators
     # ------------------------------------------------------------------
 
-    def compress(self, array, keep_mask, axis, name=None):
+    def compress(self, array, keep_mask, axis, name=None, *, op):
         """Select positions of ``axis`` where ``keep_mask`` is True.
 
         Mirrors SciDB-py's ``compress`` used in the paper's Figure 5.
@@ -208,9 +224,9 @@ class SciDBConnection(Engine):
             # Only matching chunks are touched at all.
             selected = [c for c in array.chunk_grid() if chunk_selected(c)]
             sub = _Subgrid(array, selected)
-            self.run_chunks(sub, f"filter-{array.name}", work, cost)
+            self.run_chunks(sub, f"filter-{array.name}", work, cost, op=op)
         else:
-            self.run_chunks(array, f"filter-{array.name}", work, cost)
+            self.run_chunks(array, f"filter-{array.name}", work, cost, op=op)
 
         new_dims = list(array.dims)
         new_dims[axis] = DimSpec(dim.name, max(1, kept_nominal), min(dim.chunk, max(1, kept_nominal)))
@@ -220,7 +236,7 @@ class SciDBConnection(Engine):
         self.arrays[result.name] = result
         return result
 
-    def mean(self, array, axis, name=None):
+    def mean(self, array, axis, name=None, *, op):
         """Aggregate mean along one dimension (native array math).
 
         "SciDB is the fastest for mean computation on the small datasets
@@ -236,7 +252,7 @@ class SciDBConnection(Engine):
         def cost(coords):
             return array.chunk_nominal_elements(coords) * cm.elementwise_per_element
 
-        partials = self.run_chunks(array, f"mean-{array.name}", work, cost)
+        partials = self.run_chunks(array, f"mean-{array.name}", work, cost, op=op)
 
         # Combine partial sums that share the same non-aggregated chunk
         # coordinates (a small reduction on the coordinator).
@@ -258,6 +274,7 @@ class SciDBConnection(Engine):
             self.cluster.network.transfer_time(reduce_bytes, "instances", "combine"),
             label="SciDB mean combine",
             category="scidb-mean",
+            op=op,
         )
 
         mean_real = array.real.mean(axis=axis) if array.real.size else array.real.sum(axis=axis)
@@ -268,7 +285,8 @@ class SciDBConnection(Engine):
         self.arrays[result.name] = result
         return result
 
-    def apply_elementwise(self, array, fn, per_element_cost, name=None):
+    def apply_elementwise(self, array, fn, per_element_cost, name=None, *,
+                          op):
         """Native elementwise AFL ``apply`` over every chunk."""
         def work(coords, payload):
             return None
@@ -276,12 +294,12 @@ class SciDBConnection(Engine):
         def cost(coords):
             return array.chunk_nominal_elements(coords) * per_element_cost
 
-        self.run_chunks(array, f"apply-{array.name}", work, cost)
+        self.run_chunks(array, f"apply-{array.name}", work, cost, op=op)
         result = array.with_real(fn(array.real), name=name or f"{array.name}_apply")
         self.arrays[result.name] = result
         return result
 
-    def window(self, array, radii, agg="avg", name=None):
+    def window(self, array, radii, agg="avg", name=None, *, op):
         """AFL-style ``window()``: a box aggregate around every cell.
 
         This is the stencil operation the paper identifies as a core
@@ -332,14 +350,14 @@ class SciDBConnection(Engine):
             )
             return compute + halo
 
-        self.run_chunks(array, f"window-{array.name}", work, cost)
+        self.run_chunks(array, f"window-{array.name}", work, cost, op=op)
 
         out = _box_aggregate(array.real, radii, agg)
         result = array.with_real(out, name=name or f"{array.name}_window")
         self.arrays[result.name] = result
         return result
 
-    def stream(self, array, fn, name=None, output_scale=1.0):
+    def stream(self, array, fn, name=None, output_scale=1.0, *, op):
         """The ``stream()`` interface: chunks cross to an external
         process as TSV and return as TSV (Sections 4.1 and 5.2.3).
 
@@ -365,7 +383,7 @@ class SciDBConnection(Engine):
             total += cm.csv_decode_time(tsv_out)
             return total
 
-        self.run_chunks(array, f"stream-{array.name}", work, cost)
+        self.run_chunks(array, f"stream-{array.name}", work, cost, op=op)
 
         new_real = np.zeros_like(array.real, dtype=np.float64)
         for coords, value in outputs.items():
@@ -381,7 +399,7 @@ class SciDBConnection(Engine):
     # ------------------------------------------------------------------
 
     def coadd_aql(self, array, n_sigma=3.0, n_iter=2, incremental=False,
-                  name=None):
+                  name=None, *, op):
         """Sigma-clipped co-addition expressed as iterative AQL.
 
         ``array`` has a leading visit dimension.  "we use the official
@@ -457,7 +475,7 @@ class SciDBConnection(Engine):
                 cost,
                 delta_only=delta_mode,
                 delta_cells=changed_by_chunk if delta_mode else None,
-                cell_scale=cell_scale,
+                cell_scale=cell_scale, op=op,
             )
             if not is_sum:
                 # Materialize the cleaned version: full array versions
@@ -466,11 +484,11 @@ class SciDBConnection(Engine):
                 if incremental and iteration > 0:
                     self._materialize_delta(
                         array, changed_by_chunk, cell_scale,
-                        f"coadd-mat{iteration}-{array.name}",
+                        f"coadd-mat{iteration}-{array.name}", op=op,
                     )
                 else:
                     self._materialize_wave(
-                        array, f"coadd-mat{iteration}-{array.name}"
+                        array, f"coadd-mat{iteration}-{array.name}", op=op
                     )
                 changed_by_chunk = {}
                 for coords in array.chunk_grid():
@@ -487,46 +505,37 @@ class SciDBConnection(Engine):
         self.arrays[result.name] = result
         return result
 
-    def _materialize_delta(self, array, changed_by_chunk, cell_scale, label):
+    def _materialize_delta(self, array, changed_by_chunk, cell_scale, label,
+                           *, op):
         """Write only delta bytes (the incremental engine's version log)."""
         cm = self.cost_model
         itemsize = array.real.dtype.itemsize
-        tasks = []
+        units = []
         for coords, changed in changed_by_chunk.items():
             if changed <= 0:
                 continue
             instance = array.instance_of(coords, self.n_instances)
             nbytes = int(changed * cell_scale * itemsize)
-            tasks.append(
-                Task(
-                    f"scidb-{label}-{coords}",
-                    duration=cm.disk_write_time(nbytes) + cm.scidb_chunk_overhead,
-                    node=self.instance_node(instance),
-                    category="scidb-materialize",
-                )
-            )
-        if tasks:
-            self.cluster.run(tasks)
+            units.append((
+                coords, self.instance_node(instance),
+                cm.disk_write_time(nbytes) + cm.scidb_chunk_overhead, None,
+            ))
+        self.run_tasks(label, "scidb-materialize", units, op=op)
 
-    def _materialize_wave(self, grid, label):
+    def _materialize_wave(self, grid, label, *, op):
         cm = self.cost_model
-        tasks = []
+        units = []
         source = grid.base if isinstance(grid, _Subgrid) else grid
         for coords in grid.chunk_grid():
             instance = source.instance_of(coords, self.n_instances)
             chunk_bytes = source.chunk_nominal_bytes(coords)
             spill = self._spill_factor(chunk_bytes)
-            tasks.append(
-                Task(
-                    f"scidb-{label}-{coords}",
-                    duration=cm.disk_write_time(chunk_bytes) * spill
-                    + cm.scidb_chunk_overhead,
-                    node=self.instance_node(instance),
-                    category="scidb-materialize",
-                )
-            )
-        if tasks:
-            self.cluster.run(tasks)
+            units.append((
+                coords, self.instance_node(instance),
+                cm.disk_write_time(chunk_bytes) * spill
+                + cm.scidb_chunk_overhead, None,
+            ))
+        self.run_tasks(label, "scidb-materialize", units, op=op)
 
 
 class _Subgrid:

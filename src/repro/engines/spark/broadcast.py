@@ -2,7 +2,8 @@
 
 Section 4.2: "To avoid joins, we make the mask a broadcast variable,
 which gets automatically replicated on all workers."  The broadcast
-charges a tree-topology replication cost once at creation.
+charges a tree-topology replication cost once at creation, to the op
+the caller names.
 """
 
 from repro.engines.base import nominal_bytes_of
@@ -11,7 +12,7 @@ from repro.engines.base import nominal_bytes_of
 class Broadcast:
     """A read-only value replicated to every node."""
 
-    def __init__(self, sc, value, nominal_bytes=None):
+    def __init__(self, sc, value, nominal_bytes=None, *, op):
         self._sc = sc
         self._value = value
         self.nominal_bytes = (
@@ -22,7 +23,8 @@ class Broadcast:
         )
         serialize = sc.cluster.cost_model.pickle_time(self.nominal_bytes)
         sc.cluster.charge_master(
-            cost + serialize, label="broadcast", category="spark-broadcast"
+            cost + serialize, label="broadcast", category="spark-broadcast",
+            op=op,
         )
 
     @property

@@ -88,10 +88,10 @@ class SparkContext(Engine):
     # Shared variables
     # ------------------------------------------------------------------
 
-    def broadcast(self, value, nominal_bytes=None):
-        """Broadcast."""
+    def broadcast(self, value, nominal_bytes=None, *, op):
+        """Replicate ``value`` to every node, charged to ``op``."""
         self.ensure_started()
-        return Broadcast(self, value, nominal_bytes=nominal_bytes)
+        return Broadcast(self, value, nominal_bytes=nominal_bytes, op=op)
 
 
 def _identity(value):

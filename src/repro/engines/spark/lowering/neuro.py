@@ -187,8 +187,8 @@ class LoweredNeuro(ChainWalker):
         """Lower ``mask_bcast``: ship the masks to every executor."""
         self.mask_fraction = common.mean_masked_fraction(masks)
         mask_bytes = sum(m.size for m in masks.values())
-        with self.sc.cluster.obs.provenance(self.plan.provenance("mask_bcast")):
-            self.masks_b = self.sc.broadcast(masks, nominal_bytes=mask_bytes)
+        op = self.plan.provenance("mask_bcast")
+        self.masks_b = self.sc.broadcast(masks, nominal_bytes=mask_bytes, op=op)
 
     def run(self, subjects, input_partitions=None, group_partitions=None,
             cache_input=False):

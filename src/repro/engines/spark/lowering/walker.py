@@ -23,7 +23,7 @@ one partition per node, ``"total_slots"`` -> the caller's tuning
 override or one per slot.
 
 The step protocol (figures 11/12) is the same walk over a one-op
-window: ``prepare`` persists the chain below the measured op, ``_run_step``
+window: ``prepare`` persists the chain below the measured op, ``run_op``
 lowers ``expanded_chain(op, op)`` over it -- generic over every op of
 both plans.
 """
@@ -77,7 +77,7 @@ class ChainWalker(LoweredPlan):
         self._input = self.lower_chain(self._cached_scan(), below).cache()
         self._input.persist_to_workers()
 
-    def _run_step(self, op_id):
+    def run_op(self, op_id):
         if op_id == self.scan_id:
             rdd = self._scan_step()
         else:

@@ -7,6 +7,7 @@ it into stages at shuffle boundaries, exactly as described in Section 2:
 """
 
 from repro.engines.base import as_costed
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 #: Operations that repartition by key and therefore end a stage.
 WIDE_OPS = frozenset({"groupByKey", "reduceByKey"})
@@ -36,8 +37,9 @@ class RDD:
         self.params = dict(params or {})
         self.cached = False
         #: Provenance id of the logical op this node implements, stamped
-        #: by the lowering walker; None for ad-hoc RDDs.
-        self.plan_op = None
+        #: by the lowering walker; ``@overhead`` for an RDD user code
+        #: builds without a plan.
+        self.plan_op = PSEUDO_OVERHEAD
 
     # ------------------------------------------------------------------
     # Narrow transformations (fused into the current stage)

@@ -194,18 +194,16 @@ class SparkScheduler:
         Narrow fusion means one physical task implements several logical
         ops; the stage is attributed to the *last* stamped op in the
         fused chain, falling back to the base RDD's own stamp (wide ops,
-        sources) so every Spark task carries a provenance id whenever
-        the lineage came from a lowering.
+        sources): a lowering's provenance id, or ``@overhead`` for
+        lineage user code built without a plan.
         """
-        for op in reversed(plan.narrow_ops):
-            pid = getattr(op.fn, "op", None)
-            if pid is not None:
-                return pid
-        if plan.base.fn is not None:
-            pid = getattr(plan.base.fn, "op", None)
-            if pid is not None:
-                return pid
-        return getattr(plan.base, "plan_op", None)
+        for node in reversed(plan.narrow_ops):
+            if node.fn.op is not None:
+                return node.fn.op
+        base = plan.base
+        if base.fn is not None and base.fn.op is not None:
+            return base.fn.op
+        return base.plan_op
 
     def _apply_narrow(self, records, narrow_ops):
         """Run the fused narrow chain over a record list.
@@ -345,7 +343,7 @@ class SparkScheduler:
         cluster.charge_master(
             cm.s3_list_time(len(keys)), label="s3 listing",
             category="spark-s3-ingest",
-            op=getattr(base, "plan_op", None),
+            op=base.plan_op,
         )
         # Concurrent download tasks on one node share its S3 bandwidth.
         s3_sharing = min(cluster.spec.slots_per_node,
@@ -487,7 +485,7 @@ class SparkScheduler:
                     cm.disk_write_time(partition.nominal_bytes),
                     label="cache spill",
                     category="spark-cache",
-                    op=getattr(rdd, "plan_op", None),
+                    op=rdd.plan_op,
                 )
                 stored.append(
                     Partition(

@@ -10,11 +10,7 @@ first axis and no element-wise masked assignment.
 """
 
 from repro.engines.tensorflow.graph import Graph
-from repro.engines.tensorflow.placement import (
-    fixed_assignment,
-    one_item_per_node,
-    round_robin_steps,
-)
+from repro.engines.tensorflow.placement import round_robin_steps
 from repro.engines.tensorflow.session import Session
 from repro.engines.tensorflow.tensor import Tensor
 
@@ -22,7 +18,5 @@ __all__ = [
     "Graph",
     "Session",
     "Tensor",
-    "fixed_assignment",
-    "one_item_per_node",
     "round_robin_steps",
 ]

@@ -90,22 +90,6 @@ class Graph:
         """Reduce mean."""
         return self._add("reduce_mean", (t,), axis=axis)
 
-    def reduce_sum(self, t, axis=None):
-        """Reduce sum."""
-        return self._add("reduce_sum", (t,), axis=axis)
-
-    def add(self, a, b):
-        """Add."""
-        return self._add("add", (a, b))
-
-    def sub(self, a, b):
-        """Sub."""
-        return self._add("sub", (a, b))
-
-    def mul(self, a, b):
-        """Mul."""
-        return self._add("mul", (a, b))
-
     def reshape(self, t, new_nominal, new_real):
         """Reshape."""
         return self._add("reshape", (t,), new_nominal=tuple(new_nominal),
@@ -125,10 +109,6 @@ class Graph:
     def conv3d(self, t, kernel):
         """Conv3d."""
         return self._add("conv3d", (t,), kernel=np.asarray(kernel))
-
-    def py_func(self, fn, inputs, cost_fn=None):
-        """Escape hatch mirroring tf.py_func (runs on the op's device)."""
-        return self._add("py_func", tuple(inputs), fn=fn, cost_fn=cost_fn)
 
     def identity(self, t):
         """Pass-through op (useful as a fetch point)."""

@@ -26,8 +26,8 @@ threshold for ``otsu``'s median-Otsu), replaces the plan's shuffling
 group_bys with whole-dataset broadcast + per-step device placement, and
 refuses ``fitmodel``.  The astro plan has no TF lowering at all.
 
-Steps execute synchronously under ``session.run``, so each step opens
-an ambient ``obs.provenance`` scope and its tasks inherit the op.  The
+Each step passes its op's provenance id to ``session.run`` (``op=``),
+which charges every task and master conversion of the run to it.  The
 step protocol (figures 11, 12a-c) loops the same per-subject steps
 ``run()`` chains; only the measured ingest is its own kernel, because
 every other TF run re-ingests through the master as part of
@@ -71,9 +71,6 @@ class LoweredNeuro(LoweredPlan):
     def __init__(self, plan, session):
         super().__init__(plan, session)
         self.session = session
-
-    def _scope(self, op_id):
-        return self.session.cluster.obs.provenance(self.plan.provenance(op_id))
 
     def ingest_step(self, subjects):
         """Figure 11: all ingest goes through the master, then
@@ -121,8 +118,8 @@ class LoweredNeuro(LoweredPlan):
             gathered = graph.gather(transposed, real_indices, nominal_indices)
             # Back to (x, y, z, vol) layout.
             back = graph.transpose(gathered, (1, 2, 3, 0))
-        with self._scope("b0"):
-            out = session.run(graph, [back], feed_dict={ph: data})[0]
+        op = self.plan.provenance("b0")
+        out = session.run(graph, [back], feed_dict={ph: data}, op=op)[0]
         return SizedArray(out.array, nominal_shape=out.nominal_shape, meta=data.meta)
 
     def mean_step(self, filtered):
@@ -143,6 +140,7 @@ class LoweredNeuro(LoweredPlan):
 
         steps = make_steps(cluster, n_parts)
         partial = [None] * n_parts
+        op = self.plan.provenance("mean_b0")
         for step in steps:
             graph = Graph()
             placeholders = []
@@ -156,8 +154,7 @@ class LoweredNeuro(LoweredPlan):
                 ph: SizedArray(parts[index], nominal_shape=part_nominal[index])
                 for index, ph in placeholders
             }
-            with self._scope("mean_b0"):
-                outs = session.run(graph, works, feed_dict=feed)
+            outs = session.run(graph, works, feed_dict=feed, op=op)
             for (index, _ph), out in zip(step, outs):
                 partial[index] = out.array
         mean = np.concatenate(partial, axis=0)
@@ -182,6 +179,7 @@ class LoweredNeuro(LoweredPlan):
 
         steps = make_steps(cluster, n)
         vol_nominal = data.nominal_shape[:3]
+        op = self.plan.provenance("denoise")
         for step in steps:
             graph = Graph()
             feeds = {}
@@ -194,8 +192,7 @@ class LoweredNeuro(LoweredPlan):
                         nominal_shape=vol_nominal,
                     )
                     works.append(graph.conv3d(ph, kernel))
-            with self._scope("denoise"):
-                results = session.run(graph, works, feed_dict=feeds)
+            results = session.run(graph, works, feed_dict=feeds, op=op)
             for (index, _device), tensor in zip(step, results):
                 out[..., index] = tensor.array
         return SizedArray(out, nominal_shape=data.nominal_shape, meta=data.meta)

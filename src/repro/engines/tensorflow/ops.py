@@ -45,26 +45,6 @@ def _reduce_mean_cost(cm, inputs, axis):
     return _elements(inputs[0]) * cm.elementwise_per_element
 
 
-def _reduce_sum_eval(inputs, axis):
-    t = inputs[0]
-    out = t.array.sum(axis=axis)
-    nominal = tuple(
-        d for i, d in enumerate(t.nominal_shape) if i != axis % len(t.nominal_shape)
-    )
-    return Tensor(out, nominal_shape=nominal or (1,))
-
-
-def _binary_eval(op):
-    def evaluate(inputs):
-        a, b = inputs
-        return Tensor(op(a.array, b.array), nominal_shape=a.nominal_shape)
-    return evaluate
-
-
-def _binary_cost(cm, inputs):
-    return max(_elements(t) for t in inputs) * cm.elementwise_per_element
-
-
 def _reshape_eval(inputs, new_nominal, new_real):
     t = inputs[0]
     return Tensor(t.array.reshape(new_real), nominal_shape=new_nominal)
@@ -118,22 +98,6 @@ OPS = {
         lambda cm, inputs, **a: _reduce_mean_eval(inputs, **a),
         lambda cm, inputs, **a: _reduce_mean_cost(cm, inputs, **a),
     ),
-    "reduce_sum": (
-        lambda cm, inputs, **a: _reduce_sum_eval(inputs, **a),
-        lambda cm, inputs, **a: _reduce_mean_cost(cm, inputs, **a),
-    ),
-    "add": (
-        lambda cm, inputs, **a: _binary_eval(np.add)(inputs),
-        lambda cm, inputs, **a: _binary_cost(cm, inputs),
-    ),
-    "sub": (
-        lambda cm, inputs, **a: _binary_eval(np.subtract)(inputs),
-        lambda cm, inputs, **a: _binary_cost(cm, inputs),
-    ),
-    "mul": (
-        lambda cm, inputs, **a: _binary_eval(np.multiply)(inputs),
-        lambda cm, inputs, **a: _binary_cost(cm, inputs),
-    ),
     "reshape": (
         lambda cm, inputs, **a: _reshape_eval(inputs, **a),
         lambda cm, inputs, **a: _reshape_cost(cm, inputs, **a),
@@ -149,12 +113,6 @@ OPS = {
     "conv3d": (
         lambda cm, inputs, **a: _conv3d_eval(inputs, **a),
         lambda cm, inputs, **a: _conv3d_cost(cm, inputs, **a),
-    ),
-    "py_func": (
-        lambda cm, inputs, fn, **a: Tensor.wrap(fn(*[t.array for t in inputs])),
-        lambda cm, inputs, fn, cost_fn=None, **a: (
-            cost_fn(*inputs) if cost_fn is not None else 0.0
-        ),
     ),
     "identity": (
         lambda cm, inputs, **a: inputs[0],

@@ -1,11 +1,11 @@
-"""Manual device-placement helpers (the paper's ``steps`` tables).
+"""Manual device placement (the paper's ``steps`` tables).
 
 "TensorFlow's support for distributed computation is currently limited.
 The developer must manually map computation and data to each worker as
 TensorFlow does not provide automatic static or dynamic work
 assignment." (Section 4.5.)  Figure 9's code iterates over a predefined
-``steps`` structure mapping data partitions to worker devices; these
-helpers build such structures.
+``steps`` structure mapping data partitions to worker devices;
+:func:`round_robin_steps` builds it.
 """
 
 
@@ -26,37 +26,3 @@ def round_robin_steps(devices, n_items):
             [(index, devices[i]) for i, index in enumerate(batch)]
         )
     return steps
-
-
-def one_item_per_node(devices, n_items):
-    """Memory-bound placement: one (large) item per physical machine.
-
-    The paper's denoising step needed "the assignment of one image
-    volume per physical machine" because memory was the bottleneck
-    (Section 5.3.1); identical to :func:`round_robin_steps` but named
-    for intent and validated for the memory-bound case.
-    """
-    return round_robin_steps(devices, n_items)
-
-
-def fixed_assignment(devices, items_per_device):
-    """A static table: device -> list of item indices.
-
-    For the filter experiments the paper "experimented with assigning
-    different numbers of image volumes at a time to different workers"
-    (Section 5.3.1); ``items_per_device`` gives each device's batch
-    size, and items are dealt in order.
-    """
-    devices = list(devices)
-    if len(items_per_device) != len(devices):
-        raise ValueError(
-            f"{len(devices)} devices but {len(items_per_device)} batch sizes"
-        )
-    assignment = {}
-    cursor = 0
-    for device, count in zip(devices, items_per_device):
-        if count < 0:
-            raise ValueError("batch sizes must be non-negative")
-        assignment[device] = list(range(cursor, cursor + count))
-        cursor += count
-    return assignment

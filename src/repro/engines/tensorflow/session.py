@@ -31,10 +31,11 @@ class Session(Engine):
         """One-time engine startup in simulated seconds."""
         return self.cost_model.tf_session_startup
 
-    def run(self, graph, fetches, feed_dict=None):
+    def run(self, graph, fetches, feed_dict=None, *, op):
         """Execute ``graph`` for ``fetches``; returns their Tensors.
 
         ``feed_dict`` maps placeholder nodes to arrays/SizedArrays.
+        Every task and master charge of the run is attributed to ``op``.
         """
         self.ensure_started()
         step = self._run_count
@@ -42,9 +43,9 @@ class Session(Engine):
         with self.cluster.obs.span(
             f"tf-run-{step}", category="tensorflow", fetches=len(fetches),
         ):
-            return self._run(graph, fetches, feed_dict)
+            return self._run(graph, fetches, feed_dict, op)
 
-    def _run(self, graph, fetches, feed_dict):
+    def _run(self, graph, fetches, feed_dict, op):
         graph.check_size()
         feed_dict = {k: Tensor.wrap(v) for k, v in (feed_dict or {}).items()}
         cm = self.cost_model
@@ -64,16 +65,19 @@ class Session(Engine):
                     cm.tensor_convert_time(tensor.nominal_bytes),
                     label="tensor convert (feed)",
                     category="tf-convert",
+                    op=op,
                 )
 
         self.cluster.charge_master(
             cm.tf_step_overhead, label="TF step dispatch",
-            category="tf-dispatch",
+            category="tf-dispatch", op=op,
         )
 
         tasks = {}
         for node in needed:
-            tasks[node.node_id] = self._make_task(node, tasks, feed_dict, master)
+            tasks[node.node_id] = self._make_task(
+                node, tasks, feed_dict, master, op
+            )
         results = self.cluster.run(list(tasks.values()))
 
         out = []
@@ -88,11 +92,13 @@ class Session(Engine):
                     ),
                     label="fetch to master",
                     category="tf-fetch",
+                    op=op,
                 )
             self.cluster.charge_master(
                 cm.tensor_convert_time(tensor.nominal_bytes),
                 label="tensor convert (fetch)",
                 category="tf-convert",
+                op=op,
             )
             out.append(tensor)
         return out
@@ -117,49 +123,45 @@ class Session(Engine):
             visit(fetch)
         return order
 
-    def _make_task(self, node, tasks, feed_dict, master):
-        cm = self.cost_model
+    def _make_task(self, node, tasks, feed_dict, master, op):
+        """The one place a run builds a task: a feed, a constant or an op
+        of the graph, pinned to its device."""
         device = node.device or master
+        if node.op in ("placeholder", "constant"):
+            if node.op == "placeholder":
+                value = feed_dict[node]
+                name, category = f"tf-feed-{node.name}", "tf-broadcast"
+                # The master ships the feed to the placeholder's device.
+                duration = self.cluster.network.transfer_time(
+                    value.nominal_bytes, master, device
+                ) if device != master else 0.0
+            else:
+                value = node.attrs["value"]
+                name, category = f"tf-const-{node.name}", "tf-const"
+                duration = 0.0
 
-        if node.op == "placeholder":
-            tensor = feed_dict[node]
-            # The master ships the feed to the placeholder's device.
-            transfer = self.cluster.network.transfer_time(
-                tensor.nominal_bytes, master, device
-            ) if device != master else 0.0
-            return Task(
-                f"tf-feed-{node.name}",
-                fn=lambda tensor=tensor: tensor,
-                duration=transfer,
-                node=device,
-                category="tf-broadcast",
-            )
-        if node.op == "constant":
-            return Task(
-                f"tf-const-{node.name}",
-                fn=lambda value=node.attrs["value"]: value,
-                duration=0.0,
-                node=device,
-                category="tf-const",
-            )
+            def run():
+                return value
+        else:
+            cm = self.cost_model
+            evaluate, cost = OPS[node.op]
+            name, category = f"tf-{node.name}", f"tf-{node.op}"
 
-        evaluate, cost = OPS[node.op]
-        parent_tasks = [tasks[p.node_id] for p in node.inputs]
+            def run(*inputs):
+                value = evaluate(cm, list(inputs), **node.attrs)
+                task.output_bytes = value.nominal_bytes
+                return value
 
-        def run(*inputs):
-            value = evaluate(cm, list(inputs), **node.attrs)
-            task.output_bytes = value.nominal_bytes
-            return value
-
-        def duration(*inputs):
-            return cost(cm, list(inputs), **node.attrs)
+            def duration(*inputs):
+                return cost(cm, list(inputs), **node.attrs)
 
         task = Task(
-            f"tf-{node.name}",
+            name,
             fn=run,
-            args=tuple(parent_tasks),
+            args=tuple(tasks[p.node_id] for p in node.inputs),
             duration=duration,
             node=device,
-            category=f"tf-{node.op}",
+            category=category,
+            op=op,
         )
         return task

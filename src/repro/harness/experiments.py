@@ -246,7 +246,7 @@ TUNED_SYSTEMS = {
 
 
 @trial("step")
-def _trial_step(fragment, system, count, profile, prepare=None, op=None,
+def _trial_step(fragment, system, count, profile, prepare=None, run=None,
                 costs=None):
     """Time one logical op on one system; 16 nodes, warm deployment.
 
@@ -255,14 +255,14 @@ def _trial_step(fragment, system, count, profile, prepare=None, op=None,
     engine's lowering owns the protocol: an untimed ``prepare`` leaves
     everything the op reads materialized, then ``run_op`` runs exactly
     that op inside the stopwatch window.  Tunings ride to the call they
-    tune: ``prepare`` to the prepared ingest (SciDB's chunk size), ``op``
-    to the measured op (SciDB's incremental co-add).  ``costs``
+    tune: ``prepare`` to the prepared ingest (SciDB's chunk size), ``run``
+    to the measured op's ``run_op`` (SciDB's incremental co-add).  ``costs``
     overrides cost-model constants (default: the calibrated model).
     """
     frag = getattr(fragments, f"{fragment}_fragment")()
     pipe = PIPELINES[frag.name]
     data = pipe.cohort(count, **profile)
-    kind, op_tuning = TUNED_SYSTEMS.get(system, (system, {}))
+    kind, system_tuning = TUNED_SYSTEMS.get(system, (system, {}))
     cluster, engine = fresh_engine(
         kind, cost_model=CostModel().with_overrides(**costs) if costs else None,
         object_store=pipe.staged(data),
@@ -271,7 +271,7 @@ def _trial_step(fragment, system, count, profile, prepare=None, op=None,
     lowered = lower(frag, kind, engine)
     lowered.prepare(op_id, data, **(prepare or {}))
     watch = Stopwatch(cluster)
-    lowered.run_op(op_id, **op_tuning, **(op or {}))
+    lowered.run_op(op_id, **system_tuning, **(run or {}))
     return {"simulated_s": watch.lap()}
 
 

@@ -369,8 +369,8 @@ FIGURES = {
     ),
     "ablation": Figure(
         "step", "Ablation: SciDB incremental iteration [34]",
-        quick={"op": SCIDB_ITERATION, "count": 4, "profile": QUICK_ASTRO},
-        full={"op": SCIDB_ITERATION, "count": 24, "profile": ASTRO_BENCH},
+        quick={"run": SCIDB_ITERATION, "count": 4, "profile": QUICK_ASTRO},
+        full={"run": SCIDB_ITERATION, "count": 24, "profile": ASTRO_BENCH},
         fixed={"fragment": "astro_coadd", "system": "scidb"},
         post=_with_ratio("speedup", lambda stock, incremental:
                          stock / incremental),

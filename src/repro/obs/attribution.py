@@ -8,18 +8,17 @@ workload is defined exactly once -- so per-op cost is comparable
 op-for-op across all five systems (the paper's Table 1 comparison made
 quantitative).
 
-A record's op is the stamp it got when it was recorded -- an explicit
-``op=`` on the ``Task`` / ``charge_master`` / ``CostedFunction``, or the
-ambient ``obs.provenance(...)`` scope ``record_task`` read -- so the fold
-looks nothing up.  A segment resolves to:
+A record's op is the one its maker named -- the required ``op=`` of the
+``Task``, the ``charge_master`` call or ``record_task`` -- so the fold
+looks nothing up and never guesses.  A segment resolves to:
 
 1. ``@idle`` when no record covers it (gaps between ``cluster.run``
    calls that no coordinator charge covers);
 2. ``@recovery`` when it is a ``recovery-wait`` (the ready->start gap of
    a retried attempt: failure detection plus backoff);
 3. the ``op`` its record carries -- a plan op, or the ``@overhead`` /
-   ``@recovery`` a lowering, the executor or the harness wrote out;
-4. ``@overhead`` for a record nobody stamped (hand-built tasks).
+   ``@recovery`` a lowering, an engine, the executor or the harness
+   wrote out.
 
 Pseudo-ops keep the tiling invariant: attributed op costs tile the
 makespan exactly and fractions sum to 1, property-tested like
@@ -29,7 +28,7 @@ makespan exactly and fractions sum to 1, property-tested like
 from collections import defaultdict
 
 from repro.obs.critical_path import compute_critical_path
-from repro.obs.spans import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
+from repro.obs.spans import PSEUDO_IDLE, PSEUDO_RECOVERY
 
 
 def resolve_segment_op(segment, record):
@@ -38,9 +37,7 @@ def resolve_segment_op(segment, record):
         return PSEUDO_IDLE
     if segment is not None and segment.kind == "recovery-wait":
         return PSEUDO_RECOVERY
-    if record.op is not None:
-        return record.op
-    return PSEUDO_OVERHEAD
+    return record.op
 
 
 def attribute_critical_path(cluster, path=None):

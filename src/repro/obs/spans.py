@@ -10,6 +10,11 @@ Because the simulator is single-threaded and synchronous, the stack of
 currently-open spans is a faithful parent chain: every task recorded
 while a span is open belongs to it, which replaces the old
 name-prefix-grouping heuristic with explicit structure.
+
+A span places a record; it never names the record's logical op.  The
+op is a required argument wherever a record is made (``Task``,
+``charge_master``, :meth:`Observability.record_task`), checked by
+:func:`check_op`, and filing leaves it as it is.
 """
 
 from contextlib import contextmanager
@@ -24,6 +29,18 @@ PSEUDO_OVERHEAD = "@overhead"
 PSEUDO_RECOVERY = "@recovery"
 PSEUDO_IDLE = "@idle"
 PSEUDO_OPS = (PSEUDO_OVERHEAD, PSEUDO_RECOVERY, PSEUDO_IDLE)
+
+
+def check_op(op, name):
+    """Raise unless ``op`` is a provenance id or pseudo-op string.
+
+    Every task, coordinator charge and record names its op where it is
+    made; nothing downstream fills one in."""
+    if not isinstance(op, str):
+        raise TypeError(
+            f"{name!r}: op must be a provenance id or pseudo-op str,"
+            f" got {op!r}"
+        )
 
 
 class Span:
@@ -118,7 +135,9 @@ class TaskRecord:
     ids of its dependencies.  The executor opens a task's record when it
     admits the task, each field is written by whoever learns the fact,
     and completion files it (:meth:`Observability.file_record`); until
-    then ``node``, ``start`` and ``end`` may be ``None``.
+    then ``node``, ``start`` and ``end`` may be ``None``.  ``op`` -- the
+    provenance id of the plan op the work implements, or a pseudo-op --
+    is required: whoever makes the record names it.
     """
 
     __slots__ = (
@@ -141,10 +160,11 @@ class TaskRecord:
         "retried",
     )
 
-    def __init__(self, name, node, start, end, span=None, task_id=None,
-                 category=None, op=None, queued=None, ready=None,
+    def __init__(self, name, node, start, end, *, op, span=None,
+                 task_id=None, category=None, queued=None, ready=None,
                  not_before=0.0, mem_deferred=False, transfer_s=0.0,
                  compute_s=None, spill_s=0.0, dep_ids=(), retried=False):
+        check_op(op, name)
         self.name = name
         self.node = node
         self.start = start
@@ -191,8 +211,6 @@ class Observability:
         self.clock = clock
         self.spans = SpanStore()
         self.task_records = []
-        # Plane-1 provenance state: the ambient logical-op scope stack.
-        self._provenance_stack = []
 
     @contextmanager
     def span(self, name, category=None, **attrs):
@@ -208,38 +226,18 @@ class Observability:
     def file_record(self, record):
         """File a finished record under the currently-open span.
 
-        A record with no explicit ``op`` inherits the ambient provenance
-        scope, if one is open.  Filing is pure bookkeeping: it never
-        touches the clock.
+        Filing is pure bookkeeping: it never touches the clock, and it
+        never changes the record's ``op``.
         """
-        if record.op is None and self._provenance_stack:
-            record.op = self._provenance_stack[-1]
         record.span = self.spans.current()
         self.task_records.append(record)
 
-    def record_task(self, name, node, start, end, **meta):
+    def record_task(self, name, node, start, end, *, op, **meta):
         """File a record of work that has no task id: a coordinator
-        charge, or the lost extent of an attempt that died.  ``meta``
-        carries optional :class:`TaskRecord` fields (``category``,
-        ``op``, ...)."""
-        self.file_record(TaskRecord(name, node, start, end, **meta))
-
-    @contextmanager
-    def provenance(self, op):
-        """Attribute every task recorded inside the block to logical
-        ``op`` (unless the record carries its own explicit op).
-        ``None`` keeps the enclosing scope."""
-        if op is None:
-            op = self.current_provenance()
-        self._provenance_stack.append(op)
-        try:
-            yield
-        finally:
-            self._provenance_stack.pop()
-
-    def current_provenance(self):
-        """The innermost ambient provenance id, or ``None``."""
-        return self._provenance_stack[-1] if self._provenance_stack else None
+        charge, or the lost extent of an attempt that died.  ``op`` is
+        required; ``meta`` carries optional :class:`TaskRecord` fields
+        (``category``, ...)."""
+        self.file_record(TaskRecord(name, node, start, end, op=op, **meta))
 
     def reset(self):
         """Drop spans and records (used by ``cluster.reset_clock``)."""

@@ -22,6 +22,7 @@ from repro.cluster.faults import (
     dask_recovery,
     spark_recovery,
 )
+from repro.obs.spans import PSEUDO_OVERHEAD
 from tests.properties.test_prop_cluster import check_records
 
 GB = 1024 ** 3
@@ -97,15 +98,15 @@ def test_builder_validation():
 
 def test_task_should_fail_respects_match_and_seed():
     plan = FaultPlan(seed=3).fail_tasks(1.0, match="flaky")
-    hit = Task("flaky-map", duration=1.0)
-    miss = Task("solid-map", duration=1.0)
+    hit = Task("flaky-map", duration=1.0, op=PSEUDO_OVERHEAD)
+    miss = Task("solid-map", duration=1.0, op=PSEUDO_OVERHEAD)
     assert plan.task_should_fail(hit, 1) is not None
     assert plan.task_should_fail(miss, 1) is None
 
 
 def test_task_should_fail_cap_limits_attempts():
     plan = FaultPlan(seed=3).fail_tasks(1.0, max_failures_per_task=2)
-    t = Task("t", duration=1.0)
+    t = Task("t", duration=1.0, op=PSEUDO_OVERHEAD)
     assert plan.task_should_fail(t, 1) is not None
     assert plan.task_should_fail(t, 2) is not None
     assert plan.task_should_fail(t, 3) is None
@@ -119,7 +120,7 @@ def test_crash_aborts_run_under_default_policy(cluster):
     cluster.install_faults(
         FaultPlan().crash_node("node-1", at_time=5.0, restart_after=30.0)
     )
-    tasks = [Task(f"t{i}", duration=10.0) for i in range(16)]
+    tasks = [Task(f"t{i}", duration=10.0, op=PSEUDO_OVERHEAD) for i in range(16)]
     with pytest.raises(NodeCrashedError) as info:
         cluster.run(tasks)
     assert info.value.node == "node-1"
@@ -134,10 +135,11 @@ def test_abort_leaves_nothing_behind_and_the_resubmission_completes(cluster):
     cluster.install_faults(
         FaultPlan().crash_node("node-1", at_time=5.0, restart_after=30.0)
     )
-    quick = [Task(f"quick{i}", duration=2.0, memory_bytes=GB, on_oom="wait")
+    quick = [Task(f"quick{i}", duration=2.0, memory_bytes=GB, on_oom="wait",
+                  op=PSEUDO_OVERHEAD)
              for i in range(8)]
     slow = [Task(f"slow{i}", duration=10.0, memory_bytes=GB, on_oom="wait",
-                 deps=[quick[i]]) for i in range(8)]
+                 deps=[quick[i]], op=PSEUDO_OVERHEAD) for i in range(8)]
     tasks = quick + slow
     with pytest.raises(NodeCrashedError) as info:
         cluster.run(tasks)
@@ -180,7 +182,7 @@ def test_deadlock_blames_the_lowest_id_task_that_cannot_start(when):
     """Nothing in flight, no event left, and a task still waiting."""
     cluster = SimulatedCluster(ClusterSpec(n_nodes=1))
     node = cluster.node("node-0")
-    first = Task("first", duration=1.0, category="stage-7")
+    first = Task("first", duration=1.0, category="stage-7", op=PSEUDO_OVERHEAD)
     if when == "dead attempts":
         # The only node dies for good: what is left in the heap belongs
         # to the attempt it killed.
@@ -194,9 +196,9 @@ def test_deadlock_blames_the_lowest_id_task_that_cannot_start(when):
         blocked = Task(
             "blocked", duration=1.0, category="stage-7", on_oom="wait",
             memory_bytes=node.memory.capacity_bytes,
-            deps=[first] if when == "last event" else [],
+            deps=[first] if when == "last event" else [], op=PSEUDO_OVERHEAD,
         )
-    other = Task("other", duration=1.0, deps=[blocked])
+    other = Task("other", duration=1.0, deps=[blocked], op=PSEUDO_OVERHEAD)
     with pytest.raises(TaskFailedError, match="deadlock") as info:
         cluster.run([other])
     assert info.value.task_name == blocked.name
@@ -211,7 +213,8 @@ def test_crash_wipes_memory_keeps_disk_by_default(cluster):
     node.disk.write("shuffle/part-0", b"x", GB)
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
     with pytest.raises(NodeCrashedError):
-        cluster.run([Task(f"t{i}", duration=5.0) for i in range(16)])
+        cluster.run([Task(f"t{i}", duration=5.0,
+                          op=PSEUDO_OVERHEAD) for i in range(16)])
     assert node.memory.used_bytes == 0
     assert node.disk.used_bytes == GB
 
@@ -224,7 +227,7 @@ def test_crash_ends_the_memory_history_at_zero(cluster):
     node.memory.allocate(GB, "resident")
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
     with pytest.raises(NodeCrashedError) as info:
-        cluster.run([Task(f"t{i}", duration=5.0, memory_bytes=GB)
+        cluster.run([Task(f"t{i}", duration=5.0, memory_bytes=GB, op=PSEUDO_OVERHEAD)
                      for i in range(16)])
     held = 1 + len(info.value.killed_tasks)
     assert node.memory.history == [(0.0, GB)] * held + [(1.0, -held * GB)]
@@ -238,14 +241,16 @@ def test_crash_with_lose_disk_wipes_disk(cluster):
         FaultPlan().crash_node("node-1", at_time=1.0, lose_disk=True)
     )
     with pytest.raises(NodeCrashedError):
-        cluster.run([Task(f"t{i}", duration=5.0) for i in range(16)])
+        cluster.run([Task(f"t{i}", duration=5.0,
+                          op=PSEUDO_OVERHEAD) for i in range(16)])
     assert node.disk.used_bytes == 0
 
 
 def test_recompute_policy_finishes_dag_on_survivors(cluster):
     cluster.install_recovery(spark_recovery())
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=5.0))
-    tasks = [Task(f"t{i}", fn=lambda i=i: i, duration=10.0) for i in range(16)]
+    tasks = [Task(f"t{i}", fn=lambda i=i: i, duration=10.0,
+                  op=PSEUDO_OVERHEAD) for i in range(16)]
     results = cluster.run(tasks)
     assert sorted(r.value for r in results.values()) == list(range(16))
     # The victim's eight killed attempts were requeued onto node-0.
@@ -256,10 +261,11 @@ def test_recompute_policy_finishes_dag_on_survivors(cluster):
 
 def test_recompute_resurrects_lost_dependencies(cluster):
     cluster.install_recovery(spark_recovery())
-    dep = Task("dep", fn=lambda: 21, duration=1.0, node="node-1")
+    dep = Task("dep", fn=lambda: 21, duration=1.0, node="node-1", op=PSEUDO_OVERHEAD)
     assert cluster.run([dep])[dep.task_id].value == 21
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=0.5))
-    consumer = Task("use", fn=lambda x: 2 * x, args=(dep,), duration=10.0)
+    consumer = Task("use", fn=lambda x: 2 * x, args=(dep,), duration=10.0,
+                    op=PSEUDO_OVERHEAD)
     results = cluster.run([consumer])
     # dep's result died with node-1 mid-run and was recomputed from
     # lineage before the consumer ran.
@@ -275,8 +281,9 @@ def test_failed_attempt_waits_for_the_dependency_a_crash_took(cluster):
                     max_failures_per_task=1)
     plan.crash_node("node-1", at_time=1.2, restart_after=0.2)
     cluster.install_faults(plan)
-    a = Task("a", fn=lambda: 7, duration=1.0, node="node-1")
-    b = Task("b", fn=lambda x: x + 1, args=(a,), duration=1.0, node="node-0")
+    a = Task("a", fn=lambda: 7, duration=1.0, node="node-1", op=PSEUDO_OVERHEAD)
+    b = Task("b", fn=lambda x: x + 1, args=(a,), duration=1.0, node="node-0",
+             op=PSEUDO_OVERHEAD)
     results = cluster.run([b])
     assert results[b.task_id].value == 8
     first, again, retry = [
@@ -293,7 +300,7 @@ def test_failed_attempt_waits_for_the_dependency_a_crash_took(cluster):
 def test_progress_triggered_crash(cluster):
     cluster.install_recovery(dask_recovery())
     cluster.install_faults(FaultPlan().crash_node("node-1", at_progress=0.5))
-    tasks = [Task(f"t{i}", duration=float(i + 1)) for i in range(8)]
+    tasks = [Task(f"t{i}", duration=float(i + 1), op=PSEUDO_OVERHEAD) for i in range(8)]
     cluster.run(tasks)
     assert cluster.node("node-1").crash_count == 1
 
@@ -303,10 +310,10 @@ def test_crashed_node_rejoins_after_restart(cluster):
     cluster.install_faults(
         FaultPlan().crash_node("node-1", at_time=1.0, restart_after=2.0)
     )
-    cluster.run([Task(f"t{i}", duration=10.0) for i in range(16)])
+    cluster.run([Task(f"t{i}", duration=10.0, op=PSEUDO_OVERHEAD) for i in range(16)])
     assert cluster.node("node-1").alive
     # The revived node takes new work again (blacklist cleared).
-    late = [Task(f"late{i}", duration=1.0) for i in range(16)]
+    late = [Task(f"late{i}", duration=1.0, op=PSEUDO_OVERHEAD) for i in range(16)]
     results = cluster.run(late)
     assert {r.node for r in results.values()} == {"node-0", "node-1"}
 
@@ -317,7 +324,8 @@ def test_max_task_failures_bounds_crash_retries(cluster):
     )
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
     with pytest.raises(TaskFailedError) as info:
-        cluster.run([Task(f"t{i}", duration=5.0) for i in range(16)])
+        cluster.run([Task(f"t{i}", duration=5.0,
+                          op=PSEUDO_OVERHEAD) for i in range(16)])
     assert info.value.node == "node-1"
 
 
@@ -331,7 +339,7 @@ def test_transient_failure_retries_with_backoff(cluster):
         1.0, detect_delay_s=0.5, max_failures_per_task=1
     )
     cluster.install_faults(plan)
-    t = Task("t", fn=lambda: calls.append(1) or 7, duration=1.0)
+    t = Task("t", fn=lambda: calls.append(1) or 7, duration=1.0, op=PSEUDO_OVERHEAD)
     results = cluster.run([t])
     assert results[t.task_id].value == 7
     # The body ran exactly once: failed attempts never execute fn.
@@ -347,7 +355,7 @@ def test_transient_failures_exhaust_retry_budget(cluster):
     plan = FaultPlan(seed=1, retry_policy=RetryPolicy(max_attempts=2))
     plan.fail_tasks(1.0)
     cluster.install_faults(plan)
-    t = Task("doomed", duration=1.0, category="spark")
+    t = Task("doomed", duration=1.0, category="spark", op=PSEUDO_OVERHEAD)
     with pytest.raises(TaskFailedError) as info:
         cluster.run([t])
     assert info.value.category == "spark"
@@ -360,8 +368,8 @@ def test_transient_failures_exhaust_retry_budget(cluster):
 
 def test_straggler_stretches_compute_on_that_node_only(cluster):
     cluster.install_faults(FaultPlan().slow_node("node-1", 3.0))
-    fast = Task("fast", duration=1.0, node="node-0")
-    slow = Task("slow", duration=1.0, node="node-1")
+    fast = Task("fast", duration=1.0, node="node-0", op=PSEUDO_OVERHEAD)
+    slow = Task("slow", duration=1.0, node="node-1", op=PSEUDO_OVERHEAD)
     cluster.run([fast, slow])
     # The straggler gates the run: 3x on node-1, untouched on node-0.
     assert cluster.now == 3.0
@@ -375,8 +383,9 @@ def test_degraded_link_stretches_transfers(cluster):
         if plan is not None:
             c.install_faults(plan)
         p = Task("p", fn=lambda: 0, duration=1.0, node="node-0",
-                 output_bytes=GB)
-        q = Task("q", fn=lambda x: x, args=(p,), duration=1.0, node="node-1")
+                 output_bytes=GB, op=PSEUDO_OVERHEAD)
+        q = Task("q", fn=lambda x: x, args=(p,), duration=1.0, node="node-1",
+                 op=PSEUDO_OVERHEAD)
         c.run([q])
         return c.now
 
@@ -389,7 +398,8 @@ def test_s3_transient_failures_charge_backoff_to_reader(cluster):
     cluster.object_store.put("bucket", "k0", b"x", 100)
     plan = FaultPlan(seed=2).fail_s3(1.0, max_failures_per_key=2)
     cluster.install_faults(plan)
-    t = Task("read", fn=lambda: cluster.s3.get("bucket", "k0"), duration=1.0)
+    t = Task("read", fn=lambda: cluster.s3.get("bucket", "k0"), duration=1.0,
+             op=PSEUDO_OVERHEAD)
     cluster.run([t])
     assert cluster.s3.retry_count == 2
     # 1s of work plus backoff(1) + backoff(2) = 1 + 2 seconds.
@@ -417,7 +427,8 @@ def _faulty_run(seed):
         "node-1", at_time=3.0, restart_after=5.0
     ).fail_tasks(0.3, max_failures_per_task=2).slow_node("node-0", 1.5)
     cluster.install_faults(plan)
-    tasks = [Task(f"t{i}", duration=2.0 + i * 0.25) for i in range(24)]
+    tasks = [Task(f"t{i}", duration=2.0 + i * 0.25,
+                  op=PSEUDO_OVERHEAD) for i in range(24)]
     cluster.run(tasks)
     return cluster
 

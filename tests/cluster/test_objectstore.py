@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, FaultPlan, SimulatedCluster, Task
 from repro.cluster.objectstore import ObjectStore, staged
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 Member = namedtuple("Member", "name size")
 
@@ -152,7 +153,7 @@ def test_fault_state_belongs_to_the_reading_cluster():
     for cluster in (faulted, clean):
         assert cluster.object_store is shared
         cluster.run([Task("read", fn=lambda c=cluster: c.s3.get("bucket", "k0"),
-                          duration=1.0)])
+                          duration=1.0, op=PSEUDO_OVERHEAD)])
     assert faulted.s3.retry_count == 2
     assert faulted.now == pytest.approx(1.0 + plan.retry_policy.total_delay(2))
     assert clean.s3.retry_count == 0

@@ -25,6 +25,7 @@ from repro.cluster.errors import (
 from repro.cluster.faults import FaultPlan, spark_recovery
 from repro.cluster.ready import ReadySet
 from repro.cluster.run import Run
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 GB = 1024 ** 3
 
@@ -58,8 +59,11 @@ def asleep(ready):
 
 def test_due_merges_the_queues_in_task_id_order():
     tasks = [
-        Task("a", node="node-1"), Task("b"), Task("c", node="node-0"),
-        Task("d", node="node-1"), Task("e"),
+        Task("a", node="node-1", op=PSEUDO_OVERHEAD),
+        Task("b", op=PSEUDO_OVERHEAD),
+        Task("c", node="node-0", op=PSEUDO_OVERHEAD),
+        Task("d", node="node-1", op=PSEUDO_OVERHEAD),
+        Task("e", op=PSEUDO_OVERHEAD),
     ]
     ready = ReadySet()
     for task in reversed(tasks):
@@ -72,8 +76,9 @@ def test_due_merges_the_queues_in_task_id_order():
 
 def test_a_task_sleeps_until_its_floor_then_joins_its_queue():
     early, late, due = (
-        Task("early", not_before=2.0), Task("late", not_before=5.0),
-        Task("due", not_before=1.0),
+        Task("early", not_before=2.0, op=PSEUDO_OVERHEAD), Task("late", not_before=5.0,
+                                                                op=PSEUDO_OVERHEAD),
+        Task("due", not_before=1.0, op=PSEUDO_OVERHEAD),
     )
     ready = ReadySet()
     ready.add(early, now=1.0)
@@ -92,7 +97,9 @@ def test_a_task_sleeps_until_its_floor_then_joins_its_queue():
 
 
 def test_a_closed_queue_keeps_its_tasks_for_a_later_event():
-    tasks = [Task("p0", node="node-0"), Task("u1"), Task("p2", node="node-0")]
+    tasks = [Task("p0", node="node-0", op=PSEUDO_OVERHEAD),
+             Task("u1", op=PSEUDO_OVERHEAD),
+             Task("p2", node="node-0", op=PSEUDO_OVERHEAD)]
     ready = ReadySet()
     ready.shut("node-0")
     for task in tasks:
@@ -106,8 +113,10 @@ def test_a_closed_queue_keeps_its_tasks_for_a_later_event():
 
 def test_a_head_is_checked_again_when_it_is_reached():
     """Starting one task may shut the queue of a later one."""
-    tasks = [Task("u0"), Task("p1", node="node-0"), Task("u2"),
-             Task("p3", node="node-0")]
+    tasks = [Task("u0", op=PSEUDO_OVERHEAD),
+             Task("p1", node="node-0", op=PSEUDO_OVERHEAD),
+             Task("u2", op=PSEUDO_OVERHEAD),
+             Task("p3", node="node-0", op=PSEUDO_OVERHEAD)]
     ready = ReadySet()
     for task in tasks:
         ready.add(task, now=0.0)
@@ -122,8 +131,8 @@ def test_a_head_is_checked_again_when_it_is_reached():
 
 
 def test_a_yielded_task_can_be_handed_back_under_another_pin():
-    stale = Task("stale", node="node-9")
-    other = Task("other")
+    stale = Task("stale", node="node-9", op=PSEUDO_OVERHEAD)
+    other = Task("other", op=PSEUDO_OVERHEAD)
     ready = ReadySet()
     ready.shut(None)  # no slot free anywhere: only the stale pin is open
     ready.add(stale, now=0.0)
@@ -137,9 +146,9 @@ def test_a_yielded_task_can_be_handed_back_under_another_pin():
 
 
 def test_first_is_the_lowest_id_due_or_not():
-    sleeper = Task("sleeper", not_before=9.0)
-    pinned = Task("pinned", node="node-1")
-    free = Task("free")
+    sleeper = Task("sleeper", not_before=9.0, op=PSEUDO_OVERHEAD)
+    pinned = Task("pinned", node="node-1", op=PSEUDO_OVERHEAD)
+    free = Task("free", op=PSEUDO_OVERHEAD)
     ready = ReadySet()
     for task in (free, pinned):
         ready.add(task, now=0.0)
@@ -225,7 +234,7 @@ def random_workload(rng, n_nodes, memory_bytes):
             deps=deps,
             not_before=rng.choice((0.0, 0.0, 0.5, 1.0, 3.0, 4.5)),
             memory_bytes=rng.choice((0, 0, 30, 60, memory_bytes)),
-            on_oom="wait",
+            on_oom="wait", op=PSEUDO_OVERHEAD,
         ))
     return tasks
 
@@ -276,7 +285,7 @@ def test_staggered_pinned_run_costs_one_event_per_attempt(monkeypatch):
     n_nodes, slots = 16, 2
     tasks = [
         Task(f"t{i}", duration=0.5, node=f"node-{(i // 144) % 8}",
-             not_before=i * 0.01)
+             not_before=i * 0.01, op=PSEUDO_OVERHEAD)
         for i in range(1152)
     ]
     tables = []
@@ -326,10 +335,10 @@ def test_unpinned_task_sees_the_lower_id_starts_of_its_own_event():
     """Pinned and unpinned queues are merged by id, not drained in turn."""
     cluster = make_cluster(n_nodes=2, slots=2)
     tasks = [
-        Task("p0", duration=1.0, node="node-0"),
-        Task("u1", duration=1.0),  # node-0 has 1 free, node-1 has 2
-        Task("p2", duration=1.0, node="node-1"),
-        Task("u3", duration=1.0),  # node-0 has 1 free, node-1 none
+        Task("p0", duration=1.0, node="node-0", op=PSEUDO_OVERHEAD),
+        Task("u1", duration=1.0, op=PSEUDO_OVERHEAD),  # node-0 has 1 free, node-1 has 2
+        Task("p2", duration=1.0, node="node-1", op=PSEUDO_OVERHEAD),
+        Task("u3", duration=1.0, op=PSEUDO_OVERHEAD),  # node-0 has 1 free, node-1 none
     ]
     got = placements(cluster.run(tasks))
     assert {name: node for name, (node, _s, _e) in got.items()} == {
@@ -340,7 +349,7 @@ def test_unpinned_task_sees_the_lower_id_starts_of_its_own_event():
 
 def test_unpinned_task_takes_the_first_node_on_a_tie():
     cluster = make_cluster(n_nodes=3, slots=1)
-    got = placements(cluster.run([Task(f"u{i}", duration=1.0)
+    got = placements(cluster.run([Task(f"u{i}", duration=1.0, op=PSEUDO_OVERHEAD)
                                   for i in range(3)]))
     assert [got[f"u{i}"][0] for i in range(3)] == ["node-0", "node-1", "node-2"]
 
@@ -348,9 +357,10 @@ def test_unpinned_task_takes_the_first_node_on_a_tie():
 def test_sleeper_needs_no_event_and_runs_at_the_first_event_past_its_floor():
     cluster = make_cluster(n_nodes=1, slots=1)
     tasks = [
-        Task("first", duration=5.0),
-        Task("sleeper", duration=1.0, not_before=5.0),
-        Task("patient", duration=1.0),  # due since 0, but a higher id
+        Task("first", duration=5.0, op=PSEUDO_OVERHEAD),
+        Task("sleeper", duration=1.0, not_before=5.0, op=PSEUDO_OVERHEAD),
+        Task("patient", duration=1.0,
+             op=PSEUDO_OVERHEAD),  # due since 0, but a higher id
     ]
     got = placements(cluster.run(tasks))
     # "first" completes at (5.0, id 0), ahead of the sleeper's own wake
@@ -365,16 +375,18 @@ def test_sleeper_needs_no_event_and_runs_at_the_first_event_past_its_floor():
 
 def test_a_lone_sleeper_wakes_the_loop_itself():
     cluster = make_cluster(n_nodes=1, slots=1)
-    got = placements(cluster.run([Task("s", duration=1.0, not_before=3.0)]))
+    got = placements(cluster.run([Task("s", duration=1.0, not_before=3.0,
+                                       op=PSEUDO_OVERHEAD)]))
     assert got["s"] == ("node-0", 3.0, 4.0)
 
 
 def test_pinned_task_waits_when_an_unpinned_one_filled_its_node_first():
     cluster = make_cluster(n_nodes=2, slots=1)
     tasks = [
-        Task("u0", duration=2.0),  # lands on node-0, the first of the tie
-        Task("p1", duration=1.0, node="node-0"),
-        Task("p2", duration=1.0, node="node-1"),
+        Task("u0", duration=2.0,
+             op=PSEUDO_OVERHEAD),  # lands on node-0, the first of the tie
+        Task("p1", duration=1.0, node="node-0", op=PSEUDO_OVERHEAD),
+        Task("p2", duration=1.0, node="node-1", op=PSEUDO_OVERHEAD),
     ]
     got = placements(cluster.run(tasks))
     assert got["u0"] == ("node-0", 0.0, 2.0)
@@ -384,10 +396,11 @@ def test_pinned_task_waits_when_an_unpinned_one_filled_its_node_first():
 
 def test_memory_deferred_task_takes_no_slot_and_reenters_in_id_order():
     cluster = make_cluster(n_nodes=1, slots=2, memory_bytes=100)
-    hog = Task("hog", duration=2.0, memory_bytes=80, on_oom="wait")
-    deferred = Task("deferred", duration=1.0, memory_bytes=50, on_oom="wait")
-    child = Task("child", duration=1.0, deps=[hog])
-    filler = Task("filler", duration=10.0)
+    hog = Task("hog", duration=2.0, memory_bytes=80, on_oom="wait", op=PSEUDO_OVERHEAD)
+    deferred = Task("deferred", duration=1.0, memory_bytes=50, on_oom="wait",
+                    op=PSEUDO_OVERHEAD)
+    child = Task("child", duration=1.0, deps=[hog], op=PSEUDO_OVERHEAD)
+    filler = Task("filler", duration=10.0, op=PSEUDO_OVERHEAD)
     got = placements(cluster.run([hog, deferred, child, filler]))
     # "deferred" is turned away at 0 without taking the second slot...
     assert got["filler"] == ("node-0", 0.0, 10.0)
@@ -409,7 +422,7 @@ def crash_node_1(cluster, restart_after=None):
         FaultPlan().crash_node("node-1", at_time=0.5,
                                restart_after=restart_after)
     )
-    warmup = Task("warmup", duration=1.0, node="node-0")
+    warmup = Task("warmup", duration=1.0, node="node-0", op=PSEUDO_OVERHEAD)
     try:
         cluster.run([warmup])
     except NodeCrashedError:
@@ -425,9 +438,11 @@ def test_stale_pin_is_shed_even_when_no_slot_is_free():
     crash_node_1(cluster, restart_after=1.5)  # back at t=2.0
     assert cluster.now == 1.0
     tasks = [
-        Task("a", duration=3.0),  # takes node-0, the only usable slot
-        Task("w", duration=10.0),
-        Task("p", duration=1.0, node="node-1"),  # stale, no slot free
+        Task("a", duration=3.0,
+             op=PSEUDO_OVERHEAD),  # takes node-0, the only usable slot
+        Task("w", duration=10.0, op=PSEUDO_OVERHEAD),
+        Task("p", duration=1.0, node="node-1",
+             op=PSEUDO_OVERHEAD),  # stale, no slot free
     ]
     got = placements(cluster.run(tasks))
     assert got["a"] == ("node-0", 1.0, 4.0)
@@ -442,8 +457,9 @@ def test_shed_task_is_placed_as_unpinned_in_the_same_step():
     cluster.install_recovery(spark_recovery())
     crash_node_1(cluster)
     tasks = [
-        Task("p", duration=1.0, node="node-1"),  # stale: goes to node-0
-        Task("u", duration=1.0),
+        Task("p", duration=1.0, node="node-1",
+             op=PSEUDO_OVERHEAD),  # stale: goes to node-0
+        Task("u", duration=1.0, op=PSEUDO_OVERHEAD),
     ]
     got = placements(cluster.run(tasks))
     assert got["p"] == ("node-0", 1.0, 2.0)
@@ -457,9 +473,10 @@ def test_stale_pin_surfaces_in_id_order_under_abort():
     crash_node_1(cluster)
     log = []
     tasks = [
-        Task("before", fn=lambda: log.append("before"), duration=1.0),
-        Task("stale", duration=1.0, node="node-1"),
-        Task("after", fn=lambda: log.append("after"), duration=1.0),
+        Task("before", fn=lambda: log.append("before"), duration=1.0,
+             op=PSEUDO_OVERHEAD),
+        Task("stale", duration=1.0, node="node-1", op=PSEUDO_OVERHEAD),
+        Task("after", fn=lambda: log.append("after"), duration=1.0, op=PSEUDO_OVERHEAD),
     ]
     with pytest.raises(NodeCrashedError) as info:
         cluster.run(tasks)
@@ -473,9 +490,10 @@ def test_stale_pin_surfaces_with_no_slot_free_but_not_before_it_is_due():
     crash_node_1(cluster)
     log = []
     tasks = [
-        Task("long", fn=lambda: log.append("long"), duration=10.0),
-        Task("stale", duration=1.0, node="node-1", not_before=4.0),
-        Task("queued", fn=lambda: log.append("queued"), duration=1.0),
+        Task("long", fn=lambda: log.append("long"), duration=10.0, op=PSEUDO_OVERHEAD),
+        Task("stale", duration=1.0, node="node-1", not_before=4.0, op=PSEUDO_OVERHEAD),
+        Task("queued", fn=lambda: log.append("queued"), duration=1.0,
+             op=PSEUDO_OVERHEAD),
     ]
     with pytest.raises(NodeCrashedError) as info:
         cluster.run(tasks)
@@ -490,9 +508,10 @@ def test_unknown_pin_surfaces_at_its_floor_while_every_slot_is_busy():
     cluster = make_cluster(n_nodes=1, slots=1)
     log = []
     tasks = [
-        Task("long", fn=lambda: log.append("long"), duration=10.0),
-        Task("lost", duration=1.0, node="node-7", not_before=4.0),
-        Task("queued", fn=lambda: log.append("queued"), duration=1.0),
+        Task("long", fn=lambda: log.append("long"), duration=10.0, op=PSEUDO_OVERHEAD),
+        Task("lost", duration=1.0, node="node-7", not_before=4.0, op=PSEUDO_OVERHEAD),
+        Task("queued", fn=lambda: log.append("queued"), duration=1.0,
+             op=PSEUDO_OVERHEAD),
     ]
     with pytest.raises(PlacementError, match="node-7"):
         cluster.run(tasks)
@@ -508,8 +527,9 @@ def test_sleeper_keeps_its_pin_across_a_crash_and_revive_elsewhere():
         FaultPlan().crash_node("node-1", at_time=2.0, restart_after=3.0)
     )
     tasks = [
-        Task("busy", duration=20.0, node="node-0"),
-        Task("sleeper", duration=1.0, node="node-2", not_before=10.0),
+        Task("busy", duration=20.0, node="node-0", op=PSEUDO_OVERHEAD),
+        Task("sleeper", duration=1.0, node="node-2", not_before=10.0,
+             op=PSEUDO_OVERHEAD),
     ]
     got = placements(cluster.run(tasks))
     assert got["sleeper"] == ("node-2", 10.0, 11.0)
@@ -525,9 +545,9 @@ def test_killed_attempt_requeues_behind_lower_ids_after_a_crash():
     cluster.install_recovery(spark_recovery())
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
     tasks = [
-        Task("a", duration=2.0, node="node-0"),
-        Task("victim", duration=5.0, node="node-1"),
-        Task("waiting", duration=1.0),
+        Task("a", duration=2.0, node="node-0", op=PSEUDO_OVERHEAD),
+        Task("victim", duration=5.0, node="node-1", op=PSEUDO_OVERHEAD),
+        Task("waiting", duration=1.0, op=PSEUDO_OVERHEAD),
     ]
     got = placements(cluster.run(tasks))
     # Rebuilt at the crash: "victim" (unpinned now) outranks "waiting".
@@ -542,7 +562,8 @@ def test_retry_of_a_sleeper_gets_a_fresh_timer():
         FaultPlan(seed=1).fail_tasks(1.0, detect_delay_s=0.5,
                                      max_failures_per_task=1)
     )
-    got = placements(cluster.run([Task("t", duration=1.0, not_before=1.0)]))
+    got = placements(cluster.run([Task("t", duration=1.0, not_before=1.0,
+                                       op=PSEUDO_OVERHEAD)]))
     # floor 1.0 + detection 0.5 + backoff(1) 1.0, then the real attempt;
     # nothing but the retry's own floor can wake the loop at 2.5.
     assert got["t"] == ("node-0", 2.5, 3.5)
@@ -557,13 +578,14 @@ def dead_cluster():
     cluster = make_cluster(n_nodes=1, slots=1)
     cluster.install_faults(FaultPlan().crash_node("node-0", at_time=0.5))
     with pytest.raises(NodeCrashedError):
-        cluster.run([Task("warmup", duration=1.0)])
+        cluster.run([Task("warmup", duration=1.0, op=PSEUDO_OVERHEAD)])
     return cluster
 
 
 def test_deadlock_at_the_start_of_a_run_names_task_and_category():
     cluster = dead_cluster()
-    tasks = [Task("first", category="spark-denoise"), Task("second")]
+    tasks = [Task("first", category="spark-denoise", op=PSEUDO_OVERHEAD),
+             Task("second", op=PSEUDO_OVERHEAD)]
     with pytest.raises(TaskFailedError) as info:
         cluster.run(tasks)
     assert info.value.task_name == "first"  # the lowest id
@@ -574,10 +596,11 @@ def test_deadlock_at_the_start_of_a_run_names_task_and_category():
 def test_deadlock_mid_run_has_the_same_message():
     """A sleeper keeps the loop alive past the start-of-run check."""
     cluster = dead_cluster()
-    tasks = [Task("late", not_before=cluster.now + 1.0, category="c")]
+    tasks = [Task("late", not_before=cluster.now + 1.0, category="c",
+                  op=PSEUDO_OVERHEAD)]
     with pytest.raises(TaskFailedError) as mid_run:
         cluster.run(tasks)
     with pytest.raises(TaskFailedError) as at_start:
-        cluster.run([Task("late", category="c")])
+        cluster.run([Task("late", category="c", op=PSEUDO_OVERHEAD)])
     assert str(mid_run.value) == str(at_start.value)
     assert mid_run.value.category == "c"

@@ -26,6 +26,7 @@ from repro.engines.spark import SparkContext
 from repro.engines.spark.rdd import WIDE_OPS
 from repro.engines.spark.stage import SparkScheduler
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 from repro.pipelines.astro.staging import stage_visits
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import astro_plan, lower, neuro_plan
@@ -69,10 +70,11 @@ def test_dask_purge_and_release_leave_no_stale_size(checked_dask):
     client = DaskClient(cluster)
     volumes = client.scatter(
         [SizedArray([1.0, 2.0], nominal_shape=(1000 * (i + 1),))
-         for i in range(4)]
+         for i in range(4)], op=PSEUDO_OVERHEAD
     )
     doubled = [
-        client.delayed(lambda v: v.map(lambda a: 2 * a), cost=lambda v: 1.0)(v)
+        client.delayed(lambda v: v.map(lambda a: 2 * a), cost=lambda v: 1.0,
+                       op=PSEUDO_OVERHEAD)(v)
         for v in volumes
     ]
     client.compute(doubled)
@@ -82,7 +84,7 @@ def test_dask_purge_and_release_leave_no_stale_size(checked_dask):
         FaultPlan(seed=6).crash_node("node-2", at_time=cluster.now + 0.005,
                                      restart_after=0.01)
     )
-    unrelated = client.delayed(lambda: None, cost=lambda: 1.0)()
+    unrelated = client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()
     unrelated.result()
     client.compute(doubled)
     assert client.lost_futures > 0

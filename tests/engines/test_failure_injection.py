@@ -20,6 +20,7 @@ from repro.engines.dask import DaskClient
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.spark import SparkContext
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 GB = 10 ** 9
 
@@ -61,7 +62,8 @@ def test_myria_pipelined_fails_materialized_survives():
     )
     conn = MyriaConnection(cluster)
     rows = [(i, _big(4 * GB)) for i in range(8)]  # 32 GB of blobs
-    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id")
+    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id",
+                         op=PSEUDO_OVERHEAD)
     conn.create_function("Copy", udf(lambda b: b))
     text = """
     T = SCAN(Big);
@@ -70,8 +72,8 @@ def test_myria_pipelined_fails_materialized_survives():
     C = [FROM B EMIT PYUDF(Copy, B.b2) AS b3, B.id];
     """
     with pytest.raises(OutOfMemoryError):
-        MyriaQuery.submit(conn, text, mode="pipelined")
-    MyriaQuery.submit(conn, text, mode="materialized")  # completes
+        MyriaQuery.submit(conn, text, mode="pipelined", op=PSEUDO_OVERHEAD)
+    MyriaQuery.submit(conn, text, mode="materialized", op=PSEUDO_OVERHEAD)  # completes
 
 
 def test_myria_failed_query_releases_memory():
@@ -80,7 +82,8 @@ def test_myria_failed_query_releases_memory():
     )
     conn = MyriaConnection(cluster)
     rows = [(i, _big(4 * GB)) for i in range(8)]
-    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id")
+    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id",
+                         op=PSEUDO_OVERHEAD)
     conn.create_function("Copy", udf(lambda b: b))
     text = """
     T = SCAN(Big);
@@ -89,7 +92,7 @@ def test_myria_failed_query_releases_memory():
     C = [FROM B EMIT PYUDF(Copy, B.b2) AS b3, B.id];
     """
     with pytest.raises(OutOfMemoryError):
-        MyriaQuery.submit(conn, text, mode="pipelined")
+        MyriaQuery.submit(conn, text, mode="pipelined", op=PSEUDO_OVERHEAD)
     for node in cluster.nodes.values():
         assert node.memory.used_bytes == 0
 
@@ -99,7 +102,7 @@ def test_dask_results_accumulate_until_oom():
     worker memory and eventually nothing more fits."""
     cluster = SimulatedCluster(ClusterSpec(n_nodes=1))
     client = DaskClient(cluster)
-    make = client.delayed(lambda i: _big(25 * GB))
+    make = client.delayed(lambda i: _big(25 * GB), op=PSEUDO_OVERHEAD)
     a = make(0)
     b = make(1)
     c = make(2)
@@ -127,12 +130,12 @@ def test_tf_graph_limit_forces_step_structure():
     monolith = Graph()
     fetches = [monolith.identity(big_constant(monolith)) for _i in range(2)]
     with pytest.raises(GraphTooLargeError):
-        session.run(monolith, fetches)
+        session.run(monolith, fetches, op=PSEUDO_OVERHEAD)
 
     for _step in range(2):
         graph = Graph()
         fetch = graph.identity(big_constant(graph))
-        session.run(graph, [fetch])  # each step fits
+        session.run(graph, [fetch], op=PSEUDO_OVERHEAD)  # each step fits
 
 
 def test_failing_udf_surfaces_as_task_failure():

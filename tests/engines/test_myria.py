@@ -7,6 +7,7 @@ from repro.cluster.errors import OutOfMemoryError
 from repro.engines.base import udf
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.fixture
@@ -33,14 +34,15 @@ def images_conn(conn):
             )
     conn.ingest_relation(
         Relation.from_rows("Images", ("subjId", "imgId", "b0flag", "img"), rows),
-        "subjId",
+        "subjId", op=PSEUDO_OVERHEAD,
     )
     return conn
 
 
 def test_scan_and_project(images_conn):
     q = MyriaQuery.submit(
-        images_conn, "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.imgId];"
+        images_conn, "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.imgId];",
+        op=PSEUDO_OVERHEAD
     )
     rows = q.relation("P").rows
     assert len(rows) == 18
@@ -51,6 +53,7 @@ def test_selection_pushdown(images_conn):
     q = MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); B = [SELECT T.subjId, T.imgId FROM T WHERE T.b0flag = 1];",
+        op=PSEUDO_OVERHEAD,
     )
     rows = q.relation("B").rows
     assert len(rows) == 6  # 2 per subject
@@ -60,6 +63,7 @@ def test_comparison_predicates(images_conn):
     q = MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); B = [SELECT T.imgId FROM T WHERE T.imgId >= 4];",
+        op=PSEUDO_OVERHEAD,
     )
     assert len(q.relation("B").rows) == 6
 
@@ -71,6 +75,7 @@ def test_pyudf_application(images_conn):
     q = MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); D = [FROM T EMIT PYUDF(Double, T.img) AS img, T.subjId];",
+        op=PSEUDO_OVERHEAD,
     )
     rows = q.relation("D").rows
     assert len(rows) == 18
@@ -85,7 +90,8 @@ def test_broadcast_join(images_conn):
         for s in range(3)
     ]
     images_conn.ingest_relation(
-        Relation.from_rows("Mask", ("subjId", "mask"), masks), "subjId"
+        Relation.from_rows("Mask", ("subjId", "mask"), masks), "subjId",
+        op=PSEUDO_OVERHEAD
     )
     q = MyriaQuery.submit(
         images_conn,
@@ -94,7 +100,7 @@ def test_broadcast_join(images_conn):
         T2 = SCAN(Mask);
         J = [SELECT T1.subjId, T1.imgId, T2.mask FROM T1, BROADCAST(T2)
              WHERE T1.subjId = T2.subjId];
-        """,
+        """, op=PSEUDO_OVERHEAD,
     )
     rows = q.relation("J").rows
     assert len(rows) == 18
@@ -105,7 +111,8 @@ def test_broadcast_join(images_conn):
 def test_repartition_join(images_conn):
     flags = [(f"subj{s}", s * 100) for s in range(3)]
     images_conn.ingest_relation(
-        Relation.from_rows("Flags", ("subjId", "flag"), flags), "subjId"
+        Relation.from_rows("Flags", ("subjId", "flag"), flags), "subjId",
+        op=PSEUDO_OVERHEAD
     )
     q = MyriaQuery.submit(
         images_conn,
@@ -114,7 +121,7 @@ def test_repartition_join(images_conn):
         T2 = SCAN(Flags);
         J = [SELECT T1.subjId, T1.imgId, T2.flag FROM T1, T2
              WHERE T1.subjId = T2.subjId];
-        """,
+        """, op=PSEUDO_OVERHEAD,
     )
     rows = q.relation("J").rows
     assert len(rows) == 18
@@ -128,6 +135,7 @@ def test_uda_implicit_groupby(images_conn):
     q = MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); C = [FROM T EMIT T.subjId, UDA(CountAgg, T.img) AS n];",
+        op=PSEUDO_OVERHEAD,
     )
     rows = dict(q.relation("C").rows)
     assert rows == {"subj0": 6, "subj1": 6, "subj2": 6}
@@ -140,6 +148,7 @@ def test_unnest_flatmap(images_conn):
     q = MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); X = [FROM T EMIT UNNEST(PYUDF(Explode, T.img)) AS (idx, tag), T.subjId];",
+        op=PSEUDO_OVERHEAD,
     )
     rows = q.relation("X").rows
     assert len(rows) == 36
@@ -150,9 +159,11 @@ def test_store_and_rescan(images_conn):
     MyriaQuery.submit(
         images_conn,
         "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.imgId]; STORE(P, Pairs);",
+        op=PSEUDO_OVERHEAD,
     )
     q2 = MyriaQuery.submit(
-        images_conn, "P = SCAN(Pairs); Q = [SELECT P.subjId FROM P WHERE P.imgId = 0];"
+        images_conn, "P = SCAN(Pairs); Q = [SELECT P.subjId FROM P WHERE P.imgId = 0];",
+        op=PSEUDO_OVERHEAD
     )
     assert len(q2.relation("Q").rows) == 3
 
@@ -160,17 +171,18 @@ def test_store_and_rescan(images_conn):
 def test_pipelined_faster_than_materialized(images_conn):
     text = "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.img];"
     t0 = images_conn.cluster.now
-    MyriaQuery.submit(images_conn, text, mode="pipelined")
+    MyriaQuery.submit(images_conn, text, mode="pipelined", op=PSEUDO_OVERHEAD)
     pipelined = images_conn.cluster.now - t0
     t0 = images_conn.cluster.now
-    MyriaQuery.submit(images_conn, text, mode="materialized")
+    MyriaQuery.submit(images_conn, text, mode="materialized", op=PSEUDO_OVERHEAD)
     materialized = images_conn.cluster.now - t0
     assert pipelined < materialized
 
 
 def test_pipelined_releases_memory(images_conn):
     MyriaQuery.submit(
-        images_conn, "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.img];"
+        images_conn, "T = SCAN(Images); P = [FROM T EMIT T.subjId, T.img];",
+        op=PSEUDO_OVERHEAD
     )
     for node in images_conn.cluster.nodes.values():
         assert node.memory.used_bytes == 0
@@ -181,7 +193,8 @@ def test_pipelined_oom_on_huge_intermediates(conn):
         (i, SizedArray(np.zeros(4), nominal_shape=(3 * 10 ** 9,)))  # 24 GB each
         for i in range(16)
     ]
-    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id")
+    conn.ingest_relation(Relation.from_rows("Big", ("id", "blob"), rows), "id",
+                         op=PSEUDO_OVERHEAD)
     conn.create_function("Copy", udf(lambda b: b))
     text = """
     T = SCAN(Big);
@@ -190,9 +203,9 @@ def test_pipelined_oom_on_huge_intermediates(conn):
     C = [FROM B EMIT PYUDF(Copy, B.b2) AS b3, B.id];
     """
     with pytest.raises(OutOfMemoryError):
-        MyriaQuery.submit(conn, text, mode="pipelined")
+        MyriaQuery.submit(conn, text, mode="pipelined", op=PSEUDO_OVERHEAD)
     # Materialized execution survives the same plan.
-    MyriaQuery.submit(conn, text, mode="materialized")
+    MyriaQuery.submit(conn, text, mode="materialized", op=PSEUDO_OVERHEAD)
 
 
 def test_workers_partition_relation(images_conn):
@@ -214,7 +227,8 @@ def test_s3_relation_scan(conn):
         store.put("bkt", f"o{i:02d}", (i, i * 10), 1000)
     conn.register_s3_relation("S3T", "bkt", ("id", "val"), lambda o: o)
     q = MyriaQuery.submit(
-        conn, "T = SCAN(S3T); P = [SELECT T.val FROM T WHERE T.id < 3];"
+        conn, "T = SCAN(S3T); P = [SELECT T.val FROM T WHERE T.id < 3];",
+        op=PSEUDO_OVERHEAD
     )
     assert sorted(r[0] for r in q.relation("P").rows) == [0, 10, 20]
 
@@ -236,7 +250,7 @@ def _ingest_one_object(fault_plan):
         loaded.append(obj)
         return obj
 
-    conn.ingest_s3("T", "bkt", ("id", "val"), loader, "id")
+    conn.ingest_s3("T", "bkt", ("id", "val"), loader, "id", op=PSEUDO_OVERHEAD)
     (record,) = [
         r for r in cluster.obs.task_records if r.name == "myria-ingest-T-w0"
     ]
@@ -259,7 +273,8 @@ def test_s3_ingest_reads_each_object_once_and_charges_retries_once():
 
 def test_unknown_relation_rejected(conn):
     with pytest.raises(KeyError):
-        MyriaQuery.submit(conn, "T = SCAN(Nope); P = [FROM T EMIT T.x];")
+        MyriaQuery.submit(conn, "T = SCAN(Nope); P = [FROM T EMIT T.x];",
+                          op=PSEUDO_OVERHEAD)
 
 
 def test_three_way_join_rejected(images_conn):
@@ -268,6 +283,7 @@ def test_three_way_join_rejected(images_conn):
             images_conn,
             "A = SCAN(Images); B = SCAN(Images); C = SCAN(Images);"
             "J = [SELECT A.subjId FROM A, B, C WHERE A.subjId = B.subjId];",
+            op=PSEUDO_OVERHEAD,
         )
 
 
@@ -294,7 +310,7 @@ def test_builtin_aggregates(images_conn):
         Stats = [FROM T EMIT T.subjId, COUNT(T.imgId) AS n,
                  SUM(T.imgId) AS total, MIN(T.imgId) AS lo,
                  MAX(T.imgId) AS hi, AVG(T.imgId) AS mean];
-        """,
+        """, op=PSEUDO_OVERHEAD,
     )
     rows = {r[0]: r[1:] for r in q.relation("Stats").rows}
     assert rows["subj0"] == (6, 15, 0, 5, 2.5)
@@ -304,9 +320,10 @@ def test_builtin_aggregates(images_conn):
 def test_builtin_aggregate_needs_no_registration(worker_cluster):
     conn = MyriaConnection(worker_cluster)
     conn.ingest_relation(
-        Relation.from_rows("T", ("g", "v"), [(1, 10), (1, 20), (2, 5)]), "g"
+        Relation.from_rows("T", ("g", "v"), [(1, 10), (1, 20), (2, 5)]), "g",
+        op=PSEUDO_OVERHEAD
     )
     q = MyriaQuery.submit(
-        conn, "T = SCAN(T); S = [FROM T EMIT T.g, SUM(T.v) AS s];"
+        conn, "T = SCAN(T); S = [FROM T EMIT T.g, SUM(T.v) AS s];", op=PSEUDO_OVERHEAD
     )
     assert dict(q.relation("S").rows) == {1: 30, 2: 5}

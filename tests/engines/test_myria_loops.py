@@ -5,6 +5,7 @@ import pytest
 from repro.engines.base import udf
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.myria.myrial import DoWhile, MyriaLSyntaxError, parse
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.fixture
@@ -12,7 +13,7 @@ def conn(worker_cluster):
     connection = MyriaConnection(worker_cluster)
     rows = [(i, float(2 ** i)) for i in range(8)]
     connection.ingest_relation(
-        Relation.from_rows("Values", ("id", "val"), rows), "id"
+        Relation.from_rows("Values", ("id", "val"), rows), "id", op=PSEUDO_OVERHEAD
     )
     return connection
 
@@ -54,7 +55,7 @@ def test_loop_runs_until_empty(conn):
             Cur = [FROM Cur EMIT Cur.id, PYUDF(Halve, Cur.val) AS val];
             Big = [SELECT Cur.id, Cur.val FROM Cur WHERE Cur.val >= 1.0];
         WHILE Big;
-        """,
+        """, op=PSEUDO_OVERHEAD,
     )
     rows = dict(query.relation("Cur").rows)
     # Every value was halved until all fell below 1.0.
@@ -76,7 +77,7 @@ def test_loop_iteration_count_matches_math(conn):
             Cur = [FROM Cur EMIT Cur.id, PYUDF(Halve, Cur.val) AS val];
             Big = [SELECT Cur.id, Cur.val FROM Cur WHERE Cur.val >= 1.0];
         WHILE Big;
-        """,
+        """, op=PSEUDO_OVERHEAD,
     )
     elapsed = conn.cluster.now - t0
     # At least 8 iterations x 0.5 s of per-row UDF time somewhere.
@@ -92,7 +93,7 @@ def test_unknown_while_relation_rejected(conn):
             DO
                 Cur = [FROM T EMIT T.id];
             WHILE Nope;
-            """,
+            """, op=PSEUDO_OVERHEAD,
         )
 
 
@@ -108,5 +109,5 @@ def test_runaway_loop_capped(conn):
             DO
                 Cur = [FROM T EMIT T.id, T.val];
             WHILE Cur;
-            """,
+            """, op=PSEUDO_OVERHEAD,
         )

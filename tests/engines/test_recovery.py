@@ -20,6 +20,7 @@ from repro.engines.spark import SparkContext
 from repro.engines.tensorflow import Graph, Session
 from repro.obs.breakdown import records_of
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 def _four_nodes():
@@ -106,7 +107,8 @@ def test_dask_purges_and_recomputes_lost_futures():
         return i * 2
 
     futures = [
-        client.delayed(source, cost=lambda i: 1.0)(i) for i in range(8)
+        client.delayed(source, cost=lambda i: 1.0,
+                       op=PSEUDO_OVERHEAD)(i) for i in range(8)
     ]
     assert client.compute(futures) == [0, 2, 4, 6, 8, 10, 12, 14]
     first_calls = len(calls)
@@ -118,10 +120,10 @@ def test_dask_purges_and_recomputes_lost_futures():
         FaultPlan(seed=6).crash_node("node-2", at_time=cluster.now + 0.005,
                                      restart_after=0.01)
     )
-    client.delayed(lambda: None, cost=lambda: 1.0)().result()
+    client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)().result()
     assert cluster.node("node-2").alive
     downstream = [
-        client.delayed(lambda x: x + 1, cost=lambda x: 1.0)(f)
+        client.delayed(lambda x: x + 1, cost=lambda x: 1.0, op=PSEUDO_OVERHEAD)(f)
         for f in futures
     ]
     assert client.compute(downstream) == [1, 3, 5, 7, 9, 11, 13, 15]
@@ -139,7 +141,7 @@ def test_dask_future_loss_is_transparent_to_the_caller():
         calls.append(1)
         return 41
 
-    f = client.delayed(source, cost=lambda: 1.0)()
+    f = client.delayed(source, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()
     assert f.result() == 41
     owner = client._result_nodes[f.key]
     cluster.install_faults(
@@ -147,8 +149,8 @@ def test_dask_future_loss_is_transparent_to_the_caller():
                                      restart_after=0.01)
     )
     # Unrelated work rides out the crash and reboot.
-    client.delayed(lambda: None, cost=lambda: 1.0)().result()
-    g = client.delayed(lambda x: x + 1, cost=lambda x: 1.0)(f)
+    client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)().result()
+    g = client.delayed(lambda x: x + 1, cost=lambda x: 1.0, op=PSEUDO_OVERHEAD)(f)
     # The caller sees the right answer; underneath, f was recomputed.
     assert g.result() == 42
     assert len(calls) == 2
@@ -177,7 +179,7 @@ def _myria_setup(cluster):
             )
     conn.ingest_relation(
         Relation.from_rows("Images", ("subjId", "imgId", "img"), rows),
-        "subjId",
+        "subjId", op=PSEUDO_OVERHEAD,
     )
     return conn
 
@@ -197,10 +199,10 @@ def test_myria_restarts_query_after_worker_crash():
     conn = _myria_setup(baseline_cluster)
     ingest_end = baseline_cluster.now
     query_start = baseline_cluster.now
-    MyriaQuery.submit(conn, _MYRIA_PROGRAM)
+    MyriaQuery.submit(conn, _MYRIA_PROGRAM, op=PSEUDO_OVERHEAD)
     query_end = baseline_cluster.now
     expected = sorted(
-        MyriaQuery.submit(conn, _RESCAN).relation("Q").rows
+        MyriaQuery.submit(conn, _RESCAN, op=PSEUDO_OVERHEAD).relation("Q").rows
     )
     assert ingest_end == query_start
     crash_at = query_start + 0.5 * (query_end - query_start)
@@ -211,9 +213,10 @@ def test_myria_restarts_query_after_worker_crash():
         FaultPlan(seed=7).crash_node("node-3", at_time=crash_at,
                                      restart_after=5.0)
     )
-    MyriaQuery.submit(conn, _MYRIA_PROGRAM)
+    MyriaQuery.submit(conn, _MYRIA_PROGRAM, op=PSEUDO_OVERHEAD)
     # Same answer, no duplicated rows from the aborted attempt.
-    got = sorted(MyriaQuery.submit(conn, _RESCAN).relation("Q").rows)
+    got = sorted(MyriaQuery.submit(conn, _RESCAN,
+                                   op=PSEUDO_OVERHEAD).relation("Q").rows)
     assert got == expected
     # One restart: its wait was charged once, under its blame category.
     assert len([
@@ -230,7 +233,7 @@ def test_myria_restart_rolls_back_partial_stores():
         FaultPlan(seed=7).crash_node("node-3", at_time=cluster.now + 0.01,
                                      restart_after=1.0)
     )
-    MyriaQuery.submit(conn, _MYRIA_PROGRAM)
+    MyriaQuery.submit(conn, _MYRIA_PROGRAM, op=PSEUDO_OVERHEAD)
     # The catalog holds exactly one fully-populated Pairs relation;
     # shards inserted by the aborted attempt were rolled back.
     assert "Pairs" in server.catalog
@@ -250,7 +253,7 @@ def test_myria_gives_up_after_max_restarts():
         FaultPlan(seed=7).crash_node("node-3", at_time=cluster.now + 0.01)
     )
     with pytest.raises(NodeCrashedError):
-        MyriaQuery.submit(conn, _MYRIA_PROGRAM)
+        MyriaQuery.submit(conn, _MYRIA_PROGRAM, op=PSEUDO_OVERHEAD)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +276,8 @@ def test_scidb_crash_aborts_to_caller(rng):
                                      restart_after=2.0)
     )
     with pytest.raises(NodeCrashedError) as info:
-        sdb.apply_elementwise(array, lambda x: x + 1.0, per_element_cost=1e-9)
+        sdb.apply_elementwise(array, lambda x: x + 1.0, per_element_cost=1e-9,
+                              op=PSEUDO_OVERHEAD)
     assert info.value.recover_at is not None
 
 
@@ -291,5 +295,5 @@ def test_tensorflow_crash_aborts_to_caller(rng):
         session.run(
             g, [out],
             feed_dict={ph: SizedArray(rng.random((8, 8)),
-                                      nominal_shape=(2000, 2000))},
+                                      nominal_shape=(2000, 2000))}, op=PSEUDO_OVERHEAD,
         )

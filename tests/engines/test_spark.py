@@ -7,6 +7,7 @@ from repro.engines.base import udf
 from repro.engines.spark import SparkContext
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.fixture
@@ -110,7 +111,7 @@ def test_s3_missing_bucket_raises(sc):
 
 
 def test_broadcast_value_accessible(sc):
-    b = sc.broadcast({"mask": 1}, nominal_bytes=1000)
+    b = sc.broadcast({"mask": 1}, nominal_bytes=1000, op=PSEUDO_OVERHEAD)
     assert b.value == {"mask": 1}
 
 

@@ -8,6 +8,7 @@ from repro.engines.tensorflow import Graph, Session, Tensor
 from repro.engines.tensorflow.graph import GRAPH_SIZE_LIMIT
 from repro.engines.tensorflow.ops import OpError
 from repro.formats.sizing import SizedArray
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.fixture
@@ -24,7 +25,8 @@ def test_reduce_mean(session, rng):
     ph = g.placeholder((100, 100))
     out = g.reduce_mean(ph, axis=None)
     data = rng.random((10, 10))
-    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (100, 100))})
+    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (100, 100))},
+                            op=PSEUDO_OVERHEAD)
     assert float(result.array) == pytest.approx(data.mean())
 
 
@@ -33,23 +35,10 @@ def test_reduce_axis_drops_nominal_dim(session, rng):
     ph = g.placeholder((100, 100, 50))
     out = g.reduce_mean(ph, axis=2)
     data = rng.random((4, 4, 5))
-    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (100, 100, 50))})
+    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (100, 100, 50))},
+                            op=PSEUDO_OVERHEAD)
     assert result.nominal_shape == (100, 100)
     assert np.allclose(result.array, data.mean(axis=2))
-
-
-def test_elementwise_ops(session, rng):
-    g = Graph()
-    a = g.placeholder((10,))
-    b = g.placeholder((10,))
-    outs = [g.add(a, b), g.sub(a, b), g.mul(a, b)]
-    x, y = rng.random(10), rng.random(10)
-    results = session.run(
-        g, outs, feed_dict={a: _feed(x), b: _feed(y)}
-    )
-    assert np.allclose(results[0].array, x + y)
-    assert np.allclose(results[1].array, x - y)
-    assert np.allclose(results[2].array, x * y)
 
 
 def test_gather_first_axis_only(session, rng):
@@ -57,7 +46,8 @@ def test_gather_first_axis_only(session, rng):
     ph = g.placeholder((288, 10, 10))
     sel = g.gather(ph, indices=[0, 2], nominal_indices=list(range(18)))
     data = rng.random((4, 3, 3))
-    (result,) = session.run(g, [sel], feed_dict={ph: _feed(data, (288, 10, 10))})
+    (result,) = session.run(g, [sel], feed_dict={ph: _feed(data, (288, 10, 10))},
+                            op=PSEUDO_OVERHEAD)
     assert np.allclose(result.array, data[[0, 2]])
     assert result.nominal_shape == (18, 10, 10)
 
@@ -67,7 +57,8 @@ def test_transpose(session, rng):
     ph = g.placeholder((10, 20, 30))
     out = g.transpose(ph, (2, 0, 1))
     data = rng.random((2, 3, 4))
-    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (10, 20, 30))})
+    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (10, 20, 30))},
+                            op=PSEUDO_OVERHEAD)
     assert result.array.shape == (4, 2, 3)
     assert result.nominal_shape == (30, 10, 20)
 
@@ -82,14 +73,14 @@ def test_reshape_is_expensive(session, rng):
     ph1 = g1.placeholder(nominal)
     sel = g1.gather(ph1, [0], nominal_indices=list(range(18)))
     t0 = session.cluster.now
-    session.run(g1, [sel], feed_dict={ph1: _feed(data, nominal)})
+    session.run(g1, [sel], feed_dict={ph1: _feed(data, nominal)}, op=PSEUDO_OVERHEAD)
     gather_time = session.cluster.now - t0
 
     g2 = Graph()
     ph2 = g2.placeholder(nominal)
     flat = g2.reshape(ph2, new_nominal=(np.prod(nominal),), new_real=(256,))
     t0 = session.cluster.now
-    session.run(g2, [flat], feed_dict={ph2: _feed(data, nominal)})
+    session.run(g2, [flat], feed_dict={ph2: _feed(data, nominal)}, op=PSEUDO_OVERHEAD)
     reshape_time = session.cluster.now - t0
     assert reshape_time > gather_time
 
@@ -102,7 +93,8 @@ def test_conv3d(session, rng):
     kernel = rng.random((3, 3, 3))
     out = g.conv3d(ph, kernel)
     data = rng.random((6, 6, 6))
-    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (20, 20, 20))})
+    (result,) = session.run(g, [out], feed_dict={ph: _feed(data, (20, 20, 20))},
+                            op=PSEUDO_OVERHEAD)
     assert np.allclose(result.array, convolve3d(data, kernel))
 
 
@@ -112,7 +104,7 @@ def test_device_placement(session, rng):
         ph = g.placeholder((10,))
         out = g.reduce_mean(ph, axis=None)
     assert out.device == "node-2"
-    session.run(g, [out], feed_dict={ph: _feed(rng.random(5))})
+    session.run(g, [out], feed_dict={ph: _feed(rng.random(5))}, op=PSEUDO_OVERHEAD)
 
 
 def test_master_mediation_charges_conversions(session, rng):
@@ -124,7 +116,8 @@ def test_master_mediation_charges_conversions(session, rng):
     ph = g.placeholder(nominal)
     out = g.identity(ph)
     t0 = session.cluster.now
-    session.run(g, [out], feed_dict={ph: _feed(np.zeros(4), nominal)})
+    session.run(g, [out], feed_dict={ph: _feed(np.zeros(4), nominal)},
+                op=PSEUDO_OVERHEAD)
     elapsed = session.cluster.now - t0
     assert elapsed >= 2 * cm.tensor_convert_time(8 * 10 ** 9) * 0.9
 
@@ -136,7 +129,7 @@ def test_graph_size_limit(session):
     node = g.identity(const)
     assert g.serialized_bytes() > GRAPH_SIZE_LIMIT
     with pytest.raises(GraphTooLargeError):
-        session.run(g, [node])
+        session.run(g, [node], op=PSEUDO_OVERHEAD)
 
 
 def test_placeholder_must_be_fed(session):
@@ -144,16 +137,7 @@ def test_placeholder_must_be_fed(session):
     ph = g.placeholder((10,))
     out = g.identity(ph)
     with pytest.raises(OpError):
-        session.run(g, [out])
-
-
-def test_py_func_escape_hatch(session, rng):
-    g = Graph()
-    ph = g.placeholder((10,))
-    out = g.py_func(lambda a: a * 2, [ph], cost_fn=lambda t: 1.0)
-    data = rng.random(10)
-    (result,) = session.run(g, [out], feed_dict={ph: _feed(data)})
-    assert np.allclose(result.array, data * 2)
+        session.run(g, [out], op=PSEUDO_OVERHEAD)
 
 
 def test_unknown_op_rejected():

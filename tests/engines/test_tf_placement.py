@@ -1,12 +1,8 @@
-"""Tests for miniTF placement helpers."""
+"""Tests for miniTF placement (the Figure 9 ``steps`` table)."""
 
 import pytest
 
-from repro.engines.tensorflow.placement import (
-    fixed_assignment,
-    one_item_per_node,
-    round_robin_steps,
-)
+from repro.engines.tensorflow.placement import round_robin_steps
 
 DEVICES = ["node-0", "node-1", "node-2"]
 
@@ -34,21 +30,3 @@ def test_round_robin_step_count():
 def test_round_robin_needs_devices():
     with pytest.raises(ValueError):
         round_robin_steps([], 4)
-
-
-def test_one_item_per_node_alias():
-    assert one_item_per_node(DEVICES, 5) == round_robin_steps(DEVICES, 5)
-
-
-def test_fixed_assignment_deals_in_order():
-    table = fixed_assignment(DEVICES, [2, 0, 3])
-    assert table["node-0"] == [0, 1]
-    assert table["node-1"] == []
-    assert table["node-2"] == [2, 3, 4]
-
-
-def test_fixed_assignment_validation():
-    with pytest.raises(ValueError):
-        fixed_assignment(DEVICES, [1, 2])
-    with pytest.raises(ValueError):
-        fixed_assignment(DEVICES, [1, -1, 2])

@@ -42,6 +42,7 @@ from repro.harness.parallel import (
     trial,
 )
 from repro.harness.runner import fresh_engine, make_cluster, neuro_subjects
+from repro.obs.spans import PSEUDO_OVERHEAD
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import lower, neuro_plan
 
@@ -75,7 +76,8 @@ def _trial_cheap(i, fail=False):
         raise RuntimeError(f"cheap trial {i} was told to fail")
     cluster = make_cluster(2, "spark")
     cluster.run(
-        [Task(f"cheap-{i}-{n}", duration=1.0 + n) for n in range(i + 1)]
+        [Task(f"cheap-{i}-{n}", duration=1.0 + n,
+              op=PSEUDO_OVERHEAD) for n in range(i + 1)]
     )
     return {"i": i, "simulated_s": cluster.now}
 

@@ -12,6 +12,7 @@ from repro.harness.runner import (
     make_engine,
     neuro_subjects,
 )
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -71,7 +72,7 @@ def test_astro_visits_deterministic():
 def test_stopwatch_laps():
     cluster = make_cluster(1, "spark")
     watch = Stopwatch(cluster)
-    cluster.charge_master(3.0)
+    cluster.charge_master(3.0, op=PSEUDO_OVERHEAD)
     assert watch.lap() == 3.0
-    cluster.charge_master(2.0)
+    cluster.charge_master(2.0, op=PSEUDO_OVERHEAD)
     assert watch.lap() == 2.0

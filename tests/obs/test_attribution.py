@@ -1,4 +1,4 @@
-"""Logical-op attribution: the resolver's four outcomes + the
+"""Logical-op attribution: the resolver's three outcomes + the
 cross-engine golden table.
 
 The golden test is the tentpole acceptance check: every engine's
@@ -27,7 +27,7 @@ from repro.plan.ir import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
 
 
 # ----------------------------------------------------------------------
-# The four outcomes (unit): @idle, recovery-wait, the stamp, @overhead
+# The three outcomes (unit): @idle, recovery-wait, the stamp
 # ----------------------------------------------------------------------
 
 class _Span:
@@ -38,7 +38,7 @@ class _Span:
 
 
 class _Record:
-    def __init__(self, op=None, span=None, category=None):
+    def __init__(self, op, span=None, category=None):
         self.op = op
         self.span = span
         self.category = category
@@ -66,23 +66,13 @@ def test_explicit_record_op_wins():
     assert resolve_segment_op(_Segment(), record) == "neuro/denoise"
 
 
-def test_recovery_category_and_overhead_fallback():
-    """Nothing is looked up: an unstamped record is ``@overhead``
-    whatever its span chain or its category would once have said."""
-    inner = _Span("inner", {"plan_op": "neuro/repart"},
-                  parent=_Span("myria-Denoised"))
-    record = _Record(span=inner, category="spark-recompute")
-    segment = _Segment(category="spark-recompute")
-    assert resolve_segment_op(segment, record) == PSEUDO_OVERHEAD
-    assert resolve_segment_op(_Segment(), _Record()) == PSEUDO_OVERHEAD
-
-
 def test_unattributed_cluster_tiles_with_pseudo_ops():
     """A cluster lowered by nothing still tiles: every segment lands on
     a pseudo-op, never ``None``."""
     cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
-    first = Task("plain-a", duration=2.0)
-    cluster.run([first, Task("plain-b", duration=1.0, deps=(first,))])
+    first = Task("plain-a", duration=2.0, op=PSEUDO_OVERHEAD)
+    cluster.run([first, Task("plain-b", duration=1.0, deps=(first,),
+                             op=PSEUDO_OVERHEAD)])
     rows = attribute_critical_path(cluster)
     assert rows
     assert all(row["op"] in (PSEUDO_OVERHEAD, PSEUDO_IDLE, PSEUDO_RECOVERY)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.faults import FaultPlan, spark_recovery
 from repro.obs import format_breakdown, records_of, straggler_rows
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 @pytest.fixture
@@ -13,8 +14,8 @@ def cluster():
 
 
 def straggler_run(cluster):
-    tasks = [Task(f"work-{i}", duration=1.0) for i in range(7)]
-    tasks.append(Task("work-7", duration=9.0))  # the straggler
+    tasks = [Task(f"work-{i}", duration=1.0, op=PSEUDO_OVERHEAD) for i in range(7)]
+    tasks.append(Task("work-7", duration=9.0, op=PSEUDO_OVERHEAD))  # the straggler
     cluster.run(tasks)
 
 
@@ -30,8 +31,8 @@ def test_straggler_rows_report_skew(cluster):
 
 
 def test_straggler_rows_group_by_name_prefix(cluster):
-    tasks = [Task(f"reduce-{i}", duration=1.0) for i in range(2)]
-    tasks += [Task(f"map-{i}", duration=2.0) for i in range(4)]
+    tasks = [Task(f"reduce-{i}", duration=1.0, op=PSEUDO_OVERHEAD) for i in range(2)]
+    tasks += [Task(f"map-{i}", duration=2.0, op=PSEUDO_OVERHEAD) for i in range(4)]
     with cluster.obs.span("stage"):  # the span does not regroup them
         cluster.run(tasks)
     rows = straggler_rows(records_of(cluster))
@@ -43,8 +44,9 @@ def test_straggler_rows_group_by_name_prefix(cluster):
 def test_master_charge_and_dead_attempt_are_not_tasks(cluster):
     cluster.install_recovery(spark_recovery())
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=5.0))
-    cluster.charge_master(100.0, label="work-startup")
-    cluster.run([Task(f"work-{i}", duration=10.0) for i in range(16)])
+    cluster.charge_master(100.0, label="work-startup", op=PSEUDO_OVERHEAD)
+    cluster.run([Task(f"work-{i}", duration=10.0,
+                      op=PSEUDO_OVERHEAD) for i in range(16)])
     killed = cluster.node("node-1").failed_tasks
     assert killed == 8
     records = records_of(cluster)
@@ -63,5 +65,5 @@ def test_breakdown_prints_the_straggler_section(cluster):
 
 
 def test_breakdown_skips_single_task_groups(cluster):
-    cluster.run([Task("solo", duration=1.0)])
+    cluster.run([Task("solo", duration=1.0, op=PSEUDO_OVERHEAD)])
     assert "Straggler spread" not in format_breakdown(cluster)

@@ -17,6 +17,7 @@ from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.harness import experiments as E
 from repro.harness.runner import neuro_subjects, observe_clusters
 from repro.obs import chrome_trace, write_chrome_trace
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny-neuro-trace.json"
 
@@ -119,8 +120,9 @@ def test_shuffle_bytes_counted():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
     mb32 = 32 * 1024 ** 2
     a = Task("a", fn=lambda: 1, duration=1.0, node="node-0",
-             output_bytes=mb32)
-    b = Task("b", fn=lambda x: x, args=(a,), duration=1.0, node="node-1")
+             output_bytes=mb32, op=PSEUDO_OVERHEAD)
+    b = Task("b", fn=lambda x: x, args=(a,), duration=1.0, node="node-1",
+             op=PSEUDO_OVERHEAD)
     cluster.run([b])
     assert cluster.network.bytes_node_to_node == mb32
 

@@ -17,6 +17,7 @@ from repro.obs import (
     write_snapshot,
 )
 from repro.obs.critical_path import EXTENT_KINDS
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 def make_cluster(n_nodes=2, **spec_kwargs):
@@ -45,7 +46,8 @@ class TestComputeCriticalPath:
         tasks = []
         for i in range(5):
             deps = (tasks[-1],) if tasks else ()
-            tasks.append(Task(f"step-{i}", duration=float(i + 1), deps=deps))
+            tasks.append(Task(f"step-{i}", duration=float(i + 1), deps=deps,
+                              op=PSEUDO_OVERHEAD))
         cluster.run(tasks)
         path = compute_critical_path(cluster)
         assert path.makespan == pytest.approx(cluster.now)
@@ -55,8 +57,9 @@ class TestComputeCriticalPath:
 
     def test_fan_out_path_bounded_by_makespan(self):
         cluster = make_cluster(n_nodes=2)
-        tasks = [Task(f"fan-{i}", duration=1.0 + i) for i in range(6)]
-        sink = Task("sink", duration=2.0, deps=tuple(tasks))
+        tasks = [Task(f"fan-{i}", duration=1.0 + i,
+                      op=PSEUDO_OVERHEAD) for i in range(6)]
+        sink = Task("sink", duration=2.0, deps=tuple(tasks), op=PSEUDO_OVERHEAD)
         cluster.run(tasks + [sink])
         path = compute_critical_path(cluster)
         assert path.path_length <= path.makespan + 1e-9
@@ -64,8 +67,10 @@ class TestComputeCriticalPath:
 
     def test_blame_fractions_sum_to_one(self):
         cluster = make_cluster(n_nodes=2)
-        cluster.charge_master(1.5, label="startup", category="eng-startup")
-        cluster.run([Task(f"work-{i}", duration=2.0) for i in range(5)])
+        cluster.charge_master(1.5, label="startup", category="eng-startup",
+                              op=PSEUDO_OVERHEAD)
+        cluster.run([Task(f"work-{i}", duration=2.0,
+                          op=PSEUDO_OVERHEAD) for i in range(5)])
         path = compute_critical_path(cluster)
         total = sum(row["fraction"] for row in path.blame())
         assert total == pytest.approx(1.0)
@@ -74,14 +79,15 @@ class TestComputeCriticalPath:
     def test_explicit_category_wins_over_prefix(self):
         cluster = make_cluster(n_nodes=1)
         cluster.run([
-            Task("engine-op-0", duration=1.0, category="engine-special"),
+            Task("engine-op-0", duration=1.0, category="engine-special",
+                 op=PSEUDO_OVERHEAD),
         ])
         path = compute_critical_path(cluster)
         assert {row["category"] for row in path.blame()} == {"engine-special"}
 
     def test_dispatch_delay_attributed(self):
         cluster = make_cluster(n_nodes=1)
-        cluster.run([Task("late", duration=1.0, not_before=3.0)])
+        cluster.run([Task("late", duration=1.0, not_before=3.0, op=PSEUDO_OVERHEAD)])
         path = compute_critical_path(cluster)
         kinds = {s.kind for s in path.segments}
         assert "dispatch-delay" in kinds
@@ -96,7 +102,7 @@ class TestComputeCriticalPath:
         per_task = int(cluster.spec.node.memory_bytes * 0.9)
         cluster.run([
             Task(f"big-{i}", duration=1.0, memory_bytes=per_task,
-                 on_oom="wait")
+                 on_oom="wait", op=PSEUDO_OVERHEAD)
             for i in range(3)
         ])
         path = compute_critical_path(cluster)
@@ -106,9 +112,10 @@ class TestComputeCriticalPath:
 
     def test_coordinator_gap_joins_path(self):
         cluster = make_cluster(n_nodes=1)
-        cluster.run([Task("first", duration=2.0)])
-        cluster.charge_master(1.0, label="between runs", category="coord")
-        cluster.run([Task("second", duration=2.0)])
+        cluster.run([Task("first", duration=2.0, op=PSEUDO_OVERHEAD)])
+        cluster.charge_master(1.0, label="between runs", category="coord",
+                              op=PSEUDO_OVERHEAD)
+        cluster.run([Task("second", duration=2.0, op=PSEUDO_OVERHEAD)])
         path = compute_critical_path(cluster)
         assert path.path_length == pytest.approx(5.0)
         assert "coord" in {row["category"] for row in path.blame()}
@@ -118,9 +125,9 @@ class TestComputeCriticalPath:
         """A dependency inside the binding tolerance may end short of
         the frontier: the walk must cover ``[dep.end, frontier]`` too."""
         cluster = make_cluster(n_nodes=1)
-        t0 = Task("task-0", duration=0.0)
-        t1 = Task("task-1", duration=0.0, not_before=2 ** -24)
-        t3 = Task("task-3", duration=0.0, deps=(t0, t1))
+        t0 = Task("task-0", duration=0.0, op=PSEUDO_OVERHEAD)
+        t1 = Task("task-1", duration=0.0, not_before=2 ** -24, op=PSEUDO_OVERHEAD)
+        t3 = Task("task-3", duration=0.0, deps=(t0, t1), op=PSEUDO_OVERHEAD)
         cluster.run([t0, t1, t3])
         path = compute_critical_path(cluster)
         assert path.makespan == 2 ** -24
@@ -133,7 +140,7 @@ class TestComputeCriticalPath:
 
     def test_record_for_maps_extent_segments(self):
         cluster = make_cluster(n_nodes=1)
-        cluster.run([Task("solo", duration=1.0)])
+        cluster.run([Task("solo", duration=1.0, op=PSEUDO_OVERHEAD)])
         path = compute_critical_path(cluster)
         for segment in path.segments:
             record = path.record_for(segment)
@@ -143,7 +150,7 @@ class TestComputeCriticalPath:
 
     def test_format_report(self):
         cluster = make_cluster(n_nodes=1)
-        cluster.run([Task("solo", duration=4.0)])
+        cluster.run([Task("solo", duration=4.0, op=PSEUDO_OVERHEAD)])
         text = format_critical_path(compute_critical_path(cluster))
         assert "Critical path" in text
         assert "solo" in text or "100.0%" in text
@@ -152,8 +159,8 @@ class TestComputeCriticalPath:
 class TestChromeTraceFlowEvents:
     def test_flow_events_only_with_critical_path(self):
         cluster = make_cluster(n_nodes=1)
-        a = Task("first", duration=1.0)
-        b = Task("second", duration=1.0, deps=(a,))
+        a = Task("first", duration=1.0, op=PSEUDO_OVERHEAD)
+        b = Task("second", duration=1.0, deps=(a,), op=PSEUDO_OVERHEAD)
         cluster.run([a, b])
         plain = chrome_trace(cluster)
         assert all(e["ph"] in ("M", "X", "C") for e in plain["traceEvents"])

@@ -10,18 +10,19 @@ import json
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
 from repro.obs.ledger import run_snapshot
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 def _pipeline(cluster):
     """A two-stage DAG with a shuffle-like barrier in the middle."""
     stage1 = [
         Task(f"map{i}", fn=lambda i=i: i, duration=1.5 + (i % 3) * 0.5,
-             output_bytes=10 * 1024 ** 2, category="map")
+             output_bytes=10 * 1024 ** 2, category="map", op=PSEUDO_OVERHEAD)
         for i in range(12)
     ]
     stage2 = [
         Task(f"reduce{j}", fn=lambda *a: sum(a), args=tuple(stage1),
-             duration=2.0, deps=stage1, category="reduce")
+             duration=2.0, deps=stage1, category="reduce", op=PSEUDO_OVERHEAD)
         for j in range(4)
     ]
     cluster.run(stage2)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.engines.spark import SparkContext
-from repro.obs.spans import SpanStore
+from repro.obs.spans import PSEUDO_OVERHEAD, SpanStore
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def cluster():
 
 def test_open_close_records_extent(cluster):
     with cluster.obs.span("outer") as span:
-        cluster.run([Task("t", duration=2.0)])
+        cluster.run([Task("t", duration=2.0, op=PSEUDO_OVERHEAD)])
     assert span.start == 0.0
     assert span.end == 2.0
     assert span.duration == 2.0
@@ -35,8 +35,8 @@ def test_nested_spans_link_parents(cluster):
 
 def test_task_records_tagged_with_innermost_span(cluster):
     with cluster.obs.span("stage"):
-        cluster.run([Task("work", duration=1.0)])
-    cluster.run([Task("untagged", duration=1.0)])
+        cluster.run([Task("work", duration=1.0, op=PSEUDO_OVERHEAD)])
+    cluster.run([Task("untagged", duration=1.0, op=PSEUDO_OVERHEAD)])
     tagged, untagged = cluster.obs.task_records
     assert tagged.span.name == "stage"
     assert untagged.span is None
@@ -59,7 +59,7 @@ def test_out_of_order_close_rejected():
 
 def test_reset_clears_spans_and_records(cluster):
     with cluster.obs.span("s"):
-        cluster.run([Task("t", duration=1.0)])
+        cluster.run([Task("t", duration=1.0, op=PSEUDO_OVERHEAD)])
     cluster.reset_clock()
     assert len(cluster.obs.spans) == 0
     assert cluster.obs.task_records == []

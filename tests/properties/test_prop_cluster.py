@@ -14,6 +14,7 @@ from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
 from repro.cluster.memory import MemoryTracker
 from repro.cluster.run import Run
 from repro.engines.spark.partitioner import HashPartitioner, stable_hash
+from repro.obs.spans import PSEUDO_OVERHEAD
 from tests.cluster.test_ready_set import (
     placements,
     reference_schedule,
@@ -27,7 +28,8 @@ def test_makespan_bounds(durations):
     """Makespan lies between max task time and serial sum, and respects
     the slot-capacity lower bound."""
     cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
-    tasks = [Task(f"t{i}", duration=d) for i, d in enumerate(durations)]
+    tasks = [Task(f"t{i}", duration=d,
+                  op=PSEUDO_OVERHEAD) for i, d in enumerate(durations)]
     cluster.run(tasks)
     total = sum(durations)
     longest = max(durations)
@@ -44,7 +46,7 @@ def test_chain_is_serial(durations):
     previous = None
     for i, d in enumerate(durations):
         deps = [previous] if previous is not None else []
-        previous = Task(f"t{i}", duration=d, deps=deps)
+        previous = Task(f"t{i}", duration=d, deps=deps, op=PSEUDO_OVERHEAD)
     cluster.run([previous])
     assert abs(cluster.now - sum(durations)) < 1e-9
 
@@ -115,10 +117,11 @@ def test_memory_tracker_conserves(sizes, capacity, release, after):
 
 def test_a_task_leaves_one_allocate_free_pair_on_its_node():
     cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
-    cluster.charge_master(3.0)
+    cluster.charge_master(3.0, op=PSEUDO_OVERHEAD)
     mb64 = 64 * 1024 ** 2
     (result,) = cluster.run(
-        [Task("big", duration=1.5, memory_bytes=mb64, node="node-1")]
+        [Task("big", duration=1.5, memory_bytes=mb64, node="node-1",
+              op=PSEUDO_OVERHEAD)]
     ).values()
     assert cluster.node("node-1").memory.history == [
         (result.start_time, mb64), (result.end_time, -mb64)]
@@ -153,7 +156,7 @@ def test_stable_hash_strings_deterministic(text):
 def test_not_before_respected(specs):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
     tasks = [
-        Task(f"t{i}", duration=d, not_before=nb)
+        Task(f"t{i}", duration=d, not_before=nb, op=PSEUDO_OVERHEAD)
         for i, (d, nb) in enumerate(specs)
     ]
     results = cluster.run(tasks)
@@ -166,7 +169,7 @@ def test_not_before_respected(specs):
 def test_slot_throughput(n_nodes, n_tasks):
     """n identical unit tasks finish in ceil(n / slots) waves."""
     cluster = SimulatedCluster(ClusterSpec(n_nodes=n_nodes))
-    tasks = [Task(f"t{i}", duration=1.0) for i in range(n_tasks)]
+    tasks = [Task(f"t{i}", duration=1.0, op=PSEUDO_OVERHEAD) for i in range(n_tasks)]
     cluster.run(tasks)
     waves = -(-n_tasks // cluster.spec.total_slots)
     assert abs(cluster.now - waves) < 1e-9
@@ -196,7 +199,7 @@ def mixed_workloads(draw, oom_policies=("wait",), output_bytes=(0,)):
             not_before=draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))),
             memory_bytes=draw(st.sampled_from((0, 0, 40, 70, memory_bytes))),
             on_oom=draw(st.sampled_from(oom_policies)),
-            output_bytes=draw(st.sampled_from(output_bytes)),
+            output_bytes=draw(st.sampled_from(output_bytes)), op=PSEUDO_OVERHEAD,
         ))
     return n_nodes, slots, memory_bytes, tasks
 
@@ -269,7 +272,7 @@ def test_every_finished_task_has_one_record_of_its_history(workload, data):
     n_nodes, slots, memory_bytes, tasks = workload
     cluster = make_cluster(n_nodes, slots, memory_bytes)
     first = cluster.run(tasks[:data.draw(st.integers(0, len(tasks)))])
-    cluster.charge_master(1.5, category="driver")
+    cluster.charge_master(1.5, category="driver", op=PSEUDO_OVERHEAD)
     second = cluster.run(tasks)
     results = [*first.values(), *second.values()]
     check_records(cluster, tasks, results, charges=1)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.obs import compute_critical_path, critical_path
-from repro.obs.spans import TaskRecord
+from repro.obs.spans import PSEUDO_OVERHEAD, TaskRecord
 
 # Zero or >= 1ms: simulated work is second-scale; subnormal durations
 # would demand relative epsilons the walk does not need in practice.
@@ -46,7 +46,7 @@ def random_dags(draw):
                 f"task-{index}",
                 duration=draw(durations),
                 deps=tuple(tasks[i] for i in sorted(dep_indexes)),
-                not_before=not_before,
+                not_before=not_before, op=PSEUDO_OVERHEAD,
             )
         )
     return n_nodes, tasks
@@ -83,7 +83,7 @@ def test_pure_chain_path_equals_makespan(chain_durations):
     for index, duration in enumerate(chain_durations):
         tasks.append(
             Task(f"link-{index}", duration=duration,
-                 deps=(tasks[-1],) if tasks else ())
+                 deps=(tasks[-1],) if tasks else (), op=PSEUDO_OVERHEAD)
         )
     cluster.run(tasks)
     path = compute_critical_path(cluster)
@@ -99,7 +99,8 @@ def test_multiple_runs_still_tile(first, second):
     _, more = second
     cluster = SimulatedCluster(ClusterSpec(n_nodes=n_nodes))
     cluster.run(tasks)
-    cluster.charge_master(1.0, label="between", category="coordinator")
+    cluster.charge_master(1.0, label="between", category="coordinator",
+                          op=PSEUDO_OVERHEAD)
     cluster.run(more)
     assert_invariants(compute_critical_path(cluster))
 
@@ -146,7 +147,7 @@ def record_sets(draw):
         records.append(TaskRecord(
             draw(st.sampled_from(("charge", "step"))),
             "node-0", start, end,
-            task_id=draw(st.one_of(st.none(), st.just(index))),
+            task_id=draw(st.one_of(st.none(), st.just(index))), op=PSEUDO_OVERHEAD,
         ))
     return records
 
@@ -183,9 +184,9 @@ def test_path_segments_equal_those_of_the_scanning_walk(records):
 
 def test_handover_full_tie_goes_to_the_first_record():
     """Two records equal in (start, end, name): ``max`` kept the first."""
-    twins = [TaskRecord("charge", "node-0", 0.0, 2.0),
-             TaskRecord("charge", "node-1", 0.0, 2.0)]
-    tail = TaskRecord("tail", "node-0", 2.0, 3.0)
+    twins = [TaskRecord("charge", "node-0", 0.0, 2.0, op=PSEUDO_OVERHEAD),
+             TaskRecord("charge", "node-1", 0.0, 2.0, op=PSEUDO_OVERHEAD)]
+    tail = TaskRecord("tail", "node-0", 2.0, 3.0, op=PSEUDO_OVERHEAD)
     # Both twins reach the frontier (end >= 2.0): tie on every key field.
     for records in (twins + [tail], [tail] + twins):
         assert critical_path._Handover(records).at(2.0) is twins[0]
@@ -195,6 +196,6 @@ def test_handover_full_tie_goes_to_the_first_record():
     assert critical_path._Handover(twins).at(5.0) is twins[0]
     # A twin listed first but ending short of the frontier loses to the
     # one that reaches it.
-    short = TaskRecord("charge", "node-2", 0.0, 1.0)
+    short = TaskRecord("charge", "node-2", 0.0, 1.0, op=PSEUDO_OVERHEAD)
     assert critical_path._Handover([short] + twins).at(2.0) is twins[0]
     assert critical_path._Handover(twins + [short]).at(1.5) is twins[0]

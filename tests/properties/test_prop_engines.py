@@ -10,6 +10,7 @@ from repro.engines.dask import DaskClient
 from repro.engines.myria import MyriaConnection, MyriaQuery, Relation
 from repro.engines.scidb import DimSpec, SciDBConnection
 from repro.engines.spark import SparkContext
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 
 def _spark():
@@ -65,8 +66,8 @@ def test_spark_reducebykey_matches_python_reduce(pairs):
 @settings(max_examples=25, deadline=None)
 def test_dask_graph_matches_python(items):
     client = DaskClient(SimulatedCluster(ClusterSpec(n_nodes=2)))
-    inc = client.delayed(lambda x: x + 1)
-    total = client.delayed(lambda *xs: sum(xs))
+    inc = client.delayed(lambda x: x + 1, op=PSEUDO_OVERHEAD)
+    total = client.delayed(lambda *xs: sum(xs), op=PSEUDO_OVERHEAD)
     result = total(*[inc(i) for i in items]).result()
     assert result == sum(i + 1 for i in items)
 
@@ -84,9 +85,10 @@ def test_myria_selection_matches_python(rows):
     )
     conn = MyriaConnection(cluster)
     relation = Relation.from_rows("T", ("grp", "idx", "val"), rows)
-    conn.ingest_relation(relation, "grp")
+    conn.ingest_relation(relation, "grp", op=PSEUDO_OVERHEAD)
     q = MyriaQuery.submit(
-        conn, "T = SCAN(T); P = [SELECT T.grp, T.val FROM T WHERE T.idx < 5];"
+        conn, "T = SCAN(T); P = [SELECT T.grp, T.val FROM T WHERE T.idx < 5];",
+        op=PSEUDO_OVERHEAD
     )
     got = sorted(q.relation("P").rows)
     expected = sorted((g, v) for g, i, v in rows if i < 5)
@@ -105,10 +107,12 @@ def test_myria_uda_matches_python(rows):
         ClusterSpec(n_nodes=2, workers_per_node=4, slots_per_worker=1)
     )
     conn = MyriaConnection(cluster)
-    conn.ingest_relation(Relation.from_rows("T", ("grp", "val"), rows), "grp")
+    conn.ingest_relation(Relation.from_rows("T", ("grp", "val"), rows), "grp",
+                         op=PSEUDO_OVERHEAD)
     conn.create_function("SumAgg", udf(lambda vals: sum(vals)))
     q = MyriaQuery.submit(
-        conn, "T = SCAN(T); S = [FROM T EMIT T.grp, UDA(SumAgg, T.val) AS s];"
+        conn, "T = SCAN(T); S = [FROM T EMIT T.grp, UDA(SumAgg, T.val) AS s];",
+        op=PSEUDO_OVERHEAD
     )
     got = dict(q.relation("S").rows)
     expected = {}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.errors import ClusterError
 from repro.cluster.faults import FaultPlan, RetryPolicy, spark_recovery
+from repro.obs.spans import PSEUDO_OVERHEAD
 
 MB = 1024 ** 2
 
@@ -66,7 +67,7 @@ def _run_schedule(params):
             duration=1.0 + (i % 4) * 0.5,
             deps=deps,
             memory_bytes=params["mem_mb"] * MB,
-            on_oom="wait",
+            on_oom="wait", op=PSEUDO_OVERHEAD,
         )
         tasks.append(previous)
 
