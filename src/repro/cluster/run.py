@@ -369,11 +369,12 @@ class Run:
                   for k, v in task.kwargs.items()}
         transfer = 0.0
         for dep in task._dependencies:
-            source = completed[dep.task_id].node
-            if dep.output_bytes > 0 and source != node.name:
-                transfer += cluster.network.transfer_time(
-                    dep.output_bytes, source, node.name
-                )
+            if dep.output_bytes > 0:
+                source = completed[dep.task_id].node
+                if source != node.name:
+                    transfer += cluster.network.transfer_time(
+                        dep.output_bytes, source, node.name
+                    )
         # Real computation runs first so that cost callables may price
         # the work from its actual outputs.
         faults = cluster._faults

@@ -13,10 +13,17 @@ The code-version salt is a hash of the ``repro`` source tree: any
 source edit (new scheduling order, new blame category, a recalibrated
 cost constant, ...) cold-starts the cache rather than serving stale
 simulations.
+
+A hit is one file read and one decode: the payload is stored as a
+CRC-32 followed by the ``marshal`` bytes of its JSON-normalized form
+(:func:`encode_payload`), and a :class:`~repro.harness.parallel.TrialSpec`
+builds the canonical text of its kwargs once (:func:`canonical_kwargs`),
+so a replay re-serializes nothing.
 """
 
 import hashlib
 import json
+import marshal
 import os
 import tempfile
 import time
@@ -26,7 +33,8 @@ from repro.obs import telemetry
 
 #: Bump when the cached payload layout changes incompatibly.
 #: v2: compact zlib-compressed JSON payloads (was pretty JSON).
-CACHE_SCHEMA_VERSION = 2
+#: v3: CRC-32 + ``marshal`` of the JSON-normalized payload, ``.tm`` files.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -37,6 +45,10 @@ DEFAULT_CACHE_DIR = ".harness-cache"
 
 _code_hash_cache = {}
 
+#: ``{__file__: package root}``: the default salt's root, derived once
+#: per value of this module's ``__file__``.
+_package_roots = {}
+
 
 def code_tree_hash(root=None):
     """Hash of every ``repro`` source file; the cache-version salt.
@@ -46,8 +58,12 @@ def code_tree_hash(root=None):
     serve a simulation produced by different code.
     """
     if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    root = os.path.abspath(root)
+        root = _package_roots.get(__file__)
+        if root is None:
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            _package_roots[__file__] = root
+    else:
+        root = os.path.abspath(root)
     cached = _code_hash_cache.get(root)
     if cached is not None:
         return cached
@@ -69,6 +85,30 @@ def code_tree_hash(root=None):
     return result
 
 
+def canonical_kwargs(kwargs):
+    """Canonical JSON text of a trial's kwargs, the part of its key a
+    caller may build once and pass to :func:`cache_key_from_text`."""
+    return json.dumps(kwargs, sort_keys=True, separators=(",", ":"))
+
+
+def cache_key_from_text(fn, kwargs_text, salt=None):
+    """:func:`cache_key` of kwargs whose :func:`canonical_kwargs` text
+    is ``kwargs_text``.
+
+    The hashed bytes are the key-sorted, whitespace-free JSON of the
+    document ``{"fn", "kwargs", "salt", "schema"}``.  They are spliced
+    here rather than serialized whole, since ``json.dumps`` writes a
+    nested value the same way at any depth.
+    """
+    if salt is None:
+        salt = code_tree_hash()
+    canonical = (
+        f'{{"fn":{json.dumps(fn)},"kwargs":{kwargs_text},'
+        f'"salt":{json.dumps(salt)},"schema":{CACHE_SCHEMA_VERSION}}}'
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def cache_key(fn, kwargs, salt=None):
     """Content address of one trial.
 
@@ -76,45 +116,50 @@ def cache_key(fn, kwargs, salt=None):
     JSON-safe arguments, and ``salt`` overrides the code-tree hash
     (tests).
     """
-    document = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "salt": salt if salt is not None else code_tree_hash(),
-        "fn": fn,
-        "kwargs": kwargs,
-    }
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return cache_key_from_text(fn, canonical_kwargs(kwargs), salt=salt)
 
 
 def encode_payload(payload):
     """Compact wire/disk form of a trial payload.
 
-    No-whitespace JSON, zlib-compressed at level 1: cheap to produce in
-    workers and typically an order of magnitude smaller than
-    uncompressed JSON through the pool pipe.  Keys keep the order the
+    The payload is first normalized through JSON, so it holds exactly
+    what a JSON round trip would give back: tuples become lists, numpy
+    floats ``float``, dict keys ``str``, key order is kept, and a value
+    JSON cannot encode raises ``TypeError`` here.  (``marshal`` alone
+    would write an ``np.float64`` as 8 raw bytes, silently.)  The form
+    is the 4-byte little-endian CRC-32 of the ``marshal`` bytes of the
+    normalized payload, then those bytes.  Keys keep the order the
     trial built them in, so a row decodes with the columns it would
     have had inline (``print_table`` takes them from the first row).
     """
-    encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return zlib.compress(encoded, 1)
+    normalized = json.loads(json.dumps(payload, separators=(",", ":")))
+    body = marshal.dumps(normalized)
+    return zlib.crc32(body).to_bytes(4, "little") + body
 
 
 def decode_payload(blob):
     """Inverse of :func:`encode_payload`.
 
-    Corrupt input raises ``zlib.error`` (a direct ``Exception``
-    subclass) when the bytes do not decompress, or ``ValueError``
-    (``json.JSONDecodeError`` / ``UnicodeDecodeError``) when they
-    decompress to something that is not JSON.
+    Raises ``ValueError`` on a CRC mismatch or a top-level value that
+    is not a dict; bytes that pass the CRC but do not unmarshal raise
+    whatever ``marshal.loads`` raises (``ValueError``, ``EOFError``,
+    ``TypeError``).  ``marshal`` is not hardened against crafted input:
+    decode only bytes this program wrote.
     """
-    return json.loads(zlib.decompress(blob))
+    body = memoryview(blob)[4:]
+    if zlib.crc32(body) != int.from_bytes(blob[:4], "little"):
+        raise ValueError("payload CRC-32 mismatch")
+    payload = marshal.loads(body)
+    if not isinstance(payload, dict):
+        raise ValueError(f"payload is a {type(payload).__name__}, not a dict")
+    return payload
 
 
 class TrialCache:
     """Directory of cached trial payloads, content-addressed.
 
-    One compressed-JSON payload (rows + snapshots) per trial key.  A
-    corrupt or truncated file counts as a miss: it is evicted and the
+    One :func:`encode_payload` blob (rows + snapshots) per trial key.
+    A corrupt or truncated file counts as a miss: it is evicted and the
     result recomputed.
     """
 
@@ -126,7 +171,7 @@ class TrialCache:
         self.misses = 0
 
     def _path(self, key):
-        return os.path.join(self.root, key[:2], f"{key}.jz")
+        return os.path.join(self.root, key[:2], f"{key}.tm")
 
     def _evict(self, path):
         """Drop an unreadable cache file so the recomputed result can

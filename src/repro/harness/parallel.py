@@ -16,12 +16,16 @@ The pool is *warm*: created lazily on the first pooled grid and reused
 across ``run_grid`` calls and figures for the life of the process (or
 until :func:`shutdown_pool`), so only the first pooled grid pays
 process startup.  A grid with more than one uncached trial at
-``jobs > 1`` is one ``Pool.map`` over its trials; batching is the
-standard library's.
+``jobs > 1`` is one ``Pool.map`` over its trials, cut into the batches
+the standard library would pick for the pool's process count (passed
+explicitly and recorded as the ``pool.chunk_size`` gauge).
 
-Workers return compact payloads: JSON compressed with zlib
-(see ``repro.harness.cache.encode_payload``), which the parent stores
-in the cache verbatim and decodes once for merging.  Snapshots are
+Workers return payloads in the cache's own form, a CRC-32 plus the
+``marshal`` bytes of the JSON-normalized payload (see
+``repro.harness.cache.encode_payload``), which the parent stores in the
+cache verbatim and decodes once for merging.  A spec builds the
+canonical text of its kwargs once, so a warm replay costs one key hash,
+one file read and one ``marshal.loads`` per trial.  Snapshots are
 only computed when someone will consume them (an active
 :func:`collecting_snapshots` sink, an enabled cache, or a worker that
 cannot defer the decision), so plain smoke runs pay nothing extra.
@@ -35,7 +39,12 @@ import traceback
 from contextlib import contextmanager
 
 from repro.harness import runner
-from repro.harness.cache import cache_key, decode_payload, encode_payload
+from repro.harness.cache import (
+    cache_key_from_text,
+    canonical_kwargs,
+    decode_payload,
+    encode_payload,
+)
 from repro.obs import telemetry
 
 #: Registered trial functions: name -> callable returning one row dict.
@@ -72,9 +81,11 @@ class TrialSpec:
     A trial is a pure function of its kwargs and the code (a fault plan
     included: the trial builds it from its kwargs), so ``fn`` and
     ``kwargs`` are all the cache keys on beside the code-tree salt.
+    The canonical text of ``kwargs`` is built on the first :meth:`key`
+    call and reused, so ``kwargs`` must not be mutated after that.
     """
 
-    __slots__ = ("fn", "kwargs")
+    __slots__ = ("fn", "kwargs", "_kwargs_text")
 
     def __init__(self, fn, kwargs, engine=None):
         # ``engine`` is accepted and ignored: ``bench/workloads.py``
@@ -84,10 +95,13 @@ class TrialSpec:
             raise KeyError(f"unknown trial function {fn!r}")
         self.fn = fn
         self.kwargs = kwargs
+        self._kwargs_text = None
 
     def key(self, salt=None):
         """Content address of this trial (see :mod:`repro.harness.cache`)."""
-        return cache_key(self.fn, self.kwargs, salt=salt)
+        if self._kwargs_text is None:
+            self._kwargs_text = canonical_kwargs(self.kwargs)
+        return cache_key_from_text(self.fn, self._kwargs_text, salt=salt)
 
 
 class TrialExecutionError(RuntimeError):
@@ -228,7 +242,7 @@ def _worker_init():
 
 
 def _run_one(args):
-    """Worker-side single trial: compact payload + telemetry sidecar.
+    """Worker-side single trial: encoded payload + telemetry sidecar.
 
     Failures are captured, not raised: the grid's surviving trials
     still return, and the parent re-raises with the original traceback
@@ -255,7 +269,7 @@ def _run_one(args):
             timings.get("snapshot-serialize", 0.0)
             + time.perf_counter() - start
         )
-        result = {"payload_z": blob, "telemetry": timings}
+        result = {"payload": blob, "telemetry": timings}
     except Exception as exc:  # noqa: BLE001 - reported to the parent
         result = {
             "error": {
@@ -376,10 +390,16 @@ def run_grid(specs, jobs=None, cache=_UNSET):
     if jobs > 1 and len(pending) > 1:
         n_procs = min(jobs, len(pending))
         pool = _ensure_pool(n_procs)
+        # ``Pool.map``'s own default for the pool's actual width (a warm
+        # pool may be wider than ``n_procs``), made explicit to record it.
+        chunk_size, extra = divmod(len(pending), len(pool._pool) * 4)
+        chunk_size += bool(extra)
+        rec.gauge("pool.chunk_size", chunk_size)
         start = time.perf_counter()
         with telemetry.telemetry_phase("dispatch"):
             results = pool.map(
-                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending]
+                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending],
+                chunk_size,
             )
         map_wall = time.perf_counter() - start
         busy = 0.0
@@ -392,7 +412,7 @@ def run_grid(specs, jobs=None, cache=_UNSET):
                 if "error" in wrapped:
                     failures.append((i, specs[i].fn, wrapped["error"]))
                     continue
-                encoded[i] = wrapped["payload_z"]
+                encoded[i] = wrapped["payload"]
                 payloads[i] = decode_payload(encoded[i])
                 if not want_snapshots:
                     # Workers cannot defer the decision; keep the

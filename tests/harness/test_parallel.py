@@ -11,9 +11,12 @@ cannot leak into results.
 
 import hashlib
 import json
+import marshal
 import os
 import tempfile
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,8 @@ from repro.harness.cache import (
     TrialCache,
     cache_key,
     code_tree_hash,
+    decode_payload,
+    encode_payload,
 )
 from repro.harness.parallel import (
     TRIAL_FNS,
@@ -273,6 +278,23 @@ class TestCacheKeys:
         assert with_engine.key(salt="s") == without.key(salt="s") == expected
         assert with_engine.key() == without.key()
 
+    def test_spec_serializes_its_kwargs_once(self, monkeypatch):
+        """A warm replay re-keys every spec; only the first ``key()``
+        call of a spec writes its kwargs as JSON, whatever the salt."""
+        calls = []
+        real = parallel.canonical_kwargs
+
+        def counting(kwargs):
+            calls.append(kwargs)
+            return real(kwargs)
+
+        monkeypatch.setattr(parallel, "canonical_kwargs", counting)
+        spec = _neuro_cell("spark")
+        keys = {spec.key(salt="s") for _ in range(3)}
+        assert keys == {cache_key(spec.fn, spec.kwargs, salt="s")}
+        assert spec.key() == cache_key(spec.fn, spec.kwargs)
+        assert calls == [spec.kwargs]
+
 
 class TestCodeTreeHash:
     """The one invalidation story: the default salt is a digest of
@@ -371,6 +393,25 @@ class TestTelemetry:
         assert snap["worker.worker-exec_s.count"] == len(specs)
         assert snap["worker.snapshot-serialize_s.count"] == len(specs)
         assert snap["cache.payload_bytes.count"] == len(specs)
+
+    def test_pool_records_the_chunk_size_it_passes(self):
+        """``Pool.map``'s default batching for the pool's real width,
+        passed explicitly and recorded: nine trials on two workers go
+        in batches of ceil(9 / (2 * 4)) = 2, and at ``jobs=2`` on a
+        warm pool of four in batches of ceil(9 / (4 * 4)) = 1."""
+        from repro.obs import telemetry
+
+        def chunk_size(jobs):
+            with telemetry.recording() as rec:
+                run_grid(specs, jobs=jobs, cache=None)
+            return rec.metrics.snapshot()["pool.chunk_size"]
+
+        shutdown_pool()
+        specs = [TrialSpec("test_cheap", {"i": i}) for i in range(9)]
+        assert chunk_size(2) == 2
+        assert chunk_size(4) == 1
+        assert chunk_size(2) == 1
+        assert parallel._pool_state["procs"] == 4
 
     def test_serial_path_records_worker_metrics(self):
         from repro.obs import telemetry
@@ -534,7 +575,7 @@ class TestFailurePropagation:
         # The cache holds exactly the survivors.
         stored = [name for _dir, _subdirs, names in os.walk(cache.root)
                   for name in names]
-        assert sorted(stored) == sorted(f"{spec.key()}.jz" for spec in good)
+        assert sorted(stored) == sorted(f"{spec.key()}.tm" for spec in good)
         replay = TrialCache(cache.root)
         assert _canon(run_grid(good, jobs=1, cache=replay)) == _canon(serial)
         assert replay.stats() == {"hits": len(good), "misses": 0}
@@ -590,3 +631,115 @@ class TestCacheStore:
         assert fresh.stats() == {"hits": 0, "misses": 1}
         assert _canon(again) == _canon(cold)
         assert _canon(sink.snapshots) == _canon(cold_sink.snapshots)
+
+
+def _json_round_trip(payload):
+    return json.loads(json.dumps(payload))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestPayloadCodec:
+    """The cache's one format: a CRC-32, then the ``marshal`` bytes of
+    the payload as a JSON round trip would return it.  Workers send the
+    same bytes the parent stores."""
+
+    NESTED = {
+        "row": {"engine": "spark", "b": 1, "a": (1, 2.5, (3,)),
+                "simulated_s": np.float64(1.5), "ints": {1: "x", 2: [None]}},
+        "snapshots": [{"nan": float("nan"), "inf": float("inf"),
+                       "-inf": -float("inf"), "flag": True}],
+    }
+
+    def test_decodes_to_the_json_round_trip(self):
+        decoded = decode_payload(encode_payload(self.NESTED))
+        expected = _json_round_trip(self.NESTED)
+        # json.dumps writes NaN as NaN, so equal text is equal values.
+        assert json.dumps(decoded) == json.dumps(expected)
+        row = decoded["row"]
+        assert list(row) == ["engine", "b", "a", "simulated_s", "ints"]
+        assert row["a"] == [1, 2.5, [3]]
+        assert type(row["simulated_s"]) is float
+        assert row["ints"] == {"1": "x", "2": [None]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
+    def test_property_decode_inverts_encode_up_to_json(self, payload):
+        decoded = decode_payload(encode_payload(payload))
+        assert json.dumps(decoded) == json.dumps(_json_round_trip(payload))
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, b"raw"])
+    def test_values_json_cannot_encode_still_raise(self, value):
+        with pytest.raises(TypeError):
+            encode_payload({"row": {"x": [value]}})
+
+    @staticmethod
+    def _stored(tmp_path):
+        cache = TrialCache(str(tmp_path))
+        cache.put("c" * 64, TestPayloadCodec.NESTED)
+        path = cache._path("c" * 64)
+        with open(path, "rb") as fh:
+            return cache, path, fh.read()
+
+    @staticmethod
+    def _is_evicted_miss(cache, path, blob):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        misses = cache.misses
+        missed = cache.get("c" * 64) is None and cache.misses == misses + 1
+        return missed and not os.path.exists(path)
+
+    def test_every_one_byte_flip_is_an_evicted_miss(self, tmp_path):
+        cache, path, blob = self._stored(tmp_path)
+        for offset in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(blob)
+                flipped[offset] ^= mask
+                assert self._is_evicted_miss(cache, path, bytes(flipped)), \
+                    (offset, mask)
+        assert cache.hits == 0
+
+    def test_truncations_and_garbage_are_evicted_misses(self, tmp_path):
+        cache, path, blob = self._stored(tmp_path)
+        for length in range(len(blob)):
+            assert self._is_evicted_miss(cache, path, blob[:length]), length
+        not_a_dict = marshal.dumps([1, 2])
+        for garbage in (b"\x00" * 16, b"{not json", zlib.compress(b"{}"),
+                        hashlib.sha256(blob).digest(), blob + b"\x00",
+                        zlib.crc32(not_a_dict).to_bytes(4, "little")
+                        + not_a_dict):
+            assert self._is_evicted_miss(cache, path, garbage), garbage
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert json.dumps(cache.get("c" * 64)) == json.dumps(
+            _json_round_trip(self.NESTED))
+
+    def test_pooled_and_inline_passes_store_the_same_bytes(self, tmp_path):
+        """Workers encode for the pipe; the parent stores those bytes
+        as they came, and they equal what an inline pass encodes."""
+        specs = [TrialSpec("test_cheap", {"i": i}) for i in range(3)]
+
+        def entries(jobs):
+            root = tmp_path / f"jobs{jobs}"
+            run_grid(specs, jobs=jobs, cache=TrialCache(str(root)))
+            return {path.name: path.read_bytes()
+                    for path in root.glob("*/*")}
+
+        inline = entries(1)
+        assert sorted(inline) == sorted(f"{s.key()}.tm" for s in specs)
+        assert entries(2) == inline
