@@ -234,31 +234,19 @@ class SimulatedCluster:
         depending on it) recomputes it from lineage.
         """
         pending = {}
-        completed = self.completed
-        lost = self._lost_results
         stack = list(tasks)
         while stack:
             task = stack.pop()
             if not isinstance(task, Task):
                 raise TypeError(f"expected Task, got {type(task)!r}")
-            tid = task.task_id
-            if tid in pending:
+            if task.task_id in pending:
                 continue
-            if tid in completed:
-                if tid not in lost:
+            if task.task_id in self.completed:
+                if task.task_id not in self._lost_results:
                     continue
                 self._resurrect(task)
-            pending[tid] = task
-            # Skip here what the pop would skip (a shuffle reducer
-            # depends on every map, collected by the first reducer):
-            # whether a dependency is served by a live result cannot
-            # change before its pop, so the collection order stays.
-            for dep in task._dependencies:
-                dep_id = dep.task_id
-                if dep_id not in pending and (
-                    dep_id not in completed or dep_id in lost
-                ):
-                    stack.append(dep)
+            pending[task.task_id] = task
+            stack.extend(task.dependencies())
         return pending
 
     def _resurrect(self, task):

@@ -24,10 +24,11 @@ profile).
 ``--jobs N`` fans a figure's independent trials across N worker
 processes; results are byte-identical to ``--jobs 1`` (DESIGN.md
 section 11).  Trials are cached content-addressed under
-``.harness-cache/`` (or ``$REPRO_CACHE_DIR``) so re-running a figure
-replays instantly; ``--no-cache`` disables that, and any edit to the
-``repro`` source tree (cost constants included) invalidates every
-entry.  The harness's own wall clock is measured by ``bench/run.py``
+``.harness-cache/`` (or ``$REPRO_CACHE_DIR``, which must be writable
+by this user only: entries are trusted as this program's own output)
+so re-running a figure replays instantly; ``--no-cache`` disables
+that, and any edit to the ``repro`` source tree (cost constants
+included) invalidates every entry.  The harness's own wall clock is measured by ``bench/run.py``
 (workload ``grid-pool``).
 
 The ``trace`` subcommand runs one experiment with the observability

@@ -14,11 +14,16 @@ source edit (new scheduling order, new blame category, a recalibrated
 cost constant, ...) cold-starts the cache rather than serving stale
 simulations.
 
-A hit is one file read and one decode: the payload is stored as a
-CRC-32 followed by the ``marshal`` bytes of its JSON-normalized form
-(:func:`encode_payload`), and a :class:`~repro.harness.parallel.TrialSpec`
-builds the canonical text of its kwargs once (:func:`canonical_kwargs`),
-so a replay re-serializes nothing.
+A hit is one key hash, one file read and one decode: the payload is
+stored as a CRC-32 followed by the ``marshal`` bytes of its
+JSON-normalized form (:func:`encode_payload`).
+
+The cache directory must be private to the user who runs the harness.
+The CRC-32 catches torn writes and damaged bytes, not a crafted file,
+and ``marshal`` is not hardened against one: an entry planted by
+another user could crash the interpreter.  The default
+``.harness-cache/`` is created with the process umask; a directory
+named by ``$REPRO_CACHE_DIR`` is trusted as given.
 """
 
 import hashlib
@@ -36,7 +41,8 @@ from repro.obs import telemetry
 #: v3: CRC-32 + ``marshal`` of the JSON-normalized payload, ``.tm`` files.
 CACHE_SCHEMA_VERSION = 3
 
-#: Environment variable overriding the cache directory.
+#: Environment variable overriding the cache directory, which must be
+#: writable by this user only (see the module docstring).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default cache directory (relative to the working directory).
@@ -44,10 +50,6 @@ DEFAULT_CACHE_DIR = ".harness-cache"
 
 
 _code_hash_cache = {}
-
-#: ``{__file__: package root}``: the default salt's root, derived once
-#: per value of this module's ``__file__``.
-_package_roots = {}
 
 
 def code_tree_hash(root=None):
@@ -58,12 +60,8 @@ def code_tree_hash(root=None):
     serve a simulation produced by different code.
     """
     if root is None:
-        root = _package_roots.get(__file__)
-        if root is None:
-            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            _package_roots[__file__] = root
-    else:
-        root = os.path.abspath(root)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.abspath(root)
     cached = _code_hash_cache.get(root)
     if cached is not None:
         return cached
@@ -85,30 +83,6 @@ def code_tree_hash(root=None):
     return result
 
 
-def canonical_kwargs(kwargs):
-    """Canonical JSON text of a trial's kwargs, the part of its key a
-    caller may build once and pass to :func:`cache_key_from_text`."""
-    return json.dumps(kwargs, sort_keys=True, separators=(",", ":"))
-
-
-def cache_key_from_text(fn, kwargs_text, salt=None):
-    """:func:`cache_key` of kwargs whose :func:`canonical_kwargs` text
-    is ``kwargs_text``.
-
-    The hashed bytes are the key-sorted, whitespace-free JSON of the
-    document ``{"fn", "kwargs", "salt", "schema"}``.  They are spliced
-    here rather than serialized whole, since ``json.dumps`` writes a
-    nested value the same way at any depth.
-    """
-    if salt is None:
-        salt = code_tree_hash()
-    canonical = (
-        f'{{"fn":{json.dumps(fn)},"kwargs":{kwargs_text},'
-        f'"salt":{json.dumps(salt)},"schema":{CACHE_SCHEMA_VERSION}}}'
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def cache_key(fn, kwargs, salt=None):
     """Content address of one trial.
 
@@ -116,7 +90,14 @@ def cache_key(fn, kwargs, salt=None):
     JSON-safe arguments, and ``salt`` overrides the code-tree hash
     (tests).
     """
-    return cache_key_from_text(fn, canonical_kwargs(kwargs), salt=salt)
+    document = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "salt": salt if salt is not None else code_tree_hash(),
+        "fn": fn,
+        "kwargs": kwargs,
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def encode_payload(payload):
@@ -144,7 +125,7 @@ def decode_payload(blob):
     is not a dict; bytes that pass the CRC but do not unmarshal raise
     whatever ``marshal.loads`` raises (``ValueError``, ``EOFError``,
     ``TypeError``).  ``marshal`` is not hardened against crafted input:
-    decode only bytes this program wrote.
+    decode only bytes this program wrote, from a private directory.
     """
     body = memoryview(blob)[4:]
     if zlib.crc32(body) != int.from_bytes(blob[:4], "little"):

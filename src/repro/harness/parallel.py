@@ -16,17 +16,15 @@ The pool is *warm*: created lazily on the first pooled grid and reused
 across ``run_grid`` calls and figures for the life of the process (or
 until :func:`shutdown_pool`), so only the first pooled grid pays
 process startup.  A grid with more than one uncached trial at
-``jobs > 1`` is one ``Pool.map`` over its trials, cut into the batches
-the standard library would pick for the pool's process count (passed
-explicitly and recorded as the ``pool.chunk_size`` gauge).
+``jobs > 1`` is one ``Pool.map`` over its trials; batching is the
+standard library's.
 
 Workers return payloads in the cache's own form, a CRC-32 plus the
 ``marshal`` bytes of the JSON-normalized payload (see
 ``repro.harness.cache.encode_payload``), which the parent stores in the
-cache verbatim and decodes once for merging.  A spec builds the
-canonical text of its kwargs once, so a warm replay costs one key hash,
-one file read and one ``marshal.loads`` per trial.  Snapshots are
-only computed when someone will consume them (an active
+cache verbatim and decodes once for merging; a warm replay costs one
+key hash, one file read and one ``marshal.loads`` per trial.
+Snapshots are only computed when someone will consume them (an active
 :func:`collecting_snapshots` sink, an enabled cache, or a worker that
 cannot defer the decision), so plain smoke runs pay nothing extra.
 """
@@ -39,12 +37,7 @@ import traceback
 from contextlib import contextmanager
 
 from repro.harness import runner
-from repro.harness.cache import (
-    cache_key_from_text,
-    canonical_kwargs,
-    decode_payload,
-    encode_payload,
-)
+from repro.harness.cache import cache_key, decode_payload, encode_payload
 from repro.obs import telemetry
 
 #: Registered trial functions: name -> callable returning one row dict.
@@ -81,11 +74,9 @@ class TrialSpec:
     A trial is a pure function of its kwargs and the code (a fault plan
     included: the trial builds it from its kwargs), so ``fn`` and
     ``kwargs`` are all the cache keys on beside the code-tree salt.
-    The canonical text of ``kwargs`` is built on the first :meth:`key`
-    call and reused, so ``kwargs`` must not be mutated after that.
     """
 
-    __slots__ = ("fn", "kwargs", "_kwargs_text")
+    __slots__ = ("fn", "kwargs")
 
     def __init__(self, fn, kwargs, engine=None):
         # ``engine`` is accepted and ignored: ``bench/workloads.py``
@@ -95,13 +86,10 @@ class TrialSpec:
             raise KeyError(f"unknown trial function {fn!r}")
         self.fn = fn
         self.kwargs = kwargs
-        self._kwargs_text = None
 
     def key(self, salt=None):
         """Content address of this trial (see :mod:`repro.harness.cache`)."""
-        if self._kwargs_text is None:
-            self._kwargs_text = canonical_kwargs(self.kwargs)
-        return cache_key_from_text(self.fn, self._kwargs_text, salt=salt)
+        return cache_key(self.fn, self.kwargs, salt=salt)
 
 
 class TrialExecutionError(RuntimeError):
@@ -390,16 +378,10 @@ def run_grid(specs, jobs=None, cache=_UNSET):
     if jobs > 1 and len(pending) > 1:
         n_procs = min(jobs, len(pending))
         pool = _ensure_pool(n_procs)
-        # ``Pool.map``'s own default for the pool's actual width (a warm
-        # pool may be wider than ``n_procs``), made explicit to record it.
-        chunk_size, extra = divmod(len(pending), len(pool._pool) * 4)
-        chunk_size += bool(extra)
-        rec.gauge("pool.chunk_size", chunk_size)
         start = time.perf_counter()
         with telemetry.telemetry_phase("dispatch"):
             results = pool.map(
-                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending],
-                chunk_size,
+                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending]
             )
         map_wall = time.perf_counter() - start
         busy = 0.0

@@ -278,23 +278,6 @@ class TestCacheKeys:
         assert with_engine.key(salt="s") == without.key(salt="s") == expected
         assert with_engine.key() == without.key()
 
-    def test_spec_serializes_its_kwargs_once(self, monkeypatch):
-        """A warm replay re-keys every spec; only the first ``key()``
-        call of a spec writes its kwargs as JSON, whatever the salt."""
-        calls = []
-        real = parallel.canonical_kwargs
-
-        def counting(kwargs):
-            calls.append(kwargs)
-            return real(kwargs)
-
-        monkeypatch.setattr(parallel, "canonical_kwargs", counting)
-        spec = _neuro_cell("spark")
-        keys = {spec.key(salt="s") for _ in range(3)}
-        assert keys == {cache_key(spec.fn, spec.kwargs, salt="s")}
-        assert spec.key() == cache_key(spec.fn, spec.kwargs)
-        assert calls == [spec.kwargs]
-
 
 class TestCodeTreeHash:
     """The one invalidation story: the default salt is a digest of
@@ -393,25 +376,6 @@ class TestTelemetry:
         assert snap["worker.worker-exec_s.count"] == len(specs)
         assert snap["worker.snapshot-serialize_s.count"] == len(specs)
         assert snap["cache.payload_bytes.count"] == len(specs)
-
-    def test_pool_records_the_chunk_size_it_passes(self):
-        """``Pool.map``'s default batching for the pool's real width,
-        passed explicitly and recorded: nine trials on two workers go
-        in batches of ceil(9 / (2 * 4)) = 2, and at ``jobs=2`` on a
-        warm pool of four in batches of ceil(9 / (4 * 4)) = 1."""
-        from repro.obs import telemetry
-
-        def chunk_size(jobs):
-            with telemetry.recording() as rec:
-                run_grid(specs, jobs=jobs, cache=None)
-            return rec.metrics.snapshot()["pool.chunk_size"]
-
-        shutdown_pool()
-        specs = [TrialSpec("test_cheap", {"i": i}) for i in range(9)]
-        assert chunk_size(2) == 2
-        assert chunk_size(4) == 1
-        assert chunk_size(2) == 1
-        assert parallel._pool_state["procs"] == 4
 
     def test_serial_path_records_worker_metrics(self):
         from repro.obs import telemetry

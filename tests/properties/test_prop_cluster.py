@@ -215,51 +215,6 @@ def test_schedule_equals_the_rescanning_reference(workload):
     assert got == reference_schedule(tasks, n_nodes, slots, memory_bytes)
 
 
-def _reference_collect_order(roots, completed, lost):
-    """The task ids ``SimulatedCluster._collect`` gathered, in order,
-    when it pushed every dependency and skipped at the pop."""
-    pending = {}
-    stack = list(roots)
-    while stack:
-        task = stack.pop()
-        if task.task_id in pending:
-            continue
-        if task.task_id in completed and task.task_id not in lost:
-            continue
-        pending[task.task_id] = task
-        stack.extend(task.dependencies())
-    return list(pending)
-
-
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_collection_order_equals_the_push_everything_reference(data):
-    """Dependencies that are collected already, or served by a live
-    result, are not pushed; what is collected, and in which order, is
-    what pushing every edge gave (shared dependencies, completed
-    prefixes and lost results included)."""
-    n_tasks = data.draw(st.integers(1, 30))
-    tasks = []
-    for index in range(n_tasks):
-        deps = data.draw(st.lists(
-            st.integers(0, index - 1), max_size=min(index, 5),
-        )) if index else []
-        tasks.append(Task(f"t{index}", duration=1.0,
-                          deps=[tasks[i] for i in deps], op=PSEUDO_OVERHEAD))
-    cluster = make_cluster(2, 2, 100)
-    done = data.draw(st.integers(0, n_tasks))
-    if done:
-        cluster.run(tasks[:done])
-    finished = sorted(cluster.completed)
-    if finished:
-        cluster._lost_results |= data.draw(st.sets(st.sampled_from(finished)))
-    roots = data.draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=4))
-    expected = _reference_collect_order(
-        roots, set(cluster.completed), set(cluster._lost_results)
-    )
-    assert list(cluster._collect(roots)) == expected
-
-
 # ----------------------------------------------------------------------
 # What ``obs.task_records`` says about a run
 # ----------------------------------------------------------------------
