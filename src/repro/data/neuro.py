@@ -130,7 +130,9 @@ def make_gradient_table(n_volumes=NEURO_N_VOLUMES, n_b0=None, seed=7):
     bvecs = np.zeros((n_volumes, 3))
     # Interleave b0 volumes through the acquisition, as HCP does.
     b0_positions = np.linspace(0, n_volumes - 1, n_b0).round().astype(int)
-    dw_positions = np.setdiff1d(np.arange(n_volumes), b0_positions)
+    is_b0 = np.zeros(n_volumes, dtype=bool)
+    is_b0[b0_positions] = True
+    dw_positions = np.flatnonzero(~is_b0)
     bvals[dw_positions] = B_VALUE
     bvecs[dw_positions] = directions
     return GradientTable(bvals, bvecs)

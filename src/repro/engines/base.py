@@ -24,7 +24,19 @@ def nominal_bytes_of(item):
     sum their members; ndarrays report their real size (they only occur
     for genuinely small payloads like masks at test scale); everything
     else counts as a small record.
+
+    The common record types are matched by exact type first; every
+    other item (subclasses included) takes the general chain below.
     """
+    kind = type(item)
+    if kind is SizedArray:
+        return item.nominal_bytes
+    if kind is tuple or kind is list:
+        return sum(map(nominal_bytes_of, item))
+    if kind is int or kind is float or item is None:
+        return SMALL_RECORD_BYTES
+    if kind is str:
+        return len(item)
     if isinstance(item, SizedArray):
         return item.nominal_bytes
     nominal = getattr(item, "nominal_bytes", None)

@@ -1,17 +1,1 @@
 """Dask lowering backend: translate logical plans into delayed graphs."""
-
-from repro.engines.dask.lowering import astro, neuro
-from repro.engines.dask.lowering.astro import LoweredAstro
-from repro.engines.dask.lowering.neuro import LoweredNeuro
-
-
-def lower(plan, ctx):
-    """Lower a logical plan against a Dask client ``ctx``."""
-    if plan.name == "neuro":
-        return LoweredNeuro(plan, ctx)
-    if plan.name == "astro":
-        return LoweredAstro(plan, ctx)
-    raise NotImplementedError(f"dask lowering: unknown plan {plan.name!r}")
-
-
-__all__ = ["LoweredAstro", "LoweredNeuro", "astro", "lower", "neuro"]

@@ -1,17 +1,1 @@
 """Myria lowering backend: emit MyriaL query text from logical plans."""
-
-from repro.engines.myria.lowering import astro, neuro
-from repro.engines.myria.lowering.astro import LoweredAstro
-from repro.engines.myria.lowering.neuro import LoweredNeuro
-
-
-def lower(plan, ctx):
-    """Lower a logical plan against a Myria connection ``ctx``."""
-    if plan.name == "neuro":
-        return LoweredNeuro(plan, ctx)
-    if plan.name == "astro":
-        return LoweredAstro(plan, ctx)
-    raise NotImplementedError(f"myria lowering: unknown plan {plan.name!r}")
-
-
-__all__ = ["LoweredAstro", "LoweredNeuro", "astro", "lower", "neuro"]

@@ -1,21 +1,5 @@
-"""SciDB lowering backend: AFL/AQL + convert-then-ingest subsets."""
+"""SciDB lowering backend: AFL/AQL + convert-then-ingest subsets.
 
-from repro.engines.scidb.lowering import astro, neuro
-from repro.engines.scidb.lowering.astro import LoweredAstro
-from repro.engines.scidb.lowering.neuro import LoweredNeuro
-
-
-def lower(plan, ctx):
-    """Lower a logical plan against a SciDB handle ``ctx``.
-
-    Both plans lower only partially (Table 1): the neuro lowering stops
-    at denoise, the astro lowering covers ingest + co-addition.
-    """
-    if plan.name == "neuro":
-        return LoweredNeuro(plan, ctx)
-    if plan.name == "astro":
-        return LoweredAstro(plan, ctx)
-    raise NotImplementedError(f"scidb lowering: unknown plan {plan.name!r}")
-
-
-__all__ = ["LoweredAstro", "LoweredNeuro", "astro", "lower", "neuro"]
+Both plans lower only partially (Table 1): the neuro lowering stops at
+denoise, the astro lowering covers ingest + co-addition.
+"""

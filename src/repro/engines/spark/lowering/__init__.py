@@ -1,17 +1,1 @@
 """Spark lowering backend: translate logical plans into RDD chains."""
-
-from repro.engines.spark.lowering import astro, neuro
-from repro.engines.spark.lowering.astro import LoweredAstro
-from repro.engines.spark.lowering.neuro import LoweredNeuro
-
-
-def lower(plan, ctx):
-    """Lower a logical plan against a SparkContext ``ctx``."""
-    if plan.name == "neuro":
-        return LoweredNeuro(plan, ctx)
-    if plan.name == "astro":
-        return LoweredAstro(plan, ctx)
-    raise NotImplementedError(f"spark lowering: unknown plan {plan.name!r}")
-
-
-__all__ = ["LoweredAstro", "LoweredNeuro", "astro", "lower", "neuro"]

@@ -3,19 +3,3 @@
 Only the neuro plan lowers (and only through denoise); the paper did
 not implement the astronomy use case in TensorFlow (Table 1).
 """
-
-from repro.engines.tensorflow.lowering import neuro
-from repro.engines.tensorflow.lowering.neuro import LoweredNeuro
-
-
-def lower(plan, ctx):
-    """Lower a logical plan against a TF session ``ctx``."""
-    if plan.name == "neuro":
-        return LoweredNeuro(plan, ctx)
-    raise NotImplementedError(
-        f"the {plan.name!r} plan has no TensorFlow lowering"
-        " (the astronomy use case was not implemented; Table 1)"
-    )
-
-
-__all__ = ["LoweredNeuro", "lower", "neuro"]

@@ -6,6 +6,8 @@ of the paper: 145x145x174x288 float32 per dMRI subject, 4000x4072
 pixels per astronomy sensor exposure.  :class:`SizedArray` carries both.
 """
 
+import math
+
 import numpy as np
 
 
@@ -27,11 +29,11 @@ class SizedArray:
         self.array = np.asarray(array)
         if nominal_shape is None:
             nominal_shape = self.array.shape
-        self.nominal_shape = tuple(int(d) for d in nominal_shape)
-        if any(d <= 0 for d in self.nominal_shape):
+        shape = self.nominal_shape = tuple(map(int, nominal_shape))
+        if shape and min(shape) <= 0:
             raise ValueError(f"nominal shape must be positive: {nominal_shape}")
         #: Size in bytes at the paper's nominal data scale.
-        self.nominal_bytes = self.nominal_elements * self.array.dtype.itemsize
+        self.nominal_bytes = math.prod(shape) * self.array.dtype.itemsize
         self.meta = dict(meta or {})
 
     # ------------------------------------------------------------------
@@ -41,10 +43,7 @@ class SizedArray:
     @property
     def nominal_elements(self):
         """Element count at the paper's nominal data scale."""
-        n = 1
-        for d in self.nominal_shape:
-            n *= d
-        return n
+        return math.prod(self.nominal_shape)
 
     @property
     def scale_factor(self):

@@ -25,8 +25,9 @@ Workers return payloads in the cache's own form, a CRC-32 plus the
 cache verbatim and decodes once for merging; a warm replay costs one
 key hash, one file read and one ``marshal.loads`` per trial.
 Snapshots are only computed when someone will consume them (an active
-:func:`collecting_snapshots` sink, an enabled cache, or a worker that
-cannot defer the decision), so plain smoke runs pay nothing extra.
+:func:`collecting_snapshots` sink or an enabled cache); the parent
+decides, and pooled workers are told in their task, so plain smoke
+runs pay nothing extra.
 """
 
 import atexit
@@ -236,7 +237,7 @@ def _run_one(args):
     still return, and the parent re-raises with the original traceback
     after completing the submission-order merge.
     """
-    fn_name, kwargs = args
+    fn_name, kwargs, want_snapshots = args
     # Under the spawn start method the registry is empty until the
     # experiment definitions are imported.
     if fn_name not in TRIAL_FNS:
@@ -250,7 +251,9 @@ def _run_one(args):
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        payload = _execute_trial(fn_name, kwargs, True, timings=timings)
+        payload = _execute_trial(
+            fn_name, kwargs, want_snapshots, timings=timings
+        )
         start = time.perf_counter()
         blob = encode_payload(payload)
         timings["snapshot-serialize"] = (
@@ -380,9 +383,10 @@ def run_grid(specs, jobs=None, cache=_UNSET):
         pool = _ensure_pool(n_procs)
         start = time.perf_counter()
         with telemetry.telemetry_phase("dispatch"):
-            results = pool.map(
-                _run_one, [(specs[i].fn, specs[i].kwargs) for i in pending]
-            )
+            results = pool.map(_run_one, [
+                (specs[i].fn, specs[i].kwargs, want_snapshots)
+                for i in pending
+            ])
         map_wall = time.perf_counter() - start
         busy = 0.0
         with telemetry.telemetry_phase("row-assemble"):
@@ -396,10 +400,6 @@ def run_grid(specs, jobs=None, cache=_UNSET):
                     continue
                 encoded[i] = wrapped["payload"]
                 payloads[i] = decode_payload(encoded[i])
-                if not want_snapshots:
-                    # Workers cannot defer the decision; keep the
-                    # payload shape identical to an inline run.
-                    payloads[i].pop("snapshots", None)
         rec.gauge("pool.utilization", busy / max(n_procs * map_wall, 1e-9))
     elif pending:
         timings = {}

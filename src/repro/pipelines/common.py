@@ -157,20 +157,34 @@ def volume_block(volume, n_blocks, index):
 
 def _block_bounds(volume, n_blocks):
     """Real and nominal z bounds of the blocks (at most one per real
-    slice)."""
+    slice), as lists of Python ints."""
     nz_real = volume.array.shape[0]
     n_blocks = min(n_blocks, nz_real)
     return (
-        np.linspace(0, nz_real, n_blocks + 1).astype(int),
-        np.linspace(0, volume.nominal_shape[0], n_blocks + 1).astype(int),
+        _even_bounds(nz_real, n_blocks),
+        _even_bounds(volume.nominal_shape[0], n_blocks),
     )
+
+
+def _even_bounds(stop, n):
+    """``np.linspace(0, stop, n + 1).astype(int)``, computed as numpy
+    computes it: ``i * (stop / n)`` truncated, the last bound ``stop``.
+
+    ``i * stop // n`` is not the same (stop 30, n 22 differ).
+    """
+    if n < 1:
+        if n < -1:
+            raise ValueError(f"Number of samples, {n + 1}, must be non-negative.")
+        return [0] * (n + 1)
+    step = stop / n
+    return [int(i * step) for i in range(n)] + [stop]
 
 
 def _block(volume, bounds, index):
     real, nominal = bounds
     nominal_shape = (
-        int(nominal[index + 1] - nominal[index]),
-    ) + tuple(volume.nominal_shape[1:])
+        nominal[index + 1] - nominal[index],
+    ) + volume.nominal_shape[1:]
     return SizedArray(volume.array[real[index]:real[index + 1]],
                       nominal_shape=nominal_shape, meta=volume.meta)
 

@@ -2,10 +2,11 @@
 
 Both scientific pipelines are defined exactly once here
 (:func:`neuro_plan`, :func:`astro_plan`); each engine translates a plan
-into its native execution model through
-``repro.engines.<engine>.lowering.lower(plan, ctx)``.  :func:`lower`
-dispatches by engine name so harness code never imports a lowering
-module directly.
+into its native execution model through the ``Lowered<Plan>`` class of
+its ``repro.engines.<engine>.lowering.<plan name>`` module.
+:func:`lower` imports that one module, so harness code never imports a
+lowering module directly and a process compiles only the lowerings it
+runs.
 """
 
 from importlib import import_module
@@ -30,7 +31,7 @@ from repro.plan.route import (
     supports,
 )
 
-# Engine name -> module that exposes lower(plan, ctx).
+# Engine name -> package holding one lowering module per plan name.
 ENGINE_LOWERINGS = {
     "spark": "repro.engines.spark.lowering",
     "dask": "repro.engines.dask.lowering",
@@ -49,10 +50,27 @@ def lower(plan, engine, ctx):
     for plan/engine combinations the paper marks NA.
     """
     try:
-        module_name = ENGINE_LOWERINGS[engine]
+        package = ENGINE_LOWERINGS[engine]
     except KeyError:
         raise PlanError(f"no lowering backend for engine {engine!r}")
-    return import_module(module_name).lower(plan, ctx)
+    lowered = None
+    if plan.name.isidentifier():
+        module_name = f"{package}.{plan.name}"
+        try:
+            module = import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name != module_name:
+                raise
+        else:
+            lowered = getattr(module, f"Lowered{plan.name.capitalize()}", None)
+    if lowered is None and engine == "tensorflow":
+        raise NotImplementedError(
+            f"the {plan.name!r} plan has no TensorFlow lowering"
+            " (the astronomy use case was not implemented; Table 1)"
+        )
+    if lowered is None:
+        raise NotImplementedError(f"{engine} lowering: unknown plan {plan.name!r}")
+    return lowered(plan, ctx)
 
 
 __all__ = [

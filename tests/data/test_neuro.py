@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.data.catalog import NEURO_N_VOLUMES, NEURO_VOLUME_SHAPE
-from repro.data.neuro import generate_subject, make_gradient_table
+from repro.data.catalog import NEURO_N_B0, NEURO_N_VOLUMES, NEURO_VOLUME_SHAPE
+from repro.data.neuro import B_VALUE, generate_subject, make_gradient_table
 from repro.formats.nifti import nifti_bytes, read_nifti
 from repro.formats.sizing import SizedArray
 import io
@@ -132,6 +132,37 @@ def test_gradient_table_small_counts():
 def test_gradient_table_validation():
     with pytest.raises(ValueError):
         make_gradient_table(n_volumes=5)
+
+
+def _reference_gradient_table(n_volumes, n_b0):
+    """``make_gradient_table``'s arrays with the diffusion-weighted
+    positions found by ``np.setdiff1d``, the form before the b0 mask."""
+    n_dw = n_volumes - n_b0
+    indices = np.arange(n_dw, dtype=np.float64)
+    golden = (1 + 5 ** 0.5) / 2
+    theta = 2 * np.pi * indices / golden
+    z = 1 - 2 * (indices + 0.5) / n_dw
+    r = np.sqrt(np.maximum(0.0, 1 - z * z))
+    directions = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    bvals = np.zeros(n_volumes)
+    bvecs = np.zeros((n_volumes, 3))
+    b0_positions = np.linspace(0, n_volumes - 1, n_b0).round().astype(int)
+    dw_positions = np.setdiff1d(np.arange(n_volumes), b0_positions)
+    bvals[dw_positions] = B_VALUE
+    bvecs[dw_positions] = directions
+    return bvals, bvecs
+
+
+@pytest.mark.parametrize("n_b0", [None, 2, 3, 5, 18])
+def test_gradient_table_matches_the_setdiff1d_form(n_b0):
+    for n_volumes in range(10, 1000):
+        count = n_b0 or max(2, round(n_volumes * NEURO_N_B0 / NEURO_N_VOLUMES))
+        if n_volumes - count < 7:
+            continue
+        gtab = make_gradient_table(n_volumes=n_volumes, n_b0=n_b0)
+        bvals, bvecs = _reference_gradient_table(n_volumes, count)
+        assert gtab.bvals.tobytes() == bvals.tobytes()
+        assert gtab.bvecs.tobytes() == bvecs.tobytes()
 
 
 def test_gradient_directions_spread():

@@ -7,8 +7,14 @@ using miniature datasets so the whole module finishes in under a couple
 of minutes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.harness import experiments as E
 from repro.harness.figures import FIGURES, grid
 
@@ -145,3 +151,26 @@ def test_experiments_imports_no_lowering_module():
                 f"{node.module}.{alias.name}" for alias in node.names
             ]
     assert [name for name in imported if lowering.match(name)] == []
+
+
+def test_neuro_trials_load_no_masked_arrays_and_no_astro_lowering():
+    """A fresh process that runs Figure 10c cells (one subject, every
+    engine) and every Figure 12a step never imports ``numpy.ma`` (which
+    costs every process milliseconds and a megabyte) and compiles no
+    astronomy lowering: ``repro.plan.lower`` imports only the lowering
+    module of the plan it lowers."""
+    script = (
+        "import sys\n"
+        "from repro.harness.figures import grid\n"
+        "grid('fig10c', True, count=(1,))\n"
+        "grid('fig12a', True)\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.engines')"
+        " and m.endswith('.lowering.astro')))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]

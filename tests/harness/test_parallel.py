@@ -212,6 +212,25 @@ class TestSnapshotSinks:
         )
         assert all("snapshots" not in p for p in payloads)
 
+    def test_pooled_workers_build_no_snapshot_without_consumer(
+            self, monkeypatch):
+        """The parent tells pooled workers whether anyone consumes
+        snapshots; with no sink and no cache they build none, and the
+        payloads equal an inline run's."""
+        specs = _tiny_specs(include_fault_trial=False)
+        inline = run_grid(specs, jobs=1, cache=None)
+
+        def refuse(cluster):
+            raise AssertionError("a snapshot nobody consumes")
+
+        shutdown_pool()  # fork the workers with ``refuse`` in place
+        monkeypatch.setattr(parallel, "_snapshot_cluster", refuse)
+        try:
+            pooled = run_grid(specs, jobs=2, cache=None)
+        finally:
+            shutdown_pool()
+        assert _canon(pooled) == _canon(inline)
+
     def test_nested_sinks_both_receive(self):
         specs = _tiny_specs(include_fault_trial=False)
         with collecting_snapshots() as outer:

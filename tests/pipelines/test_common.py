@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.costs import CostModel
 from repro.formats.sizing import SizedArray
@@ -150,3 +152,57 @@ def test_each_dask_block_is_the_matching_block_of_the_split(monkeypatch):
         assert block.array.tobytes() == whole.array.tobytes()
         assert block.nominal_shape == whole.nominal_shape
         assert block.meta == whole.meta
+
+
+def _reference_block_bounds(volume, n_blocks):
+    """``_block_bounds`` as two ``np.linspace`` calls: the oracle for
+    the bounds tests below and for ``benchmarks/test_sizing.py``."""
+    nz_real = volume.array.shape[0]
+    n_blocks = min(n_blocks, nz_real)
+    return (
+        np.linspace(0, nz_real, n_blocks + 1).astype(int),
+        np.linspace(0, volume.nominal_shape[0], n_blocks + 1).astype(int),
+    )
+
+
+def test_even_bounds_equal_linspace_over_every_nominal_z():
+    """Every stop up to 2100 (nominal z is at most 174 x 12) and every
+    block count up to 32, as Python ints."""
+    for n in range(1, 33):
+        for stop in range(2101):
+            bounds = common._even_bounds(stop, n)
+            assert bounds == np.linspace(0, stop, n + 1).astype(int).tolist()
+            assert all(type(b) is int for b in bounds)
+
+
+@given(st.integers(0, 200_000), st.integers(1, 64))
+@settings(max_examples=500, deadline=None)
+def test_even_bounds_equal_linspace_at_larger_stops(stop, n):
+    assert common._even_bounds(stop, n) == (
+        np.linspace(0, stop, n + 1).astype(int).tolist())
+
+
+@pytest.mark.parametrize("n_blocks", [-1, 0, 1, 3, 8, 40])
+@pytest.mark.parametrize("shape, nominal", [
+    ((9, 8, 8), (145, 145, 174)),
+    ((29, 29, 32), (145, 145, 174)),
+    ((3, 4, 4), (20, 4, 4)),
+    ((7, 2, 2), (7, 2, 2)),
+])
+def test_block_bounds_match_the_linspace_form(shape, nominal, n_blocks):
+    vol = _volume(shape=shape, nominal=nominal)
+    real, nominal_bounds = common._block_bounds(vol, n_blocks)
+    ref_real, ref_nominal = _reference_block_bounds(vol, n_blocks)
+    assert real == ref_real.tolist()
+    assert nominal_bounds == ref_nominal.tolist()
+    assert len(common.split_volume_blocks(vol, n_blocks)) == max(
+        0, len(ref_real) - 1)
+
+
+def test_block_bounds_refuse_what_linspace_refuses():
+    vol = _volume()
+    with pytest.raises(ValueError, match="Number of samples, -1") as ours:
+        common._block_bounds(vol, -2)
+    with pytest.raises(ValueError) as numpy_error:
+        _reference_block_bounds(vol, -2)
+    assert str(ours.value) == str(numpy_error.value)
