@@ -174,7 +174,8 @@ def _even_bounds(stop, n):
     """
     if n < 1:
         if n < -1:
-            raise ValueError(f"Number of samples, {n + 1}, must be non-negative.")
+            raise ValueError(
+                f"Number of samples, {n + 1}, must be non-negative.")
         return [0] * (n + 1)
     step = stop / n
     return [int(i * step) for i in range(n)] + [stop]

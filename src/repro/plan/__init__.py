@@ -63,14 +63,14 @@ def lower(plan, engine, ctx):
                 raise
         else:
             lowered = getattr(module, f"Lowered{plan.name.capitalize()}", None)
-    if lowered is None and engine == "tensorflow":
+    if lowered is not None:
+        return lowered(plan, ctx)
+    if engine == "tensorflow":
         raise NotImplementedError(
             f"the {plan.name!r} plan has no TensorFlow lowering"
             " (the astronomy use case was not implemented; Table 1)"
         )
-    if lowered is None:
-        raise NotImplementedError(f"{engine} lowering: unknown plan {plan.name!r}")
-    return lowered(plan, ctx)
+    raise NotImplementedError(f"{engine} lowering: unknown plan {plan.name!r}")
 
 
 __all__ = [
