@@ -232,8 +232,16 @@ class SimulatedCluster:
         A task that completed earlier but whose result died with a
         crashed node is collected again: resubmitting it (or anything
         depending on it) recomputes it from lineage.
+
+        An upstream tuple that several tasks share (an ``Upstream``) is
+        pushed once.  When a second holder is popped, every task the
+        first push put on the stack has been taken off it, since the
+        holder cannot depend on them (a task's dependencies exist before
+        it, so the graph has no cycle): a second push would only find
+        them collected or skipped.
         """
         pending = {}
+        pushed = set()
         stack = list(tasks)
         while stack:
             task = stack.pop()
@@ -246,7 +254,10 @@ class SimulatedCluster:
                     continue
                 self._resurrect(task)
             pending[task.task_id] = task
-            stack.extend(task.dependencies())
+            upstream = task.dependencies()
+            if id(upstream) not in pushed:
+                pushed.add(id(upstream))
+                stack.extend(upstream)
         return pending
 
     def _resurrect(self, task):

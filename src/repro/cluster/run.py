@@ -72,6 +72,12 @@ class Run:
         #: ``seq`` of the events, still in the heap, of attempts that
         #: died with their node.
         self.cancelled = set()
+        #: The upstream tuple of the task last started, and those of its
+        #: tasks with output bytes to move.  A shuffle's reducers share
+        #: one (an ``Upstream``) and start in a row, so it is filtered
+        #: once for them; a rebuild, which may rerun an upstream task,
+        #: clears it.
+        self.sized_upstream = (None, ())
         self.initial_total = len(pending)
         self.completions = 0
         #: Count of crash and recover events currently in the heap, so
@@ -177,19 +183,24 @@ class Run:
 
         Called once at run start and again after every crash, when
         requeued and resurrected tasks invalidate the incremental
-        waiting-dependency counts.
+        waiting-dependency counts.  Tasks that share one upstream tuple
+        (the ``Upstream`` of a shuffle's reducers) come in a row, and its
+        open dependencies and ids are derived once for the row.
         """
         completed = self.completed
         self.waiting_deps.clear()
         self.dependents.clear()
         self.ready.clear()
         self.oom_waiting.clear()
+        self.sized_upstream = (None, ())
+        upstream = None
         for task in self.pending.values():
             if task.task_id in completed or task.task_id in self.inflight:
                 continue
-            open_deps = [
-                d for d in task.dependencies() if d.task_id not in completed
-            ]
+            if task.dependencies() is not upstream:
+                upstream = task.dependencies()
+                open_deps = [d for d in upstream if d.task_id not in completed]
+                dep_ids = tuple(d.task_id for d in upstream)
             for dep in open_deps:
                 if dep.task_id not in self.pending:
                     raise TaskFailedError(
@@ -202,7 +213,7 @@ class Run:
                     )
                 self.dependents.setdefault(dep.task_id, []).append(task)
             self.waiting_deps[task.task_id] = len(open_deps)
-            record = self.open_record(task, time)
+            record = self.open_record(task, time, dep_ids)
             if open_deps:
                 record.ready = None
             else:
@@ -210,8 +221,9 @@ class Run:
                     record.ready = time
                 self.ready.add(task, time)
 
-    def open_record(self, task, time):
-        """The record of ``task`` as it is (re)admitted at ``time``.
+    def open_record(self, task, time, dep_ids):
+        """The record of ``task`` as it is (re)admitted at ``time``;
+        ``dep_ids`` are the ids of its upstream tasks.
 
         A task resurrected after a crash starts a fresh record; one that
         an aborted run admitted before keeps its own, first ``queued``
@@ -226,7 +238,7 @@ class Run:
                 task.name, None, None, None, task_id=tid,
                 category=task.category, op=task.op, queued=time,
                 not_before=task.not_before, compute_s=0.0,
-                dep_ids=[d.task_id for d in task.dependencies()],
+                dep_ids=dep_ids,
                 retried=resurrected,
             )
             if resurrected and self.policy.recompute_category:
@@ -367,14 +379,18 @@ class Run:
                 for a in task.args]
         kwargs = {k: completed[v.task_id].value if isinstance(v, Task) else v
                   for k, v in task.kwargs.items()}
+        upstream, sized = self.sized_upstream
+        if task._dependencies is not upstream:
+            upstream = task._dependencies
+            sized = [dep for dep in upstream if dep.output_bytes > 0]
+            self.sized_upstream = (upstream, sized)
         transfer = 0.0
-        for dep in task._dependencies:
-            if dep.output_bytes > 0:
-                source = completed[dep.task_id].node
-                if source != node.name:
-                    transfer += cluster.network.transfer_time(
-                        dep.output_bytes, source, node.name
-                    )
+        for dep in sized:
+            source = completed[dep.task_id].node
+            if source != node.name:
+                transfer += cluster.network.transfer_time(
+                    dep.output_bytes, source, node.name
+                )
         # Real computation runs first so that cost callables may price
         # the work from its actual outputs.
         faults = cluster._faults

@@ -19,6 +19,21 @@ from repro.obs.spans import check_op
 _task_counter = itertools.count()
 
 
+class Upstream(tuple):
+    """Distinct tasks, in first-seen order: a ``deps`` that many tasks
+    share, such as the maps every reducer of a shuffle depends on.
+
+    Repeats are dropped once, here.  A task given one (and no task in
+    its arguments) keeps it as its upstream tuple, so the executor walks
+    it once per run, not once per holder.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tasks=()):
+        return super().__new__(cls, {task.task_id: task for task in tasks}.values())
+
+
 class Task:
     """One schedulable unit of work.
 
@@ -117,7 +132,7 @@ class Task:
         self.kwargs = dict(kwargs or {})
         self.duration = duration
         self.node = node
-        self.deps = tuple(deps)
+        self.deps = deps if type(deps) is Upstream else tuple(deps)
         self.memory_bytes = int(memory_bytes)
         self.output_bytes = int(output_bytes)
         self.on_oom = on_oom
@@ -126,13 +141,15 @@ class Task:
         self.op = op
         # ``deps``, ``args`` and ``kwargs`` are never reassigned, so the
         # upstream set is fixed here, once.
+        task_args = [arg for arg in (*self.args, *self.kwargs.values())
+                     if isinstance(arg, Task)]
+        if type(self.deps) is Upstream and not task_args:
+            # Distinct already, and shared with its other holders.
+            self._dependencies = self.deps
+            return
         seen = {dep.task_id: dep for dep in self.deps}
-        for arg in self.args:
-            if isinstance(arg, Task):
-                seen[arg.task_id] = arg
-        for arg in self.kwargs.values():
-            if isinstance(arg, Task):
-                seen[arg.task_id] = arg
+        for arg in task_args:
+            seen[arg.task_id] = arg
         self._dependencies = tuple(seen.values())
 
     def dependencies(self):

@@ -207,7 +207,7 @@ class LoweredNeuro(LoweredPlan):
         def fit_block(mask, block_index, *blocks):
             stacked = np.stack([b.array for b in blocks], axis=-1)
             nz = mask.shape[0]
-            bounds = np.linspace(0, nz, min(n_blocks, nz) + 1).astype(int)
+            bounds = common.block_z_bounds(nz, n_blocks)
             mask_block = mask[bounds[block_index]:bounds[block_index + 1]]
             evals = fit_dtm(stacked, gtab, mask=mask_block)
             fa = fractional_anisotropy(evals)

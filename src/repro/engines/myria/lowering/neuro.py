@@ -155,7 +155,7 @@ def make_loader(subjects):
 
 def _block_of(block, n_blocks, nz):
     """Recover the mask slice for a voxel block from its z extent."""
-    bounds = np.linspace(0, nz, min(n_blocks, nz) + 1).astype(int)
+    bounds = common.block_z_bounds(nz, n_blocks)
     slices = [slice(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     block_id = block.meta.get("block_id")
     if block_id is not None:

@@ -221,5 +221,5 @@ class LoweredNeuro(ChainWalker):
 
 
 def _block_slices(nz, n_blocks):
-    bounds = np.linspace(0, nz, min(n_blocks, nz) + 1).astype(int)
+    bounds = common.block_z_bounds(nz, n_blocks)
     return [slice(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]

@@ -8,7 +8,7 @@ for Spark/Myria trailing Dask on large inputs (Section 5.1: "must thus
 wait for the preceding step to output the entire RDD").
 """
 
-from repro.cluster.task import Task
+from repro.cluster.task import Task, Upstream
 from repro.engines.base import nominal_bytes_of
 from repro.engines.spark.partitioner import HashPartitioner
 from repro.engines.spark.rdd import NARROW_OPS, SOURCE_OPS, WIDE_OPS
@@ -434,7 +434,7 @@ class SparkScheduler:
 
         # Lineage links to every map-side partition (a wide dependency):
         # lost shuffle outputs recompute first.
-        deps = [p.task for p in upstream if p.task is not None]
+        deps = Upstream(p.task for p in upstream if p.task is not None)
         tasks = []
         for reducer in range(n_reducers):
 

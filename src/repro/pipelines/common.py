@@ -155,14 +155,20 @@ def volume_block(volume, n_blocks, index):
     return _block(volume, bounds, index)
 
 
+def block_z_bounds(nz, n_blocks):
+    """Real z bounds of the blocks :func:`split_volume_blocks` cuts from
+    a volume ``nz`` slices deep, as Python ints: lowerings cut the brain
+    mask by them, so mask blocks line up with volume blocks."""
+    return _even_bounds(nz, min(n_blocks, nz))
+
+
 def _block_bounds(volume, n_blocks):
     """Real and nominal z bounds of the blocks (at most one per real
     slice), as lists of Python ints."""
     nz_real = volume.array.shape[0]
-    n_blocks = min(n_blocks, nz_real)
     return (
-        _even_bounds(nz_real, n_blocks),
-        _even_bounds(volume.nominal_shape[0], n_blocks),
+        block_z_bounds(nz_real, n_blocks),
+        _even_bounds(volume.nominal_shape[0], min(n_blocks, nz_real)),
     )
 
 

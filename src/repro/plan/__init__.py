@@ -47,7 +47,8 @@ def lower(plan, engine, ctx):
     ``ctx`` is the engine's native entry point (SparkContext, Dask
     client, Myria connection, SciDB handle, TF session).  Returns the
     engine's lowered-pipeline object; raises :class:`NotImplementedError`
-    for plan/engine combinations the paper marks NA.
+    for plan/engine combinations the paper marks NA (with the reason
+    :func:`supports` gives) and for plans the engine has no module for.
     """
     try:
         package = ENGINE_LOWERINGS[engine]
@@ -65,11 +66,10 @@ def lower(plan, engine, ctx):
             lowered = getattr(module, f"Lowered{plan.name.capitalize()}", None)
     if lowered is not None:
         return lowered(plan, ctx)
-    if engine == "tensorflow":
+    level, reason = supports(plan.name, engine)
+    if level == "na":
         raise NotImplementedError(
-            f"the {plan.name!r} plan has no TensorFlow lowering"
-            " (the astronomy use case was not implemented; Table 1)"
-        )
+            f"{engine} cannot lower the {plan.name!r} plan: {reason}")
     raise NotImplementedError(f"{engine} lowering: unknown plan {plan.name!r}")
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
+from repro.cluster.task import Upstream
 from repro.cluster.errors import (
     OutOfMemoryError,
     PlacementError,
@@ -240,3 +241,59 @@ def test_bad_price_after_a_good_one_fails_mid_run(cluster, price):
 def test_task_trace_records_names(cluster):
     cluster.run([Task("traced", duration=1.0, op=PSEUDO_OVERHEAD)])
     assert any(r.name == "traced" for r in cluster.obs.task_records)
+
+
+def test_upstream_drops_repeats_in_first_seen_order():
+    a, b, c = (Task(name, op=PSEUDO_OVERHEAD) for name in "abc")
+    assert Upstream([b, a, b, c, a]) == (b, a, c)
+
+
+def test_a_task_keeps_a_shared_upstream_unless_its_arguments_add_tasks():
+    a, b, c = (Task(name, op=PSEUDO_OVERHEAD) for name in "abc")
+    shared = Upstream([a, b])
+    assert Task("r", deps=shared, op=PSEUDO_OVERHEAD).dependencies() is shared
+    with_arg = Task("r", fn=lambda x: x, args=(c,), deps=shared,
+                    op=PSEUDO_OVERHEAD)
+    assert with_arg.dependencies() == (a, b, c)
+    # A plain tuple is deduplicated by each task, as before.
+    assert Task("r", deps=[a, b, a], op=PSEUDO_OVERHEAD).dependencies() == (a, b)
+
+
+def _shuffle_records(make_deps, one_run):
+    """Maps with bytes to move on every node, then reducers that each
+    depend on every map: ``(name, node, start, end, transfer_s, deps)``
+    of every record, dependencies named, and the makespan."""
+    cluster = SimulatedCluster(ClusterSpec(n_nodes=2))
+    maps = [
+        Task(f"m{i}", duration=0.5 + 0.1 * i, node=f"node-{i % 2}",
+             output_bytes=(i % 3) * 40 * 1024 ** 2, op=PSEUDO_OVERHEAD)
+        for i in range(6)
+    ]
+    deps = make_deps(maps)
+    reducers = [Task(f"r{i}", duration=1.0, deps=deps(), op=PSEUDO_OVERHEAD)
+                for i in range(20)]
+    if not one_run:
+        cluster.run(maps)
+    cluster.run(reducers)
+    names = {t.task_id: t.name for t in maps + reducers}
+    return [
+        (r.name, r.node, r.start, r.end, r.transfer_s,
+         [names[d] for d in r.dep_ids])
+        for r in cluster.obs.task_records
+    ], cluster.now
+
+
+@pytest.mark.parametrize("one_run", [False, True])
+def test_reducers_sharing_an_upstream_run_as_with_their_own_deps(one_run):
+    """The executor walks a shared ``Upstream`` once a run; the records
+    (placement, times, transfers, dependency ids) are those of reducers
+    each given a list of their own."""
+    def own(maps):
+        return lambda: list(maps)
+
+    def shared(maps):
+        upstream = Upstream(maps)
+        return lambda: upstream
+
+    assert (_shuffle_records(shared, one_run)
+            == _shuffle_records(own, one_run))

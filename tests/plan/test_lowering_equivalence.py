@@ -24,7 +24,7 @@ from repro.pipelines.astro.reference import run_reference as astro_reference
 from repro.pipelines.astro.staging import stage_visits
 from repro.pipelines.neuro.reference import run_reference as neuro_reference
 from repro.pipelines.neuro.staging import stage_subjects
-from repro.plan import LogicalPlan, PlanError, astro_plan, lower, neuro_plan
+from repro.plan import LogicalPlan, astro_plan, lower, neuro_plan
 
 _CTX = {
     "spark": SparkContext,
@@ -159,7 +159,8 @@ def test_tensorflow_refuses_astro_plan():
         lower(astro_plan(), "tensorflow", TfSession(cluster))
 
 
-@pytest.mark.parametrize("engine", ["dask", "myria", "scidb", "spark"])
+@pytest.mark.parametrize("engine",
+                         ["dask", "myria", "scidb", "spark", "tensorflow"])
 @pytest.mark.parametrize("name", ["genomics", "walker", "neuro.x", "Neuro"])
 def test_a_plan_without_a_lowering_module_is_refused(engine, name):
     """``lower`` imports ``<engine>.lowering.<plan name>``; a name with
@@ -169,17 +170,6 @@ def test_a_plan_without_a_lowering_module_is_refused(engine, name):
     with pytest.raises(NotImplementedError) as refused:
         lower(plan, engine, _CTX[engine](_cluster(engine)))
     assert str(refused.value) == f"{engine} lowering: unknown plan {name!r}"
-
-
-def test_tensorflow_refuses_every_plan_but_neuro():
-    plan = LogicalPlan(name="genomics", ops=neuro_plan().ops)
-    with pytest.raises(NotImplementedError) as refused:
-        lower(plan, "tensorflow", TfSession(_cluster("tensorflow")))
-    assert str(refused.value) == (
-        "the 'genomics' plan has no TensorFlow lowering"
-        " (the astronomy use case was not implemented; Table 1)")
-    with pytest.raises(PlanError, match="no lowering backend"):
-        lower(neuro_plan(), "hadoop", None)
 
 
 # ----------------------------------------------------------------------
