@@ -21,11 +21,7 @@ from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import median_otsu, otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
 from repro.algorithms.sources import Source, detect_sources, label_regions
-from repro.algorithms.stencil import (
-    convolve3d,
-    median_filter_3d,
-    uniform_filter_2d,
-)
+from repro.algorithms.stencil import convolve3d, median_filter_3d
 
 __all__ = [
     "GradientTable",
@@ -49,5 +45,4 @@ __all__ = [
     "sigma_clip_stack",
     "subtract_background",
     "tensor_eigenvalues",
-    "uniform_filter_2d",
 ]

@@ -9,6 +9,8 @@ resolution.
 
 import numpy as np
 
+from repro.algorithms.stencil import median
+
 
 _CLIP_ITERATIONS = 3
 
@@ -34,7 +36,7 @@ def _sigma_clipped_medians(boxes, n_sigma):
             by_size.setdefault(values.size, []).append(index)
         for size, members in by_size.items():
             rows = np.stack([active[index] for index in members])
-            row_medians = np.median(rows, axis=1)
+            row_medians = median(rows, axis=1)
             medians[members] = row_medians
             if iteration == _CLIP_ITERATIONS:
                 continue  # the median of what the last clip left

@@ -12,6 +12,7 @@ LA-Cosmic-style algorithms in simplified form.
 import numpy as np
 
 from repro.algorithms.stencil import (
+    median,
     median_filter_2d,
     sliding_windows,
     window_medians,
@@ -43,7 +44,7 @@ def detect_cosmic_rays(image, variance=None, n_sigma=6.0, radius=2,
         noise = np.sqrt(np.maximum(variance, 1e-12))
     else:
         # Robust global noise: 1.4826 * median absolute deviation.
-        mad = np.median(np.abs(residual - np.median(residual)))
+        mad = median(np.abs(residual - median(residual)))
         noise = np.maximum(1.4826 * mad, 1e-12)
     sharp = residual > n_sigma * noise
 

@@ -50,14 +50,6 @@ class SkyBox:
             return None
         return SkyBox(y0, x0, y1 - y0, x1 - x0)
 
-    def area(self):
-        """Box area in pixels."""
-        return self.height * self.width
-
-    def contains(self, y, x):
-        """Whether the point lies inside the box."""
-        return self.y0 <= y < self.y1 and self.x0 <= x < self.x1
-
 
 class PatchGrid:
     """A fixed tiling of the sky into rectangular patches.

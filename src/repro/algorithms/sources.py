@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.memo import memoized
+from repro.algorithms.stencil import median
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,17 @@ def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
         return []
     clipped = values
     for _iteration in range(3):
-        median = np.median(clipped)
+        center = median(clipped)
         std = clipped.std()
         if std == 0:
             break
-        keep = np.abs(clipped - median) <= 3.0 * std
+        keep = np.abs(clipped - center) <= 3.0 * std
         if keep.all():
             break
         clipped = clipped[keep]
-    median = np.median(clipped)
+    center = median(clipped)
     std = clipped.std()
-    threshold = median + n_sigma * std
+    threshold = center + n_sigma * std
 
     mask = np.nan_to_num(image, nan=-np.inf) > threshold
     labels, n_regions = label_regions(mask, connectivity=connectivity)
@@ -144,7 +145,7 @@ def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
         ys, xs = np.nonzero(labels == label)
         if ys.size < npix_min:
             continue
-        fluxes = image[ys, xs] - median
+        fluxes = image[ys, xs] - center
         total = float(fluxes.sum())
         weight = np.maximum(fluxes, 1e-12)
         sources.append(

@@ -6,7 +6,8 @@ involves ... stencil (a.k.a. multidimensional window) operations").
 ``median_filter_3d`` backs the median-Otsu mask, ``median_filter_2d``
 cosmic-ray detection, and ``sliding_windows`` + ``window_medians``
 cosmic-ray repair (the flagged pixels only).  Non-local means and
-background estimation slice their own windows and import nothing here.
+background estimation slice their own windows; ``median`` is the
+plain median the astronomy statistics take of their pixel sets.
 """
 
 import numpy as np
@@ -58,6 +59,36 @@ def window_medians(windows, window_ndim):
     return medians.reshape(lead)
 
 
+def median(values, axis=None):
+    """``np.median(values, axis)`` bit for bit, without ``np.median``.
+
+    numpy's median checks its partition for NaN through
+    ``np.ma.isMaskedArray``, which imports ``numpy.ma`` (milliseconds
+    and a megabyte in every process that takes a median).  This is the
+    same computation: one partition at the middle element(s) and the
+    last, the mean of the middle, and NaN where the last element is
+    NaN (NaN partitions last).  ``axis`` is ``None`` (flattened) or a
+    non-negative axis; ``values`` must not be empty.
+    """
+    values = np.asarray(values)
+    size = values.size if axis is None else values.shape[axis]
+    half = size // 2
+    kth = [half, -1] if size % 2 else [half - 1, half, -1]
+    part = np.partition(values, kth, axis=axis)
+    if axis is None:
+        axis = 0
+    middle = slice(half, half + 1) if size % 2 else slice(half - 1, half + 1)
+    result = np.mean(part[(slice(None),) * axis + (middle,)], axis=axis)
+    if np.issubdtype(part.dtype, np.inexact):
+        last = part.take(-1, axis=axis)
+        nans = np.isnan(last)
+        if nans.any():
+            if isinstance(result, np.generic):
+                return last
+            np.copyto(result, last, where=nans)
+    return result
+
+
 def median_filter_3d(volume, radius=1):
     """Median filter over cubic windows of half-width ``radius``."""
     volume = np.asarray(volume)
@@ -76,18 +107,6 @@ def median_filter_2d(image, radius=1):
     if radius == 0:
         return image.copy()
     return window_medians(sliding_windows(image, radius), 2)
-
-
-def uniform_filter_2d(image, radius=1):
-    """Box (mean) filter over square windows of half-width ``radius``."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-d image, got shape {image.shape}")
-    if radius == 0:
-        return image.copy()
-    windows = sliding_windows(image, radius)
-    flat = windows.reshape(image.shape + (-1,))
-    return flat.mean(axis=-1)
 
 
 def convolve3d(volume, kernel):
@@ -113,11 +132,3 @@ def convolve3d(volume, kernel):
     flipped = kernel[::-1, ::-1, ::-1]
     return np.einsum("xyzijk,ijk->xyz", windows, flipped)
 
-
-def local_mean_and_std(image, radius):
-    """Windowed mean and standard deviation for a 2-d image."""
-    image = np.asarray(image, dtype=np.float64)
-    mean = uniform_filter_2d(image, radius)
-    mean_sq = uniform_filter_2d(image * image, radius)
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    return mean, np.sqrt(var)

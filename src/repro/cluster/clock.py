@@ -35,9 +35,5 @@ class VirtualClock:
             raise ValueError(f"cannot advance clock by negative delta {delta}")
         self.now += float(delta)
 
-    def reset(self):
-        """Rewind to time zero (used between benchmark trials)."""
-        self.now = 0.0
-
     def __repr__(self):
         return f"VirtualClock(now={self.now:.6f})"

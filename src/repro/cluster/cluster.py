@@ -178,10 +178,6 @@ class SimulatedCluster:
         except KeyError:
             raise PlacementError(f"unknown node {name!r}") from None
 
-    def result_of(self, task):
-        """Value produced by ``task`` in a previous :meth:`run` call."""
-        return self.completed[task.task_id].value
-
     def charge_master(self, seconds, label="coordinator work", category=None,
                       *, op):
         """Advance the clock for serial coordinator-side work.
@@ -318,10 +314,3 @@ class SimulatedCluster:
             )
         return rows
 
-    def reset_clock(self):
-        """Rewind the clock (between benchmark trials on one cluster)."""
-        self.clock.reset()
-        self.obs.reset()
-        for node in self.nodes.values():
-            node.busy_seconds = 0.0
-            node.memory.history.clear()

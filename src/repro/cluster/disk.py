@@ -1,9 +1,9 @@
 """Per-node local disk model (the 160 GB SSD of an r3.2xlarge).
 
-Used for Myria's PostgreSQL-backed storage, Spark's shuffle files and
-spill, and SciDB's chunk store.  Contents are kept as real Python
-objects keyed by path so engines can actually read back what they wrote;
-sizes are nominal bytes for capacity accounting and timing.
+Used for Myria's PostgreSQL-backed storage: each shard is an entry
+keyed by path, sized in nominal bytes for capacity accounting.  A node
+crash wipes the disk; Myria's rollback then deletes what the aborted
+query stored.
 """
 
 from repro.cluster.errors import DiskFullError
@@ -46,19 +46,9 @@ class LocalDisk:
         self._files[path] = (value, nbytes)
         self.bytes_written += nbytes
 
-    def read(self, path):
-        """Return the stored value; raises ``KeyError`` if absent."""
-        value, nbytes = self._files[path]
-        self.bytes_read += nbytes
-        return value
-
     def size_of(self, path):
         """Stored size in bytes of one entry."""
         return self._files[path][1]
-
-    def exists(self, path):
-        """Whether the entry is present."""
-        return path in self._files
 
     def delete(self, path):
         """Remove one entry; raises ``KeyError`` when absent.
@@ -72,14 +62,6 @@ class LocalDisk:
                 return
             raise KeyError(f"no such file on {self.node!r}: {path}")
         del self._files[path]
-
-    def list(self, prefix=""):
-        """Paths stored on this disk, optionally filtered by prefix."""
-        return sorted(p for p in self._files if p.startswith(prefix))
-
-    def clear(self):
-        """Remove all entries."""
-        self._files.clear()
 
     def wipe(self):
         """Destroy all contents, as a disk-losing node crash does.

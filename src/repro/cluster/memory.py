@@ -95,14 +95,6 @@ class MemoryTracker:
         self._used -= nbytes
         self.history.append((self._clock.now, -nbytes))
 
-    def free_all(self):
-        """Release every outstanding allocation."""
-        released = self._used
-        self._allocations.clear()
-        self._used = 0
-        if released:
-            self.history.append((self._clock.now, -released))
-
     def wipe(self):
         """Destroy all resident memory, as a node crash does.
 
@@ -117,10 +109,6 @@ class MemoryTracker:
         if lost:
             self.history.append((self._clock.now, -lost))
         return lost
-
-    def holds(self, alloc_id):
-        """Whether ``alloc_id`` is still a live (un-wiped) allocation."""
-        return alloc_id in self._allocations
 
     def __repr__(self):
         return (

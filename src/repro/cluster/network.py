@@ -67,10 +67,3 @@ class NetworkModel:
         self.bytes_node_to_node += wire_bytes
         self.bytes_broadcast += wire_bytes
         return rounds * self.cost_model.network_time(nbytes)
-
-    def reset_stats(self):
-        """Zero the traffic counters."""
-        self.bytes_node_to_node = 0
-        self.bytes_from_s3 = 0
-        self.bytes_broadcast = 0
-        self.transfer_count = 0

@@ -75,10 +75,6 @@ class ObjectStore:
             self._buckets.setdefault(bucket, {}).update(table)
             self._index.pop(bucket, None)
 
-    def get(self, bucket, key):
-        """Return the stored object; raises ``KeyError`` when missing."""
-        return self._buckets[bucket][key][0]
-
     def size_of(self, bucket, key):
         """Stored size in bytes of one entry."""
         return self._buckets[bucket][key][1]

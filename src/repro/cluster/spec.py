@@ -29,16 +29,6 @@ class NodeSpec:
         if self.disk_bytes <= 0:
             raise ValueError("node disk must be positive")
 
-    @property
-    def memory_gb(self):
-        """Memory capacity in GiB."""
-        return self.memory_bytes / GB
-
-    @property
-    def disk_gb(self):
-        """Disk capacity in GiB."""
-        return self.disk_bytes / GB
-
 
 #: The instance type used for every experiment in the paper.
 R3_2XLARGE = NodeSpec(
@@ -73,11 +63,6 @@ class ClusterSpec:
             raise ValueError("slots_per_worker must be positive when given")
 
     @property
-    def total_workers(self):
-        """Worker processes across the whole cluster."""
-        return self.n_nodes * self.workers_per_node
-
-    @property
     def slots_per_node(self):
         """Parallel task slots available on one node.
 
@@ -93,11 +78,6 @@ class ClusterSpec:
     def total_slots(self):
         """Task slots across the whole cluster."""
         return self.n_nodes * self.slots_per_node
-
-    @property
-    def total_memory_bytes(self):
-        """Memory capacity across the whole cluster."""
-        return self.n_nodes * self.node.memory_bytes
 
     def node_names(self):
         """Deterministic node names, ``node-0`` .. ``node-{n-1}``."""

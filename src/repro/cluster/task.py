@@ -172,11 +172,6 @@ class TaskResult:
         self.end_time = end_time
         self.node = node
 
-    @property
-    def duration(self):
-        """Elapsed simulated seconds (end - start)."""
-        return self.end_time - self.start_time
-
     def __repr__(self):
         return (
             f"TaskResult({self.task.name!r} on {self.node!r},"

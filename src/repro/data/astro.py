@@ -79,12 +79,6 @@ class SensorExposure:
         """Real (scaled-down) array shape."""
         return self.flux.shape
 
-    def planes(self):
-        """Stacked (3, h, w) float view: flux, variance, mask."""
-        return np.stack(
-            [self.flux, self.variance, self.mask.astype(np.float64)]
-        )
-
     def to_fits(self):
         """Encode this exposure as a FITS file object."""
         header = {
@@ -109,11 +103,6 @@ class Visit:
 
     visit_id: int
     exposures: tuple = ()
-
-    @property
-    def nominal_bytes(self):
-        """Size in bytes at the paper's nominal data scale."""
-        return ASTRO_SENSORS_PER_VISIT * ASTRO_SENSOR_BYTES
 
     def __len__(self):
         return len(self.exposures)

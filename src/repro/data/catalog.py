@@ -34,12 +34,6 @@ def neuro_subject_bytes():
     return x * y * z * NEURO_N_VOLUMES * NEURO_DTYPE_BYTES
 
 
-def neuro_volume_bytes():
-    """Uncompressed bytes of one 3-D image volume."""
-    x, y, z = NEURO_VOLUME_SHAPE
-    return x * y * z * NEURO_DTYPE_BYTES
-
-
 def neuro_size_table(subject_counts=NEURO_SUBJECT_COUNTS):
     """Figure 10a: input and largest-intermediate sizes in GB."""
     rows = []

@@ -146,7 +146,11 @@ class LoweredPlan:
 
 
 class Engine:
-    """Base class for the five mini systems."""
+    """Base class for the five mini systems.
+
+    Each subclass defines ``startup_cost()``: its one-time job or
+    session startup, in simulated seconds.
+    """
 
     #: Engine display name, e.g. ``"Spark"``; subclasses override.
     name = "engine"
@@ -159,15 +163,6 @@ class Engine:
     def cost_model(self):
         """Cost model."""
         return self.cluster.cost_model
-
-    @property
-    def spec(self):
-        """Spec."""
-        return self.cluster.spec
-
-    def startup_cost(self):
-        """One-time job/session startup in simulated seconds."""
-        return 0.0
 
     def ensure_started(self):
         """Charge the startup cost exactly once per engine instance.
@@ -186,4 +181,4 @@ class Engine:
                 )
 
     def __repr__(self):
-        return f"{type(self).__name__}(nodes={self.spec.n_nodes})"
+        return f"{type(self).__name__}(nodes={self.cluster.spec.n_nodes})"

@@ -15,8 +15,8 @@ Scheduling model (calibrated to Sections 4.4, 5.1 and 5.2.1):
   of the cluster average, the task is stolen by the least-loaded node,
   paying a steal overhead plus the input transfer (charged through the
   executor's ``output_bytes`` locality accounting).
-- No persistence: results stay resident on the computing node until
-  released, counted against worker memory.
+- No persistence: results stay resident on the computing node, counted
+  against worker memory, until the node crashes.
 """
 
 import itertools
@@ -75,43 +75,6 @@ class DaskClient(Engine):
         """
         return DelayedFactory(self, fn, op, cost=cost, workers=workers)
 
-    def map(self, fn, *iterables, op, cost=None, workers=None):
-        """Futures-style fan-out: one delayed node per zipped item."""
-        factory = self.delayed(fn, op, cost=cost, workers=workers)
-        return [factory(*args) for args in zip(*iterables)]
-
-    def scatter(self, values, op, workers=None):
-        """Place driver-side values onto workers ahead of computation.
-
-        Returns one handle per value, usable as a graph input; the
-        driver-to-worker transfer is charged now and the values become
-        resident on their nodes (round-robin unless ``workers`` pins
-        them).  ``op`` names what the transfer is charged to.
-        """
-        self.ensure_started()
-        nodes = self.cluster.node_order
-        values = list(values)
-        handles = []
-        with self.cluster.obs.span(
-            "dask-scatter", category="dask", values=len(values),
-        ):
-            for index, value in enumerate(values):
-                placement = workers or nodes[index % len(nodes)]
-                handle = self.delayed(lambda v=value: v, op, workers=placement)()
-                nbytes = nominal_bytes_of(value)
-                self.cluster.charge_master(
-                    self.cost_model.pickle_time(nbytes)
-                    + self.cluster.network.transfer_time(
-                        nbytes, self.cluster.master, placement
-                    ),
-                    label="dask scatter",
-                    category="dask-scatter",
-                    op=op,
-                )
-                self._keep(handle.key, value, nbytes, placement)
-                handles.append(handle)
-        return handles
-
     def _keep(self, key, value, nbytes, node_name):
         """A result stays resident on the node that holds it, counted
         against its memory, until released or lost with the node."""
@@ -154,15 +117,6 @@ class DaskClient(Engine):
             ):
                 self._schedule(pending)
         return [self._results[d.key] for d in delayeds]
-
-    def release(self, delayeds):
-        """Free worker memory held by computed results."""
-        for delayed_node in delayeds:
-            self._drop(delayed_node.key)
-
-    def node_of(self, delayed_node):
-        """Which node holds a computed result (no persistence layer)."""
-        return self._result_nodes[delayed_node.key]
 
     # ------------------------------------------------------------------
     # Scheduler internals

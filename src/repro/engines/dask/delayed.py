@@ -35,13 +35,6 @@ class Delayed:
                 deps.append(arg)
         return deps
 
-    def result(self):
-        """Barrier: evaluate this node (and everything it needs)."""
-        with self.client.cluster.obs.span(
-            f"dask-result-{self.key}", category="dask",
-        ):
-            return self.client.compute([self])[0]
-
     def __repr__(self):
         return f"Delayed({self.key})"
 

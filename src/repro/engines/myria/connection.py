@@ -149,10 +149,6 @@ class MyriaQuery:
         rows = [row for shard in intermediate.shards for row in shard]
         return Relation(name, Schema(intermediate.columns), rows)
 
-    def shards(self, name):
-        """Per-worker shards left in place (worker-memory materialization)."""
-        return self.results[name].shards
-
 
 class PlanQuery:
     """MyriaL emitted from a logical plan, by a lowering.

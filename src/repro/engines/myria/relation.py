@@ -9,8 +9,6 @@ NumPy arrays or other specialized data types by storing them as blobs."
 
 import numpy as np
 
-from repro.formats.sizing import SizedArray
-
 #: Column type tags.
 LONG = "LONG"
 DOUBLE = "DOUBLE"
@@ -85,21 +83,6 @@ class Relation:
         if rows:
             types = tuple(infer_type(v) for v in rows[0])
         return cls(name, Schema(columns, types), rows)
-
-    def column(self, name):
-        """Values of one column across all rows."""
-        idx = self.schema.index_of(name)
-        return [row[idx] for row in self.rows]
-
-    def blob_columns(self):
-        """Indices of columns holding blobs (by inspection of row 0)."""
-        if not self.rows:
-            return []
-        return [
-            i
-            for i, value in enumerate(self.rows[0])
-            if isinstance(value, (SizedArray, np.ndarray))
-        ]
 
     def __len__(self):
         return len(self.rows)

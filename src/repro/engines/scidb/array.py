@@ -67,11 +67,6 @@ class SciDBArray:
         return tuple(d.length for d in self.dims)
 
     @property
-    def chunk_shape(self):
-        """Chunk shape."""
-        return tuple(d.chunk for d in self.dims)
-
-    @property
     def nominal_elements(self):
         """Element count at the paper's nominal data scale."""
         n = 1
@@ -91,14 +86,6 @@ class SciDBArray:
         for count in counts:
             coords = [c + (i,) for c in coords for i in range(count)]
         return coords
-
-    @property
-    def n_chunks(self):
-        """Number of chunks along/over this extent."""
-        n = 1
-        for d in self.dims:
-            n *= d.n_chunks
-        return n
 
     def chunk_bounds(self, coords):
         """Nominal [start, stop) per axis for chunk ``coords``."""
@@ -163,5 +150,5 @@ class SciDBArray:
     def __repr__(self):
         return (
             f"SciDBArray({self.name!r}, nominal={self.nominal_shape},"
-            f" chunks={self.chunk_shape}, real={self.real.shape})"
+            f" chunks={tuple(d.chunk for d in self.dims)}, real={self.real.shape})"
         )

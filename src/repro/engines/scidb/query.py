@@ -166,10 +166,6 @@ class SciDBConnection(Engine):
         self.arrays[name] = array
         return array
 
-    def remove(self, name):
-        """Drop an array from the connection's namespace."""
-        del self.arrays[name]
-
     # ------------------------------------------------------------------
     # AFL-style operators
     # ------------------------------------------------------------------

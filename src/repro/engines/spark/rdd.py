@@ -61,13 +61,6 @@ class RDD:
         """Apply ``fn`` to the value of every (key, value) record."""
         return RDD(self.sc, "mapValues", parent=self, fn=fn)
 
-    def keyBy(self, fn):  # noqa: N802
-        """Turn records into ``(fn(record), record)`` pairs."""
-        keyer = as_costed(fn)
-        return self.map(
-            as_costed(lambda record: (keyer(record), record))
-        )
-
     # ------------------------------------------------------------------
     # Wide transformations (stage boundaries / shuffles)
     # ------------------------------------------------------------------
@@ -80,10 +73,6 @@ class RDD:
             parent=self,
             num_partitions=numPartitions or self.num_partitions,
         )
-
-    def groupBy(self, key_fn, numPartitions=None):  # noqa: N802,N803
-        """``keyBy`` then ``groupByKey`` -- the paper's Figure 6 idiom."""
-        return self.keyBy(key_fn).groupByKey(numPartitions=numPartitions)
 
     def reduceByKey(self, fn, numPartitions=None):  # noqa: N802,N803
         """Shuffle then combine values per key with a binary ``fn``."""
@@ -124,61 +113,6 @@ class RDD:
             op=self.plan_op,
         )
         return records
-
-    def count(self):
-        """Number of records (counts computed on workers, tiny result)."""
-        partitions = self.sc.scheduler.materialize(self)
-        return sum(len(p.records) for p in partitions)
-
-    def take(self, n):
-        """First ``n`` records (in partition order)."""
-        if n <= 0:
-            return []
-        partitions = self.sc.scheduler.materialize(self)
-        out = []
-        taken_bytes = 0
-        for partition in partitions:
-            for record in partition.records:
-                out.append(record)
-                if len(out) == n:
-                    from repro.engines.base import nominal_bytes_of
-
-                    self.sc.cluster.charge_master(
-                        self.sc.cluster.cost_model.python_boundary_time(
-                            nominal_bytes_of(out)
-                        ),
-                        label="take",
-                        category="spark-collect",
-                        op=self.plan_op,
-                    )
-                    return out
-        self.sc.cluster.charge_master(
-            self.sc.cluster.cost_model.python_boundary_time(
-                sum(p.nominal_bytes for p in partitions)
-            ),
-            label="take",
-            category="spark-collect",
-            op=self.plan_op,
-        )
-        return out
-
-    def first(self):
-        """The first record; raises ``ValueError`` on an empty RDD."""
-        records = self.take(1)
-        if not records:
-            raise ValueError("RDD is empty")
-        return records[0]
-
-    def distinct(self, numPartitions=None):  # noqa: N802,N803
-        """Unique records, via the classic map/reduceByKey encoding."""
-        from repro.engines.base import udf as _udf
-
-        return (
-            self.map(_udf(lambda x: (x, None)))
-            .reduceByKey(_udf(lambda a, b: a),
-                         numPartitions=numPartitions or self.num_partitions)
-            .map(_udf(lambda kv: kv[0]))
-        )
 
     def persist_to_workers(self):
         """Materialize partitions but leave them on the workers.

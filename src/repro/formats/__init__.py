@@ -4,8 +4,9 @@
 - :mod:`repro.formats.fits` -- FITS (the astronomy input format).
 - :mod:`repro.formats.csvconv` -- CSV/TSV conversion used by miniSciDB's
   ``aio_input`` ingest and ``stream()`` interface.
-- :mod:`repro.formats.npyio` -- pickled-NumPy staging objects, the form
-  in which Spark and Myria read volumes from S3 (Section 4.2/4.3).
+- :mod:`repro.formats.npyio` -- the size of a pickled-NumPy staging
+  object, the form in which Spark and Myria read volumes from S3
+  (Section 4.2/4.3).
 - :mod:`repro.formats.sizing` -- the :class:`SizedArray` wrapper that
   couples real scaled-down data with nominal paper-scale sizes.
 """
@@ -19,7 +20,6 @@ from repro.formats.csvconv import (
 )
 from repro.formats.fits import FitsError, FitsFile, FitsHDU, read_fits, write_fits
 from repro.formats.nifti import NiftiError, NiftiImage, read_nifti, write_nifti
-from repro.formats.npyio import pickled_nominal_bytes, pickle_array, unpickle_array
 from repro.formats.sizing import SizedArray
 
 __all__ = [
@@ -33,12 +33,9 @@ __all__ = [
     "array_to_tsv",
     "csv_nominal_bytes",
     "csv_to_array",
-    "pickle_array",
-    "pickled_nominal_bytes",
     "read_fits",
     "read_nifti",
     "tsv_to_array",
-    "unpickle_array",
     "write_fits",
     "write_nifti",
 ]

@@ -150,10 +150,6 @@ class FitsFile:
     def __len__(self):
         return len(self.hdus)
 
-    def append(self, hdu):
-        """Add an HDU to the file."""
-        self.hdus.append(hdu)
-
 
 def _pad(payload):
     remainder = len(payload) % BLOCK_SIZE

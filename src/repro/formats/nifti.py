@@ -103,11 +103,6 @@ class NiftiImage:
         self.scl_inter = float(scl_inter)
 
     @property
-    def shape(self):
-        """Real (scaled-down) array shape."""
-        return self.data.shape
-
-    @property
     def dtype(self):
         """Element dtype of the data array."""
         return self.data.dtype
@@ -120,7 +115,7 @@ class NiftiImage:
         return self.data * slope + self.scl_inter
 
     def __repr__(self):
-        return f"NiftiImage(shape={self.shape}, dtype={self.dtype})"
+        return f"NiftiImage(shape={self.data.shape}, dtype={self.dtype})"
 
 
 def _encode_header(image):

@@ -4,32 +4,11 @@ Both the Spark and Myria implementations in the paper stage the
 neuroscience data as pickled NumPy arrays on S3 before ingest
 (Section 4.2: "we first convert the NIfTI files into NumPy arrays that
 we stage on Amazon S3"; Section 5.2.1: "we persist as pickled NumPy
-files per image in S3").  These helpers are the real serialization plus
-the nominal-size accounting used by the ingest cost model.
+files per image in S3").  The staged objects are the volumes
+themselves; what the ingest cost model needs is their size on S3: the
+nominal array bytes plus this framing.
 """
-
-import pickle
-
-import numpy as np
 
 #: Pickle protocol-2+ framing overhead per array, measured empirically;
 #: tiny relative to image volumes but kept for honesty.
 PICKLE_OVERHEAD_BYTES = 163
-
-
-def pickle_array(array):
-    """Serialize an ndarray to bytes (what a worker would upload)."""
-    return pickle.dumps(np.asarray(array), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpickle_array(blob):
-    """Deserialize bytes produced by :func:`pickle_array`."""
-    array = pickle.loads(blob)
-    if not isinstance(array, np.ndarray):
-        raise TypeError(f"expected pickled ndarray, got {type(array)!r}")
-    return array
-
-
-def pickled_nominal_bytes(nominal_elements, itemsize):
-    """Nominal on-S3 size of one pickled volume at paper scale."""
-    return int(nominal_elements) * int(itemsize) + PICKLE_OVERHEAD_BYTES

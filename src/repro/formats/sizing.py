@@ -45,11 +45,6 @@ class SizedArray:
         """Element count at the paper's nominal data scale."""
         return math.prod(self.nominal_shape)
 
-    @property
-    def scale_factor(self):
-        """Ratio of nominal to real element counts (>= 1 in practice)."""
-        return self.nominal_elements / max(1, self.array.size)
-
     # ------------------------------------------------------------------
     # Structure-preserving transforms
     # ------------------------------------------------------------------
@@ -62,43 +57,9 @@ class SizedArray:
             meta=self.meta if meta is None else meta,
         )
 
-    def map(self, fn, nominal_shape=None):
-        """Apply ``fn`` to the real array, keeping nominal bookkeeping.
-
-        When ``fn`` changes the array rank or the caller knows the
-        nominal output shape, pass ``nominal_shape`` explicitly;
-        otherwise the nominal shape is scaled elementwise when ranks
-        match, or kept as-is.
-        """
-        out = np.asarray(fn(self.array))
-        if nominal_shape is None:
-            if out.shape == self.array.shape:
-                nominal_shape = self.nominal_shape
-            elif len(out.shape) == len(self.array.shape):
-                nominal_shape = tuple(
-                    max(1, round(n * o / max(1, r)))
-                    for n, o, r in zip(self.nominal_shape, out.shape, self.array.shape)
-                )
-            else:
-                nominal_shape = out.shape
-        return SizedArray(out, nominal_shape=nominal_shape, meta=self.meta)
-
-    def reduce_axis(self, fn, axis):
-        """Reduce one axis (e.g. a mean over volumes), dropping it from
-        both real and nominal shapes."""
-        out = fn(self.array, axis)
-        nominal = tuple(
-            d for i, d in enumerate(self.nominal_shape) if i != axis % len(self.nominal_shape)
-        )
-        return SizedArray(out, nominal_shape=nominal, meta=self.meta)
-
     def __repr__(self):
         return (
             f"SizedArray(shape={self.array.shape}, nominal={self.nominal_shape},"
             f" dtype={self.array.dtype})"
         )
 
-
-def total_nominal_bytes(sized_arrays):
-    """Sum of nominal bytes across an iterable of :class:`SizedArray`."""
-    return sum(s.nominal_bytes for s in sized_arrays)

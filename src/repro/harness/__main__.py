@@ -56,14 +56,17 @@ from repro.harness.runner import (
     neuro_subjects,
     observe_clusters,
 )
+from repro.obs.optledger import MAKESPAN_EPSILON
 
 
 def _opt_failures(rows):
-    """Gate violations in naive-vs-optimized comparison rows."""
+    """Gate violations in the ``opt`` figure's naive-vs-optimized rows:
+    an optimized makespan above its naive twin's, or a result digest
+    that differs."""
     failures = []
     for row in rows:
         cell = f"{row['pipeline']}/{row['engine']}"
-        if row["optimized_s"] > row["naive_s"] + 1e-6:
+        if row["optimized_s"] > row["naive_s"] + MAKESPAN_EPSILON:
             failures.append(
                 f"{cell}: optimized makespan {row['optimized_s']}s exceeds"
                 f" naive {row['naive_s']}s"

@@ -32,9 +32,6 @@ See the "Observability" section of DESIGN.md and
 from repro.obs.attribution import (
     attribute_critical_path,
     format_attribution,
-    format_op_table,
-    op_table,
-    op_totals,
     resolve_segment_op,
 )
 from repro.obs.breakdown import (
@@ -65,9 +62,7 @@ from repro.obs.ledger import (
     write_snapshot,
 )
 from repro.obs.optledger import (
-    check_opt_snapshot,
     format_opt_comparison,
-    opt_comparison_rows,
     opt_pairs,
 )
 from repro.obs.spans import Observability, Span, SpanStore, TaskRecord
@@ -95,7 +90,6 @@ __all__ = [
     "TaskRecord",
     "attribute_critical_path",
     "blame_category",
-    "check_opt_snapshot",
     "chrome_trace",
     "compare_snapshots",
     "compute_critical_path",
@@ -105,14 +99,10 @@ __all__ = [
     "format_breakdown",
     "format_compare",
     "format_critical_path",
-    "format_op_table",
     "format_opt_comparison",
     "group_of",
     "load_snapshot",
     "node_utilization_rows",
-    "op_table",
-    "op_totals",
-    "opt_comparison_rows",
     "opt_pairs",
     "recorder",
     "recording",

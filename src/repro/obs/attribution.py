@@ -5,8 +5,7 @@ The blame ledger attributes makespan to *physical* categories
 across engines.  This module folds the same critical-path segments up
 to the *logical* ops of ``repro.plan`` -- the level at which every
 workload is defined exactly once -- so per-op cost is comparable
-op-for-op across all five systems (the paper's Table 1 comparison made
-quantitative).
+op-for-op across all five systems.
 
 A record's op is the one its maker named -- the required ``op=`` of the
 ``Task``, the ``charge_master`` call or ``record_task`` -- so the fold
@@ -67,49 +66,6 @@ def attribute_critical_path(cluster, path=None):
     return rows
 
 
-def op_totals(rows):
-    """Collapse attribution rows over kinds: op -> total seconds."""
-    totals = defaultdict(float)
-    for row in rows:
-        totals[row["op"]] += row["seconds"]
-    return dict(totals)
-
-
-def op_table(columns, plan=None):
-    """Cross-engine per-op cost table.
-
-    ``columns`` maps a column label (usually the engine name) to the
-    attribution rows of one run.  Returns
-    ``{"ops": [...], "columns": [...], "cells": {op: {label: seconds}}}``
-    with ops ordered by the plan (when given) followed by pseudo-ops,
-    else by total cost.
-    """
-    labels = list(columns)
-    per_op = {label: op_totals(rows) for label, rows in columns.items()}
-    seen = set()
-    for totals in per_op.values():
-        seen.update(totals)
-    if plan is not None:
-        ordered = [op for op in plan.provenance_ids() if op in seen]
-        extras = sorted(op for op in seen if op not in set(ordered))
-    else:
-        grand = defaultdict(float)
-        for totals in per_op.values():
-            for op, seconds in totals.items():
-                grand[op] += seconds
-        ordered, extras = [], []
-        for op in sorted(grand, key=lambda o: (-grand[o], o)):
-            (extras if op.startswith("@") else ordered).append(op)
-    ops = ordered + [op for op in extras if not op.startswith("@")] + [
-        op for op in extras if op.startswith("@")
-    ]
-    cells = {
-        op: {label: per_op[label].get(op, 0.0) for label in labels}
-        for op in ops
-    }
-    return {"ops": ops, "columns": labels, "cells": cells}
-
-
 def format_attribution(rows, top=12):
     """Plain-text per-op blame report for one run."""
     lines = []
@@ -132,21 +88,3 @@ def format_attribution(rows, top=12):
         )
     return "\n".join(lines)
 
-
-def format_op_table(table, digits=1):
-    """Plain-text rendering of :func:`op_table` (ops x engines)."""
-    labels = table["columns"]
-    width = max([len(op) for op in table["ops"]] + [4])
-    col = max([len(label) for label in labels] + [9])
-    lines = [
-        "  ".join(["op".ljust(width)] + [label.rjust(col) for label in labels])
-    ]
-    for op in table["ops"]:
-        cells = table["cells"][op]
-        lines.append(
-            "  ".join(
-                [op.ljust(width)]
-                + [format(cells[label], f">{col}.{digits}f") for label in labels]
-            )
-        )
-    return "\n".join(lines)

@@ -7,15 +7,12 @@ staged data.  Its ledger snapshot therefore contains paired runs
 labeled ``NN-<pipeline>-<engine>-naive`` / ``...-optimized``.
 
 This module pairs those runs back up and renders the compiler's
-scorecard: per-cell simulated makespans side by side, the per-op
-critical-path blame rows that moved, and the two invariants the
-``harness ledger --optimize`` gate enforces:
-
-- **non-increasing makespan** — the optimizer only keeps fusions its
-  estimate says strictly win, so ``optimized <= naive`` on every cell;
-- **byte-identical results** — rewrites are semantics-preserving, so
-  materialized outputs digest identically (asserted trial-side and
-  recorded in the comparison rows, not re-derivable from snapshots).
+scorecard: per-cell simulated makespans side by side and the per-op
+critical-path blame rows that moved.  The ``harness ledger --optimize``
+gate itself reads the figure's rows (``_opt_failures`` in
+``repro.harness.__main__``), not the snapshot: a non-increasing
+makespan on every cell, and byte-identical results, whose digests only
+the rows carry.
 """
 
 import re
@@ -24,8 +21,8 @@ _LABEL = re.compile(
     r"^(?:\d+-)?(?P<cell>.+)-(?P<variant>naive|optimized)$"
 )
 
-#: Makespan slack for the non-increasing gate: float scheduling noise
-#: only, never a real regression.
+#: Makespan slack for the non-increasing gate and the scorecard: float
+#: scheduling noise only, never a real regression.
 MAKESPAN_EPSILON = 1e-6
 
 
@@ -57,43 +54,6 @@ def opt_pairs(snapshot):
 
 def _op_blame_map(run):
     return {row["op"]: row["seconds"] for row in run.get("op_blame", ())}
-
-
-def opt_comparison_rows(snapshot):
-    """One row per cell: makespans, delta, and the biggest blame move."""
-    rows = []
-    for cell, naive, optimized in opt_pairs(snapshot):
-        naive_s = naive.get("makespan_s", 0.0)
-        opt_s = optimized.get("makespan_s", 0.0)
-        before = _op_blame_map(naive)
-        after = _op_blame_map(optimized)
-        moves = sorted(
-            ((op, after.get(op, 0.0) - before.get(op, 0.0))
-             for op in set(before) | set(after)),
-            key=lambda item: abs(item[1]),
-            reverse=True,
-        )
-        top_op, top_delta = moves[0] if moves else ("-", 0.0)
-        rows.append({
-            "cell": cell,
-            "naive_s": round(naive_s, 3),
-            "optimized_s": round(opt_s, 3),
-            "saved_s": round(naive_s - opt_s, 3),
-            "regressed": opt_s > naive_s + MAKESPAN_EPSILON,
-            "top_moved_op": top_op,
-            "top_moved_delta_s": round(top_delta, 3),
-        })
-    return rows
-
-
-def check_opt_snapshot(snapshot):
-    """Violations of the non-increasing-makespan invariant (strings)."""
-    return [
-        f"{row['cell']}: optimized makespan {row['optimized_s']}s exceeds"
-        f" naive {row['naive_s']}s"
-        for row in opt_comparison_rows(snapshot)
-        if row["regressed"]
-    ]
 
 
 def format_opt_comparison(snapshot, blame_rows=3):

@@ -59,16 +59,6 @@ class Span:
         self.attrs = dict(attrs or {})
 
     @property
-    def parent_id(self):
-        """Parent span id, or -1 at the root."""
-        return self.parent.span_id if self.parent is not None else -1
-
-    @property
-    def duration(self):
-        """Simulated seconds covered; ``None`` while still open."""
-        return None if self.end is None else self.end - self.start
-
-    @property
     def depth(self):
         """Nesting depth (0 for root spans)."""
         depth = 0
@@ -79,7 +69,7 @@ class Span:
         return depth
 
     def __repr__(self):
-        state = "open" if self.end is None else f"{self.duration:.3f}s"
+        state = "open" if self.end is None else f"{self.end - self.start:.3f}s"
         return f"Span({self.name!r}, {state})"
 
 
@@ -114,11 +104,6 @@ class SpanStore:
     def current(self):
         """The innermost open span, or ``None``."""
         return self._stack[-1] if self._stack else None
-
-    def clear(self):
-        """Drop all spans (between benchmark trials on one cluster)."""
-        self.spans.clear()
-        self._stack.clear()
 
     def __len__(self):
         return len(self.spans)
@@ -187,11 +172,6 @@ class TaskRecord:
         self.dep_ids = tuple(dep_ids)
         self.retried = retried
 
-    @property
-    def duration(self):
-        """Simulated seconds the task occupied its slot."""
-        return self.end - self.start
-
     def __repr__(self):
         return (
             f"TaskRecord({self.name!r} on {self.node},"
@@ -238,8 +218,3 @@ class Observability:
         required; ``meta`` carries optional :class:`TaskRecord` fields
         (``category``, ...)."""
         self.file_record(TaskRecord(name, node, start, end, op=op, **meta))
-
-    def reset(self):
-        """Drop spans and records (used by ``cluster.reset_clock``)."""
-        self.spans.clear()
-        self.task_records.clear()

@@ -40,14 +40,6 @@ def denoise_cost(cost_model, mask_fraction):
     return cost
 
 
-def denoise_cost_unmasked(cost_model):
-    """TensorFlow variant: no masking, every voxel is processed
-    (Section 4.5)."""
-    def cost(volume, *rest):
-        return volume.nominal_elements * cost_model.nlmeans_per_voxel
-    return cost
-
-
 def otsu_cost(cost_model):
     """Otsu cost."""
     def cost(volume, *rest):
@@ -61,25 +53,6 @@ def repart_cost(cost_model):
     """Flatmap of a volume into voxel blocks: one memory copy."""
     def cost(volume, *rest):
         return volume.nominal_bytes * cost_model.memcpy_per_byte
-    return cost
-
-
-def fit_cost(cost_model, mask_fraction):
-    """Cost of fitting the DTM over one voxel block's volume series.
-
-    Priced per voxel-sample: a stacked block of V voxels x S samples
-    costs ``V * S * dtm_fit_per_voxel_sample`` (times mask fraction).
-    """
-    def cost(stacked, *rest):
-        if isinstance(stacked, (list, tuple)):
-            elements = sum(
-                getattr(b, "nominal_elements", np.asarray(b).size) for b in stacked
-            )
-        else:
-            elements = getattr(
-                stacked, "nominal_elements", np.asarray(stacked).size
-            )
-        return elements * mask_fraction * cost_model.dtm_fit_per_voxel_sample
     return cost
 
 

@@ -85,11 +85,6 @@ def neuro_mean_fragment(**kwargs):
     return fragment(neuro_plan(**kwargs), "mean_b0")
 
 
-def neuro_mask_fragment(**kwargs):
-    """Segmentation slice: everything up to the ``masks`` materialize."""
-    return fragment(neuro_plan(**kwargs), "masks")
-
-
 def neuro_denoise_fragment(**kwargs):
     """Fig 12c: up to ``denoise`` (includes the mask chain it uses)."""
     return fragment(neuro_plan(**kwargs), "denoise")
@@ -99,7 +94,3 @@ def astro_coadd_fragment(**kwargs):
     """Fig 12d: ``exposures -> ... -> coadd``."""
     return fragment(astro_plan(**kwargs), "coadd")
 
-
-def astro_preprocess_fragment(**kwargs):
-    """Pre-processing slice: ``exposures -> preprocess``."""
-    return fragment(astro_plan(**kwargs), "preprocess")

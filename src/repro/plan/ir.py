@@ -273,10 +273,6 @@ class LogicalPlan:
         op does not exist in this plan, even as a fused member)."""
         return provenance_id(self.name, self.member(op_id).op_id)
 
-    def provenance_ids(self):
-        """Provenance ids of every op, in plan order."""
-        return tuple(provenance_id(self.name, op.op_id) for op in self.ops)
-
     def param(self, name, default=None):
         return self.params.get(name, default)
 

@@ -5,11 +5,9 @@ import pytest
 
 from repro.algorithms.stencil import (
     convolve3d,
-    local_mean_and_std,
     median_filter_2d,
     median_filter_3d,
     sliding_windows,
-    uniform_filter_2d,
     window_medians,
 )
 
@@ -100,17 +98,6 @@ def test_median_filter_2d_impulse():
     assert median_filter_2d(img, radius=1)[4, 4] == 0.0
 
 
-def test_uniform_filter_constant(rng):
-    img = np.full((8, 8), 3.0)
-    assert np.allclose(uniform_filter_2d(img, radius=2), 3.0)
-
-
-def test_uniform_filter_is_window_mean():
-    img = np.arange(25, dtype=float).reshape(5, 5)
-    out = uniform_filter_2d(img, radius=1)
-    assert out[2, 2] == pytest.approx(img[1:4, 1:4].mean())
-
-
 def test_convolve3d_identity_kernel(rng):
     v = rng.random((6, 6, 6))
     kernel = np.zeros((3, 3, 3))
@@ -159,19 +146,7 @@ def test_dim_checks():
     with pytest.raises(ValueError):
         median_filter_2d(np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
-        uniform_filter_2d(np.zeros(4))
-    with pytest.raises(ValueError):
         sliding_windows(np.zeros((4, 4)), radius=-1)
-
-
-def test_local_mean_and_std(rng):
-    img = rng.random((10, 10))
-    mean, std = local_mean_and_std(img, radius=1)
-    assert mean.shape == img.shape
-    assert np.all(std >= 0)
-    flat = np.full((6, 6), 2.0)
-    _m, s = local_mean_and_std(flat, radius=1)
-    assert np.allclose(s, 0.0)
 
 
 @pytest.mark.parametrize("value_class", sorted(VALUE_CLASSES))

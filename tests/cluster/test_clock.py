@@ -48,12 +48,6 @@ def test_advance_to_same_time_is_noop():
     assert clock.now == 4.0
 
 
-def test_reset():
-    clock = VirtualClock(7.0)
-    clock.reset()
-    assert clock.now == 0.0
-
-
 def test_nan_rejected():
     clock = VirtualClock(2.0)
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ def test_dependency_chain_serializes(cluster):
     b = Task("b", fn=lambda x: x + 1, args=(a,), duration=1.0, op=PSEUDO_OVERHEAD)
     c = Task("c", fn=lambda x: x + 1, args=(b,), duration=1.0, op=PSEUDO_OVERHEAD)
     cluster.run([c])
-    assert cluster.result_of(c) == 3
+    assert cluster.completed[c.task_id].value == 3
     assert cluster.now == 3.0
 
 
@@ -156,7 +156,7 @@ def test_results_persist_across_runs(cluster):
     cluster.run([a])
     b = Task("b", fn=lambda x: x * 2, args=(a,), duration=1.0, op=PSEUDO_OVERHEAD)
     cluster.run([b])
-    assert cluster.result_of(b) == 20
+    assert cluster.completed[b.task_id].value == 20
 
 
 def test_charge_master_advances_clock(cluster):

@@ -60,13 +60,6 @@ def test_peak_tracking(tracker):
     assert tracker.peak_bytes == 800
 
 
-def test_free_all(tracker):
-    tracker.allocate(100)
-    tracker.allocate(200)
-    tracker.free_all()
-    assert tracker.used_bytes == 0
-
-
 def test_zero_capacity_rejected():
     with pytest.raises(ValueError):
         MemoryTracker("n", 0)

@@ -54,10 +54,3 @@ def test_negative_bytes_rejected(net):
         net.transfer_time(-1, "a", "b")
     with pytest.raises(ValueError):
         net.s3_download_time(-1)
-
-
-def test_reset_stats(net):
-    net.transfer_time(100, "a", "b")
-    net.reset_stats()
-    assert net.bytes_node_to_node == 0
-    assert net.transfer_count == 0

@@ -5,7 +5,7 @@ from collections import namedtuple
 import pytest
 
 from repro.cluster import ClusterSpec, FaultPlan, SimulatedCluster, Task
-from repro.cluster.objectstore import ObjectStore, staged
+from repro.cluster.objectstore import ObjectStore, S3Client, staged
 from repro.obs.spans import PSEUDO_OVERHEAD
 
 Member = namedtuple("Member", "name size")
@@ -21,12 +21,12 @@ def store():
 
 
 def test_get(store):
-    assert store.get("bucket", "k1") == b"one"
+    assert S3Client(store).get("bucket", "k1") == b"one"
 
 
 def test_missing_key_raises(store):
     with pytest.raises(KeyError):
-        store.get("bucket", "nope")
+        S3Client(store).get("bucket", "nope")
 
 
 def test_list_keys_scoped_to_bucket(store):
@@ -50,7 +50,7 @@ def test_size_of(store):
 
 def test_overwrite(store):
     store.put("bucket", "k1", b"new", 3)
-    assert store.get("bucket", "k1") == b"new"
+    assert S3Client(store).get("bucket", "k1") == b"new"
     assert len(store) == 3
 
 
@@ -72,7 +72,7 @@ def test_slash_in_bucket_rejected_so_buckets_cannot_alias(store):
     store.put("a", "b/c", b"first", 5)
     with pytest.raises(ValueError):
         store.put("a/b", "c", b"second", 6)
-    assert store.get("a", "b/c") == b"first"
+    assert S3Client(store).get("a", "b/c") == b"first"
     assert store.list_keys("a") == ["b/c"]
     assert store.total_bytes("a") == 5
     assert len(store) == 4

@@ -8,8 +8,8 @@ from repro.cluster.spec import GB, R3_2XLARGE, ClusterSpec, NodeSpec
 def test_r3_2xlarge_matches_paper():
     """Section 5: 8 vCPU, 61 GB memory, 160 GB SSD."""
     assert R3_2XLARGE.cores == 8
-    assert R3_2XLARGE.memory_gb == 61
-    assert R3_2XLARGE.disk_gb == 160
+    assert R3_2XLARGE.memory_bytes == 61 * GB
+    assert R3_2XLARGE.disk_bytes == 160 * GB
 
 
 def test_nodespec_validation():
@@ -30,7 +30,7 @@ def test_default_cluster_slots():
 def test_worker_shaped_cluster():
     spec = ClusterSpec(n_nodes=16, workers_per_node=4, slots_per_worker=1)
     assert spec.slots_per_node == 4
-    assert spec.total_workers == 64
+    assert spec.total_slots == 64
 
 
 def test_oversubscribed_workers_get_one_slot_each():
@@ -51,7 +51,3 @@ def test_invalid_cluster_sizes():
     with pytest.raises(ValueError):
         ClusterSpec(n_nodes=1, slots_per_worker=0)
 
-
-def test_total_memory():
-    spec = ClusterSpec(n_nodes=4)
-    assert spec.total_memory_bytes == 4 * 61 * GB

@@ -58,7 +58,9 @@ def test_bundling(tiny_visits):
     exposure = tiny_visits[0].exposures[0]
     assert exposure.bundle == 10  # 6 real sensors stand in for 60
     assert exposure.nominal_bytes == 10 * ASTRO_SENSOR_BYTES
-    assert tiny_visits[0].nominal_bytes == ASTRO_SENSORS_PER_VISIT * ASTRO_SENSOR_BYTES
+    assert sum(e.nominal_bytes for e in tiny_visits[0].exposures) == (
+        ASTRO_SENSORS_PER_VISIT * ASTRO_SENSOR_BYTES
+    )
 
 
 def test_sensors_do_not_overlap_within_visit(tiny_visits):

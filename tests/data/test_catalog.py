@@ -6,6 +6,7 @@ from repro.data.catalog import (
     ASTRO_SENSOR_BYTES,
     ASTRO_SENSOR_SHAPE,
     ASTRO_SENSORS_PER_VISIT,
+    NEURO_DTYPE_BYTES,
     NEURO_N_B0,
     NEURO_N_VOLUMES,
     NEURO_VOLUME_SHAPE,
@@ -13,7 +14,6 @@ from repro.data.catalog import (
     astro_visit_bytes,
     neuro_size_table,
     neuro_subject_bytes,
-    neuro_volume_bytes,
 )
 
 
@@ -32,7 +32,8 @@ def test_subject_is_4_2_gb():
 
 
 def test_volume_bytes():
-    assert neuro_volume_bytes() * NEURO_N_VOLUMES == neuro_subject_bytes()
+    x, y, z = NEURO_VOLUME_SHAPE
+    assert x * y * z * NEURO_DTYPE_BYTES * NEURO_N_VOLUMES == neuro_subject_bytes()
 
 
 def test_visit_is_4_8_gb():

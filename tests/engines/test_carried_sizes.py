@@ -33,7 +33,7 @@ from repro.plan import astro_plan, lower, neuro_plan
 
 
 def check_dask_sizes(client):
-    """Every held result has its size, and no released one has."""
+    """Every held result has its size, and no purged one has."""
     assert client._result_bytes.keys() == client._results.keys()
     for key, value in client._results.items():
         assert client._result_bytes[key] == nominal_bytes_of(value)
@@ -41,18 +41,17 @@ def check_dask_sizes(client):
 
 @pytest.fixture
 def checked_dask(monkeypatch):
-    """Check the carried sizes after every barrier and every release."""
+    """Check the carried sizes after every barrier."""
     checks = []
-    for name in ("compute", "release"):
-        original = getattr(DaskClient, name)
+    original = DaskClient.compute
 
-        def checked(self, delayeds, _original=original):
-            out = _original(self, delayeds)
-            check_dask_sizes(self)
-            checks.append(len(self._results))
-            return out
+    def checked(self, delayeds):
+        out = original(self, delayeds)
+        check_dask_sizes(self)
+        checks.append(len(self._results))
+        return out
 
-        monkeypatch.setattr(DaskClient, name, checked)
+    monkeypatch.setattr(DaskClient, "compute", checked)
     return checks
 
 
@@ -65,15 +64,17 @@ def test_dask_result_bytes_match_the_results_of_a_neuro_cell(
     assert checked_dask and max(checked_dask) > 0
 
 
-def test_dask_purge_and_release_leave_no_stale_size(checked_dask):
+def test_dask_purge_leaves_no_stale_size(checked_dask):
     cluster = SimulatedCluster(ClusterSpec(n_nodes=4))
     client = DaskClient(cluster)
-    volumes = client.scatter(
-        [SizedArray([1.0, 2.0], nominal_shape=(1000 * (i + 1),))
-         for i in range(4)], op=PSEUDO_OVERHEAD
-    )
+    volumes = [
+        client.delayed(lambda i=i: SizedArray([1.0, 2.0],
+                                              nominal_shape=(1000 * (i + 1),)),
+                       workers=f"node-{i}", op=PSEUDO_OVERHEAD)()
+        for i in range(4)
+    ]
     doubled = [
-        client.delayed(lambda v: v.map(lambda a: 2 * a), cost=lambda v: 1.0,
+        client.delayed(lambda v: v.with_array(2 * v.array), cost=lambda v: 1.0,
                        op=PSEUDO_OVERHEAD)(v)
         for v in volumes
     ]
@@ -84,12 +85,10 @@ def test_dask_purge_and_release_leave_no_stale_size(checked_dask):
         FaultPlan(seed=6).crash_node("node-2", at_time=cluster.now + 0.005,
                                      restart_after=0.01)
     )
-    unrelated = client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()
-    unrelated.result()
+    client.compute([client.delayed(lambda: None, cost=lambda: 1.0,
+                                   op=PSEUDO_OVERHEAD)()])
     client.compute(doubled)
     assert client.lost_futures > 0
-    client.release(doubled + volumes + [unrelated])
-    assert not client._result_bytes
 
 
 @pytest.fixture

@@ -25,20 +25,20 @@ def client(small_cluster):
 
 def test_delayed_result(client):
     node = client.delayed(lambda a, b: a + b, op=PSEUDO_OVERHEAD)(2, 3)
-    assert node.result() == 5
+    assert client.compute([node]) == [5]
 
 
 def test_graph_composition(client):
     inc = client.delayed(lambda x: x + 1, op=PSEUDO_OVERHEAD)
     add = client.delayed(lambda a, b: a + b, op=PSEUDO_OVERHEAD)
     total = add(inc(1), inc(10))
-    assert total.result() == 13
+    assert client.compute([total]) == [13]
 
 
 def test_kwargs_resolved(client):
     fn = client.delayed(lambda x, y=0: x + y, op=PSEUDO_OVERHEAD)
     inner = client.delayed(lambda: 5, op=PSEUDO_OVERHEAD)()
-    assert fn(1, y=inner).result() == 6
+    assert client.compute([fn(1, y=inner)]) == [6]
 
 
 def test_shared_dependency_computed_once(client):
@@ -57,22 +57,22 @@ def test_shared_dependency_computed_once(client):
 
 def test_barrier_caches_results(client):
     node = client.delayed(lambda: 42, op=PSEUDO_OVERHEAD)()
-    node.result()
+    client.compute([node])
     t1 = client.cluster.now
-    node.result()  # no recompute, no time
+    client.compute([node])  # no recompute, no time
     assert client.cluster.now == t1
 
 
 def test_startup_charged_at_first_barrier(client):
     cm = client.cost_model
-    client.delayed(lambda: 1, op=PSEUDO_OVERHEAD)().result()
+    client.compute([client.delayed(lambda: 1, op=PSEUDO_OVERHEAD)()])
     assert client.cluster.now >= cm.dask_job_startup
 
 
 def test_worker_pinning(client):
     node = client.delayed(lambda: "x", workers="node-3", op=PSEUDO_OVERHEAD)()
-    node.result()
-    assert client.node_of(node) == "node-3"
+    client.compute([node])
+    assert client._result_nodes[node.key] == "node-3"
 
 
 def test_locality_prefers_data_node(client):
@@ -80,13 +80,13 @@ def test_locality_prefers_data_node(client):
     producer = client.delayed(lambda: big, workers="node-2", op=PSEUDO_OVERHEAD)()
     consumer = client.delayed(lambda v: v, op=PSEUDO_OVERHEAD)(producer)
     client.compute([consumer])
-    assert client.node_of(consumer) == "node-2"
+    assert client._result_nodes[consumer.key] == "node-2"
 
 
 def test_work_stealing_spreads_load(client):
     """Many tasks whose inputs sit on one node get stolen elsewhere."""
     data = client.delayed(lambda: 1, workers="node-0", op=PSEUDO_OVERHEAD)()
-    data.result()
+    client.compute([data])
     slow = client.delayed(lambda v, i: i, cost=lambda v, i: 1.0, op=PSEUDO_OVERHEAD)
     tasks = [slow(data, i) for i in range(64)]
     t0 = client.cluster.now
@@ -107,21 +107,18 @@ def test_dispatch_serialization_grows_with_tasks(client):
     assert elapsed >= 199 * cm.dask_task_overhead * 0.9
 
 
-def test_results_stay_resident_until_release(client):
+def test_results_stay_resident(client):
     big = SizedArray(np.zeros(8), nominal_shape=(10 ** 9,))
     node = client.delayed(lambda: big, op=PSEUDO_OVERHEAD)()
-    node.result()
+    client.compute([node])
     held = sum(n.memory.used_bytes for n in client.cluster.nodes.values())
     assert held >= 8 * 10 ** 9  # float64 nominal bytes
-    client.release([node])
-    held_after = sum(n.memory.used_bytes for n in client.cluster.nodes.values())
-    assert held_after == 0
 
 
 def test_costed_functions_charge_time(client):
     client.ensure_started()
     t0 = client.cluster.now
-    client.delayed(lambda: 1, cost=lambda: 9.0, op=PSEUDO_OVERHEAD)().result()
+    client.compute([client.delayed(lambda: 1, cost=lambda: 9.0, op=PSEUDO_OVERHEAD)()])
     assert client.cluster.now - t0 >= 9.0
 
 
@@ -132,40 +129,7 @@ def test_failure_propagates(client):
         raise ValueError("nope")
 
     with pytest.raises(TaskFailedError):
-        client.delayed(boom, op=PSEUDO_OVERHEAD)().result()
-
-
-def test_map_fan_out(client):
-    results = client.compute(client.map(lambda a, b: a + b, [1, 2, 3], [10, 20, 30],
-                                        op=PSEUDO_OVERHEAD))
-    assert results == [11, 22, 33]
-
-
-def test_scatter_places_round_robin(client):
-    values = [SizedArray(np.zeros(2), nominal_shape=(10 ** 6,)) for _i in range(6)]
-    handles = client.scatter(values, op=PSEUDO_OVERHEAD)
-    nodes = {client.node_of(h) for h in handles}
-    assert len(nodes) == 4  # spread over all 4 nodes
-
-
-def test_scatter_values_usable_in_graphs(client):
-    (handle,) = client.scatter([21], op=PSEUDO_OVERHEAD)
-    doubled = client.delayed(lambda x: x * 2, op=PSEUDO_OVERHEAD)(handle)
-    assert doubled.result() == 42
-
-
-def test_scatter_pins_to_worker(client):
-    (handle,) = client.scatter(["x"], workers="node-1", op=PSEUDO_OVERHEAD)
-    assert client.node_of(handle) == "node-1"
-
-
-def test_scatter_consumes_memory_until_release(client):
-    big = SizedArray(np.zeros(2), nominal_shape=(10 ** 9,))
-    (handle,) = client.scatter([big], op=PSEUDO_OVERHEAD)
-    held = sum(n.memory.used_bytes for n in client.cluster.nodes.values())
-    assert held >= 8 * 10 ** 9
-    client.release([handle])
-    assert sum(n.memory.used_bytes for n in client.cluster.nodes.values()) == 0
+        client.compute([client.delayed(boom, op=PSEUDO_OVERHEAD)()])
 
 
 def test_pin_to_a_crashed_node_runs_on_the_least_loaded_survivor(client):
@@ -178,7 +142,7 @@ def test_pin_to_a_crashed_node_runs_on_the_least_loaded_survivor(client):
     pinned = client.delayed(lambda: 2, cost=lambda: 1.0, workers="node-1",
                             op=PSEUDO_OVERHEAD)()
     assert client.compute([pinned]) == [2]
-    assert client.node_of(pinned) == "node-0"
+    assert client._result_nodes[pinned.key] == "node-0"
 
 
 GOLDEN_FIG11 = Path(__file__).parent / "golden" / "fig11_dask_quick_tasks.json"

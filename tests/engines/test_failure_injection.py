@@ -109,9 +109,6 @@ def test_dask_results_accumulate_until_oom():
     client.compute([a, b])  # 50 GB resident on a 61 GiB node
     with pytest.raises(OutOfMemoryError):
         client.compute([c])
-    # Releasing frees the memory; the third result now fits.
-    client.release([a])
-    client.compute([c])
 
 
 def test_tf_graph_limit_forces_step_structure():

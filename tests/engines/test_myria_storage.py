@@ -76,18 +76,3 @@ def test_infer_type():
     assert infer_type(2.5) == "DOUBLE"
     assert infer_type("x") == "STRING"
     assert infer_type(np.zeros(3)) == "BLOB"
-
-
-def test_relation_column_access():
-    rel = Relation.from_rows("T", ("a", "b"), [(1, "x"), (2, "y")])
-    assert rel.column("b") == ["x", "y"]
-    assert len(rel) == 2
-
-
-def test_blob_columns_detected():
-    import numpy as np
-
-    rel = Relation.from_rows(
-        "T", ("id", "img"), [(1, np.zeros((2, 2)))]
-    )
-    assert rel.blob_columns() == [1]

@@ -120,7 +120,7 @@ def test_dask_purges_and_recomputes_lost_futures():
         FaultPlan(seed=6).crash_node("node-2", at_time=cluster.now + 0.005,
                                      restart_after=0.01)
     )
-    client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)().result()
+    client.compute([client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()])[0]
     assert cluster.node("node-2").alive
     downstream = [
         client.delayed(lambda x: x + 1, cost=lambda x: 1.0, op=PSEUDO_OVERHEAD)(f)
@@ -142,17 +142,17 @@ def test_dask_future_loss_is_transparent_to_the_caller():
         return 41
 
     f = client.delayed(source, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()
-    assert f.result() == 41
+    assert client.compute([f]) == [41]
     owner = client._result_nodes[f.key]
     cluster.install_faults(
         FaultPlan(seed=6).crash_node(owner, at_time=cluster.now + 0.005,
                                      restart_after=0.01)
     )
     # Unrelated work rides out the crash and reboot.
-    client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)().result()
+    client.compute([client.delayed(lambda: None, cost=lambda: 1.0, op=PSEUDO_OVERHEAD)()])[0]
     g = client.delayed(lambda x: x + 1, cost=lambda x: 1.0, op=PSEUDO_OVERHEAD)(f)
     # The caller sees the right answer; underneath, f was recomputed.
-    assert g.result() == 42
+    assert client.compute([g]) == [42]
     assert len(calls) == 2
     assert client.lost_futures == 1
 

@@ -36,7 +36,7 @@ def test_dimspec_validation():
 
 
 def test_chunk_grid(array_4d):
-    assert array_4d.n_chunks == 18  # 288 / 16 along the volume axis
+    assert len(list(array_4d.chunk_grid())) == 18  # 288 / 16 along the volume axis
     grid = array_4d.chunk_grid()
     assert len(grid) == 18
     assert grid[0] == (0, 0, 0, 0)

@@ -122,6 +122,13 @@ def test_between_restricts_dims(sdb):
     assert out.nominal_shape[1] == 60
 
 
+def test_subarray_restricts_dims_like_between(sdb):
+    out = execute(sdb, "subarray(scan(data), 0, 0, 0, 29, 59, 79)")
+    same = execute(sdb, "between(scan(data), 0, 0, 0, 29, 59, 79)")
+    assert out.nominal_shape == same.nominal_shape == (30, 60, 80)
+    assert np.array_equal(out.real, same.real, equal_nan=True)
+
+
 def test_between_wrong_arity(sdb):
     with pytest.raises(AFLError):
         execute(sdb, "between(scan(data), 0, 0, 29)")

@@ -39,15 +39,6 @@ def test_groupbykey_completeness(sc):
         assert sorted(grouped[key]) == [i for i in range(40) if i % 4 == key]
 
 
-def test_groupby_keyfn(sc):
-    out = dict(
-        sc.parallelize(range(10), numSlices=4)
-        .groupBy(udf(lambda x: x % 2), numPartitions=2)
-        .collect()
-    )
-    assert sorted(out[0]) == [0, 2, 4, 6, 8]
-
-
 def test_reducebykey(sc):
     pairs = [(i % 3, 1) for i in range(30)]
     out = dict(
@@ -65,10 +56,6 @@ def test_mapvalues(sc):
         .collect()
     )
     assert out == {1: 20, 3: 40}
-
-
-def test_count(sc):
-    assert sc.parallelize(range(17), numSlices=5).count() == 17
 
 
 def test_stage_count_narrow_fused(sc):
@@ -120,9 +107,9 @@ def test_cache_avoids_recompute_cost(sc):
     for i in range(8):
         store.put("b", f"o{i}", i, 10_000_000)
     base = sc.s3_objects("b", numPartitions=8).cache()
-    base.count()
+    base.persist_to_workers()
     t1 = sc.cluster.now
-    base.count()
+    base.persist_to_workers()
     second_action = sc.cluster.now - t1
     assert second_action < t1 * 0.5
 
@@ -132,12 +119,12 @@ def test_uncached_rdd_recomputes(sc):
     for i in range(8):
         store.put("b", f"o{i}", i, 10_000_000)
     base = sc.s3_objects("b", numPartitions=8)
-    base.count()  # warm-up (includes job startup)
+    base.persist_to_workers()  # warm-up (includes job startup)
     t1 = sc.cluster.now
-    base.count()
+    base.persist_to_workers()
     second_action = sc.cluster.now - t1
     t2 = sc.cluster.now
-    base.count()
+    base.persist_to_workers()
     third_action = sc.cluster.now - t2
     # Without caching every action re-reads S3: repeat cost is stable
     # and non-trivial.
@@ -196,29 +183,3 @@ def test_spill_on_oversized_partition(sc):
     rdd = sc.parallelize([huge], numSlices=1).map(udf(lambda x: x))
     parts = rdd.persist_to_workers()
     assert len(parts) == 1  # completed despite exceeding 61 GB memory
-
-
-def test_take_and_first(sc):
-    rdd = sc.parallelize(range(100), numSlices=8)
-    taken = rdd.take(5)
-    assert len(taken) == 5
-    assert all(t in range(100) for t in taken)
-    assert rdd.first() in range(100)
-
-
-def test_take_more_than_available(sc):
-    assert sorted(sc.parallelize([1, 2], numSlices=2).take(10)) == [1, 2]
-    assert sc.parallelize([1], numSlices=1).take(0) == []
-
-
-def test_first_empty_raises(sc):
-    import pytest as _pytest
-
-    empty = sc.parallelize([1], numSlices=1).filter(udf(lambda x: False))
-    with _pytest.raises(ValueError):
-        empty.first()
-
-
-def test_distinct(sc):
-    rdd = sc.parallelize([1, 2, 2, 3, 3, 3], numSlices=3)
-    assert sorted(rdd.distinct(numPartitions=2).collect()) == [1, 2, 3]

@@ -64,7 +64,7 @@ def test_cached_node_is_materialization_point(sc):
 
 def test_cache_hit_short_circuits_lineage(sc):
     base = sc.parallelize(range(4), numSlices=2).cache()
-    base.count()  # materializes and stores the cache
+    base.persist_to_workers()  # materializes and stores the cache
     plans = _plan(sc, base.map(udf(lambda x: x)))
     assert len(plans) == 1
     assert plans[0].base is base  # reads from cache, no parallelize
@@ -72,7 +72,7 @@ def test_cache_hit_short_circuits_lineage(sc):
 
 def test_recount_of_cached_rdd_single_cheap_stage(sc):
     base = sc.parallelize(range(4), numSlices=2).cache()
-    base.count()
+    base.persist_to_workers()
     plans = _plan(sc, base)
     assert len(plans) == 1
     assert plans[0].narrow_ops == []

@@ -1,34 +1,14 @@
-"""Tests for pickled-NumPy staging helpers."""
+"""Tests for the pickled-NumPy staging size."""
+
+import pickle
 
 import numpy as np
-import pytest
 
-from repro.formats.npyio import (
-    PICKLE_OVERHEAD_BYTES,
-    pickle_array,
-    pickled_nominal_bytes,
-    unpickle_array,
-)
-
-
-def test_roundtrip(rng):
-    a = rng.random((10, 11)).astype(np.float32)
-    assert np.array_equal(unpickle_array(pickle_array(a)), a)
-
-
-def test_unpickle_rejects_non_array():
-    import pickle
-
-    with pytest.raises(TypeError):
-        unpickle_array(pickle.dumps({"not": "array"}))
+from repro.formats.npyio import PICKLE_OVERHEAD_BYTES
 
 
 def test_nominal_size_close_to_actual(rng):
     a = rng.random((64, 64)).astype(np.float32)
-    actual = len(pickle_array(a))
-    nominal = pickled_nominal_bytes(a.size, a.itemsize)
+    actual = len(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL))
+    nominal = a.nbytes + PICKLE_OVERHEAD_BYTES
     assert abs(actual - nominal) < 256
-
-
-def test_nominal_size_formula():
-    assert pickled_nominal_bytes(100, 4) == 400 + PICKLE_OVERHEAD_BYTES

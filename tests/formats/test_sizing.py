@@ -3,45 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.formats.sizing import SizedArray, total_nominal_bytes
+from repro.formats.sizing import SizedArray
 
 
 def test_defaults_to_real_shape(rng):
     a = SizedArray(rng.random((4, 5)))
     assert a.nominal_shape == (4, 5)
     assert a.nominal_elements == 20
-    assert a.scale_factor == 1.0
 
 
 def test_nominal_bytes_uses_dtype():
     a = SizedArray(np.zeros((2, 2), dtype=np.float32), nominal_shape=(100, 100))
     assert a.nominal_bytes == 100 * 100 * 4
-
-
-def test_scale_factor():
-    a = SizedArray(np.zeros((10, 10)), nominal_shape=(100, 100))
-    assert a.scale_factor == 100.0
-
-
-def test_map_preserves_nominal_on_same_shape():
-    a = SizedArray(np.ones((4, 4)), nominal_shape=(40, 40), meta={"id": 1})
-    b = a.map(lambda x: x * 2)
-    assert b.nominal_shape == (40, 40)
-    assert b.meta == {"id": 1}
-    assert np.all(b.array == 2)
-
-
-def test_map_scales_nominal_when_shape_changes():
-    a = SizedArray(np.ones((4, 8)), nominal_shape=(40, 80))
-    b = a.map(lambda x: x[:2, :])
-    assert b.nominal_shape == (20, 80)
-
-
-def test_reduce_axis_drops_dimension():
-    a = SizedArray(np.ones((3, 4, 5)), nominal_shape=(30, 40, 50))
-    b = a.reduce_axis(lambda x, axis: x.mean(axis=axis), axis=2)
-    assert b.array.shape == (3, 4)
-    assert b.nominal_shape == (30, 40)
 
 
 def test_with_array_overrides():
@@ -55,10 +28,3 @@ def test_invalid_nominal_shape_rejected():
     with pytest.raises(ValueError):
         SizedArray(np.ones((2, 2)), nominal_shape=(0, 2))
 
-
-def test_total_nominal_bytes():
-    arrays = [
-        SizedArray(np.zeros(2, dtype=np.float64), nominal_shape=(10,)),
-        SizedArray(np.zeros(2, dtype=np.float64), nominal_shape=(5,)),
-    ]
-    assert total_nominal_bytes(arrays) == 15 * 8

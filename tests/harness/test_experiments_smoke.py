@@ -174,3 +174,21 @@ def test_neuro_trials_load_no_masked_arrays_and_no_astro_lowering():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def test_astro_trials_load_no_masked_arrays():
+    """A fresh process that runs a quick Figure 10d cell (Step 1-A's
+    background, cosmic-ray and source statistics) never imports
+    ``numpy.ma``: the medians go through ``stencil.median``."""
+    script = (
+        "import sys\n"
+        "from repro.harness.figures import grid\n"
+        "grid('fig10d', True, count=(1,))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split("\n")[0] == "False"

@@ -26,7 +26,12 @@ from repro.obs import attribute_critical_path, compute_critical_path
 from repro.pipelines.astro.staging import stage_visits
 from repro.pipelines.neuro.staging import stage_subjects
 from repro.plan import astro_plan, lower, neuro_plan
-from repro.plan.ir import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
+from repro.plan.ir import (
+    PSEUDO_IDLE,
+    PSEUDO_OVERHEAD,
+    PSEUDO_RECOVERY,
+    provenance_id,
+)
 
 TINY_NEURO = {"scale": 20, "n_volumes": 12}
 TINY_ASTRO = {"scale": 100, "n_sensors": 4}
@@ -43,7 +48,8 @@ LOWERINGS = [("neuro", kind) for kind in ENGINES] + [
 def _assert_stamped(cluster, plan):
     """Every record is stamped, with an op of ``plan`` or a written-out
     pseudo-op, and the fold is the sum of the stamps."""
-    allowed = set(plan.provenance_ids()) | {PSEUDO_OVERHEAD, PSEUDO_RECOVERY}
+    allowed = {provenance_id(plan.name, op.op_id) for op in plan.ops}
+    allowed |= {PSEUDO_OVERHEAD, PSEUDO_RECOVERY}
     records = cluster.obs.task_records
     assert records, "the run recorded nothing"
     for record in records:

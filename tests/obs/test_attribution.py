@@ -1,12 +1,10 @@
 """Logical-op attribution: the resolver's three outcomes + the
-cross-engine golden table.
+cross-engine golden ops.
 
-The golden test is the tentpole acceptance check: every engine's
-lowered quick neuro run must attribute every critical-path segment to a
-provenance id (a ``repro.plan`` op or a ``@pseudo`` op), the attributed
-seconds must tile each engine's makespan exactly, and folding the five
-runs into one :func:`op_table` yields the paper's Table 1 comparison
-made quantitative -- per-op cost, comparable op-for-op across systems.
+Every engine's lowered quick neuro run must attribute every
+critical-path segment to a provenance id (a ``repro.plan`` op or a
+``@pseudo`` op), and the attributed seconds must tile each engine's
+makespan exactly -- per-op cost, comparable op-for-op across systems.
 """
 
 import pytest
@@ -17,13 +15,15 @@ from repro.obs import compute_critical_path
 from repro.obs.attribution import (
     attribute_critical_path,
     format_attribution,
-    format_op_table,
-    op_table,
-    op_totals,
     resolve_segment_op,
 )
 from repro.plan import neuro_plan
-from repro.plan.ir import PSEUDO_IDLE, PSEUDO_OVERHEAD, PSEUDO_RECOVERY
+from repro.plan.ir import (
+    PSEUDO_IDLE,
+    PSEUDO_OVERHEAD,
+    PSEUDO_RECOVERY,
+    provenance_id,
+)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +141,8 @@ def engine_attributions():
 
 def test_every_segment_carries_a_provenance_id(engine_attributions):
     """Acceptance: no lowered quick run leaves a segment unattributed."""
-    known = set(neuro_plan().provenance_ids())
+    plan = neuro_plan()
+    known = {provenance_id(plan.name, op.op_id) for op in plan.ops}
     known |= {PSEUDO_OVERHEAD, PSEUDO_RECOVERY, PSEUDO_IDLE}
     for engine, (_cluster, rows) in engine_attributions.items():
         assert rows, f"{engine}: no attribution rows"
@@ -177,38 +178,14 @@ EXPECTED_OPS = {
 
 def test_golden_ops_per_engine(engine_attributions):
     for engine, expected in EXPECTED_OPS.items():
-        ops = set(op_totals(engine_attributions[engine][1]))
+        ops = {row["op"] for row in engine_attributions[engine][1]}
         missing = expected - ops
         assert not missing, f"{engine}: expected ops missing {missing}"
-
-
-def test_cross_engine_op_table_golden(engine_attributions):
-    plan = neuro_plan()
-    columns = {
-        engine: rows for engine, (_c, rows) in engine_attributions.items()
-    }
-    table = op_table(columns, plan=plan)
-    assert table["columns"] == list(columns)
-    # Plan ops come in plan order; pseudo-ops trail.
-    plan_order = [op for op in plan.provenance_ids() if op in table["ops"]]
-    assert table["ops"][: len(plan_order)] == plan_order
-    assert all(op.startswith("@") for op in table["ops"][len(plan_order):])
-    # Each column sums back to that engine's makespan.
-    for engine, (cluster, _rows) in engine_attributions.items():
-        total = sum(table["cells"][op][engine] for op in table["ops"])
-        makespan = compute_critical_path(cluster).makespan
-        assert total == pytest.approx(makespan, abs=1e-6)
-    # The Table-1 NA cells stay empty: no fitmodel cost outside the
-    # engines that can express it.
-    fit = "neuro/fitmodel"
-    if fit in table["cells"]:
-        assert table["cells"][fit]["scidb"] == 0.0
-        assert table["cells"][fit]["tensorflow"] == 0.0
-        assert table["cells"][fit]["spark"] > 0.0
-    rendered = format_op_table(table)
-    assert "op" in rendered.splitlines()[0]
-    for engine in columns:
-        assert engine in rendered.splitlines()[0]
+    # The Table-1 NA cells stay empty: no fitmodel cost on the engines
+    # that cannot express it.
+    for engine in ("scidb", "tensorflow"):
+        ops = {row["op"] for row in engine_attributions[engine][1]}
+        assert "neuro/fitmodel" not in ops
 
 
 def test_format_attribution_renders(engine_attributions):

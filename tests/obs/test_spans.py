@@ -17,9 +17,7 @@ def test_open_close_records_extent(cluster):
         cluster.run([Task("t", duration=2.0, op=PSEUDO_OVERHEAD)])
     assert span.start == 0.0
     assert span.end == 2.0
-    assert span.duration == 2.0
     assert span.parent is None
-    assert span.parent_id == -1
     assert span.depth == 0
 
 
@@ -28,7 +26,6 @@ def test_nested_spans_link_parents(cluster):
         with cluster.obs.span("inner") as inner:
             pass
     assert inner.parent is outer
-    assert inner.parent_id == outer.span_id
     assert inner.depth == 1
     assert len(cluster.obs.spans) == 2
 
@@ -55,14 +52,6 @@ def test_out_of_order_close_rejected():
     store.open("b", 0.0)
     with pytest.raises(RuntimeError, match="out of order"):
         store.close(a, 1.0)
-
-
-def test_reset_clears_spans_and_records(cluster):
-    with cluster.obs.span("s"):
-        cluster.run([Task("t", duration=1.0, op=PSEUDO_OVERHEAD)])
-    cluster.reset_clock()
-    assert len(cluster.obs.spans) == 0
-    assert cluster.obs.task_records == []
 
 
 def test_spark_stages_open_spans(cluster):

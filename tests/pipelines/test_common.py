@@ -28,25 +28,6 @@ def test_denoise_cost_scales_with_mask():
     quarter = common.denoise_cost(CM, 0.25)(vol)
     half = common.denoise_cost(CM, 0.5)(vol)
     assert half == pytest.approx(2 * quarter)
-    full = common.denoise_cost_unmasked(CM)(vol)
-    assert full == pytest.approx(4 * quarter)
-
-
-def test_fit_cost_per_sample_semantics():
-    stacked = SizedArray(
-        np.zeros((4, 4, 4, 10)), nominal_shape=(145, 145, 174, 288)
-    )
-    cost = common.fit_cost(CM, 0.5)(stacked)
-    expected = 145 * 145 * 174 * 288 * 0.5 * CM.dtm_fit_per_voxel_sample
-    assert cost == pytest.approx(expected)
-
-
-def test_fit_cost_accepts_block_list():
-    blocks = [_volume() for _i in range(3)]
-    cost = common.fit_cost(CM, 1.0)(blocks)
-    assert cost == pytest.approx(
-        3 * blocks[0].nominal_elements * CM.dtm_fit_per_voxel_sample
-    )
 
 
 def test_split_volume_blocks_covers_volume():

@@ -9,14 +9,12 @@ is interior.
 
 import pytest
 
-from repro.plan import PlanError, neuro_plan
+from repro.plan import PlanError, astro_plan, neuro_plan
 from repro.plan.fragments import (
     astro_coadd_fragment,
-    astro_preprocess_fragment,
     fragment,
     neuro_denoise_fragment,
     neuro_filter_fragment,
-    neuro_mask_fragment,
     neuro_mean_fragment,
     neuro_scan_fragment,
 )
@@ -48,7 +46,7 @@ def test_interior_tail_gains_materialize_sink():
 
 
 def test_materialize_tail_gets_no_sink():
-    frag = neuro_mask_fragment()
+    frag = fragment(neuro_plan(), "masks")
     assert frag.ops[-1].op_id == "masks"
     assert not any(op.op_id.endswith(".sink") for op in frag.ops)
 
@@ -71,7 +69,7 @@ def test_astro_fragments():
     assert [op.op_id for op in coadd.ops] == \
         ["exposures", "preprocess", "patches", "stitch", "coadd",
          "coadd.sink"]
-    pre = astro_preprocess_fragment()
+    pre = fragment(astro_plan(), "preprocess")
     assert [op.op_id for op in pre.ops] == \
         ["exposures", "preprocess", "preprocess.sink"]
 

@@ -14,7 +14,7 @@ from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
 from repro.algorithms.sources import label_regions
-from repro.algorithms.stencil import median_filter_2d, median_filter_3d
+from repro.algorithms.stencil import median, median_filter_2d, median_filter_3d
 from tests.algorithms.test_background import (
     BACKGROUND_CLASSES,
     _reference_estimate_background,
@@ -157,8 +157,8 @@ def test_patch_fanout_covers_box(ph, pw, y0, x0, h, w):
     for patch_id in patches:
         overlap = box.intersect(grid.patch_box(patch_id))
         assert overlap is not None
-        total += overlap.area()
-    assert total == box.area()
+        total += overlap.height * overlap.width
+    assert total == box.height * box.width
 
 
 @given(
@@ -322,3 +322,38 @@ def test_memo_returns_the_kernel_result_once_per_distinct_input(calls):
         result[...] = 1  # a later hit must not see this
         distinct.add((dtype, shape, array.tobytes(), type(scale), repr(scale)))
     assert len(computed) == len(distinct)
+
+
+#: What a median can meet: signed zeros, infinities and NaN among
+#: ordinary values (NaN partitions last and makes the median NaN; an
+#: even length averages -inf with inf to NaN).
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+def _assert_median_bytes(ours, theirs):
+    assert type(ours) is type(theirs)
+    assert np.asarray(ours).dtype == np.asarray(theirs).dtype
+    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+
+
+@given(
+    st.sampled_from([np.float64, np.float32]),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_median_bytes_match_np_median(dtype, rows, length, data):
+    """The flat form (cosmic-ray MAD, source threshold) and the
+    ``axis=1`` form (background boxes) return ``np.median``'s bytes and
+    type, odd lengths and even."""
+    values = data.draw(hnp.arrays(dtype, (rows, length),
+                                  elements=_MEDIAN_VALUES))
+    with np.errstate(invalid="ignore"):
+        _assert_median_bytes(median(values[0]), np.median(values[0]))
+        _assert_median_bytes(median(values), np.median(values))
+        _assert_median_bytes(median(values, axis=1),
+                             np.median(values, axis=1))

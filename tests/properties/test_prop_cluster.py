@@ -54,7 +54,7 @@ def test_chain_is_serial(durations):
 @given(
     st.lists(st.integers(1, 100), min_size=1, max_size=30),
     st.integers(100, 10_000),
-    st.sampled_from(["free", "free_all", "wipe"]),
+    st.sampled_from(["free", "wipe"]),
     st.lists(st.integers(1, 100), max_size=10),
 )
 @settings(max_examples=60, deadline=None)
@@ -62,9 +62,9 @@ def test_memory_tracker_conserves(sizes, capacity, release, after):
     """used + available == capacity at every step; OOM exactly when the
     request exceeds what is available; the step history sums to the
     level after every step and peaks where the tracker says it did.
-    Half the allocations are freed one by one, the rest by ``free``,
-    by ``free_all`` or by a ``wipe`` (a crash, after which a late free
-    is a no-op); then the tracker allocates afresh."""
+    Half the allocations are freed one by one, the rest by ``free`` or
+    by a ``wipe`` (a crash, after which a late free is a no-op); then
+    the tracker allocates afresh."""
     tracker = MemoryTracker("n", capacity)
 
     def level():
@@ -95,9 +95,6 @@ def test_memory_tracker_conserves(sizes, capacity, release, after):
             tracker.free(alloc)
             check()
         assert len(tracker.history) == 2 * len(allocations)
-    elif release == "free_all":
-        tracker.free_all()
-        check()
     else:
         lost = tracker.used_bytes
         assert tracker.wipe() == lost
@@ -128,8 +125,6 @@ def test_a_task_leaves_one_allocate_free_pair_on_its_node():
     assert (result.start_time, result.end_time) == (3.0, 4.5)
     assert cluster.node("node-1").memory.peak_bytes == mb64
     assert cluster.node("node-0").memory.history == []
-    cluster.reset_clock()
-    assert cluster.node("node-1").memory.history == []
 
 
 @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=50),

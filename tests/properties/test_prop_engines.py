@@ -68,7 +68,7 @@ def test_dask_graph_matches_python(items):
     client = DaskClient(SimulatedCluster(ClusterSpec(n_nodes=2)))
     inc = client.delayed(lambda x: x + 1, op=PSEUDO_OVERHEAD)
     total = client.delayed(lambda *xs: sum(xs), op=PSEUDO_OVERHEAD)
-    result = total(*[inc(i) for i in items]).result()
+    (result,) = client.compute([total(*[inc(i) for i in items])])
     assert result == sum(i + 1 for i in items)
 
 

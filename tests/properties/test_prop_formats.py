@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from repro.formats.csvconv import array_to_csv, array_to_tsv, csv_to_array, tsv_to_array
 from repro.formats.fits import FitsFile, FitsHDU, fits_bytes, read_fits
 from repro.formats.nifti import NiftiImage, nifti_bytes, read_nifti
-from repro.formats.npyio import pickle_array, unpickle_array
 
 small_shapes_3d = st.tuples(
     st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)
@@ -91,9 +90,3 @@ def test_csv_roundtrip_exact(array):
 @settings(max_examples=40, deadline=None)
 def test_tsv_roundtrip_exact(array):
     assert np.array_equal(tsv_to_array(array_to_tsv(array)), array)
-
-
-@given(float32_volumes())
-@settings(max_examples=40, deadline=None)
-def test_pickle_roundtrip(volume):
-    assert np.array_equal(unpickle_array(pickle_array(volume)), volume)
