@@ -13,10 +13,14 @@ same key, one read, one CRC and one ``marshal.loads``.
 
 Both sides are timed in this process, alternately, best of many rounds
 of ten replays, so a slow phase of the host slows both sides of the
-ratio.  Measured at 0.56-0.64, mostly 0.57-0.58 (344-534 us against
-603-878 us), over 12 runs on a 2-core x86-64 host under Python 3.11;
-with the v2 codec put back in ``cache.py`` the same test reads
-0.95-1.07.  The bound is 0.8.
+ratio.  Both sides key through ``spec.key()``, which derives a spec's
+key once and keeps it, so after the first round neither side hashes:
+the ratio compares the hit paths alone.  Measured at 0.48-0.49
+(191-273 us against 398-572 us) over 8 runs on a 2-core x86-64 host;
+with every key re-derived on each call, as before specs kept theirs,
+it read 0.56-0.58 (288-303 us against 493-541 us), and 0.56-0.64
+over 12 earlier runs.  With the v2 codec put back in ``cache.py`` the
+test read 0.95-1.07.  The bound is 0.8.
 """
 
 import json

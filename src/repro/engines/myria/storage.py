@@ -28,7 +28,7 @@ class WorkerStorage:
         """Create an empty shard for a relation."""
         self._tables[name] = (schema, [])
         self._bytes[name] = 0
-        self.disk.write(self._path(name), [], 0)
+        self.disk.write(self._path(name), 0)
 
     def insert_rows(self, name, rows):
         """Append rows to a shard; returns (n_rows, nominal_bytes).
@@ -39,7 +39,7 @@ class WorkerStorage:
         existing.extend(rows)
         nbytes = sum(nominal_bytes_of(r) for r in rows)
         self._bytes[name] += nbytes
-        self.disk.write(self._path(name), existing, self._bytes[name])
+        self.disk.write(self._path(name), self._bytes[name])
         return len(rows), nbytes
 
     def has_table(self, name):

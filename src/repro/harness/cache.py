@@ -14,9 +14,9 @@ source edit (new scheduling order, new blame category, a recalibrated
 cost constant, ...) cold-starts the cache rather than serving stale
 simulations.
 
-A hit is one key hash, one file read and one decode: the payload is
-stored as a CRC-32 followed by the ``marshal`` bytes of its
-JSON-normalized form (:func:`encode_payload`).
+A hit is one file read and one decode (a ``TrialSpec`` hashes its key
+once): the payload is stored as a CRC-32 followed by the ``marshal``
+bytes of its JSON-normalized form (:func:`encode_payload`).
 
 The cache directory must be private to the user who runs the harness.
 The CRC-32 catches torn writes and damaged bytes, not a crafted file,
@@ -57,10 +57,17 @@ def code_tree_hash(root=None):
 
     Any edit to the simulator, engines, pipelines, or harness changes
     this digest and therefore every cache key: the cache can never
-    serve a simulation produced by different code.
+    serve a simulation produced by different code.  The default root's
+    digest is memoized under ``None``, so the common call is one dict
+    lookup.
     """
     if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cached = _code_hash_cache.get(None)
+        if cached is None:
+            cached = _code_hash_cache[None] = code_tree_hash(
+                os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            )
+        return cached
     root = os.path.abspath(root)
     cached = _code_hash_cache.get(root)
     if cached is not None:
@@ -194,7 +201,7 @@ class TrialCache:
         """Store ``payload`` atomically (rename over a temp file).
 
         ``encoded`` short-circuits serialization when the caller
-        already holds the :func:`encode_payload` bytes (pool workers
+        already holds the :func:`encode_payload` bytes (worker lanes
         encode payloads for transport; the parent stores them as-is).
         """
         rec = telemetry.recorder()

@@ -1,4 +1,4 @@
-"""Process-pool trial executor with deterministic result merging.
+"""Trial executor: warm worker lanes and deterministic result merging.
 
 Every figure in the paper is a grid of independent trials (engine x
 data size x cluster size x faults).  Each trial builds its clusters
@@ -7,45 +7,73 @@ on those objects, and the simulator's virtual clock depends only on the
 *relative* order of task ids within one cluster, so a trial produces
 bit-identical results whether it runs in this process, in a forked
 worker, or was replayed from the cache.  :func:`run_grid` exploits
-that: it fans a list of :class:`TrialSpec` across a process pool (or
+that: it fans a list of :class:`TrialSpec` across worker lanes (or
 runs them inline at ``jobs=1``, the library default) and merges the
 payloads back in submission order, so the rows -- and the ledger
 snapshots derived from them -- are byte-identical to a serial run.
 
-The pool is *warm*: created lazily on the first pooled grid and reused
-across ``run_grid`` calls and figures for the life of the process (or
-until :func:`shutdown_pool`), so only the first pooled grid pays
-process startup.  A grid with more than one uncached trial at
-``jobs > 1`` is one ``Pool.map`` over its trials; batching is the
-standard library's.
+A *lane* is one long-lived worker process and a duplex pipe to it: it
+receives one trial, runs it, sends the result back and waits for the
+next.  The lanes are warm: started lazily by the first pooled grid and
+reused across ``run_grid`` calls and figures for the life of the
+process (or until :func:`shutdown_pool`), so only the first pooled grid
+pays process startup, and what a lane memoizes for one trial (generated
+inputs, staged stores, kernel results) serves the next trial it runs.
+
+The parent hands out trials one at a time by *cohort affinity*.  A
+trial's cohort is its function plus the values of its data arguments
+(:data:`COHORT_ARGS`): the trials of one cohort read the same subjects
+or visits.  A free lane takes
+
+1. the next trial of the cohort it ran last; otherwise
+2. the first cohort no lane has started, in submission order; otherwise
+3. the next trial of the started cohort with the most trials left,
+
+so each cohort's inputs are built in as few lanes as the grid allows,
+and a one-cohort grid still spreads over every lane.  Trials are pure,
+so placement cannot change a byte.
+
+A lane that dies under a trial (it killed its own process, the OOM
+killer took it) fails that trial with :class:`TrialExecutionError`; the
+other trials still merge, and the next pooled grid starts a lane in its
+place.  An exception in the parent while trials are out, an interrupt
+included, stops every lane before it propagates.
 
 Workers return payloads in the cache's own form, a CRC-32 plus the
 ``marshal`` bytes of the JSON-normalized payload (see
 ``repro.harness.cache.encode_payload``), which the parent stores in the
 cache verbatim and decodes once for merging; a warm replay costs one
-key hash, one file read and one ``marshal.loads`` per trial.
-Snapshots are only computed when someone will consume them (an active
-:func:`collecting_snapshots` sink or an enabled cache); the parent
-decides, and pooled workers are told in their task, so plain smoke
+file read and one ``marshal.loads`` per trial, a spec's key being
+derived once.  Snapshots are only computed when someone will consume
+them (an active :func:`collecting_snapshots` sink or an enabled cache);
+the parent decides, and lanes are told in each task, so plain smoke
 runs pay nothing extra.
 """
 
 import atexit
+import json
 import multiprocessing
 import os
+import signal
 import time
 import traceback
+from collections import deque
 from contextlib import contextmanager
 
 from repro.harness import runner
-from repro.harness.cache import cache_key, decode_payload, encode_payload
+from repro.harness.cache import (
+    cache_key,
+    code_tree_hash,
+    decode_payload,
+    encode_payload,
+)
 from repro.obs import telemetry
 
 #: Registered trial functions: name -> callable returning one row dict.
 TRIAL_FNS = {}
 
-#: Bumped by every registration; a warm pool forked under an older
-#: version is stale (its workers lack the new entries) and is rebuilt.
+#: Bumped by every registration; warm lanes forked under an older
+#: version are stale (they lack the new entries) and are restarted.
 _registry_version = 0
 
 #: Sentinel distinguishing "not passed" from an explicit ``None``.
@@ -77,7 +105,7 @@ class TrialSpec:
     ``kwargs`` are all the cache keys on beside the code-tree salt.
     """
 
-    __slots__ = ("fn", "kwargs")
+    __slots__ = ("fn", "kwargs", "_salt", "_key")
 
     def __init__(self, fn, kwargs, engine=None):
         # ``engine`` is accepted and ignored: ``bench/workloads.py``
@@ -87,10 +115,20 @@ class TrialSpec:
             raise KeyError(f"unknown trial function {fn!r}")
         self.fn = fn
         self.kwargs = kwargs
+        self._salt = self._key = None
 
     def key(self, salt=None):
-        """Content address of this trial (see :mod:`repro.harness.cache`)."""
-        return cache_key(self.fn, self.kwargs, salt=salt)
+        """Content address of this trial (see :mod:`repro.harness.cache`).
+
+        Derived once per resolved salt, so ``fn`` and ``kwargs`` must
+        not change after the first call; a new code-tree hash re-keys.
+        """
+        if salt is None:
+            salt = code_tree_hash()
+        if salt != self._salt:
+            self._key = cache_key(self.fn, self.kwargs, salt=salt)
+            self._salt = salt
+        return self._key
 
 
 class TrialExecutionError(RuntimeError):
@@ -230,6 +268,15 @@ def _worker_init():
     telemetry.clear_recorder()
 
 
+def _error_of(exc):
+    """The failure record of an exception being handled."""
+    return {
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": traceback.format_exc(),
+    }
+
+
 def _run_one(args):
     """Worker-side single trial: encoded payload + telemetry sidecar.
 
@@ -262,14 +309,7 @@ def _run_one(args):
         )
         result = {"payload": blob, "telemetry": timings}
     except Exception as exc:  # noqa: BLE001 - reported to the parent
-        result = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            },
-            "telemetry": timings,
-        }
+        result = {"error": _error_of(exc), "telemetry": timings}
     finally:
         if profiler is not None:
             profiler.disable()
@@ -281,6 +321,26 @@ def _run_one(args):
     return result
 
 
+def _lane_main(conn, parent_ends):
+    """A lane's process: run the trials ``conn`` brings until it closes.
+
+    ``parent_ends`` are the parent's ends of every lane's pipe, this
+    one's included, as the fork copied them; closing them here is what
+    lets each lane see end-of-file when the parent goes away.  The
+    parent owns interrupts: it stops the lanes itself.
+    """
+    for end in parent_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_init()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        conn.send(_run_one(task))
+
+
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -288,12 +348,36 @@ def _pool_context():
     )
 
 
+class _Lane:
+    """One worker process, the parent's end of its pipe, and the cohort
+    of the last trial it was given."""
+
+    __slots__ = ("process", "conn", "cohort")
+
+    def __init__(self, ctx, parent_ends):
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_lane_main, args=(child_end, parent_ends + [self.conn]),
+            daemon=True,
+        )
+        self.process.start()
+        child_end.close()
+        self.cohort = None
+
+    def stop(self):
+        """End the process (terminated if still running) and reap it."""
+        if self.process.exitcode is None:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
 # ----------------------------------------------------------------------
-# The warm pool: created once, reused across run_grid calls and figures
+# The warm lanes: started once, reused across run_grid calls and figures
 # ----------------------------------------------------------------------
 
 _pool_state = {
-    "pool": None,
+    "pool": None,  # the list of lanes
     "procs": 0,
     "registry_version": -1,
     "profile_dir": None,
@@ -301,26 +385,26 @@ _pool_state = {
 
 
 def shutdown_pool():
-    """Terminate the warm pool (process exit, or tests needing a cold
-    start).  The next pooled grid recreates it."""
-    pool = _pool_state["pool"]
-    if pool is not None:
-        pool.terminate()
-        pool.join()
+    """Stop every lane (process exit, an interrupt, or tests needing a
+    cold start).  The next pooled grid starts them again."""
+    lanes = _pool_state["pool"]
     _pool_state.update(
         pool=None, procs=0, registry_version=-1, profile_dir=None
     )
+    for lane in lanes or ():
+        lane.stop()
 
 
 atexit.register(shutdown_pool)
 
 
 def _ensure_pool(n_procs):
-    """The warm pool, (re)created when too small or stale.
+    """The first ``n_procs`` warm lanes, restarted when too few or
+    stale, and any lane that died replaced.
 
-    Staleness: trial registrations after the fork (workers would lack
-    them) or a changed ``REPRO_PROFILE_DIR`` (forked workers captured
-    the old environment).
+    Staleness: trial registrations after the fork (lanes would lack
+    them) or a changed ``REPRO_PROFILE_DIR`` (forked lanes captured the
+    old environment).
     """
     profile_dir = telemetry.profile_dir()
     state = _pool_state
@@ -331,15 +415,108 @@ def _ensure_pool(n_procs):
         or state["profile_dir"] != profile_dir
     ):
         shutdown_pool()
+        state.update(pool=[], procs=n_procs,
+                     registry_version=_registry_version,
+                     profile_dir=profile_dir)
+    lanes = state["pool"]
+    for lane in [lane for lane in lanes if lane.process.exitcode is not None]:
+        lane.stop()
+        lanes.remove(lane)
+    if len(lanes) < state["procs"]:
         ctx = _pool_context()
         with telemetry.telemetry_phase("pool-startup"):
-            state["pool"] = ctx.Pool(
-                processes=n_procs, initializer=_worker_init
-            )
-        state["procs"] = n_procs
-        state["registry_version"] = _registry_version
-        state["profile_dir"] = profile_dir
-    return state["pool"]
+            while len(lanes) < state["procs"]:
+                lanes.append(_Lane(ctx, [lane.conn for lane in lanes]))
+    return lanes[:n_procs]
+
+
+#: The keyword arguments that name a trial's input data.  Trials that
+#: agree on their function and on these values form one cohort: they
+#: read the same subjects or visits (see the module docstring).
+COHORT_ARGS = ("pipeline", "count", "profile", "profiles", "seed")
+
+
+def _cohort(spec):
+    """A spec's cohort as a string: its function and data arguments."""
+    kwargs = spec.kwargs
+    return json.dumps(
+        [spec.fn] + [[name, kwargs[name]] for name in COHORT_ARGS
+                     if name in kwargs],
+        sort_keys=True,
+    )
+
+
+def _lane_died(lane, index, fn):
+    """The failure record of trial ``index``, whose lane died under it:
+    its pipe hit end-of-file, or refused the trial."""
+    lane.process.join(1.0)
+    lane.stop()
+    code = lane.process.exitcode
+    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+           if code < 0 else f"exited with code {code}")
+    return {
+        "type": "LaneDied",
+        "message": f"the worker lane (pid {lane.process.pid}) running "
+                   f"trial #{index} ({fn}) {how}",
+        "traceback": "(none: the worker process died)\n",
+    }
+
+
+def _dispatch(lanes, specs, pending, want_snapshots):
+    """Run the ``pending`` trials across ``lanes`` by cohort affinity;
+    returns ``{index: result}`` (see :func:`_run_one`)."""
+    from multiprocessing.connection import wait
+
+    queues = {}
+    for index in pending:
+        queues.setdefault(_cohort(specs[index]), deque()).append(index)
+    unstarted = list(queues)
+    running = {}
+    results = {}
+
+    def start(lane):
+        cohort = lane.cohort
+        if not queues.get(cohort):
+            if unstarted:
+                cohort = unstarted[0]
+            else:
+                cohort = max(queues, key=lambda c: len(queues[c]))
+                if not queues[cohort]:
+                    return
+        if cohort in unstarted:
+            unstarted.remove(cohort)
+        lane.cohort = cohort
+        index = queues[cohort].popleft()
+        spec = specs[index]
+        try:
+            lane.conn.send((spec.fn, spec.kwargs, want_snapshots))
+        except OSError:
+            results[index] = {"error": _lane_died(lane, index, spec.fn)}
+            return
+        running[lane.conn] = (lane, index)
+
+    for lane in lanes:
+        start(lane)
+    while running:
+        for conn in wait(list(running)):
+            lane, index = running.pop(conn)
+            try:
+                results[index] = conn.recv()
+            except (EOFError, OSError):
+                results[index] = {
+                    "error": _lane_died(lane, index, specs[index].fn)
+                }
+            else:
+                start(lane)
+    for index in pending:
+        if index not in results:
+            results[index] = {"error": {
+                "type": "LaneDied",
+                "message": f"trial #{index} ({specs[index].fn}) never "
+                           "ran: every worker lane of the grid died",
+                "traceback": "(none: the trial never started)\n",
+            }}
+    return results
 
 
 def run_grid(specs, jobs=None, cache=_UNSET):
@@ -347,13 +524,14 @@ def run_grid(specs, jobs=None, cache=_UNSET):
 
     Payloads are ``{"row": <row dict>[, "snapshots": [...]]}``.  Rows
     and snapshots are identical whether trials ran inline, across the
-    warm pool, or were replayed from the trial cache; active
+    warm lanes, or were replayed from the trial cache; active
     :func:`collecting_snapshots` sinks receive every snapshot in
     submission order.
 
-    If any trial raises, the surviving trials are still merged (and
-    cached) in submission order, then :class:`TrialExecutionError` is
-    raised carrying the original traceback(s).
+    If any trial raises, or its lane dies under it, the surviving
+    trials are still merged (and cached) in submission order, then
+    :class:`TrialExecutionError` is raised carrying the original
+    traceback(s).
     """
     specs = list(specs)
     if jobs is None:
@@ -379,18 +557,19 @@ def run_grid(specs, jobs=None, cache=_UNSET):
             pending.append(index)
 
     if jobs > 1 and len(pending) > 1:
-        n_procs = min(jobs, len(pending))
-        pool = _ensure_pool(n_procs)
+        lanes = _ensure_pool(min(jobs, len(pending)))
         start = time.perf_counter()
         with telemetry.telemetry_phase("dispatch"):
-            results = pool.map(_run_one, [
-                (specs[i].fn, specs[i].kwargs, want_snapshots)
-                for i in pending
-            ])
-        map_wall = time.perf_counter() - start
+            try:
+                results = _dispatch(lanes, specs, pending, want_snapshots)
+            except BaseException:
+                shutdown_pool()
+                raise
+        dispatch_wall = time.perf_counter() - start
         busy = 0.0
         with telemetry.telemetry_phase("row-assemble"):
-            for i, wrapped in zip(pending, results):
+            for i in pending:
+                wrapped = results[i]
                 worker = wrapped.get("telemetry") or {}
                 busy += sum(worker.values())
                 for name, seconds in sorted(worker.items()):
@@ -400,7 +579,8 @@ def run_grid(specs, jobs=None, cache=_UNSET):
                     continue
                 encoded[i] = wrapped["payload"]
                 payloads[i] = decode_payload(encoded[i])
-        rec.gauge("pool.utilization", busy / max(n_procs * map_wall, 1e-9))
+        rec.gauge("pool.utilization",
+                  busy / max(len(lanes) * dispatch_wall, 1e-9))
     elif pending:
         timings = {}
         with telemetry.telemetry_phase("dispatch"):
@@ -411,11 +591,7 @@ def run_grid(specs, jobs=None, cache=_UNSET):
                         timings=timings,
                     )
                 except Exception as exc:  # noqa: BLE001 - merged below
-                    failures.append((i, specs[i].fn, {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": traceback.format_exc(),
-                    }))
+                    failures.append((i, specs[i].fn, _error_of(exc)))
                 if rec.active:
                     for name, seconds in sorted(timings.items()):
                         rec.observe(f"worker.{name}_s", seconds)

@@ -210,7 +210,7 @@ def test_deadlock_blames_the_lowest_id_task_that_cannot_start(when):
 def test_crash_wipes_memory_keeps_disk_by_default(cluster):
     node = cluster.node("node-1")
     node.memory.allocate(GB, "resident")
-    node.disk.write("shuffle/part-0", b"x", GB)
+    node.disk.write("shuffle/part-0", GB)
     cluster.install_faults(FaultPlan().crash_node("node-1", at_time=1.0))
     with pytest.raises(NodeCrashedError):
         cluster.run([Task(f"t{i}", duration=5.0,
@@ -236,7 +236,7 @@ def test_crash_ends_the_memory_history_at_zero(cluster):
 
 def test_crash_with_lose_disk_wipes_disk(cluster):
     node = cluster.node("node-1")
-    node.disk.write("spill/part-0", b"x", GB)
+    node.disk.write("spill/part-0", GB)
     cluster.install_faults(
         FaultPlan().crash_node("node-1", at_time=1.0, lose_disk=True)
     )

@@ -13,7 +13,10 @@ import hashlib
 import json
 import marshal
 import os
+import subprocess
+import sys
 import tempfile
+import time
 import zlib
 
 import numpy as np
@@ -85,6 +88,27 @@ def _trial_cheap(i, fail=False):
               op=PSEUDO_OVERHEAD) for n in range(i + 1)]
     )
     return {"i": i, "simulated_s": cluster.now}
+
+
+#: The cohort-placement test puts a barrier here before its lanes fork;
+#: every ``test_lockstep`` trial then waits at it, so the lanes advance
+#: one trial at a time, together.
+_LOCKSTEP = {}
+
+
+@trial("test_lockstep")
+def _trial_lockstep(count, seed, step):
+    """Reports the process that ran it; ``seed`` names its cohort."""
+    barrier = _LOCKSTEP.get("barrier")
+    if barrier is not None:
+        barrier.wait(timeout=20)
+    return {"seed": seed, "step": step, "pid": os.getpid()}
+
+
+@trial("test_sleep")
+def _trial_sleep(seconds):
+    time.sleep(seconds)
+    return {"slept": seconds}
 
 
 def _canon(payloads):
@@ -170,23 +194,30 @@ class TestDeterminism:
         assert _canon(cold) == _canon(warm)
         assert _canon(cold_sink.snapshots) == _canon(warm_sink.snapshots)
 
-    @settings(max_examples=5, deadline=None,
+    @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         data=st.data(),
         jobs=st.sampled_from([2, 3, 4]),
+        several_cohorts=st.booleans(),
     )
-    def test_random_grid_serial_equals_parallel(self, data, jobs):
-        """Random trial grids — including trials under an active
-        FaultPlan — produce byte-identical rows and ledger snapshots
-        (modulo ``git_sha``, which never enters run snapshots) serially,
-        in warm-pool workers whose process history differs from the
-        parent's, and replayed from the cache the pooled run filled.
+    def test_random_grid_serial_equals_parallel(self, data, jobs,
+                                                several_cohorts):
+        """Random trial grids — shuffled, with repeats, half of them
+        over at least two of the pool's four cohorts, and including
+        trials under an active FaultPlan — produce byte-identical rows
+        and ledger snapshots (modulo ``git_sha``, which never enters
+        run snapshots) serially, in warm lanes whose process history
+        differs from the parent's and whose placement follows the
+        cohorts, and replayed from the cache the pooled run filled.
         """
         pool = _random_pool()
-        indices = data.draw(
-            st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4)
-        )
+        grids = st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                         max_size=8)
+        if several_cohorts:
+            grids = grids.filter(lambda ix: len(
+                {parallel._cohort(pool[i]) for i in ix}) > 1)
+        indices = data.draw(grids)
         specs = [pool[i] for i in indices]
         with collecting_snapshots() as serial_sink:
             serial = run_grid(specs, jobs=1, cache=None)
@@ -296,6 +327,33 @@ class TestCacheKeys:
         without = TrialSpec("end_to_end", kwargs)
         assert with_engine.key(salt="s") == without.key(salt="s") == expected
         assert with_engine.key() == without.key()
+
+
+    def test_warm_replay_derives_each_key_once(self, tmp_path,
+                                                 monkeypatch):
+        """A spec keys itself once per salt: the first sweep of a grid
+        derives every key, and replays of the same specs derive none."""
+        specs = _tiny_specs(include_fault_trial=False)
+        cache = TrialCache(str(tmp_path))
+        run_grid(specs, jobs=1, cache=cache)
+        calls = []
+        derive = parallel.cache_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "cache_key", counting)
+        fresh = [TrialSpec(spec.fn, spec.kwargs) for spec in specs]
+        first = run_grid(fresh, jobs=2, cache=cache)
+        assert len(calls) == len(specs)
+        for _ in range(3):
+            assert run_grid(fresh, jobs=2, cache=cache) == first
+        assert len(calls) == len(specs)
+        assert cache.stats() == {"hits": 4 * len(specs),
+                                 "misses": len(specs)}
+        assert [spec.key() for spec in fresh] == [
+            derive(spec.fn, spec.kwargs) for spec in specs]
 
 
 class TestCodeTreeHash:
@@ -490,6 +548,106 @@ class TestWarmPool:
         assert parallel._pool_state["procs"] == 0
 
 
+class TestCohortPlacement:
+    """Lanes keep a cohort's trials together (see ``COHORT_ARGS``)."""
+
+    def test_cohort_is_fn_plus_data_arguments(self):
+        neuro = _neuro_cell("dask", count=1, nodes=4)
+        assert parallel._cohort(neuro) == parallel._cohort(
+            _neuro_cell("spark", count=1, nodes=2))
+        assert parallel._cohort(neuro) != parallel._cohort(
+            _neuro_cell("dask", count=2, nodes=4))
+        assert parallel._cohort(neuro) != parallel._cohort(
+            _f16_cell("dask"))
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_each_cohort_runs_in_one_lane(self, jobs, monkeypatch):
+        """As many cohorts as lanes, submitted interleaved.  Every
+        trial waits at a barrier of all the lanes, so the lanes advance
+        in lock step, and a lane that finishes its cohort finds the
+        other cohorts' last trials already running: nothing is left to
+        steal, and the affinity rule alone decides who runs what.  A
+        lane that is dealt a trial of another cohort reports a second
+        pid for it; a lane left idle breaks the barrier."""
+        shutdown_pool()  # the lanes must fork with the barrier
+        monkeypatch.setitem(
+            _LOCKSTEP, "barrier", parallel._pool_context().Barrier(jobs)
+        )
+        specs = [TrialSpec("test_lockstep",
+                           {"count": 1, "seed": cohort, "step": step})
+                 for step in range(3) for cohort in range(jobs)]
+        try:
+            rows = grid_rows(specs, jobs=jobs, cache=None)
+        finally:
+            shutdown_pool()
+        pids = {}
+        for row in rows:
+            pids.setdefault(row["seed"], set()).add(row["pid"])
+        assert sorted(pids) == list(range(jobs))
+        assert all(len(lane) == 1 for lane in pids.values())
+        assert len(set().union(*pids.values())) == jobs
+        assert os.getpid() not in set().union(*pids.values())
+
+    def test_one_cohort_spreads_over_every_lane(self):
+        """A grid of one cohort still uses every lane: the second lane
+        takes the next trial of the started cohort with the most left
+        before the first lane has finished anything."""
+        specs = [TrialSpec("test_lockstep",
+                           {"count": 1, "seed": 0, "step": step})
+                 for step in range(4)]
+        rows = grid_rows(specs, jobs=2, cache=None)
+        assert len({row["pid"] for row in rows}) == 2
+
+
+#: Run in a child interpreter by the dead-lane test, so that a
+#: regression to hanging fails the test at its timeout instead of
+#: hanging the suite.
+_SIGKILL_SCRIPT = """
+import json, os, signal
+from repro.harness import parallel
+from repro.harness.parallel import (
+    TrialExecutionError, TrialSpec, run_grid, trial)
+
+PARENT = os.getpid()
+
+
+@trial("test_sigkill")
+def _sigkill(i, kill=False):
+    if kill and os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"i": i}
+
+
+specs = [TrialSpec("test_sigkill", {"i": i, "kill": i == 2})
+         for i in range(6)]
+try:
+    run_grid(specs, jobs=2, cache=None)
+    raise SystemExit("the grid did not fail")
+except TrialExecutionError as exc:
+    failures = [[i, fn, error["type"], error["message"]]
+                for i, fn, error in exc.failures]
+    survivors = [p and p["row"]["i"] for p in exc.payloads]
+lanes = parallel._pool_state["pool"]
+exitcodes = [lane.process.exitcode for lane in lanes]
+again = run_grid(specs[:2] + specs[3:], jobs=2, cache=None)
+# Both lanes die on their first trials: the rest of the grid never runs.
+try:
+    run_grid([TrialSpec("test_sigkill", {"i": i, "kill": i < 2})
+              for i in range(4)], jobs=2, cache=None)
+    raise SystemExit("the grid did not fail")
+except TrialExecutionError as exc:
+    orphaned = [[i, error["message"]] for i, _fn, error in exc.failures]
+print(json.dumps({
+    "failures": failures, "survivors": survivors, "exitcodes": exitcodes,
+    "again": [p["row"]["i"] for p in again], "orphaned": orphaned,
+    "last": [p["row"]["i"] for p in run_grid(specs[3:], jobs=2, cache=None)],
+    "alive": [lane.process.is_alive()
+              for lane in parallel._pool_state["pool"]],
+    "same_pool": parallel._pool_state["pool"] is lanes,
+}))
+"""
+
+
 class TestFailurePropagation:
     """A failing trial surfaces its original traceback without
     corrupting the submission-order merge of the survivors."""
@@ -529,16 +687,15 @@ class TestFailurePropagation:
         self._check(1)
 
     def test_failure_inside_a_multi_trial_batch(self, tmp_path):
-        """Nine pending trials on a two-worker pool: ``Pool.map`` cuts
-        them into batches of ceil(9 / (2 * 4)) = 2, so the failing
-        trial shares a batch with a survivor."""
+        """Nine pending trials of one cohort on two lanes: the lane
+        that ran the failing trial goes on to run survivors."""
         bad = 4
         specs = [TrialSpec("test_cheap", {"i": i, "fail": i == bad})
                  for i in range(9)]
         good = specs[:bad] + specs[bad + 1:]
         with collecting_snapshots() as serial_sink:
             serial = run_grid(good, jobs=1, cache=None)
-        shutdown_pool()  # a wider warm pool would get batches of 1
+        shutdown_pool()  # exactly two lanes
         cache = TrialCache(str(tmp_path / "cache"))
         with collecting_snapshots() as sink:
             with pytest.raises(TrialExecutionError) as excinfo:
@@ -562,6 +719,64 @@ class TestFailurePropagation:
         replay = TrialCache(cache.root)
         assert _canon(run_grid(good, jobs=1, cache=replay)) == _canon(serial)
         assert replay.stats() == {"hits": len(good), "misses": 0}
+
+
+    def test_a_lane_killed_mid_grid_fails_its_trial(self):
+        """A trial that SIGKILLs its own lane fails with the signal
+        named; the other trials merge, and the next grid replaces the
+        lane in the same pool.  When every lane dies, the trials left
+        fail as never run."""
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGKILL_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        [[index, fn, kind, message]] = report["failures"]
+        assert (index, fn, kind) == (2, "test_sigkill", "LaneDied")
+        assert "trial #2 (test_sigkill)" in message
+        assert "killed by signal 9" in message
+        assert report["survivors"] == [0, 1, None, 3, 4, 5]
+        assert sorted(report["exitcodes"], key=str) == [-9, None]
+        assert report["again"] == [0, 1, 3, 4, 5]
+        # With every lane dead, the trials never started fail too.
+        assert [i for i, _ in report["orphaned"]] == [0, 1, 2, 3]
+        assert all("killed by signal 9" in m
+                   for _, m in report["orphaned"][:2])
+        assert all("never ran" in m for _, m in report["orphaned"][2:])
+        assert report["last"] == [3, 4, 5]
+        assert report["alive"] == [True, True]
+        assert report["same_pool"]
+
+    def test_interrupt_stops_every_lane(self, monkeypatch):
+        """An interrupt while trials are out stops the lanes running
+        them before it propagates: no lane outlives the grid."""
+        import multiprocessing.connection
+
+        shutdown_pool()
+        running = []
+
+        def interrupted(*args, **kwargs):
+            running.extend(
+                lane.process for lane in parallel._pool_state["pool"])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        specs = [TrialSpec("test_sleep", {"seconds": 60}) for _ in range(3)]
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_grid(specs, jobs=2, cache=None)
+        finally:
+            monkeypatch.undo()
+        assert len(running) == 2
+        for process in running:
+            process.join(timeout=10)
+            assert not process.is_alive()
+        assert parallel._pool_state["pool"] is None
 
 
 class TestCacheStore:
