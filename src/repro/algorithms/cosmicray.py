@@ -7,6 +7,17 @@ by the point-spread function.  The detector flags pixels that exceed
 the local median by many noise standard deviations; repair replaces
 them with the local median, mirroring the morphological approach of
 LA-Cosmic-style algorithms in simplified form.
+
+Only a ``sharp`` candidate (a pixel far above its local median) can be
+flagged, so the detector's guard -- the fine structure around a pixel,
+a 7x7 median of the 3x3-smoothed image, and the contrast against it --
+is taken at the candidates only, a few pixels of an exposure.  The
+local median, the noise and the smoothed image itself span the whole
+exposure: every pixel is tested for sharpness, and a candidate's 7x7
+window reads the smoothed image around it.  Repair takes the medians
+of the flagged pixels' windows only.  A pixel sees the operations a
+whole-image pass applies to it, so the mask and the repaired image are
+that pass's bytes (the test suite keeps it as the oracle).
 """
 
 import numpy as np
@@ -48,14 +59,18 @@ def detect_cosmic_rays(image, variance=None, n_sigma=6.0, radius=2,
         noise = np.maximum(1.4826 * mad, 1e-12)
     sharp = residual > n_sigma * noise
 
-    # Fine-structure image: how much smooth (PSF-scale) structure
-    # surrounds each pixel.  Stars have large fine structure; isolated
+    # Fine structure at each candidate: how much smooth (PSF-scale)
+    # structure surrounds it.  Stars have large fine structure; isolated
     # cosmic rays do not.
     smooth3 = median_filter_2d(image, radius=1)
-    fine = smooth3 - median_filter_2d(smooth3, radius=3)
+    fine = smooth3[sharp] - window_medians(
+        sliding_windows(smooth3, 3)[sharp], 2)
+    noise = np.broadcast_to(noise, image.shape)[sharp]
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrast = residual / np.maximum(fine, noise)
-    return sharp & (contrast > objlim)
+        contrast = residual[sharp] / np.maximum(fine, noise)
+    flagged = np.zeros_like(sharp)
+    flagged[sharp] = contrast > objlim
+    return flagged
 
 
 def repair_cosmic_rays(image, cr_mask, radius=2):

@@ -8,24 +8,34 @@ denoise only parts of the image volume containing the brain."
 The implementation follows Coupe et al.'s blockwise scheme in its
 simplest per-voxel form: for every masked voxel, candidate patches
 within a search window are weighted by Gaussian-kernelized patch
-distance and averaged.
+distance and averaged.  Voxels outside the mask keep their value.
 
 The search offsets ``(dz, dy, dx)`` are processed in batches of whole
 ``(dz, dy)`` rows of the search cube.  All shifted windows of a batch
-are one strided view of the padded volume, so the squared differences,
-each box-sum stage, the scaling, the ``exp`` and the weighted values
-each cost one numpy call per batch.  The results are the bytes a
-one-offset-at-a-time loop produces (the test suite keeps that loop as
-its oracle) because every voxel sees the same floating-point operations
-in the same order:
+are one strided view of the padded volume, so the squared differences
+and each box-sum stage cost one numpy call per batch.  The box sums
+span the whole grid: their running sums start at index 0 of every
+axis, and a masked voxel's window sum is the difference of two of
+them, so summing only over the mask's bounding box would change its
+bits (and saves nothing on the brain masks, which reach every face).
+From there on only the kept voxels are computed: the window sums are
+gathered at ``np.flatnonzero(mask)``, and the scaling, the ``exp``, the
+weighting and the accumulation run on those, with each offset's
+neighbours gathered by flat index into the padded volume.  The results
+are the bytes a one-offset-at-a-time loop over the whole volume
+produces (the test suite keeps that loop as its oracle) because every
+kept voxel sees the same floating-point operations in the same order:
 
 * a box sum is the difference of two running sums along each axis in
   turn, and the running sums are built one slab at a time, each slab
   added to the one before it; the axis being summed is always the
   outermost one of its buffer, so a slab is one contiguous block;
 * ``weights_sum`` and ``values_sum`` grow by one offset at a time, in
-  ``(dz, dy, dx)`` order, as one left-to-right chain of additions --
-  never by a per-batch partial sum or a reduction over the offsets;
+  ``(dz, dy, dx)`` order, as one left-to-right chain of additions: a
+  batch's terms are seeded with the sums so far and
+  ``np.add.accumulate``-d down its offsets -- never by a per-batch
+  partial sum or a reduction over the offsets, which numpy may sum
+  pairwise;
 * ``exp`` runs on a contiguous buffer, as it does in the loop.
 
 A batch holds as many rows as fit in ``_BATCH_ELEMENTS`` float64 values.
@@ -60,7 +70,9 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
         formulation.
     mask:
         Optional boolean array; voxels outside the mask are passed
-        through unchanged (and are still usable as patch content).
+        through unchanged, and only the voxels inside are denoised
+        (every voxel is still usable as patch content).  ``None``
+        denoises every voxel.
         This is exactly the masked evaluation TensorFlow could not
         express (Section 4.5: "without filtering with the mask as
         TensorFlow does not support element-wise data assignment").
@@ -93,21 +105,29 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
     # into the divisor.
     neg_scale = -(h2 * width ** 3)
 
-    weights_sum = np.zeros_like(volume)
-    values_sum = np.zeros_like(volume)
-
     shape = volume.shape
     span = 2 * br + 1
+    # The voxels Step 2-N keeps, as flat indices into the volume.
+    # taps[dy * span + dx, i] is the flat index into ``padded`` of the
+    # neighbour kept voxel i averages in at search offset (-br, dy - br,
+    # dx - br); offset dz - br reads dz planes of ``padded`` further on.
+    kept = np.arange(volume.size) if mask is None else np.flatnonzero(mask)
+    plane, row = padded.shape[1] * padded.shape[2], padded.shape[2]
+    z, y, x = np.unravel_index(kept, shape)
+    corner = (z + pr) * plane + (y + pr) * row + (x + pr)
+    offsets = (np.arange(span)[:, None] * row + np.arange(span)).reshape(-1, 1)
+    taps = offsets + corner
+    flat = padded.ravel()
+
+    weights_sum = np.zeros(len(kept))
+    values_sum = np.zeros(len(kept))
+
     # A patch distance at every voxel needs the squared differences on
     # the volume grown by the patch radius.
     window = tuple(n + 2 * pr for n in shape)
     # windows[dz, dy, dx] is the window shifted by the offset
-    # (dz - br, dy - br, dx - br); neighbors[dz, dy, dx] holds the
-    # voxels that offset averages in.
+    # (dz - br, dy - br, dx - br).
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    neighbors = np.lib.stride_tricks.sliding_window_view(padded, shape)[
-        pr: pr + span, pr: pr + span, pr: pr + span
-    ]
     center = windows[br, br, br]
 
     rows = max(1, min(span, _BATCH_ELEMENTS // (span * math.prod(window))))
@@ -132,23 +152,22 @@ def nlmeans_3d(volume, sigma, mask=None, patch_radius=1, block_radius=2):
                 out=sq_diff,
             )
             np.multiply(sq_diff, sq_diff, out=sq_diff)
-            weights = _box_sums(stages, width)
+            # From here on only the kept voxels: fresh contiguous rows,
+            # one per offset of the batch.
+            weights = _box_sums(stages, width).reshape(count * span, -1)[:, kept]
             np.divide(weights, neg_scale, out=weights)
             np.exp(weights, out=weights)
-            # Stage 2 is spent: its buffer takes the weighted values.
-            weighted = scratch[0][: weights.size].reshape(weights.shape)
-            np.multiply(
-                weights.reshape((count, span) + shape),
-                neighbors[dz, dy: dy + count],
-                out=weighted.reshape((count, span) + shape),
-            )
-            for weight, value in zip(weights, weighted):
-                weights_sum += weight
-                values_sum += value
+            weighted = flat[dz * plane:][taps[dy * span: (dy + count) * span]]
+            np.multiply(weights, weighted, out=weighted)
+            # Row i of an accumulation is the sums so far plus the
+            # batch's first i + 1 offsets, added one at a time.
+            for sums, terms in ((weights_sum, weights), (values_sum, weighted)):
+                terms[0] += sums
+                np.add.accumulate(terms, axis=0, out=terms)
+                sums[...] = terms[-1]
 
-    denoised = values_sum / weights_sum
-    if mask is not None:
-        denoised = np.where(mask, denoised, volume)
+    denoised = volume.copy()
+    denoised.reshape(-1)[kept] = values_sum / weights_sum
     return denoised
 
 

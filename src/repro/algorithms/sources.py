@@ -69,43 +69,43 @@ def label_regions(mask, connectivity=8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
 
     ny, nx = mask.shape
-    labels = np.zeros((ny, nx), dtype=np.int64)
     uf = _UnionFind()
+    # The set pixels' flat indices, in raster order: pass 1 visits them
+    # as Python ints, and never the rest of the image.
+    at_set = np.flatnonzero(mask)
 
     # Pass 1: provisional labels, merging via earlier neighbors.
-    for y in range(ny):
-        row_mask = mask[y]
-        for x in np.nonzero(row_mask)[0]:
-            neighbors = []
-            if x > 0 and labels[y, x - 1]:
-                neighbors.append(labels[y, x - 1])
-            if y > 0:
-                if labels[y - 1, x]:
-                    neighbors.append(labels[y - 1, x])
-                if connectivity == 8:
-                    if x > 0 and labels[y - 1, x - 1]:
-                        neighbors.append(labels[y - 1, x - 1])
-                    if x + 1 < nx and labels[y - 1, x + 1]:
-                        neighbors.append(labels[y - 1, x + 1])
-            if not neighbors:
-                labels[y, x] = uf.make()
-            else:
-                smallest = min(uf.find(n) for n in neighbors)
-                labels[y, x] = smallest
-                for n in neighbors:
-                    uf.union(smallest, n)
+    label_at = {}
+    get = label_at.get
+    for at in at_set.tolist():
+        x = at % nx
+        neighbors = []
+        if x > 0 and (label := get(at - 1)):
+            neighbors.append(label)
+        if at >= nx:
+            up = at - nx
+            if label := get(up):
+                neighbors.append(label)
+            if connectivity == 8:
+                if x > 0 and (label := get(up - 1)):
+                    neighbors.append(label)
+                if x + 1 < nx and (label := get(up + 1)):
+                    neighbors.append(label)
+        if not neighbors:
+            label_at[at] = uf.make()
+        else:
+            smallest = min(uf.find(n) for n in neighbors)
+            label_at[at] = smallest
+            for n in neighbors:
+                uf.union(smallest, n)
 
-    # Pass 2: resolve the labelled pixels to dense final labels, in
+    # Pass 2: resolve the provisional labels to dense final labels, in
     # raster order of first appearance.
-    flat = labels.ravel()
-    labelled = np.flatnonzero(flat)
     remap = {}
-    dense = []
-    for provisional in flat[labelled].tolist():
-        root = uf.find(provisional)
-        dense.append(remap.setdefault(root, len(remap) + 1))
+    dense = [remap.setdefault(uf.find(label), len(remap) + 1)
+             for label in label_at.values()]
     final = np.zeros(ny * nx, dtype=np.int64)
-    final[labelled] = dense
+    final[at_set] = dense
     return final.reshape(ny, nx), len(remap)
 
 

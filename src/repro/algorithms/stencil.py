@@ -4,8 +4,9 @@ The paper highlights stencil operations as one of the core data
 processing patterns of image analytics (Section 1: "Data processing
 involves ... stencil (a.k.a. multidimensional window) operations").
 ``median_filter_3d`` backs the median-Otsu mask, ``median_filter_2d``
-cosmic-ray detection, and ``sliding_windows`` + ``window_medians``
-cosmic-ray repair (the flagged pixels only).  Non-local means and
+cosmic-ray detection, and ``sliding_windows`` + ``window_medians`` the
+windows of a few pixels (detection's candidates, repair's flagged
+pixels).  Non-local means and
 background estimation slice their own windows; ``median`` is the
 plain median the astronomy statistics take of their pixel sets.
 """

@@ -34,7 +34,9 @@ class LocalDisk:
     def write(self, path, nbytes):
         """Make ``path`` occupy ``nbytes``.
 
-        Overwriting an existing path first releases its old space.
+        Overwriting an existing path first releases its old space.  A
+        path written again after a wipe is a live entry: deleting it
+        twice raises like any other path.
         """
         nbytes = int(nbytes)
         if nbytes < 0:
@@ -43,6 +45,7 @@ class LocalDisk:
         if nbytes - released > self.available_bytes:
             raise DiskFullError(self.node, nbytes, self.available_bytes + released)
         self._sizes[path] = nbytes
+        self._wiped_paths.discard(path)
         self.used_bytes += nbytes - released
         self.bytes_written += nbytes
 

@@ -110,19 +110,20 @@ def hash_join(left_rows, left_refs, right_rows, right_refs, join_conditions, udf
     The right side is built into a hash table (the broadcast side in a
     broadcast join); the left side probes.
     """
+    # Each condition's side of the join, chosen once per join.
+    left_aliases, right_aliases = _aliases(left_refs), _aliases(right_refs)
+    left_exprs = [c.left if c.left.alias in left_aliases else c.right
+                  for c in join_conditions]
+    right_exprs = [c.right if c.right.alias in right_aliases else c.left
+                   for c in join_conditions]
+
     def left_key(row):
         ctx = RowContext(left_refs, row)
-        return tuple(
-            evaluate(c.left if c.left.alias in _aliases(left_refs) else c.right, ctx, udfs)
-            for c in join_conditions
-        )
+        return tuple(evaluate(expr, ctx, udfs) for expr in left_exprs)
 
     def right_key(row):
         ctx = RowContext(right_refs, row)
-        return tuple(
-            evaluate(c.right if c.right.alias in _aliases(right_refs) else c.left, ctx, udfs)
-            for c in join_conditions
-        )
+        return tuple(evaluate(expr, ctx, udfs) for expr in right_exprs)
 
     table = {}
     for row in right_rows:

@@ -4,11 +4,48 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
+from repro.algorithms.stencil import median, median_filter_2d
 from tests.algorithms.test_stencil import (
     VALUE_CLASSES,
     _reference_median_filter,
     assert_same_bytes,
 )
+
+
+def _reference_detect_cosmic_rays(image, variance=None, n_sigma=6.0, radius=2,
+                                  objlim=3.0):
+    """The whole-image detector ``detect_cosmic_rays`` replaced, verbatim:
+    it builds the fine-structure image, 7x7 median and all, at every
+    pixel, though only the ``sharp`` ones can be flagged.
+
+    The oracle: ``detect_cosmic_rays`` must return this mask's bytes.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-d image, got shape {image.shape}")
+    local_median = median_filter_2d(image, radius=radius)
+    residual = image - local_median
+    if variance is not None:
+        variance = np.asarray(variance, dtype=np.float64)
+        if variance.shape != image.shape:
+            raise ValueError(
+                f"variance shape {variance.shape} does not match image {image.shape}"
+            )
+        noise = np.sqrt(np.maximum(variance, 1e-12))
+    else:
+        # Robust global noise: 1.4826 * median absolute deviation.
+        mad = median(np.abs(residual - median(residual)))
+        noise = np.maximum(1.4826 * mad, 1e-12)
+    sharp = residual > n_sigma * noise
+
+    # Fine-structure image: how much smooth (PSF-scale) structure
+    # surrounds each pixel.  Stars have large fine structure; isolated
+    # cosmic rays do not.
+    smooth3 = median_filter_2d(image, radius=1)
+    fine = smooth3 - median_filter_2d(smooth3, radius=3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrast = residual / np.maximum(fine, noise)
+    return sharp & (contrast > objlim)
 
 
 def _reference_repair_cosmic_rays(image, cr_mask, radius=2):
@@ -35,6 +72,15 @@ def _flag_one(rng, shape):
     mask = np.zeros(shape, dtype=bool)
     mask[tuple(rng.integers(0, n) for n in shape)] = True
     return mask
+
+
+def hits(rng, image, count):
+    """``image`` as float64 with ``count`` pixels (at most all) raised far
+    above their surroundings: that many candidate cosmic rays."""
+    image = np.array(image, dtype=np.float64)
+    flat = image.reshape(-1)
+    flat[rng.permutation(flat.size)[:count]] += 900.0
+    return image
 
 
 MASKS = {
@@ -125,3 +171,19 @@ def test_detect_then_repair_bytes_match_on_quick_sensor_shape(rng):
     assert_same_bytes(
         repair_cosmic_rays(image, mask), _reference_repair_cosmic_rays(image, mask)
     )
+
+
+@pytest.mark.parametrize("value_class", sorted(VALUE_CLASSES))
+@pytest.mark.parametrize("n_hits", [0, 1, 12])
+@pytest.mark.parametrize("with_variance", [False, True])
+def test_detect_bytes_match_whole_image_detector(with_variance, n_hits,
+                                                 value_class):
+    rng = np.random.default_rng(n_hits)
+    for shape in [(40, 40), (12, 9), (3, 5), (1, 1)]:
+        image = hits(rng, VALUE_CLASSES[value_class](rng, shape), n_hits)
+        variance = rng.uniform(0.5, 30.0, shape) if with_variance else None
+        with np.errstate(invalid="ignore"):  # inf - inf in the residual
+            assert_same_bytes(
+                detect_cosmic_rays(image, variance),
+                _reference_detect_cosmic_rays(image, variance),
+            )

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms.nlmeans import (
     _BATCH_ELEMENTS,
     _box_sums,
+    _radius,
     _stage_layouts,
     nlmeans_3d,
 )
@@ -95,6 +96,85 @@ def _reference_box_sum_3d(volume, width):
     return out
 
 
+def _full_grid_nlmeans_3d(volume, sigma, mask=None, patch_radius=1,
+                          block_radius=2):
+    """The batched kernel before it kept only the masked voxels, verbatim:
+    it scales, exponentiates, weights and accumulates every voxel, and
+    ``np.where`` then drops the ones outside the mask.
+
+    Not an oracle (``_reference_nlmeans_3d`` is): the form the kernel
+    ratio in ``benchmarks/test_kernel_nlmeans.py`` times the kernel
+    against.
+    """
+    volume = np.asarray(volume, dtype=np.float64)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+    pr = _radius("patch_radius", patch_radius)
+    br = _radius("block_radius", block_radius)
+
+    pad = pr + br
+    padded = np.pad(volume, pad, mode="reflect")
+
+    h2 = 2.0 * (np.sqrt(2.0) * sigma) ** 2
+    width = 2 * pr + 1
+    neg_scale = -(h2 * width ** 3)
+
+    weights_sum = np.zeros_like(volume)
+    values_sum = np.zeros_like(volume)
+
+    shape = volume.shape
+    span = 2 * br + 1
+    window = tuple(n + 2 * pr for n in shape)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    neighbors = np.lib.stride_tricks.sliding_window_view(padded, shape)[
+        pr: pr + span, pr: pr + span, pr: pr + span
+    ]
+    center = windows[br, br, br]
+
+    rows = max(1, min(span, _BATCH_ELEMENTS // (span * math.prod(window))))
+    scratch = [np.empty(rows * span * math.prod(window)) for _ in range(2)]
+
+    for dz in range(span):
+        for dy in range(0, span, rows):
+            shifted = windows[dz, dy: dy + rows]
+            count = len(shifted)
+            stages = [
+                scratch[k % 2][: math.prod(layout)].reshape(layout)
+                for k, layout in enumerate(
+                    _stage_layouts(count * span, shape, window)
+                )
+            ]
+            sq_diff = stages[0].reshape((window[0], count, span) + window[1:])
+            np.subtract(
+                shifted.transpose(2, 0, 1, 3, 4), center[:, None, None],
+                out=sq_diff,
+            )
+            np.multiply(sq_diff, sq_diff, out=sq_diff)
+            weights = _box_sums(stages, width)
+            np.divide(weights, neg_scale, out=weights)
+            np.exp(weights, out=weights)
+            weighted = scratch[0][: weights.size].reshape(weights.shape)
+            np.multiply(
+                weights.reshape((count, span) + shape),
+                neighbors[dz, dy: dy + count],
+                out=weighted.reshape((count, span) + shape),
+            )
+            for weight, value in zip(weights, weighted):
+                weights_sum += weight
+                values_sum += value
+
+    denoised = values_sum / weights_sum
+    if mask is not None:
+        denoised = np.where(mask, denoised, volume)
+    return denoised
+
+
+def _one_voxel(rng, shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(rng.integers(0, n) for n in shape)] = True
+    return mask
+
+
 #: Large enough that the shortest row of shifted windows (block radius
 #: 1, patch radius 0: three unpadded windows) overflows the batch
 #: budget, so each batch holds a single ``(dz, dy)`` row at every radius.
@@ -105,6 +185,7 @@ MASKS = {
     "random": lambda rng, shape: rng.random(shape) < 0.4,
     "all_false": lambda rng, shape: np.zeros(shape, dtype=bool),
     "all_true": lambda rng, shape: np.ones(shape, dtype=bool),
+    "one_voxel": _one_voxel,
 }
 
 
@@ -135,6 +216,19 @@ def test_bytes_match_reference_loop_on_bench_cohort():
                 nlmeans_3d.__wrapped__(*args).tobytes()
                 == _reference_nlmeans_3d(*args).tobytes()
             ), (subject.subject_id, index)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 9), ONE_ROW_SHAPE])
+@pytest.mark.parametrize("mask_kind", sorted(MASKS))
+def test_kernel_and_full_grid_form_match_reference_loop(mask_kind, shape):
+    """Every mask kind, at a whole-plane and a one-row batch; the timing
+    baseline computes what the kernel computes."""
+    rng = np.random.default_rng(1)
+    volume = rng.normal(100.0, 25.0, shape)
+    args = (volume, 12.0, MASKS[mask_kind](rng, shape))
+    want = _reference_nlmeans_3d(*args).tobytes()
+    assert nlmeans_3d.__wrapped__(*args).tobytes() == want
+    assert _full_grid_nlmeans_3d(*args).tobytes() == want
 
 
 def test_box_sum_matches_naive(rng):

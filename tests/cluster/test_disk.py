@@ -65,6 +65,18 @@ def test_wipe_then_late_deletes_are_silent_once(disk):
     assert disk.used_bytes == 0
 
 
+def test_a_path_written_after_a_wipe_is_deleted_once(disk):
+    """A write after the wipe makes the path live again: its first
+    delete removes it, and a second one has nothing left to delete."""
+    disk.write("a", 100)
+    disk.wipe()
+    disk.write("a", 40)
+    disk.delete("a")
+    assert disk.used_bytes == 0
+    with pytest.raises(KeyError):
+        disk.delete("a")
+
+
 def test_io_statistics(disk):
     disk.write("a", 100)
     disk.write("a", 50)
@@ -110,6 +122,7 @@ def test_running_total_matches_a_recount(ops):
                 continue
             disk.write(path, nbytes)
             sizes[path] = nbytes
+            wiped.discard(path)
         elif op == "delete":
             if path in sizes:
                 disk.delete(path)

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.algorithms.background import estimate_background
 from repro.algorithms.coadd import coadd_stack, sigma_clip_stack
-from repro.algorithms.cosmicray import repair_cosmic_rays
+from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
 from repro.algorithms.dtm import fractional_anisotropy, tensor_eigenvalues
 from repro.algorithms.memo import memoized
 from repro.algorithms.nlmeans import nlmeans_3d
@@ -19,7 +19,11 @@ from tests.algorithms.test_background import (
     BACKGROUND_CLASSES,
     _reference_estimate_background,
 )
-from tests.algorithms.test_cosmicray import _reference_repair_cosmic_rays
+from tests.algorithms.test_cosmicray import (
+    _reference_detect_cosmic_rays,
+    _reference_repair_cosmic_rays,
+    hits,
+)
 from tests.algorithms.test_nlmeans import (
     MASKS,
     ONE_ROW_SHAPE,
@@ -282,6 +286,34 @@ def test_repair_bytes_match_full_image_filter(
         repair_cosmic_rays(image, mask, radius),
         _reference_repair_cosmic_rays(image, mask, radius),
     )
+
+
+@given(
+    shape=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+    n_hits=st.sampled_from([0, 1, 5, 200]),
+    variance=st.sampled_from(["none", "plane", "zero"]),
+    radius=st.integers(0, 3),
+    value_class=st.sampled_from(sorted(VALUE_CLASSES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_detect_bytes_match_whole_image_detector(
+    shape, n_hits, variance, radius, value_class, seed
+):
+    # Candidates: none, one, a few, or every pixel of a small image;
+    # NaN and infinite pixels come with their value classes.
+    rng = np.random.default_rng(seed)
+    image = hits(rng, VALUE_CLASSES[value_class](rng, shape), n_hits)
+    variance = {
+        "none": None,
+        "plane": rng.uniform(0.5, 30.0, shape),
+        "zero": np.zeros(shape),
+    }[variance]
+    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+        assert_same_bytes(
+            detect_cosmic_rays(image, variance, radius=radius),
+            _reference_detect_cosmic_rays(image, variance, radius=radius),
+        )
 
 
 # A memo is a function of the arguments' values: any sequence of calls
