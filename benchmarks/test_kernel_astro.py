@@ -10,6 +10,10 @@ must pay against the whole-image detector; the 29 x 29 x 32 volume is
 what ``median_otsu`` filters, 125 voxels a window, where it must not
 cost.  None of these kernels is memoized (Step 1-A is memoized whole,
 in ``repro.pipelines.astro.reference``), so each round computes.
+
+The 3x3 median, Step 2-A's pieces and Step 3-A's clip are timed against
+the forms they replaced: the sorted windows, the per-piece
+``extract_overlap`` and ``astype``, and ``np.nanmean`` / ``np.nanstd``.
 """
 
 import sys
@@ -20,8 +24,21 @@ import numpy as np
 import pytest
 
 from repro.algorithms.background import estimate_background
+from repro.algorithms.coadd import sigma_clip_stack
 from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
-from repro.algorithms.stencil import median_filter_2d, median_filter_3d
+from repro.algorithms.stencil import (
+    median_filter_2d,
+    median_filter_3d,
+    sliding_windows,
+    window_medians,
+)
+from repro.harness.runner import astro_visits
+from repro.pipelines.astro.reference import (
+    default_patch_grid,
+    nominal_pixel_scale,
+    patch_pieces,
+    preprocess_exposure,
+)
 
 # The oracles live with the unit tests, which import one another as
 # ``tests.algorithms...``: find the repository root from this file, so
@@ -30,13 +47,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.algorithms.test_background import (  # noqa: E402
     _reference_estimate_background,
 )
+from tests.algorithms.test_coadd import (  # noqa: E402
+    _holes,
+    _reference_sigma_clip_stack,
+)
 from tests.algorithms.test_cosmicray import (  # noqa: E402
     _reference_detect_cosmic_rays,
     _reference_repair_cosmic_rays,
 )
+from tests.algorithms.test_patches import _reference_patch_pieces  # noqa: E402
 from tests.algorithms.test_stencil import _reference_median_filter  # noqa: E402
 
 SENSORS = [(40, 40), (80, 81)]
+#: Bounds of the ratios added with the 3x3 network, the lean Step 2-A
+#: pieces and the written-out clip.  Twelve runs on a shared 2-core Xeon
+#: read 0.38-0.46 and 0.22-0.29 (the network at 40 x 40 and 80 x 81),
+#: 0.43-0.46 (pieces) and 0.36-0.51 (clip).
+BOUND_MEDIAN_OF_9 = {(40, 40): 0.7, (80, 81): 0.5}
+BOUND_PATCH_PIECES = 0.7
+BOUND_SIGMA_CLIP = 0.75
 
 
 def _best_of(rounds, *kernels):
@@ -119,3 +148,42 @@ def test_median_filter_3d_against_np_median():
         lambda: _reference_median_filter(volume, radius=2),
     )
     _check("median_filter_3d (29, 29, 32) radius 2", 1.0, new_s, reference_s)
+
+
+@pytest.mark.parametrize("shape", SENSORS)
+def test_median_filter_2d_radius_1_against_sorted_windows(shape):
+    _rng, image = _sky(shape)
+    new_s, reference_s = _best_of(
+        30,
+        lambda: median_filter_2d(image, radius=1),
+        lambda: window_medians(sliding_windows(image, 1), 2),
+    )
+    _check(f"median_filter_2d {shape} radius 1", BOUND_MEDIAN_OF_9[shape],
+           new_s, reference_s)
+
+
+def test_patch_pieces_against_extract_overlap():
+    """Step 2-A on the 24 calibrated exposures of the quick cells."""
+    exposures = [preprocess_exposure(exposure)
+                 for visit in astro_visits(4, scale=100, n_sensors=6)
+                 for exposure in visit.exposures]
+    grid = default_patch_grid(exposures[0].shape)
+    scale = nominal_pixel_scale(exposures[0].shape, exposures[0].bundle)
+    new_s, reference_s = _best_of(
+        30,
+        lambda: [patch_pieces(e, grid, scale) for e in exposures],
+        lambda: [_reference_patch_pieces(e, grid, scale) for e in exposures],
+    )
+    _check("patch_pieces, 24 quick exposures", BOUND_PATCH_PIECES,
+           new_s, reference_s)
+
+
+def test_sigma_clip_stack_against_nanfunctions():
+    """A quick co-add stack: 4 visits of a 40 x 26 patch, with holes."""
+    stack = _holes(np.random.default_rng(0), (4, 40, 26))
+    new_s, reference_s = _best_of(
+        50,
+        lambda: sigma_clip_stack(stack),
+        lambda: _reference_sigma_clip_stack(stack),
+    )
+    _check("sigma_clip_stack (4, 40, 26)", BOUND_SIGMA_CLIP, new_s, reference_s)

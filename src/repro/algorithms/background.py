@@ -9,9 +9,6 @@ resolution.
 
 import numpy as np
 
-from repro.algorithms.stencil import median
-
-
 _CLIP_ITERATIONS = 3
 
 
@@ -22,33 +19,54 @@ def _sigma_clipped_medians(boxes, n_sigma):
     its own statistics, as if alone: values beyond ``n_sigma`` standard
     deviations of the median go, up to ``_CLIP_ITERATIONS`` times, and
     the box is done early once its deviation is 0, nothing is rejected
-    or nothing is left.  Boxes holding the same number of values are
-    stacked, so one numpy call serves them all; a reduction along the
-    contiguous axis of the stack sums each row in the order the 1-d
-    reduction sums that box, so stacking changes no bit.  An empty box
-    gives 0.0.
+    or nothing is left.  An empty box gives 0.0.
+
+    Boxes of one size are clipped together, each sorted once: what a
+    clip keeps is a run ``ordered[first:first + count]`` of the sorted
+    box, and the median is read off its middle.  The deviation is that
+    of the run's values in their own order, compressed out of the boxes
+    for every run length at once; a reduction along the contiguous axis
+    sums each row in the order the 1-d reduction sums that box, so
+    batching changes no bit.
     """
     medians = np.zeros(len(boxes))
-    active = {index: box for index, box in enumerate(boxes) if box.size}
-    for iteration in range(_CLIP_ITERATIONS + 1):
-        by_size = {}
-        for index, values in active.items():
-            by_size.setdefault(values.size, []).append(index)
-        for size, members in by_size.items():
-            rows = np.stack([active[index] for index in members])
-            row_medians = median(rows, axis=1)
-            medians[members] = row_medians
+    by_size = {}
+    for index, box in enumerate(boxes):
+        if box.size:
+            by_size.setdefault(box.size, []).append(index)
+    for size, members in by_size.items():
+        rows = np.stack([boxes[index] for index in members])
+        ordered = np.sort(rows, axis=1)
+        members, live = np.array(members), np.arange(len(members))
+        first, count = np.zeros_like(live), np.full_like(live, size)
+        columns = np.arange(size)
+        for iteration in range(_CLIP_ITERATIONS + 1):
+            start, n, band = first[live], count[live], ordered[live]
+            at = np.arange(live.size)
+            upper = band[at, start + n // 2]
+            lower = band[at, start + (n - 1) // 2]
+            # numpy's median: a sum from +0.0 of the middle element(s),
+            # over their count.
+            centre = np.where(n % 2, upper + 0.0, (lower + upper + 0.0) / 2)
+            medians[members[live]] = centre
             if iteration == _CLIP_ITERATIONS:
-                continue  # the median of what the last clip left
-            stds = rows.std(axis=1)
-            keep = np.abs(rows - row_medians[:, None]) <= n_sigma * stds[:, None]
-            n_kept = keep.sum(axis=1)
-            goes_on = (stds != 0) & (n_kept < size) & (n_kept > 0)
-            for index, row, kept, stays in zip(members, rows, keep, goes_on):
-                if stays:
-                    active[index] = row[kept]
-                else:
-                    del active[index]
+                break  # the median of what the last clip left
+            stds = np.empty(live.size)
+            for kept in set(n.tolist()):
+                group = n == kept
+                values = rows[live[group]]
+                if kept < size:
+                    low = band[group, start[group], None]
+                    high = band[group, start[group] + kept - 1, None]
+                    values = values[(values >= low) & (values <= high)]
+                stds[group] = values.reshape(-1, kept).std(axis=1)
+            inside = np.abs(band - centre[:, None]) <= n_sigma * stds[:, None]
+            inside &= (columns >= start[:, None]) & (columns < (start + n)[:, None])
+            n_kept = inside.sum(axis=1)
+            first[live], count[live] = inside.argmax(axis=1), n_kept
+            live = live[(stds != 0) & (n_kept < n) & (n_kept > 0)]
+            if not live.size:
+                break
     return medians
 
 

@@ -12,8 +12,6 @@ NaN marks both "no coverage" (patch pixels outside an exposure's
 footprint) and "nulled outlier".
 """
 
-import warnings
-
 import numpy as np
 
 
@@ -30,12 +28,17 @@ def sigma_clip_stack(stack, n_sigma=3.0, n_iter=2):
     if n_sigma <= 0:
         raise ValueError(f"n_sigma must be positive, got {n_sigma}")
     for _iteration in range(n_iter):
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mean = np.nanmean(stack, axis=0)
-            std = np.nanstd(stack, axis=0)
-            deviation = np.abs(stack - mean)
-            outliers = deviation > n_sigma * std
+        # np.nanmean / np.nanstd written out: sums over the visits with
+        # NaN read as 0, divided by the per-pixel count (0 / 0 is NaN
+        # where no visit covers a pixel, and no comparison holds there).
+        with np.errstate(all="ignore"):
+            missing = np.isnan(stack)
+            count = np.sum(~missing, axis=0, dtype=np.intp)
+            filled = np.where(missing, 0.0, stack)
+            mean = filled.sum(axis=0) / count
+            centred = np.where(missing, 0.0, filled - mean)
+            std = np.sqrt(np.sum(centred * centred, axis=0) / count)
+            outliers = np.abs(stack - mean) > n_sigma * std
         outliers &= std > 0
         if not outliers.any():
             break

@@ -12,8 +12,6 @@ patches are axis-aligned boxes on that grid.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SkyBox:
@@ -85,39 +83,3 @@ class PatchGrid:
             for py in range(py0, py1 + 1)
             for px in range(px0, px1 + 1)
         ]
-
-    def extract_overlap(self, pixels, exposure_box, patch_id):
-        """Pixels of one exposure that fall inside one patch.
-
-        Returns a patch-sized array filled with NaN outside the overlap
-        region -- the "new exposure object for each patch" of Step 2-A.
-        ``pixels`` may be 2-d or have leading planes (e.g. flux /
-        variance stacks of shape ``(planes, h, w)``).
-        """
-        pixels = np.asarray(pixels, dtype=np.float64)
-        spatial = pixels.shape[-2:]
-        if spatial != (exposure_box.height, exposure_box.width):
-            raise ValueError(
-                f"pixel array {spatial} does not match exposure box"
-                f" {(exposure_box.height, exposure_box.width)}"
-            )
-        patch_box = self.patch_box(patch_id)
-        overlap = exposure_box.intersect(patch_box)
-        if overlap is None:
-            raise ValueError(
-                f"exposure {exposure_box} does not overlap patch {patch_id}"
-            )
-        out_shape = pixels.shape[:-2] + (patch_box.height, patch_box.width)
-        out = np.full(out_shape, np.nan, dtype=np.float64)
-        src = (
-            ...,
-            slice(overlap.y0 - exposure_box.y0, overlap.y1 - exposure_box.y0),
-            slice(overlap.x0 - exposure_box.x0, overlap.x1 - exposure_box.x0),
-        )
-        dst = (
-            ...,
-            slice(overlap.y0 - patch_box.y0, overlap.y1 - patch_box.y0),
-            slice(overlap.x0 - patch_box.x0, overlap.x1 - patch_box.x0),
-        )
-        out[dst] = pixels[src]
-        return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.memo import memoized
-from repro.algorithms.stencil import median
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,33 @@ def label_regions(mask, connectivity=8):
     return final.reshape(ny, nx), len(remap)
 
 
+def _clipped_background(values):
+    """Median and deviation of the finite ``values`` after up to three
+    3-sigma clips.  A clip keeps a run of the values sorted once: the
+    median is read off its middle, as numpy's (a sum from +0.0 of the
+    middle element or two, over their count), the deviation is that of
+    the run's values in their own order."""
+    ordered = np.sort(values)
+    first, count, kept = 0, values.size, values
+    for iteration in range(4):
+        half = first + count // 2
+        if count % 2:
+            center = ordered[half] + 0.0
+        else:
+            center = (ordered[half - 1] + ordered[half] + 0.0) / 2
+        std = kept.std()
+        if iteration == 3 or std == 0:
+            break
+        inside = np.abs(ordered[first:first + count] - center) <= 3.0 * std
+        n_kept = int(np.count_nonzero(inside))
+        if n_kept in (0, count):
+            break
+        first, count = first + int(inside.argmax()), n_kept
+        low, high = ordered[first], ordered[first + count - 1]
+        kept = values[(values >= low) & (values <= high)]
+    return center, std
+
+
 @memoized
 def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
     """Detect sources above a background-relative threshold.
@@ -124,38 +150,35 @@ def detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
     values = image[np.isfinite(image)]
     if values.size == 0:
         return []
-    clipped = values
-    for _iteration in range(3):
-        center = median(clipped)
-        std = clipped.std()
-        if std == 0:
-            break
-        keep = np.abs(clipped - center) <= 3.0 * std
-        if keep.all():
-            break
-        clipped = clipped[keep]
-    center = median(clipped)
-    std = clipped.std()
+    center, std = _clipped_background(values)
     threshold = center + n_sigma * std
 
     mask = np.nan_to_num(image, nan=-np.inf) > threshold
     labels, n_regions = label_regions(mask, connectivity=connectivity)
+    # Each region's pixels in raster order: one stable sort of the
+    # labelled pixels by label.
+    at = np.flatnonzero(labels)
+    at = at[np.argsort(labels.ravel()[at], kind="stable")]
+    region_ys, region_xs = np.divmod(at, image.shape[1])
+    ends = np.cumsum(np.bincount(labels.ravel())[1:]).tolist()
     sources = []
-    for label in range(1, n_regions + 1):
-        ys, xs = np.nonzero(labels == label)
-        if ys.size < npix_min:
+    for label, start, end in zip(range(1, n_regions + 1), [0] + ends, ends):
+        if end - start < npix_min:
             continue
-        fluxes = image[ys, xs] - center
-        total = float(fluxes.sum())
+        ys, xs = region_ys[start:end], region_xs[start:end]
+        pixels = image[ys, xs]
+        fluxes = pixels - center
         weight = np.maximum(fluxes, 1e-12)
+        # np.average's arithmetic: the weighted sum over the weights' sum.
+        scale = weight.sum()
         sources.append(
             Source(
                 label=label,
-                centroid_y=float(np.average(ys, weights=weight)),
-                centroid_x=float(np.average(xs, weights=weight)),
-                flux=total,
-                peak=float(image[ys, xs].max()),
-                n_pixels=int(ys.size),
+                centroid_y=float((ys * weight).sum() / scale),
+                centroid_x=float((xs * weight).sum() / scale),
+                flux=float(fluxes.sum()),
+                peak=float(pixels.max()),
+                n_pixels=end - start,
             )
         )
     sources.sort(key=lambda s: -s.flux)

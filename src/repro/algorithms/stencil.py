@@ -4,11 +4,11 @@ The paper highlights stencil operations as one of the core data
 processing patterns of image analytics (Section 1: "Data processing
 involves ... stencil (a.k.a. multidimensional window) operations").
 ``median_filter_3d`` backs the median-Otsu mask, ``median_filter_2d``
-cosmic-ray detection, and ``sliding_windows`` + ``window_medians`` the
-windows of a few pixels (detection's candidates, repair's flagged
-pixels).  Non-local means and
+cosmic-ray detection (its 3x3 form a min/max network), and
+``sliding_windows`` + ``window_medians`` the windows of a few pixels
+(detection's candidates, repair's flagged pixels).  Non-local means and
 background estimation slice their own windows; ``median`` is the
-plain median the astronomy statistics take of their pixel sets.
+plain median of cosmic-ray detection's global noise estimate.
 """
 
 import numpy as np
@@ -107,7 +107,37 @@ def median_filter_2d(image, radius=1):
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
     if radius == 0:
         return image.copy()
+    if radius == 1:
+        return _median_of_9(image)
     return window_medians(sliding_windows(image, radius), 2)
+
+
+def _median_of_9(image):
+    """``window_medians`` of the 3x3 windows, from a min/max network:
+    the median of the largest column minimum, the median column middle
+    and the smallest column maximum, each column sorted once for the
+    three windows it lies in.  A NaN reaches the median through any min
+    or max; such a window takes its sorted windows' bytes."""
+    lo, hi = np.minimum, np.maximum
+    ny, nx = image.shape
+    padded = _pad_reflect(image, 1)
+    a, b, c = padded[:ny], padded[1:ny + 1], padded[2:]
+    ab_lo, ab_hi = lo(a, b), hi(a, b)
+    col_lo, col_hi = lo(ab_lo, c), hi(ab_hi, c)
+    col_mid = hi(ab_lo, lo(ab_hi, c))
+    left, centre, right = slice(0, nx), slice(1, nx + 1), slice(2, nx + 2)
+    lows = hi(hi(col_lo[:, left], col_lo[:, centre]), col_lo[:, right])
+    highs = lo(lo(col_hi[:, left], col_hi[:, centre]), col_hi[:, right])
+    mid_lo = lo(col_mid[:, left], col_mid[:, centre])
+    mid_hi = hi(col_mid[:, left], col_mid[:, centre])
+    mids = hi(mid_lo, lo(mid_hi, col_mid[:, right]))
+    medians = hi(lo(lows, mids), lo(hi(lows, mids), highs))
+    if np.issubdtype(medians.dtype, np.inexact):
+        medians += 0.0
+        nan = np.isnan(medians)
+        if nan.any():
+            medians[nan] = window_medians(sliding_windows(image, 1)[nan], 2)
+    return medians
 
 
 def convolve3d(volume, kernel):

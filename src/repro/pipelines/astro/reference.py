@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.algorithms.background import subtract_background
-from repro.algorithms.coadd import coadd_stack
+from repro.algorithms.coadd import sigma_clip_stack
 from repro.algorithms.cosmicray import detect_cosmic_rays, repair_cosmic_rays
 from repro.algorithms.memo import memoized
 from repro.algorithms.patches import PatchGrid
@@ -83,27 +83,31 @@ def patch_pieces(exposure, grid, pixel_scale):
     (Section 5.3.2) instead of ballooning with NaN padding.
     """
     side = max(1, int(round(np.sqrt(pixel_scale))))
+    flux = np.asarray(exposure.flux, dtype=np.float64)
+    box = exposure.sky_box
+    if flux.shape != (box.height, box.width):
+        raise ValueError(f"flux {flux.shape} does not match exposure box"
+                         f" {(box.height, box.width)}")
+    height, width = grid.patch_height, grid.patch_width
     pieces = []
-    for patch_id in grid.overlapping_patches(exposure.sky_box):
-        piece = grid.extract_overlap(
-            exposure.flux, exposure.sky_box, patch_id
-        ).astype(np.float32)
-        overlap = exposure.sky_box.intersect(grid.patch_box(patch_id))
-        nominal_shape = (overlap.height * side, overlap.width * side)
-        pieces.append(
-            (
-                (patch_id, exposure.visit_id),
-                SizedArray(
-                    piece,
-                    nominal_shape=nominal_shape,
-                    meta={
-                        "patch": patch_id,
-                        "visit": exposure.visit_id,
-                        "side": side,
-                    },
-                ),
-            )
-        )
+    for patch_id in grid.overlapping_patches(box):
+        # The overlap, from integer bounds: rows y0:y1, columns x0:x1.
+        top, left = patch_id[0] * height, patch_id[1] * width
+        y0, y1 = max(box.y0, top), min(box.y0 + box.height, top + height)
+        x0, x1 = max(box.x0, left), min(box.x0 + box.width, left + width)
+        # Assigning float64 to float32 rounds as ``astype`` does.
+        piece = np.full((height, width), np.nan, dtype=np.float32)
+        piece[y0 - top:y1 - top, x0 - left:x1 - left] = (
+            flux[y0 - box.y0:y1 - box.y0, x0 - box.x0:x1 - box.x0])
+        nominal_shape = ((y1 - y0) * side, (x1 - x0) * side)
+        pieces.append((
+            (patch_id, exposure.visit_id),
+            SizedArray(piece, nominal_shape=nominal_shape, meta={
+                "patch": patch_id,
+                "visit": exposure.visit_id,
+                "side": side,
+            }),
+        ))
     return pieces
 
 
@@ -115,8 +119,7 @@ def stitch_pieces(pieces):
     arrays = [p.array for p in pieces]
     out = arrays[0].copy()
     for other in arrays[1:]:
-        hole = np.isnan(out)
-        out[hole] = other[hole]
+        np.copyto(out, other, where=np.isnan(out))
     side = pieces[0].meta.get("side", 1)
     nominal_shape = (out.shape[0] * side, out.shape[1] * side)
     return SizedArray(out, nominal_shape=nominal_shape, meta=pieces[0].meta)
@@ -137,14 +140,14 @@ def coadd_patch(patch_exposures):
 
 @memoized
 def _coadd_planes(*planes):
-    """Step 3-A on one patch's visit planes: the float32 co-add.
+    """Step 3-A on one patch's visit planes: the float32 co-add (the
+    sum ``coadd_stack`` takes, without its per-pixel counts).
     Memoized on the planes, so a repeated stack is neither built nor
     clipped again."""
-    stack = np.stack([plane.astype(np.float64) for plane in planes])
-    coadd, _counts = coadd_stack(
-        stack, n_sigma=COADD_SIGMA, n_iter=COADD_ITERATIONS
-    )
-    return coadd.astype(np.float32)
+    stack = np.stack(planes, dtype=np.float64)
+    clipped = sigma_clip_stack(stack, n_sigma=COADD_SIGMA,
+                               n_iter=COADD_ITERATIONS)
+    return np.nansum(clipped, axis=0).astype(np.float32)
 
 
 def detect(coadd):

@@ -1,9 +1,84 @@
 """Tests for sigma-clipped co-addition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.algorithms.coadd import coadd_stack, sigma_clip_stack
+from tests.algorithms.test_stencil import assert_same_bytes
+
+
+def _reference_sigma_clip_stack(stack, n_sigma=3.0, n_iter=2):
+    """``sigma_clip_stack`` through ``np.nanmean`` / ``np.nanstd``, before
+    it wrote their arithmetic out, verbatim.
+
+    The oracle: ``sigma_clip_stack`` must return these bytes.
+    """
+    stack = np.array(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"stack must be (visits, h, w), got {stack.shape}")
+    if n_sigma <= 0:
+        raise ValueError(f"n_sigma must be positive, got {n_sigma}")
+    for _iteration in range(n_iter):
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mean = np.nanmean(stack, axis=0)
+            std = np.nanstd(stack, axis=0)
+            deviation = np.abs(stack - mean)
+            outliers = deviation > n_sigma * std
+        outliers &= std > 0
+        if not outliers.any():
+            break
+        stack[outliers] = np.nan
+    return stack
+
+
+def _spiked(rng, shape):
+    """Visits near 10 with a few far-off pixels: both passes clip."""
+    stack = rng.normal(10.0, 0.5, shape)
+    stack[rng.random(shape) < 0.05] = 1000.0
+    return stack
+
+
+def _holes(rng, shape):
+    """Visits that cover part of the patch (NaN outside), some pixels
+    covered by no visit at all."""
+    stack = _spiked(rng, shape)
+    stack[rng.random(shape) < 0.4] = np.nan
+    stack[:, 0, 0] = np.nan
+    return stack
+
+
+#: The value classes of a co-add stack: coverage holes and all-NaN
+#: pixels, infinities, signed zeros, ties, a deviation of 0, extremes
+#: whose sums overflow.
+STACK_CLASSES = {
+    "normal": lambda rng, shape: rng.normal(0.0, 3.0, shape),
+    "spiked": _spiked,
+    "holes": _holes,
+    "all_nan": lambda rng, shape: np.full(shape, np.nan),
+    "inf": lambda rng, shape: np.where(
+        rng.random(shape) < 0.1, rng.choice([np.inf, -np.inf], shape),
+        _spiked(rng, shape)),
+    "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 5.0], shape),
+    "ties": lambda rng, shape: np.round(rng.normal(0.0, 1.0, shape)),
+    "constant": lambda rng, shape: np.full(shape, 2.5),
+    "extremes": lambda rng, shape: rng.choice([1e308, -1e308, 1.0], shape),
+    "float32": lambda rng, shape: _holes(rng, shape).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("stack_class", sorted(STACK_CLASSES))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 3), (2, 3, 3),
+                                   (5, 1, 1), (24, 4, 5), (4, 40, 26)])
+def test_sigma_clip_bytes_match_nanfunctions(shape, stack_class):
+    stack = STACK_CLASSES[stack_class](np.random.default_rng(shape[0]), shape)
+    for n_sigma, n_iter in [(3.0, 2), (1.0, 2), (0.5, 3), (3.0, 0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the arithmetic warns of nothing
+            got = sigma_clip_stack(stack, n_sigma, n_iter)
+        assert_same_bytes(got, _reference_sigma_clip_stack(stack, n_sigma, n_iter))
 
 
 def test_outlier_nulled_with_enough_visits(rng):

@@ -263,7 +263,7 @@ def test_the_astro_grid_cells_calibrate_and_coadd_each_input_once(
     benchmark) run Step 1-A 72 times on 24 exposures and co-add 76
     times on 38 patch stacks: each distinct input is computed once."""
     repaired = _computed(monkeypatch, reference, "repair_cosmic_rays")
-    coadded = _computed(monkeypatch, reference, "coadd_stack")
+    coadded = _computed(monkeypatch, reference, "sigma_clip_stack")
     reference._calibrate.cache_clear()
     reference._coadd_planes.cache_clear()
     _run_quick_cells("fig10d", FIGURES["fig10d"].quick["count"].values)

@@ -9,6 +9,8 @@ from repro.algorithms.sources import (
     detect_sources,
     label_regions,
 )
+from repro.algorithms.stencil import median
+from tests.algorithms.test_stencil import VALUE_CLASSES
 
 
 def _reference_label_regions(mask, connectivity=8):
@@ -177,3 +179,88 @@ def test_labels_match_full_image_second_pass(fill, connectivity):
         assert labels.dtype == want.dtype
         assert labels.tobytes() == want.tobytes()
         assert n == want_n
+
+
+def _reference_detect_sources(image, n_sigma=5.0, npix_min=3, connectivity=8):
+    """``detect_sources`` before it sorted the background clip once and
+    grouped region pixels with one stable sort, verbatim (less its memo).
+
+    The oracle: ``detect_sources`` must return these sources, bit for
+    bit.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-d image, got shape {image.shape}")
+
+    values = image[np.isfinite(image)]
+    if values.size == 0:
+        return []
+    clipped = values
+    for _iteration in range(3):
+        center = median(clipped)
+        std = clipped.std()
+        if std == 0:
+            break
+        keep = np.abs(clipped - center) <= 3.0 * std
+        if keep.all():
+            break
+        clipped = clipped[keep]
+    center = median(clipped)
+    std = clipped.std()
+    threshold = center + n_sigma * std
+
+    mask = np.nan_to_num(image, nan=-np.inf) > threshold
+    labels, n_regions = label_regions(mask, connectivity=connectivity)
+    sources = []
+    for label in range(1, n_regions + 1):
+        ys, xs = np.nonzero(labels == label)
+        if ys.size < npix_min:
+            continue
+        fluxes = image[ys, xs] - center
+        total = float(fluxes.sum())
+        weight = np.maximum(fluxes, 1e-12)
+        sources.append(
+            Source(
+                label=label,
+                centroid_y=float(np.average(ys, weights=weight)),
+                centroid_x=float(np.average(xs, weights=weight)),
+                flux=total,
+                peak=float(image[ys, xs].max()),
+                n_pixels=int(ys.size),
+            )
+        )
+    sources.sort(key=lambda s: -s.flux)
+    return sources
+
+
+def source_bits(sources):
+    """Each source's fields, floats as their exact hex."""
+    return [tuple(v.hex() if isinstance(v, float) else v
+                  for v in vars(source).values()) for source in sources]
+
+
+def _coadd_like(rng, shape):
+    """A co-add: sky noise, a few bright blobs and specks, NaN where no
+    visit covered."""
+    image = rng.normal(0.0, 2.0, shape)
+    for _blob in range(4):
+        y, x = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+        image[y:y + 3, x:x + 2] += rng.uniform(20.0, 200.0)
+    image[rng.random(shape) < 0.02] += 80.0
+    image[:, :max(1, shape[1] // 5)] = np.nan
+    return image
+
+
+SOURCE_CLASSES = dict(VALUE_CLASSES, coadd_like=_coadd_like)
+
+
+@pytest.mark.parametrize("value_class", sorted(SOURCE_CLASSES))
+@pytest.mark.parametrize("shape", [(40, 26), (9, 14), (1, 7), (1, 1)])
+def test_detect_sources_match_reference(shape, value_class):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    image = SOURCE_CLASSES[value_class](rng, shape)
+    for n_sigma, npix_min, connectivity in [(5.0, 3, 8), (1.0, 1, 4), (0.5, 2, 8)]:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = detect_sources.__wrapped__(image, n_sigma, npix_min, connectivity)
+            want = _reference_detect_sources(image, n_sigma, npix_min, connectivity)
+        assert source_bits(got) == source_bits(want)

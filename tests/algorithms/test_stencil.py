@@ -179,6 +179,28 @@ def test_median_filter_of_one_pixel():
     assert_same_bytes(median_filter_3d(voxel, 2), voxel)
 
 
+def test_median_of_9_network_on_every_zero_one_window():
+    """The 0-1 principle: a min/max network that takes the median of
+    every 0/1 window takes the median of every window.  And a NaN
+    anywhere in a window reaches its median."""
+    for bits in range(2 ** 9):
+        window = np.array([bits >> k & 1 for k in range(9)], float).reshape(3, 3)
+        assert median_filter_2d(window, 1)[1, 1] == np.median(window)
+        with_nan = np.where(window == 1, np.nan, np.arange(9.0).reshape(3, 3))
+        assert np.isnan(median_filter_2d(with_nan, 1)[1, 1]) == bool(bits)
+
+
+def test_median_of_9_keeps_the_sorted_nan(rng):
+    """Windows holding NaNs of both signs get the NaN the sort puts
+    last, bit for bit: the bytes of the sorted windows, which
+    ``median_filter_2d`` returned before its 3x3 network."""
+    image = rng.normal(0.0, 3.0, (9, 8))
+    image[rng.random(image.shape) < 0.1] = np.nan
+    image[rng.random(image.shape) < 0.1] = -np.nan
+    assert_same_bytes(median_filter_2d(image, 1),
+                      window_medians(sliding_windows(image, 1), 2))
+
+
 def test_window_medians_leaves_contiguous_windows_alone(rng):
     windows = rng.random((3, 5, 5))
     before = windows.copy()

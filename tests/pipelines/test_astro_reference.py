@@ -175,6 +175,44 @@ def test_patch_pieces_fanout_bounds(tiny_visits):
         assert 1 <= len(pieces) <= 6
 
 
+def _reference_stitch_pieces(pieces):
+    """``stitch_pieces`` before it filled each hole with one ``copyto``,
+    verbatim.  The oracle: ``stitch_pieces`` must return these bytes."""
+    arrays = [p.array for p in pieces]
+    out = arrays[0].copy()
+    for other in arrays[1:]:
+        hole = np.isnan(out)
+        out[hole] = other[hole]
+    side = pieces[0].meta.get("side", 1)
+    nominal_shape = (out.shape[0] * side, out.shape[1] * side)
+    return SizedArray(out, nominal_shape=nominal_shape, meta=pieces[0].meta)
+
+
+def test_step_2a_bytes_match_reference_on_quick_exposures(quick_exposures):
+    """Step 2-A on the 24 calibrated quick exposures: every piece and
+    every stitched exposure against the loops they replaced."""
+    from tests.algorithms.test_patches import (
+        _reference_patch_pieces,
+        assert_same_pieces,
+    )
+
+    grid = default_patch_grid(quick_exposures[0].shape)
+    scale = nominal_pixel_scale(quick_exposures[0].shape,
+                                quick_exposures[0].bundle)
+    groups = {}
+    for exposure in quick_exposures:
+        calibrated = preprocess_exposure(exposure)
+        pieces = patch_pieces(calibrated, grid, scale)
+        assert_same_pieces(pieces,
+                           _reference_patch_pieces(calibrated, grid, scale))
+        for key, piece in pieces:
+            groups.setdefault(key, []).append(piece)
+    assert max(len(group) for group in groups.values()) > 1
+    for group in groups.values():
+        assert_same_pieces([(0, stitch_pieces(group))],
+                           [(0, _reference_stitch_pieces(group))])
+
+
 def test_stitch_fills_holes():
     from repro.formats.sizing import SizedArray
 

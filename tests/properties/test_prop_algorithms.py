@@ -13,11 +13,17 @@ from repro.algorithms.memo import memoized
 from repro.algorithms.nlmeans import nlmeans_3d
 from repro.algorithms.otsu import otsu_threshold
 from repro.algorithms.patches import PatchGrid, SkyBox
-from repro.algorithms.sources import label_regions
+from repro.algorithms.sources import detect_sources, label_regions
 from repro.algorithms.stencil import median, median_filter_2d, median_filter_3d
+from repro.formats.sizing import SizedArray
+from repro.pipelines.astro.reference import patch_pieces, stitch_pieces
 from tests.algorithms.test_background import (
     BACKGROUND_CLASSES,
     _reference_estimate_background,
+)
+from tests.algorithms.test_coadd import (
+    STACK_CLASSES,
+    _reference_sigma_clip_stack,
 )
 from tests.algorithms.test_cosmicray import (
     _reference_detect_cosmic_rays,
@@ -29,12 +35,23 @@ from tests.algorithms.test_nlmeans import (
     ONE_ROW_SHAPE,
     _reference_nlmeans_3d,
 )
-from tests.algorithms.test_sources import _reference_label_regions
+from tests.algorithms.test_patches import (
+    _reference_patch_pieces,
+    assert_same_pieces,
+    exposure_at,
+)
+from tests.algorithms.test_sources import (
+    SOURCE_CLASSES,
+    _reference_detect_sources,
+    _reference_label_regions,
+    source_bits,
+)
 from tests.algorithms.test_stencil import (
     VALUE_CLASSES,
     _reference_median_filter,
     assert_same_bytes,
 )
+from tests.pipelines.test_astro_reference import _reference_stitch_pieces
 
 
 @given(
@@ -314,6 +331,84 @@ def test_detect_bytes_match_whole_image_detector(
             detect_cosmic_rays(image, variance, radius=radius),
             _reference_detect_cosmic_rays(image, variance, radius=radius),
         )
+
+
+# The astronomy steps against the forms they replaced: Step 2-A's
+# pieces and stitching, Step 3-A's clip, Step 4-A's detection.
+
+@given(
+    # Patches down to 1 x 1 and boxes wider than a patch: every ragged
+    # overlap, 1 to many pieces.
+    patch=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    corner=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    size=st.tuples(st.integers(1, 25), st.integers(1, 25)),
+    pixel_scale=st.sampled_from([1.0, 2.0, 4.0, 6.25, 100.0]),
+    value_class=st.sampled_from(sorted(VALUE_CLASSES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_patch_pieces_match_reference(patch, corner, size, pixel_scale,
+                                      value_class, seed):
+    flux = VALUE_CLASSES[value_class](np.random.default_rng(seed), size)
+    exposure = exposure_at(flux, SkyBox(*corner, *size), visit_id=seed % 7)
+    grid = PatchGrid(*patch)
+    assert_same_pieces(patch_pieces(exposure, grid, pixel_scale),
+                       _reference_patch_pieces(exposure, grid, pixel_scale))
+
+
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    n_pieces=st.integers(1, 4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stitch_pieces_match_reference(shape, n_pieces, dtype, seed):
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for _piece in range(n_pieces):
+        array = VALUE_CLASSES["nan"](rng, shape).astype(dtype)
+        array[rng.random(shape) < 0.5] = np.nan
+        pieces.append(SizedArray(array, meta={"patch": (0, 1), "side": 2}))
+    assert_same_pieces([(0, stitch_pieces(pieces))],
+                       [(0, _reference_stitch_pieces(pieces))])
+
+
+@given(
+    # One-visit stacks, 1 x 1 patches, and the quick profile's 40 x 26.
+    shape=st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5)),
+        st.just((4, 40, 26)),
+    ),
+    stack_class=st.sampled_from(sorted(STACK_CLASSES)),
+    n_sigma=st.sampled_from([3.0, 2.0, 1.0, 0.5]),
+    n_iter=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sigma_clip_bytes_match_nanfunctions(shape, stack_class, n_sigma,
+                                             n_iter, seed):
+    stack = STACK_CLASSES[stack_class](np.random.default_rng(seed), shape)
+    assert_same_bytes(sigma_clip_stack(stack, n_sigma, n_iter),
+                      _reference_sigma_clip_stack(stack, n_sigma, n_iter))
+
+
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    value_class=st.sampled_from(sorted(SOURCE_CLASSES)),
+    n_sigma=st.sampled_from([5.0, 2.0, 0.5]),
+    npix_min=st.integers(1, 4),
+    connectivity=st.sampled_from([4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_detect_sources_match_reference(shape, value_class, n_sigma,
+                                        npix_min, connectivity, seed):
+    image = SOURCE_CLASSES[value_class](np.random.default_rng(seed), shape)
+    args = (image, n_sigma, npix_min, connectivity)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert (source_bits(detect_sources.__wrapped__(*args))
+                == source_bits(_reference_detect_sources(*args)))
 
 
 # A memo is a function of the arguments' values: any sequence of calls
