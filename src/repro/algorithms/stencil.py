@@ -52,11 +52,13 @@ def window_medians(windows, window_ndim):
     medians = flat[:, flat.shape[1] // 2].copy()
     if np.issubdtype(flat.dtype, np.inexact):
         # numpy's median takes the mean of the one middle element, which
-        # turns a -0.0 into +0.0, and answers NaN for a window that
-        # holds one.  NaN sorts last.
+        # turns a -0.0 into +0.0, and answers the NaN its partition puts
+        # last for a window that holds one.  NaN sorts last too, but the
+        # sort need not keep its sign: such windows take ``median``.
         medians += 0.0
-        last = flat[:, -1]
-        np.copyto(medians, last, where=np.isnan(last))
+        nan = np.isnan(flat[:, -1])
+        if nan.any():
+            medians[nan] = median(np.reshape(windows, flat.shape)[nan], axis=1)
     return medians.reshape(lead)
 
 
@@ -117,7 +119,7 @@ def _median_of_9(image):
     the median of the largest column minimum, the median column middle
     and the smallest column maximum, each column sorted once for the
     three windows it lies in.  A NaN reaches the median through any min
-    or max; such a window takes its sorted windows' bytes."""
+    or max; such a window takes ``window_medians``' bytes."""
     lo, hi = np.minimum, np.maximum
     ny, nx = image.shape
     padded = _pad_reflect(image, 1)

@@ -27,12 +27,10 @@ windows from the same graph builders ``run()`` chains.
 
 import numpy as np
 
-from repro.algorithms.dtm import fit_dtm, fractional_anisotropy
-from repro.algorithms.nlmeans import nlmeans_3d
-from repro.algorithms.otsu import median_otsu
 from repro.engines.base import LoweredPlan
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
+from repro.pipelines.neuro import reference as ref
 from repro.pipelines.neuro.staging import volume_keys
 from repro.plan.ir import provenance_id
 
@@ -133,26 +131,21 @@ class LoweredNeuro(LoweredPlan):
         b0_vols = [vols_delayed[i] for i in b0_indices]
 
         def mean_volumes(*volumes):
-            stack = np.stack([v.array for v in volumes], axis=-1)
             return SizedArray(
-                stack.mean(axis=-1),
+                ref.mean_volume([v.array for v in volumes]),
                 nominal_shape=volumes[0].nominal_shape,
                 meta=volumes[0].meta,
             )
 
         def mean_cost(*volumes):
-            total = sum(v.nominal_elements for v in volumes)
-            return total * cm.elementwise_per_element
+            return common.mean_time(cm, sum(v.nominal_elements for v in volumes))
 
         mean = client.delayed(
             mean_volumes, cost=mean_cost, op=self._pid("mean_b0")
         )(*b0_vols)
 
         def to_mask(mean_volume):
-            _masked, mask = median_otsu(
-                mean_volume.array, median_radius=median_radius
-            )
-            return mask
+            return ref.mask_of_mean(mean_volume.array, median_radius)
 
         return client.delayed(
             to_mask, cost=common.otsu_cost(cm), op=self._pid("otsu")
@@ -164,12 +157,11 @@ class LoweredNeuro(LoweredPlan):
         sigma = self.sigma
 
         def denoise_one(volume, mask):
-            out = nlmeans_3d(volume.array, sigma=sigma, mask=mask)
-            return volume.with_array(out)
+            return volume.with_array(ref.denoise_volume(volume.array, mask, sigma))
 
         def denoise_cost(volume, mask):
-            fraction = common.masked_fraction(mask)
-            return volume.nominal_elements * fraction * cm.nlmeans_per_voxel
+            return common.denoise_time(
+                cm, volume.nominal_elements, common.masked_fraction(mask))
 
         return [
             self.client.delayed(
@@ -205,18 +197,13 @@ class LoweredNeuro(LoweredPlan):
         ]
 
         def fit_block(mask, block_index, *blocks):
-            stacked = np.stack([b.array for b in blocks], axis=-1)
-            nz = mask.shape[0]
-            bounds = common.block_z_bounds(nz, n_blocks)
-            mask_block = mask[bounds[block_index]:bounds[block_index + 1]]
-            evals = fit_dtm(stacked, gtab, mask=mask_block)
-            fa = fractional_anisotropy(evals)
+            stacked = ref.stack_images(enumerate(b.array for b in blocks))
+            fa = ref.fit_block(stacked, gtab, mask, n_blocks, block_index)
             return SizedArray(fa, nominal_shape=blocks[0].nominal_shape)
 
         def fit_block_cost(mask, block_index, *blocks):
-            fraction = common.masked_fraction(mask)
-            elements = sum(b.nominal_elements for b in blocks)
-            return elements * fraction * cm.dtm_fit_per_voxel_sample
+            return common.fit_time(cm, sum(b.nominal_elements for b in blocks),
+                                   common.masked_fraction(mask))
 
         fa_blocks = [
             client.delayed(

@@ -19,18 +19,13 @@ documents:
   Myria rebinds the plan's broadcast side-input as a relation join.
 """
 
-import numpy as np
-
-from repro.algorithms.dtm import fit_dtm, fractional_anisotropy
-from repro.algorithms.nlmeans import nlmeans_3d
-from repro.algorithms.otsu import median_otsu
 from repro.data.catalog import NEURO_VOLUME_SHAPE
 from repro.engines.base import LoweredPlan, udf
 from repro.engines.myria.connection import MyriaQuery, PlanQuery
 from repro.engines.myria.relation import Relation
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.reference import reference_masks
+from repro.pipelines.neuro import reference as ref
 from repro.pipelines.neuro.staging import (
     charge_nifti_conversion,
     gradient_tables,
@@ -153,20 +148,6 @@ def make_loader(subjects):
     return loader
 
 
-def _block_of(block, n_blocks, nz):
-    """Recover the mask slice for a voxel block from its z extent."""
-    bounds = common.block_z_bounds(nz, n_blocks)
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    block_id = block.meta.get("block_id")
-    if block_id is not None:
-        return slices[block_id]
-    # Match by block height (blocks carry no id in their meta).
-    for candidate in slices:
-        if candidate.stop - candidate.start == block.array.shape[0]:
-            return candidate
-    return slice(0, nz)
-
-
 class LoweredNeuro(LoweredPlan):
     """Executable produced by ``lower(neuro_plan(), conn)``."""
 
@@ -218,31 +199,24 @@ class LoweredNeuro(LoweredPlan):
         masks = self.masks
 
         def mean_otsu_uda(volumes):
-            stack = np.stack([v.array for v in volumes], axis=-1)
-            mean = stack.mean(axis=-1)
-            _masked, mask = median_otsu(mean, median_radius=median_radius)
+            mean = ref.mean_volume([v.array for v in volumes])
             return SizedArray(
-                mask, nominal_shape=volumes[0].nominal_shape, meta=volumes[0].meta
+                ref.mask_of_mean(mean, median_radius),
+                nominal_shape=volumes[0].nominal_shape, meta=volumes[0].meta,
             )
 
         def mean_otsu_cost(volumes):
             per = volumes[0].nominal_elements
-            return per * len(volumes) * cm.elementwise_per_element + per * (
-                cm.otsu_per_voxel + 27 * cm.elementwise_per_element
-            )
+            return common.mean_time(cm, per * len(volumes)) + common.otsu_time(cm, per)
 
         def mean_vol_uda(volumes):
-            stack = np.stack([v.array for v in volumes], axis=-1)
-            return volumes[0].with_array(stack.mean(axis=-1))
+            return volumes[0].with_array(ref.mean_volume([v.array for v in volumes]))
 
         def mean_vol_cost(volumes):
-            return (
-                volumes[0].nominal_elements * len(volumes) * cm.elementwise_per_element
-            )
+            return common.mean_time(cm, volumes[0].nominal_elements * len(volumes))
 
         def denoise(volume, mask):
-            out = nlmeans_3d(volume.array, sigma=sigma, mask=mask.array)
-            return volume.with_array(out)
+            return volume.with_array(ref.denoise_volume(volume.array, mask.array, sigma))
 
         def repart(volume):
             rows = []
@@ -256,21 +230,16 @@ class LoweredNeuro(LoweredPlan):
             return rows
 
         def fit_model(blocks, image_ids):
-            order = np.argsort(image_ids)
-            stacked = np.stack([blocks[i].array for i in order], axis=-1)
+            stacked = ref.stack_images(zip(image_ids, (b.array for b in blocks)))
             meta = blocks[0].meta
             subject_id = meta["subject_id"]
-            gtab = gtabs[subject_id]
-            mask = masks[subject_id]
-            block_id = _block_of(blocks[0], n_blocks, mask.shape[0])
-            mask_block = mask[block_id]
-            evals = fit_dtm(stacked, gtab, mask=mask_block)
-            fa = fractional_anisotropy(evals)
+            fa = ref.fit_block(stacked, gtabs[subject_id], masks[subject_id],
+                               n_blocks, meta["block_id"])
             return SizedArray(fa, nominal_shape=blocks[0].nominal_shape, meta=meta)
 
         def fit_cost(blocks, image_ids):
             elements = blocks[0].nominal_elements * len(blocks)
-            return elements * mask_fraction * cm.dtm_fit_per_voxel_sample
+            return common.fit_time(cm, elements, mask_fraction)
 
         conn.create_function("MeanOtsu", udf(mean_otsu_uda, cost=mean_otsu_cost))
         conn.create_function("MeanVol", udf(mean_vol_uda, cost=mean_vol_cost))
@@ -341,7 +310,7 @@ class LoweredNeuro(LoweredPlan):
         """Ingested volumes plus the stored ``Mask`` relation the
         broadcast join scans."""
         self.ingest(subjects)
-        masks = reference_masks(subjects)
+        masks = ref.reference_masks(subjects)
         self.register_udfs(
             subjects, mask_fraction=common.mean_masked_fraction(masks)
         )

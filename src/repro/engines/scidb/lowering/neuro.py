@@ -25,13 +25,12 @@ subject by subject as the paper's two ingest strategies did.
 
 import numpy as np
 
-from repro.algorithms.nlmeans import nlmeans_3d
-from repro.algorithms.otsu import median_otsu
 from repro.data.catalog import NEURO_N_VOLUMES, NEURO_VOLUME_SHAPE
 from repro.engines.base import LoweredPlan, udf
 from repro.engines.scidb.array import DimSpec
 from repro.engines.scidb.ingest import aio_input, from_array
-from repro.pipelines.neuro.reference import compute_mask
+from repro.pipelines import common
+from repro.pipelines.neuro import reference as ref
 
 #: Default per-dimension chunking for ingested subjects.  The volume
 #: axis is chunked in groups of 16, which leaves the Step 1-N selection
@@ -141,13 +140,11 @@ class LoweredNeuro(LoweredPlan):
             sdb.cluster.network.transfer_time(
                 mean.nominal_bytes, "instances", "client"
             )
-            + mean.nominal_elements
-            * (cm.otsu_per_voxel + 27 * cm.elementwise_per_element),
+            + common.otsu_time(cm, mean.nominal_elements),
             label="SciDB mask (client-side Otsu)",
             op=self.plan.provenance("otsu"),
         )
-        _masked, mask = median_otsu(mean.real, median_radius=self.median_radius)
-        return mask
+        return ref.mask_of_mean(mean.real, self.median_radius)
 
     def denoise_step(self, array, mask_of_chunk, volumes_of_chunk):
         """Step 2-N via ``stream()``: each chunk crosses to an external
@@ -164,17 +161,13 @@ class LoweredNeuro(LoweredPlan):
         cell_scale = array.nominal_elements / max(1, array.real.size)
 
         def denoise_chunk(payload, coords):
-            volumes = volumes_of_chunk(payload)
-            mask = mask_of_chunk(coords)
-            out = np.empty_like(volumes, dtype=np.float64)
-            for v in range(volumes.shape[-1]):
-                out[..., v] = nlmeans_3d(volumes[..., v], sigma=sigma, mask=mask)
+            out = ref.denoise_volumes(
+                volumes_of_chunk(payload), mask_of_chunk(coords), sigma)
             return out.reshape(payload.shape)
 
         def cost(payload, coords):
-            fraction = max(float(np.asarray(mask_of_chunk(coords)).mean()), 0.01)
-            nominal_voxels = payload.size * cell_scale
-            return nominal_voxels * fraction * cm.nlmeans_per_voxel
+            return common.denoise_time(cm, payload.size * cell_scale,
+                                       common.masked_fraction(mask_of_chunk(coords)))
 
         op = self.plan.provenance("denoise")
         return self.sdb.stream(array, udf(denoise_chunk, cost=cost), op=op)
@@ -230,7 +223,7 @@ class LoweredNeuro(LoweredPlan):
 
     def _prepare_denoise(self, subjects):
         self._prepare_b0(subjects)
-        self._masks = [compute_mask(s) for s in subjects]
+        self._masks = [ref.compute_mask(s) for s in subjects]
 
     def _prepare_mean_b0(self, subjects):
         self._prepare_b0(subjects)

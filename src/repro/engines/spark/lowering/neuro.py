@@ -15,14 +15,11 @@ the denoise step closes over.
 
 import numpy as np
 
-from repro.algorithms.dtm import fit_dtm, fractional_anisotropy
-from repro.algorithms.nlmeans import nlmeans_3d
-from repro.algorithms.otsu import median_otsu
 from repro.engines.base import udf
 from repro.engines.spark.lowering.walker import ChainWalker
 from repro.formats.sizing import SizedArray
 from repro.pipelines import common
-from repro.pipelines.neuro.reference import reference_masks
+from repro.pipelines.neuro import reference as ref
 from repro.pipelines.neuro.staging import (
     charge_nifti_conversion,
     gradient_tables,
@@ -69,7 +66,7 @@ class LoweredNeuro(ChainWalker):
             return a[0] + b[0], a[1] + b[1], a[2]
 
         def add_cost(a, b):
-            return a[2].nominal_elements * cm.elementwise_per_element
+            return common.mean_time(cm, a[2].nominal_elements)
 
         def finish(acc):
             total, count, volume = acc
@@ -84,10 +81,7 @@ class LoweredNeuro(ChainWalker):
         median_radius = self.median_radius
 
         def to_mask(mean_volume):
-            _masked, mask = median_otsu(
-                mean_volume.array, median_radius=median_radius
-            )
-            return mask
+            return ref.mask_of_mean(mean_volume.array, median_radius)
 
         return "mapValues", udf(to_mask, cost=common.otsu_cost(cm))
 
@@ -98,8 +92,7 @@ class LoweredNeuro(ChainWalker):
 
         def denoise(volume):
             mask = masks_b.value[volume.meta["subject_id"]]
-            out = nlmeans_3d(volume.array, sigma=sigma, mask=mask)
-            return volume.with_array(out)
+            return volume.with_array(ref.denoise_volume(volume.array, mask, sigma))
 
         return "map", udf(denoise, cost=common.denoise_cost(cm, self.mask_fraction))
 
@@ -121,9 +114,8 @@ class LoweredNeuro(ChainWalker):
 
         def regroup(kv):
             key, entries = kv
-            ordered = sorted(entries, key=lambda e: e[0])
-            stacked = np.stack([e[1].array for e in ordered], axis=-1)
-            nominal = ordered[0][1].nominal_shape + (len(ordered),)
+            stacked = ref.stack_images((i, block.array) for i, block in entries)
+            nominal = entries[0][1].nominal_shape + (len(entries),)
             return key, SizedArray(stacked, nominal_shape=nominal)
 
         def regroup_cost(kv):
@@ -141,18 +133,14 @@ class LoweredNeuro(ChainWalker):
 
         def fitmodel(kv):
             (subject_id, block_id), stacked = kv
-            gtab = gtabs[subject_id]
-            mask = masks_b.value[subject_id]
-            block_slices = _block_slices(mask.shape[0], n_blocks)
-            mask_block = mask[block_slices[block_id]]
-            evals = fit_dtm(stacked.array, gtab, mask=mask_block)
-            fa = fractional_anisotropy(evals)
+            fa = ref.fit_block(stacked.array, gtabs[subject_id],
+                               masks_b.value[subject_id], n_blocks, block_id)
             nominal = stacked.nominal_shape[:-1]
             return (subject_id, block_id), SizedArray(fa, nominal_shape=nominal)
 
         def fit_cost(kv):
             _key, stacked = kv
-            return stacked.nominal_elements * mask_fraction * cm.dtm_fit_per_voxel_sample
+            return common.fit_time(cm, stacked.nominal_elements, mask_fraction)
 
         return "map", udf(fitmodel, cost=fit_cost)
 
@@ -211,15 +199,10 @@ class LoweredNeuro(ChainWalker):
     def prepare(self, op_id, subjects):
         super().prepare(op_id, subjects)
         if self.plan.member(op_id).uses:  # denoise closes over the masks
-            self._broadcast_masks(reference_masks(subjects))
+            self._broadcast_masks(ref.reference_masks(subjects))
 
     def _scan_step(self):
         charge_nifti_conversion(
             self.sc.cluster, self.subjects, self.plan.provenance(self.scan_id)
         )
         return super()._scan_step()
-
-
-def _block_slices(nz, n_blocks):
-    bounds = common.block_z_bounds(nz, n_blocks)
-    return [slice(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]

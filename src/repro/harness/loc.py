@@ -8,11 +8,14 @@ rows as Table 1, and reports the paper's own numbers alongside.
 
 Counting rules: executable source lines of the functions / query
 strings that implement each step (blank lines, pure-comment lines and
-decorators excluded); the shared reference algorithms count once under
-"Re-used Reference".  Absolute values differ from the paper's (different
-codebase), but the *pattern* is the comparison target: near-total reuse
-on Spark/Myria/Dask, full rewrites on SciDB/TensorFlow, NA/impossible
-cells where the paper marks them.
+decorators excluded).  A lowering is plumbing: it calls the step
+bodies of ``pipelines/*/reference.py``, and an engine's neuro "Re-used
+Reference" cell counts the reference functions its lowering calls
+(:func:`neuro_reused_reference`); the astro cells count the step
+functions with the plane helpers they call.  Absolute values differ
+from the paper's (different codebase), but the *pattern* is the
+comparison target: near-total reuse on Spark/Myria/Dask, full rewrites
+on SciDB/TensorFlow, NA/impossible cells where the paper marks them.
 
 Since the pipelines were unified behind the logical dataflow IR
 (``repro.plan``), the engine-specific code lives in each engine's
@@ -98,6 +101,22 @@ def _myrial(text, *relations):
     )
 
 
+def neuro_reused_reference():
+    """``{system: [functions]}``: the neuro reference functions each
+    lowering's step kernels call by name (not what those call in turn,
+    nor the step protocol's driver-side ``reference_masks`` /
+    ``compute_mask``).  TensorFlow's rewrite calls none."""
+    from repro.pipelines.neuro import reference as ref
+
+    fit = [ref.stack_images, ref.fit_block]
+    return {
+        "Dask": [ref.mean_volume, ref.mask_of_mean, ref.denoise_volume] + fit,
+        "SciDB": [ref.mask_of_mean, ref.denoise_volumes],
+        "Spark": [ref.mask_of_mean, ref.denoise_volume] + fit,
+        "Myria": [ref.mean_volume, ref.mask_of_mean, ref.denoise_volume] + fit,
+    }
+
+
 def measured_table1():
     """Count this repository's implementations into Table 1 cells.
 
@@ -119,22 +138,16 @@ def measured_table1():
     from repro.engines.spark.lowering.walker import ChainWalker
     from repro.engines.tensorflow.lowering import neuro as n_tf
     from repro.pipelines.astro import reference as a_ref
-    from repro.pipelines.neuro import reference as n_ref
 
     dask, spark, myria = (
         n_dask.LoweredNeuro, n_spark.LoweredNeuro, n_myria.LoweredNeuro
     )
     scidb, tf = n_scidb.LoweredNeuro, n_tf.LoweredNeuro
-    neuro_reused = _sum(
-        [n_ref.compute_mask, n_ref.denoise_volume, n_ref.fit_subject]
-    )
+    reused = neuro_reused_reference()
     neuro = {
         "Re-used Reference": {
-            "Dask": neuro_reused,
-            "SciDB": _sum([n_ref.denoise_volume]),
-            "Spark": neuro_reused,
-            "Myria": neuro_reused,
-            "TensorFlow": 0,
+            system: _sum(reused.get(system, ()))
+            for system in PAPER_TABLE1["neuro"]["Re-used Reference"]
         },
         "Data Ingest": {
             "Dask": _sum([dask.fetch_subject, dask.download_all]),
@@ -166,11 +179,9 @@ def measured_table1():
             "Dask": _sum([dask.fit_graph]),
             "SciDB": None,
             "Spark": _sum([spark._udf_repart, spark._udf_regroup,
-                           spark._udf_fitmodel, spark.denoise_and_fit,
-                           n_spark._block_slices]),
+                           spark._udf_fitmodel, spark.denoise_and_fit]),
             "Myria": _sum(
-                [_myrial(n_myria.PIPELINE_QUERY, "Blocks", "Fitted"),
-                 n_myria._block_of]
+                [_myrial(n_myria.PIPELINE_QUERY, "Blocks", "Fitted")]
                 + _nested(myria.register_udfs, "repart", "fit_model")),
             "TensorFlow": None,
         },

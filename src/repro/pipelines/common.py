@@ -33,19 +33,38 @@ def mean_masked_fraction(masks):
 # Neuroscience UDF costs
 # ----------------------------------------------------------------------
 
+def mean_time(cost_model, elements):
+    """Averaging volumes of ``elements`` voxels in all: one add each."""
+    return elements * cost_model.elementwise_per_element
+
+
+def otsu_time(cost_model, elements):
+    """Median-Otsu on a volume of ``elements`` voxels."""
+    # Median-filter passes plus the histogram threshold.
+    return elements * (cost_model.otsu_per_voxel + 27 * cost_model.elementwise_per_element)
+
+
+def denoise_time(cost_model, elements, mask_fraction):
+    """Non-local means on volumes of ``elements`` voxels, masked."""
+    return elements * mask_fraction * cost_model.nlmeans_per_voxel
+
+
+def fit_time(cost_model, elements, mask_fraction):
+    """Tensor fit of ``elements`` voxel samples, masked."""
+    return elements * mask_fraction * cost_model.dtm_fit_per_voxel_sample
+
+
 def denoise_cost(cost_model, mask_fraction):
     """Cost of non-local-means denoising one masked volume."""
     def cost(volume, *rest):
-        return volume.nominal_elements * mask_fraction * cost_model.nlmeans_per_voxel
+        return denoise_time(cost_model, volume.nominal_elements, mask_fraction)
     return cost
 
 
 def otsu_cost(cost_model):
     """Otsu cost."""
     def cost(volume, *rest):
-        elements = getattr(volume, "nominal_elements", np.asarray(volume).size)
-        # Median-filter passes plus the histogram threshold.
-        return elements * (cost_model.otsu_per_voxel + 27 * cost_model.elementwise_per_element)
+        return otsu_time(cost_model, volume.nominal_elements)
     return cost
 
 

@@ -39,6 +39,14 @@ def _with_nan(rng, shape):
     return values
 
 
+def _with_signed_nan(rng, shape):
+    """NaNs of both signs: a sort need not keep a NaN's sign, and
+    ``np.median`` answers the one its partition puts last."""
+    values = _with_nan(rng, shape)
+    values[rng.random(shape) < 0.08] = -np.nan
+    return values
+
+
 #: The value classes where a median picked from a sort could part from
 #: ``np.median``: ties, signed zeros, NaN and infinite pixels, dtypes.
 VALUE_CLASSES = {
@@ -51,6 +59,7 @@ VALUE_CLASSES = {
     "negative_zero": lambda rng, shape: np.full(shape, -0.0),
     "constant": lambda rng, shape: np.full(shape, 4.25),
     "nan": _with_nan,
+    "signed_nan": _with_signed_nan,
     "inf": _with_inf,
 }
 
@@ -191,9 +200,9 @@ def test_median_of_9_network_on_every_zero_one_window():
 
 
 def test_median_of_9_keeps_the_sorted_nan(rng):
-    """Windows holding NaNs of both signs get the NaN the sort puts
-    last, bit for bit: the bytes of the sorted windows, which
-    ``median_filter_2d`` returned before its 3x3 network."""
+    """Windows holding NaNs of both signs get ``window_medians``' NaN,
+    bit for bit: the bytes ``median_filter_2d`` returned before its 3x3
+    network."""
     image = rng.normal(0.0, 3.0, (9, 8))
     image[rng.random(image.shape) < 0.1] = np.nan
     image[rng.random(image.shape) < 0.1] = -np.nan

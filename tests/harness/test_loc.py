@@ -1,9 +1,16 @@
 """Tests for the Table 1 LoC accounting."""
 
+import ast
+import importlib
+import inspect
+
+import pytest
+
 from repro.harness.loc import (
     PAPER_TABLE1,
     count_source_lines,
     measured_table1,
+    neuro_reused_reference,
     shared_plan_loc,
     table1_rows,
 )
@@ -83,3 +90,66 @@ def test_shared_plan_row():
         assert int(cell["measured_loc"]) == shared_plan_loc(use_case)
         assert cell["system"] == "(all engines)"
         assert cell["paper_loc"] == "NA"
+
+
+#: The lowerings that reuse the reference (TensorFlow rewrites it).
+REUSING_LOWERINGS = {
+    "Dask": "repro.engines.dask.lowering",
+    "Myria": "repro.engines.myria.lowering",
+    "Spark": "repro.engines.spark.lowering",
+    "SciDB": "repro.engines.scidb.lowering",
+}
+
+
+def _lowering_tree(package, use_case):
+    module = importlib.import_module(f"{package}.{use_case}")
+    return ast.parse(inspect.getsource(module))
+
+
+@pytest.mark.parametrize("use_case", ["neuro", "astro"])
+@pytest.mark.parametrize("system", sorted(REUSING_LOWERINGS))
+def test_reusing_lowerings_import_no_algorithm(system, use_case):
+    """Step bodies live in the reference, so a lowering that reuses it
+    never reaches past it into ``repro.algorithms``."""
+    tree = _lowering_tree(REUSING_LOWERINGS[system], use_case)
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [m for m in imported if m.startswith("repro.algorithms")]
+
+
+def _reference_names(tree):
+    """Names a module takes from ``repro.pipelines.neuro.reference``:
+    imported from it, or read as attributes of its alias."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "repro.pipelines.neuro.reference":
+                names.update(alias.name for alias in node.names)
+            elif node.module == "repro.pipelines.neuro":
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names
+                               if alias.name == "reference")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("system", sorted(REUSING_LOWERINGS))
+def test_reused_reference_cells_count_what_the_lowering_calls(system):
+    """Table 1's neuro "Re-used Reference" cell of an engine counts
+    only reference functions that engine's lowering names."""
+    counted = {fn.__name__ for fn in neuro_reused_reference()[system]}
+    named = _reference_names(_lowering_tree(REUSING_LOWERINGS[system], "neuro"))
+    assert counted
+    assert counted <= named, counted - named
+    cell = measured_table1()["neuro"]["Re-used Reference"][system]
+    assert cell == sum(
+        count_source_lines(fn) for fn in neuro_reused_reference()[system]
+    )

@@ -126,24 +126,35 @@ def test_tensorflow_partial_pipeline(tiny_subjects, reference):
         tf_lowering.fit_step()
 
 
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_engines_agree_with_each_other(tiny_subjects):
-    """Spark and Myria produce bit-identical FA maps."""
+    """Dask, Myria and Spark produce bit-identical masks and FA maps:
+    all three call the reference's step bodies on the same blocks."""
     c1 = _spark_cluster()
     sc = SparkContext(c1)
     stage_subjects(c1.object_store, tiny_subjects)
-    _m1, fa_spark = lower(neuro_plan(), "spark", sc).run(
+    runs = {"spark": lower(neuro_plan(), "spark", sc).run(
         tiny_subjects, input_partitions=16
-    )
+    )}
 
     c2 = _worker_cluster()
     conn = MyriaConnection(c2)
     stage_subjects(c2.object_store, tiny_subjects)
-    _m2, fa_myria = lower(neuro_plan(), "myria", conn).run(
+    runs["myria"] = lower(neuro_plan(), "myria", conn).run(
         tiny_subjects, source="s3"
     )
 
-    for s in tiny_subjects:
-        assert np.allclose(
-            fa_spark[s.subject_id].array, fa_myria[s.subject_id].array,
-            atol=1e-12,
-        )
+    c3 = _spark_cluster()
+    client = DaskClient(c3)
+    stage_subjects(c3.object_store, tiny_subjects)
+    runs["dask"] = lower(neuro_plan(), "dask", client).run(tiny_subjects)
+
+    masks_spark, fa_spark = runs.pop("spark")
+    for engine, (masks, fa) in runs.items():
+        for s in tiny_subjects:
+            sid = s.subject_id
+            assert _same_bytes(masks[sid], masks_spark[sid]), engine
+            assert _same_bytes(fa[sid].array, fa_spark[sid].array), engine

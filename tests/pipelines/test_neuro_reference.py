@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.otsu import median_otsu
+from repro.pipelines import common
 from repro.pipelines.neuro.reference import (
+    MASK_MEDIAN_RADIUS,
     compute_mask,
-    denoise_subject,
+    denoise_volumes,
+    fit_block,
     fit_subject,
+    mask_block,
     run_reference,
+    stack_images,
 )
 
 
@@ -76,5 +82,46 @@ def test_fa_zero_outside_mask(result):
 def test_steps_compose(tiny_subject, result):
     mask, denoised, fa = result
     assert np.array_equal(compute_mask(tiny_subject), mask)
-    assert np.allclose(denoise_subject(tiny_subject, mask), denoised)
+    assert np.allclose(denoise_volumes(tiny_subject.data.array, mask), denoised)
     assert np.allclose(fit_subject(denoised, tiny_subject.gtab, mask), fa)
+
+
+def test_mask_bytes_match_the_fancy_indexed_mean(tiny_subject):
+    """``compute_mask`` averages the b0 volumes stacked one by one; the
+    b0 selection by boolean index gives the same bytes."""
+    data = tiny_subject.data.array
+    mean_b0 = data[..., tiny_subject.gtab.b0s_mask].mean(axis=-1)
+    _masked, want = median_otsu(mean_b0, median_radius=MASK_MEDIAN_RADIUS)
+    got = compute_mask(tiny_subject)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 8, 40])
+def test_mask_blocks_line_up_with_volume_blocks(tiny_subject, n_blocks):
+    """Cut by the same bounds: each mask block is as deep as the voxel
+    block of that id, and the blocks tile the mask in order."""
+    mask = compute_mask(tiny_subject)
+    volume = tiny_subject.volumes[0]
+    blocks = common.split_volume_blocks(volume, n_blocks)
+    cuts = [mask_block(mask, n_blocks, block_id) for block_id, _b in blocks]
+    for cut, (_block_id, block) in zip(cuts, blocks):
+        assert cut.shape == block.array.shape
+    assert np.concatenate(cuts).tobytes() == mask.tobytes()
+
+
+def test_block_fits_tile_the_subject_fit(tiny_subject, result):
+    """Step 3-N per voxel block, from entries in any order, agrees with
+    the whole-subject fit."""
+    mask, denoised, fa = result
+    n_blocks = 3
+    bounds = common.block_z_bounds(mask.shape[0], n_blocks)
+    images = list(range(denoised.shape[-1]))
+    fitted = []
+    for block_id in range(n_blocks):
+        cut = denoised[bounds[block_id]:bounds[block_id + 1]]
+        entries = [(i, cut[..., i]) for i in reversed(images)]
+        stacked = stack_images(entries)
+        assert stacked.tobytes() == np.ascontiguousarray(cut).tobytes()
+        fitted.append(fit_block(stacked, tiny_subject.gtab, mask, n_blocks,
+                                block_id))
+    assert np.allclose(np.concatenate(fitted), fa, atol=1e-10)
