@@ -36,7 +36,7 @@ from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import NetworkModel
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.spec import ClusterSpec, NodeSpec, R3_2XLARGE
-from repro.cluster.task import Task, TaskResult
+from repro.cluster.task import Task
 
 __all__ = [
     "ClusterError",
@@ -60,7 +60,6 @@ __all__ = [
     "SimulatedCluster",
     "Task",
     "TaskFailedError",
-    "TaskResult",
     "VirtualClock",
     "abort_recovery",
     "dask_recovery",

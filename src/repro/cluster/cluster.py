@@ -69,6 +69,7 @@ class SimulatedCluster:
             for name in spec.node_names()
         }
         self.node_order = spec.node_names()
+        #: task_id -> the filed record of each finished task, its result.
         self.completed = {}
         #: task_id -> the open :class:`~repro.obs.spans.TaskRecord` of a
         #: task admitted but not finished; completion files it with
@@ -87,8 +88,8 @@ class SimulatedCluster:
         self._resurrected = set()
         #: node name -> virtual time its post-crash restart completes.
         self._pending_recover = {}
-        #: task_id -> (task, node, alloc_id, end, event seq) per running
-        #: attempt.
+        #: task_id -> ``(task, node, alloc_id, end)`` per running
+        #: attempt, also the payload of its event.
         self._inflight = {}
         #: Monotonic per-push sequence: the third heap field, so equal
         #: (time, tiebreak) events resolve by push order instead of
@@ -139,7 +140,7 @@ class SimulatedCluster:
         slots and allocations of every other in-flight task, because
         their completion events die with the run's event heap.
         """
-        for _tid, (task, node, alloc_id, end, _seq) in sorted(
+        for _tid, (task, node, alloc_id, end) in sorted(
             self._inflight.items()
         ):
             if node.alive:
@@ -200,7 +201,7 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
 
     def run(self, tasks):
-        """Execute a DAG of tasks; returns ``{task_id: TaskResult}``.
+        """Execute a DAG of tasks; returns ``{task_id: filed TaskRecord}``.
 
         The clock starts at its current value (runs are cumulative,
         modeling consecutive pipeline stages) and finishes at the

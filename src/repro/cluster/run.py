@@ -20,7 +20,7 @@ from repro.cluster.errors import (
 )
 from repro.cluster.faults import RecoveryPolicy
 from repro.cluster.ready import ReadySet
-from repro.cluster.task import Task, TaskResult
+from repro.cluster.task import Task
 from repro.obs.spans import PSEUDO_RECOVERY, TaskRecord
 
 #: Heap tiebreak of crash and recover events: above every task id, so
@@ -36,18 +36,6 @@ def _deadlock(blocked):
         RuntimeError("deadlock: task cannot start (insufficient memory or slots)"),
         category=blocked.category,
     )
-
-
-def _emptiest(nodes):
-    """The node with the most free slots, the first of ``nodes`` on
-    ties; ``None`` when no slot is free."""
-    best = None
-    most = 0
-    for node in nodes:
-        free = node.slots - node.busy_slots
-        if free > most:
-            best, most = node, free
-    return best
 
 
 class Run:
@@ -69,9 +57,6 @@ class Run:
         self.waiting_deps = {}  # task_id -> count of open dependencies
         self.dependents = {}  # task_id -> tasks it holds back
         self.oom_waiting = []  # tasks memory admission deferred
-        #: ``seq`` of the events, still in the heap, of attempts that
-        #: died with their node.
-        self.cancelled = set()
         #: The upstream tuple of the task last started, and those of its
         #: tasks with output bytes to move.  A shuffle's reducers share
         #: one (an ``Upstream``) and start in a row, so it is filtered
@@ -93,7 +78,8 @@ class Run:
     # -- The loop --
 
     def run(self):
-        """Drive the DAG to its makespan; returns ``{task_id: TaskResult}``."""
+        """Drive the DAG to its makespan; returns ``{task_id: filed
+        TaskRecord}`` of the tasks it finished."""
         now = self.clock.now
         self.rebuild_schedule(now)
         self.arm_faults(now)
@@ -105,7 +91,6 @@ class Run:
         ready = self.ready
         asleep = ready.asleep
         oom_waiting = self.oom_waiting
-        cancelled = self.cancelled
         advance_to = self.clock.advance_to
         while events or asleep:
             if asleep:
@@ -129,12 +114,10 @@ class Run:
                 if not unfinished:
                     break
                 raise _deadlock(unfinished[0])
-            time, _tiebreak, seq, handler, payload = heapq.heappop(events)
-            if cancelled and seq in cancelled:
-                # The attempt died with its node: its event is dropped
-                # without advancing the clock.
-                cancelled.discard(seq)
-            else:
+            time, tiebreak, _seq, handler, payload = heapq.heappop(events)
+            # An attempt that died with its node is no longer in flight:
+            # its event is dropped without advancing the clock.
+            if tiebreak >= _AFTER_TASKS or inflight.get(tiebreak) is payload:
                 advance_to(time)
                 handler(payload, time)
             self.start_candidates()
@@ -142,11 +125,10 @@ class Run:
 
     def push(self, time, tiebreak, handler, payload):
         """Heap entries are ``(time, tiebreak, seq, handler, payload)``:
-        at ``time`` the loop calls ``handler(payload, time)``.  Returns
-        ``seq``, which identifies the event."""
+        at ``time`` the loop calls ``handler(payload, time)``; ``seq``
+        orders equal ``(time, tiebreak)`` entries by push order."""
         self.cluster._event_seq = seq = self.cluster._event_seq + 1
         heapq.heappush(self.events, (time, tiebreak, seq, handler, payload))
-        return seq
 
     def push_fault(self, time, handler, payload):
         self.fault_events += 1
@@ -234,13 +216,8 @@ class Run:
         record = self.records.get(tid)
         if resurrected or record is None:
             self.cluster._resurrected.discard(tid)
-            record = self.records[tid] = TaskRecord(
-                task.name, None, None, None, task_id=tid,
-                category=task.category, op=task.op, queued=time,
-                not_before=task.not_before, compute_s=0.0,
-                dep_ids=dep_ids,
-                retried=resurrected,
-            )
+            record = self.records[tid] = TaskRecord.opened(
+                task, time, dep_ids, resurrected)
             if resurrected and self.policy.recompute_category:
                 # A lineage recompute is recovery work, whatever op the
                 # lost result first implemented.
@@ -267,7 +244,10 @@ class Run:
                         # free: it waits on as an unpinned task.
                         ready.add(task, now)
                         continue
-                    node = _emptiest(usable.values())
+                    # The node with the most free slots, the first on
+                    # ties.
+                    node = max(usable.values(),
+                               key=lambda n: n.slots - n.busy_slots)
                 if not self.start(task, node):
                     self.records[task.task_id].mem_deferred = True
                     self.oom_waiting.append(task)
@@ -334,8 +314,9 @@ class Run:
         record.transfer_s = transfer
         record.compute_s = compute
         record.spill_s = duration - compute
+        record.value = value
         self.occupy(self.on_complete, task, record, node, alloc_id,
-                    transfer, duration, value)
+                    transfer, duration)
         return True
 
     def admit_memory(self, task, node):
@@ -375,10 +356,14 @@ class Run:
         """
         cluster = self.cluster
         completed = self.completed
-        args = [completed[a.task_id].value if isinstance(a, Task) else a
-                for a in task.args]
-        kwargs = {k: completed[v.task_id].value if isinstance(v, Task) else v
-                  for k, v in task.kwargs.items()}
+        args = task.args
+        if args:
+            args = [completed[a.task_id].value if isinstance(a, Task) else a
+                    for a in args]
+        kwargs = task.kwargs
+        if kwargs:
+            kwargs = {k: completed[v.task_id].value if isinstance(v, Task)
+                      else v for k, v in kwargs.items()}
         upstream, sized = self.sized_upstream
         if task._dependencies is not upstream:
             upstream = task._dependencies
@@ -421,9 +406,11 @@ class Run:
         return value, transfer, compute
 
     def occupy(self, ending, task, record, node, alloc_id, transfer,
-               duration, value=None):
+               duration):
         """The attempt takes a slot of ``node`` from now until ``ending``
-        handles its event, ``transfer + duration`` seconds on."""
+        handles its event, ``transfer + duration`` seconds on.  Its
+        in-flight entry ``(task, node, alloc_id, end)`` is the event's
+        payload."""
         tid = task.task_id
         start = self.clock.now
         end = start + transfer + duration
@@ -436,16 +423,11 @@ class Run:
         node.busy_seconds += transfer + duration
         record.node = node.name
         record.start = start
-        seq = self.push(end, tid, ending, (task, node, alloc_id, value))
-        self.inflight[tid] = (task, node, alloc_id, end, seq)
+        self.inflight[tid] = attempt = (task, node, alloc_id, end)
+        self.push(end, tid, ending, attempt)
 
-    # -- Event handlers, one per kind: handler(payload, time) --
-
-    def on_complete(self, payload, time):
-        """An attempt finished: file its record, release its children."""
-        task, node, alloc_id, value = payload
-        tid = task.task_id
-        self.inflight.pop(tid, None)
+    def release(self, node, alloc_id):
+        """An attempt gives back its slot of ``node`` and its memory."""
         node.busy_slots -= 1
         if node.busy_slots == node.slots - 1:
             self.ready.reopen(node.name)
@@ -454,11 +436,19 @@ class Run:
             self.ready.reopen(None)
         if alloc_id is not None:
             node.memory.free(alloc_id)
+
+    # -- Event handlers, one per kind: handler(payload, time) --
+
+    def on_complete(self, attempt, time):
+        """An attempt finished: file its record, which is the task's
+        result, and release its children."""
+        task, node, alloc_id, _end = attempt
+        tid = task.task_id
+        del self.inflight[tid]
+        self.release(node, alloc_id)
         record = self.records.pop(tid)
         record.end = time
-        result = TaskResult(task, value, record.start, time, node.name)
-        self.completed[tid] = result
-        self.results[tid] = result
+        self.completed[tid] = self.results[tid] = record
         self.obs.file_record(record)
         ready = self.ready
         waiting_deps = self.waiting_deps
@@ -480,22 +470,14 @@ class Run:
                         >= crash.at_progress * self.initial_total):
                     self.fire_crash(crash, time)
 
-    def on_task_fail(self, payload, time):
+    def on_task_fail(self, attempt, time):
         """An injected transient failure was detected: retry behind a
         backoff floor, or give up."""
-        task, node, alloc_id, _value = payload
+        task, node, alloc_id, _end = attempt
         cluster = self.cluster
         tid = task.task_id
-        self.inflight.pop(tid, None)
-        if node.alive:
-            node.busy_slots -= 1
-            if node.busy_slots == node.slots - 1:
-                self.ready.reopen(node.name)
-            self.free_slots += 1
-            if self.free_slots == 1:
-                self.ready.reopen(None)
-        if alloc_id is not None:
-            node.memory.free(alloc_id)
+        del self.inflight[tid]
+        self.release(node, alloc_id)
         self.attempt_died(task, node, time)
         attempts = cluster._attempts[tid] = cluster._attempts.get(tid, 0) + 1
         retry = cluster._faults.retry_policy
@@ -564,10 +546,9 @@ class Run:
         node.crash_count += 1
         killed = []
         for tid in sorted(self.inflight):
-            task, on_node, _alloc, end, seq = self.inflight[tid]
+            task, on_node, _alloc, end = self.inflight[tid]
             if on_node is node:
                 del self.inflight[tid]
-                self.cancelled.add(seq)
                 node.busy_seconds -= max(0.0, end - time)
                 self.attempt_died(task, node, time)
                 killed.append(task)

@@ -9,6 +9,7 @@ structure and node pinning.
 
 import itertools
 from math import inf
+from types import MappingProxyType
 
 from repro.obs.spans import check_op
 
@@ -17,6 +18,11 @@ from repro.obs.spans import check_op
 #: It never reaches a task name, a fault draw or a snapshot, so a
 #: trial's results do not depend on where the counter started.
 _task_counter = itertools.count()
+
+_OOM_POLICIES = ("fail", "wait", "spill")
+
+#: The ``kwargs`` of every task given none: read-only, so it is shared.
+_NO_KWARGS = MappingProxyType({})
 
 
 class Upstream(tuple):
@@ -97,8 +103,6 @@ class Task:
         "_dependencies",
     )
 
-    _OOM_POLICIES = ("fail", "wait", "spill")
-
     def __init__(
         self,
         name,
@@ -116,10 +120,12 @@ class Task:
         *,
         op,
     ):
-        check_op(op, name)
-        if on_oom not in self._OOM_POLICIES:
+        # The one check of ``op``: the task's record takes it as it is.
+        if not isinstance(op, str):
+            check_op(op, name)
+        if on_oom not in _OOM_POLICIES:
             raise ValueError(
-                f"on_oom must be one of {self._OOM_POLICIES}, got {on_oom!r}"
+                f"on_oom must be one of {_OOM_POLICIES}, got {on_oom!r}"
             )
         if not callable(duration) and not 0 <= duration < inf:
             raise ValueError(f"duration must be finite, >= 0, got {duration}")
@@ -128,11 +134,11 @@ class Task:
         self.task_id = next(_task_counter)
         self.name = name
         self.fn = fn
-        self.args = tuple(args)
-        self.kwargs = dict(kwargs or {})
+        self.args = args = tuple(args)  # a tuple is kept, not copied
+        self.kwargs = dict(kwargs) if kwargs else _NO_KWARGS
         self.duration = duration
         self.node = node
-        self.deps = deps if type(deps) is Upstream else tuple(deps)
+        self.deps = deps = deps if type(deps) is Upstream else tuple(deps)
         self.memory_bytes = int(memory_bytes)
         self.output_bytes = int(output_bytes)
         self.on_oom = on_oom
@@ -140,17 +146,23 @@ class Task:
         self.category = category
         self.op = op
         # ``deps``, ``args`` and ``kwargs`` are never reassigned, so the
-        # upstream set is fixed here, once.
-        task_args = [arg for arg in (*self.args, *self.kwargs.values())
-                     if isinstance(arg, Task)]
-        if type(self.deps) is Upstream and not task_args:
-            # Distinct already, and shared with its other holders.
-            self._dependencies = self.deps
-            return
-        seen = {dep.task_id: dep for dep in self.deps}
-        for arg in task_args:
-            seen[arg.task_id] = arg
-        self._dependencies = tuple(seen.values())
+        # upstream set is fixed here, once: ``deps``, then the tasks in
+        # ``args`` and ``kwargs``, each task once.
+        seen = None
+        for arg in (*args, *kwargs.values()) if kwargs else args:
+            if isinstance(arg, Task):
+                if seen is None:
+                    seen = {dep.task_id: dep for dep in deps} if deps else {}
+                seen[arg.task_id] = arg
+        if seen is not None:
+            self._dependencies = tuple(seen.values())
+        elif type(deps) is Upstream or len(deps) < 2:
+            # Distinct already (an ``Upstream`` is shared with its other
+            # holders).
+            self._dependencies = deps
+        else:
+            self._dependencies = tuple(
+                {dep.task_id: dep for dep in deps}.values())
 
     def dependencies(self):
         """All upstream tasks: explicit ``deps`` plus tasks in arguments."""
@@ -158,22 +170,3 @@ class Task:
 
     def __repr__(self):
         return f"Task(#{self.task_id} {self.name!r})"
-
-
-class TaskResult:
-    """Outcome of one executed task."""
-
-    __slots__ = ("task", "value", "start_time", "end_time", "node")
-
-    def __init__(self, task, value, start_time, end_time, node):
-        self.task = task
-        self.value = value
-        self.start_time = start_time
-        self.end_time = end_time
-        self.node = node
-
-    def __repr__(self):
-        return (
-            f"TaskResult({self.task.name!r} on {self.node!r},"
-            f" {self.start_time:.3f}->{self.end_time:.3f})"
-        )

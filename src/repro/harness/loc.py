@@ -9,10 +9,9 @@ rows as Table 1, and reports the paper's own numbers alongside.
 Counting rules: executable source lines of the functions / query
 strings that implement each step (blank lines, pure-comment lines and
 decorators excluded).  A lowering is plumbing: it calls the step
-bodies of ``pipelines/*/reference.py``, and an engine's neuro "Re-used
+bodies of ``pipelines/*/reference.py``, and an engine's "Re-used
 Reference" cell counts the reference functions its lowering calls
-(:func:`neuro_reused_reference`); the astro cells count the step
-functions with the plane helpers they call.  Absolute values differ
+(:func:`reused_reference`), in both use cases.  Absolute values differ
 from the paper's (different codebase), but the *pattern* is the
 comparison target: near-total reuse on Spark/Myria/Dask, full rewrites
 on SciDB/TensorFlow, NA/impossible cells where the paper marks them.
@@ -101,11 +100,20 @@ def _myrial(text, *relations):
     )
 
 
-def neuro_reused_reference():
-    """``{system: [functions]}``: the neuro reference functions each
-    lowering's step kernels call by name (not what those call in turn,
-    nor the step protocol's driver-side ``reference_masks`` /
-    ``compute_mask``).  TensorFlow's rewrite calls none."""
+def reused_reference(use_case):
+    """``{system: [functions]}``: the ``use_case`` reference functions
+    each lowering's step kernels call by name -- not what those call in
+    turn, nor driver-side helpers (neuro's ``reference_masks`` /
+    ``compute_mask``, astro's patch grid and pixel scale, SciDB's
+    pre-processing of its astro mosaic before ingest).  A system absent
+    here calls none: TensorFlow's neuro rewrite, and SciDB and
+    TensorFlow in astronomy."""
+    if use_case == "astro":
+        from repro.pipelines.astro import reference as ref
+
+        steps = [ref.preprocess_exposure, ref.patch_pieces,
+                 ref.stitch_pieces, ref.coadd_patch, ref.detect]
+        return {"Dask": steps, "Spark": steps, "Myria": steps}
     from repro.pipelines.neuro import reference as ref
 
     fit = [ref.stack_images, ref.fit_block]
@@ -137,13 +145,12 @@ def measured_table1():
     from repro.engines.spark.lowering import neuro as n_spark
     from repro.engines.spark.lowering.walker import ChainWalker
     from repro.engines.tensorflow.lowering import neuro as n_tf
-    from repro.pipelines.astro import reference as a_ref
 
     dask, spark, myria = (
         n_dask.LoweredNeuro, n_spark.LoweredNeuro, n_myria.LoweredNeuro
     )
     scidb, tf = n_scidb.LoweredNeuro, n_tf.LoweredNeuro
-    reused = neuro_reused_reference()
+    reused = reused_reference("neuro")
     neuro = {
         "Re-used Reference": {
             system: _sum(reused.get(system, ()))
@@ -191,16 +198,11 @@ def measured_table1():
         a_dask.LoweredAstro, a_spark.LoweredAstro, a_myria.LoweredAstro
     )
     scidb = a_scidb.LoweredAstro
-    astro_reused = _sum([a_ref.preprocess_exposure, a_ref._calibrate,
-                         a_ref.patch_pieces, a_ref.stitch_pieces,
-                         a_ref.coadd_patch, a_ref._coadd_planes, a_ref.detect])
+    reused = reused_reference("astro")
     astro = {
         "Re-used Reference": {
-            "Dask": astro_reused,
-            "SciDB": None,
-            "Spark": astro_reused,
-            "Myria": astro_reused,
-            "TensorFlow": None,
+            system: _sum(reused[system]) if system in reused else None
+            for system in PAPER_TABLE1["astro"]["Re-used Reference"]
         },
         "Data Ingest": {
             "Dask": _sum(_nested(dask.run, "fetch", "fetch_cost")),

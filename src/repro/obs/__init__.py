@@ -37,7 +37,6 @@ from repro.obs.attribution import (
 from repro.obs.breakdown import (
     default_grouper,
     format_breakdown,
-    group_of,
     node_utilization_rows,
     records_of,
     straggler_rows,
@@ -100,7 +99,6 @@ __all__ = [
     "format_compare",
     "format_critical_path",
     "format_opt_comparison",
-    "group_of",
     "load_snapshot",
     "node_utilization_rows",
     "opt_pairs",

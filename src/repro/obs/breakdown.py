@@ -29,49 +29,50 @@ def records_of(cluster):
     return list(cluster.obs.task_records)
 
 
-def group_of(record, grouper=None):
-    """The attribution group of one record.
-
-    An explicit ``grouper`` always wins; otherwise the enclosing span's
-    name, falling back to :func:`default_grouper` on the task name.
-    """
-    if grouper is not None:
-        return grouper(record.name)
-    if record.span is not None:
-        return record.span.name
-    return default_grouper(record.name)
-
-
 def summarize_records(records, grouper=None):
     """Aggregate task records into per-group totals.
 
-    Returns rows sorted by descending busy time: ``{"group", "busy_s",
-    "tasks", "first_start", "last_end", "mean_task_s", "max_task_s"}``.
+    A record's group is ``grouper(record.name)`` when a ``grouper`` is
+    given, else the name of the span it was filed under, else
+    :func:`default_grouper` of its name.  Returns rows sorted by
+    descending busy time: ``{"group", "busy_s", "tasks",
+    "first_start", "last_end", "mean_task_s", "max_task_s"}``.
     """
-    busy = defaultdict(float)
-    count = defaultdict(int)
-    first = {}
-    last = {}
-    longest = defaultdict(float)
+    # group -> [busy_s, tasks, first_start, last_end, max_task_s]; sums
+    # run in filing order.
+    groups = {}
     for record in records:
-        group = group_of(record, grouper)
-        duration = record.end - record.start
-        busy[group] += duration
-        count[group] += 1
-        first[group] = min(first.get(group, record.start), record.start)
-        last[group] = max(last.get(group, record.end), record.end)
-        longest[group] = max(longest[group], duration)
+        if grouper is not None:
+            group = grouper(record.name)
+        elif record.span is not None:
+            group = record.span.name
+        else:
+            group = default_grouper(record.name)
+        start = record.start
+        end = record.end
+        duration = end - start
+        acc = groups.get(group)
+        if acc is None:
+            acc = groups[group] = [0.0, 0, start, end, 0.0]
+        acc[0] += duration
+        acc[1] += 1
+        if start < acc[2]:
+            acc[2] = start
+        if end > acc[3]:
+            acc[3] = end
+        if duration > acc[4]:
+            acc[4] = duration
     rows = [
         {
             "group": group,
-            "busy_s": busy[group],
-            "tasks": count[group],
-            "first_start": first[group],
-            "last_end": last[group],
-            "mean_task_s": busy[group] / count[group],
-            "max_task_s": longest[group],
+            "busy_s": busy,
+            "tasks": count,
+            "first_start": first,
+            "last_end": last,
+            "mean_task_s": busy / count,
+            "max_task_s": longest,
         }
-        for group in busy
+        for group, (busy, count, first, last, longest) in groups.items()
     ]
     rows.sort(key=lambda r: -r["busy_s"])
     return rows

@@ -118,9 +118,11 @@ class TaskRecord:
     dispatch floor (``not_before``), whether memory admission deferred
     it, the transfer/compute/spill decomposition of its extent, and the
     ids of its dependencies.  The executor opens a task's record when it
-    admits the task, each field is written by whoever learns the fact,
-    and completion files it (:meth:`Observability.file_record`); until
-    then ``node``, ``start`` and ``end`` may be ``None``.  ``op`` -- the
+    admits the task (:meth:`opened`), each field is written by whoever
+    learns the fact, and completion files it
+    (:meth:`Observability.file_record`); until then ``node``, ``start``
+    and ``end`` may be ``None``.  A filed task record is the task's
+    result, its ``value`` what the task returned.  ``op`` -- the
     provenance id of the plan op the work implements, or a pseudo-op --
     is required: whoever makes the record names it.
     """
@@ -143,6 +145,7 @@ class TaskRecord:
         "spill_s",
         "dep_ids",
         "retried",
+        "value",
     )
 
     def __init__(self, name, node, start, end, *, op, span=None,
@@ -171,6 +174,26 @@ class TaskRecord:
         self.spill_s = spill_s
         self.dep_ids = tuple(dep_ids)
         self.retried = retried
+        self.value = None
+
+    @classmethod
+    def opened(cls, task, time, dep_ids, retried):
+        """``task``'s record on admission at ``time``, its slots set as
+        they are: the task checked its op, ``dep_ids`` is a tuple."""
+        record = object.__new__(cls)
+        record.name = task.name
+        record.task_id = task.task_id
+        record.category = task.category
+        record.op = task.op
+        record.queued = time
+        record.not_before = task.not_before
+        record.dep_ids = dep_ids
+        record.retried = retried
+        record.node = record.start = record.end = record.span = None
+        record.ready = record.value = None
+        record.mem_deferred = False
+        record.transfer_s = record.compute_s = record.spill_s = 0.0
+        return record
 
     def __repr__(self):
         return (

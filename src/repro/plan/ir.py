@@ -6,9 +6,12 @@ A :class:`LogicalPlan` is a small DAG of typed operators (``scan``,
 as a plan; every engine owns a lowering backend
 (``repro.engines.<engine>.lowering``) that translates the plan into its
 native execution model.  The plan carries only *logical* structure plus
-format/partitioning metadata — kernel bodies, cost models, and physical
-choices (shuffle placement, broadcast strategy, chunking) live in the
-lowerings.
+format/partitioning metadata.  Step bodies live in
+``repro.pipelines.<pipeline>.reference`` and their prices in
+``repro.pipelines.common``; physical choices (shuffle placement,
+broadcast strategy, chunking) live in the lowerings, which call those
+bodies and prices (TensorFlow's neuro lowering rewrites its steps as
+graph ops instead).
 
 Operators carry two pieces of cross-cutting metadata the harness relies
 on:

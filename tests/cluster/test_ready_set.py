@@ -40,7 +40,7 @@ def make_cluster(n_nodes, slots, memory_bytes=GB):
 def placements(results):
     """``{task name: (node, start, end)}`` of one ``run``."""
     return {
-        r.task.name: (r.node, r.start_time, r.end_time)
+        r.name: (r.node, r.start, r.end)
         for r in results.values()
     }
 

@@ -1,11 +1,22 @@
-"""Straggler spread, read from the task records a run keeps."""
+"""Straggler spread and group totals, read from the task records a
+run keeps."""
+
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, SimulatedCluster, Task
 from repro.cluster.faults import FaultPlan, spark_recovery
-from repro.obs import format_breakdown, records_of, straggler_rows
-from repro.obs.spans import PSEUDO_OVERHEAD
+from repro.obs import (
+    default_grouper,
+    format_breakdown,
+    records_of,
+    straggler_rows,
+    summarize_records,
+)
+from repro.obs.spans import PSEUDO_OVERHEAD, Span, TaskRecord
 
 
 @pytest.fixture
@@ -67,3 +78,77 @@ def test_breakdown_prints_the_straggler_section(cluster):
 def test_breakdown_skips_single_task_groups(cluster):
     cluster.run([Task("solo", duration=1.0, op=PSEUDO_OVERHEAD)])
     assert "Straggler spread" not in format_breakdown(cluster)
+
+
+# ----------------------------------------------------------------------
+# summarize_records against the per-field dictionaries it replaced
+# ----------------------------------------------------------------------
+
+def _reference_summarize_records(records, grouper=None):
+    """``summarize_records`` as it was: five dictionaries filled through
+    ``group_of``, one lookup per field per record."""
+    def group_of(record):
+        if grouper is not None:
+            return grouper(record.name)
+        if record.span is not None:
+            return record.span.name
+        return default_grouper(record.name)
+
+    busy = defaultdict(float)
+    count = defaultdict(int)
+    first = {}
+    last = {}
+    longest = defaultdict(float)
+    for record in records:
+        group = group_of(record)
+        duration = record.end - record.start
+        busy[group] += duration
+        count[group] += 1
+        first[group] = min(first.get(group, record.start), record.start)
+        last[group] = max(last.get(group, record.end), record.end)
+        longest[group] = max(longest[group], duration)
+    rows = [
+        {
+            "group": group,
+            "busy_s": busy[group],
+            "tasks": count[group],
+            "first_start": first[group],
+            "last_end": last[group],
+            "mean_task_s": busy[group] / count[group],
+            "max_task_s": longest[group],
+        }
+        for group in busy
+    ]
+    rows.sort(key=lambda r: -r["busy_s"])
+    return rows
+
+
+SPANS = [None, Span(0, "stage-a", 0.0), Span(1, "stage-b", 0.0)]
+# Times that do not add exactly, zero-length extents, ties and both
+# zeros included, so a sum taken in another order or a tie broken the
+# other way shows.
+times = st.one_of(st.integers(0, 8).map(lambda i: i * 0.5),
+                  st.floats(0.0, 1e4, allow_nan=False), st.just(-0.0))
+
+
+@st.composite
+def filed_records(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(times)
+        record = TaskRecord(
+            draw(st.sampled_from(("map-1", "map-2", "reduce-10", "solo"))),
+            "node-0", start, start + draw(times), op=PSEUDO_OVERHEAD,
+        )
+        record.span = draw(st.sampled_from(SPANS))
+        records.append(record)
+    return records
+
+
+@given(filed_records(), st.sampled_from((None, default_grouper, len)))
+@settings(max_examples=200, deadline=None)
+def test_summarize_records_matches_the_reference_bit_for_bit(records,
+                                                             grouper):
+    ours = summarize_records(records, grouper)
+    # ``repr`` tells every float apart, -0.0 from 0.0 included.
+    assert repr(ours) == repr(_reference_summarize_records(records, grouper))

@@ -121,8 +121,8 @@ def test_a_task_leaves_one_allocate_free_pair_on_its_node():
               op=PSEUDO_OVERHEAD)]
     ).values()
     assert cluster.node("node-1").memory.history == [
-        (result.start_time, mb64), (result.end_time, -mb64)]
-    assert (result.start_time, result.end_time) == (3.0, 4.5)
+        (result.start, mb64), (result.end, -mb64)]
+    assert (result.start, result.end) == (3.0, 4.5)
     assert cluster.node("node-1").memory.peak_bytes == mb64
     assert cluster.node("node-0").memory.history == []
 
@@ -156,7 +156,7 @@ def test_not_before_respected(specs):
     ]
     results = cluster.run(tasks)
     for task, (d, nb) in zip(tasks, specs):
-        assert results[task.task_id].start_time >= nb - 1e-9
+        assert results[task.task_id].start >= nb - 1e-9
 
 
 @given(st.integers(1, 8), st.integers(1, 64))
@@ -227,20 +227,21 @@ def check_records(cluster, tasks, results=None, charges=0):
     record's history is ordered, its extent is exactly its
     transfer/compute/spill split, and its ``dep_ids`` are the task's.
     ``results`` is what the ``run()`` calls returned, in call order,
-    when none of them raised.
+    when none of them raised: the filed records themselves, as
+    ``cluster.completed`` holds them.
     """
     records = cluster.obs.task_records
     by_id = {task.task_id: task for task in tasks}
     filed = [r for r in records if r.task_id is not None]
     if results is not None:
-        assert [r.task_id for r in filed] == [x.task.task_id for x in results]
+        assert [r.task_id for r in filed] == [x.task_id for x in results]
+        assert all(x is r for r, x in zip(filed, results))
     ends = [r.end for r in filed]
     assert ends == sorted(ends)
     last = {r.task_id: r for r in filed}
     for task_id, result in cluster.completed.items():
-        r = last[task_id]
-        assert (r.name, r.node, r.start, r.end) == (
-            result.task.name, result.node, result.start_time, result.end_time)
+        # The task's result is its last filed record, not a copy.
+        assert result is last[task_id]
     for r in filed:
         task = by_id[r.task_id]
         assert r.name == task.name
@@ -272,7 +273,7 @@ def test_every_finished_task_has_one_record_of_its_history(workload, data):
     results = [*first.values(), *second.values()]
     check_records(cluster, tasks, results, charges=1)
     assert len(cluster.obs.task_records) == len(tasks) + 1
-    assert sorted(x.task.task_id for x in results) == [
+    assert sorted(x.task_id for x in results) == [
         t.task_id for t in tasks]
     by_id = {r.task_id: r for r in cluster.obs.task_records}
     for task in tasks:

@@ -104,6 +104,6 @@ def test_same_schedule_replays_bit_identically(params):
     assert a.now == b.now
     assert a.node_summaries() == b.node_summaries()
     # Task ids are process-global, so compare by name.
-    assert sorted(r.task.name for r in a.completed.values()) == sorted(
-        r.task.name for r in b.completed.values()
+    assert sorted(r.name for r in a.completed.values()) == sorted(
+        r.name for r in b.completed.values()
     )
